@@ -23,8 +23,8 @@ from .errors import (
 )
 from .extmetric import (
     FiniteMetricSpace,
-    PseudometricMatrix,
     QuotientMap,
+    _validated,
     metric_identification,
     render_id,
     restrict_space,
@@ -42,8 +42,7 @@ class MetricAlgebra:
     __slots__ = ("sig", "space", "ops")
 
     def __init__(self, sig: Signature, space: FiniteMetricSpace, ops: Mapping):
-        if not isinstance(space, FiniteMetricSpace):
-            space = FiniteMetricSpace(space.carrier, space.entries)
+        space = _validated(space, FiniteMetricSpace)
         normalized = {}
         for symbol, table in dict(ops).items():
             if symbol not in sig:
@@ -118,25 +117,40 @@ def is_quantitative(algebra: MetricAlgebra, max_checks: int = 1_000_000) -> Verd
     The witness of a failure is ``(symbol, args, args2)`` for the first
     violating pair in the deterministic scan order.
     """
-    space = algebra.space
-    checks = 0
+    return _modulus_scan(algebra, None, max_checks)
+
+
+def _modulus_scan(algebra: MetricAlgebra, constants, max_checks=None) -> Verdict:
+    """First argument pair an operation stretches beyond its modulus.
+
+    Checks d(op(a), op(b)) <= K_op * max_i d(a_i, b_i) symbol by symbol in
+    signature order, over argument tuples in carrier order; the witness is
+    ``(symbol, a, b)``.  ``constants`` maps symbols to K_op, and ``None``
+    means K = 1: the quantitativity check.
+    """
+    space, entries, checks = algebra.space, algebra.space.entries, 0
+    reason = "expansive-operation" if constants is None else "not-lipschitz"
     for symbol in algebra.sig.symbols:
         arity = algebra.sig.arity(symbol)
         if arity == 0:
             continue
+        if constants is not None and symbol not in constants:
+            raise SignatureError(f"no Lipschitz constant for symbol {symbol!r}")
+        k = 1 if constants is None else constants[symbol]
         tuples = list(itertools.product(space.carrier, repeat=arity))
         checks += len(tuples) ** 2
-        if checks > max_checks:
+        if max_checks is not None and checks > max_checks:
             raise ResourceLimitError(
-                f"quantitativity scan exceeds {max_checks} pairs",
-                "max_checks",
-                max_checks,
+                f"quantitativity scan exceeds {max_checks} pairs", "max_checks", max_checks
             )
-        for a_args in tuples:
-            for b_args in tuples:
-                bound = max(space.get(a, b) for a, b in zip(a_args, b_args))
-                if space.get(algebra.apply(symbol, a_args), algebra.apply(symbol, b_args)) > bound:
-                    return Verdict.failed("expansive-operation", (symbol, a_args, b_args))
+        table = algebra.ops[symbol]
+        scan = [(t, [space.index(x) for x in t], space.index(table[t])) for t in tuples]
+        for a, a_pos, a_img in scan:
+            for b, b_pos, b_img in scan:
+                spread = max(entries[i][j] for i, j in zip(a_pos, b_pos))
+                bound = spread if k == 1 or spread.is_infinite else spread.scale(k)
+                if entries[a_img][b_img] > bound:
+                    return Verdict.failed(reason, (symbol, a, b))
     return Verdict.passed()
 
 
@@ -305,9 +319,7 @@ def quotient(
     """
     if theta.base is not algebra and theta.base != algebra:
         raise DomainError("congruence is not on this algebra")
-    space, qmap = metric_identification(
-        PseudometricMatrix(theta.matrix.carrier, theta.matrix.entries)
-    )
+    space, qmap = metric_identification(theta.matrix)
     ops = {}
     for symbol in algebra.sig.symbols:
         arity = algebra.sig.arity(symbol)
@@ -323,20 +335,16 @@ def quotient(
 
 
 def kernel(f: Homomorphism) -> "Congruence":
-    """ker(f)(a, b) = d(f(a), f(b)), a congruence on the source algebra."""
-    from .congruence import Congruence
+    """ker(f)(a, b) = d(f(a), f(b)): the target metric pulled back along ``f``."""
+    from .congruence import finest_congruence, pullback_congruence
 
-    carrier = f.source.carrier
-    rows = [[f.target.space.get(f(a), f(b)) for b in carrier] for a in carrier]
-    return Congruence(f.source, PseudometricMatrix(carrier, rows))
+    return pullback_congruence(f, finest_congruence(f.target))
 
 
 def image(f: Homomorphism) -> MetricAlgebra:
     """Set-image of ``f`` with the structure induced from the target."""
-    sub, _ = generate_subalgebra(f.target, [f(a) for a in f.source.carrier])
-    if set(sub.carrier) != {f(a) for a in f.source.carrier}:
-        raise AxiomError("image of a homomorphism must already be closed")
-    return sub
+    # f preserves every operation, so its image is already closed under them.
+    return generate_subalgebra(f.target, [f(a) for a in f.source.carrier])[0]
 
 
 def saturate(algebra: MetricAlgebra, subset: Iterable, theta: "Congruence") -> tuple:
@@ -442,10 +450,7 @@ def relabel(algebra: MetricAlgebra, mapping: Mapping) -> MetricAlgebra:
     ) != len(carrier):
         raise DomainError("relabeling must be a bijection on the carrier")
     new_carrier = [mapping[x] for x in carrier]
-    rows = [
-        [algebra.space.get(x, y) for y in carrier] for x in carrier
-    ]
-    space = FiniteMetricSpace(new_carrier, rows)
+    space = FiniteMetricSpace._trusted(new_carrier, algebra.space.entries)
     ops = {}
     for symbol, table in algebra.ops.items():
         ops[symbol] = {

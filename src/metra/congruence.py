@@ -46,9 +46,11 @@ from .extmetric import (
     PseudometricMatrix,
     SquareMatrix,
     _INT_INF,
+    _checked_carrier,
     _finite_components,
+    _from_scaled,
+    _rows_at,
     check_pseudometric,
-    pseudometric_from_scaled,
     render_id,
     scaled_int_array,
 )
@@ -111,7 +113,16 @@ class Congruence:
                 verdict,
             )
         self.base = base
-        self.matrix = PseudometricMatrix(matrix.carrier, matrix.entries)
+        self.matrix = PseudometricMatrix._trusted(base.carrier, matrix.entries)
+
+    @classmethod
+    def _trusted(cls, base: MetricAlgebra, rows) -> "Congruence":
+        """A congruence on ``base`` around rows, in its carrier order, that
+        are congruential by construction; nothing is checked."""
+        out = object.__new__(cls)
+        out.base = base
+        out.matrix = PseudometricMatrix._trusted(base.carrier, rows)
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Congruence):
@@ -124,14 +135,13 @@ class Congruence:
 
 def finest_congruence(algebra: MetricAlgebra) -> Congruence:
     """The algebra metric itself: the bottom of the congruence order."""
-    return Congruence(algebra, algebra.space)
+    return Congruence._trusted(algebra, algebra.space.entries)
 
 
 def coarsest_congruence(algebra: MetricAlgebra) -> Congruence:
     """The all-zero pseudometric: the top of the congruence order."""
     n = algebra.space.size
-    rows = [[ZERO] * n for _ in range(n)]
-    return Congruence(algebra, SquareMatrix(algebra.carrier, rows))
+    return Congruence._trusted(algebra, [[ZERO] * n] * n)
 
 
 def pointwise_leq(m1: SquareMatrix, m2: SquareMatrix) -> tuple | None:
@@ -161,11 +171,15 @@ def _same_base(thetas: Sequence[Congruence]) -> MetricAlgebra:
 def meet(thetas: Sequence[Congruence]) -> Congruence:
     """Greatest lower bound in the congruence order: the pointwise supremum."""
     base = _same_base(thetas)
-    carrier = base.carrier
-    rows = [
-        [max(t.matrix.get(a, b) for t in thetas) for b in carrier] for a in carrier
+    return Congruence._trusted(base, _pointwise(max, thetas))
+
+
+def _pointwise(pick, thetas: Sequence[Congruence]) -> list[list[ExtRat]]:
+    """Entrywise ``pick`` (``min`` or ``max``) over the congruences' matrices."""
+    return [
+        [pick(values) for values in zip(*rows)]
+        for rows in zip(*(t.matrix.entries for t in thetas))
     ]
-    return Congruence(base, SquareMatrix(carrier, rows))
 
 
 def compose(t1: Congruence, t2: Congruence) -> SquareMatrix:
@@ -178,7 +192,7 @@ def compose(t1: Congruence, t2: Congruence) -> SquareMatrix:
         [min(map(operator.add, row, col)) for col in columns]
         for row in t1.matrix.entries
     ]
-    return SquareMatrix(t1.base.carrier, rows)
+    return SquareMatrix._trusted(t1.base.carrier, rows)
 
 
 def are_permutable(t1: Congruence, t2: Congruence) -> bool:
@@ -195,62 +209,27 @@ def join(
     """Least upper bound in the congruence order.
 
     Starts from the pointwise minimum and closes it with the fixpoint
-    engine under the requested mode rule.  In mode M the closure also
-    asserts that, whenever every input satisfies a Lipschitz bound for
-    its operations, the bare shortest-path formula already lands on the
-    fixpoint and no zero-forcing was needed.
+    engine under the requested mode rule.  The closure only lowers
+    entries below the inputs, which sit below the algebra metric, and
+    ends with a pseudometric whose zero-set is closed under every
+    operation, so the result is a congruence by construction.
     """
     base = _same_base(thetas)
-    carrier = base.carrier
-    rows = [
-        [min(t.matrix.get(a, b) for t in thetas) for b in carrier] for a in carrier
-    ]
-    closed = closure_fixpoint(
-        carrier, base.ops, rows, mode, lipschitz, max_decreases
-    )
-    result = Congruence(base, closed)
-    if mode == "M" and base.space.size <= 32:
-        if all(_lipschitz_able(t.matrix, base) for t in thetas):
-            path_only = closure_fixpoint(carrier, {}, rows, "M", None, max_decreases)
-            assert path_only == closed, (
-                "path formula must already be congruential under the Lipschitz hypothesis"
-            )
-    return result
-
-
-def _lipschitz_able(matrix: SquareMatrix, algebra: MetricAlgebra) -> bool:
-    """True when some finite constant bounds each operation under ``matrix``."""
-    for symbol in algebra.sig.symbols:
-        arity = algebra.sig.arity(symbol)
-        if arity == 0:
-            continue
-        for args in itertools.product(algebra.carrier, repeat=arity):
-            for args2 in itertools.product(algebra.carrier, repeat=arity):
-                spread = max(matrix.get(x, y) for x, y in zip(args, args2))
-                out = matrix.get(
-                    algebra.apply(symbol, args), algebra.apply(symbol, args2)
-                )
-                if spread == ZERO and out != ZERO:
-                    return False
-                if not spread.is_infinite and out.is_infinite:
-                    return False
-    return True
+    rows = _pointwise(min, thetas)
+    closed = closure_fixpoint(base.carrier, base.ops, rows, mode, lipschitz, max_decreases)
+    return Congruence._trusted(base, closed.entries)
 
 
 def restrict(theta: Congruence, sub: MetricAlgebra) -> Congruence:
     """Restriction of a congruence to a subalgebra of its base."""
     base = theta.base
-    for x in sub.carrier:
-        base.space.index(x)
+    idx = [base.space.index(x) for x in sub.carrier]
     for symbol in sub.sig.symbols:
         arity = sub.sig.arity(symbol)
         for args in itertools.product(sub.carrier, repeat=arity):
             if sub.apply(symbol, args) != base.apply(symbol, args):
                 raise DomainError("not a subalgebra: operation tables disagree")
-    rows = [
-        [theta.matrix.get(a, b) for b in sub.carrier] for a in sub.carrier
-    ]
-    return Congruence(sub, SquareMatrix(sub.carrier, rows))
+    return Congruence(sub, SquareMatrix._trusted(sub.carrier, _rows_at(theta.matrix, idx)))
 
 
 def quotient_congruence(rho: Congruence, theta: Congruence) -> Congruence:
@@ -283,18 +262,16 @@ def quotient_congruence(rho: Congruence, theta: Congruence) -> Congruence:
                         f"pushed-down value not well defined at "
                         f"({render_id(a)}, {render_id(b)})"
                     )
-    reps = quot.carrier
-    rows = [[rho.matrix.get(a, b) for b in reps] for a in reps]
-    return Congruence(quot, SquareMatrix(reps, rows))
+    idx = [rho.matrix.index(x) for x in quot.carrier]
+    return Congruence._trusted(quot, _rows_at(rho.matrix, idx))
 
 
 def pullback_congruence(f: Homomorphism, rho: Congruence) -> Congruence:
     """Pull a congruence on the target back along a homomorphism."""
     if rho.base != f.target:
         raise DomainError("congruence is not on the target algebra")
-    carrier = f.source.carrier
-    rows = [[rho.matrix.get(f(a), f(b)) for b in carrier] for a in carrier]
-    return Congruence(f.source, SquareMatrix(carrier, rows))
+    idx = [rho.matrix.index(f(a)) for a in f.source.carrier]
+    return Congruence._trusted(f.source, _rows_at(rho.matrix, idx))
 
 
 @dataclass
@@ -326,16 +303,12 @@ def decompose_product(
     bad = _matrix_disagreement(both.matrix, algebra.space)
     if bad is not None:
         return Decomposition(False, "meet-not-the-metric", bad)
-    joined = join([t1, t2])
-    for a in algebra.carrier:
-        for b in algebra.carrier:
-            if joined.matrix.get(a, b) != ZERO:
-                return Decomposition(False, "join-not-zero", (a, b))
-    if not are_permutable(t1, t2):
-        c12 = compose(t1, t2)
-        c21 = compose(t2, t1)
-        bad = _matrix_disagreement(c12, c21)
-        return Decomposition(False, "not-permutable", bad or ())
+    bad = _matrix_disagreement(join([t1, t2]).matrix, coarsest_congruence(algebra).matrix)
+    if bad is not None:
+        return Decomposition(False, "join-not-zero", bad)
+    bad = _matrix_disagreement(compose(t1, t2), compose(t2, t1))
+    if bad is not None:
+        return Decomposition(False, "not-permutable", bad)
     q1, p1 = quotient(algebra, t1)
     q2, p2 = quotient(algebra, t2)
     prod, _ = product([q1, q2])
@@ -406,7 +379,7 @@ def closure_fixpoint(
     """Close ``rows`` downward to the largest mode-congruential pseudometric."""
     if mode not in ("M", "Q", "LIP"):
         raise DomainError(f"unknown mode {mode!r}; expected M, Q, or LIP")
-    carrier = tuple(carrier)
+    carrier = _checked_carrier(carrier)
     index = {x: i for i, x in enumerate(carrier)}
     tables = []
     for symbol in sorted(ops):
@@ -446,9 +419,8 @@ def closure_fixpoint(
         except _ScaleOverflow:
             pass
         else:
-            return pseudometric_from_scaled(carrier, closed, denom)
-    out_rows = _fix_frac(rows, tables, mode, max_decreases)
-    return PseudometricMatrix(carrier, out_rows)
+            return _from_scaled(carrier, closed, denom)
+    return PseudometricMatrix._trusted(carrier, _fix_frac(rows, tables, mode, max_decreases))
 
 
 class _ScaleOverflow(Exception):
@@ -607,5 +579,5 @@ def grid_congruences(
             rows[j][i] = v
         mat = SquareMatrix(algebra.carrier, rows)
         if is_congruential(algebra, mat):
-            out.append(Congruence(algebra, mat))
+            out.append(Congruence._trusted(algebra, mat.entries))
     return out

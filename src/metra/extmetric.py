@@ -152,6 +152,10 @@ class ExtRat:
         return a._numerator * b._denominator >= b._numerator * a._denominator
 
     def __hash__(self) -> int:
+        # Infinity hashes by a constant, not through hash(None), which is an
+        # address on some Python versions.
+        if self._q is None:
+            return _INF_HASH
         return hash(("ExtRat", self._q))
 
     def __str__(self) -> str:
@@ -172,6 +176,7 @@ def _wrap(q: Fraction | None) -> ExtRat:
     return obj
 
 
+_INF_HASH = hash(math.inf)
 ZERO = ExtRat(0)
 ONE = ExtRat(1)
 INF = ExtRat.infinity()
@@ -212,6 +217,15 @@ class SquareMatrix:
         self.carrier = carrier
         self.entries = rows
         self._index = {x: i for i, x in enumerate(carrier)}
+
+    @classmethod
+    def _trusted(cls, carrier: Sequence, rows: Iterable[Sequence[ExtRat]]):
+        """A ``cls`` around ``ExtRat`` rows that satisfy its invariant by
+        construction, such as results derived from validated objects; no
+        shape, carrier or axiom check runs."""
+        out = object.__new__(cls)
+        out._assign(tuple(carrier), tuple(map(tuple, rows)))
+        return out
 
     @property
     def size(self) -> int:
@@ -413,8 +427,10 @@ def _pure_violation(rows, n: int) -> tuple[str, tuple[int, ...]] | None:
 def check_metric(m: SquareMatrix) -> Verdict:
     """Pseudometric axioms plus separation: d(x,y) = 0 only when x = y."""
     verdict = check_pseudometric(m)
-    if not verdict:
-        return verdict
+    return _separation(m) if verdict else verdict
+
+
+def _separation(m: SquareMatrix) -> Verdict:
     n = m.size
     for i in range(n):
         for j in range(i + 1, n):
@@ -455,14 +471,17 @@ def pseudometric_from_scaled(
     if arr.shape != (n, n):
         raise ShapeError(f"matrix must be {n}x{n} to match the carrier")
     _require(_as_verdict(_array_violation(arr), carrier), "pseudometric")
+    return _from_scaled(carrier, arr, denom)
+
+
+def _from_scaled(carrier: tuple, arr: np.ndarray, denom: int) -> PseudometricMatrix:
+    """:func:`pseudometric_from_scaled` for an array known to pass the axioms."""
     values, inverse = np.unique(arr, return_inverse=True)
     shared = np.empty(len(values), dtype=object)
     shared[:] = [
         INF if v >= _INT_INF else ExtRat(Fraction(v, denom)) for v in values.tolist()
     ]
-    out = object.__new__(PseudometricMatrix)
-    out._assign(carrier, tuple(map(tuple, shared[inverse.reshape(n, n)].tolist())))
-    return out
+    return PseudometricMatrix._trusted(carrier, shared[inverse.reshape(arr.shape)].tolist())
 
 
 class FiniteMetricSpace(PseudometricMatrix):
@@ -470,7 +489,17 @@ class FiniteMetricSpace(PseudometricMatrix):
 
     def __init__(self, carrier: Sequence, entries: Sequence[Sequence[ExtRat]]):
         super().__init__(carrier, entries)
-        _require(check_metric(self), "metric")
+        _require(_separation(self), "metric")
+
+
+def _validated(m: SquareMatrix, cls: type) -> SquareMatrix:
+    """``m`` as a ``cls``: the public constructor runs unless it already is one."""
+    return m if isinstance(m, cls) else cls(m.carrier, m.entries)
+
+
+def _rows_at(m: SquareMatrix, idx: Sequence[int]) -> list[tuple]:
+    """The entries of ``m`` on the rows and columns ``idx``, in that order."""
+    return [tuple(map(row.__getitem__, idx)) for row in map(m.entries.__getitem__, idx)]
 
 
 def space_from(carrier: Sequence, fn: Callable) -> FiniteMetricSpace:
@@ -535,20 +564,20 @@ def metric_identification(p: PseudometricMatrix) -> tuple[FiniteMetricSpace, Quo
 
     Zero distance is an equivalence relation by the triangle inequality,
     so classes can be read off directly.  Each class is named by its
-    earliest member in carrier order and distances pass to representatives
-    unchanged.
+    earliest member in carrier order (the first zero of its row) and
+    distances pass to representatives unchanged, giving a metric.
     """
-    carrier, n = p.carrier, p.size
+    p = _validated(p, PseudometricMatrix)
+    carrier = p.carrier
     rep: dict = {}
+    reps: list[int] = []
     for i, x in enumerate(carrier):
-        for j in range(i + 1):
-            if p.entries[j][i] == ZERO:
-                rep[x] = rep.get(carrier[j], carrier[j])
-                break
+        j = p.entries[i].index(ZERO)
+        rep[x] = carrier[j]
+        if j == i:
+            reps.append(i)
     qmap = QuotientMap(carrier, rep)
-    reps = qmap.class_ids
-    rows = [[p.get(a, b) for b in reps] for a in reps]
-    return FiniteMetricSpace(reps, rows), qmap
+    return FiniteMetricSpace._trusted(qmap.class_ids, _rows_at(p, reps)), qmap
 
 
 def sup_product(
@@ -557,6 +586,7 @@ def sup_product(
     """Product space on tuples with the coordinatewise supremum metric."""
     if not spaces:
         raise ArityError("product of zero metric spaces is not defined")
+    spaces = [_validated(s, FiniteMetricSpace) for s in spaces]
     total = 1
     for s in spaces:
         total *= s.size
@@ -566,30 +596,27 @@ def sup_product(
             "product_size",
             max_size,
         )
-    carrier = tuple(itertools.product(*(s.carrier for s in spaces)))
-    index_tuples = [
-        tuple(s.index(x) for s, x in zip(spaces, point)) for point in carrier
+    carrier = itertools.product(*(s.carrier for s in spaces))
+    index_tuples = list(itertools.product(*(range(s.size) for s in spaces)))
+    rows = [
+        [max(s.entries[a][b] for s, a, b in zip(spaces, ix, iy)) for iy in index_tuples]
+        for ix in index_tuples
     ]
-    rows = []
-    for ix in index_tuples:
-        row = []
-        for iy in index_tuples:
-            row.append(max(s.at(a, b) for s, a, b in zip(spaces, ix, iy)))
-        rows.append(row)
-    return FiniteMetricSpace(carrier, rows)
+    return FiniteMetricSpace._trusted(carrier, rows)
 
 
 def restrict_space(space: FiniteMetricSpace, keep: Iterable) -> FiniteMetricSpace:
     """Subspace on ``keep``, preserving the carrier order of ``space``."""
+    space = _validated(space, FiniteMetricSpace)
     keep = set(keep)
-    sub = [x for x in space.carrier if x in keep]
+    idx = [i for i, x in enumerate(space.carrier) if x in keep]
+    sub = [space.carrier[i] for i in idx]
     missing = keep - set(sub)
     if missing:
         raise DomainError(
             f"elements not in the carrier: {sorted(map(render_id, missing))}"
         )
-    rows = [[space.get(a, b) for b in sub] for a in sub]
-    return FiniteMetricSpace(sub, rows)
+    return FiniteMetricSpace._trusted(_checked_carrier(sub), _rows_at(space, idx))
 
 
 def point_set_distance(space: PseudometricMatrix, x, subset: Iterable) -> ExtRat:

@@ -191,19 +191,14 @@ def reduced_product(
     core_pos = [position[i] for i in filter.core]
     carrier = prod.carrier
     rows = [
-        [
-            max(
-                algebras[p].space.get(x[p], y[p]) for p in core_pos
-            )
-            for y in carrier
-        ]
+        [max(algebras[p].space.get(x[p], y[p]) for p in core_pos) for y in carrier]
         for x in carrier
     ]
-    matrix = SquareMatrix(carrier, rows)
+    matrix = SquareMatrix._trusted(carrier, rows)
     verdict = is_congruential(prod, matrix)
     if not verdict:
         return ReducedProduct(False, product_algebra=prod, verdict=verdict)
-    theta = Congruence(prod, matrix)
+    theta = Congruence._trusted(prod, matrix.entries)
     quot, projection = quotient(prod, theta)
     return ReducedProduct(True, quot, projection, theta, prod, verdict)
 
@@ -312,4 +307,4 @@ def pointwise_limit_metric(carrier, forms) -> PseudometricMatrix:
                         f"the stagewise triangle through {render_id(y)} fails "
                         f"at ({render_id(x)}, {render_id(z)}) at every late stage"
                     )
-    return PseudometricMatrix(carrier, limit_rows)
+    return PseudometricMatrix._trusted(carrier, limit.entries)

@@ -37,6 +37,7 @@ from typing import Mapping, Sequence
 
 from .algebra import (
     MetricAlgebra,
+    _modulus_scan,
     generate_subalgebra,
     is_quantitative,
     is_reflexive_quotient,
@@ -50,6 +51,7 @@ from .congruence import (
     grid_congruences,
 )
 from .errors import (
+    AxiomError,
     DomainError,
     ParseError,
     ResourceLimitError,
@@ -530,9 +532,9 @@ def free_algebra(
     )
     free = FreeAlgebra(p, universe, theta)
     for r in p.relations:
-        assert free.distance(r.lhs, r.rhs) <= r.bound, (
-            "the free algebra must satisfy its own relations"
-        )
+        if not free.distance(r.lhs, r.rhs) <= r.bound:
+            verdict = Verdict.failed("relation", (r.lhs, r.rhs))
+            raise AxiomError(f"the free algebra breaks its relation {r}", verdict)
     return free
 
 
@@ -557,23 +559,7 @@ def in_mode_class(algebra: MetricAlgebra, mode: str, lipschitz=None) -> Verdict:
         if isinstance(lipschitz, Mapping)
         else {s: Fraction(lipschitz) for s in algebra.sig.symbols}
     )
-    for symbol in algebra.sig.symbols:
-        arity = algebra.sig.arity(symbol)
-        if arity == 0:
-            continue
-        if symbol not in constants:
-            raise SignatureError(f"no Lipschitz constant for symbol {symbol!r}")
-        k = constants[symbol]
-        for a_args in itertools.product(algebra.carrier, repeat=arity):
-            for b_args in itertools.product(algebra.carrier, repeat=arity):
-                spread = max(algebra.space.get(x, y) for x, y in zip(a_args, b_args))
-                out = algebra.space.get(
-                    algebra.apply(symbol, a_args), algebra.apply(symbol, b_args)
-                )
-                bound = spread if spread.is_infinite else spread.scale(k)
-                if out > bound:
-                    return Verdict.failed("not-lipschitz", (symbol, a_args, b_args))
-    return Verdict.passed()
+    return _modulus_scan(algebra, constants)
 
 
 def soundness_check(

@@ -125,3 +125,16 @@ def bare_algebra(space):
     from metra.terms import Signature
 
     return MetricAlgebra(Signature(), space, {})
+
+
+def revalidated(obj):
+    """``obj`` rebuilt through its public constructor, which re-runs every check.
+
+    Library results that are built without validation (closures, meets,
+    kernels, products, quotients) must survive this and compare equal.
+    """
+    from metra.congruence import Congruence
+
+    if isinstance(obj, Congruence):
+        return Congruence(obj.base, revalidated(obj.matrix))
+    return type(obj)(obj.carrier, obj.entries)

@@ -40,7 +40,14 @@ from metra.extmetric import (
 )
 from metra.terms import Signature
 
-from conftest import bare_algebra, line_max_algebra, line_min_algebra, metric_spaces
+from conftest import (
+    bare_algebra,
+    line_algebra,
+    line_max_algebra,
+    line_min_algebra,
+    metric_spaces,
+    revalidated,
+)
 
 HALF = Fraction(1, 2)
 
@@ -99,6 +106,21 @@ class TestQuantitative:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             is_quantitative(line_min_algebra(), max_checks=10)
+
+    @pytest.mark.parametrize(
+        "op", [max, min, lambda p, q: min(p + q, 2), lambda p, q: (p * q) % 3]
+    )
+    def test_lipschitz_one_is_the_same_scan(self, op):
+        from metra.logic import in_mode_class
+
+        algebra = line_algebra(op)
+        quantitative = is_quantitative(algebra)
+        lipschitz = in_mode_class(algebra, "LIP", 1)
+        assert quantitative.ok == lipschitz.ok
+        assert quantitative.witness == lipschitz.witness
+        if not quantitative:
+            assert quantitative.reason == "expansive-operation"
+            assert lipschitz.reason == "not-lipschitz"
 
 
 class TestHomomorphism:
@@ -274,3 +296,24 @@ class TestIsomorphismSearch:
     def test_relabel_requires_bijection(self):
         with pytest.raises(DomainError):
             relabel(line_min_algebra(), {0: "u", 1: "u", 2: "w"})
+
+
+class TestTrustedResults:
+    """Spaces and congruences built by construction pass the public
+    constructors unchanged."""
+
+    def test_relabel_product_subalgebra_and_quotient(self):
+        a = line_min_algebra()
+        renamed = relabel(a, {0: "u", 1: "v", 2: "w"})
+        assert renamed.carrier == ("u", "v", "w")
+        assert revalidated(renamed.space) == renamed.space
+        prod, projections = product([a, line_max_algebra()])
+        assert revalidated(prod.space) == prod.space
+        sub, _ = generate_subalgebra(prod, [(1, 0)])
+        assert revalidated(sub.space) == sub.space
+        for p in projections:
+            theta = kernel(p)
+            assert revalidated(theta) == theta
+            quot, _ = quotient(prod, theta)
+            assert type(quot.space) is FiniteMetricSpace
+            assert revalidated(quot.space) == quot.space

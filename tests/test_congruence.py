@@ -3,9 +3,10 @@ downward closure engine behind generation and joins."""
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import metra.congruence as congruence_module
@@ -52,10 +53,21 @@ from metra.extmetric import (
 from metra.logic import MetricEquation, Presentation, free_algebra
 from metra.terms import App, Signature, Var
 
-from conftest import FINITE_POOL, bare_algebra, fw_close, line_max_algebra, line_min_algebra
+from conftest import (
+    FINITE_POOL,
+    POSITIVE_POOL,
+    bare_algebra,
+    fw_close,
+    line_max_algebra,
+    line_min_algebra,
+    metric_spaces,
+    revalidated,
+    symmetric_rows,
+)
 
 HALF = ExtRat(Fraction(1, 2))
 ONE = ExtRat(1)
+POSITIVE_CAPS = [ExtRat(q) for q in POSITIVE_POOL] + [INF]
 
 
 def matrix_on(algebra, pairs, default=ONE):
@@ -576,3 +588,191 @@ class TestGenerateCongruence:
             assert result.get(x, y) <= ExtRat(b)
         index = {x: x for x in carrier}
         assert mode_rule_holds(rows, index, ops, mode)
+
+
+def lipschitz_able(matrix, algebra):
+    """True when some finite constant bounds each operation under ``matrix``:
+    a zero spread of arguments gives a zero output and a finite spread a
+    finite one."""
+    for symbol in algebra.sig.symbols:
+        arity = algebra.sig.arity(symbol)
+        for args in itertools.product(algebra.carrier, repeat=arity):
+            for args2 in itertools.product(algebra.carrier, repeat=arity):
+                spread = max((matrix.get(x, y) for x, y in zip(args, args2)), default=ZERO)
+                out = matrix.get(algebra.apply(symbol, args), algebra.apply(symbol, args2))
+                if spread == ZERO and out != ZERO:
+                    return False
+                if not spread.is_infinite and out.is_infinite:
+                    return False
+    return True
+
+
+@st.composite
+def congruences_on(draw, algebra):
+    """A congruence on ``algebra``: the path closure of the metric capped by
+    positive bounds and by zeros on a zero-set generated in mode M, so its
+    zero-set is exactly the generated one."""
+    carrier = algebra.carrier
+    elem = st.sampled_from(carrier)
+    pairs = draw(st.lists(st.tuples(elem, elem), max_size=2))
+    zeros = generate_congruence(carrier, algebra.ops, [(x, y, 0) for x, y in pairs], "M")
+    caps = symmetric_rows(draw, len(carrier), st.sampled_from(POSITIVE_CAPS))
+    rows = [
+        [min(values) for values in zip(*rows)]
+        for rows in zip(zeros.entries, algebra.space.entries, caps)
+    ]
+    return Congruence(algebra, SquareMatrix(carrier, fw_close(rows)))
+
+
+class TestJoinProperty:
+    """Joins of Lipschitz inputs need no zero-forcing in mode M."""
+
+    @given(
+        space=metric_spaces(max_size=4, allow_inf=True),
+        images=st.lists(st.integers(min_value=0, max_value=3), min_size=20, max_size=20),
+        binary=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=100)
+    def test_path_closure_of_lipschitz_inputs_is_the_join(self, space, images, binary, data):
+        carrier = space.carrier
+        n = len(carrier)
+        ops = {"f": {(x,): carrier[images[i] % n] for i, x in enumerate(carrier)}}
+        if binary:
+            ops["g"] = {
+                (x, y): carrier[images[4 + 4 * i + j] % n]
+                for i, x in enumerate(carrier)
+                for j, y in enumerate(carrier)
+            }
+        sig = Signature({"f": 1, "g": 2} if binary else {"f": 1})
+        algebra = MetricAlgebra(sig, space, ops)
+        thetas = data.draw(st.lists(congruences_on(algebra), min_size=1, max_size=3))
+        joined = join(thetas)
+        assert revalidated(joined) == joined
+        assert all(order_leq(t, joined) for t in thetas)
+        if all(lipschitz_able(t.matrix, algebra) for t in thetas):
+            lowest = [
+                [min(values) for values in zip(*rows)]
+                for rows in zip(*(t.matrix.entries for t in thetas))
+            ]
+            assert fw_close(lowest) == as_rows(joined.matrix)
+
+
+class TestClosureEngines:
+    """The int64 engine and the exact Fraction engine compute one closure."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        mode=st.sampled_from(["M", "Q", "LIP"]),
+        k=st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]),
+        data=st.data(),
+    )
+    @settings(max_examples=80)
+    def test_engines_agree(self, n, mode, k, data):
+        elem = st.integers(min_value=0, max_value=n - 1)
+        ops = {
+            "f": data.draw(st.dictionaries(st.tuples(elem), elem, max_size=n)),
+            "g": data.draw(st.dictionaries(st.tuples(elem, elem), elem, max_size=8)),
+        }
+        bounds = data.draw(
+            st.lists(st.tuples(elem, elem, st.sampled_from(FINITE_POOL)), max_size=4)
+        )
+        lipschitz = {"f": k, "g": k} if mode == "LIP" else None
+
+        def run():
+            return generate_congruence(range(n), ops, bounds, mode, lipschitz)
+
+        real_frac = congruence_module._fix_frac
+        fell_back = []
+
+        def spy(*args):
+            fell_back.append(True)
+            return real_frac(*args)
+
+        with mock.patch.object(congruence_module, "_fix_frac", spy):
+            fast = run()
+        # The int64 engine hands over to the exact one when rescaling for a
+        # fractional constant outgrows its value guard.
+        assume(not fell_back)
+        with mock.patch.object(congruence_module, "_scale_rows", lambda rows: None):
+            exact = run()
+        assert fast == exact
+
+    @pytest.mark.parametrize(
+        "images, constraint",
+        [({0: 1, 1: 0, 2: 2}, (0, 1, 1)), ({0: 0, 1: 1, 2: 2}, (0, 1, 1))],
+    )
+    def test_contracting_constants_hit_the_cap_on_both_engines(self, images, constraint):
+        ops = {"f": {(x,): y for x, y in images.items()}}
+
+        def run():
+            return generate_congruence(
+                (0, 1, 2), ops, [constraint], mode="LIP",
+                lipschitz={"f": Fraction(1, 2)}, max_decreases=50,
+            )
+
+        with mock.patch.object(
+            congruence_module, "_fix_frac", side_effect=AssertionError("fell back")
+        ):
+            with pytest.raises(ResourceLimitError) as fast:
+                run()
+        with mock.patch.object(congruence_module, "_scale_rows", lambda rows: None):
+            with pytest.raises(ResourceLimitError) as exact:
+                run()
+        assert fast.value.limit_name == exact.value.limit_name == "max_decreases"
+
+
+class TestTrustedResults:
+    """Results built by construction pass the public constructors unchanged."""
+
+    MODES = [("M", None), ("Q", None), ("LIP", Fraction(2)), ("LIP", Fraction(3, 2))]
+
+    @pytest.mark.parametrize("mode, k", MODES)
+    def test_closure_output_on_both_engines(self, mode, k):
+        carrier = ("a0", "a1", "a2", "a3")
+        ops = {"f": {("a0",): "a1", ("a1",): "a2", ("a2",): "a3", ("a3",): "a3"}}
+        lipschitz = {"f": k} if k else None
+
+        def run():
+            return generate_congruence(
+                carrier, ops, [("a0", "a1", 1), ("a2", "a3", 0)], mode, lipschitz
+            )
+
+        fast = run()
+        with mock.patch.object(congruence_module, "_scale_rows", lambda rows: None):
+            exact = run()
+        assert revalidated(fast) == fast == exact == revalidated(exact)
+
+    @pytest.mark.parametrize("mode, k", MODES)
+    def test_lattice_operations(self, mode, k):
+        algebra = line_min_algebra()
+        lipschitz = {"sigma": k} if k else None
+        family = grid_congruences(algebra)
+        assert all(revalidated(t) == t for t in family)
+        for t in (finest_congruence(algebra), coarsest_congruence(algebra)):
+            assert revalidated(t) == t
+        index = {x: i for i, x in enumerate(algebra.carrier)}
+        for s, t in itertools.product(family, repeat=2):
+            joined = join([s, t], mode=mode, lipschitz=lipschitz)
+            assert revalidated(joined) == joined
+            rows = as_rows(joined.matrix)
+            assert mode_rule_holds(rows, index, algebra.ops, mode, lipschitz)
+            assert revalidated(meet([s, t])) == meet([s, t])
+            assert revalidated(compose(s, t)) == compose(s, t)
+
+    def test_kernels_pullbacks_and_push_downs(self):
+        prod, projections = square_algebra()
+        for p in projections:
+            assert revalidated(kernel(p)) == kernel(p)
+        space = space_from([0, 1, 2, 3], lambda x, y: abs(x - y))
+        algebra = bare_algebra(space)
+        theta = Congruence(algebra, matrix_on(algebra, [(0, 1, 0), (2, 3, 0)]))
+        rho = Congruence(
+            algebra, matrix_on(algebra, [(0, 1, 0), (2, 3, 0)], default=HALF)
+        )
+        pushed = quotient_congruence(rho, theta)
+        assert revalidated(pushed) == pushed
+        quot, projection = quotient(algebra, theta)
+        assert revalidated(quot.space) == quot.space
+        pulled = pullback_congruence(projection, pushed)
+        assert revalidated(pulled) == pulled == rho

@@ -1,6 +1,9 @@
 """Tests for exact distances, metric axioms, and metric-space operations."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +44,13 @@ from metra.extmetric import (
     sup_product,
 )
 
-from conftest import brute_force_gh, fw_close, metric_spaces, pseudometric_spaces
+from conftest import (
+    brute_force_gh,
+    fw_close,
+    metric_spaces,
+    pseudometric_spaces,
+    revalidated,
+)
 
 rationals = st.fractions(min_value=0, max_value=5, max_denominator=12)
 
@@ -110,6 +119,23 @@ class TestExtRat:
             for b in values:
                 if a == b:
                     assert hash(a) == hash(b)
+
+    def test_infinity_hash_is_the_same_in_every_process(self):
+        # Two interpreters with one PYTHONHASHSEED must agree on every
+        # hash, so that set orders and the work done on them repeat.
+        package_root = os.path.dirname(os.path.dirname(extmetric_module.__file__))
+        env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=package_root)
+        code = "from metra.extmetric import INF, ExtRat; print(hash(INF), hash(ExtRat('inf')))"
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                check=True,
+            ).stdout
+            for _ in range(2)
+        }
+        assert len(outputs) == 1
+        first, second = outputs.pop().split()
+        assert first == second
 
 
 class TestShapes:
@@ -397,3 +423,33 @@ class TestMaps:
         line = line_space([0, 1])
         with pytest.raises(DomainError):
             restrict_space(line, [0, 7])
+        with pytest.raises(DomainError, match="empty carrier"):
+            restrict_space(line, [])
+
+
+class TestTrustedResults:
+    """Spaces built by construction pass the public constructors unchanged."""
+
+    @given(pseudometric_spaces(allow_inf=True))
+    def test_metric_identification(self, space):
+        out, _ = metric_identification(space)
+        assert type(out) is FiniteMetricSpace
+        assert revalidated(out) == out
+
+    @given(metric_spaces(max_size=3, allow_inf=True), metric_spaces(max_size=3))
+    def test_sup_product_and_restriction(self, s1, s2):
+        prod = sup_product([s1, s2])
+        assert type(prod) is FiniteMetricSpace
+        assert revalidated(prod) == prod
+        sub = restrict_space(prod, prod.carrier[::2])
+        assert revalidated(sub) == sub
+
+    def test_raw_matrices_are_validated_on_the_way_in(self):
+        not_metric = PseudometricMatrix("ab", [[ZERO, ZERO], [ZERO, ZERO]])
+        with pytest.raises(AxiomError, match="separation"):
+            sup_product([not_metric])
+        with pytest.raises(AxiomError, match="separation"):
+            restrict_space(not_metric, "a")
+        skew = SquareMatrix("ab", [[ZERO, ONE], [ExtRat(2), ZERO]])
+        with pytest.raises(AxiomError, match="symmetry"):
+            metric_identification(skew)

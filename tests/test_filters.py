@@ -25,7 +25,7 @@ from metra.filters import (
 )
 from metra.terms import Signature
 
-from conftest import bare_algebra
+from conftest import bare_algebra, revalidated
 
 HALF = ExtRat(Fraction(1, 2))
 ONE = ExtRat(1)
@@ -173,6 +173,12 @@ class TestReducedProduct:
         assert red.projection.is_surjective
         assert red.algebra.space.size == 2
 
+    def test_results_pass_the_public_constructors(self):
+        for f in all_filters((0, 1, 2)):
+            red = reduced_product(self.FACTORS, f)
+            assert revalidated(red.theta) == red.theta
+            assert revalidated(red.algebra.space) == red.algebra.space
+
     def test_factor_count_must_match(self):
         with pytest.raises(DomainError):
             reduced_product(self.FACTORS[:2], FiniteFilter((0, 1, 2), (0,)))
@@ -238,6 +244,7 @@ class TestPointwiseLimit:
         )
         assert limit.get("a", "b") == ZERO
         assert limit.get("a", "c") == ONE
+        assert revalidated(limit) == limit
 
     def test_seq_form_objects_are_accepted(self):
         limit = pointwise_limit_metric(

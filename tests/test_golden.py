@@ -11,21 +11,17 @@ change is intended.
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 import pytest
 
 from metra.cli import parse_workspace, render_json, render_text, run_workspace
+from test_cli import GOLDEN, GRID
 
-HERE = Path(__file__).resolve().parent
-GOLDEN_DIR = HERE / "golden"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def _workspaces() -> dict[str, str]:
-    sys.path.insert(0, str(HERE))
-    from test_cli import GOLDEN, GRID
-
     return {
         "golden": GOLDEN,
         "grid": GRID,

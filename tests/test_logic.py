@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metra.algebra import MetricAlgebra, is_quantitative
+import metra.logic as logic_module
 from metra.errors import (
+    AxiomError,
     DomainError,
     ParseError,
     ResourceLimitError,
@@ -51,7 +53,13 @@ from metra.logic import (
 from metra.extmetric import PseudometricMatrix
 from metra.terms import App, Signature, Var, parse_term
 
-from conftest import bare_algebra, line_algebra, line_max_algebra, line_min_algebra
+from conftest import (
+    bare_algebra,
+    line_algebra,
+    line_max_algebra,
+    line_min_algebra,
+    revalidated,
+)
 
 SIG2 = Signature({"sigma": 2})
 
@@ -410,6 +418,27 @@ class TestFreeAlgebra:
         p = Presentation(SIG2, ("x", "y"), (), mode="Q", depth=3)
         with pytest.raises(ResourceLimitError):
             free_algebra(p, max_terms=10)
+
+    @pytest.mark.parametrize("mode, k", [("M", None), ("Q", None), ("LIP", 2)])
+    def test_results_pass_the_public_constructors(self, mode, k):
+        relations = (parse_equation("x =[1/2] y", SIG2), parse_equation("y =[0] z", SIG2))
+        p = Presentation(SIG2, ("x", "y", "z"), relations, mode, depth=1, lipschitz=k)
+        free = free_algebra(p)
+        assert revalidated(free.theta) == free.theta
+        assert revalidated(free.space) == free.space
+        assert free.space.size < free.size
+
+    def test_a_relation_broken_by_the_closure_raises(self, monkeypatch):
+        relations = (parse_equation("x =[1] y", SIG2),)
+        p = Presentation(SIG2, ("x", "y"), relations, mode="Q", depth=1)
+        universe = free_algebra(p).universe
+        rows = [[ExtRat(0) if s == t else INF for t in universe] for s in universe]
+        broken = PseudometricMatrix(universe, rows)
+        monkeypatch.setattr(logic_module, "generate_congruence", lambda *a, **k: broken)
+        with pytest.raises(AxiomError, match="breaks its relation x =\\[1\\] y") as err:
+            free_algebra(p)
+        assert err.value.verdict.reason == "relation"
+        assert err.value.verdict.witness == (Var("x"), Var("y"))
 
 
 class TestSoundness:
