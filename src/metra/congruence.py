@@ -14,16 +14,15 @@ mode-dependent operation rule:
 
 The same engine generates the smallest congruential pseudometric above a
 finite set of distance constraints, which is what presentations of free
-algebras need.  Internally the engine runs on scaled int64 numpy
-matrices whenever the occurring rationals admit a modest common
-denominator, falling back to exact Fraction arithmetic otherwise; both
-paths compute the same fixpoint.
+algebras need.  Internally the engine runs on one scaled-integer numpy
+matrix over a common denominator: int64 while the values stay below a
+guard, Python ints (``dtype=object``) beyond it, with the same array code
+on both, so the fixpoint is exact whatever the denominators.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -45,17 +44,17 @@ from .extmetric import (
     ExtRat,
     PseudometricMatrix,
     SquareMatrix,
-    _INT_INF,
+    _MAX_SCALED,
+    _as_object,
     _checked_carrier,
     _finite_components,
     _from_scaled,
+    _inf_code,
     _rows_at,
     check_pseudometric,
     render_id,
     scaled_int_array,
 )
-
-_VALUE_GUARD = 1 << 45
 
 
 def is_congruential(algebra: MetricAlgebra, matrix: SquareMatrix) -> Verdict:
@@ -186,13 +185,15 @@ def compose(t1: Congruence, t2: Congruence) -> SquareMatrix:
     """Min-plus relational composition; not a pseudometric in general."""
     if t1.base != t2.base:
         raise DomainError("congruences live on different algebras")
-    # Both matrices are indexed in base carrier order.
-    columns = list(zip(*t2.matrix.entries))
-    rows = [
-        [min(map(operator.add, row, col)) for col in columns]
-        for row in t1.matrix.entries
-    ]
-    return SquareMatrix._trusted(t1.base.carrier, rows)
+    # Both matrices are indexed in base carrier order; their rows are
+    # mirrored together so they share one denominator.
+    n = t1.matrix.size
+    both, denom = scaled_int_array(t1.matrix.entries + t2.matrix.entries)
+    a, b = both[:n], both[n:]
+    out = a[:, 0, None] + b[None, 0, :]
+    for k in range(1, n):
+        np.minimum(out, a[:, k, None] + b[None, k, :], out=out)
+    return _from_scaled(t1.base.carrier, out, denom, SquareMatrix)
 
 
 def are_permutable(t1: Congruence, t2: Congruence) -> bool:
@@ -360,7 +361,13 @@ def generate_congruence(
             raise DomainError(
                 f"constraint mentions {render_id(x)} or {render_id(y)} outside the carrier"
             )
-        bound = ExtRat(bound)
+        try:
+            bound = ExtRat(bound)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(
+                f"bound {bound!r} of the constraint on ({render_id(x)}, {render_id(y)}) "
+                "is not a nonnegative rational or inf"
+            ) from None
         i, j = index[x], index[y]
         if bound < rows[i][j]:
             rows[i][j] = bound
@@ -402,7 +409,12 @@ def closure_fixpoint(
         if mode == "LIP":
             if lipschitz is None or symbol not in lipschitz:
                 raise SignatureError(f"LIP mode needs a constant for {symbol}")
-            k = Fraction(lipschitz[symbol])
+            try:
+                k = Fraction(lipschitz[symbol])
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                raise DomainError(
+                    f"Lipschitz constant {lipschitz[symbol]!r} for {symbol} is not a rational"
+                ) from None
             if k <= 0:
                 raise DomainError(f"Lipschitz constant for {symbol} must be positive")
         args_idx = [
@@ -412,24 +424,8 @@ def closure_fixpoint(
         res_idx = np.array([index[value] for _, value in entries], dtype=np.intp)
         tables.append((symbol, args_idx, res_idx, k))
 
-    scaled = _scale_rows(rows)
-    if scaled is not None:
-        try:
-            closed, denom = _fix_int(scaled[0], scaled[1], tables, mode, max_decreases)
-        except _ScaleOverflow:
-            pass
-        else:
-            return _from_scaled(carrier, closed, denom)
-    return PseudometricMatrix._trusted(carrier, _fix_frac(rows, tables, mode, max_decreases))
-
-
-class _ScaleOverflow(Exception):
-    pass
-
-
-def _scale_rows(rows) -> tuple[np.ndarray, int] | None:
-    """The closure's int64 mirror of ``rows``, with headroom for LIP rescaling."""
-    return scaled_int_array(rows, _VALUE_GUARD)
+    D, denom = scaled_int_array(rows)
+    return _from_scaled(carrier, *_fix_int(D, denom, tables, mode, max_decreases))
 
 
 def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
@@ -448,28 +444,23 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
             for pos in range(1, len(args_idx)):
                 np.maximum(cand, D[np.ix_(args_idx[pos], args_idx[pos])], out=cand)
             if mode == "M":
-                cand = np.where(cand == 0, 0, _INT_INF)
+                cand = np.where(cand == 0, 0, _inf_code(cand))
             elif mode == "LIP":
+                # Moving the shared denominator to denom * q keeps K * value
+                # integral: finite entries of D and of the pass baseline are
+                # multiplied by q, and those of cand by p.  An int64 mirror
+                # that would reach the value guard is widened to Python ints.
                 p, q = k.numerator, k.denominator
+                if D.dtype != object and (
+                    q * max(_finite_max(D), _finite_max(before)) >= _MAX_SCALED
+                    or p * _finite_max(cand) >= _MAX_SCALED
+                ):
+                    D, before, cand = _as_object(D), _as_object(before), _as_object(cand)
                 if q != 1:
-                    # Rescale the shared denominator so K * value stays integral;
-                    # the pass baseline must move to the same scale.  Guards use
-                    # Python ints so an overflow can never wrap silently.
-                    finite = D < _INT_INF
-                    big = max(
-                        int(D[finite].max(initial=0)),
-                        int(before[before < _INT_INF].max(initial=0)),
-                    )
-                    if big * q >= _VALUE_GUARD:
-                        raise _ScaleOverflow
-                    D = np.where(finite, D * q, _INT_INF)
-                    before = np.where(before < _INT_INF, before * q, _INT_INF)
+                    _scale_finite(D, q)
+                    _scale_finite(before, q)
                     denom *= q
-                    cand = np.where(cand < _INT_INF, cand * q, _INT_INF)
-                mx = int(cand[cand < _INT_INF].max(initial=0))
-                if (mx // q) * p >= _VALUE_GUARD:
-                    raise _ScaleOverflow
-                cand = np.where(cand < _INT_INF, (cand // q) * p, _INT_INF)
+                _scale_finite(cand, p)
             if len(set(res_idx.tolist())) == len(res_idx):
                 block = D[np.ix_(res_idx, res_idx)]
                 np.minimum(block, cand, out=block)
@@ -493,58 +484,14 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
     return D, denom
 
 
-def _fix_frac(rows, tables, mode: str, max_decreases: int):
-    n = len(rows)
-    m = [[ExtRat(v) for v in row] for row in rows]
-    for i in range(n):
-        m[i][i] = ZERO
-    decreases = 0
+def _finite_max(arr: np.ndarray) -> int:
+    return int(arr[arr < _inf_code(arr)].max(initial=0))
 
-    def lower(i, j, value) -> int:
-        nonlocal m
-        if value < m[i][j]:
-            m[i][j] = value
-            m[j][i] = value
-            return 1
-        return 0
 
-    while True:
-        dropped = 0
-        for i in range(n):
-            for j in range(n):
-                if m[j][i] < m[i][j]:
-                    dropped += lower(i, j, m[j][i])
-        for k in range(n):
-            for i in range(n):
-                if m[i][k].is_infinite:
-                    continue
-                for j in range(n):
-                    dropped += lower(i, j, m[i][k] + m[k][j])
-        for _, args_idx, res_idx, k in tables:
-            for e in range(len(res_idx)):
-                for f in range(len(res_idx)):
-                    spread = max(
-                        m[int(args_idx[pos][e])][int(args_idx[pos][f])]
-                        for pos in range(len(args_idx))
-                    )
-                    if mode == "M":
-                        if spread == ZERO:
-                            dropped += lower(int(res_idx[e]), int(res_idx[f]), ZERO)
-                    elif mode == "Q":
-                        dropped += lower(int(res_idx[e]), int(res_idx[f]), spread)
-                    else:
-                        bound = spread if spread.is_infinite else spread.scale(k)
-                        dropped += lower(int(res_idx[e]), int(res_idx[f]), bound)
-        decreases += dropped
-        if decreases > max_decreases:
-            raise ResourceLimitError(
-                f"closure exceeded {max_decreases} entry decreases",
-                "max_decreases",
-                max_decreases,
-            )
-        if dropped == 0:
-            break
-    return m
+def _scale_finite(arr: np.ndarray, factor: int) -> None:
+    """Multiply the finite entries of a mirror by ``factor`` in place."""
+    finite = arr < _inf_code(arr)
+    arr[finite] *= factor
 
 
 def grid_congruences(

@@ -7,8 +7,9 @@ absorbs addition and dominates every comparison.  Floating point never
 appears.
 
 Heavy axiom checks (triangle inequality on large carriers) run on a
-scaled-integer fast path backed by numpy; results are identical to the
-pure loops because every scaled value is an exact integer.
+scaled-integer mirror backed by numpy: int64 while the values fit, Python
+ints otherwise.  Results are identical to the pure loops because every
+scaled value is an exact integer.
 """
 
 from __future__ import annotations
@@ -271,43 +272,79 @@ def _checked_carrier(carrier: Sequence) -> tuple:
     return carrier
 
 
-# Scaled-integer fast path.  A matrix whose finite entries share a modest
-# common denominator is mirrored into an int64 numpy array; _INT_INF is the
-# infinity sentinel, chosen so that one addition can never overflow.
+# Scaled-integer mirror.  A matrix is mirrored as numerators over one common
+# denominator.  While every scaled finite value is below _MAX_SCALED the
+# mirror is an int64 array with _INT_INF as infinity, chosen so that a sum of
+# two entries can never overflow or pass for a finite value; otherwise it holds
+# Python ints (dtype=object) with _OBJ_INF as infinity.  The same array code
+# runs on both.
 _INT_INF = 1 << 60
-_MAX_SCALED = 1 << 40
-_MAX_DENOM = 1 << 32
+_MAX_SCALED = 1 << 45
 
 
-def scaled_int_array(
-    rows: Sequence[Sequence[ExtRat]], limit: int = _MAX_SCALED
-) -> tuple[np.ndarray, int] | None:
-    """Mirror entries into (int64 array, denominator), or None if unscalable.
+class _Infinity:
+    """Infinity in Python-int mirrors: above every int, absorbing addition.
 
-    The mirror is unavailable when the common denominator exceeds
-    ``_MAX_DENOM`` or a scaled finite value reaches ``limit``.  Entries
-    are grouped by object identity and each distinct object is converted
-    once, so large matrices that share a few values stay cheap.
+    ``math.inf`` would serve but for ``int + math.inf``, which converts the
+    int to a float and overflows once it passes 2**1024.
     """
-    n = len(rows)
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return self
+
+    __radd__ = __add__
+
+    def __lt__(self, other):
+        return False
+
+    def __le__(self, other):
+        return other is self
+
+    def __gt__(self, other):
+        return other is not self
+
+    def __ge__(self, other):
+        return True
+
+
+_OBJ_INF = _Infinity()
+
+
+def scaled_int_array(rows: Sequence[Sequence[ExtRat]]) -> tuple[np.ndarray, int]:
+    """Mirror a rectangular grid of entries into (array, denominator).
+
+    The array is int64 when every scaled finite value is below
+    ``_MAX_SCALED`` and holds Python ints otherwise.  Entries are grouped
+    by object identity and each distinct object is converted once, so
+    large matrices that share a few values stay cheap.
+    """
+    height, width = len(rows), len(rows[0])
     ids = np.fromiter(
-        map(id, itertools.chain.from_iterable(rows)), dtype=np.uint64, count=n * n
+        map(id, itertools.chain.from_iterable(rows)), dtype=np.uint64, count=height * width
     )
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    distinct = [rows[f // n][f % n] for f in first.tolist()]
-    denom = 1
-    for v in distinct:
-        if v._q is not None:
-            denom = math.lcm(denom, v._q.denominator)
-            if denom > _MAX_DENOM:
-                return None
-    codes = [
-        _INT_INF if v._q is None else v._q.numerator * (denom // v._q.denominator)
-        for v in distinct
-    ]
-    if any(v._q is not None and c >= limit for v, c in zip(distinct, codes)):
-        return None
-    return np.array(codes, dtype=np.int64)[inverse].reshape(n, n), denom
+    distinct = [rows[f // width][f % width]._q for f in first.tolist()]
+    denom = math.lcm(*(q.denominator for q in distinct if q is not None))
+    codes = [None if q is None else q.numerator * (denom // q.denominator) for q in distinct]
+    if all(c is None or c < _MAX_SCALED for c in codes):
+        table = np.array([_INT_INF if c is None else c for c in codes], dtype=np.int64)
+    else:
+        table = np.array([_OBJ_INF if c is None else c for c in codes], dtype=object)
+    return table[inverse].reshape(height, width), denom
+
+
+def _as_object(arr: np.ndarray) -> np.ndarray:
+    """An int64 mirror widened to Python ints, with ``_OBJ_INF`` as infinity."""
+    out = arr.astype(object)
+    out[arr >= _INT_INF] = _OBJ_INF
+    return out
+
+
+def _inf_code(arr: np.ndarray):
+    """The infinity of a mirror: ``_INT_INF`` for int64, ``_OBJ_INF`` for objects."""
+    return _OBJ_INF if arr.dtype == object else _INT_INF
 
 
 def _finite_components(arr: np.ndarray) -> list[np.ndarray]:
@@ -326,7 +363,7 @@ def _finite_components(arr: np.ndarray) -> list[np.ndarray]:
             i = parent[i]
         return i
 
-    finite = arr < _INT_INF
+    finite = arr < _inf_code(arr)
     for i in range(n):
         for j in np.nonzero(finite[i, i + 1 :])[0]:
             ri, rj = find(i), find(int(j) + i + 1)
@@ -386,11 +423,11 @@ def check_pseudometric(m: SquareMatrix) -> Verdict:
     Nonnegativity holds by the ``ExtRat`` type.
     """
     rows, n = m.entries, m.size
-    scaled = scaled_int_array(rows) if n >= 4 else None
-    if scaled is not None:
-        violation = _array_violation(scaled[0])
-    else:
+    # Below four points the scan over entries is cheaper than the mirror.
+    if n < 4:
         violation = _pure_violation(rows, n)
+    else:
+        violation = _array_violation(scaled_int_array(rows)[0])
     return _as_verdict(violation, m.carrier)
 
 
@@ -462,9 +499,10 @@ def pseudometric_from_scaled(
     """A ``PseudometricMatrix`` read off a scaled-integer mirror.
 
     ``arr`` holds numerators over ``denom``, with ``_INT_INF`` (or more)
-    standing for infinity.  The axioms are checked on the array itself,
-    with the same reasons and witnesses as :func:`check_pseudometric`,
-    and each distinct value becomes one ``ExtRat`` shared by its entries.
+    standing for infinity in an int64 array and ``_OBJ_INF`` in an object
+    array.  The axioms are checked on the array itself, with the same
+    reasons and witnesses as :func:`check_pseudometric`, and each distinct
+    value becomes one ``ExtRat`` shared by its entries.
     """
     carrier = _checked_carrier(carrier)
     n = len(carrier)
@@ -474,14 +512,18 @@ def pseudometric_from_scaled(
     return _from_scaled(carrier, arr, denom)
 
 
-def _from_scaled(carrier: tuple, arr: np.ndarray, denom: int) -> PseudometricMatrix:
-    """:func:`pseudometric_from_scaled` for an array known to pass the axioms."""
+def _from_scaled(
+    carrier: tuple, arr: np.ndarray, denom: int, cls: type = PseudometricMatrix
+) -> SquareMatrix:
+    """A trusted ``cls`` read off a mirror whose entries satisfy its invariant;
+    entries at or above the infinity code read as ``INF``."""
+    inf = _inf_code(arr)
     values, inverse = np.unique(arr, return_inverse=True)
-    shared = np.empty(len(values), dtype=object)
-    shared[:] = [
-        INF if v >= _INT_INF else ExtRat(Fraction(v, denom)) for v in values.tolist()
-    ]
-    return PseudometricMatrix._trusted(carrier, shared[inverse.reshape(arr.shape)].tolist())
+    shared = np.array(
+        [INF if v >= inf else ExtRat(Fraction(v, denom)) for v in values.tolist()],
+        dtype=object,
+    )
+    return cls._trusted(carrier, shared[inverse.reshape(arr.shape)].tolist())
 
 
 class FiniteMetricSpace(PseudometricMatrix):

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import strategies as st
 
+import metra.extmetric as extmetric_module
+from metra.errors import ResourceLimitError
 from metra.extmetric import (
     INF,
     ZERO,
@@ -38,6 +41,81 @@ def fw_close(rows):
                 if through < m[i][j]:
                     m[i][j] = through
     return m
+
+
+def object_mirrors():
+    """Context in which every scaled-integer mirror holds Python ints.
+
+    With the int64 value guard at 0 no finite value fits, so the closure,
+    the axiom check and ``compose`` run their array code on ``dtype=object``.
+    """
+    return mock.patch.object(extmetric_module, "_MAX_SCALED", 0)
+
+
+def reference_closure(carrier, ops, constraints, mode, lipschitz=None, max_decreases=1_000_000):
+    """``generate_congruence`` in pure ``ExtRat`` arithmetic, as an oracle.
+
+    Starts from the same capped discrete matrix and lowers entries one at a
+    time under symmetry, the triangle inequality and the mode rule until
+    nothing changes.  Returns the closed rows in carrier order.
+    """
+    carrier = tuple(carrier)
+    index = {x: i for i, x in enumerate(carrier)}
+    n = len(carrier)
+    m = [[ZERO if i == j else INF for j in range(n)] for i in range(n)]
+    for x, y, bound in constraints:
+        i, j = index[x], index[y]
+        m[i][j] = m[j][i] = min(m[i][j], ExtRat(bound))
+    tables = []
+    for symbol in sorted(ops):
+        entries = [(tuple(index[a] for a in args), index[v]) for args, v in ops[symbol].items()]
+        if not entries or not entries[0][0]:
+            continue
+        args_idx = [[args[pos] for args, _ in entries] for pos in range(len(entries[0][0]))]
+        k = Fraction(lipschitz[symbol]) if mode == "LIP" else None
+        tables.append((args_idx, [v for _, v in entries], k))
+    decreases = 0
+
+    def lower(i, j, value) -> int:
+        if value < m[i][j]:
+            m[i][j] = value
+            m[j][i] = value
+            return 1
+        return 0
+
+    while True:
+        dropped = 0
+        for i in range(n):
+            for j in range(n):
+                if m[j][i] < m[i][j]:
+                    dropped += lower(i, j, m[j][i])
+        for k in range(n):
+            for i in range(n):
+                if m[i][k].is_infinite:
+                    continue
+                for j in range(n):
+                    dropped += lower(i, j, m[i][k] + m[k][j])
+        for args_idx, res_idx, k in tables:
+            for e in range(len(res_idx)):
+                for f in range(len(res_idx)):
+                    spread = max(m[arg[e]][arg[f]] for arg in args_idx)
+                    if mode == "M":
+                        if spread == ZERO:
+                            dropped += lower(res_idx[e], res_idx[f], ZERO)
+                    elif mode == "Q":
+                        dropped += lower(res_idx[e], res_idx[f], spread)
+                    else:
+                        bound = spread if spread.is_infinite else spread.scale(k)
+                        dropped += lower(res_idx[e], res_idx[f], bound)
+        decreases += dropped
+        if decreases > max_decreases:
+            raise ResourceLimitError(
+                f"closure exceeded {max_decreases} entry decreases",
+                "max_decreases",
+                max_decreases,
+            )
+        if dropped == 0:
+            return m
 
 
 def symmetric_rows(draw, n, values):

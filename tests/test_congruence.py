@@ -2,14 +2,16 @@
 downward closure engine behind generation and joins."""
 
 import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metra.congruence as congruence_module
+import metra.extmetric as extmetric_module
 from metra.algebra import (
     Homomorphism,
     MetricAlgebra,
@@ -61,6 +63,8 @@ from conftest import (
     line_max_algebra,
     line_min_algebra,
     metric_spaces,
+    object_mirrors,
+    reference_closure,
     revalidated,
     symmetric_rows,
 )
@@ -225,6 +229,34 @@ class TestComposeAndPermutability:
         c12 = compose(t1, t2)
         assert c12.get("a", "c") == ZERO
         assert c12.get("c", "a") == ONE
+
+    @pytest.mark.parametrize("big", [1 << 44, 1 << 60, 10**400])
+    def test_compose_keeps_large_finite_entries_and_infinities(self, big):
+        # 2**44 + 2**44 still fits the int64 mirror; 2**60 is its infinity
+        # code, so that matrix is mirrored in Python ints, as is 10**400,
+        # which no float can hold.
+        big = ExtRat(big)
+        far = [
+            [ZERO, big, INF, INF],
+            [big, ZERO, INF, INF],
+            [INF, INF, ZERO, ONE],
+            [INF, INF, ONE, ZERO],
+        ]
+        algebra = bare_algebra(FiniteMetricSpace("abcd", far))
+        t1 = finest_congruence(algebra)
+        t2 = Congruence(algebra, matrix_on(algebra, [("a", "b", big), ("c", "d", 0)], INF))
+        for s, t in itertools.product((t1, t2), repeat=2):
+            expected = [
+                [min(x + y for x, y in zip(row, col)) for col in zip(*t.matrix.entries)]
+                for row in s.matrix.entries
+            ]
+            assert as_rows(compose(s, t)) == expected
+            with object_mirrors():
+                assert as_rows(compose(s, t)) == expected
+        assert compose(t1, t1).get("a", "b") == big
+        assert compose(t1, t2).get("b", "a") == big
+        assert compose(t1, t2).get("a", "c") == INF
+        assert compose(t1, t2).get("c", "c") == ZERO
 
     def test_join_of_the_chain_is_everything(self):
         algebra, t1, t2 = chain_pair()
@@ -498,28 +530,20 @@ class TestGenerateCongruence:
             )
         assert err.value.limit_name == "max_decreases"
 
-    def test_fraction_path_agrees(self, monkeypatch):
-        runs = [
-            lambda: generate_congruence(
-                self.Q_CARRIER, self.Q_OPS, [("x", "y", 1)], mode="Q"
-            ),
-            lambda: generate_congruence(
-                self.Q_CARRIER, self.Q_OPS, [("x", "y", 0)], mode="M"
-            ),
-            lambda: generate_congruence(
-                ("c0", "c1", "c2"),
-                {"f": {("c0",): "c1", ("c1",): "c2", ("c2",): "c2"}},
-                [("c0", "c1", 1)],
-                mode="LIP",
-                lipschitz={"f": Fraction(1, 2)},
-            ),
+    def test_fraction_path_agrees(self):
+        lip_ops = {"f": {("c0",): "c1", ("c1",): "c2", ("c2",): "c2"}}
+        args = [
+            (self.Q_CARRIER, self.Q_OPS, [("x", "y", 1)], "Q", None),
+            (self.Q_CARRIER, self.Q_OPS, [("x", "y", 0)], "M", None),
+            (("c0", "c1", "c2"), lip_ops, [("c0", "c1", 1)], "LIP", {"f": Fraction(1, 2)}),
         ]
-        fast = [run() for run in runs]
-        monkeypatch.setattr(congruence_module, "_scale_rows", lambda rows: None)
-        slow = [run() for run in runs]
-        assert fast == slow
+        fast = [generate_congruence(*a) for a in args]
+        with object_mirrors():
+            wide = [generate_congruence(*a) for a in args]
+        assert fast == wide
+        assert [as_rows(m) for m in fast] == [reference_closure(*a) for a in args]
 
-    def test_free_algebra_closure_agrees_on_both_paths(self, monkeypatch):
+    def test_free_algebra_closure_agrees_on_both_paths(self):
         sig = Signature({"sigma": 2})
         relation = MetricEquation(Var("x"), Var("y"), 1)
         runs = [
@@ -533,21 +557,71 @@ class TestGenerateCongruence:
         sxx = App("sigma", (Var("x"), Var("x")))
         syy = App("sigma", (Var("y"), Var("y")))
         assert [m.get(sxx, syy) for m in fast] == [ONE, INF]
-        monkeypatch.setattr(congruence_module, "_scale_rows", lambda rows: None)
-        slow = [run() for run in runs]
-        assert fast == slow
+        with object_mirrors():
+            wide = [run() for run in runs]
+        assert fast == wide
 
-    def test_finite_bound_at_the_infinity_sentinel_stays_finite(self, monkeypatch):
-        # 2**60 is the int64 mirror's infinity code; such a bound must take
-        # the exact path and come back finite.
+    def test_finite_bound_at_the_infinity_sentinel_stays_finite(self):
+        # 2**60 is the int64 mirror's infinity code; such a bound must widen
+        # the mirror to Python ints and come back finite.
         big = ExtRat(1 << 60)
-        run = lambda: generate_congruence(
-            self.Q_CARRIER, self.Q_OPS, [("x", "y", big)], mode="Q"
-        )
-        fast = run()
+        args = (self.Q_CARRIER, self.Q_OPS, [("x", "y", big)], "Q")
+        fast = generate_congruence(*args)
         assert fast.get("x", "y") == big
-        monkeypatch.setattr(congruence_module, "_scale_rows", lambda rows: None)
-        assert fast == run()
+        assert fast.get("sxx", "syy") == big
+        assert as_rows(fast) == reference_closure(*args)
+
+    def test_large_common_denominator_stays_exact(self):
+        # The denominators' product exceeds 2**32, the scaled values do not
+        # reach the value guard: the int64 mirror carries them exactly.
+        bounds = [("x", "y", Fraction(1, 65537)), ("sxx", "y", Fraction(2, 65539))]
+        for mode in ("M", "Q"):
+            with mock.patch.object(
+                congruence_module, "_fix_int", wraps=congruence_module._fix_int
+            ) as engine:
+                result = generate_congruence(self.Q_CARRIER, self.Q_OPS, bounds, mode)
+            assert engine.call_args.args[0].dtype != object
+            assert as_rows(result) == reference_closure(self.Q_CARRIER, self.Q_OPS, bounds, mode)
+        assert result.get("x", "sxx") == ExtRat(Fraction(1, 65537) + Fraction(2, 65539))
+
+    def test_lipschitz_rescaling_widens_partway_through_the_run(self):
+        # The bound fits int64, but the k = 3/2 rescaling doubles it past the
+        # value guard during the first pass, so the engine switches its
+        # arrays to Python ints and carries on; c3 stays at infinity.
+        carrier = ("c0", "c1", "c2", "c3")
+        ops = {"f": {("c0",): "c1", ("c1",): "c2", ("c2",): "c2", ("c3",): "c3"}}
+        args = (carrier, ops, [("c0", "c1", 1 << 44)], "LIP", {"f": Fraction(3, 2)})
+        with mock.patch.object(
+            congruence_module, "_as_object", wraps=extmetric_module._as_object
+        ) as widen:
+            result = generate_congruence(*args)
+        assert widen.call_count == 3
+        assert result.get("c1", "c2") == ExtRat(3 << 43)
+        assert result.get("c0", "c3") == INF
+        assert as_rows(result) == reference_closure(*args)
+
+    @pytest.mark.parametrize(
+        "constraint, k",
+        [
+            (-1, 1),
+            ("x", 1),
+            (math.nan, 1),
+            (None, 1),
+            (math.inf, 1),
+            (1, "abc"),
+            (1, None),
+            (1, math.nan),
+        ],
+    )
+    def test_bad_bounds_and_constants_raise_domain_errors(self, constraint, k):
+        ops = {"f": {("a",): "b", ("b",): "a"}}
+        with pytest.raises(DomainError, match="constraint on \\(a, b\\)" if k == 1 else "for f"):
+            generate_congruence(("a", "b"), ops, [("a", "b", constraint)], "LIP", {"f": k})
+        if constraint == 1:
+            algebra = unary_algebra({"a": "b", "b": "a"})
+            theta = finest_congruence(algebra)
+            with pytest.raises(DomainError, match="for f"):
+                join([theta], mode="LIP", lipschitz={"f": k})
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
@@ -659,7 +733,18 @@ class TestJoinProperty:
 
 
 class TestClosureEngines:
-    """The int64 engine and the exact Fraction engine compute one closure."""
+    """The int64 mirror, the Python-int mirror and the pure ``ExtRat``
+    reference compute one closure."""
+
+    # Beside the small pool: a large denominator, values past the int64
+    # guard and past any float, and a tiny value whose LIP rescaling widens
+    # the mirror mid-run.
+    BOUNDS = FINITE_POOL + [
+        Fraction(1, 65537),
+        Fraction(1 << 60),
+        Fraction(10**400),
+        Fraction(3, 1 << 40),
+    ]
 
     @given(
         n=st.integers(min_value=1, max_value=6),
@@ -675,28 +760,15 @@ class TestClosureEngines:
             "g": data.draw(st.dictionaries(st.tuples(elem, elem), elem, max_size=8)),
         }
         bounds = data.draw(
-            st.lists(st.tuples(elem, elem, st.sampled_from(FINITE_POOL)), max_size=4)
+            st.lists(st.tuples(elem, elem, st.sampled_from(self.BOUNDS)), max_size=4)
         )
         lipschitz = {"f": k, "g": k} if mode == "LIP" else None
-
-        def run():
-            return generate_congruence(range(n), ops, bounds, mode, lipschitz)
-
-        real_frac = congruence_module._fix_frac
-        fell_back = []
-
-        def spy(*args):
-            fell_back.append(True)
-            return real_frac(*args)
-
-        with mock.patch.object(congruence_module, "_fix_frac", spy):
-            fast = run()
-        # The int64 engine hands over to the exact one when rescaling for a
-        # fractional constant outgrows its value guard.
-        assume(not fell_back)
-        with mock.patch.object(congruence_module, "_scale_rows", lambda rows: None):
-            exact = run()
-        assert fast == exact
+        args = (range(n), ops, bounds, mode, lipschitz)
+        fast = generate_congruence(*args)
+        with object_mirrors():
+            wide = generate_congruence(*args)
+        assert fast == wide
+        assert as_rows(fast) == reference_closure(*args)
 
     @pytest.mark.parametrize(
         "images, constraint",
@@ -712,14 +784,23 @@ class TestClosureEngines:
             )
 
         with mock.patch.object(
-            congruence_module, "_fix_frac", side_effect=AssertionError("fell back")
+            congruence_module, "_as_object", side_effect=AssertionError("widened")
         ):
             with pytest.raises(ResourceLimitError) as fast:
                 run()
-        with mock.patch.object(congruence_module, "_scale_rows", lambda rows: None):
-            with pytest.raises(ResourceLimitError) as exact:
+        with object_mirrors():
+            with pytest.raises(ResourceLimitError) as wide:
                 run()
-        assert fast.value.limit_name == exact.value.limit_name == "max_decreases"
+        with pytest.raises(ResourceLimitError) as exact:
+            reference_closure(
+                (0, 1, 2), ops, [constraint], "LIP", {"f": Fraction(1, 2)}, max_decreases=50
+            )
+        assert (
+            fast.value.limit_name
+            == wide.value.limit_name
+            == exact.value.limit_name
+            == "max_decreases"
+        )
 
 
 class TestTrustedResults:
@@ -739,9 +820,9 @@ class TestTrustedResults:
             )
 
         fast = run()
-        with mock.patch.object(congruence_module, "_scale_rows", lambda rows: None):
-            exact = run()
-        assert revalidated(fast) == fast == exact == revalidated(exact)
+        with object_mirrors():
+            wide = run()
+        assert revalidated(fast) == fast == wide == revalidated(wide)
 
     @pytest.mark.parametrize("mode, k", MODES)
     def test_lattice_operations(self, mode, k):

@@ -27,6 +27,9 @@ from metra.extmetric import (
     FiniteMetricSpace,
     PseudometricMatrix,
     SquareMatrix,
+    _array_violation,
+    _as_verdict,
+    _pure_violation,
     abs_diff,
     check_metric,
     check_pseudometric,
@@ -197,9 +200,9 @@ class TestPseudometricChecks:
         assert err.value.verdict == expected
         assert str(err.value).startswith(f"not a pseudometric: {reason} fails at")
 
-    def test_finite_entry_at_the_infinity_sentinel_stays_finite(self, monkeypatch):
+    def test_finite_entry_at_the_infinity_sentinel_stays_finite(self):
         # 2**60 is the int64 mirror's infinity code; a finite entry of that
-        # size must send the check to the exact path, not read as infinity.
+        # size must widen the mirror to Python ints, not read as infinity.
         big = ExtRat(1 << 60)
         rows = [
             [ZERO, big, INF, INF],
@@ -207,12 +210,35 @@ class TestPseudometricChecks:
             [INF, INF, ZERO, INF],
             [INF, INF, INF, ZERO],
         ]
-        assert scaled_int_array(rows) is None
+        arr, denom = scaled_int_array(rows)
+        assert arr.dtype == object and denom == 1
+        assert arr[0, 1] == 1 << 60 and arr[1, 0] is extmetric_module._OBJ_INF
         verdict = check_pseudometric(SquareMatrix("abcd", rows))
-        monkeypatch.setattr(extmetric_module, "scaled_int_array", lambda rows: None)
-        assert verdict == check_pseudometric(SquareMatrix("abcd", rows))
+        assert verdict == _as_verdict(_pure_violation(rows, 4), tuple("abcd"))
         assert verdict.reason == "symmetry"
         assert verdict.witness == ("a", "b")
+
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        reflexive=st.booleans(),
+        symmetric=st.booleans(),
+        data=st.data(),
+    )
+    def test_array_check_matches_the_entry_scan(self, n, reflexive, symmetric, data):
+        """Same first violation on the int64 or Python-int mirror as on the
+        entries, for values that fit int64 and values that do not."""
+        pool = st.sampled_from(
+            [ZERO, ONE, INF, ExtRat(Fraction(1, 3)), ExtRat(2), ExtRat(1 << 60), ExtRat(10**400)]
+        )
+        rows = [[data.draw(pool) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            if reflexive:
+                rows[i][i] = ZERO
+            for j in range(i + 1, n):
+                if symmetric:
+                    rows[j][i] = rows[i][j]
+        arr, _ = scaled_int_array(rows)
+        assert _array_violation(arr) == _pure_violation(rows, n)
 
     def test_scaled_array_reads_back_exact_entries(self):
         big = 1 << 60
