@@ -52,6 +52,7 @@ from .extmetric import (
     _inf_code,
     _rows_at,
     check_pseudometric,
+    checked_value,
     render_id,
     scaled_int_array,
 )
@@ -361,13 +362,9 @@ def generate_congruence(
             raise DomainError(
                 f"constraint mentions {render_id(x)} or {render_id(y)} outside the carrier"
             )
-        try:
-            bound = ExtRat(bound)
-        except (TypeError, ValueError, OverflowError):
-            raise DomainError(
-                f"bound {bound!r} of the constraint on ({render_id(x)}, {render_id(y)}) "
-                "is not a nonnegative rational or inf"
-            ) from None
+        bound = checked_value(
+            ExtRat, bound, f"bound of the constraint on ({render_id(x)}, {render_id(y)})"
+        )
         i, j = index[x], index[y]
         if bound < rows[i][j]:
             rows[i][j] = bound
@@ -409,12 +406,7 @@ def closure_fixpoint(
         if mode == "LIP":
             if lipschitz is None or symbol not in lipschitz:
                 raise SignatureError(f"LIP mode needs a constant for {symbol}")
-            try:
-                k = Fraction(lipschitz[symbol])
-            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-                raise DomainError(
-                    f"Lipschitz constant {lipschitz[symbol]!r} for {symbol} is not a rational"
-                ) from None
+            k = checked_value(Fraction, lipschitz[symbol], f"Lipschitz constant for {symbol}")
             if k <= 0:
                 raise DomainError(f"Lipschitz constant for {symbol} must be positive")
         args_idx = [

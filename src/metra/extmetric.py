@@ -183,6 +183,19 @@ ONE = ExtRat(1)
 INF = ExtRat.infinity()
 
 
+def checked_value(convert, value, what: str):
+    """``convert(value)``, raising ``DomainError`` about ``what`` if it fails.
+
+    ``convert`` is ``ExtRat`` for a distance argument or ``Fraction`` for
+    a constant; their own ``ValueError`` contract stays as it is.
+    """
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        kind = "a rational" if convert is Fraction else "a nonnegative rational or inf"
+        raise DomainError(f"{what} must be {kind}, got {value!r}") from None
+
+
 def abs_diff(a: ExtRat, b: ExtRat) -> ExtRat:
     """|a - b| for finite values; raises if either side is infinite."""
     return ExtRat(abs(a.finite - b.finite))

@@ -8,12 +8,15 @@ inequality applies an exact arithmetic expression (sums, differences,
 products, maxima, minima, squares, rational constants) to distance
 atoms ``d(s, t)`` and compares the result with zero.
 
-Satisfaction is decided by exhaustive valuation enumeration, which is
-complete on finite algebras: the enumeration order is deterministic
-(variables sorted by name, carrier order per variable), so reported
-countermodels are always the lexicographically least ones.  Entailment
-is relative to an explicit finite list of algebras, and every verdict
-names its sample.
+Satisfaction of equations and implications is decided by checking every
+valuation, which is complete on finite algebras.  The terms are compiled
+to index arrays over the operation tables and the valuations are checked
+a chunk at a time in a deterministic order (variables sorted by name,
+carrier order per variable), so reported countermodels are always the
+lexicographically least ones.  Inequalities need exact rational
+arithmetic and are checked one valuation at a time.  Entailment is
+relative to an explicit finite list of algebras, and every verdict names
+its sample.
 
 A presentation packages generators, relation equations, a closure mode,
 and a term depth.  Its free algebra is the depth-bounded term universe
@@ -34,6 +37,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .algebra import (
     MetricAlgebra,
@@ -59,7 +64,15 @@ from .errors import (
     UnsupportedInputError,
     Verdict,
 )
-from .extmetric import ExtRat, INF, ZERO, metric_identification
+from .extmetric import (
+    _INT_INF,
+    INF,
+    ZERO,
+    ExtRat,
+    checked_value,
+    metric_identification,
+    scaled_int_array,
+)
 from .terms import App, Signature, Term, Var, check_term, evaluate, enumerate_terms
 
 
@@ -76,7 +89,7 @@ class MetricEquation:
     bound: ExtRat
 
     def __post_init__(self):
-        object.__setattr__(self, "bound", ExtRat(self.bound))
+        object.__setattr__(self, "bound", checked_value(ExtRat, self.bound, "equation bound"))
         for side in (self.lhs, self.rhs):
             if not isinstance(side, Term):
                 raise DomainError(f"{side!r} is not a term")
@@ -298,17 +311,129 @@ class MetricInequality:
 # Satisfaction
 
 
-def _valuations(algebra, variables, max_valuations):
-    names = sorted(variables)
-    total = len(algebra.carrier) ** len(names) if names else 1
+# Valuations a compiled scan checks at once; bounds its index arrays' memory.
+_CHUNK = 1 << 13
+
+
+def _grid_size(algebra, names, max_valuations) -> int:
+    total = len(algebra.carrier) ** len(names)
     if total > max_valuations:
         raise ResourceLimitError(
             f"{total} valuations exceed the cap {max_valuations}",
             "max_valuations",
             max_valuations,
         )
+    return total
+
+
+def _valuations(algebra, variables, max_valuations):
+    names = sorted(variables)
+    _grid_size(algebra, names, max_valuations)
     for choice in itertools.product(algebra.carrier, repeat=len(names)):
         yield dict(zip(names, choice))
+
+
+class _Compiled:
+    """An algebra's tables and distances as index arrays, built on first use.
+
+    ``tables[symbol]`` has shape ``(n,) * arity`` and holds carrier
+    indices; the distances are the scaled mirror ``(D, denom)``.
+    """
+
+    __slots__ = ("algebra", "_arrays")
+
+    def __init__(self, algebra: MetricAlgebra):
+        self.algebra = algebra
+        self._arrays = None
+
+    def arrays(self):
+        if self._arrays is None:
+            algebra = self.algebra
+            carrier = algebra.carrier
+            index = {x: i for i, x in enumerate(carrier)}
+            n = len(carrier)
+            tables = {}
+            for symbol, table in algebra.ops.items():
+                arity = algebra.sig.arity(symbol)
+                cells = itertools.product(carrier, repeat=arity)
+                tables[symbol] = np.fromiter(
+                    (index[table[args]] for args in cells), dtype=np.intp, count=n**arity
+                ).reshape((n,) * arity)
+            self._arrays = (tables, *scaled_int_array(algebra.space.entries))
+        return self._arrays
+
+    def within(self, bound: ExtRat) -> np.ndarray:
+        """Where the distance is at most ``bound``, as an n x n boolean matrix."""
+        _, D, denom = self.arrays()
+        if bound.is_infinite:
+            return np.ones(D.shape, dtype=bool)
+        q = bound.finite
+        limit = q.numerator * denom // q.denominator
+        if D.dtype != object:
+            # Every finite int64 entry lies below _INT_INF, infinity at it.
+            limit = min(limit, _INT_INF - 1)
+        return D <= limit
+
+
+def _program(equations, names):
+    """Slots for the variables, then for every distinct application.
+
+    Slot ``i < len(names)`` is the variable ``names[i]``; each later slot
+    is an application ``(symbol, arg_slots)`` whose arguments come
+    earlier.  Returns the applications and each equation's side slots.
+    """
+    slots = {name: pos for pos, name in enumerate(names)}
+    apps = []
+
+    def slot(term):
+        if isinstance(term, Var):
+            return slots[term.name]
+        key = (term.symbol, tuple(slot(a) for a in term.args))
+        if key not in slots:
+            slots[key] = len(names) + len(apps)
+            apps.append(key)
+        return slots[key]
+
+    return apps, [(slot(e.lhs), slot(e.rhs)) for e in equations]
+
+
+def _countermodel(compiled: _Compiled, names, premises, conclusion, max_valuations):
+    """The least valuation where every premise holds and the conclusion fails.
+
+    The grid of valuations is scanned in chunks of ``_CHUNK`` in C order,
+    the last variable varying fastest, which is ``itertools.product``
+    order; the first chunk holding a countermodel stops the scan.
+    Returns the valuation as a dict, or None.
+    """
+    algebra = compiled.algebra
+    total = _grid_size(algebra, names, max_valuations)
+    equations = (*premises, conclusion)
+    for e in equations:
+        check_term(e.lhs, algebra.sig)
+        check_term(e.rhs, algebra.sig)
+    tables = compiled.arrays()[0]
+    apps, pairs = _program(equations, names)
+    within = [compiled.within(e.bound) for e in equations]
+    n = len(algebra.carrier)
+    for start in range(0, total, _CHUNK):
+        rest = np.arange(start, min(start + _CHUNK, total))
+        values = [None] * len(names)
+        for pos in reversed(range(len(names))):
+            rest, values[pos] = np.divmod(rest, n)
+        for symbol, args in apps:
+            values.append(tables[symbol][tuple(values[a] for a in args)])
+        (lhs, rhs), w = pairs[-1], within[-1]
+        bad = ~w[values[lhs], values[rhs]]
+        for (lhs, rhs), w in zip(pairs[:-1], within):
+            bad = bad & w[values[lhs], values[rhs]]
+        if bad.any():
+            flat = start + int(np.argmax(bad))
+            picks = []
+            for _ in names:
+                flat, i = divmod(flat, n)
+                picks.append(algebra.carrier[i])
+            return dict(zip(names, reversed(picks)))
+    return None
 
 
 def satisfies_under(algebra: MetricAlgebra, valuation, e: MetricEquation) -> bool:
@@ -318,24 +443,26 @@ def satisfies_under(algebra: MetricAlgebra, valuation, e: MetricEquation) -> boo
     return algebra.space.get(a, b) <= e.bound
 
 
-def _holds_under(algebra, valuation, phi: MetricImplication) -> bool:
-    if all(satisfies_under(algebra, valuation, p) for p in phi.premises):
-        return satisfies_under(algebra, valuation, phi.conclusion)
-    return True
+def _satisfies(compiled: _Compiled, formula, max_valuations) -> Verdict:
+    phi = as_implication(formula)
+    names = sorted(phi.variables())
+    found = _countermodel(compiled, names, phi.premises, phi.conclusion, max_valuations)
+    if found is None:
+        return Verdict.passed()
+    return Verdict.failed("countermodel", tuple(found.items()), found)
 
 
 def satisfies(algebra: MetricAlgebra, formula, max_valuations=1_000_000) -> Verdict:
     """Whether every valuation satisfies the formula.
 
-    Failures carry the lexicographically least countermodel valuation.
+    Valuations assign carrier points to the formula's variables, sorted
+    by name.  They are checked a chunk at a time on index arrays, in
+    the order of ``itertools.product`` over the carrier, so a failure
+    carries the lexicographically least countermodel valuation.  The
+    valuation cap and the formula's terms against the algebra's
+    signature are checked before the scan.
     """
-    phi = as_implication(formula)
-    for valuation in _valuations(algebra, phi.variables(), max_valuations):
-        if not _holds_under(algebra, valuation, phi):
-            return Verdict.failed(
-                "countermodel", tuple(sorted(valuation.items())), valuation
-            )
-    return Verdict.passed()
+    return _satisfies(_Compiled(algebra), formula, max_valuations)
 
 
 def entails(
@@ -347,24 +474,25 @@ def entails(
     """Entailment over an explicit finite list of algebras.
 
     Checks that every valuation satisfying all of ``delta`` in any of
-    the listed algebras also satisfies ``e``.  The passing verdict
-    records the sample size; failures name the algebra index and the
-    least countermodel valuation.
+    the listed algebras also satisfies ``e``, one algebra after the other
+    with the chunked scan of ``satisfies``.  The passing verdict records
+    the sample size; failures name the first failing algebra's index and
+    its least countermodel valuation.
     """
     algebras = list(algebras)
     delta = tuple(delta)
     variables = set(e.variables())
     for d in delta:
         variables |= d.variables()
+    names = sorted(variables)
     for pos, algebra in enumerate(algebras):
-        for valuation in _valuations(algebra, variables, max_valuations):
-            if all(satisfies_under(algebra, valuation, d) for d in delta):
-                if not satisfies_under(algebra, valuation, e):
-                    return Verdict.failed(
-                        "countermodel",
-                        (pos, tuple(sorted(valuation.items()))),
-                        {"algebra": pos, "valuation": valuation},
-                    )
+        found = _countermodel(_Compiled(algebra), names, delta, e, max_valuations)
+        if found is not None:
+            return Verdict.failed(
+                "countermodel",
+                (pos, tuple(found.items())),
+                {"algebra": pos, "valuation": found},
+            )
     return Verdict.passed(len(algebras))
 
 
@@ -390,6 +518,17 @@ def satisfies_inequality(
 
 
 _MODES = ("M", "Q", "LIP")
+
+
+def _lipschitz_constants(lipschitz, symbols) -> dict:
+    """One constant per symbol, from a mapping or a value shared by all."""
+    if isinstance(lipschitz, Mapping):
+        pairs = lipschitz.items()
+    else:
+        pairs = ((s, lipschitz) for s in symbols)
+    return {
+        s: checked_value(Fraction, k, f"Lipschitz constant for {s}") for s, k in pairs
+    }
 
 
 class Presentation:
@@ -420,10 +559,7 @@ class Presentation:
         if mode == "LIP":
             if lipschitz is None:
                 raise DomainError("LIP mode needs a Lipschitz constant")
-            if isinstance(lipschitz, Mapping):
-                self.lipschitz = {s: Fraction(k) for s, k in lipschitz.items()}
-            else:
-                self.lipschitz = {s: Fraction(lipschitz) for s in sig.symbols}
+            self.lipschitz = _lipschitz_constants(lipschitz, sig.symbols)
         else:
             self.lipschitz = None
         if depth < 0:
@@ -554,12 +690,7 @@ def in_mode_class(algebra: MetricAlgebra, mode: str, lipschitz=None) -> Verdict:
         raise DomainError(f"unknown mode {mode!r}")
     if lipschitz is None:
         raise DomainError("LIP mode needs a Lipschitz constant")
-    constants = (
-        {s: Fraction(k) for s, k in lipschitz.items()}
-        if isinstance(lipschitz, Mapping)
-        else {s: Fraction(lipschitz) for s in algebra.sig.symbols}
-    )
-    return _modulus_scan(algebra, constants)
+    return _modulus_scan(algebra, _lipschitz_constants(lipschitz, algebra.sig.symbols))
 
 
 def soundness_check(
@@ -665,7 +796,7 @@ def weak_compactness_search(
     found for the full premise set.
     """
     delta = tuple(delta)
-    slack = ExtRat(slack)
+    slack = checked_value(ExtRat, slack, "slack")
     if slack < e.bound:
         raise DomainError("the relaxed bound cannot undershoot the goal bound")
     if len(delta) > 20:
@@ -700,10 +831,10 @@ def equicontinuity_check(
     success is returned.
     """
     phi = as_implication(formula)
-    eps_prime = ExtRat(eps_prime)
+    eps_prime = checked_value(ExtRat, eps_prime, "eps_prime")
     if not eps_prime > phi.conclusion.bound:
         raise DomainError("eps_prime must strictly exceed the conclusion bound")
-    grid = sorted({ExtRat(d) for d in delta_grid}, reverse=True)
+    grid = sorted({checked_value(ExtRat, d, "grid delta") for d in delta_grid}, reverse=True)
     if not grid:
         raise DomainError("the delta grid must be nonempty")
     if grid[-1] == ZERO:
@@ -826,7 +957,7 @@ def is_continuous_family(
     checked = 0
     for pos, (phi, eps_list) in enumerate(zip(family, probes)):
         for eps_prime in eps_list:
-            eps_prime = ExtRat(eps_prime)
+            eps_prime = checked_value(ExtRat, eps_prime, "probe")
             if not eps_prime > phi.conclusion.bound:
                 raise DomainError(
                     f"probe {eps_prime} does not exceed the conclusion bound "
@@ -920,8 +1051,9 @@ def closure_suite(
     report = ClosureReport()
 
     def check_all(algebra):
+        compiled = _Compiled(algebra)
         for f in formulas:
-            verdict = satisfies(algebra, f, max_valuations)
+            verdict = _satisfies(compiled, f, max_valuations)
             if not verdict:
                 return verdict
         return Verdict.passed()

@@ -9,7 +9,7 @@ from unittest import mock
 from hypothesis import strategies as st
 
 import metra.extmetric as extmetric_module
-from metra.errors import ResourceLimitError
+from metra.errors import ResourceLimitError, Verdict
 from metra.extmetric import (
     INF,
     ZERO,
@@ -17,6 +17,7 @@ from metra.extmetric import (
     FiniteMetricSpace,
     PseudometricMatrix,
 )
+from metra.logic import as_implication, satisfies_under
 
 # Small pool of exact distances; keeps closures and lcm computations tame.
 FINITE_POOL = [
@@ -116,6 +117,56 @@ def reference_closure(carrier, ops, constraints, mode, lipschitz=None, max_decre
             )
         if dropped == 0:
             return m
+
+
+def _reference_valuations(algebra, names, max_valuations):
+    total = len(algebra.carrier) ** len(names)
+    if total > max_valuations:
+        raise ResourceLimitError(
+            f"{total} valuations exceed the cap {max_valuations}",
+            "max_valuations",
+            max_valuations,
+        )
+    for choice in itertools.product(algebra.carrier, repeat=len(names)):
+        yield dict(zip(names, choice))
+
+
+def _reference_holds(algebra, valuation, premises, conclusion):
+    if all(satisfies_under(algebra, valuation, p) for p in premises):
+        return satisfies_under(algebra, valuation, conclusion)
+    return True
+
+
+def reference_satisfies(algebra, formula, max_valuations=1_000_000):
+    """``satisfies`` one valuation at a time by term recursion, as an oracle.
+
+    Valuations come from ``itertools.product`` over the carrier with the
+    variables sorted by name, so the first failure is the least one.
+    """
+    phi = as_implication(formula)
+    names = sorted(phi.variables())
+    for valuation in _reference_valuations(algebra, names, max_valuations):
+        if not _reference_holds(algebra, valuation, phi.premises, phi.conclusion):
+            return Verdict.failed("countermodel", tuple(sorted(valuation.items())), valuation)
+    return Verdict.passed()
+
+
+def reference_entails(algebras, delta, e, max_valuations=1_000_000):
+    """``entails`` one algebra and one valuation at a time, as an oracle."""
+    delta = tuple(delta)
+    variables = set(e.variables())
+    for d in delta:
+        variables |= d.variables()
+    names = sorted(variables)
+    for pos, algebra in enumerate(algebras):
+        for valuation in _reference_valuations(algebra, names, max_valuations):
+            if not _reference_holds(algebra, valuation, delta, e):
+                return Verdict.failed(
+                    "countermodel",
+                    (pos, tuple(sorted(valuation.items()))),
+                    {"algebra": pos, "valuation": valuation},
+                )
+    return Verdict.passed(len(algebras))
 
 
 def symmetric_rows(draw, n, values):

@@ -1,5 +1,6 @@
 """Formula satisfaction, entailment, free algebras, and closure laws."""
 
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -54,14 +55,22 @@ from metra.extmetric import PseudometricMatrix
 from metra.terms import App, Signature, Var, parse_term
 
 from conftest import (
+    FINITE_POOL,
     bare_algebra,
     line_algebra,
     line_max_algebra,
     line_min_algebra,
+    metric_spaces,
+    object_mirrors,
+    reference_entails,
+    reference_satisfies,
     revalidated,
 )
 
 SIG2 = Signature({"sigma": 2})
+# Arguments that are no distance: ExtRat raises ValueError, TypeError or
+# OverflowError for them, and the logic entry points turn that into DomainError.
+BAD_VALUES = ["x", -1, None, float("inf")]
 
 
 def discrete_pair():
@@ -84,8 +93,13 @@ class TestFormulaTypes:
         assert str(e) == "x =[3/2] y"
 
     def test_equation_rejects_negative_bound(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DomainError):
             MetricEquation(Var("x"), Var("y"), Fraction(-1))
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    def test_equation_bound_errors_are_typed(self, bad):
+        with pytest.raises(DomainError, match="equation bound"):
+            MetricEquation(Var("x"), Var("y"), bad)
 
     def test_basic_implication_recognizes_variable_premises(self):
         basic = parse_implication("x =[1] y |- sigma(x,x) =[1] sigma(y,y)", SIG2)
@@ -323,6 +337,16 @@ class TestPresentation:
     def test_rejects_negative_depth(self):
         with pytest.raises(DomainError):
             Presentation(SIG2, ("x",), (), depth=-1)
+
+    @pytest.mark.parametrize("bad", ["abc", float("nan"), float("inf")])
+    def test_bad_lipschitz_constants_are_typed_errors(self, bad):
+        for lipschitz in ({"sigma": bad}, bad):
+            with pytest.raises(DomainError, match="Lipschitz constant for sigma"):
+                Presentation(SIG2, ("x",), (), mode="LIP", lipschitz=lipschitz)
+            with pytest.raises(DomainError, match="Lipschitz constant for sigma"):
+                in_mode_class(line_max_algebra(), "LIP", lipschitz)
+        with pytest.raises(DomainError, match="Lipschitz constant for sigma"):
+            Presentation(SIG2, ("x",), (), mode="LIP", lipschitz={"sigma": None})
 
 
 class TestFreeAlgebra:
@@ -573,6 +597,11 @@ class TestWeakCompactness:
                 self.line4(), [], parse_equation("x =[1] z"), slack="1/2"
             )
 
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    def test_bad_slack_is_a_typed_error(self, bad):
+        with pytest.raises(DomainError, match="slack"):
+            weak_compactness_search(self.line4(), [], parse_equation("x =[1] z"), slack=bad)
+
     def test_subset_cap(self):
         delta = [
             MetricEquation(Var(f"v{i}"), Var(f"w{i}"), 1) for i in range(21)
@@ -630,6 +659,14 @@ class TestEquicontinuity:
             equicontinuity_check([line_min_algebra()], e, 2, [0])
         with pytest.raises(DomainError, match="finite"):
             equicontinuity_check([line_min_algebra()], e, 2, [INF])
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    def test_bad_eps_prime_and_deltas_are_typed_errors(self, bad):
+        e = parse_equation("x =[1] y")
+        with pytest.raises(DomainError, match="eps_prime"):
+            equicontinuity_check([line_min_algebra()], e, bad, [1])
+        with pytest.raises(DomainError, match="grid delta"):
+            equicontinuity_check([line_min_algebra()], e, 2, [1, bad])
 
 
 SCHEMA_SIGMA = parse_formula(
@@ -811,3 +848,194 @@ def test_entailed_equations_survive_bound_widening(data, bounds):
     wider = MetricEquation(Var("x"), Var("z"), goal_bound + widen)
     if entails(samples, delta, goal).ok:
         assert entails(samples, delta, wider).ok
+
+
+# ---------------------------------------------------------------------------
+# Compiled satisfaction against the one-valuation-at-a-time reference
+
+SIG_CUB = Signature({"c": 0, "u": 1, "b": 2})
+# Bounds that sit on the scaled mirror's edges: zero, infinity, a value far
+# below every distance's denominator, and one far above the int64 range.
+EDGE_BOUNDS = [Fraction(0), INF, Fraction(3, 2**40), 10**400]
+
+
+def small_terms(depth):
+    leaves = st.sampled_from([Var("x"), Var("y"), Var("z"), App("c")])
+    if depth == 0:
+        return leaves
+    sub = small_terms(depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(lambda a: App("u", (a,)), sub),
+        st.builds(lambda a, b: App("b", (a, b)), sub, sub),
+    )
+
+
+@st.composite
+def cub_algebras(draw):
+    """A metric space of at most 5 points (finite pool plus inf) with a
+    constant, a unary and a binary operation drawn at random."""
+    space = draw(metric_spaces(max_size=5, allow_inf=True))
+    points = st.sampled_from(space.carrier)
+    ops = {
+        "c": draw(points),
+        "u": {(p,): draw(points) for p in space.carrier},
+        "b": {(p, q): draw(points) for p in space.carrier for q in space.carrier},
+    }
+    return MetricAlgebra(SIG_CUB, space, ops)
+
+
+equations = st.builds(
+    MetricEquation,
+    small_terms(2),
+    small_terms(2),
+    st.sampled_from(FINITE_POOL + EDGE_BOUNDS),
+)
+
+
+def same_verdict(got, want):
+    assert (got.ok, got.reason, got.witness, got.value) == (
+        want.ok, want.reason, want.witness, want.value
+    )
+
+
+@pytest.mark.parametrize("mirror", ["int64", "object"])
+class TestCompiledMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        algebra=cub_algebras(),
+        premises=st.lists(equations, max_size=2),
+        conclusion=equations,
+    )
+    def test_satisfies(self, mirror, algebra, premises, conclusion):
+        phi = MetricImplication(premises, conclusion)
+        with object_mirrors() if mirror == "object" else nullcontext():
+            assert (logic_module._Compiled(algebra).arrays()[1].dtype == object) == (
+                mirror == "object"
+            )
+            same_verdict(satisfies(algebra, phi), reference_satisfies(algebra, phi))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        algebras=st.lists(cub_algebras(), min_size=1, max_size=3),
+        delta=st.lists(equations, max_size=2),
+        goal=equations,
+    )
+    def test_entails(self, mirror, algebras, delta, goal):
+        with object_mirrors() if mirror == "object" else nullcontext():
+            same_verdict(
+                entails(algebras, delta, goal), reference_entails(algebras, delta, goal)
+            )
+
+
+def pinned_algebra(w, x, y, z):
+    """Ten points on a line with constants cw, cx, cy and a unary f that
+    moves exactly the points from z on.
+
+    In ``w =[0] cw , x =[0] cx , y =[0] cy |- z =[0] f(z)`` the
+    countermodels are the valuations (w, x, y, z') with z' >= z, so the
+    first one sits at flat index 1000 w + 100 x + 10 y + z of the
+    10,000-valuation grid, and none exists for z = 10.
+    """
+    space = space_from(range(10), lambda p, q: abs(p - q))
+    sig = Signature({"cw": 0, "cx": 0, "cy": 0, "f": 1})
+    f = {(p,): p if p < z else (p + 1) % 10 for p in range(10)}
+    return MetricAlgebra(sig, space, {"cw": w, "cx": x, "cy": y, "f": f})
+
+
+PINNED = parse_formula(
+    "w =[0] cw , x =[0] cx , y =[0] cy |- z =[0] f(z)",
+    Signature({"cw": 0, "cx": 0, "cy": 0, "f": 1}),
+)
+
+
+class TestChunkEdges:
+    @pytest.mark.parametrize(
+        "flat", [0, 8191, 8192, 9999], ids=["first", "chunk-end", "chunk-start", "last"]
+    )
+    def test_first_countermodel_at_a_chunk_edge(self, flat):
+        digits = [int(d) for d in f"{flat:04d}"]
+        algebra = pinned_algebra(*digits)
+        verdict = satisfies(algebra, PINNED)
+        assert not verdict.ok
+        assert verdict.value == dict(zip("wxyz", digits))
+        same_verdict(verdict, reference_satisfies(algebra, PINNED))
+
+    def test_formula_that_holds_everywhere(self):
+        algebra = pinned_algebra(9, 9, 9, 10)
+        verdict = satisfies(algebra, PINNED)
+        assert verdict.ok
+        same_verdict(verdict, reference_satisfies(algebra, PINNED))
+
+    def test_cap_at_the_grid_size(self, monkeypatch):
+        algebra = pinned_algebra(9, 9, 9, 9)
+        assert not satisfies(algebra, PINNED, max_valuations=10_000).ok
+        # The cap is checked before the distance mirror is built.
+        monkeypatch.setattr(logic_module, "scaled_int_array", None)
+        with pytest.raises(ResourceLimitError) as err:
+            satisfies(algebra, PINNED, max_valuations=9_999)
+        assert err.value.limit_name == "max_valuations"
+        assert "10000 valuations exceed the cap 9999" in str(err.value)
+
+    def test_ground_formula_is_checked_on_one_valuation(self):
+        algebra = pinned_algebra(1, 2, 3, 4)
+        ground = parse_formula("cw =[1] cx", algebra.sig)
+        assert satisfies(algebra, ground, max_valuations=1).ok
+        with pytest.raises(ResourceLimitError, match="1 valuations exceed the cap 0"):
+            satisfies(algebra, ground, max_valuations=0)
+        far = parse_formula("cw =[1] cy", algebra.sig)
+        verdict = satisfies(algebra, far, max_valuations=1)
+        assert (verdict.ok, verdict.witness, verdict.value) == (False, (), {})
+        same_verdict(verdict, reference_satisfies(algebra, far))
+
+    def test_entails_names_the_failing_algebra_past_a_chunk(self):
+        algebras = [pinned_algebra(9, 9, 9, 10), pinned_algebra(8, 1, 9, 2)]
+        delta, goal = PINNED.premises, PINNED.conclusion
+        verdict = entails(algebras, delta, goal)
+        assert verdict.value == {"algebra": 1, "valuation": dict(zip("wxyz", (8, 1, 9, 2)))}
+        same_verdict(verdict, reference_entails(algebras, delta, goal))
+
+
+@pytest.mark.parametrize("bound, holds", [(10**30 - 1, False), (10**30, True), (INF, True)])
+def test_distances_beyond_int64_stay_exact(bound, holds):
+    """Distances of 10**30 put the mirror on Python ints without patching."""
+    algebra = bare_algebra(space_from((0, 1, 2), lambda p, q: 10**30 * abs(p - q) // 2))
+    phi = MetricImplication((MetricEquation(Var("x"), Var("y"), 10**30),),
+                            MetricEquation(Var("x"), Var("y"), bound))
+    assert logic_module._Compiled(algebra).arrays()[1].dtype == object
+    verdict = satisfies(algebra, phi)
+    assert verdict.ok is holds
+    same_verdict(verdict, reference_satisfies(algebra, phi))
+
+
+class TestSignatureChecks:
+    """Every term is checked against the algebra's signature before the
+    scan, also where no valuation would ever evaluate it."""
+
+    @staticmethod
+    def flip_algebra():
+        """{0, 1} on a line, sigma = max and n(p) = 1 - p, so n(x) =[0] x never holds."""
+        space = space_from((0, 1), lambda p, q: abs(p - q))
+        sigma = {(p, q): max(p, q) for p in (0, 1) for q in (0, 1)}
+        flip = {(p,): 1 - p for p in (0, 1)}
+        return MetricAlgebra(Signature({"sigma": 2, "n": 1}), space, {"sigma": sigma, "n": flip})
+
+    @pytest.mark.parametrize(
+        "bad_term, message",
+        [
+            (App("nosuch", (Var("x"),)), "unknown operation symbol"),
+            (App("sigma", (Var("x"),)), "arity 2"),
+        ],
+        ids=["unknown-symbol", "wrong-arity"],
+    )
+    def test_ill_formed_terms_raise(self, bad_term, message):
+        algebra = self.flip_algebra()
+        never = MetricEquation(App("n", (Var("x"),)), Var("x"), 0)
+        hidden = MetricImplication((never,), MetricEquation(bad_term, Var("x"), 0))
+        with pytest.raises(SignatureError, match=message):
+            satisfies(algebra, MetricEquation(bad_term, Var("x"), 0))
+        # The premise never holds, so no valuation reaches the conclusion.
+        with pytest.raises(SignatureError, match=message):
+            satisfies(algebra, hidden)
+        with pytest.raises(SignatureError, match=message):
+            entails([algebra], hidden.premises, hidden.conclusion)
