@@ -13,8 +13,15 @@ from metra.cli import (
     render_text,
     run_workspace,
 )
-from metra.errors import ParseError
-from metra.logic import MetricEquation, MetricImplication
+from metra.errors import MetraError, ParseError
+from metra.logic import (
+    MetricEquation,
+    MetricImplication,
+    parse_equation,
+    parse_formula,
+    parse_inequality,
+)
+from metra.terms import Signature
 
 GOLDEN = """
 # two-op playground
@@ -68,6 +75,159 @@ congruence T1 on G { matrix [[0,0,1,1],[0,0,1,1],[1,1,0,0],[1,1,0,0]]; }
 congruence T2 on G { matrix [[0,1,0,1],[1,0,1,0],[0,1,0,1],[1,0,1,0]]; }
 decompose G by T1 T2;
 """
+
+
+# A two-point algebra over S with one set of axioms, for run-time goal errors.
+B2 = (
+    "signature S { sigma/2; }\n"
+    "algebra B over S {\n"
+    "    carrier 0,1;\n"
+    "    metric [[0,1],[1,0]];\n"
+    "    op sigma = table{ 0,0 -> 0; 0,1 -> 1; 1,0 -> 1; 1,1 -> 1; };\n"
+    "}\n"
+    "axioms D over S { x =[1] y; }\n"
+)
+ONE_POINT = "signature Z { }\nalgebra A over Z { carrier a; metric [[0]]; }\n"
+SIG_S = "signature S { sigma/2; }\n"
+
+# Malformed inputs and the exact error each one raises: "ws" parses a
+# workspace, "run" runs one and reads its last command's error, and the
+# rest call the library parser of that name with the signature {sigma/2}.
+PINNED_ERRORS = [
+    pytest.param("ws", "signature S { sigma/2 }\n", "ParseError",
+                 "line 1, column 23: expected ';', found '}'", id="expect-punct"),
+    pytest.param("ws", "quotient A by;\n", "ParseError",
+                 "line 1, column 14: expected 'name', found ';'", id="expect-name"),
+    pytest.param("ws", ONE_POINT + "hom f : A A { }\n", "ParseError",
+                 "line 3, column 11: expected 'arrow', found 'A'", id="expect-arrow"),
+    pytest.param("ws", "entails [A] E x =[1] y;\n", "ParseError",
+                 "line 1, column 15: expected 'turnstile', found 'x'",
+                 id="expect-turnstile"),
+    pytest.param("ws", "signature Z { }\nalgebra A over Z { carrier ; metric [[0]]; }\n",
+                 "ParseError", "line 2, column 28: expected an id, found ';'", id="id"),
+    pytest.param("ws", "signature Z { }\nalgebra A over Z { carrier 1/2; metric [[0]]; }\n",
+                 "ParseError", "line 2, column 28: carrier ids are names or integers",
+                 id="fractional-id"),
+    pytest.param("ws", "signature Z { }\nalgebra A over Z { carrier a; metric [[x]]; }\n",
+                 "ParseError", "line 2, column 40: expected a rational or inf, found 'x'",
+                 id="scalar"),
+    pytest.param("ws", "signature S { f/1/2; }\n", "ParseError",
+                 "line 1, column 17: arity must be an integer", id="fractional-arity"),
+    pytest.param("ws", "signature S { f/1; f/2; }\n", "ParseError",
+                 "line 1, column 22: symbol 'f' listed twice", id="symbol-twice"),
+    pytest.param("ws", "signature S { }\nsignature S { }\n", "ParseError",
+                 "line 2, column 11: duplicate signature name 'S'", id="duplicate"),
+    pytest.param("ws", "congruence T on NOPE { matrix [[0]]; }\n", "ParseError",
+                 "line 1, column 17: unknown algebra 'NOPE'", id="unknown-reference"),
+    pytest.param("ws", "presentation P { vars x; mode Q; depth 1/2; }\n", "ParseError",
+                 "line 1, column 40: depth must be an integer", id="fractional-depth"),
+    pytest.param("ws", "presentation P { vars x; mode Z; depth 1; }\n", "ParseError",
+                 "line 1, column 31: unknown mode 'Z'; expected M, Q, or LIP",
+                 id="bad-presentation"),
+    pytest.param("ws", "limits { max_wiggle = 3; }\n", "ParseError",
+                 "line 1, column 10: unknown limit 'max_wiggle'; expected one of "
+                 "max_cells, max_decreases, max_size, max_terms, max_valuations",
+                 id="unknown-limit"),
+    pytest.param("ws", "limits { max_terms = 1/2; }\n", "ParseError",
+                 "line 1, column 22: limits are integers", id="fractional-limit"),
+    pytest.param("ws", "validate;\n{ }\n", "ParseError",
+                 "line 2, column 1: expected a statement, found '{'", id="not-a-statement"),
+    pytest.param("ws", "frobnicate A;\n", "ParseError",
+                 "line 1, column 1: unknown statement 'frobnicate'", id="unknown-statement"),
+    pytest.param("ws", "axioms E {\n    x =[1] y", "ParseError",
+                 "line 2, column 5: expected ';' to end the formula",
+                 id="formula-at-end-of-input"),
+    pytest.param("ws", "axioms E { x =[1] y }\nvalidate;\n", "ParseError",
+                 "line 1, column 12: expected ';' after the formula",
+                 id="formula-closed-by-brace"),
+    pytest.param("ws", "entails [A] E |- x =[1] y", "ParseError",
+                 "line 1, column 18: expected ';' to end the formula",
+                 id="goal-at-end-of-input"),
+    pytest.param("ws", "axioms E { x =[1] y z; }\n", "ParseError",
+                 "line 1, column 21: unexpected 'z' after the formula",
+                 id="formula-trailing-token"),
+    pytest.param("ws", "axioms E {\n  x =[1 y;\n}\n", "ParseError",
+                 "line 2, column 9: expected ']', found 'y'", id="formula-syntax"),
+    pytest.param("ws", SIG_S + "presentation P over S "
+                 "{ vars x,y; mode Q; depth 1; rel x =[1] sigma; }\n", "ParseError",
+                 "line 2, column 63: symbol 'sigma' takes 2 arguments", id="relation-syntax"),
+    pytest.param("ws", SIG_S + "axioms E over S {\n    sigma(x) =[1] y;\n}\n", "ParseError",
+                 "line 3, column 5: sigma has arity 2, got 1 arguments", id="formula-arity"),
+    pytest.param("ws", SIG_S + "axioms E over S { x =[1] tau(y); }\n", "ParseError",
+                 "line 2, column 19: unknown operation symbol 'tau'",
+                 id="formula-unknown-symbol"),
+    pytest.param("ws", "axioms E { x =[1] y @; }\n", "ParseError",
+                 "line 1, column 21: unreadable character '@'", id="unreadable-in-formula"),
+    pytest.param("ws", "validate;\nquotient A @ T;\n", "ParseError",
+                 "line 2, column 12: unreadable character '@'", id="unreadable-in-statement"),
+    pytest.param("ws", 'include "never.mt\n', "ParseError",
+                 "line 1, column 9: unterminated string", id="unterminated-string"),
+    pytest.param("run", B2 + "entails [B] D |- x =[1 y;\n", "CommandResult",
+                 "line 8, column 24: expected ']', found 'y'", id="entails-goal-syntax"),
+    pytest.param("run", B2 + "entails [B] D |-\n  sigma(x) =[1] y;\n", "CommandResult",
+                 "line 9, column 3: sigma has arity 2, got 1 arguments",
+                 id="entails-goal-arity"),
+    pytest.param("run", B2 + "equicont [B] 3/2 grid 1 : x =[1] y |- ;\n", "CommandResult",
+                 "line 8, column 38: expected a term, found 'end of input'",
+                 id="equicont-formula-syntax"),
+    pytest.param("run", B2 + "weakcompact [B] D slack 2 |- x =[2] y y;\n", "CommandResult",
+                 "line 8, column 39: unexpected 'y' after the formula",
+                 id="weakcompact-goal-syntax"),
+    pytest.param("equation", "x = y", "ParseError",
+                 "line 1, column 3: expected 'eqb', found '='", id="equation-missing-bracket"),
+    pytest.param("equation", "x =[abc] y", "ParseError",
+                 "line 1, column 5: expected a bound, found 'abc'", id="equation-bad-bound"),
+    pytest.param("equation", "x =[1]", "ParseError",
+                 "line 1, column 7: expected a term, found 'end of input'",
+                 id="equation-missing-term"),
+    pytest.param("equation", "x =[1] y y", "ParseError",
+                 "line 1, column 10: unexpected 'y' after the formula",
+                 id="equation-trailing-token"),
+    pytest.param("equation", "x =[1] sigma", "ParseError",
+                 "line 1, column 8: symbol 'sigma' takes 2 arguments",
+                 id="equation-bare-symbol"),
+    pytest.param("equation", "x =[1] y @", "ParseError",
+                 "line 1, column 10: unreadable character '@'", id="equation-unreadable"),
+    pytest.param("equation", "sigma(x) =[1] x", "SignatureError",
+                 "sigma has arity 2, got 1 arguments", id="equation-wrong-arity"),
+    pytest.param("formula", "x =[1] y , y =[1] z", "ParseError",
+                 "line 1, column 20: premise list needs a |- conclusion",
+                 id="formula-premises-without-conclusion"),
+    pytest.param("formula", "x =[1] y |-", "ParseError",
+                 "line 1, column 12: expected a term, found 'end of input'",
+                 id="formula-missing-conclusion"),
+    pytest.param("inequality", "d(x,y) >= 1", "ParseError",
+                 "line 1, column 11: inequalities compare with 0",
+                 id="inequality-nonzero-right-side"),
+    pytest.param("inequality", "d(x,y)", "ParseError",
+                 "line 1, column 7: expected >=, <=, or =, found 'end of input'",
+                 id="inequality-missing-relation"),
+    pytest.param("inequality", "e(x,y) >= 0", "ParseError",
+                 "line 1, column 1: expected a constant, d(s,t), or a parenthesised "
+                 "expression, found 'e'", id="inequality-bad-primary"),
+    pytest.param("inequality", "d(x,y) ! 0", "ParseError",
+                 "line 1, column 8: unreadable character '!'", id="inequality-unreadable"),
+]
+
+LIBRARY_PARSERS = {
+    "equation": parse_equation,
+    "formula": parse_formula,
+    "inequality": parse_inequality,
+}
+
+
+@pytest.mark.parametrize("kind, text, error_type, message", PINNED_ERRORS)
+def test_pinned_error_messages(kind, text, error_type, message):
+    if kind == "run":
+        results, _ = run_workspace(parse_workspace(text))
+        assert (type(results[-1]).__name__, results[-1].error) == (error_type, message)
+        return
+    with pytest.raises(MetraError) as err:
+        if kind == "ws":
+            parse_workspace(text)
+        else:
+            LIBRARY_PARSERS[kind](text, Signature({"sigma": 2}))
+    assert (type(err.value).__name__, str(err.value)) == (error_type, message)
 
 
 def run_text(text, overrides=None):
