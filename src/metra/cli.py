@@ -16,12 +16,15 @@ A workspace file declares named objects and then runs commands on them:
     quotient A by T;
 
 Rationals are ``p/q`` or integers and infinity is the token ``inf``; no
-decimal literals, so every reported number is exact.  ``#`` starts a
-comment.  Files can pull in other files with ``include "path";`` and
-cycles are rejected.  Declarations are brace-terminated; commands end
-with ``;``.  Resource caps come from a ``limits { name = value; }``
-block, can be overridden per run with ``--limits``, and every command
-result echoes the caps in force.
+decimal literals, so every reported number is exact.  Names are ASCII
+letters, digits, ``_`` and ``'``, and do not start with a digit; numbers
+are ASCII digits.  ``#`` starts a comment to the end of the line,
+anywhere, inside formulas too.  Any other character is a parse error at
+its line and column.  Files can pull in other files with
+``include "path";`` and cycles are rejected.  Declarations are
+brace-terminated; commands end with ``;``.  Resource caps come from a
+``limits { name = value; }`` block, can be overridden per run with
+``--limits``, and every command result echoes the caps in force.
 
 Output is deterministic: results serialize with stable key order and
 canonical rational strings, and running the same file twice produces
@@ -83,12 +86,12 @@ from .logic import (
     entails,
     equicontinuity_check,
     free_algebra,
-    parse_equation,
-    parse_formula,
+    read_equation,
+    read_formula,
     satisfies,
     weak_compactness_search,
 )
-from .terms import Signature, Term
+from .terms import Signature, Term, TokenStream
 
 LIMIT_DEFAULTS = {
     "max_cells": 20,
@@ -97,145 +100,6 @@ LIMIT_DEFAULTS = {
     "max_terms": 20000,
     "max_valuations": 1_000_000,
 }
-
-
-# ---------------------------------------------------------------------------
-# Lexer
-
-
-_PUNCT = set("{}[](),;:=/")
-
-
-class _Lexer:
-    """On-demand tokenizer with one-token lookahead and raw slicing.
-
-    Formulas inside statements are not tokenized here; the parser slices
-    the raw text up to the terminating ``;`` and hands it to the formula
-    parsers, re-anchoring their error positions.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self._cache = None
-
-    def _advance(self, n: int):
-        for ch in self.text[self.pos : self.pos + n]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-
-    def _skip_blank(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "#":
-                end = self.text.find("\n", self.pos)
-                self._advance((end if end >= 0 else len(self.text)) - self.pos)
-            elif ch.isspace():
-                self._advance(1)
-            else:
-                return
-
-    def _lex(self):
-        self._skip_blank()
-        line, col, start = self.line, self.col, self.pos
-        if self.pos >= len(self.text):
-            return ("end", "", line, col, start)
-        ch = self.text[self.pos]
-        if self.text.startswith("->", self.pos):
-            self._advance(2)
-            return ("arrow", "->", line, col, start)
-        if self.text.startswith("|-", self.pos):
-            self._advance(2)
-            return ("turnstile", "|-", line, col, start)
-        if ch == '"':
-            end = self.text.find('"', self.pos + 1)
-            if end < 0 or "\n" in self.text[self.pos : end]:
-                raise ParseError("unterminated string", line, col)
-            value = self.text[self.pos + 1 : end]
-            self._advance(end + 1 - self.pos)
-            return ("string", value, line, col, start)
-        if ch.isdigit():
-            j = self.pos
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            if j < len(self.text) and self.text[j] == "/" and j + 1 < len(
-                self.text
-            ) and self.text[j + 1].isdigit():
-                j += 1
-                while j < len(self.text) and self.text[j].isdigit():
-                    j += 1
-            value = self.text[self.pos : j]
-            self._advance(j - self.pos)
-            return ("num", value, line, col, start)
-        if ch.isalpha() or ch == "_":
-            j = self.pos
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-                j += 1
-            value = self.text[self.pos : j]
-            self._advance(j - self.pos)
-            return ("name", value, line, col, start)
-        if ch in _PUNCT:
-            self._advance(1)
-            return ("punct", ch, line, col, start)
-        raise ParseError(f"unreadable character {ch!r}", line, col)
-
-    def peek(self):
-        if self._cache is None:
-            saved = (self.pos, self.line, self.col)
-            token = self._lex()
-            self._cache = (token, saved)
-        return self._cache[0]
-
-    def next(self):
-        token = self.peek()
-        if token[0] != "end":
-            self._cache = None
-        return token
-
-    def expect(self, kind, value=None):
-        token = self.peek()
-        if token[0] != kind or (value is not None and token[1] != value):
-            wanted = value if value is not None else kind
-            raise ParseError(
-                f"expected {wanted!r}, found {token[1] or 'end of input'!r}",
-                token[2],
-                token[3],
-            )
-        return self.next()
-
-    def at(self, kind, value=None):
-        token = self.peek()
-        return token[0] == kind and (value is None or token[1] == value)
-
-    def raw_until_semicolon(self) -> tuple[str, int, int]:
-        """Raw text up to the next ``;`` (consumed), with its position."""
-        if self._cache is not None:
-            self.pos, self.line, self.col = self._cache[1]
-            self._cache = None
-        self._skip_blank()
-        line, col = self.line, self.col
-        stop = self.text.find(";", self.pos)
-        if stop < 0:
-            raise ParseError("expected ';' to end the formula", line, col)
-        raw = self.text[self.pos : stop]
-        self._advance(stop + 1 - self.pos)
-        return raw.strip(), line, col
-
-
-def _reanchored(parse, raw: str, line: int, col: int, sig):
-    """Run a formula parser, shifting its error positions into the file."""
-    try:
-        return parse(raw, sig)
-    except ParseError as err:
-        raise ParseError(str(err).split(": ", 1)[-1], line, col + err.column - 1) from None
-    except MetraError as err:
-        raise ParseError(str(err), line, col) from None
 
 
 # ---------------------------------------------------------------------------
@@ -284,23 +148,69 @@ class CommandResult:
         }
 
 
-def _declare(table: dict, kind: str, name: str, value, line, col):
-    if name in table:
-        raise ParseError(f"duplicate {kind} name {name!r}", line, col)
-    table[name] = value
+def _declare(lx: TokenStream, table: dict, kind: str, name_tok, value):
+    if name_tok[1] in table:
+        raise lx.error(f"duplicate {kind} name {name_tok[1]!r}", name_tok)
+    table[name_tok[1]] = value
 
 
-def _lookup(table: dict, kind: str, name: str, line, col):
-    if name not in table:
-        raise ParseError(f"unknown {kind} {name!r}", line, col)
-    return table[name]
+def _lookup(lx: TokenStream, table: dict, kind: str):
+    token = lx.expect("name")
+    if token[1] not in table:
+        raise lx.error(f"unknown {kind} {token[1]!r}", token)
+    return table[token[1]]
 
 
 # ---------------------------------------------------------------------------
 # Statement parsers
 
 
-def _parse_id(lx: _Lexer):
+def _read_located(lx: TokenStream, read, sig):
+    """Read a formula with ``read_formula`` or ``read_equation``; an error
+    other than a syntax error points at the formula's start."""
+    start = lx.peek()
+    try:
+        return read(lx, sig)
+    except ParseError:
+        raise
+    except MetraError as err:
+        raise lx.error(str(err), start) from None
+
+
+def _read_statement_formula(lx: TokenStream, read, sig):
+    """Read a formula that a ``;`` ends."""
+    start = lx.peek()
+    formula = _read_located(lx, read, sig)
+    token = lx.peek()
+    if token[0] == "end":
+        raise lx.error("expected ';' to end the formula", start)
+    if token[:2] == ("punct", "}"):
+        raise lx.error("expected ';' after the formula", start)
+    if token[:2] != ("punct", ";"):
+        raise lx.error(f"unexpected {token[1]!r} after the formula", token)
+    lx.next()
+    return formula
+
+
+def _formula_span(lx: TokenStream):
+    """The text and offsets of a formula up to the next ``;``, left unread.
+
+    Goals are parsed when their command runs, against the signature of
+    an algebra that may be declared later in the file.
+    """
+    start, end = lx.pass_over("punct", ";", "expected ';' to end the formula")
+    return lx.text, start, end
+
+
+def _parse_span(span, read, sig):
+    """Parse a formula recorded by ``_formula_span``, at its file position."""
+    lx = TokenStream(*span)
+    formula = _read_located(lx, read, sig)
+    lx.finish("formula")
+    return formula
+
+
+def _parse_id(lx: TokenStream):
     token = lx.peek()
     if token[0] == "name":
         lx.next()
@@ -308,14 +218,12 @@ def _parse_id(lx: _Lexer):
     if token[0] == "num":
         lx.next()
         if "/" in token[1]:
-            raise ParseError("carrier ids are names or integers", token[2], token[3])
+            raise lx.error("carrier ids are names or integers", token)
         return int(token[1])
-    raise ParseError(
-        f"expected an id, found {token[1] or 'end of input'!r}", token[2], token[3]
-    )
+    raise lx.expected("an id", token)
 
 
-def _parse_id_list(lx: _Lexer) -> list:
+def _parse_id_list(lx: TokenStream) -> list:
     ids = [_parse_id(lx)]
     while lx.at("punct", ","):
         lx.next()
@@ -323,14 +231,14 @@ def _parse_id_list(lx: _Lexer) -> list:
     return ids
 
 
-def _parse_id_set(lx: _Lexer) -> list:
+def _parse_id_set(lx: TokenStream) -> list:
     lx.expect("punct", "{")
     ids = [] if lx.at("punct", "}") else _parse_id_list(lx)
     lx.expect("punct", "}")
     return ids
 
 
-def _parse_scalar(lx: _Lexer) -> ExtRat:
+def _parse_scalar(lx: TokenStream) -> ExtRat:
     token = lx.peek()
     if token[0] == "num":
         lx.next()
@@ -338,19 +246,15 @@ def _parse_scalar(lx: _Lexer) -> ExtRat:
     if token[0] == "name" and token[1] == "inf":
         lx.next()
         return ExtRat.infinity()
-    raise ParseError(
-        f"expected a rational or inf, found {token[1] or 'end of input'!r}",
-        token[2],
-        token[3],
-    )
+    raise lx.expected("a rational or inf", token)
 
 
-def _parse_number(lx: _Lexer) -> Fraction:
+def _parse_number(lx: TokenStream) -> Fraction:
     token = lx.expect("num")
     return Fraction(token[1])
 
 
-def _parse_row(lx: _Lexer) -> list:
+def _parse_row(lx: TokenStream) -> list:
     lx.expect("punct", "[")
     row = [_parse_scalar(lx)]
     while lx.at("punct", ","):
@@ -360,7 +264,7 @@ def _parse_row(lx: _Lexer) -> list:
     return row
 
 
-def _parse_matrix(lx: _Lexer) -> list:
+def _parse_matrix(lx: TokenStream) -> list:
     lx.expect("punct", "[")
     rows = [_parse_row(lx)]
     while lx.at("punct", ","):
@@ -370,7 +274,7 @@ def _parse_matrix(lx: _Lexer) -> list:
     return rows
 
 
-def _parse_name_list(lx: _Lexer) -> list:
+def _parse_name_list(lx: TokenStream) -> list:
     lx.expect("punct", "[")
     names = [lx.expect("name")[1]]
     while lx.at("punct", ","):
@@ -380,12 +284,12 @@ def _parse_name_list(lx: _Lexer) -> list:
     return names
 
 
-def _skip_semicolon(lx: _Lexer):
+def _skip_semicolon(lx: TokenStream):
     if lx.at("punct", ";"):
         lx.next()
 
 
-def _parse_signature(lx: _Lexer, ws: Workspace):
+def _parse_signature(lx: TokenStream, ws: Workspace):
     name_tok = lx.expect("name")
     lx.expect("punct", "{")
     arities = {}
@@ -394,25 +298,19 @@ def _parse_signature(lx: _Lexer, ws: Workspace):
         lx.expect("punct", "/")
         arity_tok = lx.expect("num")
         if "/" in arity_tok[1]:
-            raise ParseError("arity must be an integer", arity_tok[2], arity_tok[3])
+            raise lx.error("arity must be an integer", arity_tok)
         if symbol in arities:
-            raise ParseError(
-                f"symbol {symbol!r} listed twice", arity_tok[2], arity_tok[3]
-            )
+            raise lx.error(f"symbol {symbol!r} listed twice", arity_tok)
         arities[symbol] = int(arity_tok[1])
         lx.expect("punct", ";")
     lx.next()
-    _declare(
-        ws.signatures, "signature", name_tok[1], Signature(arities),
-        name_tok[2], name_tok[3],
-    )
+    _declare(lx, ws.signatures, "signature", name_tok, Signature(arities))
 
 
-def _parse_algebra(lx: _Lexer, ws: Workspace):
+def _parse_algebra(lx: TokenStream, ws: Workspace):
     name_tok = lx.expect("name")
     lx.expect("name", "over")
-    sig_tok = lx.expect("name")
-    sig = _lookup(ws.signatures, "signature", sig_tok[1], sig_tok[2], sig_tok[3])
+    sig = _lookup(lx, ws.signatures, "signature")
     lx.expect("punct", "{")
     lx.expect("name", "carrier")
     carrier = _parse_id_list(lx)
@@ -442,62 +340,51 @@ def _parse_algebra(lx: _Lexer, ws: Workspace):
     lx.expect("punct", "}")
     space = FiniteMetricSpace(carrier, rows)
     algebra = MetricAlgebra(sig, space, ops)
-    _declare(ws.algebras, "algebra", name_tok[1], algebra, name_tok[2], name_tok[3])
+    _declare(lx, ws.algebras, "algebra", name_tok, algebra)
 
 
-def _parse_congruence(lx: _Lexer, ws: Workspace):
+def _parse_congruence(lx: TokenStream, ws: Workspace):
     name_tok = lx.expect("name")
     lx.expect("name", "on")
-    base_tok = lx.expect("name")
-    base = _lookup(ws.algebras, "algebra", base_tok[1], base_tok[2], base_tok[3])
+    base = _lookup(lx, ws.algebras, "algebra")
     lx.expect("punct", "{")
     lx.expect("name", "matrix")
     rows = _parse_matrix(lx)
     _skip_semicolon(lx)
     lx.expect("punct", "}")
     theta = Congruence(base, SquareMatrix(base.carrier, rows))
-    _declare(
-        ws.congruences, "congruence", name_tok[1], theta, name_tok[2], name_tok[3]
-    )
+    _declare(lx, ws.congruences, "congruence", name_tok, theta)
 
 
-def _parse_filter(lx: _Lexer, ws: Workspace):
+def _parse_filter(lx: TokenStream, ws: Workspace):
     name_tok = lx.expect("name")
     lx.expect("name", "on")
     index_set = _parse_id_set(lx)
     lx.expect("name", "core")
     core = _parse_id_set(lx)
-    _declare(
-        ws.filters, "filter", name_tok[1], FiniteFilter(index_set, core),
-        name_tok[2], name_tok[3],
-    )
+    _declare(lx, ws.filters, "filter", name_tok, FiniteFilter(index_set, core))
 
 
-def _parse_axioms(lx: _Lexer, ws: Workspace):
+def _parse_axioms(lx: TokenStream, ws: Workspace):
     name_tok = lx.expect("name")
     sig = None
     if lx.at("name", "over"):
         lx.next()
-        sig_tok = lx.expect("name")
-        sig = _lookup(ws.signatures, "signature", sig_tok[1], sig_tok[2], sig_tok[3])
+        sig = _lookup(lx, ws.signatures, "signature")
     lx.expect("punct", "{")
     formulas = []
     while not lx.at("punct", "}"):
-        raw, line, col = lx.raw_until_semicolon()
-        if "}" in raw:
-            raise ParseError("expected ';' after the formula", line, col)
-        formulas.append(_reanchored(parse_formula, raw, line, col, sig))
+        formulas.append(_read_statement_formula(lx, read_formula, sig))
     lx.next()
-    _declare(ws.axioms, "axioms", name_tok[1], formulas, name_tok[2], name_tok[3])
+    _declare(lx, ws.axioms, "axioms", name_tok, formulas)
 
 
-def _parse_presentation(lx: _Lexer, ws: Workspace):
+def _parse_presentation(lx: TokenStream, ws: Workspace):
     name_tok = lx.expect("name")
     sig = Signature()
     if lx.at("name", "over"):
         lx.next()
-        sig_tok = lx.expect("name")
-        sig = _lookup(ws.signatures, "signature", sig_tok[1], sig_tok[2], sig_tok[3])
+        sig = _lookup(lx, ws.signatures, "signature")
     lx.expect("punct", "{")
     lx.expect("name", "vars")
     variables = [str(v) for v in _parse_id_list(lx)]
@@ -513,13 +400,12 @@ def _parse_presentation(lx: _Lexer, ws: Workspace):
     lx.expect("name", "depth")
     depth_tok = lx.expect("num")
     if "/" in depth_tok[1]:
-        raise ParseError("depth must be an integer", depth_tok[2], depth_tok[3])
+        raise lx.error("depth must be an integer", depth_tok)
     lx.expect("punct", ";")
     relations = []
     while lx.at("name", "rel"):
         lx.next()
-        raw, line, col = lx.raw_until_semicolon()
-        relations.append(_reanchored(parse_equation, raw, line, col, sig))
+        relations.append(_read_statement_formula(lx, read_equation, sig))
     lx.expect("punct", "}")
     try:
         presentation = Presentation(
@@ -527,21 +413,16 @@ def _parse_presentation(lx: _Lexer, ws: Workspace):
             lipschitz=lipschitz,
         )
     except MetraError as err:
-        raise ParseError(str(err), mode_tok[2], mode_tok[3]) from None
-    _declare(
-        ws.presentations, "presentation", name_tok[1], presentation,
-        name_tok[2], name_tok[3],
-    )
+        raise lx.error(str(err), mode_tok) from None
+    _declare(lx, ws.presentations, "presentation", name_tok, presentation)
 
 
-def _parse_hom(lx: _Lexer, ws: Workspace):
+def _parse_hom(lx: TokenStream, ws: Workspace):
     name_tok = lx.expect("name")
     lx.expect("punct", ":")
-    src_tok = lx.expect("name")
-    source = _lookup(ws.algebras, "algebra", src_tok[1], src_tok[2], src_tok[3])
+    source = _lookup(lx, ws.algebras, "algebra")
     lx.expect("arrow")
-    dst_tok = lx.expect("name")
-    target = _lookup(ws.algebras, "algebra", dst_tok[1], dst_tok[2], dst_tok[3])
+    target = _lookup(lx, ws.algebras, "algebra")
     lx.expect("punct", "{")
     mapping = {}
     while not lx.at("punct", "}"):
@@ -550,27 +431,23 @@ def _parse_hom(lx: _Lexer, ws: Workspace):
         mapping[key] = _parse_id(lx)
         lx.expect("punct", ";")
     lx.next()
-    _declare(
-        ws.homs, "hom", name_tok[1], Homomorphism(source, target, mapping),
-        name_tok[2], name_tok[3],
-    )
+    _declare(lx, ws.homs, "hom", name_tok, Homomorphism(source, target, mapping))
 
 
-def _parse_limits(lx: _Lexer, ws: Workspace):
+def _parse_limits(lx: TokenStream, ws: Workspace):
     lx.expect("punct", "{")
     while not lx.at("punct", "}"):
         key_tok = lx.expect("name")
         if key_tok[1] not in LIMIT_DEFAULTS:
-            raise ParseError(
+            raise lx.error(
                 f"unknown limit {key_tok[1]!r}; expected one of "
                 f"{', '.join(sorted(LIMIT_DEFAULTS))}",
-                key_tok[2],
-                key_tok[3],
+                key_tok,
             )
         lx.expect("punct", "=")
         value_tok = lx.expect("num")
         if "/" in value_tok[1]:
-            raise ParseError("limits are integers", value_tok[2], value_tok[3])
+            raise lx.error("limits are integers", value_tok)
         ws.limits[key_tok[1]] = int(value_tok[1])
         lx.expect("punct", ";")
     lx.next()
@@ -583,7 +460,7 @@ _COMMAND_WORDS = (
 )
 
 
-def _parse_command(lx: _Lexer, ws: Workspace, word: str, start: int):
+def _parse_command(lx: TokenStream, word: str) -> dict:
     args: dict = {}
     if word == "validate":
         pass
@@ -619,8 +496,7 @@ def _parse_command(lx: _Lexer, ws: Workspace, word: str, start: int):
         args["algebras"] = _parse_name_list(lx)
         args["axioms"] = lx.expect("name")[1]
         lx.expect("turnstile")
-        args["goal"] = lx.raw_until_semicolon()
-        return args, True
+        args["goal"] = _formula_span(lx)
     elif word == "hausdorff":
         args["algebra"] = lx.expect("name")[1]
         args["left"] = _parse_id_set(lx)
@@ -655,8 +531,7 @@ def _parse_command(lx: _Lexer, ws: Workspace, word: str, start: int):
             grid.append(_parse_number(lx))
         args["grid"] = grid
         lx.expect("punct", ":")
-        args["formula"] = lx.raw_until_semicolon()
-        return args, True
+        args["formula"] = _formula_span(lx)
     elif word == "closure":
         args["axioms"] = lx.expect("name")[1]
         args["instances"] = _parse_name_list(lx)
@@ -673,9 +548,20 @@ def _parse_command(lx: _Lexer, ws: Workspace, word: str, start: int):
         lx.expect("name", "slack")
         args["slack"] = _parse_scalar(lx)
         lx.expect("turnstile")
-        args["goal"] = lx.raw_until_semicolon()
-        return args, True
-    return args, False
+        args["goal"] = _formula_span(lx)
+    return args
+
+
+_DECLARATIONS = {
+    "limits": _parse_limits,
+    "signature": _parse_signature,
+    "algebra": _parse_algebra,
+    "congruence": _parse_congruence,
+    "filter": _parse_filter,
+    "axioms": _parse_axioms,
+    "presentation": _parse_presentation,
+    "hom": _parse_hom,
+}
 
 
 def parse_workspace(
@@ -686,72 +572,39 @@ def parse_workspace(
         ws = Workspace()
     if _seen is None:
         _seen = set()
-    lx = _Lexer(text)
+    lx = TokenStream(text)
     while True:
-        token = lx.peek()
+        token = lx.next()
         if token[0] == "end":
             return ws
         if token[0] != "name":
-            raise ParseError(
-                f"expected a statement, found {token[1]!r}", token[2], token[3]
-            )
+            raise lx.expected("a statement", token)
         word = token[1]
-        start = token[4]
-        lx.next()
         if word == "include":
             path_tok = lx.expect("string")
             lx.expect("punct", ";")
             path = os.path.normpath(os.path.join(base_dir, path_tok[1]))
             real = os.path.realpath(path)
             if real in _seen:
-                raise ParseError(
-                    f"include cycle through {path_tok[1]!r}", path_tok[2], path_tok[3]
-                )
+                raise lx.error(f"include cycle through {path_tok[1]!r}", path_tok)
             _seen.add(real)
             try:
                 with open(path, "r", encoding="utf-8") as handle:
                     included = handle.read()
             except OSError as err:
-                raise ParseError(
-                    f"cannot read include {path_tok[1]!r}: {err}",
-                    path_tok[2],
-                    path_tok[3],
+                raise lx.error(
+                    f"cannot read include {path_tok[1]!r}: {err}", path_tok
                 ) from None
             parse_workspace(included, os.path.dirname(path) or ".", ws, _seen)
-        elif word == "limits":
-            _parse_limits(lx, ws)
-            _skip_semicolon(lx)
-        elif word == "signature":
-            _parse_signature(lx, ws)
-            _skip_semicolon(lx)
-        elif word == "algebra":
-            _parse_algebra(lx, ws)
-            _skip_semicolon(lx)
-        elif word == "congruence":
-            _parse_congruence(lx, ws)
-            _skip_semicolon(lx)
-        elif word == "filter":
-            _parse_filter(lx, ws)
-            _skip_semicolon(lx)
-        elif word == "axioms":
-            _parse_axioms(lx, ws)
-            _skip_semicolon(lx)
-        elif word == "presentation":
-            _parse_presentation(lx, ws)
-            _skip_semicolon(lx)
-        elif word == "hom":
-            _parse_hom(lx, ws)
+        elif word in _DECLARATIONS:
+            _DECLARATIONS[word](lx, ws)
             _skip_semicolon(lx)
         elif word in _COMMAND_WORDS:
-            args, consumed_semicolon = _parse_command(lx, ws, word, start)
-            if not consumed_semicolon:
-                lx.expect("punct", ";")
-            echo = " ".join(text[start : lx.pos].split())
-            ws.commands.append((word, args, echo))
+            args = _parse_command(lx, word)
+            end = lx.expect("punct", ";")[2] + 1
+            ws.commands.append((word, args, " ".join(text[token[2] : end].split())))
         else:
-            raise ParseError(
-                f"unknown statement {word!r}", token[2], token[3]
-            )
+            raise lx.error(f"unknown statement {word!r}", token)
 
 
 def load_workspace(path: str) -> Workspace:
@@ -950,9 +803,7 @@ def _run_one(ws: Workspace, word: str, args: dict, limits: dict):
         if args["axioms"] not in ws.axioms:
             raise MetraError(f"unknown axioms {args['axioms']!r}")
         delta = _equations_only(ws.axioms[args["axioms"]], args["axioms"])
-        raw, line, col = args["goal"]
-        sig = ws.algebras[args["algebras"][0]].sig if args["algebras"] else None
-        goal = _reanchored(parse_equation, raw, line, col, sig)
+        goal = _parse_span(args["goal"], read_equation, alg(args["algebras"][0]).sig)
         verdict = entails(
             [alg(n) for n in args["algebras"]], delta, goal, limits["max_valuations"]
         )
@@ -983,9 +834,8 @@ def _run_one(ws: Workspace, word: str, args: dict, limits: dict):
         matrix = pointwise_limit_metric(args["carrier"], args["forms"])
         return True, {"matrix": _plain(matrix)}
     if word == "equicont":
-        raw, line, col = args["formula"]
-        sig = ws.algebras[args["algebras"][0]].sig if args["algebras"] else None
-        formula = _reanchored(parse_formula, raw, line, col, sig)
+        sig = alg(args["algebras"][0]).sig
+        formula = _parse_span(args["formula"], read_formula, sig)
         verdict = equicontinuity_check(
             [alg(n) for n in args["algebras"]],
             formula,
@@ -1026,9 +876,7 @@ def _run_one(ws: Workspace, word: str, args: dict, limits: dict):
         if args["axioms"] not in ws.axioms:
             raise MetraError(f"unknown axioms {args['axioms']!r}")
         delta = _equations_only(ws.axioms[args["axioms"]], args["axioms"])
-        raw, line, col = args["goal"]
-        sig = ws.algebras[args["algebras"][0]].sig if args["algebras"] else None
-        goal = _reanchored(parse_equation, raw, line, col, sig)
+        goal = _parse_span(args["goal"], read_equation, alg(args["algebras"][0]).sig)
         verdict = weak_compactness_search(
             [alg(n) for n in args["algebras"]],
             delta,

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -58,7 +57,6 @@ from .congruence import (
 from .errors import (
     AxiomError,
     DomainError,
-    ParseError,
     ResourceLimitError,
     SignatureError,
     UnsupportedInputError,
@@ -73,7 +71,17 @@ from .extmetric import (
     metric_identification,
     scaled_int_array,
 )
-from .terms import App, Signature, Term, Var, check_term, evaluate, enumerate_terms
+from .terms import (
+    App,
+    Signature,
+    Term,
+    TokenStream,
+    Var,
+    check_term,
+    enumerate_terms,
+    evaluate,
+    read_term,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -479,21 +487,23 @@ def entails(
     the sample size; failures name the first failing algebra's index and
     its least countermodel valuation.
     """
-    algebras = list(algebras)
-    delta = tuple(delta)
+    return _entails([_Compiled(a) for a in algebras], tuple(delta), e, max_valuations)
+
+
+def _entails(compiled: Sequence[_Compiled], delta, e, max_valuations) -> Verdict:
     variables = set(e.variables())
     for d in delta:
         variables |= d.variables()
     names = sorted(variables)
-    for pos, algebra in enumerate(algebras):
-        found = _countermodel(_Compiled(algebra), names, delta, e, max_valuations)
+    for pos, algebra in enumerate(compiled):
+        found = _countermodel(algebra, names, delta, e, max_valuations)
         if found is not None:
             return Verdict.failed(
                 "countermodel",
                 (pos, tuple(found.items())),
                 {"algebra": pos, "valuation": found},
             )
-    return Verdict.passed(len(algebras))
+    return Verdict.passed(len(compiled))
 
 
 def evaluate_inequality(algebra: MetricAlgebra, valuation, q: MetricInequality) -> bool:
@@ -806,12 +816,13 @@ def weak_compactness_search(
             20,
         )
     relaxed = MetricEquation(e.lhs, e.rhs, slack)
+    compiled = [_Compiled(a) for a in algebras]
     for size in range(len(delta) + 1):
         for combo in itertools.combinations(range(len(delta)), size):
             subset = tuple(delta[i] for i in combo)
-            if entails(algebras, subset, relaxed, max_valuations):
+            if _entails(compiled, subset, relaxed, max_valuations):
                 return Verdict.passed(combo)
-    full = entails(algebras, delta, relaxed, max_valuations)
+    full = _entails(compiled, delta, relaxed, max_valuations)
     return Verdict.failed("not-entailed-by-full-set", (), full.value)
 
 
@@ -842,6 +853,7 @@ def equicontinuity_check(
     if grid[0].is_infinite:
         raise DomainError("grid deltas must be finite")
     goal = MetricEquation(phi.conclusion.lhs, phi.conclusion.rhs, eps_prime)
+    compiled = [_Compiled(a) for a in algebras]
     last = None
     for delta in grid:
         relaxed = MetricImplication(
@@ -851,8 +863,8 @@ def equicontinuity_check(
             goal,
         )
         countermodel = None
-        for algebra in algebras:
-            verdict = satisfies(algebra, relaxed, max_valuations)
+        for algebra in compiled:
+            verdict = _satisfies(algebra, relaxed, max_valuations)
             if not verdict:
                 countermodel = (delta, verdict.witness)
                 break
@@ -1124,145 +1136,55 @@ def closure_suite(
 # Concrete syntax
 
 
-_TOKEN = re.compile(
-    r"""(?P<space>\s+)
-      | (?P<eqb>=\[)
-      | (?P<ent>\|-)
-      | (?P<ge>>=)
-      | (?P<le><=)
-      | (?P<sq>\^2)
-      | (?P<num>\d+(?:/\d+)?)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
-      | (?P<sym>[()\[\],+\-*=])
-    """,
-    re.VERBOSE,
-)
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            raise ParseError(f"unreadable character {text[pos]!r}", 1, pos + 1)
-        if match.lastgroup != "space":
-            tokens.append((match.lastgroup, match.group(), pos + 1))
-        pos = match.end()
-    tokens.append(("end", "", len(text) + 1))
-    return tokens
-
-
-class _Stream:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        token = self.tokens[self.pos]
-        if token[0] != "end":
-            self.pos += 1
-        return token
-
-    def expect(self, kind, text=None):
-        token = self.peek()
-        if token[0] != kind or (text is not None and token[1] != text):
-            wanted = text if text is not None else kind
-            raise ParseError(
-                f"expected {wanted!r}, found {token[1] or 'end of input'!r}",
-                1,
-                token[2],
-            )
-        return self.next()
-
-    def at_symbol(self, text):
-        token = self.peek()
-        return token[0] == "sym" and token[1] == text
-
-
-def _parse_term(stream: _Stream, sig: Signature | None) -> Term:
-    kind, text, col = stream.peek()
-    if kind != "name":
-        raise ParseError(f"expected a term, found {text or 'end of input'!r}", 1, col)
-    stream.next()
-    if stream.at_symbol("("):
+def _read_bound(stream: TokenStream) -> ExtRat:
+    token = stream.peek()
+    if token[0] == "num":
         stream.next()
-        args = [_parse_term(stream, sig)]
-        while stream.at_symbol(","):
-            stream.next()
-            args.append(_parse_term(stream, sig))
-        stream.expect("sym", ")")
-        term = App(text, tuple(args))
-    elif sig is not None and text in sig.symbols:
-        if sig.arity(text) != 0:
-            raise ParseError(
-                f"symbol {text!r} takes {sig.arity(text)} arguments", 1, col
-            )
-        term = App(text, ())
-    else:
-        term = Var(text)
-    return term
-
-
-def _parse_bound(stream: _Stream) -> ExtRat:
-    kind, text, col = stream.peek()
-    if kind == "num":
-        stream.next()
-        return ExtRat(Fraction(text))
-    if kind == "name" and text == "inf":
+        return ExtRat(Fraction(token[1]))
+    if token[0] == "name" and token[1] == "inf":
         stream.next()
         return INF
-    raise ParseError(f"expected a bound, found {text or 'end of input'!r}", 1, col)
+    raise stream.expected("a bound", token)
 
 
-def _parse_equation(stream: _Stream, sig) -> MetricEquation:
-    lhs = _parse_term(stream, sig)
+def read_equation(stream: TokenStream, sig: Signature | None = None) -> MetricEquation:
+    """Read ``s =[bound] t`` from the stream; bounds are rationals or ``inf``."""
+    lhs = read_term(stream, sig)
     stream.expect("eqb")
-    bound = _parse_bound(stream)
-    stream.expect("sym", "]")
-    rhs = _parse_term(stream, sig)
-    eq = MetricEquation(lhs, rhs, bound)
-    if sig is not None:
-        check_term(lhs, sig)
-        check_term(rhs, sig)
-    return eq
+    bound = _read_bound(stream)
+    stream.expect("punct", "]")
+    return MetricEquation(lhs, read_term(stream, sig), bound)
 
 
-def _finish(stream: _Stream):
-    kind, text, col = stream.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected {text!r} after the formula", 1, col)
+def read_formula(stream: TokenStream, sig: Signature | None = None):
+    """Read an equation, or an implication written ``e1 , e2 |- e``."""
+    premises = [read_equation(stream, sig)]
+    while stream.at("punct", ","):
+        stream.next()
+        premises.append(read_equation(stream, sig))
+    if stream.at("turnstile"):
+        stream.next()
+        return MetricImplication(tuple(premises), read_equation(stream, sig))
+    if len(premises) > 1:
+        raise stream.error("premise list needs a |- conclusion", stream.peek())
+    return premises[0]
+
+
+def _parse_whole(read, text: str, sig):
+    stream = TokenStream(text)
+    result = read(stream, sig)
+    stream.finish("formula")
+    return result
 
 
 def parse_equation(text: str, sig: Signature | None = None) -> MetricEquation:
     """Parse ``s =[bound] t``; bounds are rationals or ``inf``."""
-    stream = _Stream(_tokenize(text))
-    eq = _parse_equation(stream, sig)
-    _finish(stream)
-    return eq
+    return _parse_whole(read_equation, text, sig)
 
 
 def parse_formula(text: str, sig: Signature | None = None):
     """Parse an equation, or an implication written ``e1 , e2 |- e``."""
-    stream = _Stream(_tokenize(text))
-    first = _parse_equation(stream, sig)
-    premises = [first]
-    while stream.at_symbol(","):
-        stream.next()
-        premises.append(_parse_equation(stream, sig))
-    if stream.peek()[0] == "ent":
-        stream.next()
-        conclusion = _parse_equation(stream, sig)
-        _finish(stream)
-        return MetricImplication(tuple(premises), conclusion)
-    if len(premises) > 1:
-        col = stream.peek()[2]
-        raise ParseError("premise list needs a |- conclusion", 1, col)
-    _finish(stream)
-    return first
+    return _parse_whole(read_formula, text, sig)
 
 
 def parse_implication(text: str, sig: Signature | None = None) -> MetricImplication:
@@ -1270,63 +1192,55 @@ def parse_implication(text: str, sig: Signature | None = None) -> MetricImplicat
     return as_implication(parse_formula(text, sig))
 
 
-def _parse_primary(stream: _Stream, sig) -> IneqExpr:
-    kind, text, col = stream.peek()
-    if kind == "num":
+def _parse_primary(stream: TokenStream, sig) -> IneqExpr:
+    token = stream.peek()
+    if token[0] == "num":
         stream.next()
-        return Const(Fraction(text))
-    if stream.at_symbol("("):
+        return Const(Fraction(token[1]))
+    if stream.at("punct", "("):
         stream.next()
         inner = _parse_maxmin(stream, sig)
-        stream.expect("sym", ")")
+        stream.expect("punct", ")")
         return inner
-    if kind == "name" and text == "d":
+    if stream.at("name", "d"):
         stream.next()
-        stream.expect("sym", "(")
-        lhs = _parse_term(stream, sig)
-        stream.expect("sym", ",")
-        rhs = _parse_term(stream, sig)
-        stream.expect("sym", ")")
-        if sig is not None:
-            check_term(lhs, sig)
-            check_term(rhs, sig)
+        stream.expect("punct", "(")
+        lhs = read_term(stream, sig)
+        stream.expect("punct", ",")
+        rhs = read_term(stream, sig)
+        stream.expect("punct", ")")
         return DistAtom(lhs, rhs)
-    raise ParseError(
-        f"expected a constant, d(s,t), or a parenthesised expression, "
-        f"found {text or 'end of input'!r}",
-        1,
-        col,
-    )
+    raise stream.expected("a constant, d(s,t), or a parenthesised expression", token)
 
 
-def _parse_postfix(stream: _Stream, sig) -> IneqExpr:
+def _parse_postfix(stream: TokenStream, sig) -> IneqExpr:
     node = _parse_primary(stream, sig)
-    while stream.peek()[0] == "sq":
+    while stream.at("sq"):
         stream.next()
         node = Square(node)
     return node
 
 
-def _parse_product(stream: _Stream, sig) -> IneqExpr:
+def _parse_product(stream: TokenStream, sig) -> IneqExpr:
     node = _parse_postfix(stream, sig)
-    while stream.at_symbol("*"):
+    while stream.at("punct", "*"):
         stream.next()
         node = Mul(node, _parse_postfix(stream, sig))
     return node
 
 
-def _parse_sum(stream: _Stream, sig) -> IneqExpr:
+def _parse_sum(stream: TokenStream, sig) -> IneqExpr:
     node = _parse_product(stream, sig)
-    while stream.at_symbol("+") or stream.at_symbol("-"):
+    while stream.at("punct", "+") or stream.at("punct", "-"):
         op = stream.next()[1]
         right = _parse_product(stream, sig)
         node = Add(node, right) if op == "+" else Sub(node, right)
     return node
 
 
-def _parse_maxmin(stream: _Stream, sig) -> IneqExpr:
+def _parse_maxmin(stream: TokenStream, sig) -> IneqExpr:
     node = _parse_sum(stream, sig)
-    while stream.peek()[0] == "name" and stream.peek()[1] in ("max", "min"):
+    while stream.at("name", "max") or stream.at("name", "min"):
         op = stream.next()[1]
         right = _parse_sum(stream, sig)
         node = Max(node, right) if op == "max" else Min(node, right)
@@ -1336,23 +1250,16 @@ def _parse_maxmin(stream: _Stream, sig) -> IneqExpr:
 def parse_inequality(text: str, sig: Signature | None = None) -> MetricInequality:
     """Parse an expression compared with zero, such as
     ``d(x,z) - d(x,y) - d(y,z) <= 0``."""
-    stream = _Stream(_tokenize(text))
+    stream = TokenStream(text)
     expr = _parse_maxmin(stream, sig)
-    kind, rel_text, col = stream.peek()
-    if kind == "ge":
-        relation = ">="
-    elif kind == "le":
-        relation = "<="
-    elif kind == "sym" and rel_text == "=":
-        relation = "="
-    else:
-        raise ParseError(
-            f"expected >=, <=, or =, found {rel_text or 'end of input'!r}", 1, col
-        )
+    token = stream.peek()
+    relation = {"ge": ">=", "le": "<=", "punct": "="}.get(token[0])
+    if relation is None or token[1] != relation:
+        raise stream.expected(">=, <=, or =", token)
     stream.next()
-    kind, text2, col = stream.peek()
-    if kind != "num" or Fraction(text2) != 0:
-        raise ParseError("inequalities compare with 0", 1, col)
+    token = stream.peek()
+    if token[0] != "num" or Fraction(token[1]) != 0:
+        raise stream.error("inequalities compare with 0", token)
     stream.next()
-    _finish(stream)
+    stream.finish("formula")
     return MetricInequality(expr, relation)

@@ -1,4 +1,5 @@
-"""Signatures, finite term universes, evaluation, and substitution."""
+"""Signatures, finite term universes, evaluation, substitution, and the
+one lexer and term parser behind every text format of the package."""
 
 from __future__ import annotations
 
@@ -8,12 +9,14 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DomainError,
+    ParseError,
     ResourceLimitError,
     SignatureError,
     ValuationError,
 )
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*$")
+_NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_']*"
+_NAME = re.compile(_NAME_PATTERN + "$")
 
 
 class Signature:
@@ -122,15 +125,17 @@ def check_term(term: Term, sig: Signature) -> None:
     if isinstance(term, Var):
         return
     if isinstance(term, App):
-        if sig.arity(term.symbol) != len(term.args):
-            raise SignatureError(
-                f"{term.symbol} has arity {sig.arity(term.symbol)}, "
-                f"got {len(term.args)} arguments"
-            )
+        _check_arity(term.symbol, len(term.args), sig)
         for a in term.args:
             check_term(a, sig)
         return
     raise SignatureError(f"not a term: {term!r}")
+
+
+def _check_arity(symbol: str, count: int, sig: Signature) -> None:
+    arity = sig.arity(symbol)
+    if arity != count:
+        raise SignatureError(f"{symbol} has arity {arity}, got {count} arguments")
 
 
 def enumerate_terms(
@@ -213,63 +218,154 @@ def substitute(term: Term, mapping: Mapping[str, Term]) -> Term:
     raise SignatureError(f"not a term: {term!r}")
 
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_']*|[(),])")
+# The one lexer of the package.  Each match is one token, named by its
+# group: ``skip`` (blank space and ``#`` comments) is dropped, and ``bad``
+# takes any character no other group reads.  Names and numbers are ASCII.
+_TOKEN = re.compile(
+    r"""(?P<skip>(?:\s|\#[^\n]*)+)
+      | (?P<name>""" + _NAME_PATTERN + r""")
+      | (?P<num>[0-9]+(?:/[0-9]+)?)
+      | "(?P<string>[^"\n]*)"
+      | (?P<arrow>->)
+      | (?P<turnstile>\|-)
+      | (?P<eqb>=\[)
+      | (?P<ge>>=)
+      | (?P<le><=)
+      | (?P<sq>\^2)
+      | (?P<punct>[{}\[\](),;:=/+\-*])
+      | (?P<bad>.)""",
+    re.VERBOSE,
+)
+
+
+class TokenStream:
+    """The tokens of ``text[start:end]``, lexed one at a time on demand.
+
+    A token is ``(kind, text, offset)``: ``kind`` is a group name of the
+    token pattern, or ``"end"`` past the last token; a string token's
+    text drops the quotes; ``offset`` indexes the whole text, and the line
+    and column are worked out only for an error.  An unreadable character
+    raises when the parser reaches it, so the first error in text order is
+    the one reported.
+    """
+
+    __slots__ = ("text", "_end", "_resume", "_token")
+
+    def __init__(self, text: str, start: int = 0, end: int | None = None):
+        self.text = text
+        self._end = len(text) if end is None else end
+        self._resume = start
+        self._token = None
+
+    def _lookahead(self):
+        """The next token, read but not raised on when unreadable."""
+        if self._token is None:
+            m = _TOKEN.match(self.text, self._resume, self._end)
+            if m is not None and m.lastgroup == "skip":
+                m = _TOKEN.match(self.text, m.end(), self._end)
+            if m is None:
+                self._token = ("end", "", self._end)
+            else:
+                self._resume = m.end()
+                self._token = (m.lastgroup, m.group(m.lastindex), m.start())
+        return self._token
+
+    def peek(self):
+        token = self._lookahead()
+        if token[0] == "bad":
+            if token[1] == '"':
+                raise self.error("unterminated string", token)
+            raise self.error(f"unreadable character {token[1]!r}", token)
+        return token
+
+    def next(self):
+        token = self.peek()
+        self._token = None
+        return token
+
+    def pass_over(self, kind: str, value: str, missing: str):
+        """Pass over the tokens before the next ``(kind, value)``, raising
+        on none of them and leaving that one unread.  Returns the offsets of
+        the first token passed and just past the last (both the stop
+        token's offset when none is); when the text ends first, raises
+        ``missing`` at the first token.
+        """
+        token = first = self._lookahead()
+        start = end = first[2]
+        while token[0] != kind or token[1] != value:
+            if token[0] == "end":
+                raise self.error(missing, first)
+            end = self._resume
+            self._token = None
+            token = self._lookahead()
+        return start, end
+
+    def at(self, kind: str, value: str | None = None) -> bool:
+        token = self.peek()
+        return token[0] == kind and (value is None or token[1] == value)
+
+    def expect(self, kind: str, value: str | None = None):
+        token = self.peek()
+        if token[0] != kind or (value is not None and token[1] != value):
+            raise self.expected(repr(value or kind), token)
+        return self.next()
+
+    def finish(self, what: str) -> None:
+        """Raise unless every token has been read."""
+        token = self.peek()
+        if token[0] != "end":
+            raise self.error(f"unexpected {token[1]!r} after the {what}", token)
+
+    def expected(self, what: str, token) -> ParseError:
+        """The error for finding ``token`` where ``what`` belongs."""
+        return self.error(f"expected {what}, found {token[1] or 'end of input'!r}", token)
+
+    def error(self, message: str, token) -> ParseError:
+        offset = token[2]
+        line = self.text.count("\n", 0, offset) + 1
+        return ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
+
+
+def read_term(stream: TokenStream, sig: Signature | None = None) -> Term:
+    """Read ``name`` or ``f(t1,...,tn)`` from the stream.
+
+    With a signature, a bare nullary symbol is a constant, a bare symbol
+    of positive arity is a syntax error, and every application is
+    arity-checked as soon as it closes; without one, every bare name is a
+    variable.
+    """
+    token = stream.peek()
+    if token[0] != "name":
+        raise stream.expected("a term", token)
+    stream.next()
+    name = token[1]
+    if stream.at("punct", "("):
+        stream.next()
+        args = [read_term(stream, sig)]
+        while stream.at("punct", ","):
+            stream.next()
+            args.append(read_term(stream, sig))
+        stream.expect("punct", ")")
+        if sig is not None:
+            _check_arity(name, len(args), sig)
+        return App(name, tuple(args))
+    if sig is not None and name in sig:
+        if sig.arity(name):
+            message = f"symbol {name!r} takes {sig.arity(name)} arguments"
+            raise stream.error(message, token)
+        return App(name)
+    return Var(name)
 
 
 def parse_term(text: str, sig: Signature | None = None) -> Term:
     """Parse the concrete syntax ``name`` / ``f(t1,...,tn)``.
 
-    With a signature, bare names that are nullary symbols become
-    constants and applied symbols are arity-checked; without one, every
-    bare name is a variable.
+    Bare names are read as in ``read_term``.  Syntax errors, a bare
+    symbol of positive arity among them, raise ``ParseError`` with the
+    line and column; an applied symbol that is unknown or has the wrong
+    number of arguments raises ``SignatureError``.
     """
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise SignatureError(f"bad character in term: {text[pos:].strip()[0]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-
-    def parse(at: int) -> tuple[Term, int]:
-        if at >= len(tokens):
-            raise SignatureError(f"unexpected end of term in {text!r}")
-        head = tokens[at]
-        if not _NAME.match(head):
-            raise SignatureError(f"expected a name in {text!r}, got {head!r}")
-        at += 1
-        if at < len(tokens) and tokens[at] == "(":
-            args = []
-            at += 1
-            if at < len(tokens) and tokens[at] == ")":
-                at += 1
-            else:
-                while True:
-                    arg, at = parse(at)
-                    args.append(arg)
-                    if at < len(tokens) and tokens[at] == ",":
-                        at += 1
-                        continue
-                    if at < len(tokens) and tokens[at] == ")":
-                        at += 1
-                        break
-                    raise SignatureError(f"expected ',' or ')' in {text!r}")
-            term: Term = App(head, tuple(args))
-            if sig is not None:
-                check_term(App(head, tuple(args)), sig)
-            return term, at
-        if sig is not None and head in sig:
-            if sig.arity(head) != 0:
-                raise SignatureError(
-                    f"symbol {head!r} has arity {sig.arity(head)} and needs arguments"
-                )
-            return App(head), at
-        return Var(head), at
-
-    term, at = parse(0)
-    if at != len(tokens):
-        raise SignatureError(f"trailing tokens in term {text!r}")
+    stream = TokenStream(text)
+    term = read_term(stream, sig)
+    stream.finish("term")
     return term

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metra.cli import (
     LIMIT_DEFAULTS,
@@ -14,6 +16,7 @@ from metra.cli import (
     run_workspace,
 )
 from metra.errors import MetraError, ParseError
+from metra.extmetric import INF, ExtRat
 from metra.logic import (
     MetricEquation,
     MetricImplication,
@@ -21,7 +24,9 @@ from metra.logic import (
     parse_formula,
     parse_inequality,
 )
-from metra.terms import Signature
+from metra.terms import Signature, enumerate_terms
+
+from conftest import FINITE_POOL
 
 GOLDEN = """
 # two-op playground
@@ -339,6 +344,100 @@ class TestParsing:
             parse_workspace("limits { max_wiggle = 3; }\n")
 
 
+class TestLexing:
+    """One lexer reads every statement and formula, with true positions."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(
+                "axioms E {\n  x =[1]\n  y @;\n}\n",
+                "line 3, column 5: unreadable character '@'",
+                id="multi-line-formula",
+            ),
+            pytest.param(
+                "signature Z { }\nalgebra A over Z { carrier \u00b2; metric [[0]]; }\n",
+                "line 2, column 28: unreadable character '\u00b2'",
+                id="superscript-digit",
+            ),
+            pytest.param(
+                "limits { max_terms = \u0663; }\n",
+                "line 1, column 22: unreadable character '\u0663'",
+                id="arabic-indic-digit",
+            ),
+            pytest.param(
+                "axioms E { x =[1] ; }\n",
+                "line 1, column 19: expected a term, found ';'",
+                id="formula-ended-early",
+            ),
+        ],
+    )
+    def test_errors_point_at_the_offending_token(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_workspace(text)
+        assert str(err.value) == message
+
+    def test_non_ascii_digits_exit_one_without_a_traceback(self, tmp_path, capsys):
+        path = tmp_path / "digits.mt"
+        path.write_text(
+            "signature Z { }\nalgebra A over Z { carrier \u00b2; metric [[0]]; }\n",
+            encoding="utf-8",
+        )
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "metra: error: line 2, column 28: unreadable character '\u00b2'\n"
+        )
+
+    def test_names_may_carry_primes(self):
+        ws = parse_workspace(
+            "signature S' { f'/1; }\n"
+            "algebra A' over S' { carrier a', b; metric [[0,1],[1,0]];\n"
+            "    op f' = table{ a' -> b; b -> a'; }; }\n"
+            "axioms E' over S' { f'(x') =[1] x'; }\n"
+        )
+        assert ws.algebras["A'"].carrier == ("a'", "b")
+        assert str(ws.axioms["E'"][0]) == "f'(x') =[1] x'"
+
+    def test_comments_work_inside_formulas(self):
+        text = (
+            "signature E0 { }\n"
+            "algebra B over E0 { carrier 0,1; metric [[0,1],[1,0]]; }\n"
+            "axioms D over E0 {\n"
+            "    x =[1] # a bound; with a semicolon\n"
+            "    y;\n"
+            "}\n"
+            "entails [B] D |- y # the goal; with a semicolon\n =[1] x;\n"
+        )
+        ws = parse_workspace(text)
+        assert str(ws.axioms["D"][0]) == "x =[1] y"
+        results, _ = run_workspace(ws)
+        assert (results[0].ok, results[0].error) == (True, "")
+
+    def test_goal_errors_carry_file_positions(self):
+        text = B2 + "entails [B] D |-\n  x =[1]\n  y @;\n"
+        results, _ = run_workspace(parse_workspace(text))
+        assert results[-1].error == "line 10, column 5: unreadable character '@'"
+
+
+EQUATIONS_SIG = Signature({"sigma": 2, "c": 0})
+TERMS = enumerate_terms(EQUATIONS_SIG, ["x", "y", "z"], 2)
+BOUNDS = [ExtRat(q) for q in FINITE_POOL] + [INF]
+sides = st.sampled_from(TERMS)
+equations = st.builds(MetricEquation, sides, sides, st.sampled_from(BOUNDS))
+formulas = equations | st.builds(
+    MetricImplication, st.lists(equations, min_size=1, max_size=3).map(tuple), equations
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(phi=formulas)
+def test_library_and_workspace_read_formulas_alike(phi):
+    """A formula's text parses back to it through both entry points."""
+    assert parse_formula(str(phi), EQUATIONS_SIG) == phi
+    ws = parse_workspace(f"signature S {{ sigma/2; c/0; }}\naxioms E over S {{\n  {phi};\n}}")
+    assert ws.axioms["E"] == [phi]
+
+
 class TestCommands:
     """Commands run in order; verdicts are data and errors are captured."""
 
@@ -497,6 +596,19 @@ class TestCommands:
         constructions = {r["construction"] for r in report.data["records"]}
         assert "reflexive-quotient" not in constructions
         assert "quotient" in constructions
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "entails [NOPE] D |- x =[1] y;",
+            "equicont [NOPE] 2 grid 1 : x =[1] y;",
+            "weakcompact [NOPE] D slack 1 |- x =[1] y;",
+        ],
+    )
+    def test_unknown_algebras_in_formula_commands_are_command_errors(self, command):
+        results, code = run_text("axioms D { x =[1] y; }\n" + command + "\n")
+        assert code == 0
+        assert (results[0].ok, results[0].error) == (False, "unknown algebra 'NOPE'")
 
 
 class TestReports:

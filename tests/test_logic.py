@@ -669,6 +669,44 @@ class TestEquicontinuity:
             equicontinuity_check([line_min_algebra()], e, 2, [1, bad])
 
 
+
+class TestCompileOncePerSearch:
+    """A search builds each algebra's tables once, however many scans it runs."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        arrays = logic_module._Compiled.arrays
+
+        def counting(compiled):
+            if compiled._arrays is None:
+                built.append(id(compiled.algebra))
+            return arrays(compiled)
+
+        monkeypatch.setattr(logic_module._Compiled, "arrays", counting)
+        return built
+
+    def test_weak_compactness_search(self, builds):
+        """Four subsets are tried; only the last reaches the second algebra."""
+        algebras = [
+            bare_algebra(space_from(range(n), lambda x, y: abs(x - y))) for n in (4, 5)
+        ]
+        delta = [parse_equation("x =[1] y"), parse_equation("y =[1] z")]
+        verdict = weak_compactness_search(
+            algebras, delta, parse_equation("x =[2] z"), slack=2
+        )
+        assert verdict.value == (0, 1)
+        assert builds == [id(a) for a in algebras]
+
+    def test_equicontinuity_check(self, builds):
+        """The delta 1 fails on the first algebra and 1/2 works on both."""
+        algebras = [line_max_algebra(), line_max_algebra(top=3)]
+        phi = parse_formula("x =[1] y |- sigma(x,x) =[1] sigma(y,y)", SIG2)
+        verdict = equicontinuity_check(algebras, phi, "3/2", [1, Fraction(1, 2)])
+        assert verdict.value == ExtRat("1/2")
+        assert builds == [id(a) for a in algebras]
+
+
 SCHEMA_SIGMA = parse_formula(
     "x1 =[0] y1 , x2 =[0] y2 |- sigma(x1,x2) =[0] sigma(y1,y2)", SIG2
 )

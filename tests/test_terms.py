@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from metra.errors import (
     DomainError,
+    ParseError,
     ResourceLimitError,
     SignatureError,
     ValuationError,
@@ -164,13 +165,18 @@ class TestParse:
 
     def test_errors(self):
         sig = Signature({"sigma": 2})
-        with pytest.raises(SignatureError):
-            parse_term("sigma", sig)
-        with pytest.raises(SignatureError):
+        with pytest.raises(SignatureError, match="sigma has arity 2, got 1 arguments"):
             parse_term("sigma(x)", sig)
-        with pytest.raises(SignatureError):
-            parse_term("sigma(x,y) extra", sig)
-        with pytest.raises(SignatureError):
-            parse_term("sigma(x,", sig)
-        with pytest.raises(SignatureError):
-            parse_term("x + y", sig)
+        with pytest.raises(SignatureError, match="unknown operation symbol 'tau'"):
+            parse_term("tau(x)", sig)
+        syntax_errors = [
+            ("sigma", "line 1, column 1: symbol 'sigma' takes 2 arguments"),
+            ("sigma(x,y) extra", "line 1, column 12: unexpected 'extra' after the term"),
+            ("sigma(x,", "line 1, column 9: expected a term, found 'end of input'"),
+            ("x + y", "line 1, column 3: unexpected '+' after the term"),
+            ("sigma(x,\n  @)", "line 2, column 3: unreadable character '@'"),
+        ]
+        for text, message in syntax_errors:
+            with pytest.raises(ParseError) as err:
+                parse_term(text, sig)
+            assert str(err.value) == message
