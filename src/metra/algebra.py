@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     AxiomError,
     DomainError,
@@ -90,6 +92,25 @@ class MetricAlgebra:
 
     def __repr__(self) -> str:
         return f"<MetricAlgebra |A|={self.space.size} sig={self.sig!r}>"
+
+
+def index_tables(algebra: MetricAlgebra) -> dict[str, np.ndarray]:
+    """Each operation as an ``intp`` array of shape ``(n,) * arity``.
+
+    Entry ``[i1, ..., ik]`` is the carrier index of the operation's value
+    on the elements at carrier indices ``i1, ..., ik``.
+    """
+    carrier = algebra.carrier
+    index = {x: i for i, x in enumerate(carrier)}
+    n = len(carrier)
+    tables = {}
+    for symbol, table in algebra.ops.items():
+        arity = algebra.sig.arity(symbol)
+        cells = itertools.product(carrier, repeat=arity)
+        tables[symbol] = np.fromiter(
+            (index[table[args]] for args in cells), dtype=np.intp, count=n**arity
+        ).reshape((n,) * arity)
+    return tables
 
 
 def validate_algebra(algebra: MetricAlgebra) -> Verdict:

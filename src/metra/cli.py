@@ -19,12 +19,13 @@ Rationals are ``p/q`` or integers and infinity is the token ``inf``; no
 decimal literals, so every reported number is exact.  Names are ASCII
 letters, digits, ``_`` and ``'``, and do not start with a digit; numbers
 are ASCII digits.  ``#`` starts a comment to the end of the line,
-anywhere, inside formulas too.  Any other character is a parse error at
-its line and column.  Files can pull in other files with
+anywhere, inside formulas too.  Any other character, and a zero
+denominator, is a parse error at its line and column.  Files can pull in other files with
 ``include "path";`` and cycles are rejected.  Declarations are
 brace-terminated; commands end with ``;``.  Resource caps come from a
 ``limits { name = value; }`` block, can be overridden per run with
-``--limits``, and every command result echoes the caps in force.
+``--limits``, and every command result echoes the caps in force and its
+command, comments dropped and blank space collapsed.
 
 Output is deterministic: results serialize with stable key order and
 canonical rational strings, and running the same file twice produces
@@ -68,6 +69,7 @@ from .errors import (
     Verdict,
 )
 from .extmetric import (
+    INF,
     ExtRat,
     FiniteMetricSpace,
     QuotientMap,
@@ -238,20 +240,30 @@ def _parse_id_set(lx: TokenStream) -> list:
     return ids
 
 
-def _parse_scalar(lx: TokenStream) -> ExtRat:
+class _WorkspaceStream(TokenStream):
+    """The tokens of a workspace, reading each distinct distance literal to
+    one shared ``ExtRat``, so matrices mirror each value once."""
+
+    __slots__ = ("scalars",)
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.scalars = {"inf": INF}
+
+
+def _parse_scalar(lx: _WorkspaceStream) -> ExtRat:
     token = lx.peek()
-    if token[0] == "num":
+    if token[0] == "num" or token[0] == "name" and token[1] == "inf":
         lx.next()
-        return ExtRat(Fraction(token[1]))
-    if token[0] == "name" and token[1] == "inf":
-        lx.next()
-        return ExtRat.infinity()
+        value = lx.scalars.get(token[1])
+        if value is None:
+            value = lx.scalars[token[1]] = ExtRat(lx.fraction(token))
+        return value
     raise lx.expected("a rational or inf", token)
 
 
 def _parse_number(lx: TokenStream) -> Fraction:
-    token = lx.expect("num")
-    return Fraction(token[1])
+    return lx.fraction(lx.expect("num"))
 
 
 def _parse_row(lx: TokenStream) -> list:
@@ -572,7 +584,7 @@ def parse_workspace(
         ws = Workspace()
     if _seen is None:
         _seen = set()
-    lx = TokenStream(text)
+    lx = _WorkspaceStream(text)
     while True:
         token = lx.next()
         if token[0] == "end":
@@ -602,7 +614,7 @@ def parse_workspace(
         elif word in _COMMAND_WORDS:
             args = _parse_command(lx, word)
             end = lx.expect("punct", ";")[2] + 1
-            ws.commands.append((word, args, " ".join(text[token[2] : end].split())))
+            ws.commands.append((word, args, lx.source(token[2], end)))
         else:
             raise lx.error(f"unknown statement {word!r}", token)
 

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import Homomorphism, MetricAlgebra, product, quotient
+from .algebra import Homomorphism, MetricAlgebra, index_tables, product, quotient
 from .errors import (
     CongruenceError,
     DomainError,
@@ -46,12 +46,13 @@ from .extmetric import (
     SquareMatrix,
     _MAX_SCALED,
     _as_object,
+    _as_verdict,
+    _axiom_violation,
     _checked_carrier,
     _finite_components,
     _from_scaled,
     _inf_code,
     _rows_at,
-    check_pseudometric,
     checked_value,
     render_id,
     scaled_int_array,
@@ -65,38 +66,98 @@ def is_congruential(algebra: MetricAlgebra, matrix: SquareMatrix) -> Verdict:
     containment below the algebra metric, and closure of the zero-set
     under every operation.  A zero-set failure is witnessed by
     ``(symbol, args, args2)`` for the first violating argument pair.
+    Everything after the carrier runs on one scaled mirror of the matrix
+    and the metric and on the operations' index tables.
     """
     if matrix.carrier != algebra.carrier:
         return Verdict.failed("carrier-mismatch", ())
-    axioms = check_pseudometric(matrix)
-    if not axioms:
-        return axioms
     carrier = algebra.carrier
-    for a in carrier:
-        for b in carrier:
-            if matrix.get(a, b) > algebra.space.get(a, b):
-                return Verdict.failed("containment", (a, b))
-    classes = _zero_classes(matrix)
+    M, S, _ = _mirror_pair(matrix, algebra.space)
+    violation = _axiom_violation(matrix.entries, M)
+    if violation is not None:
+        return _as_verdict(violation, carrier)
+    above = _first(M > S)
+    if above is not None:
+        return Verdict.failed("containment", _ids(carrier, above))
+    rep = _zero_reps(M)
+    tables = index_tables(algebra)
     for symbol in algebra.sig.symbols:
-        arity = algebra.sig.arity(symbol)
-        if arity == 0:
+        table = tables[symbol]
+        if table.ndim == 0:
             continue
-        for args in itertools.product(carrier, repeat=arity):
-            pools = [classes[a] for a in args]
-            for args2 in itertools.product(*pools):
-                if matrix.get(
-                    algebra.apply(symbol, args), algebra.apply(symbol, args2)
-                ) != ZERO:
-                    return Verdict.failed("zero-set", (symbol, args, args2))
+        classes, bad = _image_classes(table, rep[None])
+        if bad.any():
+            args, args2 = _zero_set_witness(classes[0], bad[0], rep)
+            return Verdict.failed(
+                "zero-set", (symbol, _ids(carrier, args), _ids(carrier, args2))
+            )
     return Verdict.passed()
 
 
-def _zero_classes(matrix: SquareMatrix) -> dict:
-    """Map each element to the tuple of elements at distance zero from it."""
-    out = {}
-    for a in matrix.carrier:
-        out[a] = tuple(b for b in matrix.carrier if matrix.get(a, b) == ZERO)
-    return out
+# The zero-set kernel.  The zero-set of a pseudometric is an equivalence
+# relation, and rep[i], the first index at distance zero from i, names i's
+# class.  An operation keeps the zero-set closed exactly when every argument
+# tuple lands in the class of the tuple of its arguments' representatives,
+# so one pass over the table decides it, where trying every tuple of class
+# members would cost |A|**arity * |class|**arity lookups.
+
+
+def _mirror_pair(m1: SquareMatrix, m2: SquareMatrix):
+    """The mirrors of two matrices on one carrier over one common denominator."""
+    n = m1.size
+    both, denom = scaled_int_array(m1.entries + m2.entries)
+    return both[:n], both[n:], denom
+
+
+def _first(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first true entry of ``mask`` in row-major order, or None."""
+    flat = int(mask.argmax())
+    if not mask.flat[flat]:
+        return None
+    return tuple(int(i) for i in np.unravel_index(flat, mask.shape))
+
+
+def _ids(carrier: tuple, positions) -> tuple:
+    return tuple(carrier[i] for i in positions)
+
+
+def _zero_reps(M: np.ndarray) -> np.ndarray:
+    """The class representative of each point, for one mirror or a stack of them."""
+    return (M == 0).argmax(axis=-1)
+
+
+def _image_classes(table: np.ndarray, reps: np.ndarray):
+    """The classes of an operation's images under a stack of zero-set maps.
+
+    ``reps`` has shape ``(c, n)``.  Returns ``classes``, the class of every
+    image, and ``bad``, where it differs from the class of the image of the
+    representatives' tuple; both have shape ``(c,) + table.shape``.
+    """
+    c, n = reps.shape
+    k = table.ndim
+    classes = reps[:, table]
+    at = [np.arange(c).reshape((c,) + (1,) * k)]
+    for pos in range(k):
+        shape = [c] + [1] * k
+        shape[pos + 1] = n
+        at.append(reps.reshape(shape))
+    return classes, classes != classes[tuple(at)]
+
+
+def _zero_set_witness(classes: np.ndarray, bad: np.ndarray, rep: np.ndarray):
+    """The first violating argument tuple and its first partner.
+
+    ``rep[i]`` is the least member of i's class, so the first argument
+    tuple whose class block holds a bad tuple is the least tuple of
+    representatives of a bad tuple.  Its partner is the first tuple of its
+    block, in ``itertools.product`` order over class members, whose image
+    lies in another class.
+    """
+    first = np.ravel_multi_index([rep[i] for i in np.nonzero(bad)], bad.shape).min()
+    args = tuple(int(i) for i in np.unravel_index(first, bad.shape))
+    members = [np.flatnonzero(rep == a) for a in args]
+    where = _first(classes[np.ix_(*members)] != classes[args])
+    return args, tuple(int(m[i]) for m, i in zip(members, where))
 
 
 class Congruence:
@@ -186,11 +247,9 @@ def compose(t1: Congruence, t2: Congruence) -> SquareMatrix:
     """Min-plus relational composition; not a pseudometric in general."""
     if t1.base != t2.base:
         raise DomainError("congruences live on different algebras")
-    # Both matrices are indexed in base carrier order; their rows are
-    # mirrored together so they share one denominator.
+    # Both matrices are indexed in base carrier order.
     n = t1.matrix.size
-    both, denom = scaled_int_array(t1.matrix.entries + t2.matrix.entries)
-    a, b = both[:n], both[n:]
+    a, b, denom = _mirror_pair(t1.matrix, t2.matrix)
     out = a[:, 0, None] + b[None, 0, :]
     for k in range(1, n):
         np.minimum(out, a[:, k, None] + b[None, k, :], out=out)
@@ -245,25 +304,33 @@ def quotient_congruence(rho: Congruence, theta: Congruence) -> Congruence:
     """
     if rho.base != theta.base:
         raise DomainError("congruences live on different algebras")
-    bad = pointwise_leq(rho.matrix, theta.matrix)
+    carrier = theta.base.carrier
+    R, T, _ = _mirror_pair(rho.matrix, theta.matrix)
+    bad = _first(R > T)
     if bad is not None:
         hint = ""
-        if pointwise_leq(theta.matrix, rho.matrix) is None:
+        if not (T > R).any():
             hint = " (the arguments appear to be in the opposite order)"
+        a, b = _ids(carrier, bad)
         raise OrderError(
             f"rho must sit pointwise below theta; it exceeds it at "
-            f"({render_id(bad[0])}, {render_id(bad[1])}){hint}"
+            f"({render_id(a)}, {render_id(b)}){hint}"
         )
     quot, projection = quotient(theta.base, theta)
-    classes = _zero_classes(theta.matrix)
-    for a in theta.base.carrier:
-        for a2 in classes[a]:
-            for b in theta.base.carrier:
-                if rho.matrix.get(a, b) != rho.matrix.get(a2, b):
-                    raise OrderError(
-                        f"pushed-down value not well defined at "
-                        f"({render_id(a)}, {render_id(b)})"
-                    )
+    # rho is well defined on theta's classes when every row equals the row
+    # of its class representative, the least member.  The witness is the
+    # first a with a differing class member a2, which is the representative
+    # of the first class holding one, and the first b where their rows differ.
+    rep = _zero_reps(T)
+    differs = (R != R[rep]).any(axis=1)
+    if differs.any():
+        a = int(rep[differs].min())
+        a2 = int(np.flatnonzero(differs & (rep == a))[0])
+        b = int(np.flatnonzero(R[a] != R[a2])[0])
+        raise OrderError(
+            f"pushed-down value not well defined at "
+            f"({render_id(carrier[a])}, {render_id(carrier[b])})"
+        )
     idx = [rho.matrix.index(x) for x in quot.carrier]
     return Congruence._trusted(quot, _rows_at(rho.matrix, idx))
 
@@ -486,6 +553,12 @@ def _scale_finite(arr: np.ndarray, factor: int) -> None:
     arr[finite] *= factor
 
 
+# Candidate cells checked at once by grid_congruences: a chunk of c
+# candidates on n points holds c * n**3 triangle comparisons (or c * n**arity
+# operation images, when larger).
+_GRID_CELLS = 1 << 15
+
+
 def grid_congruences(
     algebra: MetricAlgebra,
     values: Sequence[ExtRat] | None = None,
@@ -493,9 +566,11 @@ def grid_congruences(
 ) -> list[Congruence]:
     """All congruences with off-diagonal entries from a finite value set.
 
-    Candidates are symmetric matrices over the value grid; the ones that
-    pass the congruential check are returned in a deterministic order.
-    The default grid is the set of metric values plus zero and infinity.
+    Candidates are symmetric matrices over the value grid, in the order of
+    ``itertools.product`` over the cells above the diagonal; the ones that
+    pass the congruential check are returned in that order.  The default
+    grid is the set of metric values plus zero and infinity.  Candidates
+    are checked a chunk at a time on the kernel of ``is_congruential``.
     """
     if values is None:
         seen = {ZERO, INF}
@@ -504,19 +579,41 @@ def grid_congruences(
         values = sorted(seen)
     n = algebra.space.size
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if len(values) ** len(cells) > cap:
+    total = len(values) ** len(cells)
+    if total > cap:
         raise ResourceLimitError(
-            f"grid has {len(values) ** len(cells)} candidates, over the cap {cap}",
+            f"grid has {total} candidates, over the cap {cap}",
             "grid_cap",
             cap,
         )
+    values = [v if isinstance(v, ExtRat) else ExtRat(v) for v in values]
+    # One mirror of the grid values and the metric serves every candidate.
+    metric = itertools.chain.from_iterable(algebra.space.entries)
+    flat, _ = scaled_int_array([values + list(metric)])
+    codes, S = flat[0, : len(values)], flat[0, len(values) :].reshape(n, n)
+    iu, ju = np.triu_indices(n, 1)
+    tables = [t for t in index_tables(algebra).values() if t.ndim]
+    chunk = max(1, _GRID_CELLS // n ** max([3] + [t.ndim for t in tables]))
     out = []
-    for combo in itertools.product(values, repeat=len(cells)):
-        rows = [[ZERO] * n for _ in range(n)]
-        for (i, j), v in zip(cells, combo):
-            rows[i][j] = v
-            rows[j][i] = v
-        mat = SquareMatrix(algebra.carrier, rows)
-        if is_congruential(algebra, mat):
-            out.append(Congruence._trusted(algebra, mat.entries))
+    for start in range(0, total, chunk):
+        # Candidate number c has the digits of c in base len(values), last
+        # cell fastest: the order of itertools.product over the cells.
+        rest = np.arange(start, min(start + chunk, total))
+        digits = np.empty((len(rest), len(cells)), dtype=np.intp)
+        for pos in reversed(range(len(cells))):
+            rest, digits[:, pos] = np.divmod(rest, len(values))
+        C = np.zeros((len(digits), n, n), dtype=codes.dtype)
+        C[:, iu, ju] = C[:, ju, iu] = codes[digits]
+        # Zero diagonal and symmetry hold by construction; the triangle
+        # reads d(x, z) > d(x, y) + d(y, z) on axes (candidate, x, y, z).
+        ok = ~(C[:, :, None, :] > C[:, :, :, None] + C[:, None, :, :]).any(axis=(1, 2, 3))
+        ok &= ~(C > S).any(axis=(1, 2))
+        reps = _zero_reps(C)
+        for table in tables:
+            ok &= ~_image_classes(table, reps)[1].reshape(len(reps), -1).any(axis=1)
+        for combo in digits[ok].tolist():
+            rows = [[ZERO] * n for _ in range(n)]
+            for (i, j), d in zip(cells, combo):
+                rows[i][j] = rows[j][i] = values[d]
+            out.append(Congruence._trusted(algebra, rows))
     return out

@@ -214,13 +214,17 @@ class SquareMatrix:
     No axioms are assumed: this is the raw shape shared by pseudometrics
     and by non-symmetric relation compositions.  The carrier must be
     nonempty and free of duplicates; entries are ``ExtRat`` values.
+    Entries that already are ``ExtRat`` objects are kept, not copied, so a
+    matrix built from shared values mirrors each distinct object once.
     """
 
     __slots__ = ("carrier", "entries", "_index")
 
     def __init__(self, carrier: Sequence, entries: Sequence[Sequence[ExtRat]]):
         carrier = _checked_carrier(carrier)
-        rows = tuple(tuple(ExtRat(v) for v in row) for row in entries)
+        rows = tuple(
+            tuple(v if isinstance(v, ExtRat) else ExtRat(v) for v in row) for row in entries
+        )
         if len(rows) != len(carrier) or any(len(row) != len(carrier) for row in rows):
             raise ShapeError(
                 f"matrix must be {len(carrier)}x{len(carrier)} to match the carrier"
@@ -435,13 +439,17 @@ def check_pseudometric(m: SquareMatrix) -> Verdict:
     triangle) with a deterministic scan, so the witness is stable.
     Nonnegativity holds by the ``ExtRat`` type.
     """
-    rows, n = m.entries, m.size
-    # Below four points the scan over entries is cheaper than the mirror.
+    return _as_verdict(_axiom_violation(m.entries), m.carrier)
+
+
+def _axiom_violation(rows, arr: np.ndarray | None = None) -> tuple[str, tuple[int, ...]] | None:
+    """First pseudometric axiom failing on square ``rows``; ``arr`` is their
+    mirror when the caller has one, and is built here when needed."""
+    n = len(rows)
+    # Below four points the scan over entries is cheaper than the array code.
     if n < 4:
-        violation = _pure_violation(rows, n)
-    else:
-        violation = _array_violation(scaled_int_array(rows)[0])
-    return _as_verdict(violation, m.carrier)
+        return _pure_violation(rows, n)
+    return _array_violation(scaled_int_array(rows)[0] if arr is None else arr)
 
 
 def _as_verdict(violation: tuple[str, tuple[int, ...]] | None, carrier: tuple) -> Verdict:

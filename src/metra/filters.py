@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .algebra import Homomorphism, MetricAlgebra, product, quotient
 from .congruence import Congruence, is_congruential
-from .errors import DomainError, UnsupportedInputError, Verdict
+from .errors import DomainError, ParseError, UnsupportedInputError, Verdict
 from .extmetric import (
     ExtRat,
     PseudometricMatrix,
@@ -37,6 +37,7 @@ from .extmetric import (
     check_pseudometric,
     render_id,
 )
+from .terms import TokenStream
 
 
 class FiniteFilter:
@@ -236,25 +237,40 @@ class SeqForm:
 def parse_seq_form(text: str) -> SeqForm:
     """Parse ``q``, ``q/n``, or ``q + r/n`` into a sequence form.
 
-    The coefficients are rationals; ``r`` may be negative, as in
-    ``1 + -1/2/n`` for the sequence approaching 1 from below.
+    The coefficients are rationals read as the workspace lexer reads
+    numbers (ASCII digits, ``p/q``, no decimals), each with an optional
+    ``-``; ``r`` may be negative, as in ``1 + -1/2/n`` for the sequence
+    approaching 1 from below.
     """
-    def bad():
-        return UnsupportedInputError(
-            f"cannot read {text!r}; expected q, q/n, or q + r/n"
-        )
-
-    parts = [p.strip() for p in text.strip().split("+")]
+    lx = TokenStream(text)
     try:
-        if len(parts) == 1 and not parts[0].endswith("/n"):
-            return SeqForm(Fraction(parts[0]))
-        if len(parts) == 1:
-            return SeqForm(Fraction(0), Fraction(parts[0][:-2].strip()))
-        if len(parts) == 2 and parts[1].endswith("/n"):
-            return SeqForm(Fraction(parts[0]), Fraction(parts[1][:-2].strip()))
-    except (ValueError, ZeroDivisionError):
-        raise bad() from None
-    raise bad()
+        c, r = _coefficient(lx), Fraction(0)
+        if lx.at("punct", "+"):
+            lx.next()
+            r = _coefficient(lx)
+            _over_n(lx)
+        elif lx.at("punct", "/"):
+            _over_n(lx)
+            c, r = Fraction(0), c
+        lx.finish("sequence form")
+    except ParseError:
+        raise UnsupportedInputError(
+            f"cannot read {text!r}; expected q, q/n, or q + r/n"
+        ) from None
+    return SeqForm(c, r)
+
+
+def _coefficient(lx: TokenStream) -> Fraction:
+    negative = lx.at("punct", "-")
+    if negative:
+        lx.next()
+    value = lx.fraction(lx.expect("num"))
+    return -value if negative else value
+
+
+def _over_n(lx: TokenStream) -> None:
+    lx.expect("punct", "/")
+    lx.expect("name", "n")
 
 
 def pointwise_limit_metric(carrier, forms) -> PseudometricMatrix:

@@ -43,6 +43,7 @@ from .algebra import (
     MetricAlgebra,
     _modulus_scan,
     generate_subalgebra,
+    index_tables,
     is_quantitative,
     is_reflexive_quotient,
     product,
@@ -357,17 +358,7 @@ class _Compiled:
     def arrays(self):
         if self._arrays is None:
             algebra = self.algebra
-            carrier = algebra.carrier
-            index = {x: i for i, x in enumerate(carrier)}
-            n = len(carrier)
-            tables = {}
-            for symbol, table in algebra.ops.items():
-                arity = algebra.sig.arity(symbol)
-                cells = itertools.product(carrier, repeat=arity)
-                tables[symbol] = np.fromiter(
-                    (index[table[args]] for args in cells), dtype=np.intp, count=n**arity
-                ).reshape((n,) * arity)
-            self._arrays = (tables, *scaled_int_array(algebra.space.entries))
+            self._arrays = (index_tables(algebra), *scaled_int_array(algebra.space.entries))
         return self._arrays
 
     def within(self, bound: ExtRat) -> np.ndarray:
@@ -1140,7 +1131,7 @@ def _read_bound(stream: TokenStream) -> ExtRat:
     token = stream.peek()
     if token[0] == "num":
         stream.next()
-        return ExtRat(Fraction(token[1]))
+        return ExtRat(stream.fraction(token))
     if token[0] == "name" and token[1] == "inf":
         stream.next()
         return INF
@@ -1196,7 +1187,7 @@ def _parse_primary(stream: TokenStream, sig) -> IneqExpr:
     token = stream.peek()
     if token[0] == "num":
         stream.next()
-        return Const(Fraction(token[1]))
+        return Const(stream.fraction(token))
     if stream.at("punct", "("):
         stream.next()
         inner = _parse_maxmin(stream, sig)
@@ -1258,7 +1249,7 @@ def parse_inequality(text: str, sig: Signature | None = None) -> MetricInequalit
         raise stream.expected(">=, <=, or =", token)
     stream.next()
     token = stream.peek()
-    if token[0] != "num" or Fraction(token[1]) != 0:
+    if token[0] != "num" or stream.fraction(token) != 0:
         raise stream.error("inequalities compare with 0", token)
     stream.next()
     stream.finish("formula")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -299,6 +300,22 @@ class TokenStream:
             self._token = None
             token = self._lookahead()
         return start, end
+
+    def source(self, start: int, end: int) -> str:
+        """``text[start:end]`` without its comments, each run of blank space
+        read as one space: the form in which a command is echoed."""
+        parts = (
+            " " if m.lastgroup == "skip" else m.group()
+            for m in _TOKEN.finditer(self.text, start, end)
+        )
+        return " ".join("".join(parts).split())
+
+    def fraction(self, token) -> Fraction:
+        """The rational that a ``num`` token reads."""
+        try:
+            return Fraction(token[1])
+        except ZeroDivisionError:
+            raise self.error(f"zero denominator in {token[1]!r}", token) from None
 
     def at(self, kind: str, value: str | None = None) -> bool:
         token = self.peek()

@@ -16,6 +16,8 @@ from metra.extmetric import (
     ExtRat,
     FiniteMetricSpace,
     PseudometricMatrix,
+    SquareMatrix,
+    check_pseudometric,
 )
 from metra.logic import as_implication, satisfies_under
 
@@ -117,6 +119,68 @@ def reference_closure(carrier, ops, constraints, mode, lipschitz=None, max_decre
             )
         if dropped == 0:
             return m
+
+
+def reference_is_congruential(algebra, matrix):
+    """``is_congruential`` one entry at a time, as an oracle.
+
+    The zero-set scan tries, for every argument tuple in carrier order,
+    every tuple of zero-class members, so the witness is the first
+    violating pair by definition.
+    """
+    if matrix.carrier != algebra.carrier:
+        return Verdict.failed("carrier-mismatch", ())
+    axioms = check_pseudometric(matrix)
+    if not axioms:
+        return axioms
+    carrier = algebra.carrier
+    for a in carrier:
+        for b in carrier:
+            if matrix.get(a, b) > algebra.space.get(a, b):
+                return Verdict.failed("containment", (a, b))
+    classes = {
+        a: tuple(b for b in carrier if matrix.get(a, b) == ZERO) for a in carrier
+    }
+    for symbol in algebra.sig.symbols:
+        arity = algebra.sig.arity(symbol)
+        if arity == 0:
+            continue
+        for args in itertools.product(carrier, repeat=arity):
+            pools = [classes[a] for a in args]
+            for args2 in itertools.product(*pools):
+                if matrix.get(
+                    algebra.apply(symbol, args), algebra.apply(symbol, args2)
+                ) != ZERO:
+                    return Verdict.failed("zero-set", (symbol, args, args2))
+    return Verdict.passed()
+
+
+def reference_grid_congruences(algebra, values=None, cap=100_000):
+    """``grid_congruences`` one candidate at a time, as an oracle: the
+    matrices of the accepted candidates in ``itertools.product`` order."""
+    if values is None:
+        seen = {ZERO, INF}
+        for row in algebra.space.entries:
+            seen.update(row)
+        values = sorted(seen)
+    n = algebra.space.size
+    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if len(values) ** len(cells) > cap:
+        raise ResourceLimitError(
+            f"grid has {len(values) ** len(cells)} candidates, over the cap {cap}",
+            "grid_cap",
+            cap,
+        )
+    out = []
+    for combo in itertools.product(values, repeat=len(cells)):
+        rows = [[ZERO] * n for _ in range(n)]
+        for (i, j), v in zip(cells, combo):
+            rows[i][j] = v
+            rows[j][i] = v
+        mat = SquareMatrix(algebra.carrier, rows)
+        if reference_is_congruential(algebra, mat):
+            out.append(mat)
+    return out
 
 
 def _reference_valuations(algebra, names, max_valuations):

@@ -1,6 +1,8 @@
 """Workspace DSL parsing, command execution, and report determinism."""
 
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,20 @@ PINNED_ERRORS = [
     pytest.param("run", B2 + "weakcompact [B] D slack 2 |- x =[2] y y;\n", "CommandResult",
                  "line 8, column 39: unexpected 'y' after the formula",
                  id="weakcompact-goal-syntax"),
+    pytest.param("ws", "signature E { }\nalgebra X over E { carrier a; metric [[1/0]]; }\n",
+                 "ParseError", "line 2, column 40: zero denominator in '1/0'",
+                 id="zero-denominator-in-matrix"),
+    pytest.param("run", 'limitmetric {a,b} { a,b -> "0.5 + 3/n"; };\n', "CommandResult",
+                 "cannot read '0.5 + 3/n'; expected q, q/n, or q + r/n",
+                 id="seq-form-decimal"),
+    pytest.param("run", 'limitmetric {a,b} { a,b -> "1 + \u0663/n"; };\n', "CommandResult",
+                 "cannot read '1 + \u0663/n'; expected q, q/n, or q + r/n",
+                 id="seq-form-non-ascii-digit"),
+    pytest.param("equation", "x =[1/0] y", "ParseError",
+                 "line 1, column 5: zero denominator in '1/0'", id="equation-zero-denominator"),
+    pytest.param("inequality", "d(x,y) - 1/0 <= 0", "ParseError",
+                 "line 1, column 10: zero denominator in '1/0'",
+                 id="inequality-zero-denominator"),
     pytest.param("equation", "x = y", "ParseError",
                  "line 1, column 3: expected 'eqb', found '='", id="equation-missing-bracket"),
     pytest.param("equation", "x =[abc] y", "ParseError",
@@ -281,6 +297,25 @@ class TestParsing:
         echoes = [echo for _, _, echo in ws.commands]
         assert "quotient A by T;" in echoes
         assert "hausdorff A {0} {0,1,2};" in echoes
+
+    def test_command_echo_drops_comments(self):
+        ws = parse_workspace(
+            'validate # check all; now\n;\nlimitmetric {a,b} { a,b -> "1 #" ; };\n'
+        )
+        assert [echo for _, _, echo in ws.commands] == [
+            "validate ;",
+            'limitmetric {a,b} { a,b -> "1 #" ; };',
+        ]
+
+    def test_each_distance_literal_is_one_shared_value(self):
+        ws = parse_workspace(
+            "signature E { }\n"
+            "algebra X over E { carrier a,b,c; metric [[0,1,inf],[1,0,inf],[inf,inf,0]]; }\n"
+        )
+        rows = ws.algebras["X"].space.entries
+        assert rows[0][1] is rows[1][0]
+        assert rows[0][0] is rows[1][1] is rows[2][2]
+        assert rows[0][2] is rows[2][1] is INF
 
     def test_duplicate_names_are_rejected_per_kind(self):
         text = "signature S { }\nsignature S { }\n"
@@ -718,3 +753,49 @@ class TestMain:
         (nested / "main.mt").write_text('include "sig.mt";\n')
         ws = load_workspace(str(nested / "main.mt"))
         assert "S" in ws.signatures
+
+
+def product_workspace(k, seed=1):
+    """A workspace with the full product P of two k-point algebras with
+    seeded binary tables, and the kernels T1, T2 of its projections."""
+    rng = random.Random(seed)
+    sa, sb = (
+        {(a, b): rng.randrange(k) for a in range(k) for b in range(k)} for _ in range(2)
+    )
+    pairs = list(itertools.product(range(k), repeat=2))
+    name = {p: f"p{p[0]}_{p[1]}" for p in pairs}
+
+    def matrix(dist):
+        return "[" + ", ".join(
+            "[" + ", ".join(str(dist(p, q)) for q in pairs) + "]" for p in pairs
+        ) + "]"
+
+    cells = " ".join(
+        f"{name[p]},{name[q]} -> {name[(sa[p[0], q[0]], sb[p[1], q[1]])]};"
+        for p in pairs for q in pairs
+    )
+    # The factors carry the line metric on 0..k-1; the product takes the max.
+    return (
+        "signature S { s/2; }\n"
+        f"algebra P over S {{ carrier {', '.join(name[p] for p in pairs)};\n"
+        f"  metric {matrix(lambda p, q: max(abs(p[0] - q[0]), abs(p[1] - q[1])))};\n"
+        f"  op s = table{{ {cells} }}; }}\n"
+        f"congruence T1 on P {{ matrix {matrix(lambda p, q: abs(p[0] - q[0]))}; }}\n"
+        f"congruence T2 on P {{ matrix {matrix(lambda p, q: abs(p[1] - q[1]))}; }}\n"
+        "validate;\njoin T1 T2;\ndecompose P by T1 T2;\n"
+    )
+
+
+def test_join_and_decompose_of_a_36_point_binary_product_within_budget():
+    """Joining the projection kernels of a 36-point product with a binary
+    operation gives the all-zero pseudometric, whose zero-set check once
+    cost |P|**4 lookups.  < 0.5 s per command."""
+    results, code = run_text(product_workspace(6))
+    assert code == 0
+    validated, joined, decomposed = results
+    assert validated.ok and joined.ok and decomposed.ok
+    entries = joined.data["congruence"]["entries"]
+    assert len(entries) == 36 and all(v == "0" for row in entries for v in row)
+    assert decomposed.data["reason"] == ""
+    for result in results:
+        assert result.timing_ms < 500, f"{result.command}: {result.timing_ms:.0f} ms"

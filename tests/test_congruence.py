@@ -1,6 +1,7 @@
 """Tests for congruential pseudometrics, the lattice operations, and the
 downward closure engine behind generation and joins."""
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
@@ -65,6 +66,8 @@ from conftest import (
     metric_spaces,
     object_mirrors,
     reference_closure,
+    reference_grid_congruences,
+    reference_is_congruential,
     revalidated,
     symmetric_rows,
 )
@@ -338,6 +341,31 @@ class TestQuotientCongruence:
         with pytest.raises(OrderError) as err:
             quotient_congruence(rho2, self.theta)
         assert "opposite order" not in str(err.value)
+
+    @pytest.mark.parametrize(
+        "zeros, rows, witness",
+        [
+            (
+                [(0, 1, 0), (2, 3, 0)],
+                [[0, 0, HALF, ONE], [0, 0, HALF, ONE], [HALF, HALF, 0, 0], [ONE, ONE, 0, 0]],
+                "(2, 0)",
+            ),
+            (
+                [(0, 3, 0), (1, 2, 0)],
+                [[0, HALF, HALF, 0], [HALF, 0, 0, ONE], [HALF, 0, 0, HALF], [0, ONE, HALF, 0]],
+                "(0, 1)",
+            ),
+        ],
+    )
+    def test_push_down_that_is_not_well_defined(self, zeros, rows, witness):
+        """Only a rho that is not a pseudometric can differ within a class
+        of theta; the witness is the first point with a differing class
+        member and the first column where their rows differ."""
+        theta = Congruence(self.algebra, matrix_on(self.algebra, zeros))
+        rho = Congruence._trusted(self.algebra, [[ExtRat(v) for v in row] for row in rows])
+        with pytest.raises(OrderError) as err:
+            quotient_congruence(rho, theta)
+        assert str(err.value) == f"pushed-down value not well defined at {witness}"
 
     def test_pullback_of_the_metric_is_the_kernel(self):
         a = line_min_algebra()
@@ -857,3 +885,146 @@ class TestTrustedResults:
         assert revalidated(quot.space) == quot.space
         pulled = pullback_congruence(projection, pushed)
         assert revalidated(pulled) == pulled == rho
+
+
+KERNEL_SIG = Signature({"c": 0, "f": 1, "g": 2, "h": 3})
+KERNEL_POOL = [ExtRat(q) for q in FINITE_POOL] + [INF]
+BOTH_MIRRORS = (contextlib.nullcontext, object_mirrors)
+
+
+@st.composite
+def kernel_algebras(draw, max_size=6):
+    """Algebras on up to ``max_size`` points with a constant, a unary, a
+    binary and a ternary operation, over a metric from the pool plus inf."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    carrier = tuple(range(n))
+    rows = symmetric_rows(draw, n, st.sampled_from(POSITIVE_CAPS))
+    elem = st.integers(min_value=0, max_value=n - 1)
+    ops = {"c": draw(elem)}
+    for symbol, arity in (("f", 1), ("g", 2), ("h", 3)):
+        cells = list(itertools.product(carrier, repeat=arity))
+        images = draw(st.lists(elem, min_size=len(cells), max_size=len(cells)))
+        ops[symbol] = dict(zip(cells, images))
+    return MetricAlgebra(KERNEL_SIG, FiniteMetricSpace(carrier, fw_close(rows)), ops)
+
+
+@st.composite
+def kernel_candidates(draw, algebra):
+    """Matrices on the algebra's carrier: the largest pseudometric below the
+    metric that is zero on a random partition, sometimes doubled (which
+    breaks containment), then with up to two entries overwritten, on one
+    side or on both (which breaks reflexivity, symmetry or the triangle)."""
+    n = algebra.space.size
+    label = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    rows = fw_close(
+        [
+            [ZERO if label[i] == label[j] else algebra.space.at(i, j) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+    if draw(st.booleans()):
+        rows = [[v.scale(2) for v in row] for row in rows]
+    index = st.integers(0, n - 1)
+    edits = draw(
+        st.lists(
+            st.tuples(index, index, st.sampled_from(KERNEL_POOL), st.booleans()), max_size=2
+        )
+    )
+    for i, j, v, both in edits:
+        rows[i][j] = v
+        if both:
+            rows[j][i] = v
+    return SquareMatrix(algebra.carrier, rows)
+
+
+def verdict_of(verdict):
+    return verdict.ok, verdict.reason, verdict.witness
+
+
+class TestCongruenceKernel:
+    """``is_congruential`` and ``grid_congruences`` on the mirror agree with
+    the entry-by-entry references in ``conftest``, on both mirrors."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_verdicts_match_the_reference(self, data):
+        algebra = data.draw(kernel_algebras())
+        matrix = data.draw(kernel_candidates(algebra))
+        expected = verdict_of(reference_is_congruential(algebra, matrix))
+        for mirrors in BOTH_MIRRORS:
+            with mirrors():
+                assert verdict_of(is_congruential(algebra, matrix)) == expected
+
+    @staticmethod
+    def line_algebra(n):
+        carrier = tuple(range(n))
+        ops = {
+            "c": 0,
+            "f": {(x,): (x + 1) % n for x in carrier},
+            "g": {(x, y): max(x, y) for x in carrier for y in carrier},
+            "h": {
+                (x, y, z): min(x, y, z) for x in carrier for y in carrier for z in carrier
+            },
+        }
+        space = space_from(carrier, lambda x, y: abs(x - y))
+        return MetricAlgebra(KERNEL_SIG, space, ops)
+
+    @staticmethod
+    def edited(reason, rows, n):
+        """Half the metric, edited so that exactly ``reason`` fails first."""
+        if reason == "reflexivity":
+            rows[n - 1][n - 1] = ONE
+        elif reason == "symmetry":
+            rows[0][n - 1] = HALF
+        elif reason == "triangle":
+            rows[0][n - 1] = rows[n - 1][0] = INF
+        elif reason == "containment":
+            rows = [[v.scale(4) for v in row] for row in rows]
+        else:
+            rows[0][1] = rows[1][0] = ZERO
+            rows = fw_close(rows)
+        return rows
+
+    @pytest.mark.parametrize(
+        "reason", ["reflexivity", "symmetry", "triangle", "containment", "zero-set"]
+    )
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_each_failure_on_both_paths(self, reason, n):
+        """Every reason, below and above the four-point cutoff of the
+        entry-scan axiom check."""
+        algebra = self.line_algebra(n)
+        rows = [[v.scale(Fraction(1, 2)) for v in row] for row in algebra.space.entries]
+        matrix = SquareMatrix(algebra.carrier, self.edited(reason, rows, n))
+        expected = reference_is_congruential(algebra, matrix)
+        assert expected.reason == reason
+        for mirrors in BOTH_MIRRORS:
+            with mirrors():
+                assert verdict_of(is_congruential(algebra, matrix)) == verdict_of(expected)
+
+    @given(
+        data=st.data(),
+        cells=st.integers(min_value=1, max_value=200),
+        wide=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_grid_matches_the_reference(self, data, cells, wide):
+        """Any chunk size, down to one candidate per chunk."""
+        algebra = data.draw(kernel_algebras(max_size=3))
+        values = data.draw(
+            st.none() | st.lists(st.sampled_from(KERNEL_POOL), min_size=1, max_size=5)
+        )
+        expected = reference_grid_congruences(algebra, values)
+        with mock.patch.object(congruence_module, "_GRID_CELLS", cells):
+            with object_mirrors() if wide else contextlib.nullcontext():
+                got = grid_congruences(algebra, values)
+        assert [t.matrix for t in got] == expected
+
+    def test_grid_crossing_the_default_chunk(self):
+        algebra = line_min_algebra()
+        values = [ExtRat(Fraction(k, 2)) for k in range(13)] + [INF]
+        assert len(values) ** 3 > congruence_module._GRID_CELLS // 3**3
+        expected = reference_grid_congruences(algebra, values)
+        assert len(expected) > 1
+        for mirrors in BOTH_MIRRORS:
+            with mirrors():
+                assert [t.matrix for t in grid_congruences(algebra, values)] == expected

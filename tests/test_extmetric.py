@@ -155,6 +155,14 @@ class TestShapes:
             SquareMatrix(["a", "b"], [[ZERO, ONE]])
         assert "2x2" in str(exc.value)
 
+    def test_extrat_entries_are_kept_and_others_converted(self):
+        half = ExtRat(Fraction(1, 2))
+        m = SquareMatrix(["a", "b"], [[0, half], [half, "0"]])
+        assert m.entries[0][1] is half and m.entries[1][0] is half
+        assert m.entries[0][0] == m.entries[1][1] == ZERO
+        with pytest.raises(ValueError):
+            SquareMatrix(["a"], [[-1]])
+
 
 class TestPseudometricChecks:
     """check_pseudometric reports the first violated axiom with a witness."""

@@ -209,7 +209,10 @@ class TestSeqForm:
         assert f.at(2) == ExtRat(Fraction(3, 4))
         assert f.limit == ONE
 
-    @pytest.mark.parametrize("bad", ["", "n", "/n", "1 + 2", "1/n + 1/n", "one"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "n", "/n", "1 + 2", "1/n + 1/n", "one", "0.5 + 3/n", "1 + \u0663/n", "1/0", "2/0/n"],
+    )
     def test_unreadable_inputs(self, bad):
         with pytest.raises(UnsupportedInputError):
             parse_seq_form(bad)
