@@ -11,6 +11,7 @@ check, not a construction invariant.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -26,6 +27,11 @@ from .errors import (
 from .extmetric import (
     FiniteMetricSpace,
     QuotientMap,
+    _along,
+    _first,
+    _ids,
+    _inf_code,
+    _mirrors,
     _validated,
     metric_identification,
     render_id,
@@ -149,7 +155,8 @@ def _modulus_scan(algebra: MetricAlgebra, constants, max_checks=None) -> Verdict
     ``(symbol, a, b)``.  ``constants`` maps symbols to K_op, and ``None``
     means K = 1: the quantitativity check.
     """
-    space, entries, checks = algebra.space, algebra.space.entries, 0
+    space, checks = algebra.space, 0
+    dist, inf = space.D.tolist(), _inf_code(space.D)
     reason = "expansive-operation" if constants is None else "not-lipschitz"
     for symbol in algebra.sig.symbols:
         arity = algebra.sig.arity(symbol)
@@ -157,7 +164,9 @@ def _modulus_scan(algebra: MetricAlgebra, constants, max_checks=None) -> Verdict
             continue
         if constants is not None and symbol not in constants:
             raise SignatureError(f"no Lipschitz constant for symbol {symbol!r}")
-        k = 1 if constants is None else constants[symbol]
+        k = Fraction(1 if constants is None else constants[symbol])
+        if k <= 0:
+            raise DomainError(f"Lipschitz constant for {symbol} must be positive")
         tuples = list(itertools.product(space.carrier, repeat=arity))
         checks += len(tuples) ** 2
         if max_checks is not None and checks > max_checks:
@@ -168,32 +177,39 @@ def _modulus_scan(algebra: MetricAlgebra, constants, max_checks=None) -> Verdict
         scan = [(t, [space.index(x) for x in t], space.index(table[t])) for t in tuples]
         for a, a_pos, a_img in scan:
             for b, b_pos, b_img in scan:
-                spread = max(entries[i][j] for i, j in zip(a_pos, b_pos))
-                bound = spread if k == 1 or spread.is_infinite else spread.scale(k)
-                if entries[a_img][b_img] > bound:
+                # d(op(a), op(b)) > K * spread, on the codes.
+                spread = max(dist[i][j] for i, j in zip(a_pos, b_pos))
+                image = dist[a_img][b_img]
+                if spread < inf and (image >= inf or image * k.denominator > spread * k.numerator):
                     return Verdict.failed(reason, (symbol, a, b))
     return Verdict.passed()
 
 
 def is_homomorphism(f: Mapping, source: MetricAlgebra, target: MetricAlgebra) -> Verdict:
-    """Check operation preservation and nonexpansiveness of ``f``."""
+    """Check operation preservation and nonexpansiveness of ``f``.
+
+    Witnesses are the first argument tuple, or pair, in carrier order.
+    """
     if source.sig != target.sig:
         return Verdict.failed("signature-mismatch", ())
+    targets = set(target.carrier)
     for a in source.carrier:
         if a not in f:
             return Verdict.failed("undefined", (a,))
-        if f[a] not in set(target.carrier):
+        if f[a] not in targets:
             return Verdict.failed("value-outside-target", (a,))
+    fidx = np.array([target.space.index(f[a]) for a in source.carrier], dtype=np.intp)
+    src_tables, tgt_tables = index_tables(source), index_tables(target)
     for symbol in source.sig.symbols:
-        arity = source.sig.arity(symbol)
-        for args in itertools.product(source.carrier, repeat=arity):
-            mapped = tuple(f[a] for a in args)
-            if f[source.apply(symbol, args)] != target.apply(symbol, mapped):
-                return Verdict.failed("operation-not-preserved", (symbol, args))
-    for a in source.carrier:
-        for b in source.carrier:
-            if target.space.get(f[a], f[b]) > source.space.get(a, b):
-                return Verdict.failed("expansive", (a, b))
+        table = src_tables[symbol]
+        mapped = tgt_tables[symbol][np.ix_(*[fidx] * table.ndim)]
+        bad = _first(fidx[table] != mapped)
+        if bad is not None:
+            return Verdict.failed("operation-not-preserved", (symbol, _ids(source.carrier, bad)))
+    X, Y = _along(f, source.space, target.space)
+    bad = _first(Y > X)
+    if bad is not None:
+        return Verdict.failed("expansive", _ids(source.carrier, bad))
     return Verdict.passed()
 
 
@@ -229,13 +245,8 @@ class Homomorphism:
 
     @property
     def is_isometric(self) -> bool:
-        src = self.source.space
-        dst = self.target.space
-        return all(
-            dst.get(self(a), self(b)) == src.get(a, b)
-            for a in src.carrier
-            for b in src.carrier
-        )
+        X, Y = _along(self.mapping, self.source.space, self.target.space)
+        return bool(np.array_equal(X, Y))
 
     def then(self, other: "Homomorphism") -> "Homomorphism":
         if self.target is not other.source and self.target != other.source:
@@ -372,16 +383,9 @@ def saturate(algebra: MetricAlgebra, subset: Iterable, theta: "Congruence") -> t
     """Elements at theta-distance zero from the subset, in carrier order."""
     if theta.base != algebra:
         raise DomainError("congruence is not on this algebra")
-    subset = list(subset)
-    for s in subset:
-        algebra.space.index(s)
-    from .extmetric import ZERO
-
-    out = []
-    for a in algebra.carrier:
-        if any(theta.matrix.get(s, a) == ZERO for s in subset):
-            out.append(a)
-    return tuple(out)
+    rows = [algebra.space.index(s) for s in subset]
+    near = (theta.matrix.D[rows] == 0).any(axis=0)
+    return tuple(a for a, hit in zip(algebra.carrier, near.tolist()) if hit)
 
 
 def is_reflexive_quotient(p: Homomorphism, max_sections: int = 1_000_000) -> Verdict:
@@ -394,10 +398,8 @@ def is_reflexive_quotient(p: Homomorphism, max_sections: int = 1_000_000) -> Ver
     """
     if not p.is_surjective:
         return Verdict.failed("not-surjective", ())
-    targets = p.target.carrier
-    fibers = [
-        [a for a in p.source.carrier if p(a) == b] for b in targets
-    ]
+    targets, sources = p.target.carrier, p.source.carrier
+    fibers = [[i for i, a in enumerate(sources) if p(a) == b] for b in targets]
     total = 1
     for fiber in fibers:
         total *= len(fiber)
@@ -407,20 +409,13 @@ def is_reflexive_quotient(p: Homomorphism, max_sections: int = 1_000_000) -> Ver
                 "max_sections",
                 max_sections,
             )
-    dst = p.target.space
-    src = p.source.space
+    (src, dst), _ = _mirrors(p.source.space, p.target.space)
+    src, dst = src.tolist(), dst.tolist()
     for choice in itertools.product(*fibers):
-        good = True
-        for i, b in enumerate(targets):
-            for j, b2 in enumerate(targets):
-                if src.get(choice[i], choice[j]) != dst.get(b, b2):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            section = dict(zip(targets, choice))
-            return Verdict.passed(section)
+        if all(
+            src[i][j] == d for i, row in zip(choice, dst) for j, d in zip(choice, row)
+        ):
+            return Verdict.passed(dict(zip(targets, map(sources.__getitem__, choice))))
     return Verdict.failed("no-isometric-section", ())
 
 
@@ -434,44 +429,33 @@ def find_isomorphism(a: MetricAlgebra, b: MetricAlgebra) -> dict | None:
     """
     if a.sig != b.sig or a.space.size != b.space.size:
         return None
-    xs = a.carrier
-    ys = b.carrier
+    xs, ys = a.carrier, b.carrier
+    (da, db), _ = _mirrors(a.space, b.space)
+    da, db = da.tolist(), db.tolist()
 
-    def extend(assignment: dict, used: set) -> dict | None:
-        if len(assignment) == len(xs):
-            if is_homomorphism(assignment, a, b):
-                return dict(assignment)
-            return None
-        x = xs[len(assignment)]
-        for y in ys:
-            if y in used:
+    def extend(chosen: list[int]) -> dict | None:
+        x = len(chosen)
+        if x == len(xs):
+            assignment = dict(zip(xs, map(ys.__getitem__, chosen)))
+            return assignment if is_homomorphism(assignment, a, b) else None
+        for y in range(len(ys)):
+            if y in chosen or any(db[y][y2] != da[x][x2] for x2, y2 in enumerate(chosen)):
                 continue
-            if any(
-                b.space.get(y, assignment[x2]) != a.space.get(x, x2)
-                for x2 in assignment
-            ):
-                continue
-            assignment[x] = y
-            used.add(y)
-            found = extend(assignment, used)
+            found = extend(chosen + [y])
             if found is not None:
                 return found
-            del assignment[x]
-            used.remove(y)
         return None
 
-    return extend({}, set())
+    return extend([])
 
 
 def relabel(algebra: MetricAlgebra, mapping: Mapping) -> MetricAlgebra:
     """Rename carrier elements along a bijection; structure is transported."""
     carrier = algebra.carrier
-    if sorted(map(render_id, mapping)) != sorted(map(render_id, carrier)) or len(
-        set(mapping.values())
-    ) != len(carrier):
+    if set(mapping) != set(carrier) or len(set(mapping.values())) != len(carrier):
         raise DomainError("relabeling must be a bijection on the carrier")
     new_carrier = [mapping[x] for x in carrier]
-    space = FiniteMetricSpace._trusted(new_carrier, algebra.space.entries)
+    space = FiniteMetricSpace._trusted(new_carrier, algebra.space.D, algebra.space.denom)
     ops = {}
     for symbol, table in algebra.ops.items():
         ops[symbol] = {

@@ -667,7 +667,7 @@ def _plain(obj):
 def _render_matrix(m: SquareMatrix) -> dict:
     return {
         "carrier": [render_id(x) for x in m.carrier],
-        "entries": [[str(v) for v in row] for row in m.entries],
+        "entries": m.text_rows(),
     }
 
 
@@ -681,7 +681,7 @@ def _render_algebra(a: MetricAlgebra) -> dict:
         }
     return {
         "carrier": [render_id(x) for x in a.carrier],
-        "metric": [[str(v) for v in row] for row in a.space.entries],
+        "metric": a.space.text_rows(),
         "ops": ops,
     }
 

@@ -14,10 +14,10 @@ mode-dependent operation rule:
 
 The same engine generates the smallest congruential pseudometric above a
 finite set of distance constraints, which is what presentations of free
-algebras need.  Internally the engine runs on one scaled-integer numpy
-matrix over a common denominator: int64 while the values stay below a
-guard, Python ints (``dtype=object``) beyond it, with the same array code
-on both, so the fixpoint is exact whatever the denominators.
+algebras need.  Every operation here reads and writes the matrices'
+scaled mirrors (see ``extmetric``); the closure widens an int64 mirror to
+Python ints when a value outgrows the guard, so the fixpoint is exact
+whatever the denominators.
 """
 
 from __future__ import annotations
@@ -39,20 +39,23 @@ from .errors import (
     Verdict,
 )
 from .extmetric import (
-    INF,
-    ZERO,
     ExtRat,
     PseudometricMatrix,
     SquareMatrix,
     _MAX_SCALED,
+    _along,
+    _array_violation,
     _as_object,
     _as_verdict,
-    _axiom_violation,
     _checked_carrier,
+    _codes,
     _finite_components,
-    _from_scaled,
+    _finite_max,
+    _first,
+    _ids,
     _inf_code,
-    _rows_at,
+    _mirrors,
+    _scale_finite,
     checked_value,
     render_id,
     scaled_int_array,
@@ -66,14 +69,14 @@ def is_congruential(algebra: MetricAlgebra, matrix: SquareMatrix) -> Verdict:
     containment below the algebra metric, and closure of the zero-set
     under every operation.  A zero-set failure is witnessed by
     ``(symbol, args, args2)`` for the first violating argument pair.
-    Everything after the carrier runs on one scaled mirror of the matrix
-    and the metric and on the operations' index tables.
+    Everything after the carrier runs on the mirrors of the matrix and
+    the metric and on the operations' index tables.
     """
     if matrix.carrier != algebra.carrier:
         return Verdict.failed("carrier-mismatch", ())
     carrier = algebra.carrier
-    M, S, _ = _mirror_pair(matrix, algebra.space)
-    violation = _axiom_violation(matrix.entries, M)
+    (M, S), _ = _mirrors(matrix, algebra.space)
+    violation = _array_violation(M)
     if violation is not None:
         return _as_verdict(violation, carrier)
     above = _first(M > S)
@@ -100,25 +103,6 @@ def is_congruential(algebra: MetricAlgebra, matrix: SquareMatrix) -> Verdict:
 # tuple lands in the class of the tuple of its arguments' representatives,
 # so one pass over the table decides it, where trying every tuple of class
 # members would cost |A|**arity * |class|**arity lookups.
-
-
-def _mirror_pair(m1: SquareMatrix, m2: SquareMatrix):
-    """The mirrors of two matrices on one carrier over one common denominator."""
-    n = m1.size
-    both, denom = scaled_int_array(m1.entries + m2.entries)
-    return both[:n], both[n:], denom
-
-
-def _first(mask: np.ndarray) -> tuple[int, ...] | None:
-    """Index of the first true entry of ``mask`` in row-major order, or None."""
-    flat = int(mask.argmax())
-    if not mask.flat[flat]:
-        return None
-    return tuple(int(i) for i in np.unravel_index(flat, mask.shape))
-
-
-def _ids(carrier: tuple, positions) -> tuple:
-    return tuple(carrier[i] for i in positions)
 
 
 def _zero_reps(M: np.ndarray) -> np.ndarray:
@@ -174,15 +158,15 @@ class Congruence:
                 verdict,
             )
         self.base = base
-        self.matrix = PseudometricMatrix._trusted(base.carrier, matrix.entries)
+        self.matrix = PseudometricMatrix._trusted(base.carrier, matrix.D, matrix.denom)
 
     @classmethod
-    def _trusted(cls, base: MetricAlgebra, rows) -> "Congruence":
-        """A congruence on ``base`` around rows, in its carrier order, that
-        are congruential by construction; nothing is checked."""
+    def _trusted(cls, base: MetricAlgebra, D: np.ndarray, denom: int) -> "Congruence":
+        """A congruence on ``base`` around a mirror, in its carrier order,
+        that is congruential by construction; nothing is checked."""
         out = object.__new__(cls)
         out.base = base
-        out.matrix = PseudometricMatrix._trusted(base.carrier, rows)
+        out.matrix = PseudometricMatrix._trusted(base.carrier, D, denom)
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -196,22 +180,26 @@ class Congruence:
 
 def finest_congruence(algebra: MetricAlgebra) -> Congruence:
     """The algebra metric itself: the bottom of the congruence order."""
-    return Congruence._trusted(algebra, algebra.space.entries)
+    return Congruence._trusted(algebra, algebra.space.D, algebra.space.denom)
 
 
 def coarsest_congruence(algebra: MetricAlgebra) -> Congruence:
     """The all-zero pseudometric: the top of the congruence order."""
     n = algebra.space.size
-    return Congruence._trusted(algebra, [[ZERO] * n] * n)
+    return Congruence._trusted(algebra, np.zeros((n, n), dtype=np.int64), 1)
 
 
 def pointwise_leq(m1: SquareMatrix, m2: SquareMatrix) -> tuple | None:
     """First pair where m1 exceeds m2, or None when m1 <= m2 pointwise."""
-    for a in m1.carrier:
-        for b in m1.carrier:
-            if m1.get(a, b) > m2.get(a, b):
-                return (a, b)
-    return None
+    return _first_pair(np.greater, m1, m2)
+
+
+def _first_pair(compare, m1: SquareMatrix, m2: SquareMatrix) -> tuple | None:
+    """The first pair (a, b) of ``m1``'s carrier, in row-major order, where
+    ``compare(m1(a, b), m2(a, b))`` holds, or None."""
+    A, B = _along({x: x for x in m1.carrier}, m1, m2)
+    bad = _first(compare(A, B))
+    return None if bad is None else _ids(m1.carrier, bad)
 
 
 def order_leq(t1: Congruence, t2: Congruence) -> bool:
@@ -232,15 +220,8 @@ def _same_base(thetas: Sequence[Congruence]) -> MetricAlgebra:
 def meet(thetas: Sequence[Congruence]) -> Congruence:
     """Greatest lower bound in the congruence order: the pointwise supremum."""
     base = _same_base(thetas)
-    return Congruence._trusted(base, _pointwise(max, thetas))
-
-
-def _pointwise(pick, thetas: Sequence[Congruence]) -> list[list[ExtRat]]:
-    """Entrywise ``pick`` (``min`` or ``max``) over the congruences' matrices."""
-    return [
-        [pick(values) for values in zip(*rows)]
-        for rows in zip(*(t.matrix.entries for t in thetas))
-    ]
+    arrays, denom = _mirrors(*(t.matrix for t in thetas))
+    return Congruence._trusted(base, np.maximum.reduce(arrays), denom)
 
 
 def compose(t1: Congruence, t2: Congruence) -> SquareMatrix:
@@ -249,11 +230,11 @@ def compose(t1: Congruence, t2: Congruence) -> SquareMatrix:
         raise DomainError("congruences live on different algebras")
     # Both matrices are indexed in base carrier order.
     n = t1.matrix.size
-    a, b, denom = _mirror_pair(t1.matrix, t2.matrix)
+    (a, b), denom = _mirrors(t1.matrix, t2.matrix)
     out = a[:, 0, None] + b[None, 0, :]
     for k in range(1, n):
         np.minimum(out, a[:, k, None] + b[None, k, :], out=out)
-    return _from_scaled(t1.base.carrier, out, denom, SquareMatrix)
+    return SquareMatrix._trusted(t1.base.carrier, out, denom)
 
 
 def are_permutable(t1: Congruence, t2: Congruence) -> bool:
@@ -276,9 +257,11 @@ def join(
     operation, so the result is a congruence by construction.
     """
     base = _same_base(thetas)
-    rows = _pointwise(min, thetas)
-    closed = closure_fixpoint(base.carrier, base.ops, rows, mode, lipschitz, max_decreases)
-    return Congruence._trusted(base, closed.entries)
+    arrays, denom = _mirrors(*(t.matrix for t in thetas))
+    closed = closure_fixpoint(
+        base.carrier, base.ops, np.minimum.reduce(arrays), denom, mode, lipschitz, max_decreases
+    )
+    return Congruence._trusted(base, closed.D, closed.denom)
 
 
 def restrict(theta: Congruence, sub: MetricAlgebra) -> Congruence:
@@ -290,7 +273,8 @@ def restrict(theta: Congruence, sub: MetricAlgebra) -> Congruence:
         for args in itertools.product(sub.carrier, repeat=arity):
             if sub.apply(symbol, args) != base.apply(symbol, args):
                 raise DomainError("not a subalgebra: operation tables disagree")
-    return Congruence(sub, SquareMatrix._trusted(sub.carrier, _rows_at(theta.matrix, idx)))
+    D = theta.matrix.D[np.ix_(idx, idx)]
+    return Congruence(sub, SquareMatrix._trusted(sub.carrier, D, theta.matrix.denom))
 
 
 def quotient_congruence(rho: Congruence, theta: Congruence) -> Congruence:
@@ -305,7 +289,7 @@ def quotient_congruence(rho: Congruence, theta: Congruence) -> Congruence:
     if rho.base != theta.base:
         raise DomainError("congruences live on different algebras")
     carrier = theta.base.carrier
-    R, T, _ = _mirror_pair(rho.matrix, theta.matrix)
+    (R, T), _ = _mirrors(rho.matrix, theta.matrix)
     bad = _first(R > T)
     if bad is not None:
         hint = ""
@@ -332,7 +316,7 @@ def quotient_congruence(rho: Congruence, theta: Congruence) -> Congruence:
             f"({render_id(carrier[a])}, {render_id(carrier[b])})"
         )
     idx = [rho.matrix.index(x) for x in quot.carrier]
-    return Congruence._trusted(quot, _rows_at(rho.matrix, idx))
+    return Congruence._trusted(quot, rho.matrix.D[np.ix_(idx, idx)], rho.matrix.denom)
 
 
 def pullback_congruence(f: Homomorphism, rho: Congruence) -> Congruence:
@@ -340,7 +324,7 @@ def pullback_congruence(f: Homomorphism, rho: Congruence) -> Congruence:
     if rho.base != f.target:
         raise DomainError("congruence is not on the target algebra")
     idx = [rho.matrix.index(f(a)) for a in f.source.carrier]
-    return Congruence._trusted(f.source, _rows_at(rho.matrix, idx))
+    return Congruence._trusted(f.source, rho.matrix.D[np.ix_(idx, idx)], rho.matrix.denom)
 
 
 @dataclass
@@ -369,13 +353,13 @@ def decompose_product(
         if t.base != algebra:
             raise DomainError("congruence is not on this algebra")
     both = meet([t1, t2])
-    bad = _matrix_disagreement(both.matrix, algebra.space)
+    bad = _first_pair(np.not_equal, both.matrix, algebra.space)
     if bad is not None:
         return Decomposition(False, "meet-not-the-metric", bad)
-    bad = _matrix_disagreement(join([t1, t2]).matrix, coarsest_congruence(algebra).matrix)
+    bad = _first_pair(np.not_equal, join([t1, t2]).matrix, coarsest_congruence(algebra).matrix)
     if bad is not None:
         return Decomposition(False, "join-not-zero", bad)
-    bad = _matrix_disagreement(compose(t1, t2), compose(t2, t1))
+    bad = _first_pair(np.not_equal, compose(t1, t2), compose(t2, t1))
     if bad is not None:
         return Decomposition(False, "not-permutable", bad)
     q1, p1 = quotient(algebra, t1)
@@ -388,14 +372,6 @@ def decompose_product(
     if not iso.is_isometric:
         return Decomposition(False, "canonical-map-not-isometric", (), (q1, q2), prod)
     return Decomposition(True, "", (), (q1, q2), prod, iso)
-
-
-def _matrix_disagreement(m1: SquareMatrix, m2: SquareMatrix) -> tuple | None:
-    for a in m1.carrier:
-        for b in m1.carrier:
-            if m1.get(a, b) != m2.get(a, b):
-                return (a, b)
-    return None
 
 
 def generate_congruence(
@@ -420,34 +396,35 @@ def generate_congruence(
     index = {x: i for i, x in enumerate(carrier)}
     if len(index) != len(carrier) or not carrier:
         raise DomainError("carrier must be nonempty and free of duplicates")
-    rows = [
-        [ZERO if i == j else INF for j in range(len(carrier))]
-        for i in range(len(carrier))
-    ]
+    cells, bounds = [], []
     for x, y, bound in constraints:
         if x not in index or y not in index:
             raise DomainError(
                 f"constraint mentions {render_id(x)} or {render_id(y)} outside the carrier"
             )
-        bound = checked_value(
+        bounds.append(checked_value(
             ExtRat, bound, f"bound of the constraint on ({render_id(x)}, {render_id(y)})"
-        )
-        i, j = index[x], index[y]
-        if bound < rows[i][j]:
-            rows[i][j] = bound
-            rows[j][i] = bound
-    return closure_fixpoint(carrier, ops, rows, mode, lipschitz, max_decreases)
+        ))
+        cells.append((index[x], index[y]))
+    codes, denom = _codes(bounds)
+    D = np.full((len(carrier), len(carrier)), _inf_code(codes), dtype=codes.dtype)
+    i, j = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    np.minimum.at(D, (i, j), codes)
+    np.minimum.at(D, (j, i), codes)
+    return closure_fixpoint(carrier, ops, D, denom, mode, lipschitz, max_decreases)
 
 
 def closure_fixpoint(
     carrier: Sequence,
     ops: Mapping[str, Mapping[tuple, object]],
-    rows: Sequence[Sequence[ExtRat]],
+    D: np.ndarray,
+    denom: int,
     mode: str,
     lipschitz: Mapping[str, Fraction] | None,
     max_decreases: int,
 ) -> PseudometricMatrix:
-    """Close ``rows`` downward to the largest mode-congruential pseudometric."""
+    """Close the mirror ``(D, denom)`` downward to the largest
+    mode-congruential pseudometric; ``D`` is closed in place."""
     if mode not in ("M", "Q", "LIP"):
         raise DomainError(f"unknown mode {mode!r}; expected M, Q, or LIP")
     carrier = _checked_carrier(carrier)
@@ -483,8 +460,7 @@ def closure_fixpoint(
         res_idx = np.array([index[value] for _, value in entries], dtype=np.intp)
         tables.append((symbol, args_idx, res_idx, k))
 
-    D, denom = scaled_int_array(rows)
-    return _from_scaled(carrier, *_fix_int(D, denom, tables, mode, max_decreases))
+    return PseudometricMatrix._trusted(carrier, *_fix_int(D, denom, tables, mode, max_decreases))
 
 
 def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
@@ -543,16 +519,6 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
     return D, denom
 
 
-def _finite_max(arr: np.ndarray) -> int:
-    return int(arr[arr < _inf_code(arr)].max(initial=0))
-
-
-def _scale_finite(arr: np.ndarray, factor: int) -> None:
-    """Multiply the finite entries of a mirror by ``factor`` in place."""
-    finite = arr < _inf_code(arr)
-    arr[finite] *= factor
-
-
 # Candidate cells checked at once by grid_congruences: a chunk of c
 # candidates on n points holds c * n**3 triangle comparisons (or c * n**arity
 # operation images, when larger).
@@ -572,36 +538,33 @@ def grid_congruences(
     grid is the set of metric values plus zero and infinity.  Candidates
     are checked a chunk at a time on the kernel of ``is_congruential``.
     """
-    if values is None:
-        seen = {ZERO, INF}
-        for row in algebra.space.entries:
-            seen.update(row)
-        values = sorted(seen)
     n = algebra.space.size
+    if values is None:
+        S, denom = algebra.space.D, algebra.space.denom
+        codes = np.unique(np.concatenate([S.ravel(), np.array([0, _inf_code(S)], dtype=S.dtype)]))
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    total = len(values) ** len(cells)
+    total = len(codes if values is None else values) ** len(cells)
     if total > cap:
         raise ResourceLimitError(
             f"grid has {total} candidates, over the cap {cap}",
             "grid_cap",
             cap,
         )
-    values = [v if isinstance(v, ExtRat) else ExtRat(v) for v in values]
-    # One mirror of the grid values and the metric serves every candidate.
-    metric = itertools.chain.from_iterable(algebra.space.entries)
-    flat, _ = scaled_int_array([values + list(metric)])
-    codes, S = flat[0, : len(values)], flat[0, len(values) :].reshape(n, n)
+    if values is not None:
+        values = [v if isinstance(v, ExtRat) else ExtRat(v) for v in values]
+        (codes, S), denom = _mirrors(scaled_int_array([values]), algebra.space)
+        codes = codes[0]
     iu, ju = np.triu_indices(n, 1)
     tables = [t for t in index_tables(algebra).values() if t.ndim]
     chunk = max(1, _GRID_CELLS // n ** max([3] + [t.ndim for t in tables]))
     out = []
     for start in range(0, total, chunk):
-        # Candidate number c has the digits of c in base len(values), last
+        # Candidate number c has the digits of c in base len(codes), last
         # cell fastest: the order of itertools.product over the cells.
         rest = np.arange(start, min(start + chunk, total))
         digits = np.empty((len(rest), len(cells)), dtype=np.intp)
         for pos in reversed(range(len(cells))):
-            rest, digits[:, pos] = np.divmod(rest, len(values))
+            rest, digits[:, pos] = np.divmod(rest, len(codes))
         C = np.zeros((len(digits), n, n), dtype=codes.dtype)
         C[:, iu, ju] = C[:, ju, iu] = codes[digits]
         # Zero diagonal and symmetry hold by construction; the triangle
@@ -611,9 +574,5 @@ def grid_congruences(
         reps = _zero_reps(C)
         for table in tables:
             ok &= ~_image_classes(table, reps)[1].reshape(len(reps), -1).any(axis=1)
-        for combo in digits[ok].tolist():
-            rows = [[ZERO] * n for _ in range(n)]
-            for (i, j), d in zip(cells, combo):
-                rows[i][j] = rows[j][i] = values[d]
-            out.append(Congruence._trusted(algebra, rows))
+        out.extend(Congruence._trusted(algebra, D, denom) for D in C[ok])
     return out

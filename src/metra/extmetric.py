@@ -6,10 +6,13 @@ infinite value.  All arithmetic is exact: rationals are stdlib
 absorbs addition and dominates every comparison.  Floating point never
 appears.
 
-Heavy axiom checks (triangle inequality on large carriers) run on a
-scaled-integer mirror backed by numpy: int64 while the values fit, Python
-ints otherwise.  Results are identical to the pure loops because every
-scaled value is an exact integer.
+A distance matrix is stored once, as its scaled mirror ``(D, denom)``:
+integer numerators over the least common denominator, in an int64 array
+while every value fits and in an array of Python ints otherwise.  Every
+kernel (axiom checks, identification, products, restrictions, distances
+between sets) runs on that array.  ``ExtRat`` values appear only where a
+value enters the library (matrices built from rows) or leaves it
+(``get``, ``at``, ``entries``, ``to_json``), one object per distinct value.
 """
 
 from __future__ import annotations
@@ -208,93 +211,11 @@ def render_id(x) -> str:
     return str(x)
 
 
-class SquareMatrix:
-    """An ordered carrier together with a square grid of distances.
-
-    No axioms are assumed: this is the raw shape shared by pseudometrics
-    and by non-symmetric relation compositions.  The carrier must be
-    nonempty and free of duplicates; entries are ``ExtRat`` values.
-    Entries that already are ``ExtRat`` objects are kept, not copied, so a
-    matrix built from shared values mirrors each distinct object once.
-    """
-
-    __slots__ = ("carrier", "entries", "_index")
-
-    def __init__(self, carrier: Sequence, entries: Sequence[Sequence[ExtRat]]):
-        carrier = _checked_carrier(carrier)
-        rows = tuple(
-            tuple(v if isinstance(v, ExtRat) else ExtRat(v) for v in row) for row in entries
-        )
-        if len(rows) != len(carrier) or any(len(row) != len(carrier) for row in rows):
-            raise ShapeError(
-                f"matrix must be {len(carrier)}x{len(carrier)} to match the carrier"
-            )
-        self._assign(carrier, rows)
-
-    def _assign(self, carrier: tuple, rows: tuple) -> None:
-        self.carrier = carrier
-        self.entries = rows
-        self._index = {x: i for i, x in enumerate(carrier)}
-
-    @classmethod
-    def _trusted(cls, carrier: Sequence, rows: Iterable[Sequence[ExtRat]]):
-        """A ``cls`` around ``ExtRat`` rows that satisfy its invariant by
-        construction, such as results derived from validated objects; no
-        shape, carrier or axiom check runs."""
-        out = object.__new__(cls)
-        out._assign(tuple(carrier), tuple(map(tuple, rows)))
-        return out
-
-    @property
-    def size(self) -> int:
-        return len(self.carrier)
-
-    def index(self, x) -> int:
-        try:
-            return self._index[x]
-        except KeyError:
-            raise DomainError(f"element {render_id(x)} is not in the carrier") from None
-
-    def at(self, i: int, j: int) -> ExtRat:
-        return self.entries[i][j]
-
-    def get(self, x, y) -> ExtRat:
-        return self.entries[self.index(x)][self.index(y)]
-
-    def to_json(self) -> dict:
-        """Ordered carrier plus a row-major distance array of strings."""
-        return {
-            "carrier": [render_id(x) for x in self.carrier],
-            "dist": [str(v) for row in self.entries for v in row],
-        }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SquareMatrix):
-            return NotImplemented
-        return self.carrier == other.carrier and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.carrier, self.entries))
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} on {self.size} points>"
-
-
-def _checked_carrier(carrier: Sequence) -> tuple:
-    carrier = tuple(carrier)
-    if not carrier:
-        raise DomainError("empty carrier is not allowed")
-    if len(set(carrier)) != len(carrier):
-        raise DomainError("carrier contains duplicate element ids")
-    return carrier
-
-
-# Scaled-integer mirror.  A matrix is mirrored as numerators over one common
-# denominator.  While every scaled finite value is below _MAX_SCALED the
-# mirror is an int64 array with _INT_INF as infinity, chosen so that a sum of
-# two entries can never overflow or pass for a finite value; otherwise it holds
-# Python ints (dtype=object) with _OBJ_INF as infinity.  The same array code
-# runs on both.
+# The scaled mirror.  A matrix is stored as numerators over one common
+# denominator.  While every scaled finite value is below _MAX_SCALED the array
+# is int64 with _INT_INF as infinity, chosen so that a sum of two entries can
+# never overflow or pass for a finite value; otherwise it holds Python ints
+# (dtype=object) with _OBJ_INF as infinity.  The same array code runs on both.
 _INT_INF = 1 << 60
 _MAX_SCALED = 1 << 45
 
@@ -329,39 +250,237 @@ class _Infinity:
 _OBJ_INF = _Infinity()
 
 
-def scaled_int_array(rows: Sequence[Sequence[ExtRat]]) -> tuple[np.ndarray, int]:
-    """Mirror a rectangular grid of entries into (array, denominator).
+class SquareMatrix:
+    """An ordered carrier together with a square grid of distances.
+
+    No axioms are assumed: this is the raw shape shared by pseudometrics
+    and by non-symmetric relation compositions.  The carrier must be
+    nonempty and free of duplicates.
+
+    The distances are the read-only scaled mirror ``(D, denom)``: the
+    distance from ``carrier[i]`` to ``carrier[j]`` is ``D[i, j] / denom``.
+    The form is canonical (``denom`` is the least common denominator, and
+    ``D`` is int64 exactly when every finite value is below the guard), so
+    equal matrices have equal arrays.  ``ExtRat`` values come from a table
+    with one object per distinct value, built as they are asked for; the
+    constructor seeds it with the caller's own ``ExtRat`` entries.
+    """
+
+    __slots__ = ("carrier", "D", "denom", "_index", "_values")
+
+    def __init__(self, carrier: Sequence, entries: Sequence[Sequence[ExtRat]]):
+        carrier = _checked_carrier(carrier)
+        rows = [[v if isinstance(v, ExtRat) else ExtRat(v) for v in row] for row in entries]
+        if len(rows) != len(carrier) or any(len(row) != len(carrier) for row in rows):
+            raise ShapeError(
+                f"matrix must be {len(carrier)}x{len(carrier)} to match the carrier"
+            )
+        values: dict = {}
+        self._assign(carrier, *scaled_int_array(rows, values), values)
+        self._validate()
+
+    def _assign(self, carrier: tuple, D: np.ndarray, denom: int, values: dict) -> None:
+        D.flags.writeable = False
+        self.carrier = carrier
+        self.D = D
+        self.denom = denom
+        self._index = {x: i for i, x in enumerate(carrier)}
+        self._values = values
+
+    def _validate(self) -> None:
+        """Raise ``AxiomError`` unless the invariant of the class holds."""
+
+    @classmethod
+    def _trusted(cls, carrier: Iterable, D: np.ndarray, denom: int):
+        """A ``cls`` around a mirror that satisfies its invariant by
+        construction, such as a result derived from validated objects.  The
+        mirror is brought to canonical form; no shape, carrier or axiom check
+        runs, and ``D`` must not be written afterwards."""
+        out = object.__new__(cls)
+        out._assign(tuple(carrier), *_canonical(D, denom), {})
+        return out
+
+    @property
+    def size(self) -> int:
+        return len(self.carrier)
+
+    def index(self, x) -> int:
+        try:
+            return self._index[x]
+        except KeyError:
+            raise DomainError(f"element {render_id(x)} is not in the carrier") from None
+
+    def _value(self, code) -> ExtRat:
+        """The ``ExtRat`` of one code of the mirror, made once per code."""
+        value = self._values.get(code)
+        if value is None:
+            value = INF if code >= _inf_code(self.D) else _wrap(Fraction(int(code), self.denom))
+            self._values[code] = value
+        return value
+
+    def at(self, i: int, j: int) -> ExtRat:
+        return self._value(self.D.item(i, j))
+
+    def get(self, x, y) -> ExtRat:
+        try:
+            i, j = self._index[x], self._index[y]
+        except KeyError:
+            i, j = self.index(x), self.index(y)
+        return self._value(self.D.item(i, j))
+
+    def _rows(self, convert: Callable) -> list:
+        """``convert`` of each distance, as rows; it runs once per distinct value."""
+        codes, inverse = np.unique(self.D, return_inverse=True)
+        table = [convert(self._value(c)) for c in codes.tolist()]
+        rows = inverse.reshape(self.D.shape).tolist()
+        return [list(map(table.__getitem__, row)) for row in rows]
+
+    @property
+    def entries(self) -> tuple[tuple[ExtRat, ...], ...]:
+        """The distances as rows of ``ExtRat`` values, built on each read."""
+        return tuple(map(tuple, self._rows(lambda v: v)))
+
+    def text_rows(self) -> list[list[str]]:
+        """The distances as rows of strings, as reports print them."""
+        return self._rows(str)
+
+    def to_json(self) -> dict:
+        """Ordered carrier plus a row-major distance array of strings."""
+        return {
+            "carrier": [render_id(x) for x in self.carrier],
+            "dist": [v for row in self.text_rows() for v in row],
+        }
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SquareMatrix):
+            return NotImplemented
+        # Compared through _mirrors, not as stored: the canonical dtype
+        # follows the int64 guard, which the tests lower to run every kernel
+        # on Python ints, so equal matrices can differ in dtype, and across
+        # dtypes the int64 infinity code equals the finite Python int 2**60.
+        return self.carrier == other.carrier and bool(np.array_equal(*_mirrors(self, other)[0]))
+
+    def __hash__(self) -> int:
+        # The zero pattern, which equal matrices share whatever their dtype.
+        return hash((self.carrier, self.denom, (self.D == 0).tobytes()))
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} on {self.size} points>"
+
+
+def _checked_carrier(carrier: Sequence) -> tuple:
+    carrier = tuple(carrier)
+    if not carrier:
+        raise DomainError("empty carrier is not allowed")
+    if len(set(carrier)) != len(carrier):
+        raise DomainError("carrier contains duplicate element ids")
+    return carrier
+
+
+def scaled_int_array(
+    rows: Sequence[Sequence[ExtRat]], seen: dict | None = None
+) -> tuple[np.ndarray, int]:
+    """Mirror a rectangular grid of ``ExtRat`` entries into (array, denominator).
 
     The array is int64 when every scaled finite value is below
     ``_MAX_SCALED`` and holds Python ints otherwise.  Entries are grouped
     by object identity and each distinct object is converted once, so
-    large matrices that share a few values stay cheap.
+    large grids that share a few values stay cheap.  ``seen``, when given,
+    receives each code with one of the objects it came from.
     """
     height, width = len(rows), len(rows[0])
     ids = np.fromiter(
         map(id, itertools.chain.from_iterable(rows)), dtype=np.uint64, count=height * width
     )
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    distinct = [rows[f // width][f % width]._q for f in first.tolist()]
-    denom = math.lcm(*(q.denominator for q in distinct if q is not None))
-    codes = [None if q is None else q.numerator * (denom // q.denominator) for q in distinct]
-    if all(c is None or c < _MAX_SCALED for c in codes):
-        table = np.array([_INT_INF if c is None else c for c in codes], dtype=np.int64)
-    else:
-        table = np.array([_OBJ_INF if c is None else c for c in codes], dtype=object)
+    distinct = [rows[f // width][f % width] for f in first.tolist()]
+    table, denom = _codes(distinct)
+    if seen is not None:
+        seen.update(zip(table.tolist(), distinct))
     return table[inverse].reshape(height, width), denom
 
 
-def _as_object(arr: np.ndarray) -> np.ndarray:
-    """An int64 mirror widened to Python ints, with ``_OBJ_INF`` as infinity."""
-    out = arr.astype(object)
-    out[arr >= _INT_INF] = _OBJ_INF
-    return out
+def _codes(values: Sequence[ExtRat]) -> tuple[np.ndarray, int]:
+    """``ExtRat`` values as a one-dimensional mirror: their numerators over
+    the least common denominator, int64 when every one is below
+    ``_MAX_SCALED`` and Python ints otherwise."""
+    qs = [v._q for v in values]
+    denom = math.lcm(*(q.denominator for q in qs if q is not None))
+    codes = [None if q is None else q.numerator * (denom // q.denominator) for q in qs]
+    if all(c is None or c < _MAX_SCALED for c in codes):
+        return np.array([_INT_INF if c is None else c for c in codes], dtype=np.int64), denom
+    return np.array([_OBJ_INF if c is None else c for c in codes], dtype=object), denom
 
 
 def _inf_code(arr: np.ndarray):
     """The infinity of a mirror: ``_INT_INF`` for int64, ``_OBJ_INF`` for objects."""
     return _OBJ_INF if arr.dtype == object else _INT_INF
+
+
+def _as_object(arr: np.ndarray) -> np.ndarray:
+    """A mirror on Python ints, with ``_OBJ_INF`` as infinity: an int64 one is
+    widened, an object one is returned as it is."""
+    if arr.dtype == object:
+        return arr
+    out = arr.astype(object)
+    out[arr >= _INT_INF] = _OBJ_INF
+    return out
+
+
+def _finite_max(arr: np.ndarray) -> int:
+    return int(arr.max(initial=0, where=arr < _inf_code(arr)))
+
+
+def _scale_finite(arr: np.ndarray, factor: int) -> np.ndarray:
+    """Multiply the finite entries of a mirror by ``factor`` in place."""
+    arr[arr < _inf_code(arr)] *= factor
+    return arr
+
+
+def _canonical(D: np.ndarray, denom: int) -> tuple[np.ndarray, int]:
+    """A mirror in canonical form: every int64 code at or above ``_INT_INF``
+    read as infinity, numerators and ``denom`` in lowest terms, and int64
+    exactly when every finite value is below ``_MAX_SCALED``.  ``D`` is
+    copied before anything in it changes."""
+    if D.dtype != object and D.max() > _INT_INF:
+        D = np.minimum(D, _INT_INF)
+    finite = D < _inf_code(D)
+    if denom > 1:
+        common = math.gcd(denom, int(np.gcd.reduce(D, axis=None, where=finite, initial=0)))
+        if common > 1:
+            D = D.copy()
+            D[finite] //= common
+            denom //= common
+    top = D.max(initial=0, where=finite)
+    if D.dtype == object and top < _MAX_SCALED:
+        D = np.where(finite, D, _INT_INF).astype(np.int64)
+    elif D.dtype != object and top >= _MAX_SCALED:
+        D = _as_object(D)
+    return D, denom
+
+
+def _mirrors(*items) -> tuple[list[np.ndarray], int]:
+    """Mirrors over their least common denominator.
+
+    ``items`` are matrices or ``(array, denom)`` pairs.  The arrays stay
+    int64 while every scaled finite value is below ``_MAX_SCALED`` and are
+    all widened to Python ints otherwise.  An array that needs no change
+    is returned as it is: read it, do not write it.
+    """
+    pairs = [(m.D, m.denom) if isinstance(m, SquareMatrix) else m for m in items]
+    denom = math.lcm(*(d for _, d in pairs))
+    scaled = [(a, denom // d) for a, d in pairs]
+    if any(a.dtype == object or _finite_max(a) * f >= _MAX_SCALED for a, f in scaled):
+        scaled = [(_as_object(a), f) for a, f in scaled]
+    return [a if f == 1 else _scale_finite(a.copy(), f) for a, f in scaled], denom
+
+
+def _first(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first true entry of ``mask`` in row-major order, or None."""
+    flat = int(mask.argmax())
+    if not mask.flat[flat]:
+        return None
+    return tuple(int(i) for i in np.unravel_index(flat, mask.shape))
 
 
 def _finite_components(arr: np.ndarray) -> list[np.ndarray]:
@@ -392,41 +511,39 @@ def _finite_components(arr: np.ndarray) -> list[np.ndarray]:
     return [np.array(g, dtype=np.intp) for g in groups.values() if len(g) > 1]
 
 
-def _triangle_witness_numpy(arr: np.ndarray) -> tuple[int, int, int] | None:
+# Cells of the n**3 triangle comparison held in memory at once.
+_TRIANGLE_CELLS = 1 << 15
+
+
+def _triangle_witness(arr: np.ndarray) -> tuple[int, int, int] | None:
     """Lexicographically first (x, y, z) with d(x,z) > d(x,y) + d(y,z).
 
-    Works one finite-connectivity group at a time with one row of the
-    comparison cube in memory at once, so the cost stays quadratic in
-    space however large the matrix is.
+    A block of x at a time, at most ``_TRIANGLE_CELLS`` comparisons but
+    at least one x, so the memory stays quadratic however large the
+    matrix is.  An infinite d(x,y) or d(y,z) makes the right side at least
+    the infinity code, so it never witnesses.
     """
-    best = None
-    for idx in _finite_components(arr):
-        sub = arr[np.ix_(idx, idx)]
-        for x in range(len(idx)):
-            bad = sub[x][None, :] > sub[x][:, None] + sub
-            if bad.any():
-                y, z = np.argwhere(bad)[0]
-                witness = (int(idx[x]), int(idx[y]), int(idx[z]))
-                if best is None or witness < best:
-                    best = witness
-                break
-    return best
+    n = len(arr)
+    step = max(1, _TRIANGLE_CELLS // n**2)
+    for start in range(0, n, step):
+        rows = arr[start : start + step]
+        bad = _first(rows[:, None, :] > rows[:, :, None] + arr)
+        if bad is not None:
+            return (start + bad[0], *bad[1:])
+    return None
 
 
 def _array_violation(arr: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
-    """First pseudometric axiom failing on a scaled-integer mirror.
-
-    Same order and witnesses as the scan over ``ExtRat`` entries:
-    reflexivity, then symmetry, then the triangle inequality.
-    """
-    off = np.nonzero(arr.diagonal())[0]
+    """First pseudometric axiom failing on a mirror, with its witness:
+    reflexivity, then symmetry, then the triangle inequality, each at the
+    first failing index in row-major order."""
+    off = np.flatnonzero(arr.diagonal())
     if len(off):
         return "reflexivity", (int(off[0]),)
-    skew = np.argwhere(np.triu(arr != arr.T, 1))
-    if len(skew):
-        i, j = skew[0]
-        return "symmetry", (int(i), int(j))
-    witness = _triangle_witness_numpy(arr)
+    skew = _first(np.triu(arr != arr.T, 1))
+    if skew is not None:
+        return "symmetry", skew
+    witness = _triangle_witness(arr)
     if witness is not None:
         return "triangle", witness
     return None
@@ -439,17 +556,7 @@ def check_pseudometric(m: SquareMatrix) -> Verdict:
     triangle) with a deterministic scan, so the witness is stable.
     Nonnegativity holds by the ``ExtRat`` type.
     """
-    return _as_verdict(_axiom_violation(m.entries), m.carrier)
-
-
-def _axiom_violation(rows, arr: np.ndarray | None = None) -> tuple[str, tuple[int, ...]] | None:
-    """First pseudometric axiom failing on square ``rows``; ``arr`` is their
-    mirror when the caller has one, and is built here when needed."""
-    n = len(rows)
-    # Below four points the scan over entries is cheaper than the array code.
-    if n < 4:
-        return _pure_violation(rows, n)
-    return _array_violation(scaled_int_array(rows)[0] if arr is None else arr)
+    return _as_verdict(_array_violation(m.D), m.carrier)
 
 
 def _as_verdict(violation: tuple[str, tuple[int, ...]] | None, carrier: tuple) -> Verdict:
@@ -459,29 +566,6 @@ def _as_verdict(violation: tuple[str, tuple[int, ...]] | None, carrier: tuple) -
     return Verdict.failed(reason, tuple(carrier[i] for i in where))
 
 
-def _pure_violation(rows, n: int) -> tuple[str, tuple[int, ...]] | None:
-    for i in range(n):
-        if rows[i][i] != ZERO:
-            return "reflexivity", (i,)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                return "symmetry", (i, j)
-    # Infinite d(x,y) is skipped: it can never witness a violation because
-    # the right side is then infinite as well.
-    for x in range(n):
-        row_x = rows[x]
-        for y in range(n):
-            d_xy = row_x[y]
-            if d_xy.is_infinite:
-                continue
-            row_y = rows[y]
-            for z in range(n):
-                if row_x[z] > d_xy + row_y[z]:
-                    return "triangle", (x, y, z)
-    return None
-
-
 def check_metric(m: SquareMatrix) -> Verdict:
     """Pseudometric axioms plus separation: d(x,y) = 0 only when x = y."""
     verdict = check_pseudometric(m)
@@ -489,12 +573,14 @@ def check_metric(m: SquareMatrix) -> Verdict:
 
 
 def _separation(m: SquareMatrix) -> Verdict:
-    n = m.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m.entries[i][j] == ZERO:
-                return Verdict.failed("separation", (m.carrier[i], m.carrier[j]))
-    return Verdict.passed()
+    pair = _first(np.triu(m.D == 0, 1))
+    if pair is None:
+        return Verdict.passed()
+    return Verdict.failed("separation", _ids(m.carrier, pair))
+
+
+def _ids(carrier: tuple, positions) -> tuple:
+    return tuple(carrier[i] for i in positions)
 
 
 def _require(verdict: Verdict, what: str) -> None:
@@ -509,8 +595,7 @@ def _require(verdict: Verdict, what: str) -> None:
 class PseudometricMatrix(SquareMatrix):
     """A square matrix validated against the pseudometric axioms."""
 
-    def __init__(self, carrier: Sequence, entries: Sequence[Sequence[ExtRat]]):
-        super().__init__(carrier, entries)
+    def _validate(self) -> None:
         _require(check_pseudometric(self), "pseudometric")
 
 
@@ -521,48 +606,33 @@ def pseudometric_from_scaled(
 
     ``arr`` holds numerators over ``denom``, with ``_INT_INF`` (or more)
     standing for infinity in an int64 array and ``_OBJ_INF`` in an object
-    array.  The axioms are checked on the array itself, with the same
-    reasons and witnesses as :func:`check_pseudometric`, and each distinct
-    value becomes one ``ExtRat`` shared by its entries.
+    array.  ``arr`` is copied, and the axioms are checked with the same
+    reasons and witnesses as :func:`check_pseudometric`.
     """
     carrier = _checked_carrier(carrier)
     n = len(carrier)
     if arr.shape != (n, n):
         raise ShapeError(f"matrix must be {n}x{n} to match the carrier")
-    _require(_as_verdict(_array_violation(arr), carrier), "pseudometric")
-    return _from_scaled(carrier, arr, denom)
-
-
-def _from_scaled(
-    carrier: tuple, arr: np.ndarray, denom: int, cls: type = PseudometricMatrix
-) -> SquareMatrix:
-    """A trusted ``cls`` read off a mirror whose entries satisfy its invariant;
-    entries at or above the infinity code read as ``INF``."""
-    inf = _inf_code(arr)
-    values, inverse = np.unique(arr, return_inverse=True)
-    shared = np.array(
-        [INF if v >= inf else ExtRat(Fraction(v, denom)) for v in values.tolist()],
-        dtype=object,
-    )
-    return cls._trusted(carrier, shared[inverse.reshape(arr.shape)].tolist())
+    out = PseudometricMatrix._trusted(carrier, np.array(arr), denom)
+    out._validate()
+    return out
 
 
 class FiniteMetricSpace(PseudometricMatrix):
     """A pseudometric that additionally separates distinct points."""
 
-    def __init__(self, carrier: Sequence, entries: Sequence[Sequence[ExtRat]]):
-        super().__init__(carrier, entries)
+    def _validate(self) -> None:
+        super()._validate()
         _require(_separation(self), "metric")
 
 
 def _validated(m: SquareMatrix, cls: type) -> SquareMatrix:
-    """``m`` as a ``cls``: the public constructor runs unless it already is one."""
-    return m if isinstance(m, cls) else cls(m.carrier, m.entries)
-
-
-def _rows_at(m: SquareMatrix, idx: Sequence[int]) -> list[tuple]:
-    """The entries of ``m`` on the rows and columns ``idx``, in that order."""
-    return [tuple(map(row.__getitem__, idx)) for row in map(m.entries.__getitem__, idx)]
+    """``m`` as a ``cls``, checked unless it already is one."""
+    if isinstance(m, cls):
+        return m
+    out = cls._trusted(m.carrier, m.D, m.denom)
+    out._validate()
+    return out
 
 
 def space_from(carrier: Sequence, fn: Callable) -> FiniteMetricSpace:
@@ -586,9 +656,7 @@ class QuotientMap:
         members: dict = {}
         for x in self.source_carrier:
             members.setdefault(self._class_of[x], []).append(x)
-        self.class_ids = tuple(
-            c for c in dict.fromkeys(self._class_of[x] for x in self.source_carrier)
-        )
+        self.class_ids = tuple(members)
         self._members = {c: tuple(ms) for c, ms in members.items()}
         for c in self.class_ids:
             if self._class_of[self._members[c][0]] != c:
@@ -632,15 +700,20 @@ def metric_identification(p: PseudometricMatrix) -> tuple[FiniteMetricSpace, Quo
     """
     p = _validated(p, PseudometricMatrix)
     carrier = p.carrier
-    rep: dict = {}
-    reps: list[int] = []
-    for i, x in enumerate(carrier):
-        j = p.entries[i].index(ZERO)
-        rep[x] = carrier[j]
-        if j == i:
-            reps.append(i)
-    qmap = QuotientMap(carrier, rep)
-    return FiniteMetricSpace._trusted(qmap.class_ids, _rows_at(p, reps)), qmap
+    rep = (p.D == 0).argmax(axis=1)
+    reps = np.flatnonzero(rep == np.arange(len(carrier)))
+    qmap = QuotientMap(carrier, dict(zip(carrier, map(carrier.__getitem__, rep.tolist()))))
+    return FiniteMetricSpace._trusted(qmap.class_ids, p.D[np.ix_(reps, reps)], p.denom), qmap
+
+
+def _sup(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The coordinatewise supremum of mirrors on a product of carriers, in
+    ``itertools.product`` order (the last coordinate fastest)."""
+    out = arrays[0]
+    for a in arrays[1:]:
+        m, k = len(out), len(a)
+        out = np.maximum(out[:, None, :, None], a[None, :, None, :]).reshape(m * k, m * k)
+    return out
 
 
 def sup_product(
@@ -650,22 +723,16 @@ def sup_product(
     if not spaces:
         raise ArityError("product of zero metric spaces is not defined")
     spaces = [_validated(s, FiniteMetricSpace) for s in spaces]
-    total = 1
-    for s in spaces:
-        total *= s.size
+    total = math.prod(s.size for s in spaces)
     if total > max_size:
         raise ResourceLimitError(
             f"product carrier would have {total} > {max_size} points",
             "product_size",
             max_size,
         )
+    arrays, denom = _mirrors(*spaces)
     carrier = itertools.product(*(s.carrier for s in spaces))
-    index_tuples = list(itertools.product(*(range(s.size) for s in spaces)))
-    rows = [
-        [max(s.entries[a][b] for s, a, b in zip(spaces, ix, iy)) for iy in index_tuples]
-        for ix in index_tuples
-    ]
-    return FiniteMetricSpace._trusted(carrier, rows)
+    return FiniteMetricSpace._trusted(carrier, _sup(arrays), denom)
 
 
 def restrict_space(space: FiniteMetricSpace, keep: Iterable) -> FiniteMetricSpace:
@@ -679,7 +746,8 @@ def restrict_space(space: FiniteMetricSpace, keep: Iterable) -> FiniteMetricSpac
         raise DomainError(
             f"elements not in the carrier: {sorted(map(render_id, missing))}"
         )
-    return FiniteMetricSpace._trusted(_checked_carrier(sub), _rows_at(space, idx))
+    D = space.D[np.ix_(idx, idx)]
+    return FiniteMetricSpace._trusted(_checked_carrier(sub), D, space.denom)
 
 
 def point_set_distance(space: PseudometricMatrix, x, subset: Iterable) -> ExtRat:
@@ -687,13 +755,8 @@ def point_set_distance(space: PseudometricMatrix, x, subset: Iterable) -> ExtRat
     subset = list(subset)
     if not subset:
         raise DomainError("distance to the empty set is not defined")
-    i = space.index(x)
-    return _row_min(space, i, [space.index(s) for s in subset])
-
-
-def _row_min(space: PseudometricMatrix, i: int, subset: list[int]) -> ExtRat:
-    """d(x_i, S) for S given by carrier indices."""
-    return min(map(space.entries[i].__getitem__, subset))
+    row = space.D[space.index(x)].tolist()
+    return space._value(min(row[space.index(s)] for s in subset))
 
 
 def hausdorff_distance(space: PseudometricMatrix, a: Iterable, b: Iterable) -> ExtRat:
@@ -703,13 +766,16 @@ def hausdorff_distance(space: PseudometricMatrix, a: Iterable, b: Iterable) -> E
         raise DomainError("Hausdorff distance needs nonempty subsets")
     ia = [space.index(x) for x in a]
     ib = [space.index(y) for y in b]
-    forward = max(_row_min(space, i, ib) for i in ia)
-    backward = max(_row_min(space, j, ia) for j in ib)
-    return max(forward, backward)
+    # Listing the whole matrix beats indexing it row by row on the small
+    # spaces this serves; it costs one pass over the n**2 entries.
+    rows = space.D.tolist()
+    forward = max(min(map(rows[i].__getitem__, ib)) for i in ia)
+    backward = max(min(map(rows[j].__getitem__, ia)) for j in ib)
+    return space._value(max(forward, backward))
 
 
 def diameter(space: PseudometricMatrix) -> ExtRat:
-    return max(v for row in space.entries for v in row)
+    return space._value(space.D.max())
 
 
 def gromov_hausdorff(
@@ -728,7 +794,7 @@ def gromov_hausdorff(
     ``max_cells`` raise a resource error.
     """
     for s in (x_space, y_space):
-        if any(v.is_infinite for row in s.entries for v in row):
+        if (s.D >= _inf_code(s.D)).any():
             raise UnsupportedInputError(
                 "Gromov-Hausdorff distance requires finite metrics"
             )
@@ -739,17 +805,8 @@ def gromov_hausdorff(
             "gh_cells",
             max_cells,
         )
-    denom = 1
-    for s in (x_space, y_space):
-        for row in s.entries:
-            for v in row:
-                denom = math.lcm(denom, v.finite.denominator)
-    dx = [
-        [int(v.finite * denom) for v in row] for row in x_space.entries
-    ]
-    dy = [
-        [int(v.finite * denom) for v in row] for row in y_space.entries
-    ]
+    (dx, dy), denom = _mirrors(x_space, y_space)
+    dx, dy = dx.tolist(), dy.tolist()
 
     best = None
 
@@ -789,35 +846,29 @@ def gromov_hausdorff(
     return ExtRat(Fraction(best, 2 * denom))
 
 
+def _along(f: Mapping, x_space: SquareMatrix, y_space: SquareMatrix):
+    """The mirrors of ``x_space`` and of ``y_space`` along ``f``, over one denominator."""
+    idx = []
+    for a in x_space.carrier:
+        if a not in f:
+            raise DomainError(f"map is undefined at {render_id(a)}")
+        idx.append(y_space.index(f[a]))
+    (X, Y), _ = _mirrors(x_space, y_space)
+    return X, Y[np.ix_(idx, idx)]
+
+
 def is_nonexpansive_map(
     f: Mapping, x_space: PseudometricMatrix, y_space: PseudometricMatrix
 ) -> bool:
     """True when d(f(a), f(b)) <= d(a, b) for all a, b in the source."""
-    _check_map_shape(f, x_space, y_space)
-    for a in x_space.carrier:
-        for b in x_space.carrier:
-            if y_space.get(f[a], f[b]) > x_space.get(a, b):
-                return False
-    return True
+    X, Y = _along(f, x_space, y_space)
+    return not (Y > X).any()
 
 
 def is_isometric_embedding(
     f: Mapping, x_space: PseudometricMatrix, y_space: PseudometricMatrix
 ) -> bool:
     """True when f preserves every distance exactly and is injective."""
-    _check_map_shape(f, x_space, y_space)
+    X, Y = _along(f, x_space, y_space)
     image = [f[a] for a in x_space.carrier]
-    if len(set(image)) != len(image):
-        return False
-    for a in x_space.carrier:
-        for b in x_space.carrier:
-            if y_space.get(f[a], f[b]) != x_space.get(a, b):
-                return False
-    return True
-
-
-def _check_map_shape(f: Mapping, x_space: SquareMatrix, y_space: SquareMatrix) -> None:
-    for a in x_space.carrier:
-        if a not in f:
-            raise DomainError(f"map is undefined at {render_id(a)}")
-        y_space.index(f[a])
+    return len(set(image)) == len(image) and bool(np.array_equal(X, Y))

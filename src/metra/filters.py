@@ -27,6 +27,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import Homomorphism, MetricAlgebra, product, quotient
 from .congruence import Congruence, is_congruential
 from .errors import DomainError, ParseError, UnsupportedInputError, Verdict
@@ -34,6 +36,8 @@ from .extmetric import (
     ExtRat,
     PseudometricMatrix,
     SquareMatrix,
+    _mirrors,
+    _sup,
     check_pseudometric,
     render_id,
 )
@@ -188,18 +192,15 @@ def reduced_product(
             f"got {len(algebras)} factors for {len(filter.index_set)} indices"
         )
     prod, _ = product(algebras, max_size=max_size)
-    position = {i: pos for pos, i in enumerate(filter.index_set)}
-    core_pos = [position[i] for i in filter.core]
-    carrier = prod.carrier
-    rows = [
-        [max(algebras[p].space.get(x[p], y[p]) for p in core_pos) for y in carrier]
-        for x in carrier
-    ]
-    matrix = SquareMatrix._trusted(carrier, rows)
+    # The limsup is the sup metric of the product with factors off the core at zero.
+    arrays, denom = _mirrors(*(a.space for a in algebras))
+    core = set(filter.core)
+    arrays = [D if i in core else np.zeros_like(D) for i, D in zip(filter.index_set, arrays)]
+    matrix = SquareMatrix._trusted(prod.carrier, _sup(arrays), denom)
     verdict = is_congruential(prod, matrix)
     if not verdict:
         return ReducedProduct(False, product_algebra=prod, verdict=verdict)
-    theta = Congruence._trusted(prod, matrix.entries)
+    theta = Congruence._trusted(prod, matrix.D, matrix.denom)
     quot, projection = quotient(prod, theta)
     return ReducedProduct(True, quot, projection, theta, prod, verdict)
 
@@ -323,4 +324,4 @@ def pointwise_limit_metric(carrier, forms) -> PseudometricMatrix:
                         f"the stagewise triangle through {render_id(y)} fails "
                         f"at ({render_id(x)}, {render_id(z)}) at every late stage"
                     )
-    return PseudometricMatrix._trusted(carrier, limit.entries)
+    return PseudometricMatrix._trusted(carrier, limit.D, limit.denom)

@@ -68,9 +68,10 @@ from .extmetric import (
     INF,
     ZERO,
     ExtRat,
+    _first,
+    _mirrors,
     checked_value,
     metric_identification,
-    scaled_int_array,
 )
 from .terms import (
     App,
@@ -357,8 +358,8 @@ class _Compiled:
 
     def arrays(self):
         if self._arrays is None:
-            algebra = self.algebra
-            self._arrays = (index_tables(algebra), *scaled_int_array(algebra.space.entries))
+            space = self.algebra.space
+            self._arrays = (index_tables(self.algebra), space.D, space.denom)
         return self._arrays
 
     def within(self, bound: ExtRat) -> np.ndarray:
@@ -760,9 +761,11 @@ def factoring_map(free: FreeAlgebra, algebra: MetricAlgebra, valuation) -> Verdi
         if not satisfies_under(algebra, valuation, r):
             raise DomainError(f"the valuation does not satisfy the relation {r}")
     values = {t: evaluate(t, algebra, valuation) for t in free.universe}
-    for s, t in itertools.combinations(free.universe, 2):
-        if algebra.space.get(values[s], values[t]) > free.distance(s, t):
-            return Verdict.failed("not-nonexpansive", (s, t))
+    at = [algebra.space.index(values[t]) for t in free.universe]
+    (A, F), _ = _mirrors(algebra.space, free.theta)
+    bad = _first(np.triu(A[np.ix_(at, at)] > F, 1))
+    if bad is not None:
+        return Verdict.failed("not-nonexpansive", tuple(free.universe[i] for i in bad))
     mapping = {}
     for t in free.universe:
         rep = free.class_of(t)

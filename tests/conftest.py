@@ -121,6 +121,90 @@ def reference_closure(carrier, ops, constraints, mode, lipschitz=None, max_decre
             return m
 
 
+def reference_violation(rows, n):
+    """The first pseudometric axiom failing on ``ExtRat`` rows, one entry at
+    a time, as an oracle: ``(reason, indices)`` or None."""
+    for i in range(n):
+        if rows[i][i] != ZERO:
+            return "reflexivity", (i,)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                return "symmetry", (i, j)
+    # Infinite d(x,y) is skipped: it can never witness a violation because
+    # the right side is then infinite as well.
+    for x in range(n):
+        row_x = rows[x]
+        for y in range(n):
+            d_xy = row_x[y]
+            if d_xy.is_infinite:
+                continue
+            row_y = rows[y]
+            for z in range(n):
+                if row_x[z] > d_xy + row_y[z]:
+                    return "triangle", (x, y, z)
+    return None
+
+
+def reference_rows_at(m, idx):
+    """The entries of ``m`` on the rows and columns ``idx``, in that order."""
+    return [[m.at(i, j) for j in idx] for i in idx]
+
+
+def reference_pointwise(pick, matrices):
+    """Entrywise ``pick`` (``min`` or ``max``) over the matrices' entries."""
+    return [[pick(vs) for vs in zip(*rows)] for rows in zip(*(m.entries for m in matrices))]
+
+
+def reference_compose(m1, m2):
+    """Min-plus composition of two matrices' entries."""
+    cols = list(zip(*m2.entries))
+    return [[min(x + y for x, y in zip(row, col)) for col in cols] for row in m1.entries]
+
+
+def reference_identification(p):
+    """Metric identification read off the entries: (class ids, rows, class map)."""
+    carrier, rows = p.carrier, p.entries
+    rep = [row.index(ZERO) for row in rows]
+    reps = [i for i, r in enumerate(rep) if r == i]
+    classes = {x: carrier[r] for x, r in zip(carrier, rep)}
+    return tuple(carrier[i] for i in reps), reference_rows_at(p, reps), classes
+
+
+def reference_sup(spaces, positions=None):
+    """The sup over ``positions`` (all by default) of the coordinates'
+    distances, on the product carrier in ``itertools.product`` order."""
+    positions = range(len(spaces)) if positions is None else positions
+    tuples = list(itertools.product(*(range(s.size) for s in spaces)))
+    return [
+        [max((spaces[p].at(x[p], y[p]) for p in positions), default=ZERO) for y in tuples]
+        for x in tuples
+    ]
+
+
+def reference_is_homomorphism(f, source, target):
+    """``is_homomorphism`` one argument tuple and one entry at a time, as an
+    oracle."""
+    if source.sig != target.sig:
+        return Verdict.failed("signature-mismatch", ())
+    for a in source.carrier:
+        if a not in f:
+            return Verdict.failed("undefined", (a,))
+        if f[a] not in set(target.carrier):
+            return Verdict.failed("value-outside-target", (a,))
+    for symbol in source.sig.symbols:
+        arity = source.sig.arity(symbol)
+        for args in itertools.product(source.carrier, repeat=arity):
+            mapped = tuple(f[a] for a in args)
+            if f[source.apply(symbol, args)] != target.apply(symbol, mapped):
+                return Verdict.failed("operation-not-preserved", (symbol, args))
+    for a in source.carrier:
+        for b in source.carrier:
+            if target.space.get(f[a], f[b]) > source.space.get(a, b):
+                return Verdict.failed("expansive", (a, b))
+    return Verdict.passed()
+
+
 def reference_is_congruential(algebra, matrix):
     """``is_congruential`` one entry at a time, as an oracle.
 
@@ -326,8 +410,11 @@ def revalidated(obj):
     Library results that are built without validation (closures, meets,
     kernels, products, quotients) must survive this and compare equal.
     """
+    from metra.algebra import MetricAlgebra
     from metra.congruence import Congruence
 
     if isinstance(obj, Congruence):
         return Congruence(obj.base, revalidated(obj.matrix))
+    if isinstance(obj, MetricAlgebra):
+        return MetricAlgebra(obj.sig, revalidated(obj.space), obj.ops)
     return type(obj)(obj.carrier, obj.entries)

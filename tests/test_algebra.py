@@ -1,5 +1,7 @@
 """Tests for metric algebras, homomorphisms, and algebra constructions."""
 
+import contextlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,7 @@ from metra.errors import (
     TableError,
 )
 from metra.extmetric import (
+    INF,
     ExtRat,
     FiniteMetricSpace,
     PseudometricMatrix,
@@ -41,12 +44,17 @@ from metra.extmetric import (
 from metra.terms import Signature
 
 from conftest import (
+    FINITE_POOL,
     bare_algebra,
+    fw_close,
     line_algebra,
     line_max_algebra,
     line_min_algebra,
     metric_spaces,
+    object_mirrors,
+    reference_is_homomorphism,
     revalidated,
+    symmetric_rows,
 )
 
 HALF = Fraction(1, 2)
@@ -60,6 +68,27 @@ def shrunk_copy(algebra, factor=HALF):
     ]
     space = FiniteMetricSpace(algebra.carrier, rows)
     return MetricAlgebra(algebra.sig, space, algebra.ops)
+
+
+HOMOMORPHISM_SIG = Signature({"c": 0, "f": 1, "g": 2})
+HOMOMORPHISM_POOL = [ExtRat(q) for q in FINITE_POOL[1:] + [Fraction(1, 3), 10**400]] + [INF]
+
+
+@st.composite
+def homomorphism_algebras(draw, ops=None, n=None):
+    """Algebras on up to 4 points with a constant, a unary and a binary
+    operation; ``ops`` fixes the tables (and ``n`` the size)."""
+    n = n or draw(st.integers(min_value=1, max_value=4))
+    carrier = tuple(range(n))
+    rows = symmetric_rows(draw, n, st.sampled_from(HOMOMORPHISM_POOL))
+    if ops is None:
+        elem = st.integers(min_value=0, max_value=n - 1)
+        ops = {"c": draw(elem)}
+        for symbol, arity in (("f", 1), ("g", 2)):
+            cells = list(itertools.product(carrier, repeat=arity))
+            images = draw(st.lists(elem, min_size=len(cells), max_size=len(cells)))
+            ops[symbol] = dict(zip(cells, images))
+    return MetricAlgebra(HOMOMORPHISM_SIG, FiniteMetricSpace(carrier, fw_close(rows)), ops)
 
 
 class TestConstruction:
@@ -147,6 +176,35 @@ class TestHomomorphism:
             Homomorphism(shrunk_copy(a), a, {x: x for x in a.carrier})
         f = Homomorphism(a, shrunk_copy(a), {x: x for x in a.carrier})
         assert f.is_surjective and f.is_injective and not f.is_isometric
+
+    @pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_reference(self, mirrors, data):
+        """Same verdict, reason and witness as the loop over argument tuples
+        and entries, for maps that are partial, leave the target, break an
+        operation, or preserve every operation and stretch a distance."""
+        source = data.draw(homomorphism_algebras())
+        n, kind = source.space.size, data.draw(st.sampled_from(["metric", "binary", "any"]))
+        if kind != "any":
+            # The identity into another metric, and for "binary" another
+            # table of g: only g's preservation and nonexpansiveness can fail.
+            ops = dict(source.ops)
+            if kind == "binary":
+                ops["g"] = data.draw(homomorphism_algebras(n=n)).ops["g"]
+            target = data.draw(homomorphism_algebras(ops, n))
+            f = {x: x for x in source.carrier}
+        else:
+            target = data.draw(homomorphism_algebras())
+            # The image target.space.size lies outside the target.
+            image = st.integers(min_value=0, max_value=target.space.size)
+            f = data.draw(st.fixed_dictionaries(dict.fromkeys(source.carrier, image)))
+            for x in data.draw(st.sets(st.sampled_from(source.carrier), max_size=1)):
+                del f[x]
+        with mirrors():
+            got = is_homomorphism(f, source, target)
+        want = reference_is_homomorphism(f, source, target)
+        assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
 
     def test_composition(self):
         a = line_min_algebra()
@@ -296,6 +354,14 @@ class TestIsomorphismSearch:
     def test_relabel_requires_bijection(self):
         with pytest.raises(DomainError):
             relabel(line_min_algebra(), {0: "u", 1: "u", 2: "w"})
+
+    def test_relabel_compares_the_keys_not_their_rendering(self):
+        algebra = bare_algebra(space_from((1, 2), lambda x, y: abs(x - y)))
+        with pytest.raises(DomainError, match="bijection on the carrier"):
+            relabel(algebra, {"1": "a", "2": "b"})
+        renamed = relabel(algebra, {1: "a", 2: "b"})
+        assert renamed.carrier == ("a", "b")
+        assert renamed.space.D is algebra.space.D
 
 
 class TestTrustedResults:

@@ -51,6 +51,7 @@ from metra.extmetric import (
     INF,
     SquareMatrix,
     ZERO,
+    scaled_int_array,
     space_from,
 )
 from metra.logic import MetricEquation, Presentation, free_algebra
@@ -66,8 +67,12 @@ from conftest import (
     metric_spaces,
     object_mirrors,
     reference_closure,
+    reference_compose,
     reference_grid_congruences,
+    reference_identification,
     reference_is_congruential,
+    reference_pointwise,
+    reference_rows_at,
     revalidated,
     symmetric_rows,
 )
@@ -362,7 +367,8 @@ class TestQuotientCongruence:
         of theta; the witness is the first point with a differing class
         member and the first column where their rows differ."""
         theta = Congruence(self.algebra, matrix_on(self.algebra, zeros))
-        rho = Congruence._trusted(self.algebra, [[ExtRat(v) for v in row] for row in rows])
+        rows = [[ExtRat(v) for v in row] for row in rows]
+        rho = Congruence._trusted(self.algebra, *scaled_int_array(rows))
         with pytest.raises(OrderError) as err:
             quotient_congruence(rho, theta)
         assert str(err.value) == f"pushed-down value not well defined at {witness}"
@@ -990,8 +996,7 @@ class TestCongruenceKernel:
     )
     @pytest.mark.parametrize("n", [3, 5])
     def test_each_failure_on_both_paths(self, reason, n):
-        """Every reason, below and above the four-point cutoff of the
-        entry-scan axiom check."""
+        """Every reason, on three and on five points."""
         algebra = self.line_algebra(n)
         rows = [[v.scale(Fraction(1, 2)) for v in row] for row in algebra.space.entries]
         matrix = SquareMatrix(algebra.carrier, self.edited(reason, rows, n))
@@ -1016,7 +1021,8 @@ class TestCongruenceKernel:
         expected = reference_grid_congruences(algebra, values)
         with mock.patch.object(congruence_module, "_GRID_CELLS", cells):
             with object_mirrors() if wide else contextlib.nullcontext():
-                got = grid_congruences(algebra, values)
+                # Rebuilt in the context, the metric stores the Python-int mirror.
+                got = grid_congruences(revalidated(algebra), values)
         assert [t.matrix for t in got] == expected
 
     def test_grid_crossing_the_default_chunk(self):
@@ -1028,3 +1034,55 @@ class TestCongruenceKernel:
         for mirrors in BOTH_MIRRORS:
             with mirrors():
                 assert [t.matrix for t in grid_congruences(algebra, values)] == expected
+
+
+class TestLatticeKernelsMatchTheEntries:
+    """Lattice operations on the mirror against the same operations on
+    ``ExtRat`` entries, on both mirrors."""
+
+    @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
+    @given(data=st.data(), mode=st.sampled_from(["M", "Q"]))
+    @settings(max_examples=40, deadline=None)
+    def test_lattice_operations(self, mirrors, data, mode):
+        algebra = data.draw(kernel_algebras(max_size=4))
+        carrier = algebra.carrier
+        thetas = data.draw(st.lists(congruences_on(algebra), min_size=1, max_size=3))
+        s, t = thetas[0], thetas[-1]
+        lowest = reference_pointwise(min, [u.matrix for u in thetas])
+        cells = itertools.product(enumerate(carrier), repeat=2)
+        start = [(x, y, lowest[i][j]) for (i, x), (j, y) in cells]
+        with mirrors():
+            wide = [revalidated(u) for u in thetas]
+            assert (meet(wide).matrix.D.dtype == object) == (mirrors is object_mirrors)
+            highest = reference_pointwise(max, [u.matrix for u in thetas])
+            assert as_rows(meet(wide).matrix) == highest
+            closed = reference_closure(carrier, algebra.ops, start, mode)
+            assert as_rows(join(wide, mode).matrix) == closed
+            assert as_rows(compose(wide[0], wide[-1])) == reference_compose(s.matrix, t.matrix)
+
+    @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_restrict_push_down_and_pull_back(self, mirrors, data):
+        algebra = data.draw(kernel_algebras(max_size=4))
+        carrier = algebra.carrier
+        theta, other = data.draw(congruences_on(algebra)), data.draw(congruences_on(algebra))
+        sub, _ = generate_subalgebra(algebra, [data.draw(st.sampled_from(carrier))])
+        classes = reference_identification(theta.matrix)[0]
+        with mirrors():
+            theta_w = revalidated(theta)
+            rho = join([theta_w, revalidated(other)])
+            restricted = restrict(theta_w, sub)
+            pushed = quotient_congruence(rho, theta_w)
+            _, projection = quotient(algebra, theta_w)
+            pulled = pullback_congruence(projection, pushed)
+        assert as_rows(restricted.matrix) == reference_rows_at(
+            theta.matrix, [carrier.index(x) for x in sub.carrier]
+        )
+        assert pushed.base.carrier == classes
+        assert as_rows(pushed.matrix) == reference_rows_at(
+            rho.matrix, [carrier.index(x) for x in classes]
+        )
+        assert as_rows(pulled.matrix) == [
+            [pushed.matrix.get(projection(a), projection(b)) for b in carrier] for a in carrier
+        ]

@@ -1,5 +1,6 @@
 """Tests for exact distances, metric axioms, and metric-space operations."""
 
+import contextlib
 import itertools
 import os
 import subprocess
@@ -28,8 +29,9 @@ from metra.extmetric import (
     PseudometricMatrix,
     SquareMatrix,
     _array_violation,
+    _as_object,
     _as_verdict,
-    _pure_violation,
+    _scale_finite,
     abs_diff,
     check_metric,
     check_pseudometric,
@@ -51,9 +53,16 @@ from conftest import (
     brute_force_gh,
     fw_close,
     metric_spaces,
+    object_mirrors,
     pseudometric_spaces,
+    reference_identification,
+    reference_sup,
+    reference_violation,
     revalidated,
 )
+
+BOTH_MIRRORS = (contextlib.nullcontext, object_mirrors)
+MIRROR_POOL = [ZERO, ONE, ExtRat(Fraction(1, 3)), ExtRat(1 << 60), ExtRat(10**400), INF]
 
 rationals = st.fractions(min_value=0, max_value=5, max_denominator=12)
 
@@ -164,6 +173,44 @@ class TestShapes:
             SquareMatrix(["a"], [[-1]])
 
 
+class TestMirror:
+    """A matrix stores only its scaled mirror and reads its entries back."""
+
+    @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
+    @given(data=st.data())
+    def test_round_trip(self, mirrors, data):
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        pool = st.sampled_from(MIRROR_POOL)
+        rows = [[data.draw(pool) for _ in range(n)] for _ in range(n)]
+        carrier = "abcd"[:n]
+        with mirrors():
+            m = SquareMatrix(carrier, rows)
+            fresh = SquareMatrix(carrier, [[ExtRat(str(v)) for v in row] for row in rows])
+        built_outside = SquareMatrix(carrier, rows)
+        assert m.entries == tuple(map(tuple, rows))
+        for (i, x), (j, y) in itertools.product(enumerate(carrier), repeat=2):
+            assert m.get(x, y) == m.at(i, j) == rows[i][j]
+        assert m.to_json() == {"carrier": list(carrier), "dist": [str(v) for r in rows for v in r]}
+        assert m == fresh == built_outside
+        assert hash(m) == hash(fresh) == hash(built_outside)
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rows[i][j] = data.draw(pool.filter(lambda v: v != rows[i][j]))
+        with mirrors():
+            assert SquareMatrix(carrier, rows) != m
+
+    @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
+    @given(space=pseudometric_spaces(), factor=st.sampled_from([1, 2, 6, 1 << 50]))
+    def test_results_are_stored_in_canonical_form(self, mirrors, space, factor):
+        """A mirror over a multiple of the least denominator, on Python ints
+        or past the int64 guard, is reduced and narrowed when it is wrapped."""
+        wide = _scale_finite(np.array(_as_object(space.D)), factor)
+        with mirrors():
+            m = PseudometricMatrix._trusted(space.carrier, wide, space.denom * factor)
+            again = revalidated(space)
+        assert m == space and m.entries == space.entries
+        assert (m.denom, m.D.dtype) == (again.denom, again.D.dtype)
+
+
 class TestPseudometricChecks:
     """check_pseudometric reports the first violated axiom with a witness."""
 
@@ -222,7 +269,7 @@ class TestPseudometricChecks:
         assert arr.dtype == object and denom == 1
         assert arr[0, 1] == 1 << 60 and arr[1, 0] is extmetric_module._OBJ_INF
         verdict = check_pseudometric(SquareMatrix("abcd", rows))
-        assert verdict == _as_verdict(_pure_violation(rows, 4), tuple("abcd"))
+        assert verdict == _as_verdict(reference_violation(rows, 4), tuple("abcd"))
         assert verdict.reason == "symmetry"
         assert verdict.witness == ("a", "b")
 
@@ -246,7 +293,22 @@ class TestPseudometricChecks:
                 if symmetric:
                     rows[j][i] = rows[i][j]
         arr, _ = scaled_int_array(rows)
-        assert _array_violation(arr) == _pure_violation(rows, n)
+        assert _array_violation(arr) == reference_violation(rows, n)
+
+    @pytest.mark.parametrize("scale", [1, 10**400], ids=["int64", "object"])
+    def test_triangle_witness_on_forty_points_matches_the_entry_scan(self, scale):
+        """Two 20-point lines at infinite distance, one entry raised in the
+        second: the same first witness as the entry scan, on the int64 and
+        on the Python-int mirror."""
+        n = 40
+        rows = [
+            [ExtRat(abs(i - j) * scale) if (i < 20) == (j < 20) else INF for j in range(n)]
+            for i in range(n)
+        ]
+        rows[25][35] = rows[35][25] = ExtRat(100 * scale)
+        arr, _ = scaled_int_array(rows)
+        assert (arr.dtype == object) == (scale > 1)
+        assert _array_violation(arr) == reference_violation(rows, n) == ("triangle", (25, 20, 35))
 
     def test_scaled_array_reads_back_exact_entries(self):
         big = 1 << 60
@@ -321,6 +383,27 @@ class TestMetricIdentification:
                 assert out.get(qmap.class_of(x), qmap.class_of(y)) == space.get(x, y)
         for c in qmap.class_ids:
             assert qmap.class_of(qmap.representative(c)) == c
+
+
+class TestKernelsMatchTheEntries:
+    """Array kernels against the same results read off ``ExtRat`` entries."""
+
+    @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
+    @given(space=pseudometric_spaces(max_size=5))
+    def test_metric_identification(self, mirrors, space):
+        carrier, rows, classes = reference_identification(space)
+        with mirrors():
+            out, qmap = metric_identification(revalidated(space))
+        assert out.carrier == carrier
+        assert out.entries == tuple(map(tuple, rows))
+        assert {x: qmap.class_of(x) for x in space.carrier} == classes
+
+    @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
+    @given(spaces=st.lists(metric_spaces(max_size=3, allow_inf=True), min_size=1, max_size=3))
+    def test_sup_product(self, mirrors, spaces):
+        with mirrors():
+            prod = sup_product([revalidated(s) for s in spaces])
+        assert prod.entries == tuple(map(tuple, reference_sup(spaces)))
 
 
 class TestSupProduct:

@@ -1,5 +1,6 @@
 """Tests for finite filters, reduced products, and closed-form limits."""
 
+import contextlib
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,13 @@ from metra.filters import (
 )
 from metra.terms import Signature
 
-from conftest import bare_algebra, revalidated
+from conftest import (
+    bare_algebra,
+    metric_spaces,
+    object_mirrors,
+    reference_sup,
+    revalidated,
+)
 
 HALF = ExtRat(Fraction(1, 2))
 ONE = ExtRat(1)
@@ -136,6 +143,21 @@ class TestReducedProduct:
         two_point(Fraction(1, 2), IDENT),
         two_point(2, CONST),
     ]
+
+    @pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
+    @given(
+        spaces=st.lists(metric_spaces(max_size=2, allow_inf=True), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_limsup_matches_the_entries(self, mirrors, spaces, data):
+        index_set = tuple(range(len(spaces)))
+        core = data.draw(st.sets(st.sampled_from(index_set), min_size=1))
+        with mirrors():
+            algebras = [bare_algebra(revalidated(s)) for s in spaces]
+            red = reduced_product(algebras, FiniteFilter(index_set, core))
+        positions = [p for p in index_set if p in core]
+        assert red.theta.matrix.entries == tuple(map(tuple, reference_sup(spaces, positions)))
 
     def test_ultrafilter_recovers_the_chosen_factor(self):
         u = FiniteFilter((0, 1, 2), (1,))

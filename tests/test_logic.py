@@ -948,6 +948,8 @@ class TestCompiledMatchesReference:
     def test_satisfies(self, mirror, algebra, premises, conclusion):
         phi = MetricImplication(premises, conclusion)
         with object_mirrors() if mirror == "object" else nullcontext():
+            # A space built in the context stores the Python-int mirror.
+            algebra = revalidated(algebra)
             assert (logic_module._Compiled(algebra).arrays()[1].dtype == object) == (
                 mirror == "object"
             )
@@ -1008,8 +1010,8 @@ class TestChunkEdges:
     def test_cap_at_the_grid_size(self, monkeypatch):
         algebra = pinned_algebra(9, 9, 9, 9)
         assert not satisfies(algebra, PINNED, max_valuations=10_000).ok
-        # The cap is checked before the distance mirror is built.
-        monkeypatch.setattr(logic_module, "scaled_int_array", None)
+        # The cap is checked before the operation tables are built.
+        monkeypatch.setattr(logic_module, "index_tables", None)
         with pytest.raises(ResourceLimitError) as err:
             satisfies(algebra, PINNED, max_valuations=9_999)
         assert err.value.limit_name == "max_valuations"
