@@ -1,17 +1,19 @@
 """Finite metric algebras and structure-preserving maps between them.
 
 A metric algebra is a finite metric space with total operation tables
-over a signature.  Homomorphisms are required to preserve operations and
-to be nonexpansive; both properties are validated when a
-``Homomorphism`` is constructed.  Quantitativity (every operation
-nonexpansive for the supremum metric on argument tuples) is a separate
-check, not a construction invariant.
+over a signature, stored as index tables: carrier positions in arrays
+of shape ``(n,) * arity``.  Every construction and check runs on them;
+carrier elements appear only at the edges (``ops``, ``apply`` and the
+reports).  Homomorphisms are required to preserve operations and to be
+nonexpansive; both properties are validated when a ``Homomorphism`` is
+constructed.  Quantitativity (every operation nonexpansive for the
+supremum metric on argument tuples) is a separate check, not a
+construction invariant.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -25,13 +27,16 @@ from .errors import (
     Verdict,
 )
 from .extmetric import (
+    _MAX_SCALED,
+    _TRIANGLE_CELLS,
     FiniteMetricSpace,
-    QuotientMap,
     _along,
+    _as_object,
+    _finite_max,
     _first,
     _ids,
-    _inf_code,
     _mirrors,
+    _scale_finite,
     _validated,
     metric_identification,
     render_id,
@@ -45,44 +50,70 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class MetricAlgebra:
-    """A finite metric space with total operation tables."""
+    """A finite metric space with total operation tables.
 
-    __slots__ = ("sig", "space", "ops")
+    ``tables[symbol]`` is a read-only ``intp`` array of shape
+    ``(n,) * arity``: entry ``[i1, ..., ik]`` is the carrier position of
+    the operation's value on the elements at positions ``i1, ..., ik``.
+    The constructor takes dict tables from argument tuples to carrier
+    elements (a bare value for a constant) and checks them once.
+    """
+
+    __slots__ = ("sig", "space", "tables")
 
     def __init__(self, sig: Signature, space: FiniteMetricSpace, ops: Mapping):
         space = _validated(space, FiniteMetricSpace)
-        normalized = {}
-        for symbol, table in dict(ops).items():
-            if symbol not in sig:
-                raise SignatureError(f"table for unknown symbol {symbol!r}")
-            if sig.arity(symbol) == 0 and not isinstance(table, Mapping):
-                table = {(): table}
-            normalized[symbol] = {tuple(k): v for k, v in dict(table).items()}
-        self.sig = sig
-        self.space = space
-        self.ops = normalized
-        verdict = validate_algebra(self)
+        verdict = _table_check(sig, space, ops)
         if not verdict:
             raise TableError(
                 f"bad operation table: {verdict.reason} at {verdict.witness}"
             )
+        self._assign(sig, space, verdict.value)
+
+    def _assign(self, sig: Signature, space: FiniteMetricSpace, tables: dict) -> None:
+        # Indexing a constant's 0-d table gives a numpy scalar.
+        tables = {symbol: np.asarray(table) for symbol, table in tables.items()}
+        for table in tables.values():
+            table.flags.writeable = False
+        self.sig = sig
+        self.space = space
+        self.tables = tables
+
+    @classmethod
+    def _trusted(cls, sig: Signature, space: FiniteMetricSpace, tables: dict):
+        """An algebra around index tables that are total and in range by
+        construction, such as a product or a quotient; nothing is checked,
+        and the tables must not be written afterwards."""
+        out = object.__new__(cls)
+        out._assign(sig, space, tables)
+        return out
 
     @property
     def carrier(self) -> tuple:
         return self.space.carrier
 
+    @property
+    def ops(self) -> dict:
+        """The tables as dicts from argument tuples to carrier elements, in
+        carrier order, built on each read."""
+        carrier = self.carrier
+        return {
+            symbol: dict(zip(
+                itertools.product(carrier, repeat=table.ndim),
+                map(carrier.__getitem__, table.ravel().tolist()),
+            ))
+            for symbol, table in self.tables.items()
+        }
+
     def apply(self, symbol: str, args: Sequence) -> object:
+        arity = self.sig.arity(symbol)
+        if not isinstance(args, Iterable):
+            raise SignatureError(f"{symbol} takes a sequence of arguments, got {args!r}")
         args = tuple(args)
-        if self.sig.arity(symbol) != len(args):
-            raise SignatureError(
-                f"{symbol} expects {self.sig.arity(symbol)} arguments, got {len(args)}"
-            )
-        try:
-            return self.ops[symbol][args]
-        except KeyError:
-            raise DomainError(
-                f"arguments {tuple(render_id(a) for a in args)} not in the carrier"
-            ) from None
+        if arity != len(args):
+            raise SignatureError(f"{symbol} expects {arity} arguments, got {len(args)}")
+        at = tuple(self.space.index(a) for a in args)
+        return self.carrier[self.tables[symbol][at]]
 
     def constant(self, symbol: str) -> object:
         return self.apply(symbol, ())
@@ -93,49 +124,85 @@ class MetricAlgebra:
         return (
             self.sig == other.sig
             and self.space == other.space
-            and self.ops == other.ops
+            and all(np.array_equal(t, other.tables[s]) for s, t in self.tables.items())
         )
 
     def __repr__(self) -> str:
         return f"<MetricAlgebra |A|={self.space.size} sig={self.sig!r}>"
 
 
-def index_tables(algebra: MetricAlgebra) -> dict[str, np.ndarray]:
-    """Each operation as an ``intp`` array of shape ``(n,) * arity``.
+def _table_check(sig: Signature, space: FiniteMetricSpace, ops) -> Verdict:
+    """Check dict tables against the signature and the carrier while filling
+    the index tables; the passing verdict carries them.
 
-    Entry ``[i1, ..., ik]`` is the carrier index of the operation's value
-    on the elements at carrier indices ``i1, ..., ik``.
+    A table for an unknown symbol raises ``SignatureError``.  Otherwise the
+    first defect fails: a symbol without a table, then, table by table, a
+    table that is not a mapping, an entry whose arguments are not a tuple
+    of carrier elements of the symbol's arity or whose value is not in the
+    carrier, and a table that is not total.
     """
-    carrier = algebra.carrier
-    index = {x: i for i, x in enumerate(carrier)}
-    n = len(carrier)
-    tables = {}
-    for symbol, table in algebra.ops.items():
-        arity = algebra.sig.arity(symbol)
-        cells = itertools.product(carrier, repeat=arity)
-        tables[symbol] = np.fromiter(
-            (index[table[args]] for args in cells), dtype=np.intp, count=n**arity
-        ).reshape((n,) * arity)
-    return tables
+    if not isinstance(ops, Mapping):
+        return Verdict.failed("not-a-mapping", ())
+    for symbol in ops:
+        if symbol not in sig:
+            raise SignatureError(f"table for unknown symbol {symbol!r}")
+    for symbol in sig.symbols:
+        if symbol not in ops:
+            return Verdict.failed("missing-table", (symbol,))
+    n, index, tables = space.size, space._index, {}
+    for symbol, table in ops.items():
+        arity = sig.arity(symbol)
+        if arity == 0 and not isinstance(table, Mapping):
+            table = {(): table}
+        if not isinstance(table, Mapping):
+            return Verdict.failed("not-a-mapping", (symbol,))
+        flat = [-1] * n**arity
+        for args, value in table.items():
+            cell = 0
+            try:
+                args = tuple(args)
+                for a in args:
+                    cell = cell * n + index[a]
+            except (KeyError, TypeError):
+                return Verdict.failed("bad-arguments", (symbol, args))
+            if len(args) != arity:
+                return Verdict.failed("bad-arguments", (symbol, args))
+            try:
+                flat[cell] = index[value]
+            except (KeyError, TypeError):
+                return Verdict.failed("value-outside-carrier", (symbol, args))
+        if -1 in flat:
+            return Verdict.failed("partial-table", (symbol,))
+        tables[symbol] = np.array(flat, dtype=np.intp).reshape((n,) * arity)
+    return Verdict.passed(tables)
 
 
 def validate_algebra(algebra: MetricAlgebra) -> Verdict:
-    """Check that every table is total over the carrier with in-carrier values."""
-    carrier = set(algebra.space.carrier)
-    for symbol in algebra.sig.symbols:
-        if symbol not in algebra.ops:
-            return Verdict.failed("missing-table", (symbol,))
-    for symbol, table in algebra.ops.items():
-        arity = algebra.sig.arity(symbol)
-        expected = len(carrier) ** arity
-        for args, value in table.items():
-            if len(args) != arity or any(a not in carrier for a in args):
-                return Verdict.failed("bad-arguments", (symbol, args))
-            if value not in carrier:
-                return Verdict.failed("value-outside-carrier", (symbol, args))
-        if len(table) != expected:
-            return Verdict.failed("partial-table", (symbol,))
-    return Verdict.passed()
+    """Run the constructor's table check on the algebra's tables as dicts:
+    every table total over the carrier with in-carrier values."""
+    return _table_check(algebra.sig, algebra.space, algebra.ops)
+
+
+def _on(table: np.ndarray, idx) -> np.ndarray:
+    """The table on the argument tuples drawn from the positions ``idx``,
+    as an array of shape ``(len(idx),) * arity``."""
+    return table[np.ix_(*[idx] * table.ndim)]
+
+
+def _cells(table: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """A table of positive arity as ``(args_idx, res_idx)``: one array of
+    argument positions per place and the images, in row-major order."""
+    args_idx = np.indices(table.shape, dtype=np.intp).reshape(table.ndim, -1)
+    return list(args_idx), table.ravel()
+
+
+def _spread(D: np.ndarray, args_idx: Sequence[np.ndarray], rows=slice(None)) -> np.ndarray:
+    """``max_i D[a_i, b_i]`` for the argument tuples ``a`` at ``rows`` and
+    every tuple ``b``, with the tuples given as ``args_idx``."""
+    out = D[np.ix_(args_idx[0][rows], args_idx[0])]
+    for pos in args_idx[1:]:
+        np.maximum(out, D[np.ix_(pos[rows], pos)], out=out)
+    return out
 
 
 def is_quantitative(algebra: MetricAlgebra, max_checks: int = 1_000_000) -> Verdict:
@@ -151,37 +218,43 @@ def _modulus_scan(algebra: MetricAlgebra, constants, max_checks=None) -> Verdict
     """First argument pair an operation stretches beyond its modulus.
 
     Checks d(op(a), op(b)) <= K_op * max_i d(a_i, b_i) symbol by symbol in
-    signature order, over argument tuples in carrier order; the witness is
-    ``(symbol, a, b)``.  ``constants`` maps symbols to K_op, and ``None``
-    means K = 1: the quantitativity check.
+    signature order, over argument tuples in carrier order (a outer, b
+    inner); the witness is ``(symbol, a, b)``.  ``constants`` maps symbols
+    to K_op, and ``None`` means K = 1: the quantitativity check.  The pairs
+    are compared on the mirror a block of ``a`` at a time, at most
+    ``_TRIANGLE_CELLS`` pairs but at least one ``a``.
     """
-    space, checks = algebra.space, 0
-    dist, inf = space.D.tolist(), _inf_code(space.D)
+    D, carrier, checks = algebra.space.D, algebra.carrier, 0
     reason = "expansive-operation" if constants is None else "not-lipschitz"
     for symbol in algebra.sig.symbols:
-        arity = algebra.sig.arity(symbol)
-        if arity == 0:
+        table = algebra.tables[symbol]
+        if table.ndim == 0:
             continue
         if constants is not None and symbol not in constants:
             raise SignatureError(f"no Lipschitz constant for symbol {symbol!r}")
-        k = Fraction(1 if constants is None else constants[symbol])
+        k = 1 if constants is None else constants[symbol]
         if k <= 0:
             raise DomainError(f"Lipschitz constant for {symbol} must be positive")
-        tuples = list(itertools.product(space.carrier, repeat=arity))
-        checks += len(tuples) ** 2
+        checks += table.size**2
         if max_checks is not None and checks > max_checks:
             raise ResourceLimitError(
                 f"quantitativity scan exceeds {max_checks} pairs", "max_checks", max_checks
             )
-        table = algebra.ops[symbol]
-        scan = [(t, [space.index(x) for x in t], space.index(table[t])) for t in tuples]
-        for a, a_pos, a_img in scan:
-            for b, b_pos, b_img in scan:
-                # d(op(a), op(b)) > K * spread, on the codes.
-                spread = max(dist[i][j] for i, j in zip(a_pos, b_pos))
-                image = dist[a_img][b_img]
-                if spread < inf and (image >= inf or image * k.denominator > spread * k.numerator):
-                    return Verdict.failed(reason, (symbol, a, b))
+        p, q = k.numerator, k.denominator
+        # d(op(a), op(b)) * q > spread * p on the codes.  The scaled finite
+        # values stay below the int64 guard, or the mirror is widened, so an
+        # infinite spread, kept at the infinity code, is never exceeded.
+        M = D if max(p, q) * max(_finite_max(D), 1) < _MAX_SCALED else _as_object(D)
+        args_idx, res_idx = _cells(table)
+        step = max(1, _TRIANGLE_CELLS // table.size)
+        for start in range(0, table.size, step):
+            rows = slice(start, start + step)
+            spread = _spread(M, args_idx, rows)
+            image = M[np.ix_(res_idx[rows], res_idx)]
+            bad = _first(_scale_finite(image, q) > _scale_finite(spread, p))
+            if bad is not None:
+                a, b = (np.unravel_index(i, table.shape) for i in (start + bad[0], bad[1]))
+                return Verdict.failed(reason, (symbol, _ids(carrier, a), _ids(carrier, b)))
     return Verdict.passed()
 
 
@@ -199,11 +272,8 @@ def is_homomorphism(f: Mapping, source: MetricAlgebra, target: MetricAlgebra) ->
         if f[a] not in targets:
             return Verdict.failed("value-outside-target", (a,))
     fidx = np.array([target.space.index(f[a]) for a in source.carrier], dtype=np.intp)
-    src_tables, tgt_tables = index_tables(source), index_tables(target)
     for symbol in source.sig.symbols:
-        table = src_tables[symbol]
-        mapped = tgt_tables[symbol][np.ix_(*[fidx] * table.ndim)]
-        bad = _first(fidx[table] != mapped)
+        bad = _first(fidx[source.tables[symbol]] != _on(target.tables[symbol], fidx))
         if bad is not None:
             return Verdict.failed("operation-not-preserved", (symbol, _ids(source.carrier, bad)))
     X, Y = _along(f, source.space, target.space)
@@ -228,6 +298,14 @@ class Homomorphism:
         self.target = target
         self.mapping = dict(mapping)
 
+    @classmethod
+    def _trusted(cls, source: MetricAlgebra, target: MetricAlgebra, mapping: Mapping):
+        """A map that is a homomorphism by construction, such as a
+        projection or an inclusion; nothing is checked."""
+        out = object.__new__(cls)
+        out.source, out.target, out.mapping = source, target, dict(mapping)
+        return out
+
     def __call__(self, x) -> object:
         try:
             return self.mapping[x]
@@ -251,7 +329,7 @@ class Homomorphism:
     def then(self, other: "Homomorphism") -> "Homomorphism":
         if self.target is not other.source and self.target != other.source:
             raise DomainError("composition needs matching middle algebra")
-        return Homomorphism(
+        return Homomorphism._trusted(
             self.source, other.target, {a: other(self(a)) for a in self.source.carrier}
         )
 
@@ -264,49 +342,40 @@ def generate_subalgebra(
 ) -> tuple[MetricAlgebra, Homomorphism]:
     """Smallest subalgebra containing ``seed``, with its inclusion map.
 
-    The carrier is closed under every operation by a worklist pass;
+    The carrier grows from the seed as a mask, adding the images of every
+    operation on the tuples of the carrier so far until nothing changes;
     constants always join the closure.  The carrier order of the result
     follows the base algebra.
     """
-    closure = set()
-    frontier = list(dict.fromkeys(seed))
-    for x in frontier:
-        algebra.space.index(x)
-    for symbol in algebra.sig.symbols:
-        if algebra.sig.arity(symbol) == 0:
-            frontier.append(algebra.constant(symbol))
-    if not frontier:
+    keep = np.zeros(algebra.space.size, dtype=bool)
+    for x in seed:
+        keep[algebra.space.index(x)] = True
+    if not keep.any() and all(t.ndim for t in algebra.tables.values()):
         raise DomainError("subalgebra seed is empty and the signature has no constants")
-    while frontier:
-        x = frontier.pop()
-        if x in closure:
-            continue
-        closure.add(x)
-        for symbol in algebra.sig.symbols:
-            arity = algebra.sig.arity(symbol)
-            if arity == 0:
-                continue
-            for args in itertools.product(sorted(closure, key=algebra.space.index), repeat=arity):
-                value = algebra.apply(symbol, args)
-                if value not in closure:
-                    frontier.append(value)
-    sub_space = restrict_space(algebra.space, closure)
-    ops = {}
-    for symbol in algebra.sig.symbols:
-        arity = algebra.sig.arity(symbol)
-        ops[symbol] = {
-            args: algebra.apply(symbol, args)
-            for args in itertools.product(sub_space.carrier, repeat=arity)
-        }
-    sub = MetricAlgebra(algebra.sig, sub_space, ops)
-    inclusion = Homomorphism(sub, algebra, {x: x for x in sub_space.carrier})
+    while True:
+        idx = np.flatnonzero(keep)
+        for table in algebra.tables.values():
+            keep[_on(table, idx)] = True
+        if keep.sum() == len(idx):
+            break
+    sub_space = restrict_space(algebra.space, _ids(algebra.carrier, idx))
+    position = np.zeros(algebra.space.size, dtype=np.intp)
+    position[idx] = np.arange(len(idx))
+    tables = {s: position[_on(t, idx)] for s, t in algebra.tables.items()}
+    sub = MetricAlgebra._trusted(algebra.sig, sub_space, tables)
+    inclusion = Homomorphism._trusted(sub, algebra, {x: x for x in sub_space.carrier})
     return sub, inclusion
 
 
 def product(
     algebras: Sequence[MetricAlgebra], max_size: int = 4096
 ) -> tuple[MetricAlgebra, list[Homomorphism]]:
-    """Componentwise product with the supremum metric and projections."""
+    """Componentwise product with the supremum metric and projections.
+
+    The carrier is the tuples in ``itertools.product`` order, so a
+    product position unravels in C order into the factors' positions and
+    each table is the raveled tuple of the factors' tables.
+    """
     if not algebras:
         raise DomainError("product of zero algebras is not defined")
     sig = algebras[0].sig
@@ -314,26 +383,22 @@ def product(
         if a.sig != sig:
             raise SignatureError("product factors must share one signature")
     space = sup_product([a.space for a in algebras], max_size=max_size)
-    ops = {}
+    sizes = [a.space.size for a in algebras]
+    coords = np.unravel_index(np.arange(space.size), sizes)
+    tables = {}
     for symbol in sig.symbols:
         arity = sig.arity(symbol)
-        if len(space.carrier) ** arity > 1_000_000:
+        if space.size ** arity > 1_000_000:
             raise ResourceLimitError(
                 f"product table for {symbol} would exceed 1000000 entries",
                 "table_size",
                 1_000_000,
             )
-        table = {}
-        for args in itertools.product(space.carrier, repeat=arity):
-            value = tuple(
-                a.apply(symbol, tuple(arg[i] for arg in args))
-                for i, a in enumerate(algebras)
-            )
-            table[args] = value
-        ops[symbol] = table
-    prod = MetricAlgebra(sig, space, ops)
+        factors = [_on(a.tables[symbol], c) for a, c in zip(algebras, coords)]
+        tables[symbol] = np.ravel_multi_index(factors, sizes)
+    prod = MetricAlgebra._trusted(sig, space, tables)
     projections = [
-        Homomorphism(prod, a, {p: p[i] for p in space.carrier})
+        Homomorphism._trusted(prod, a, {p: p[i] for p in space.carrier})
         for i, a in enumerate(algebras)
     ]
     return prod, projections
@@ -352,15 +417,11 @@ def quotient(
     if theta.base is not algebra and theta.base != algebra:
         raise DomainError("congruence is not on this algebra")
     space, qmap = metric_identification(theta.matrix)
-    ops = {}
-    for symbol in algebra.sig.symbols:
-        arity = algebra.sig.arity(symbol)
-        table = {}
-        for args in itertools.product(space.carrier, repeat=arity):
-            table[args] = qmap.class_of(algebra.apply(symbol, args))
-        ops[symbol] = table
-    quot = MetricAlgebra(algebra.sig, space, ops)
-    projection = Homomorphism(
+    # The classes in the order of their least members, and each point's class.
+    reps, position = np.unique((theta.matrix.D == 0).argmax(axis=1), return_inverse=True)
+    tables = {s: position[_on(t, reps)] for s, t in algebra.tables.items()}
+    quot = MetricAlgebra._trusted(algebra.sig, space, tables)
+    projection = Homomorphism._trusted(
         algebra, quot, {x: qmap.class_of(x) for x in algebra.carrier}
     )
     return quot, projection
@@ -450,16 +511,13 @@ def find_isomorphism(a: MetricAlgebra, b: MetricAlgebra) -> dict | None:
 
 
 def relabel(algebra: MetricAlgebra, mapping: Mapping) -> MetricAlgebra:
-    """Rename carrier elements along a bijection; structure is transported."""
+    """Rename carrier elements along a bijection; structure is transported.
+
+    Positions are unchanged, so the renamed algebra shares the mirror and
+    the index tables."""
     carrier = algebra.carrier
     if set(mapping) != set(carrier) or len(set(mapping.values())) != len(carrier):
         raise DomainError("relabeling must be a bijection on the carrier")
     new_carrier = [mapping[x] for x in carrier]
     space = FiniteMetricSpace._trusted(new_carrier, algebra.space.D, algebra.space.denom)
-    ops = {}
-    for symbol, table in algebra.ops.items():
-        ops[symbol] = {
-            tuple(mapping[x] for x in args): mapping[value]
-            for args, value in table.items()
-        }
-    return MetricAlgebra(algebra.sig, space, ops)
+    return MetricAlgebra._trusted(algebra.sig, space, dict(algebra.tables))

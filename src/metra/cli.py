@@ -672,9 +672,9 @@ def _render_matrix(m: SquareMatrix) -> dict:
 
 
 def _render_algebra(a: MetricAlgebra) -> dict:
-    ops = {}
+    ops, tables = {}, a.ops
     for symbol in a.sig.symbols:
-        table = a.ops[symbol]
+        table = tables[symbol]
         ops[symbol] = {
             ",".join(render_id(x) for x in args) or "()": render_id(value)
             for args, value in sorted(table.items(), key=lambda kv: str(kv[0]))

@@ -22,14 +22,13 @@ whatever the denominators.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import Homomorphism, MetricAlgebra, index_tables, product, quotient
+from .algebra import Homomorphism, MetricAlgebra, _cells, _on, _spread, product, quotient
 from .errors import (
     CongruenceError,
     DomainError,
@@ -47,7 +46,6 @@ from .extmetric import (
     _array_violation,
     _as_object,
     _as_verdict,
-    _checked_carrier,
     _codes,
     _finite_components,
     _finite_max,
@@ -83,9 +81,8 @@ def is_congruential(algebra: MetricAlgebra, matrix: SquareMatrix) -> Verdict:
     if above is not None:
         return Verdict.failed("containment", _ids(carrier, above))
     rep = _zero_reps(M)
-    tables = index_tables(algebra)
     for symbol in algebra.sig.symbols:
-        table = tables[symbol]
+        table = algebra.tables[symbol]
         if table.ndim == 0:
             continue
         classes, bad = _image_classes(table, rep[None])
@@ -258,8 +255,9 @@ def join(
     """
     base = _same_base(thetas)
     arrays, denom = _mirrors(*(t.matrix for t in thetas))
+    rules = {s: _cells(t) for s, t in base.tables.items() if t.ndim}
     closed = closure_fixpoint(
-        base.carrier, base.ops, np.minimum.reduce(arrays), denom, mode, lipschitz, max_decreases
+        base.carrier, rules, np.minimum.reduce(arrays), denom, mode, lipschitz, max_decreases
     )
     return Congruence._trusted(base, closed.D, closed.denom)
 
@@ -267,12 +265,12 @@ def join(
 def restrict(theta: Congruence, sub: MetricAlgebra) -> Congruence:
     """Restriction of a congruence to a subalgebra of its base."""
     base = theta.base
-    idx = [base.space.index(x) for x in sub.carrier]
-    for symbol in sub.sig.symbols:
-        arity = sub.sig.arity(symbol)
-        for args in itertools.product(sub.carrier, repeat=arity):
-            if sub.apply(symbol, args) != base.apply(symbol, args):
-                raise DomainError("not a subalgebra: operation tables disagree")
+    idx = np.array([base.space.index(x) for x in sub.carrier], dtype=np.intp)
+    if sub.sig != base.sig:
+        raise DomainError("not a subalgebra: the signatures differ")
+    for symbol, table in sub.tables.items():
+        if not np.array_equal(idx[table], _on(base.tables[symbol], idx)):
+            raise DomainError("not a subalgebra: operation tables disagree")
     D = theta.matrix.D[np.ix_(idx, idx)]
     return Congruence(sub, SquareMatrix._trusted(sub.carrier, D, theta.matrix.denom))
 
@@ -365,8 +363,8 @@ def decompose_product(
     q1, p1 = quotient(algebra, t1)
     q2, p2 = quotient(algebra, t2)
     prod, _ = product([q1, q2])
-    mapping = {x: (p1(x), p2(x)) for x in algebra.carrier}
-    iso = Homomorphism(algebra, prod, mapping)
+    # A homomorphism into each quotient, so into their product.
+    iso = Homomorphism._trusted(algebra, prod, {x: (p1(x), p2(x)) for x in algebra.carrier})
     if not iso.is_injective or not iso.is_surjective:
         return Decomposition(False, "canonical-map-not-bijective", (), (q1, q2), prod)
     if not iso.is_isometric:
@@ -411,27 +409,9 @@ def generate_congruence(
     i, j = np.array(cells, dtype=np.intp).reshape(-1, 2).T
     np.minimum.at(D, (i, j), codes)
     np.minimum.at(D, (j, i), codes)
-    return closure_fixpoint(carrier, ops, D, denom, mode, lipschitz, max_decreases)
-
-
-def closure_fixpoint(
-    carrier: Sequence,
-    ops: Mapping[str, Mapping[tuple, object]],
-    D: np.ndarray,
-    denom: int,
-    mode: str,
-    lipschitz: Mapping[str, Fraction] | None,
-    max_decreases: int,
-) -> PseudometricMatrix:
-    """Close the mirror ``(D, denom)`` downward to the largest
-    mode-congruential pseudometric; ``D`` is closed in place."""
-    if mode not in ("M", "Q", "LIP"):
-        raise DomainError(f"unknown mode {mode!r}; expected M, Q, or LIP")
-    carrier = _checked_carrier(carrier)
-    index = {x: i for i, x in enumerate(carrier)}
-    tables = []
-    for symbol in sorted(ops):
-        table = dict(ops[symbol])
+    rules = {}
+    for symbol, table in ops.items():
+        table = dict(table)
         if not table or not next(iter(table)):
             continue
         arity = len(next(iter(table)))
@@ -443,9 +423,31 @@ def closure_fixpoint(
                     raise DomainError(f"table argument {render_id(a)} outside carrier")
             if value not in index:
                 raise DomainError(f"table value {render_id(value)} outside carrier")
-        entries = sorted(
-            table.items(), key=lambda kv: tuple(index[a] for a in kv[0])
-        )
+        # Rows of argument positions then the image, sorted by the arguments.
+        cells = np.array(sorted(
+            [*map(index.__getitem__, args), index[value]] for args, value in table.items()
+        ), dtype=np.intp)
+        rules[symbol] = list(cells[:, :-1].T), cells[:, -1]
+    return closure_fixpoint(carrier, rules, D, denom, mode, lipschitz, max_decreases)
+
+
+def closure_fixpoint(
+    carrier: Sequence,
+    rules: Mapping[str, tuple[Sequence[np.ndarray], np.ndarray]],
+    D: np.ndarray,
+    denom: int,
+    mode: str,
+    lipschitz: Mapping[str, Fraction] | None,
+    max_decreases: int,
+) -> PseudometricMatrix:
+    """Close the mirror ``(D, denom)`` downward to the largest
+    mode-congruential pseudometric; ``D`` is closed in place.  ``rules``
+    maps symbols of positive arity to ``(args_idx, res_idx)``: one array of
+    argument positions per place and the images, sorted by the arguments."""
+    if mode not in ("M", "Q", "LIP"):
+        raise DomainError(f"unknown mode {mode!r}; expected M, Q, or LIP")
+    tables = []
+    for symbol in sorted(rules):
         k = None
         if mode == "LIP":
             if lipschitz is None or symbol not in lipschitz:
@@ -453,12 +455,7 @@ def closure_fixpoint(
             k = checked_value(Fraction, lipschitz[symbol], f"Lipschitz constant for {symbol}")
             if k <= 0:
                 raise DomainError(f"Lipschitz constant for {symbol} must be positive")
-        args_idx = [
-            np.array([index[args[pos]] for args, _ in entries], dtype=np.intp)
-            for pos in range(arity)
-        ]
-        res_idx = np.array([index[value] for _, value in entries], dtype=np.intp)
-        tables.append((symbol, args_idx, res_idx, k))
+        tables.append((symbol, *rules[symbol], k))
 
     return PseudometricMatrix._trusted(carrier, *_fix_int(D, denom, tables, mode, max_decreases))
 
@@ -475,9 +472,7 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
                 np.minimum(sub, sub[:, k, None] + sub[None, k, :], out=sub)
             D[np.ix_(idx, idx)] = sub
         for _, args_idx, res_idx, k in tables:
-            cand = D[np.ix_(args_idx[0], args_idx[0])].copy()
-            for pos in range(1, len(args_idx)):
-                np.maximum(cand, D[np.ix_(args_idx[pos], args_idx[pos])], out=cand)
+            cand = _spread(D, args_idx)
             if mode == "M":
                 cand = np.where(cand == 0, 0, _inf_code(cand))
             elif mode == "LIP":
@@ -487,8 +482,8 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
                 # that would reach the value guard is widened to Python ints.
                 p, q = k.numerator, k.denominator
                 if D.dtype != object and (
-                    q * max(_finite_max(D), _finite_max(before)) >= _MAX_SCALED
-                    or p * _finite_max(cand) >= _MAX_SCALED
+                    q * max(_finite_max(D), _finite_max(before), 1) >= _MAX_SCALED
+                    or p * max(_finite_max(cand), 1) >= _MAX_SCALED
                 ):
                     D, before, cand = _as_object(D), _as_object(before), _as_object(cand)
                 if q != 1:
@@ -555,7 +550,7 @@ def grid_congruences(
         (codes, S), denom = _mirrors(scaled_int_array([values]), algebra.space)
         codes = codes[0]
     iu, ju = np.triu_indices(n, 1)
-    tables = [t for t in index_tables(algebra).values() if t.ndim]
+    tables = [t for t in algebra.tables.values() if t.ndim]
     chunk = max(1, _GRID_CELLS // n ** max([3] + [t.ndim for t in tables]))
     out = []
     for start in range(0, total, chunk):

@@ -307,7 +307,7 @@ class SquareMatrix:
     def index(self, x) -> int:
         try:
             return self._index[x]
-        except KeyError:
+        except (KeyError, TypeError):
             raise DomainError(f"element {render_id(x)} is not in the carrier") from None
 
     def _value(self, code) -> ExtRat:

@@ -43,7 +43,6 @@ from .algebra import (
     MetricAlgebra,
     _modulus_scan,
     generate_subalgebra,
-    index_tables,
     is_quantitative,
     is_reflexive_quotient,
     product,
@@ -343,36 +342,17 @@ def _valuations(algebra, variables, max_valuations):
         yield dict(zip(names, choice))
 
 
-class _Compiled:
-    """An algebra's tables and distances as index arrays, built on first use.
-
-    ``tables[symbol]`` has shape ``(n,) * arity`` and holds carrier
-    indices; the distances are the scaled mirror ``(D, denom)``.
-    """
-
-    __slots__ = ("algebra", "_arrays")
-
-    def __init__(self, algebra: MetricAlgebra):
-        self.algebra = algebra
-        self._arrays = None
-
-    def arrays(self):
-        if self._arrays is None:
-            space = self.algebra.space
-            self._arrays = (index_tables(self.algebra), space.D, space.denom)
-        return self._arrays
-
-    def within(self, bound: ExtRat) -> np.ndarray:
-        """Where the distance is at most ``bound``, as an n x n boolean matrix."""
-        _, D, denom = self.arrays()
-        if bound.is_infinite:
-            return np.ones(D.shape, dtype=bool)
-        q = bound.finite
-        limit = q.numerator * denom // q.denominator
-        if D.dtype != object:
-            # Every finite int64 entry lies below _INT_INF, infinity at it.
-            limit = min(limit, _INT_INF - 1)
-        return D <= limit
+def within(space, bound: ExtRat) -> np.ndarray:
+    """Where the distance is at most ``bound``, as an n x n boolean matrix."""
+    D, denom = space.D, space.denom
+    if bound.is_infinite:
+        return np.ones(D.shape, dtype=bool)
+    q = bound.finite
+    limit = q.numerator * denom // q.denominator
+    if D.dtype != object:
+        # Every finite int64 entry lies below _INT_INF, infinity at it.
+        limit = min(limit, _INT_INF - 1)
+    return D <= limit
 
 
 def _program(equations, names):
@@ -397,7 +377,7 @@ def _program(equations, names):
     return apps, [(slot(e.lhs), slot(e.rhs)) for e in equations]
 
 
-def _countermodel(compiled: _Compiled, names, premises, conclusion, max_valuations):
+def _countermodel(algebra: MetricAlgebra, names, premises, conclusion, max_valuations):
     """The least valuation where every premise holds and the conclusion fails.
 
     The grid of valuations is scanned in chunks of ``_CHUNK`` in C order,
@@ -405,15 +385,13 @@ def _countermodel(compiled: _Compiled, names, premises, conclusion, max_valuatio
     order; the first chunk holding a countermodel stops the scan.
     Returns the valuation as a dict, or None.
     """
-    algebra = compiled.algebra
     total = _grid_size(algebra, names, max_valuations)
     equations = (*premises, conclusion)
     for e in equations:
         check_term(e.lhs, algebra.sig)
         check_term(e.rhs, algebra.sig)
-    tables = compiled.arrays()[0]
     apps, pairs = _program(equations, names)
-    within = [compiled.within(e.bound) for e in equations]
+    near = [within(algebra.space, e.bound) for e in equations]
     n = len(algebra.carrier)
     for start in range(0, total, _CHUNK):
         rest = np.arange(start, min(start + _CHUNK, total))
@@ -421,10 +399,10 @@ def _countermodel(compiled: _Compiled, names, premises, conclusion, max_valuatio
         for pos in reversed(range(len(names))):
             rest, values[pos] = np.divmod(rest, n)
         for symbol, args in apps:
-            values.append(tables[symbol][tuple(values[a] for a in args)])
-        (lhs, rhs), w = pairs[-1], within[-1]
+            values.append(algebra.tables[symbol][tuple(values[a] for a in args)])
+        (lhs, rhs), w = pairs[-1], near[-1]
         bad = ~w[values[lhs], values[rhs]]
-        for (lhs, rhs), w in zip(pairs[:-1], within):
+        for (lhs, rhs), w in zip(pairs[:-1], near):
             bad = bad & w[values[lhs], values[rhs]]
         if bad.any():
             flat = start + int(np.argmax(bad))
@@ -443,15 +421,6 @@ def satisfies_under(algebra: MetricAlgebra, valuation, e: MetricEquation) -> boo
     return algebra.space.get(a, b) <= e.bound
 
 
-def _satisfies(compiled: _Compiled, formula, max_valuations) -> Verdict:
-    phi = as_implication(formula)
-    names = sorted(phi.variables())
-    found = _countermodel(compiled, names, phi.premises, phi.conclusion, max_valuations)
-    if found is None:
-        return Verdict.passed()
-    return Verdict.failed("countermodel", tuple(found.items()), found)
-
-
 def satisfies(algebra: MetricAlgebra, formula, max_valuations=1_000_000) -> Verdict:
     """Whether every valuation satisfies the formula.
 
@@ -462,7 +431,12 @@ def satisfies(algebra: MetricAlgebra, formula, max_valuations=1_000_000) -> Verd
     valuation cap and the formula's terms against the algebra's
     signature are checked before the scan.
     """
-    return _satisfies(_Compiled(algebra), formula, max_valuations)
+    phi = as_implication(formula)
+    names = sorted(phi.variables())
+    found = _countermodel(algebra, names, phi.premises, phi.conclusion, max_valuations)
+    if found is None:
+        return Verdict.passed()
+    return Verdict.failed("countermodel", tuple(found.items()), found)
 
 
 def entails(
@@ -479,15 +453,12 @@ def entails(
     the sample size; failures name the first failing algebra's index and
     its least countermodel valuation.
     """
-    return _entails([_Compiled(a) for a in algebras], tuple(delta), e, max_valuations)
-
-
-def _entails(compiled: Sequence[_Compiled], delta, e, max_valuations) -> Verdict:
+    algebras, delta = list(algebras), tuple(delta)
     variables = set(e.variables())
     for d in delta:
         variables |= d.variables()
     names = sorted(variables)
-    for pos, algebra in enumerate(compiled):
+    for pos, algebra in enumerate(algebras):
         found = _countermodel(algebra, names, delta, e, max_valuations)
         if found is not None:
             return Verdict.failed(
@@ -495,7 +466,7 @@ def _entails(compiled: Sequence[_Compiled], delta, e, max_valuations) -> Verdict
                 (pos, tuple(found.items())),
                 {"algebra": pos, "valuation": found},
             )
-    return Verdict.passed(len(compiled))
+    return Verdict.passed(len(algebras))
 
 
 def evaluate_inequality(algebra: MetricAlgebra, valuation, q: MetricInequality) -> bool:
@@ -761,7 +732,8 @@ def factoring_map(free: FreeAlgebra, algebra: MetricAlgebra, valuation) -> Verdi
         if not satisfies_under(algebra, valuation, r):
             raise DomainError(f"the valuation does not satisfy the relation {r}")
     values = {t: evaluate(t, algebra, valuation) for t in free.universe}
-    at = [algebra.space.index(values[t]) for t in free.universe]
+    pos = {t: algebra.space.index(values[t]) for t in free.universe}
+    at = list(pos.values())
     (A, F), _ = _mirrors(algebra.space, free.theta)
     bad = _first(np.triu(A[np.ix_(at, at)] > F, 1))
     if bad is not None:
@@ -774,9 +746,8 @@ def factoring_map(free: FreeAlgebra, algebra: MetricAlgebra, valuation) -> Verdi
         mapping[rep] = values[t]
     for t in free.universe:
         if isinstance(t, App):
-            direct = values[t]
-            through = algebra.apply(t.symbol, tuple(values[a] for a in t.args))
-            if direct != through:
+            through = algebra.tables[t.symbol][tuple(pos[a] for a in t.args)]
+            if pos[t] != through:
                 return Verdict.failed("not-a-homomorphism", (t,))
     return Verdict.passed(mapping)
 
@@ -810,13 +781,13 @@ def weak_compactness_search(
             20,
         )
     relaxed = MetricEquation(e.lhs, e.rhs, slack)
-    compiled = [_Compiled(a) for a in algebras]
+    algebras = list(algebras)
     for size in range(len(delta) + 1):
         for combo in itertools.combinations(range(len(delta)), size):
             subset = tuple(delta[i] for i in combo)
-            if _entails(compiled, subset, relaxed, max_valuations):
+            if entails(algebras, subset, relaxed, max_valuations):
                 return Verdict.passed(combo)
-    full = _entails(compiled, delta, relaxed, max_valuations)
+    full = entails(algebras, delta, relaxed, max_valuations)
     return Verdict.failed("not-entailed-by-full-set", (), full.value)
 
 
@@ -847,7 +818,7 @@ def equicontinuity_check(
     if grid[0].is_infinite:
         raise DomainError("grid deltas must be finite")
     goal = MetricEquation(phi.conclusion.lhs, phi.conclusion.rhs, eps_prime)
-    compiled = [_Compiled(a) for a in algebras]
+    algebras = list(algebras)
     last = None
     for delta in grid:
         relaxed = MetricImplication(
@@ -857,8 +828,8 @@ def equicontinuity_check(
             goal,
         )
         countermodel = None
-        for algebra in compiled:
-            verdict = _satisfies(algebra, relaxed, max_valuations)
+        for algebra in algebras:
+            verdict = satisfies(algebra, relaxed, max_valuations)
             if not verdict:
                 countermodel = (delta, verdict.witness)
                 break
@@ -1057,72 +1028,36 @@ def closure_suite(
     report = ClosureReport()
 
     def check_all(algebra):
-        compiled = _Compiled(algebra)
         for f in formulas:
-            verdict = _satisfies(compiled, f, max_valuations)
+            verdict = satisfies(algebra, f, max_valuations)
             if not verdict:
                 return verdict
         return Verdict.passed()
+
+    def record(construction, source, verdict, expected=True):
+        report.records.append(
+            ClosureRecord(construction, source, verdict.ok, expected, verdict.witness)
+        )
 
     sat = [
         (f"A{pos}", a) for pos, a in enumerate(instances) if check_all(a).ok
     ]
     for (name_a, a), (name_b, b) in itertools.combinations_with_replacement(sat, 2):
-        if a.space.size * b.space.size > max_product_size:
-            continue
-        prod, _ = product([a, b])
-        verdict = check_all(prod)
-        report.records.append(
-            ClosureRecord(
-                "product", f"{name_a} x {name_b}", verdict.ok, True, verdict.witness
-            )
-        )
+        if a.space.size * b.space.size <= max_product_size:
+            record("product", f"{name_a} x {name_b}", check_all(product([a, b])[0]))
     for name, a in sat:
         for x in a.carrier:
-            sub, _ = generate_subalgebra(a, [x])
-            verdict = check_all(sub)
-            report.records.append(
-                ClosureRecord(
-                    "subalgebra",
-                    f"{name} from {x!r}",
-                    verdict.ok,
-                    True,
-                    verdict.witness,
-                )
-            )
+            record("subalgebra", f"{name} from {x!r}", check_all(generate_subalgebra(a, [x])[0]))
     for name, a in sat:
         for pos, theta in enumerate(_congruence_family(a, quotient_values)):
             quot, projection = quotient(a, theta)
-            verdict = check_all(quot)
+            verdict, source = check_all(quot), f"{name} / theta{pos}"
             if equations_only:
-                report.records.append(
-                    ClosureRecord(
-                        "quotient", f"{name} / theta{pos}", verdict.ok, True,
-                        verdict.witness,
-                    )
-                )
-                continue
-            reflexive = is_reflexive_quotient(projection)
-            if reflexive.ok:
-                report.records.append(
-                    ClosureRecord(
-                        "reflexive-quotient",
-                        f"{name} / theta{pos}",
-                        verdict.ok,
-                        True,
-                        verdict.witness,
-                    )
-                )
+                record("quotient", source, verdict)
+            elif is_reflexive_quotient(projection).ok:
+                record("reflexive-quotient", source, verdict)
             else:
-                report.records.append(
-                    ClosureRecord(
-                        "non-reflexive-quotient",
-                        f"{name} / theta{pos}",
-                        verdict.ok,
-                        False,
-                        verdict.witness,
-                    )
-                )
+                record("non-reflexive-quotient", source, verdict, expected=False)
     return report
 
 

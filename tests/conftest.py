@@ -9,7 +9,7 @@ from unittest import mock
 from hypothesis import strategies as st
 
 import metra.extmetric as extmetric_module
-from metra.errors import ResourceLimitError, Verdict
+from metra.errors import DomainError, ResourceLimitError, SignatureError, Verdict
 from metra.extmetric import (
     INF,
     ZERO,
@@ -17,7 +17,9 @@ from metra.extmetric import (
     FiniteMetricSpace,
     PseudometricMatrix,
     SquareMatrix,
+    _inf_code,
     check_pseudometric,
+    metric_identification,
 )
 from metra.logic import as_implication, satisfies_under
 
@@ -203,6 +205,108 @@ def reference_is_homomorphism(f, source, target):
             if target.space.get(f[a], f[b]) > source.space.get(a, b):
                 return Verdict.failed("expansive", (a, b))
     return Verdict.passed()
+
+
+def reference_modulus_scan(algebra, constants, max_checks=None):
+    """``algebra._modulus_scan`` one argument pair at a time on the mirror's
+    Python ints, as an oracle: a outer, b inner, in carrier order."""
+    space, checks = algebra.space, 0
+    dist, inf = space.D.tolist(), _inf_code(space.D)
+    reason = "expansive-operation" if constants is None else "not-lipschitz"
+    for symbol in algebra.sig.symbols:
+        arity = algebra.sig.arity(symbol)
+        if arity == 0:
+            continue
+        if constants is not None and symbol not in constants:
+            raise SignatureError(f"no Lipschitz constant for symbol {symbol!r}")
+        k = Fraction(1 if constants is None else constants[symbol])
+        if k <= 0:
+            raise DomainError(f"Lipschitz constant for {symbol} must be positive")
+        tuples = list(itertools.product(space.carrier, repeat=arity))
+        checks += len(tuples) ** 2
+        if max_checks is not None and checks > max_checks:
+            raise ResourceLimitError(
+                f"quantitativity scan exceeds {max_checks} pairs", "max_checks", max_checks
+            )
+        table = algebra.ops[symbol]
+        scan = [(t, [space.index(x) for x in t], space.index(table[t])) for t in tuples]
+        for a, a_pos, a_img in scan:
+            for b, b_pos, b_img in scan:
+                spread = max(dist[i][j] for i, j in zip(a_pos, b_pos))
+                image = dist[a_img][b_img]
+                if spread < inf and (image >= inf or image * k.denominator > spread * k.numerator):
+                    return Verdict.failed(reason, (symbol, a, b))
+    return Verdict.passed()
+
+
+def reference_product(algebras):
+    """The product's carrier and dict tables, applying each factor's
+    operation coordinatewise, as an oracle."""
+    sig = algebras[0].sig
+    carrier = tuple(itertools.product(*(a.carrier for a in algebras)))
+    ops = {
+        symbol: {
+            args: tuple(
+                a.apply(symbol, tuple(arg[i] for arg in args)) for i, a in enumerate(algebras)
+            )
+            for args in itertools.product(carrier, repeat=sig.arity(symbol))
+        }
+        for symbol in sig.symbols
+    }
+    return carrier, ops
+
+
+def reference_quotient(algebra, theta):
+    """The quotient's carrier and dict tables, applying the operations to
+    class representatives, as an oracle."""
+    space, qmap = metric_identification(theta.matrix)
+    ops = {
+        symbol: {
+            args: qmap.class_of(algebra.apply(symbol, args))
+            for args in itertools.product(space.carrier, repeat=algebra.sig.arity(symbol))
+        }
+        for symbol in algebra.sig.symbols
+    }
+    return space.carrier, ops
+
+
+def reference_generate_subalgebra(algebra, seed):
+    """The generated subalgebra's carrier and dict tables by a worklist over
+    carrier elements, as an oracle."""
+    closure = set()
+    frontier = list(seed) + [
+        algebra.constant(s) for s in algebra.sig.symbols if algebra.sig.arity(s) == 0
+    ]
+    while frontier:
+        x = frontier.pop()
+        if x in closure:
+            continue
+        closure.add(x)
+        for symbol in algebra.sig.symbols:
+            arity = algebra.sig.arity(symbol)
+            for args in itertools.product(closure, repeat=arity):
+                frontier.append(algebra.apply(symbol, args))
+    carrier = tuple(x for x in algebra.carrier if x in closure)
+    ops = {
+        symbol: {
+            args: algebra.apply(symbol, args)
+            for args in itertools.product(carrier, repeat=algebra.sig.arity(symbol))
+        }
+        for symbol in algebra.sig.symbols
+    }
+    return carrier, ops
+
+
+def edges_refused():
+    """Context in which reading ``MetricAlgebra.ops`` or calling
+    ``MetricAlgebra.apply`` fails, so only code that works on the index
+    tables runs through it."""
+    from metra.algebra import MetricAlgebra
+
+    def refuse(*args):
+        raise AssertionError("carrier elements were rebuilt from the index tables")
+
+    return mock.patch.multiple(MetricAlgebra, ops=property(refuse), apply=refuse)
 
 
 def reference_is_congruential(algebra, matrix):
@@ -408,13 +512,16 @@ def revalidated(obj):
     """``obj`` rebuilt through its public constructor, which re-runs every check.
 
     Library results that are built without validation (closures, meets,
-    kernels, products, quotients) must survive this and compare equal.
+    kernels, products, quotients and their maps) must survive this; all
+    but homomorphisms compare equal.
     """
-    from metra.algebra import MetricAlgebra
+    from metra.algebra import Homomorphism, MetricAlgebra
     from metra.congruence import Congruence
 
     if isinstance(obj, Congruence):
         return Congruence(obj.base, revalidated(obj.matrix))
+    if isinstance(obj, Homomorphism):
+        return Homomorphism(revalidated(obj.source), revalidated(obj.target), obj.mapping)
     if isinstance(obj, MetricAlgebra):
         return MetricAlgebra(obj.sig, revalidated(obj.space), obj.ops)
     return type(obj)(obj.carrier, obj.entries)

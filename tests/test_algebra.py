@@ -3,13 +3,16 @@
 import contextlib
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metra.algebra as algebra_module
 from metra.algebra import (
     Homomorphism,
+    _modulus_scan,
     MetricAlgebra,
     find_isomorphism,
     generate_subalgebra,
@@ -24,7 +27,16 @@ from metra.algebra import (
     saturate,
     validate_algebra,
 )
-from metra.congruence import Congruence
+from metra.congruence import (
+    Congruence,
+    coarsest_congruence,
+    decompose_product,
+    generate_congruence,
+    grid_congruences,
+    is_congruential,
+    join,
+    restrict,
+)
 from metra.errors import (
     AxiomError,
     DomainError,
@@ -41,18 +53,24 @@ from metra.extmetric import (
     ZERO,
     space_from,
 )
+from metra.logic import closure_suite, entails, in_mode_class, parse_formula, satisfies
 from metra.terms import Signature
 
 from conftest import (
     FINITE_POOL,
     bare_algebra,
+    edges_refused,
     fw_close,
     line_algebra,
     line_max_algebra,
     line_min_algebra,
     metric_spaces,
     object_mirrors,
+    reference_generate_subalgebra,
     reference_is_homomorphism,
+    reference_modulus_scan,
+    reference_product,
+    reference_quotient,
     revalidated,
     symmetric_rows,
 )
@@ -122,6 +140,53 @@ class TestConstruction:
         with pytest.raises(DomainError):
             algebra.apply("sigma", (0, 9))
 
+    @pytest.mark.parametrize(
+        "ops, message",
+        [
+            ({"f": {0: 1, 1: 0}}, "bad-arguments at ('f', 0)"),
+            ({"f": [1, 0]}, "not-a-mapping at ('f',)"),
+            ({"f": None}, "not-a-mapping at ('f',)"),
+            ({"f": {(0,): 1, (1,): [0]}}, "value-outside-carrier at ('f', (1,))"),
+            (None, "not-a-mapping at ()"),
+        ],
+        ids=["keys-not-tuples", "list", "none", "unhashable-value", "no-mapping"],
+    )
+    def test_malformed_tables_are_table_errors(self, ops, message):
+        space = space_from([0, 1], lambda x, y: abs(x - y))
+        with pytest.raises(TableError) as err:
+            MetricAlgebra(Signature({"f": 1}), space, ops)
+        assert str(err.value) == f"bad operation table: {message}"
+
+    @pytest.mark.parametrize(
+        "symbol, args, error, message",
+        [
+            ("f", 0, SignatureError, "f takes a sequence of arguments, got 0"),
+            ("f", ([0],), DomainError, "element [0] is not in the carrier"),
+            ("f", (7,), DomainError, "element 7 is not in the carrier"),
+            ("f", (0, 1), SignatureError, "f expects 1 arguments, got 2"),
+            ("g", (0,), SignatureError, "unknown operation symbol 'g'"),
+        ],
+        ids=["not-a-sequence", "unhashable", "outside", "arity", "unknown"],
+    )
+    def test_bad_apply_arguments_are_typed_errors(self, symbol, args, error, message):
+        space = space_from([0, 1], lambda x, y: abs(x - y))
+        algebra = MetricAlgebra(Signature({"f": 1}), space, {"f": {(0,): 1, (1,): 0}})
+        with pytest.raises(error) as err:
+            algebra.apply(symbol, args)
+        assert str(err.value) == message
+
+    def test_tables_are_read_only_index_arrays(self):
+        line = line_min_algebra()
+        algebra = MetricAlgebra(
+            Signature({"c": 0, "sigma": 2}), line.space, {"c": 2, "sigma": line.ops["sigma"]}
+        )
+        assert algebra.tables["c"].shape == () and algebra.tables["c"] == 2
+        assert algebra.tables["sigma"].tolist() == [[0, 1, 2], [1, 2, 2], [2, 2, 2]]
+        with pytest.raises(ValueError):
+            algebra.tables["sigma"][0, 0] = 1
+        assert algebra.ops["c"] == {(): 2}
+        assert validate_algebra(algebra).ok
+
 
 class TestQuantitative:
     def test_truncated_sum_fails_with_expected_witness(self):
@@ -135,6 +200,27 @@ class TestQuantitative:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             is_quantitative(line_min_algebra(), max_checks=10)
+
+    @pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
+    @pytest.mark.parametrize("cells", [1 << 15, 5], ids=["blocks", "row-per-block"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_scan_matches_the_reference(self, mirrors, cells, data):
+        """Same verdict and witness as the pair loop, for K = 1 and for
+        fractional, tiny and huge Lipschitz constants, on metrics with
+        infinite distances and values past the int64 guard."""
+        source = data.draw(homomorphism_algebras())
+        k = data.draw(st.sampled_from([
+            None, Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2, 3),
+            Fraction(1, 10**20), Fraction(10**30 + 1, 7),
+        ]))
+        constants = None if k is None else {"f": k, "g": k}
+        with mirrors():
+            algebra = revalidated(source)
+            with mock.patch.object(algebra_module, "_TRIANGLE_CELLS", cells):
+                got = _modulus_scan(algebra, constants)
+        want = reference_modulus_scan(algebra, constants)
+        assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
 
     @pytest.mark.parametrize(
         "op", [max, min, lambda p, q: min(p + q, 2), lambda p, q: (p * q) % 3]
@@ -150,6 +236,84 @@ class TestQuantitative:
         if not quantitative:
             assert quantitative.reason == "expansive-operation"
             assert lipschitz.reason == "not-lipschitz"
+
+
+def zero_pair_congruence(algebra, zeros):
+    """The largest congruence below the metric that is zero on the pairs."""
+    carrier = algebra.carrier
+    bounds = [(x, y, algebra.space.get(x, y)) for x in carrier for y in carrier]
+    rows = generate_congruence(carrier, algebra.ops, bounds + [(x, y, 0) for x, y in zeros])
+    return Congruence(algebra, rows)
+
+
+class TestConstructionsMatchTheReference:
+    """Products, quotients and generated subalgebras built on the index
+    tables have the carrier and the dict tables of the loops over carrier
+    elements, and pass the public constructors."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_product(self, data):
+        algebras = data.draw(st.lists(homomorphism_algebras(), min_size=1, max_size=2))
+        prod, projections = product(algebras)
+        carrier, ops = reference_product(algebras)
+        assert (prod.carrier, prod.ops) == (carrier, ops)
+        assert revalidated(prod) == prod
+        for p in projections:
+            revalidated(p)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_quotient(self, data):
+        algebra = data.draw(homomorphism_algebras())
+        pairs = st.tuples(st.sampled_from(algebra.carrier), st.sampled_from(algebra.carrier))
+        theta = zero_pair_congruence(algebra, data.draw(st.lists(pairs, max_size=2)))
+        quot, projection = quotient(algebra, theta)
+        carrier, ops = reference_quotient(algebra, theta)
+        assert (quot.carrier, quot.ops) == (carrier, ops)
+        assert revalidated(quot) == quot
+        revalidated(projection)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_generate_subalgebra(self, data):
+        algebra = data.draw(homomorphism_algebras())
+        seed = data.draw(st.lists(st.sampled_from(algebra.carrier), max_size=2))
+        sub, inclusion = generate_subalgebra(algebra, seed)
+        carrier, ops = reference_generate_subalgebra(algebra, seed)
+        assert (sub.carrier, sub.ops) == (carrier, ops)
+        assert revalidated(sub) == sub
+        revalidated(inclusion)
+
+
+class TestEdges:
+    def test_consumers_work_on_the_index_tables(self):
+        """No construction or check rebuilds carrier elements from the tables."""
+        a, b = line_min_algebra(), line_max_algebra()
+        phi = parse_formula("x =[1] y |- sigma(x,x) =[1] sigma(y,y)", a.sig)
+        with edges_refused():
+            satisfies(a, phi)
+            entails([a, b], phi.premises, phi.conclusion)
+            closure_suite([phi], [a, b])
+            prod, projections = product([b, b])
+            thetas = [kernel(p) for p in projections]
+            join(thetas)
+            join(thetas, mode="LIP", lipschitz={"sigma": 2})
+            assert is_congruential(prod, thetas[0].matrix)
+            assert len(grid_congruences(a)) > 1
+            quotient(prod, thetas[0])
+            sub, _ = generate_subalgebra(prod, [(1, 0)])
+            relabel(a, {0: "u", 1: "v", 2: "w"})
+            restrict(coarsest_congruence(prod), sub)
+            assert not is_homomorphism({x: x for x in a.carrier}, a, b)
+            assert not is_quantitative(a)
+            assert in_mode_class(b, "LIP", Fraction(1, 2)).reason == "not-lipschitz"
+
+    def test_the_guard_refuses_the_edges(self):
+        with edges_refused(), pytest.raises(AssertionError):
+            line_min_algebra().ops
+        with edges_refused(), pytest.raises(AssertionError):
+            line_min_algebra().apply("sigma", (0, 0))
 
 
 class TestHomomorphism:
@@ -365,7 +529,7 @@ class TestIsomorphismSearch:
 
 
 class TestTrustedResults:
-    """Spaces and congruences built by construction pass the public
+    """Algebras, maps and congruences built by construction pass the public
     constructors unchanged."""
 
     def test_relabel_product_subalgebra_and_quotient(self):
@@ -373,13 +537,27 @@ class TestTrustedResults:
         renamed = relabel(a, {0: "u", 1: "v", 2: "w"})
         assert renamed.carrier == ("u", "v", "w")
         assert revalidated(renamed.space) == renamed.space
+        assert revalidated(renamed) == renamed
         prod, projections = product([a, line_max_algebra()])
         assert revalidated(prod.space) == prod.space
-        sub, _ = generate_subalgebra(prod, [(1, 0)])
+        assert revalidated(prod) == prod
+        sub, inclusion = generate_subalgebra(prod, [(1, 0)])
         assert revalidated(sub.space) == sub.space
+        assert revalidated(sub) == sub
+        revalidated(inclusion)
         for p in projections:
+            revalidated(p)
             theta = kernel(p)
             assert revalidated(theta) == theta
-            quot, _ = quotient(prod, theta)
+            quot, projection = quotient(prod, theta)
             assert type(quot.space) is FiniteMetricSpace
             assert revalidated(quot.space) == quot.space
+            assert revalidated(quot) == quot
+            revalidated(projection)
+            revalidated(projection.then(Homomorphism(quot, quot, {x: x for x in quot.carrier})))
+
+    def test_canonical_map_of_a_decomposition(self):
+        prod, projections = product([line_min_algebra(), line_max_algebra()])
+        result = decompose_product(prod, *(kernel(p) for p in projections))
+        assert result.ok
+        assert revalidated(result.iso).mapping == result.iso.mapping

@@ -804,6 +804,13 @@ class TestClosureEngines:
         assert fast == wide
         assert as_rows(fast) == reference_closure(*args)
 
+    @pytest.mark.parametrize("k", [Fraction(1, 10**20), Fraction(10**20)], ids=["q", "p"])
+    def test_constants_past_int64_on_an_all_zero_mirror(self, k):
+        """A constant whose numerator or denominator does not fit in int64
+        widens the mirror even when every finite entry is zero."""
+        args = ((0, 1), {"f": {(0,): 1, (1,): 0}}, [(0, 1, 0)], "LIP", {"f": k})
+        assert as_rows(generate_congruence(*args)) == reference_closure(*args)
+
     @pytest.mark.parametrize(
         "images, constraint",
         [({0: 1, 1: 0, 2: 2}, (0, 1, 1)), ({0: 0, 1: 1, 2: 2}, (0, 1, 1))],

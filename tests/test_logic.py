@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metra.algebra import MetricAlgebra, is_quantitative
+import metra.algebra as algebra_module
 import metra.logic as logic_module
 from metra.errors import (
     AxiomError,
@@ -671,40 +672,42 @@ class TestEquicontinuity:
 
 
 class TestCompileOncePerSearch:
-    """A search builds each algebra's tables once, however many scans it runs."""
+    """A search reads each algebra's stored index tables and builds none,
+    however many scans it runs."""
 
     @pytest.fixture
-    def builds(self, monkeypatch):
-        built = []
-        arrays = logic_module._Compiled.arrays
+    def refuse_building(self, monkeypatch):
+        """Arms a guard under which filling index tables or making an
+        algebra fails."""
 
-        def counting(compiled):
-            if compiled._arrays is None:
-                built.append(id(compiled.algebra))
-            return arrays(compiled)
+        def arm():
+            def refuse(*args):
+                raise AssertionError("a search built operation tables")
 
-        monkeypatch.setattr(logic_module._Compiled, "arrays", counting)
-        return built
+            monkeypatch.setattr(algebra_module, "_table_check", refuse)
+            monkeypatch.setattr(MetricAlgebra, "_assign", refuse)
 
-    def test_weak_compactness_search(self, builds):
+        return arm
+
+    def test_weak_compactness_search(self, refuse_building):
         """Four subsets are tried; only the last reaches the second algebra."""
         algebras = [
             bare_algebra(space_from(range(n), lambda x, y: abs(x - y))) for n in (4, 5)
         ]
         delta = [parse_equation("x =[1] y"), parse_equation("y =[1] z")]
+        refuse_building()
         verdict = weak_compactness_search(
             algebras, delta, parse_equation("x =[2] z"), slack=2
         )
         assert verdict.value == (0, 1)
-        assert builds == [id(a) for a in algebras]
 
-    def test_equicontinuity_check(self, builds):
+    def test_equicontinuity_check(self, refuse_building):
         """The delta 1 fails on the first algebra and 1/2 works on both."""
         algebras = [line_max_algebra(), line_max_algebra(top=3)]
         phi = parse_formula("x =[1] y |- sigma(x,x) =[1] sigma(y,y)", SIG2)
+        refuse_building()
         verdict = equicontinuity_check(algebras, phi, "3/2", [1, Fraction(1, 2)])
         assert verdict.value == ExtRat("1/2")
-        assert builds == [id(a) for a in algebras]
 
 
 SCHEMA_SIGMA = parse_formula(
@@ -950,7 +953,7 @@ class TestCompiledMatchesReference:
         with object_mirrors() if mirror == "object" else nullcontext():
             # A space built in the context stores the Python-int mirror.
             algebra = revalidated(algebra)
-            assert (logic_module._Compiled(algebra).arrays()[1].dtype == object) == (
+            assert (algebra.space.D.dtype == object) == (
                 mirror == "object"
             )
             same_verdict(satisfies(algebra, phi), reference_satisfies(algebra, phi))
@@ -1010,8 +1013,8 @@ class TestChunkEdges:
     def test_cap_at_the_grid_size(self, monkeypatch):
         algebra = pinned_algebra(9, 9, 9, 9)
         assert not satisfies(algebra, PINNED, max_valuations=10_000).ok
-        # The cap is checked before the operation tables are built.
-        monkeypatch.setattr(logic_module, "index_tables", None)
+        # The cap is checked before the scan builds its first array.
+        monkeypatch.setattr(logic_module, "within", None)
         with pytest.raises(ResourceLimitError) as err:
             satisfies(algebra, PINNED, max_valuations=9_999)
         assert err.value.limit_name == "max_valuations"
@@ -1042,7 +1045,7 @@ def test_distances_beyond_int64_stay_exact(bound, holds):
     algebra = bare_algebra(space_from((0, 1, 2), lambda p, q: 10**30 * abs(p - q) // 2))
     phi = MetricImplication((MetricEquation(Var("x"), Var("y"), 10**30),),
                             MetricEquation(Var("x"), Var("y"), bound))
-    assert logic_module._Compiled(algebra).arrays()[1].dtype == object
+    assert algebra.space.D.dtype == object
     verdict = satisfies(algebra, phi)
     assert verdict.ok is holds
     same_verdict(verdict, reference_satisfies(algebra, phi))
