@@ -199,9 +199,9 @@ def _cells(table: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
 def _spread(D: np.ndarray, args_idx: Sequence[np.ndarray], rows=slice(None)) -> np.ndarray:
     """``max_i D[a_i, b_i]`` for the argument tuples ``a`` at ``rows`` and
     every tuple ``b``, with the tuples given as ``args_idx``."""
-    out = D[np.ix_(args_idx[0][rows], args_idx[0])]
+    out = D[args_idx[0][rows, None], args_idx[0]]
     for pos in args_idx[1:]:
-        np.maximum(out, D[np.ix_(pos[rows], pos)], out=out)
+        np.maximum(out, D[pos[rows, None], pos], out=out)
     return out
 
 
@@ -289,6 +289,8 @@ class Homomorphism:
     __slots__ = ("source", "target", "mapping")
 
     def __init__(self, source: MetricAlgebra, target: MetricAlgebra, mapping: Mapping):
+        for a in mapping:
+            source.space.index(a)  # DomainError for a key outside the source carrier
         verdict = is_homomorphism(mapping, source, target)
         if not verdict:
             raise AxiomError(

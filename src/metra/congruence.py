@@ -14,7 +14,11 @@ mode-dependent operation rule:
 
 The same engine generates the smallest congruential pseudometric above a
 finite set of distance constraints, which is what presentations of free
-algebras need.  Every operation here reads and writes the matrices'
+algebras need.  Each pass of the fixpoint redoes only what the last one
+moved: the first closes every finite component by Floyd-Warshall, later
+ones pivot only on the rows the rules lowered, a rule runs again only
+when its argument rows moved, and the first pass whose rules lower
+nothing ends it.  Every operation here reads and writes the matrices'
 scaled mirrors (see ``extmetric``); the closure widens an int64 mirror to
 Python ints when a value outgrows the guard, so the fixpoint is exact
 whatever the denominators.
@@ -47,7 +51,6 @@ from .extmetric import (
     _as_object,
     _as_verdict,
     _codes,
-    _finite_components,
     _finite_max,
     _first,
     _ids,
@@ -394,21 +397,16 @@ def generate_congruence(
     index = {x: i for i, x in enumerate(carrier)}
     if len(index) != len(carrier) or not carrier:
         raise DomainError("carrier must be nonempty and free of duplicates")
-    cells, bounds = [], []
+    caps = []
     for x, y, bound in constraints:
         if x not in index or y not in index:
             raise DomainError(
                 f"constraint mentions {render_id(x)} or {render_id(y)} outside the carrier"
             )
-        bounds.append(checked_value(
+        caps.append((index[x], index[y], checked_value(
             ExtRat, bound, f"bound of the constraint on ({render_id(x)}, {render_id(y)})"
-        ))
-        cells.append((index[x], index[y]))
-    codes, denom = _codes(bounds)
-    D = np.full((len(carrier), len(carrier)), _inf_code(codes), dtype=codes.dtype)
-    i, j = np.array(cells, dtype=np.intp).reshape(-1, 2).T
-    np.minimum.at(D, (i, j), codes)
-    np.minimum.at(D, (j, i), codes)
+        )))
+    D, denom = _start_matrix(len(carrier), caps)
     rules = {}
     for symbol, table in ops.items():
         table = dict(table)
@@ -429,6 +427,16 @@ def generate_congruence(
         ), dtype=np.intp)
         rules[symbol] = list(cells[:, :-1].T), cells[:, -1]
     return closure_fixpoint(carrier, rules, D, denom, mode, lipschitz, max_decreases)
+
+
+def _start_matrix(n: int, cells: Sequence[tuple[int, int, ExtRat]]) -> tuple[np.ndarray, int]:
+    """The mirror of the discrete pseudometric on ``n`` points with each
+    ``(i, j, bound)`` capping (i, j) and (j, i)."""
+    codes, denom = _codes([c[2] for c in cells])
+    D = np.full((n, n), _inf_code(codes), dtype=codes.dtype)
+    i, j = np.array([c[:2] for c in cells], dtype=np.intp).reshape(-1, 2).T
+    np.minimum.at(D, (np.r_[i, j], np.r_[j, i]), np.r_[codes, codes])
+    return D, denom
 
 
 def closure_fixpoint(
@@ -455,23 +463,83 @@ def closure_fixpoint(
             k = checked_value(Fraction, lipschitz[symbol], f"Lipschitz constant for {symbol}")
             if k <= 0:
                 raise DomainError(f"Lipschitz constant for {symbol} must be positive")
-        tables.append((symbol, *rules[symbol], k))
-
+        args_idx, res_idx = rules[symbol]
+        # The rows the rule reads, its images, and those as a slice when they
+        # are a run.  (A plain np.unique would import numpy.ma: 1 MB of RSS.)
+        reads = np.zeros(len(D), dtype=bool)
+        reads[np.concatenate(args_idx)] = True
+        first, m = int(res_idx[0]), len(res_idx)
+        run = (res_idx == np.arange(first, first + m)).all()
+        images = slice(first, first + m) if run else np.flatnonzero(np.bincount(res_idx))
+        tables.append((args_idx, res_idx, k, reads, images))
     return PseudometricMatrix._trusted(carrier, *_fix_int(D, denom, tables, mode, max_decreases))
 
 
+def _finite_components(finite: np.ndarray) -> list[np.ndarray]:
+    """The connected groups of two or more indices of a symmetric boolean
+    mask with a true diagonal, in increasing order, by least member.
+
+    Each label starts at the least neighbour and is shortened by pointer
+    jumping; then each root takes the least label its members see among
+    their neighbours, until no true entry joins two labels.
+    """
+    label = finite.argmax(axis=1)
+    while True:
+        while not (label[label] == label).all():
+            label = label[label]
+        if not label.any():
+            break
+        # Down each column of the rows in label order (the mask is
+        # symmetric), the first true entry holds the least label seen.
+        order = label.argsort(kind="stable")
+        least = label[order[finite[order].argmax(axis=0)]]
+        if (least == label).all():
+            break
+        hooked = least.copy()
+        np.minimum.at(hooked, label, least)
+        label = hooked[label]
+    order = (np.bincount(label)[label] > 1).nonzero()[0]
+    order = order[label[order].argsort(kind="stable")]
+    cuts = [0, *((label[order[1:]] != label[order[:-1]]).nonzero()[0] + 1).tolist(), len(order)]
+    return [order[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
+
+
 def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
-    decreases = 0
+    """Close ``(D, denom)`` in passes of triangle repair and then the rules,
+    up to the first pass whose rules lower nothing.  The first repair is
+    Floyd-Warshall over each finite component.  Later ones pivot only on
+    the rows the rules lowered: D was closed before, and a path that got
+    shorter runs through a lowered entry, whose ends are both such rows.
+    A rule whose argument rows have not moved since it last ran is
+    skipped, as it would lower nothing.  Every pass ends on the matrix of
+    a full repair and every rule, so the decrease count is unchanged.
+    """
+    n = len(D)
     np.fill_diagonal(D, 0)
     np.minimum(D, D.T, out=D)
+    stale = np.ones((len(tables), n), dtype=bool)
+    pivots = np.ones(n, dtype=bool)
+    decreases, cells = 0, -1
     while True:
         before = D.copy()
-        for idx in _finite_components(D):
-            sub = D[np.ix_(idx, idx)]
-            for k in range(len(idx)):
-                np.minimum(sub, sub[:, k, None] + sub[None, k, :], out=sub)
-            D[np.ix_(idx, idx)] = sub
-        for _, args_idx, res_idx, k in tables:
+        # A repair leaves every component finite throughout, so components
+        # have merged exactly when more entries than their cells are finite.
+        finite = D < _inf_code(D)
+        if np.count_nonzero(finite) != cells:
+            groups = _finite_components(finite)
+            cells = n + sum(len(idx) * (len(idx) - 1) for idx in groups)
+        for idx in groups:
+            if (ks := pivots[idx].nonzero()[0].tolist()):
+                sub = D[idx[:, None], idx]
+                for k in ks:
+                    np.minimum(sub, sub[:, k, None] + sub[None, k, :], out=sub)
+                D[idx[:, None], idx] = sub
+        stale |= (D < before).any(axis=1)
+        pivots[:] = False
+        for r, (args_idx, res_idx, k, reads, images) in enumerate(tables):
+            if not stale[r, reads].any():
+                continue
+            stale[r] = False
             cand = _spread(D, args_idx)
             if mode == "M":
                 cand = np.where(cand == 0, 0, _inf_code(cand))
@@ -491,27 +559,24 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
                     _scale_finite(before, q)
                     denom *= q
                 _scale_finite(cand, p)
-            if len(set(res_idx.tolist())) == len(res_idx):
-                block = D[np.ix_(res_idx, res_idx)]
+            # The rows the rule lowers, read off its own writes.
+            if isinstance(images, slice):
+                block = D[images, images]
+                lowered = res_idx[(cand < block).any(axis=1)]
                 np.minimum(block, cand, out=block)
-                D[np.ix_(res_idx, res_idx)] = block
             else:
-                np.minimum.at(
-                    D, (res_idx[:, None], res_idx[None, :]), cand
-                )
-        np.fill_diagonal(D, 0)
-        np.minimum(D, D.T, out=D)
-        dropped = int((D < before).sum())
-        decreases += dropped
+                seen = D[images[:, None], images]
+                np.minimum.at(D, (res_idx[:, None], res_idx[None, :]), cand)
+                lowered = images[(D[images[:, None], images] < seen).any(axis=1)]
+            pivots[lowered] = True
+            stale[:, lowered] = True
+        decreases += np.count_nonzero(D < before)
         if decreases > max_decreases:
             raise ResourceLimitError(
-                f"closure exceeded {max_decreases} entry decreases",
-                "max_decreases",
-                max_decreases,
+                f"closure exceeded {max_decreases} entry decreases", "max_decreases", max_decreases
             )
-        if dropped == 0:
-            break
-    return D, denom
+        if not pivots.any():
+            return D, denom
 
 
 # Candidate cells checked at once by grid_congruences: a chunk of c

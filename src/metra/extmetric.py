@@ -483,34 +483,6 @@ def _first(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(flat, mask.shape))
 
 
-def _finite_components(arr: np.ndarray) -> list[np.ndarray]:
-    """Groups of indices connected through finite entries.
-
-    Any triangle violation d(x,z) > d(x,y) + d(y,z) needs a finite right
-    side, which places x, y, and z in a single group, so the triangle
-    check can run group by group.
-    """
-    n = arr.shape[0]
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    finite = arr < _inf_code(arr)
-    for i in range(n):
-        for j in np.nonzero(finite[i, i + 1 :])[0]:
-            ri, rj = find(i), find(int(j) + i + 1)
-            if ri != rj:
-                parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(g, dtype=np.intp) for g in groups.values() if len(g) > 1]
-
-
 # Cells of the n**3 triangle comparison held in memory at once.
 _TRIANGLE_CELLS = 1 << 15
 

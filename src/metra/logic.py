@@ -49,9 +49,10 @@ from .algebra import (
     quotient,
 )
 from .congruence import (
+    _start_matrix,
+    closure_fixpoint,
     coarsest_congruence,
     finest_congruence,
-    generate_congruence,
     grid_congruences,
 )
 from .errors import (
@@ -622,23 +623,28 @@ def free_algebra(
     the unbounded free algebra and can only shrink at greater depth.
     """
     universe = enumerate_terms(p.sig, p.variables, p.depth, max_terms=max_terms)
-    members = set(universe)
+    index = {t: i for i, t in enumerate(universe)}
     for r in p.relations:
         for side in (r.lhs, r.rhs):
-            if side not in members:
+            if side not in index:
                 raise UnsupportedInputError(
                     f"relation term {side} exceeds depth {p.depth}; "
                     f"raise the presentation depth"
                 )
-    ops: dict = {}
-    for t in universe:
-        if isinstance(t, App):
-            ops.setdefault(t.symbol, {})[t.args] = t
-    constraints = [(r.lhs, r.rhs, r.bound) for r in p.relations]
-    theta = generate_congruence(
-        universe, ops, constraints, mode=p.mode, lipschitz=p.lipschitz,
-        max_decreases=max_decreases,
+    # One row per application: its arguments' positions, then its own.  The
+    # universe is in canonical order, so each symbol's rows come sorted.
+    rows: dict = {}
+    for i, t in enumerate(universe):
+        if isinstance(t, App) and t.args:
+            rows.setdefault(t.symbol, []).append([*map(index.__getitem__, t.args), i])
+    rules = {}
+    for symbol, cells in rows.items():
+        cells = np.array(cells, dtype=np.intp)
+        rules[symbol] = list(cells[:, :-1].T), cells[:, -1]
+    D, denom = _start_matrix(
+        len(universe), [(index[r.lhs], index[r.rhs], r.bound) for r in p.relations]
     )
+    theta = closure_fixpoint(universe, rules, D, denom, p.mode, p.lipschitz, max_decreases)
     free = FreeAlgebra(p, universe, theta)
     for r in p.relations:
         if not free.distance(r.lhs, r.rhs) <= r.bound:
@@ -718,9 +724,10 @@ def factoring_map(free: FreeAlgebra, algebra: MetricAlgebra, valuation) -> Verdi
 
     For an algebra in the presentation's mode class and a valuation
     satisfying the relations, evaluation factors through the quotient:
-    the map on class representatives is well defined, nonexpansive, and
-    preserves every in-universe operation application.  The passing
-    verdict carries the mapping.
+    the map on class representatives is nonexpansive, hence well defined,
+    and it preserves every in-universe operation application because
+    evaluation computes each value from those of the arguments.  The
+    passing verdict carries the mapping.
     """
     p = free.presentation
     verdict = in_mode_class(algebra, p.mode, p.lipschitz)
@@ -732,24 +739,14 @@ def factoring_map(free: FreeAlgebra, algebra: MetricAlgebra, valuation) -> Verdi
         if not satisfies_under(algebra, valuation, r):
             raise DomainError(f"the valuation does not satisfy the relation {r}")
     values = {t: evaluate(t, algebra, valuation) for t in free.universe}
-    pos = {t: algebra.space.index(values[t]) for t in free.universe}
-    at = list(pos.values())
+    at = [algebra.space.index(values[t]) for t in free.universe]
     (A, F), _ = _mirrors(algebra.space, free.theta)
     bad = _first(np.triu(A[np.ix_(at, at)] > F, 1))
     if bad is not None:
         return Verdict.failed("not-nonexpansive", tuple(free.universe[i] for i in bad))
-    mapping = {}
-    for t in free.universe:
-        rep = free.class_of(t)
-        if rep in mapping and mapping[rep] != values[t]:
-            return Verdict.failed("not-well-defined", (rep, t))
-        mapping[rep] = values[t]
-    for t in free.universe:
-        if isinstance(t, App):
-            through = algebra.tables[t.symbol][tuple(pos[a] for a in t.args)]
-            if pos[t] != through:
-                return Verdict.failed("not-a-homomorphism", (t,))
-    return Verdict.passed(mapping)
+    # Terms of one class are at free distance 0, so at model distance 0
+    # once the check above passes: the map is well defined.
+    return Verdict.passed({free.class_of(t): values[t] for t in free.universe})
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,23 @@ from unittest import mock
 
 from hypothesis import strategies as st
 
+import numpy as np
+
 import metra.extmetric as extmetric_module
+from metra.algebra import _spread
 from metra.errors import DomainError, ResourceLimitError, SignatureError, Verdict
 from metra.extmetric import (
+    _MAX_SCALED,
     INF,
     ZERO,
     ExtRat,
     FiniteMetricSpace,
     PseudometricMatrix,
     SquareMatrix,
+    _as_object,
+    _finite_max,
     _inf_code,
+    _scale_finite,
     check_pseudometric,
     metric_identification,
 )
@@ -121,6 +128,84 @@ def reference_closure(carrier, ops, constraints, mode, lipschitz=None, max_decre
             )
         if dropped == 0:
             return m
+
+
+def reference_components(finite):
+    """The groups of two or more indices connected through the true entries
+    of a symmetric boolean mask, by a union-find, as an oracle: lists in
+    increasing order, ordered by their least member."""
+    n = finite.shape[0]
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in np.nonzero(finite[i, i + 1 :])[0]:
+            ri, rj = find(i), find(int(j) + i + 1)
+            if ri != rj:
+                parent[rj] = ri
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [g for g in groups.values() if len(g) > 1]
+
+
+def reference_fix_int(D, denom, tables, mode, max_decreases):
+    """The closure engine with a full Floyd-Warshall repair and every rule in
+    every pass, until a pass lowers nothing, as an oracle.
+
+    Takes the engine's arguments, reading ``(args_idx, res_idx, k)`` from
+    the front of each table, and returns ``(D, denom, decreases)``: the
+    decreases are the entries each pass lowered, summed over the passes.
+    """
+    decreases = 0
+    np.fill_diagonal(D, 0)
+    np.minimum(D, D.T, out=D)
+    while True:
+        before = D.copy()
+        for idx in reference_components(D < _inf_code(D)):
+            sub = D[np.ix_(idx, idx)]
+            for k in range(len(idx)):
+                np.minimum(sub, sub[:, k, None] + sub[None, k, :], out=sub)
+            D[np.ix_(idx, idx)] = sub
+        for args_idx, res_idx, k, *_ in tables:
+            cand = _spread(D, args_idx)
+            if mode == "M":
+                cand = np.where(cand == 0, 0, _inf_code(cand))
+            elif mode == "LIP":
+                p, q = k.numerator, k.denominator
+                if D.dtype != object and (
+                    q * max(_finite_max(D), _finite_max(before), 1) >= _MAX_SCALED
+                    or p * max(_finite_max(cand), 1) >= _MAX_SCALED
+                ):
+                    D, before, cand = _as_object(D), _as_object(before), _as_object(cand)
+                if q != 1:
+                    _scale_finite(D, q)
+                    _scale_finite(before, q)
+                    denom *= q
+                _scale_finite(cand, p)
+            if len(set(res_idx.tolist())) == len(res_idx):
+                block = D[np.ix_(res_idx, res_idx)]
+                np.minimum(block, cand, out=block)
+                D[np.ix_(res_idx, res_idx)] = block
+            else:
+                np.minimum.at(D, (res_idx[:, None], res_idx[None, :]), cand)
+        np.fill_diagonal(D, 0)
+        np.minimum(D, D.T, out=D)
+        dropped = int((D < before).sum())
+        decreases += dropped
+        if decreases > max_decreases:
+            raise ResourceLimitError(
+                f"closure exceeded {max_decreases} entry decreases",
+                "max_decreases",
+                max_decreases,
+            )
+        if dropped == 0:
+            return D, denom, decreases
 
 
 def reference_violation(rows, n):

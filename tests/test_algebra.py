@@ -341,6 +341,11 @@ class TestHomomorphism:
         f = Homomorphism(a, shrunk_copy(a), {x: x for x in a.carrier})
         assert f.is_surjective and f.is_injective and not f.is_isometric
 
+    def test_constructor_rejects_keys_outside_the_source(self):
+        a = line_min_algebra()
+        with pytest.raises(DomainError, match="element 99 is not in the carrier"):
+            Homomorphism(a, a, {**{x: x for x in a.carrier}, 99: 5})
+
     @pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)

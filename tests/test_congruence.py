@@ -7,6 +7,7 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from metra.algebra import (
 )
 from metra.congruence import (
     Congruence,
+    _finite_components,
     are_permutable,
     coarsest_congruence,
     compose,
@@ -67,7 +69,9 @@ from conftest import (
     metric_spaces,
     object_mirrors,
     reference_closure,
+    reference_components,
     reference_compose,
+    reference_fix_int,
     reference_grid_congruences,
     reference_identification,
     reference_is_congruential,
@@ -842,6 +846,122 @@ class TestClosureEngines:
             == exact.value.limit_name
             == "max_decreases"
         )
+
+
+def on_full_passes(run):
+    """``run()`` with ``reference_fix_int`` as the closure engine: its
+    result and the reference's decrease count."""
+    counts = []
+
+    def full_passes(*engine_args):
+        D, denom, count = reference_fix_int(*engine_args)
+        counts.append(count)
+        return D, denom
+
+    with mock.patch.object(congruence_module, "_fix_int", full_passes):
+        result = run()
+    return result, counts[0]
+
+
+class TestIncrementalClosure:
+    """The engine, which repairs over touched pivots, re-runs only rules
+    whose arguments moved and stops at the first rule-stable pass, against
+    full passes until nothing changes: the same matrix, and the same cap
+    verdict at the reference's decrease count and one below it."""
+
+    @pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
+    @given(
+        n=st.integers(min_value=1, max_value=7),
+        mode=st.sampled_from(["M", "Q", "LIP"]),
+        k=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]),
+        cap=st.sampled_from([5, 20, 300]),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_full_passes(self, mirrors, n, mode, k, cap, data):
+        elem = st.integers(min_value=0, max_value=n - 1)
+        # "h" maps its arguments onto a run of positions, the engine's view path.
+        run = sorted(data.draw(st.sets(elem, min_size=1)))
+        start = data.draw(st.integers(min_value=0, max_value=n - len(run)))
+        ops = {
+            "f": data.draw(st.dictionaries(st.tuples(elem), elem, max_size=n)),
+            "g": data.draw(st.dictionaries(st.tuples(elem, elem), elem, max_size=16)),
+            "h": {(a,): start + i for i, a in enumerate(run)},
+        }
+        bounds = data.draw(
+            st.lists(st.tuples(elem, elem, st.sampled_from(TestClosureEngines.BOUNDS)), max_size=4)
+        )
+        lipschitz = dict.fromkeys(ops, k) if mode == "LIP" else None
+        args = (range(n), ops, bounds, mode, lipschitz)
+        with mirrors():
+            try:
+                want, count = on_full_passes(lambda: generate_congruence(*args, max_decreases=cap))
+            except ResourceLimitError:
+                with pytest.raises(ResourceLimitError):
+                    generate_congruence(*args, max_decreases=cap)
+                return
+            assert generate_congruence(*args, max_decreases=count) == want
+            if count:
+                with pytest.raises(ResourceLimitError):
+                    generate_congruence(*args, max_decreases=count - 1)
+
+    def test_a_rule_runs_again_when_the_repair_moves_its_arguments(self):
+        """h has read rows 2 and 5 by the end of the first pass, and in the
+        second only the repair moves them (it lowers d(2, 5)); h must run
+        again for the closure to go on."""
+        ops = {
+            "g": {(0, 5): 0, (1, 1): 5, (0, 3): 0, (5, 0): 4, (3, 2): 4,
+                  (4, 0): 2, (1, 0): 2, (4, 5): 0},
+            "h": {(5,): 5, (2,): 1, (3,): 5, (1,): 3},
+        }
+        args = (range(6), ops, [(0, 5, 0)], "Q", None)
+        want, count = on_full_passes(lambda: generate_congruence(*args))
+        assert generate_congruence(*args, max_decreases=count) == want
+
+    @pytest.mark.parametrize("mode", ["M", "Q", "LIP"])
+    def test_free_algebras_match_full_passes(self, mode):
+        """Depth-2 universes over sigma and u, whose rules read a product of
+        earlier terms and write a run of positions."""
+        sig = Signature({"sigma": 2, "u": 1})
+        relations = [MetricEquation(Var("x"), Var("y"), Fraction(1, 2))]
+        p = Presentation(
+            sig, ["x", "y"], relations, mode=mode, depth=2, lipschitz=Fraction(3, 2)
+        )
+        want, count = on_full_passes(lambda: free_algebra(p).theta)
+        assert free_algebra(p, max_decreases=count).theta == want
+        with pytest.raises(ResourceLimitError):
+            free_algebra(p, max_decreases=count - 1)
+
+
+@st.composite
+def finiteness_masks(draw):
+    """Symmetric boolean masks with a true diagonal: a chain through the
+    points in a drawn order, of drawn length, plus a few drawn entries."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    order = draw(st.permutations(range(n)))
+    length = draw(st.integers(min_value=0, max_value=n))
+    point = st.integers(min_value=0, max_value=n - 1)
+    extra = draw(st.lists(st.tuples(point, point), max_size=n // 4))
+    mask = np.eye(n, dtype=bool)
+    for a, b in [*zip(order[: length - 1], order[1:length]), *extra]:
+        mask[a, b] = mask[b, a] = True
+    return mask
+
+
+class TestFiniteComponents:
+    @given(mask=finiteness_masks())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_union_find(self, mask):
+        got = _finite_components(mask)
+        assert [g.tolist() for g in got] == reference_components(mask)
+
+    @pytest.mark.parametrize("n", [2, 3, 500])
+    def test_long_chains(self, n):
+        """A chain through the points in descending and in shuffled order."""
+        for order in (list(range(n))[::-1], np.random.default_rng(n).permutation(n)):
+            mask = np.eye(n, dtype=bool)
+            mask[order[:-1], order[1:]] = mask[order[1:], order[:-1]] = True
+            assert [g.tolist() for g in _finite_components(mask)] == [list(range(n))]
 
 
 class TestTrustedResults:

@@ -459,7 +459,7 @@ class TestFreeAlgebra:
         universe = free_algebra(p).universe
         rows = [[ExtRat(0) if s == t else INF for t in universe] for s in universe]
         broken = PseudometricMatrix(universe, rows)
-        monkeypatch.setattr(logic_module, "generate_congruence", lambda *a, **k: broken)
+        monkeypatch.setattr(logic_module, "closure_fixpoint", lambda *a, **k: broken)
         with pytest.raises(AxiomError, match="breaks its relation x =\\[1\\] y") as err:
             free_algebra(p)
         assert err.value.verdict.reason == "relation"
