@@ -149,7 +149,7 @@ def _table_check(sig: Signature, space: FiniteMetricSpace, ops) -> Verdict:
     for symbol in sig.symbols:
         if symbol not in ops:
             return Verdict.failed("missing-table", (symbol,))
-    n, index, tables = space.size, space._index, {}
+    n, index, tables = space.size, space._positions(), {}
     for symbol, table in ops.items():
         arity = sig.arity(symbol)
         if arity == 0 and not isinstance(table, Mapping):

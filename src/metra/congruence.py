@@ -18,10 +18,11 @@ algebras need.  Each pass of the fixpoint redoes only what the last one
 moved: the first closes every finite component by Floyd-Warshall, later
 ones pivot only on the rows the rules lowered, a rule runs again only
 when its argument rows moved, and the first pass whose rules lower
-nothing ends it.  Every operation here reads and writes the matrices'
-scaled mirrors (see ``extmetric``); the closure widens an int64 mirror to
-Python ints when a value outgrows the guard, so the fixpoint is exact
-whatever the denominators.
+nothing ends it.  A rule whose argument tuples are a power of the rows
+it reads broadcasts its candidates from their block.  Every operation
+here reads and writes the matrices' scaled mirrors (see ``extmetric``);
+the closure widens an int64 mirror to Python ints when a value outgrows
+the guard, so the fixpoint is exact whatever the denominators.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .extmetric import (
     _inf_code,
     _mirrors,
     _scale_finite,
+    _sup,
     checked_value,
     render_id,
     scaled_int_array,
@@ -266,7 +268,8 @@ def join(
 
 
 def restrict(theta: Congruence, sub: MetricAlgebra) -> Congruence:
-    """Restriction of a congruence to a subalgebra of its base."""
+    """Restriction of a congruence to a subalgebra of its base, which must
+    carry the base's operations and metric: a congruence by construction."""
     base = theta.base
     idx = np.array([base.space.index(x) for x in sub.carrier], dtype=np.intp)
     if sub.sig != base.sig:
@@ -274,8 +277,11 @@ def restrict(theta: Congruence, sub: MetricAlgebra) -> Congruence:
     for symbol, table in sub.tables.items():
         if not np.array_equal(idx[table], _on(base.tables[symbol], idx)):
             raise DomainError("not a subalgebra: operation tables disagree")
-    D = theta.matrix.D[np.ix_(idx, idx)]
-    return Congruence(sub, SquareMatrix._trusted(sub.carrier, D, theta.matrix.denom))
+    at = np.ix_(idx, idx)
+    (S, B), _ = _mirrors(sub.space, (base.space.D[at], base.space.denom))
+    if not np.array_equal(S, B):
+        raise DomainError("not a subalgebra: the metrics disagree")
+    return Congruence._trusted(sub, theta.matrix.D[at], theta.matrix.denom)
 
 
 def quotient_congruence(rho: Congruence, theta: Congruence) -> Congruence:
@@ -471,7 +477,13 @@ def closure_fixpoint(
         first, m = int(res_idx[0]), len(res_idx)
         run = (res_idx == np.arange(first, first + m)).all()
         images = slice(first, first + m) if run else np.flatnonzero(np.bincount(res_idx))
-        tables.append((args_idx, res_idx, k, reads, images))
+        # The sorted rows read, when the argument tuples are their power in
+        # row-major order (as in free-algebra and full-table rules).
+        rows, arity = reads.nonzero()[0], len(args_idx)
+        square = m == len(rows) ** arity and bool(
+            (np.stack(args_idx) == rows[np.indices((len(rows),) * arity).reshape(arity, -1)]).all()
+        )
+        tables.append((args_idx, res_idx, k, reads, images, rows if square else None))
     return PseudometricMatrix._trusted(carrier, *_fix_int(D, denom, tables, mode, max_decreases))
 
 
@@ -512,7 +524,9 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
     shorter runs through a lowered entry, whose ends are both such rows.
     A rule whose argument rows have not moved since it last ran is
     skipped, as it would lower nothing.  Every pass ends on the matrix of
-    a full repair and every rule, so the decrease count is unchanged.
+    a full repair and every rule, so the decrease count is unchanged.  A
+    rule whose tuples are S**arity, for the rows S it reads, broadcasts its
+    candidates from the block ``D[S, S]`` instead of gathering them.
     """
     n = len(D)
     np.fill_diagonal(D, 0)
@@ -536,11 +550,14 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
                 D[idx[:, None], idx] = sub
         stale |= (D < before).any(axis=1)
         pivots[:] = False
-        for r, (args_idx, res_idx, k, reads, images) in enumerate(tables):
+        for r, (args_idx, res_idx, k, reads, images, square) in enumerate(tables):
             if not stale[r, reads].any():
                 continue
             stale[r] = False
-            cand = _spread(D, args_idx)
+            if square is None:
+                cand = _spread(D, args_idx)
+            else:
+                cand = _sup([D[square[:, None], square]] * len(args_idx))
             if mode == "M":
                 cand = np.where(cand == 0, 0, _inf_code(cand))
             elif mode == "LIP":

@@ -263,10 +263,11 @@ class SquareMatrix:
     ``D`` is int64 exactly when every finite value is below the guard), so
     equal matrices have equal arrays.  ``ExtRat`` values come from a table
     with one object per distinct value, built as they are asked for; the
-    constructor seeds it with the caller's own ``ExtRat`` entries.
+    constructor seeds it with the caller's own ``ExtRat`` entries.  Element
+    positions and ``D`` as nested lists are built on first use.
     """
 
-    __slots__ = ("carrier", "D", "denom", "_index", "_values")
+    __slots__ = ("carrier", "D", "denom", "_index", "_values", "_lists")
 
     def __init__(self, carrier: Sequence, entries: Sequence[Sequence[ExtRat]]):
         carrier = _checked_carrier(carrier)
@@ -284,7 +285,7 @@ class SquareMatrix:
         self.carrier = carrier
         self.D = D
         self.denom = denom
-        self._index = {x: i for i, x in enumerate(carrier)}
+        self._index = self._lists = None
         self._values = values
 
     def _validate(self) -> None:
@@ -304,9 +305,19 @@ class SquareMatrix:
     def size(self) -> int:
         return len(self.carrier)
 
+    def _positions(self) -> dict:
+        if self._index is None:
+            self._index = {x: i for i, x in enumerate(self.carrier)}
+        return self._index
+
+    def _listed(self) -> list:
+        if self._lists is None:
+            self._lists = self.D.tolist()
+        return self._lists
+
     def index(self, x) -> int:
         try:
-            return self._index[x]
+            return self._positions()[x]
         except (KeyError, TypeError):
             raise DomainError(f"element {render_id(x)} is not in the carrier") from None
 
@@ -322,11 +333,7 @@ class SquareMatrix:
         return self._value(self.D.item(i, j))
 
     def get(self, x, y) -> ExtRat:
-        try:
-            i, j = self._index[x], self._index[y]
-        except KeyError:
-            i, j = self.index(x), self.index(y)
-        return self._value(self.D.item(i, j))
+        return self._value(self.D.item(self.index(x), self.index(y)))
 
     def _rows(self, convert: Callable) -> list:
         """``convert`` of each distance, as rows; it runs once per distinct value."""
@@ -625,27 +632,43 @@ class QuotientMap:
     def __init__(self, source_carrier: Sequence, class_of: Mapping):
         self.source_carrier = tuple(source_carrier)
         self._class_of = dict(class_of)
-        members: dict = {}
-        for x in self.source_carrier:
-            members.setdefault(self._class_of[x], []).append(x)
-        self.class_ids = tuple(members)
-        self._members = {c: tuple(ms) for c, ms in members.items()}
+        self.class_ids = tuple(dict.fromkeys(map(self._class_of.__getitem__, self.source_carrier)))
+        self._members = None
         for c in self.class_ids:
-            if self._class_of[self._members[c][0]] != c:
+            if self._class_of[self.members(c)[0]] != c:
                 raise DomainError("representative does not map back to its class")
+
+    @classmethod
+    def _trusted(cls, carrier: tuple, rep: Sequence[int]) -> "QuotientMap":
+        """The map of ``carrier[i]`` to ``carrier[rep[i]]``, the least member
+        of its class; nothing is checked, and lookups are built on first use."""
+        out = object.__new__(cls)
+        out.source_carrier, out._rep = carrier, rep
+        out.class_ids = tuple(carrier[i] for i, r in enumerate(rep) if i == r)
+        out._class_of = out._members = None
+        return out
+
+    def _classes(self) -> dict:
+        if self._class_of is None:
+            carrier = self.source_carrier
+            self._class_of = dict(zip(carrier, map(carrier.__getitem__, self._rep)))
+        return self._class_of
 
     def class_of(self, x):
         try:
-            return self._class_of[x]
+            return self._classes()[x]
         except KeyError:
             raise DomainError(f"element {render_id(x)} is not in the source carrier") from None
 
     def representative(self, c):
-        if c not in self._members:
-            raise DomainError(f"{render_id(c)} is not a class id")
-        return self._members[c][0]
+        return self.members(c)[0]
 
     def members(self, c) -> tuple:
+        if self._members is None:
+            members: dict = {}
+            for x in self.source_carrier:
+                members.setdefault(self._classes()[x], []).append(x)
+            self._members = {c: tuple(ms) for c, ms in members.items()}
         if c not in self._members:
             raise DomainError(f"{render_id(c)} is not a class id")
         return self._members[c]
@@ -653,10 +676,7 @@ class QuotientMap:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuotientMap):
             return NotImplemented
-        return (
-            self.source_carrier == other.source_carrier
-            and self._class_of == other._class_of
-        )
+        return self.source_carrier == other.source_carrier and self._classes() == other._classes()
 
     def __repr__(self) -> str:
         return f"<QuotientMap {len(self.source_carrier)} -> {len(self.class_ids)}>"
@@ -671,10 +691,9 @@ def metric_identification(p: PseudometricMatrix) -> tuple[FiniteMetricSpace, Quo
     distances pass to representatives unchanged, giving a metric.
     """
     p = _validated(p, PseudometricMatrix)
-    carrier = p.carrier
     rep = (p.D == 0).argmax(axis=1)
-    reps = np.flatnonzero(rep == np.arange(len(carrier)))
-    qmap = QuotientMap(carrier, dict(zip(carrier, map(carrier.__getitem__, rep.tolist()))))
+    reps = np.flatnonzero(rep == np.arange(len(rep)))
+    qmap = QuotientMap._trusted(p.carrier, rep.tolist())
     return FiniteMetricSpace._trusted(qmap.class_ids, p.D[np.ix_(reps, reps)], p.denom), qmap
 
 
@@ -727,7 +746,7 @@ def point_set_distance(space: PseudometricMatrix, x, subset: Iterable) -> ExtRat
     subset = list(subset)
     if not subset:
         raise DomainError("distance to the empty set is not defined")
-    row = space.D[space.index(x)].tolist()
+    row = space._listed()[space.index(x)]
     return space._value(min(row[space.index(s)] for s in subset))
 
 
@@ -738,9 +757,7 @@ def hausdorff_distance(space: PseudometricMatrix, a: Iterable, b: Iterable) -> E
         raise DomainError("Hausdorff distance needs nonempty subsets")
     ia = [space.index(x) for x in a]
     ib = [space.index(y) for y in b]
-    # Listing the whole matrix beats indexing it row by row on the small
-    # spaces this serves; it costs one pass over the n**2 entries.
-    rows = space.D.tolist()
+    rows = space._listed()
     forward = max(min(map(rows[i].__getitem__, ib)) for i in ia)
     backward = max(min(map(rows[j].__getitem__, ia)) for j in ib)
     return space._value(max(forward, backward))

@@ -35,6 +35,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -79,8 +80,8 @@ from .terms import (
     Term,
     TokenStream,
     Var,
+    _term_universe,
     check_term,
-    enumerate_terms,
     evaluate,
     read_term,
 )
@@ -564,22 +565,19 @@ class FreeAlgebra:
         if tuple(theta.carrier) != self.universe:
             raise DomainError("the pseudometric does not live on the term universe")
         self.theta = theta
-        self._members = frozenset(self.universe)
-        self._identified = None
 
+    @cached_property
     def _quotient(self):
-        if self._identified is None:
-            self._identified = metric_identification(self.theta)
-        return self._identified
+        return metric_identification(self.theta)
 
     @property
     def space(self):
         """Metric space on class representatives (built on first use)."""
-        return self._quotient()[0]
+        return self._quotient[0]
 
     def class_of(self, term: Term) -> Term:
         """Representative of a term's zero-distance class."""
-        return self._quotient()[1].class_of(term)
+        return self._quotient[1].class_of(term)
 
     def eta(self, name: str) -> Term:
         """The unit map: a generator's class representative."""
@@ -598,7 +596,7 @@ class FreeAlgebra:
         if len(args) != arity:
             raise SignatureError(f"{symbol} expects {arity} arguments, got {len(args)}")
         candidate = App(symbol, args)
-        if candidate not in self._members:
+        if candidate not in self.theta._positions():
             raise DomainError(
                 f"{candidate} falls outside the depth-{self.presentation.depth} universe"
             )
@@ -622,32 +620,21 @@ def free_algebra(
     (checked before returning).  Distances are exact upper bounds for
     the unbounded free algebra and can only shrink at greater depth.
     """
-    universe = enumerate_terms(p.sig, p.variables, p.depth, max_terms=max_terms)
-    index = {t: i for i, t in enumerate(universe)}
+    universe, rules, position = _term_universe(p.sig, p.variables, p.depth, max_terms)
+    pairs = []
     for r in p.relations:
-        for side in (r.lhs, r.rhs):
-            if side not in index:
-                raise UnsupportedInputError(
-                    f"relation term {side} exceeds depth {p.depth}; "
-                    f"raise the presentation depth"
-                )
-    # One row per application: its arguments' positions, then its own.  The
-    # universe is in canonical order, so each symbol's rows come sorted.
-    rows: dict = {}
-    for i, t in enumerate(universe):
-        if isinstance(t, App) and t.args:
-            rows.setdefault(t.symbol, []).append([*map(index.__getitem__, t.args), i])
-    rules = {}
-    for symbol, cells in rows.items():
-        cells = np.array(cells, dtype=np.intp)
-        rules[symbol] = list(cells[:, :-1].T), cells[:, -1]
-    D, denom = _start_matrix(
-        len(universe), [(index[r.lhs], index[r.rhs], r.bound) for r in p.relations]
-    )
+        i, j = position(r.lhs), position(r.rhs)
+        if i < 0 or j < 0:
+            raise UnsupportedInputError(
+                f"relation term {r.lhs if i < 0 else r.rhs} exceeds depth {p.depth}; "
+                f"raise the presentation depth"
+            )
+        pairs.append((i, j, r.bound))
+    D, denom = _start_matrix(len(universe), pairs)
     theta = closure_fixpoint(universe, rules, D, denom, p.mode, p.lipschitz, max_decreases)
     free = FreeAlgebra(p, universe, theta)
-    for r in p.relations:
-        if not free.distance(r.lhs, r.rhs) <= r.bound:
+    for r, (i, j, _) in zip(p.relations, pairs):
+        if not theta.at(i, j) <= r.bound:
             verdict = Verdict.failed("relation", (r.lhs, r.rhs))
             raise AxiomError(f"the free algebra breaks its relation {r}", verdict)
     return free

@@ -1,12 +1,16 @@
-"""Signatures, finite term universes, evaluation, substitution, and the
-one lexer and term parser behind every text format of the package."""
+"""Signatures, finite term universes (built on integer term ids, each
+``App`` built and hashed once), evaluation, substitution, and the one
+lexer and term parser behind every text format of the package."""
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -64,23 +68,30 @@ class Signature:
 
 
 class Term:
-    """Base class for terms; instances are ``Var`` or ``App``."""
+    """Base class for terms; instances are ``Var`` or ``App``.
+
+    A term is hashed once, when built, from its fields and its arguments'
+    cached hashes.  ``str`` hashes differ between processes, so a term
+    pickles as its constructor call and hashes afresh when loaded.
+    """
 
     __slots__ = ()
 
-    def height(self) -> int:
-        raise NotImplementedError
+    def __hash__(self) -> int:
+        return self._hash
 
-    def variables(self) -> frozenset:
-        raise NotImplementedError
-
-    def sort_key(self):
-        raise NotImplementedError
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
 class Var(Term):
     name: str
+
+    __hash__ = Term.__hash__
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((0, self.name)))
 
     def height(self) -> int:
         return 0
@@ -99,6 +110,11 @@ class Var(Term):
 class App(Term):
     symbol: str
     args: tuple[Term, ...] = ()
+
+    __hash__ = Term.__hash__
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.symbol, *[a._hash for a in self.args])))
 
     def height(self) -> int:
         # Constants sit at height 0, like variables.
@@ -152,6 +168,15 @@ def enumerate_terms(
     total, so repeated calls agree and deeper universes extend shallower
     ones as sets.
     """
+    return _term_universe(sig, variables, depth, max_terms)[0]
+
+
+def _term_universe(sig: Signature, variables: Iterable[str], depth: int, max_terms: int):
+    """``enumerate_terms`` on integer term ids: candidates are deduplicated
+    on ``(symbol, *arg ids)``, and each new term's ``App`` and sort key are
+    built once, from its arguments'.  Also returns each symbol of positive
+    arity's ``(args_idx, res_idx)`` in universe positions, sorted by the
+    arguments, and ``position(term)``, -1 outside the universe."""
     if depth < 0:
         raise DomainError("depth must be nonnegative")
     names = sorted(set(variables))
@@ -160,40 +185,46 @@ def enumerate_terms(
             raise SignatureError(f"bad variable name {name!r}")
         if name in sig:
             raise SignatureError(f"variable {name!r} collides with an operation symbol")
-    universe: list[Term] = [Var(name) for name in names]
-    universe += [App(s) for s, a in sig.items() if a == 0]
-    seen = set(universe)
+    constants = [s for s, a in sig.items() if a == 0]
+    terms: list[Term] = [Var(name) for name in names] + [App(s) for s in constants]
+    keys = [(0, name) for name in names] + [(1, s, ()) for s in constants]
+    ids = {key: i for i, key in enumerate([*names, *((s,) for s in constants)])}
+    made: dict = {}
     for _ in range(depth):
-        layer = list(universe)
-        grew = False
+        layer = range(len(terms))
         for symbol, arity in sig.items():
             if arity == 0:
                 continue
-            for args in _tuples(layer, arity):
-                candidate = App(symbol, args)
-                if candidate not in seen:
-                    universe.append(candidate)
-                    seen.add(candidate)
-                    grew = True
-                    if len(universe) > max_terms:
-                        raise ResourceLimitError(
-                            f"term universe exceeds {max_terms} terms",
-                            "max_terms",
-                            max_terms,
-                        )
-        if not grew:
+            for args in itertools.product(layer, repeat=arity):
+                key = (symbol, *args)
+                if key in ids:
+                    continue
+                ids[key] = len(terms)
+                made.setdefault(symbol, []).append([*args, len(terms)])
+                terms.append(App(symbol, tuple(map(terms.__getitem__, args))))
+                keys.append((1, symbol, tuple(map(keys.__getitem__, args))))
+                if len(terms) > max_terms:
+                    raise ResourceLimitError(
+                        f"term universe exceeds {max_terms} terms", "max_terms", max_terms
+                    )
+        if len(terms) == len(layer):
             break
-    return sorted(universe, key=lambda t: t.sort_key())
+    # Each id's position, and -1 past the last id for a term outside.
+    order = sorted(range(len(terms)), key=keys.__getitem__)
+    at = np.full(len(terms) + 1, -1, dtype=np.intp)
+    at[order] = np.arange(len(terms))
+    rules = {}
+    for symbol, cells in made.items():
+        # In canonical order a symbol's terms come sorted by their arguments.
+        cells = at[np.array(cells, dtype=np.intp)]
+        cells = cells[cells[:, -1].argsort()]
+        rules[symbol] = list(cells[:, :-1].T), cells[:, -1]
 
+    def term_id(term: Term) -> int:
+        key = term.name if isinstance(term, Var) else (term.symbol, *map(term_id, term.args))
+        return ids.get(key, len(terms))
 
-def _tuples(pool: Sequence[Term], arity: int):
-    if arity == 1:
-        for t in pool:
-            yield (t,)
-        return
-    for first in pool:
-        for rest in _tuples(pool, arity - 1):
-            yield (first,) + rest
+    return [terms[i] for i in order], rules, lambda term: int(at[term_id(term)])
 
 
 def evaluate(term: Term, algebra, valuation: Mapping) -> object:

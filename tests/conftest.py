@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -29,6 +30,7 @@ from metra.extmetric import (
     metric_identification,
 )
 from metra.logic import as_implication, satisfies_under
+from metra.terms import App, Var
 
 # Small pool of exact distances; keeps closures and lcm computations tame.
 FINITE_POOL = [
@@ -128,6 +130,41 @@ def reference_closure(carrier, ops, constraints, mode, lipschitz=None, max_decre
             )
         if dropped == 0:
             return m
+
+
+def reference_enumerate_terms(sig, variables, depth, max_terms=20000):
+    """The term universe built on ``App`` objects, deduplicated in a set of
+    terms and sorted by ``sort_key`` at the end, as an oracle."""
+    if depth < 0:
+        raise DomainError("depth must be nonnegative")
+    names = sorted(set(variables))
+    for name in names:
+        if not re.match(r"[A-Za-z_][A-Za-z0-9_']*$", name):
+            raise SignatureError(f"bad variable name {name!r}")
+        if name in sig:
+            raise SignatureError(f"variable {name!r} collides with an operation symbol")
+    universe = [Var(name) for name in names]
+    universe += [App(s) for s, a in sig.items() if a == 0]
+    seen = set(universe)
+    for _ in range(depth):
+        layer = list(universe)
+        grew = False
+        for symbol, arity in sig.items():
+            if arity == 0:
+                continue
+            for args in itertools.product(layer, repeat=arity):
+                candidate = App(symbol, args)
+                if candidate not in seen:
+                    universe.append(candidate)
+                    seen.add(candidate)
+                    grew = True
+                    if len(universe) > max_terms:
+                        raise ResourceLimitError(
+                            f"term universe exceeds {max_terms} terms", "max_terms", max_terms
+                        )
+        if not grew:
+            break
+    return sorted(universe, key=lambda t: t.sort_key())
 
 
 def reference_components(finite):

@@ -17,6 +17,7 @@ import metra.extmetric as extmetric_module
 from metra.algebra import (
     Homomorphism,
     MetricAlgebra,
+    _spread,
     generate_subalgebra,
     kernel,
     product,
@@ -53,6 +54,7 @@ from metra.extmetric import (
     INF,
     SquareMatrix,
     ZERO,
+    _sup,
     scaled_int_array,
     space_from,
 )
@@ -406,6 +408,32 @@ class TestRestrict:
         theta = coarsest_congruence(algebra)
         with pytest.raises(DomainError):
             restrict(theta, line_max_algebra())
+
+    @pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(2)])
+    def test_a_sub_with_another_metric_is_rejected(self, scale):
+        """Doubling the metric keeps the restriction below it, halving does
+        not; either way the sub is not a subalgebra."""
+        algebra = line_min_algebra()
+        for sub in (generate_subalgebra(algebra, [1])[0], algebra):
+            rows = [[v.scale(scale) for v in row] for row in sub.space.entries]
+            other = MetricAlgebra(sub.sig, FiniteMetricSpace(sub.carrier, rows), sub.ops)
+            with pytest.raises(DomainError, match="the metrics disagree"):
+                restrict(finest_congruence(algebra), other)
+
+    @pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_validated_restriction(self, mirrors, data):
+        algebra = data.draw(kernel_algebras(max_size=4))
+        theta = data.draw(congruences_on(algebra))
+        seed = data.draw(st.lists(st.sampled_from(algebra.carrier), min_size=1, max_size=2))
+        sub, _ = generate_subalgebra(algebra, seed)
+        idx = [algebra.carrier.index(x) for x in sub.carrier]
+        want = Congruence(sub, SquareMatrix(sub.carrier, reference_rows_at(theta.matrix, idx)))
+        with mirrors():
+            got = restrict(revalidated(theta), sub)
+        assert got.base is sub
+        assert got == want
 
     def test_foreign_elements_are_rejected(self):
         algebra = line_min_algebra()
@@ -931,6 +959,113 @@ class TestIncrementalClosure:
         assert free_algebra(p, max_decreases=count).theta == want
         with pytest.raises(ResourceLimitError):
             free_algebra(p, max_decreases=count - 1)
+
+
+def engine_squares(run):
+    """``run()`` and, for each rule the engine was handed, the rows whose
+    power its argument tuples are, or None."""
+    with mock.patch.object(
+        congruence_module, "_fix_int", wraps=congruence_module._fix_int
+    ) as engine:
+        result = run()
+    return result, [table[5] for table in engine.call_args.args[2]]
+
+
+class TestProductRules:
+    """A rule whose argument tuples are the power S**arity of the sorted
+    rows S it reads, in row-major order, broadcasts its candidates from
+    ``D[S, S]``; any other rule keeps ``_spread``.  Against ``_spread`` and
+    against the full-pass engine, which always spreads, on both mirrors."""
+
+    MIRRORS = [contextlib.nullcontext, object_mirrors]
+
+    @pytest.mark.parametrize("mirrors", MIRRORS)
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        arity=st.integers(min_value=1, max_value=3),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_equals_spread(self, mirrors, n, arity, data):
+        rows = symmetric_rows(data.draw, n, st.sampled_from(POSITIVE_CAPS))
+        S = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        args_idx = list(S[np.indices((len(S),) * arity).reshape(arity, -1)])
+        with mirrors():
+            D, _ = scaled_int_array(rows)
+        block = _sup([D[S[:, None], S]] * arity)
+        assert block.dtype == D.dtype
+        assert np.array_equal(block, _spread(D, args_idx))
+
+    @pytest.mark.parametrize("mirrors", MIRRORS)
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        arity=st.integers(min_value=1, max_value=3),
+        mode=st.sampled_from(["M", "Q", "LIP"]),
+        k=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_full_passes(self, mirrors, n, arity, mode, k, data):
+        elem = st.integers(min_value=0, max_value=n - 1)
+        S = sorted(data.draw(st.sets(elem, min_size=1, max_size=3 if arity == 3 else n)))
+        cells = list(itertools.product(S, repeat=arity))
+        images = data.draw(st.lists(elem, min_size=len(cells), max_size=len(cells)))
+        table = dict(zip(cells, images))
+        # Without one tuple, every row of S is still read (arity 2 or more,
+        # two rows or more), so the table is no longer a power.
+        partial = arity > 1 and len(S) > 1 and data.draw(st.booleans())
+        if partial:
+            del table[data.draw(st.sampled_from(cells))]
+        bounds = data.draw(
+            st.lists(st.tuples(elem, elem, st.sampled_from(TestClosureEngines.BOUNDS)), max_size=3)
+        )
+        args = (range(n), {"f": table}, bounds, mode, {"f": k} if mode == "LIP" else None)
+        with mirrors():
+            try:
+                want, count = on_full_passes(lambda: generate_congruence(*args, max_decreases=300))
+            except ResourceLimitError:
+                with pytest.raises(ResourceLimitError):
+                    generate_congruence(*args, max_decreases=300)
+                return
+            got, (square,) = engine_squares(
+                lambda: generate_congruence(*args, max_decreases=count)
+            )
+        assert got == want
+        assert square is None if partial else square.tolist() == S
+
+    @pytest.mark.parametrize("mirrors", MIRRORS)
+    @pytest.mark.parametrize("mode", ["M", "Q", "LIP"])
+    def test_free_algebra_rules_are_powers_of_a_proper_subset(self, mirrors, mode):
+        sig = Signature({"sigma": 2, "u": 1})
+        relations = [MetricEquation(Var("x"), Var("y"), Fraction(1, 2))]
+        p = Presentation(sig, ["x", "y"], relations, mode=mode, depth=2, lipschitz=Fraction(3, 2))
+        with mirrors():
+            want, _ = on_full_passes(lambda: free_algebra(p).theta)
+            got, squares = engine_squares(lambda: free_algebra(p).theta)
+        assert got == want
+        # Both symbols read the depth-1 terms: x, y, sigma(., .) and u(.).
+        assert [len(rows) for rows in squares] == [8, 8]
+        assert got.size == 2 + 8**2 + 8
+
+    @pytest.mark.parametrize("mirrors", MIRRORS)
+    def test_full_table_joins_and_a_partial_table(self, mirrors):
+        _, projections = product([line_max_algebra(), line_min_algebra()])
+        thetas = [kernel(p) for p in projections]
+        partial = {"g": {(0, 1): 2, (1, 0): 0, (1, 1): 1}}
+
+        def run():
+            return generate_congruence(range(3), partial, [(0, 1, 1)], "Q")
+
+        with mirrors():
+            for mode in ("M", "Q"):
+                want, _ = on_full_passes(lambda: join(thetas, mode))
+                got, squares = engine_squares(lambda: join(thetas, mode))
+                assert got == want
+                assert [rows.tolist() for rows in squares] == [list(range(9))]
+            want, _ = on_full_passes(run)
+            got, squares = engine_squares(run)
+        assert got == want
+        assert squares == [None]
 
 
 @st.composite

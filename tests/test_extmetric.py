@@ -27,6 +27,7 @@ from metra.extmetric import (
     ExtRat,
     FiniteMetricSpace,
     PseudometricMatrix,
+    QuotientMap,
     SquareMatrix,
     _array_violation,
     _as_object,
@@ -397,6 +398,10 @@ class TestKernelsMatchTheEntries:
         assert out.carrier == carrier
         assert out.entries == tuple(map(tuple, rows))
         assert {x: qmap.class_of(x) for x in space.carrier} == classes
+        assert qmap == QuotientMap(space.carrier, classes)
+        for c in out.carrier:
+            assert qmap.members(c) == tuple(x for x in space.carrier if classes[x] == c)
+            assert qmap.representative(c) == c
 
     @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
     @given(spaces=st.lists(metric_spaces(max_size=3, allow_inf=True), min_size=1, max_size=3))

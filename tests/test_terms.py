@@ -1,8 +1,16 @@
 """Tests for signatures, term enumeration, evaluation, and substitution."""
 
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import metra
 
 from metra.errors import (
     DomainError,
@@ -22,7 +30,7 @@ from metra.terms import (
     substitute,
 )
 
-from conftest import line_min_algebra
+from conftest import line_min_algebra, reference_enumerate_terms
 
 SIG = Signature({"sigma": 2})
 X, Y = Var("x"), Var("y")
@@ -110,6 +118,95 @@ class TestEnumeration:
             enumerate_terms(SIG, ["sigma"], 0)
         with pytest.raises(SignatureError):
             enumerate_terms(SIG, ["not a name"], 0)
+
+
+# Symbol and variable names that sort before, between and after each other.
+SYMBOLS = ["b", "f", "g_", "m", "t'"]
+NAMES = ["a", "b0", "f", "g", "n", "z"]
+
+
+@st.composite
+def signatures(draw):
+    names = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=4, unique=True))
+    return Signature({name: draw(st.integers(min_value=0, max_value=3)) for name in names})
+
+
+def outcome(enumerate, *args):
+    """The list of terms, or the type and message of the error raised."""
+    try:
+        return enumerate(*args)
+    except (DomainError, ResourceLimitError, SignatureError) as err:
+        return type(err), str(err)
+
+
+class TestEnumerationMatchesTheReference:
+    """The universe built on integer term ids against the one built on
+    ``App`` objects: the same list in the same order, or the same error."""
+
+    @given(
+        sig=signatures(),
+        variables=st.lists(st.sampled_from(NAMES), max_size=3),
+        depth=st.integers(min_value=0, max_value=3),
+        max_terms=st.integers(min_value=1, max_value=400),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_terms_or_error(self, sig, variables, depth, max_terms):
+        args = (sig, variables, depth, max_terms)
+        want = outcome(reference_enumerate_terms, *args)
+        assert outcome(enumerate_terms, *args) == want
+        if not isinstance(want, list):
+            return
+        # The cap counts terms: the universe's own size passes and one
+        # below raises, once any application was added.
+        size = len(want)
+        assert enumerate_terms(sig, variables, depth, size) == want
+        below = (sig, variables, depth, size - 1)
+        assert outcome(enumerate_terms, *below) == outcome(reference_enumerate_terms, *below)
+        if size > len(set(variables)) + sum(a == 0 for _, a in sig.items()):
+            want_error = (ResourceLimitError, f"term universe exceeds {size - 1} terms")
+            assert outcome(enumerate_terms, *below) == want_error
+
+    @pytest.mark.parametrize("variables, depth", [(["a", "c", "n", "z"], 1), (["g"], 2)])
+    def test_every_arity(self, variables, depth):
+        sig = Signature({"b": 0, "f": 1, "m": 2, "t": 3})
+        got = enumerate_terms(sig, variables, depth)
+        assert got == reference_enumerate_terms(sig, variables, depth)
+        assert {len(t.args) for t in got if isinstance(t, App)} == {0, 1, 2, 3}
+
+
+class TestPickle:
+    def test_terms_load_under_another_hash_seed(self):
+        """A term's cached hash stays out of its pickle, so terms pickled in
+        one process hash and compare like fresh ones in a process whose
+        ``str`` hashes differ, and dict lookups with them work."""
+        sig = Signature({"c": 0, "f": 1, "sigma": 2})
+        blob = pickle.dumps(enumerate_terms(sig, ["x", "y"], 2))
+        assert b"_hash" not in blob
+        child = textwrap.dedent(
+            """
+            import pickle, sys
+            from metra.terms import App, Signature, Var, enumerate_terms
+
+            assert hash("sigma") != int(sys.argv[1]), "str hashes did not change"
+            loaded = pickle.loads(sys.stdin.buffer.read())
+            fresh = enumerate_terms(Signature({"c": 0, "f": 1, "sigma": 2}), ["x", "y"], 2)
+            assert loaded == fresh
+            assert [hash(t) for t in loaded] == [hash(t) for t in fresh]
+            index = {t: i for i, t in enumerate(fresh)}
+            assert [index[t] for t in loaded] == list(range(len(fresh)))
+            probe = App("sigma", (Var("x"), App("f", (App("c"),))))
+            assert {t: i for i, t in enumerate(loaded)}[probe] == index[probe]
+            """
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = os.path.dirname(os.path.dirname(metra.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        run = subprocess.run(
+            [sys.executable, "-c", child, str(hash("sigma"))],
+            input=blob, env=env, capture_output=True,
+        )
+        assert run.returncode == 0, run.stderr.decode()
 
 
 class TestEvaluate:
