@@ -25,7 +25,9 @@ denominator, is a parse error at its line and column.  Files can pull in other f
 brace-terminated; commands end with ``;``.  Resource caps come from a
 ``limits { name = value; }`` block, can be overridden per run with
 ``--limits``, and every command result echoes the caps in force and its
-command, comments dropped and blank space collapsed.
+command, comments dropped and blank space collapsed.  Literal runs
+(matrices, table and hom cells, id lists) are read one match at a time;
+the token reader takes comments and reports every error.
 
 Output is deterministic: results serialize with stable key order and
 canonical rational strings, and running the same file twice produces
@@ -93,7 +95,7 @@ from .logic import (
     satisfies,
     weak_compactness_search,
 )
-from .terms import Signature, Term, TokenStream
+from .terms import IDS_RUN, MAP_RUN, MATRIX_RUN, TABLE_RUN, Signature, Term, TokenStream
 
 LIMIT_DEFAULTS = {
     "max_cells": 20,
@@ -194,13 +196,15 @@ def _read_statement_formula(lx: TokenStream, read, sig):
     return formula
 
 
-def _formula_span(lx: TokenStream):
+def _formula_span(lx: TokenStream, read):
     """The text and offsets of a formula up to the next ``;``, left unread.
 
-    Goals are parsed when their command runs, against the signature of
-    an algebra that may be declared later in the file.
+    The formula is read here without a signature, so a syntax error is a
+    parse error.  Goals are parsed again when their command runs, against
+    the signature of an algebra that may be declared later in the file.
     """
     start, end = lx.pass_over("punct", ";", "expected ';' to end the formula")
+    _parse_span((lx.text, start, end), read, None)
     return lx.text, start, end
 
 
@@ -225,12 +229,38 @@ def _parse_id(lx: TokenStream):
     raise lx.expected("an id", token)
 
 
-def _parse_id_list(lx: TokenStream) -> list:
-    ids = [_parse_id(lx)]
+def _parse_items(lx: TokenStream, read, items=None) -> list:
+    """``items``, or one item ``read``, then one more after each ``,``."""
+    items = items or [read(lx)]
     while lx.at("punct", ","):
         lx.next()
-        ids.append(_parse_id(lx))
-    return ids
+        items.append(read(lx))
+    return items
+
+
+def _parse_bracketed(lx: TokenStream, read) -> list:
+    lx.expect("punct", "[")
+    items = _parse_items(lx, read)
+    lx.expect("punct", "]")
+    return items
+
+
+def _ids(text: str) -> list:
+    """The ids in matched text of ids, commas and blank space."""
+    return [int(s) if s.isdigit() else s for s in "".join(text.split()).split(",")]
+
+
+def _parse_id_list(lx: TokenStream) -> list:
+    run = lx.take(IDS_RUN)
+    return _parse_items(lx, _parse_id, run and _ids(run.group()))
+
+
+def _take_cells(lx: TokenStream, pattern) -> list:
+    """The ``ids -> id;`` cells next in the stream that ``pattern`` reads in
+    one match, as ``(ids, id)`` pairs; the token reader reads the rest."""
+    run = lx.take(pattern)
+    cells = "".join(run.group().split()).split(";")[:-1] if run else ()
+    return [(_ids(args), _ids(value)[0]) for args, _, value in (c.partition("->") for c in cells)]
 
 
 def _parse_id_set(lx: TokenStream) -> list:
@@ -266,34 +296,19 @@ def _parse_number(lx: TokenStream) -> Fraction:
     return lx.fraction(lx.expect("num"))
 
 
-def _parse_row(lx: TokenStream) -> list:
-    lx.expect("punct", "[")
-    row = [_parse_scalar(lx)]
-    while lx.at("punct", ","):
-        lx.next()
-        row.append(_parse_scalar(lx))
-    lx.expect("punct", "]")
-    return row
-
-
-def _parse_matrix(lx: TokenStream) -> list:
-    lx.expect("punct", "[")
-    rows = [_parse_row(lx)]
-    while lx.at("punct", ","):
-        lx.next()
-        rows.append(_parse_row(lx))
-    lx.expect("punct", "]")
-    return rows
+def _parse_matrix(lx: _WorkspaceStream) -> list:
+    run = lx.take(MATRIX_RUN)
+    if run:
+        scalars = lx.scalars
+        rows = [row.split(",") for row in "".join(run.group().split())[2:-2].split("],[")]
+        for text in {text for row in rows for text in row}.difference(scalars):
+            scalars[text] = ExtRat(Fraction(text))
+        return [[scalars[text] for text in row] for row in rows]
+    return _parse_bracketed(lx, lambda lx: _parse_bracketed(lx, _parse_scalar))
 
 
 def _parse_name_list(lx: TokenStream) -> list:
-    lx.expect("punct", "[")
-    names = [lx.expect("name")[1]]
-    while lx.at("punct", ","):
-        lx.next()
-        names.append(lx.expect("name")[1])
-    lx.expect("punct", "]")
-    return names
+    return _parse_bracketed(lx, lambda lx: lx.expect("name")[1])
 
 
 def _skip_semicolon(lx: TokenStream):
@@ -338,7 +353,7 @@ def _parse_algebra(lx: TokenStream, ws: Workspace):
         if lx.at("name", "table"):
             lx.next()
             lx.expect("punct", "{")
-            table = {}
+            table = {tuple(args): value for args, value in _take_cells(lx, TABLE_RUN)}
             while not lx.at("punct", "}"):
                 args = tuple(_parse_id_list(lx))
                 lx.expect("arrow")
@@ -436,7 +451,7 @@ def _parse_hom(lx: TokenStream, ws: Workspace):
     lx.expect("arrow")
     target = _lookup(lx, ws.algebras, "algebra")
     lx.expect("punct", "{")
-    mapping = {}
+    mapping = {args[0]: value for args, value in _take_cells(lx, MAP_RUN)}
     while not lx.at("punct", "}"):
         key = _parse_id(lx)
         lx.expect("arrow")
@@ -508,7 +523,7 @@ def _parse_command(lx: TokenStream, word: str) -> dict:
         args["algebras"] = _parse_name_list(lx)
         args["axioms"] = lx.expect("name")[1]
         lx.expect("turnstile")
-        args["goal"] = _formula_span(lx)
+        args["goal"] = _formula_span(lx, read_equation)
     elif word == "hausdorff":
         args["algebra"] = lx.expect("name")[1]
         args["left"] = _parse_id_set(lx)
@@ -537,30 +552,22 @@ def _parse_command(lx: TokenStream, word: str) -> dict:
         args["algebras"] = _parse_name_list(lx)
         args["eps_prime"] = _parse_scalar(lx)
         lx.expect("name", "grid")
-        grid = [_parse_number(lx)]
-        while lx.at("punct", ","):
-            lx.next()
-            grid.append(_parse_number(lx))
-        args["grid"] = grid
+        args["grid"] = _parse_items(lx, _parse_number)
         lx.expect("punct", ":")
-        args["formula"] = _formula_span(lx)
+        args["formula"] = _formula_span(lx, read_formula)
     elif word == "closure":
         args["axioms"] = lx.expect("name")[1]
         args["instances"] = _parse_name_list(lx)
         if lx.at("name", "values"):
             lx.next()
-            values = [_parse_scalar(lx)]
-            while lx.at("punct", ","):
-                lx.next()
-                values.append(_parse_scalar(lx))
-            args["values"] = values
+            args["values"] = _parse_items(lx, _parse_scalar)
     elif word == "weakcompact":
         args["algebras"] = _parse_name_list(lx)
         args["axioms"] = lx.expect("name")[1]
         lx.expect("name", "slack")
         args["slack"] = _parse_scalar(lx)
         lx.expect("turnstile")
-        args["goal"] = _formula_span(lx)
+        args["goal"] = _formula_span(lx, read_equation)
     return args
 
 

@@ -635,8 +635,8 @@ class QuotientMap:
         self.class_ids = tuple(dict.fromkeys(map(self._class_of.__getitem__, self.source_carrier)))
         self._members = None
         for c in self.class_ids:
-            if self._class_of[self.members(c)[0]] != c:
-                raise DomainError("representative does not map back to its class")
+            if self.members(c)[0] != c:
+                raise DomainError(f"class id {render_id(c)} is not the earliest member of its class")
 
     @classmethod
     def _trusted(cls, carrier: tuple, rep: Sequence[int]) -> "QuotientMap":

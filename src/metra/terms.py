@@ -21,6 +21,7 @@ from .errors import (
 )
 
 _NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_']*"
+_NUM_PATTERN = r"[0-9]+(?:/[0-9]+)?"
 _NAME = re.compile(_NAME_PATTERN + "$")
 
 
@@ -256,7 +257,7 @@ def substitute(term: Term, mapping: Mapping[str, Term]) -> Term:
 _TOKEN = re.compile(
     r"""(?P<skip>(?:\s|\#[^\n]*)+)
       | (?P<name>""" + _NAME_PATTERN + r""")
-      | (?P<num>[0-9]+(?:/[0-9]+)?)
+      | (?P<num>""" + _NUM_PATTERN + r""")
       | "(?P<string>[^"\n]*)"
       | (?P<arrow>->)
       | (?P<turnstile>\|-)
@@ -269,6 +270,19 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 
+# Literal runs of a workspace, each read in one match by ``TokenStream.take``
+# and built from the pieces of ``_TOKEN``: ids, ``[[q,...],...]`` matrices and
+# ``ids -> id;`` cells.  They pass over blank space but not comments, zero
+# denominators or fractional ids, which are left to the token reader.
+_ID = r"\s*(?:" + _NAME_PATTERN + r"|[0-9]+(?![/0-9]))"
+_IDS = _ID + r"(?:\s*," + _ID + ")*"
+_SCALAR = r"\s*(?:inf|(?![0-9]+/0+(?![0-9]))" + _NUM_PATTERN + ")"
+_ROW = r"\s*\[" + _SCALAR + r"(?:\s*," + _SCALAR + r")*\s*\]"
+IDS_RUN = re.compile(_IDS)
+MATRIX_RUN = re.compile(r"\s*\[" + _ROW + r"(?:\s*," + _ROW + r")*\s*\]")
+TABLE_RUN = re.compile(r"(?:" + _IDS + r"\s*->" + _ID + r"\s*;)*")
+MAP_RUN = re.compile(r"(?:" + _ID + r"\s*->" + _ID + r"\s*;)*")
+
 
 class TokenStream:
     """The tokens of ``text[start:end]``, lexed one at a time on demand.
@@ -278,7 +292,8 @@ class TokenStream:
     text drops the quotes; ``offset`` indexes the whole text, and the line
     and column are worked out only for an error.  An unreadable character
     raises when the parser reaches it, so the first error in text order is
-    the one reported.
+    the one reported.  ``take`` reads a whole literal run in one match
+    instead; a run it refuses is read token by token, with the same errors.
     """
 
     __slots__ = ("text", "_end", "_resume", "_token")
@@ -301,6 +316,17 @@ class TokenStream:
                 self._resume = m.end()
                 self._token = (m.lastgroup, m.group(m.lastindex), m.start())
         return self._token
+
+    def take(self, pattern: re.Pattern) -> re.Match | None:
+        """Match ``pattern`` at the next unread character and pass over the
+        match; ``None``, reading nothing, when it does not match or a token
+        has been looked at."""
+        if self._token is not None:
+            return None
+        m = pattern.match(self.text, self._resume, self._end)
+        if m is not None:
+            self._resume = m.end()
+        return m
 
     def peek(self):
         token = self._lookahead()

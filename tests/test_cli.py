@@ -1,9 +1,14 @@
 """Workspace DSL parsing, command execution, and report determinism."""
 
+import contextlib
 import itertools
 import json
 import random
+import string
+from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +23,7 @@ from metra.cli import (
     run_workspace,
 )
 from metra.errors import MetraError, ParseError
-from metra.extmetric import INF, ExtRat
+from metra.extmetric import INF, ExtRat, FiniteMetricSpace
 from metra.logic import (
     MetricEquation,
     MetricImplication,
@@ -26,9 +31,9 @@ from metra.logic import (
     parse_formula,
     parse_inequality,
 )
-from metra.terms import Signature, enumerate_terms
+from metra.terms import Signature, TokenStream, enumerate_terms
 
-from conftest import FINITE_POOL
+from conftest import FINITE_POOL, object_mirrors
 
 GOLDEN = """
 # two-op playground
@@ -169,15 +174,15 @@ PINNED_ERRORS = [
                  "line 2, column 12: unreadable character '@'", id="unreadable-in-statement"),
     pytest.param("ws", 'include "never.mt\n', "ParseError",
                  "line 1, column 9: unterminated string", id="unterminated-string"),
-    pytest.param("run", B2 + "entails [B] D |- x =[1 y;\n", "CommandResult",
+    pytest.param("ws", B2 + "entails [B] D |- x =[1 y;\n", "ParseError",
                  "line 8, column 24: expected ']', found 'y'", id="entails-goal-syntax"),
     pytest.param("run", B2 + "entails [B] D |-\n  sigma(x) =[1] y;\n", "CommandResult",
                  "line 9, column 3: sigma has arity 2, got 1 arguments",
                  id="entails-goal-arity"),
-    pytest.param("run", B2 + "equicont [B] 3/2 grid 1 : x =[1] y |- ;\n", "CommandResult",
+    pytest.param("ws", B2 + "equicont [B] 3/2 grid 1 : x =[1] y |- ;\n", "ParseError",
                  "line 8, column 38: expected a term, found 'end of input'",
                  id="equicont-formula-syntax"),
-    pytest.param("run", B2 + "weakcompact [B] D slack 2 |- x =[2] y y;\n", "CommandResult",
+    pytest.param("ws", B2 + "weakcompact [B] D slack 2 |- x =[2] y y;\n", "ParseError",
                  "line 8, column 39: unexpected 'y' after the formula",
                  id="weakcompact-goal-syntax"),
     pytest.param("ws", "signature E { }\nalgebra X over E { carrier a; metric [[1/0]]; }\n",
@@ -450,8 +455,209 @@ class TestLexing:
 
     def test_goal_errors_carry_file_positions(self):
         text = B2 + "entails [B] D |-\n  x =[1]\n  y @;\n"
-        results, _ = run_workspace(parse_workspace(text))
-        assert results[-1].error == "line 10, column 5: unreadable character '@'"
+        with pytest.raises(ParseError) as err:
+            parse_workspace(text)
+        assert str(err.value) == "line 10, column 5: unreadable character '@'"
+
+
+@pytest.fixture(scope="module")
+def token_only():
+    """``parse_workspace`` with ``TokenStream.take`` refusing every run, so
+    that the token reader reads every literal."""
+
+    def parse(text):
+        with mock.patch.object(TokenStream, "take", lambda self, pattern: None):
+            return parse_workspace(text)
+
+    return parse
+
+
+def _outcome(parse, text):
+    """What reading ``text`` gives: each object's carrier, mirror, tables
+    and map, and the commands; or the error with its position."""
+    try:
+        ws = parse(text)
+    except MetraError as err:
+        return type(err).__name__, str(err), getattr(err, "line", None), getattr(err, "column", None)
+
+    def mirror(m):
+        return m.carrier, m.D.dtype, m.D.tolist(), m.denom, m.text_rows()
+
+    return (
+        {n: (mirror(a.space), a.ops) for n, a in ws.algebras.items()},
+        {n: mirror(theta.matrix) for n, theta in ws.congruences.items()},
+        {n: f.mapping for n, f in ws.homs.items()},
+        ws.commands,
+    )
+
+
+# Blank space between tokens, Unicode spaces among it, and in half the texts
+# a comment full of literal punctuation; "" only where no two name or number
+# characters meet.
+GAPS = ["", "", " ", " ", "\n", "\t ", "\u00a0", "\u2003", "\u3000"]
+COMMENT = " # ], ; } -> 1/0\n"
+WORDLIKE = str.maketrans(dict.fromkeys(string.ascii_letters + string.digits + "_'", "w"))
+# Replacements for one token of a literal run: gone (a missing ``,`` ``]``
+# ``;`` or ``}``), zero denominators, fractional ids, leading zeros, inf, an
+# unreadable character, and names and numbers that run into the next token.
+SPOILERS = ["", "1/0", "10/00", "1/2", "12/3", "007", "inf", "inf'", "@", "a'", "0x", ",", "]"]
+ID_POOL = ["a", "b'", "_c", "x1", 0, 3, 12]
+BASES = [None, Fraction(1), Fraction(1, 65537), Fraction(1, 65539), Fraction(10**400)]
+
+
+@st.composite
+def workspace_texts(draw):
+    """A workspace whose every literal run varies in spelling and spacing,
+    with up to two tokens of its literal runs spoilt, and now and then the
+    text cut short."""
+    n = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.sampled_from(ID_POOL), min_size=n, max_size=n, unique=True))
+    base = draw(st.sampled_from(BASES))
+
+    def id_text(x):
+        return draw(st.sampled_from(["", "0"])) + str(x) if isinstance(x, int) else x
+
+    def scalar(value):
+        if value is None:
+            return "inf"
+        k = draw(st.sampled_from([1, 1, 3]))
+        num, den = value.numerator * k, value.denominator * k
+        text = str(num) if den == 1 and draw(st.booleans()) else f"{num}/{den}"
+        return draw(st.sampled_from(["", "0"])) + text
+
+    def listed(items, sep=","):
+        return [tok for item in items for tok in (*item, sep)][:-1]
+
+    def matrix(value):
+        rows = [["[", *listed([[scalar(value(i, j))] for j in range(n)]), "]"] for i in range(n)]
+        return ["[", *listed(rows), "]"]
+
+    steps = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            steps[i, j] = steps[j, i] = draw(st.sampled_from([1, Fraction(3, 2), 2]))
+    metric = matrix(lambda i, j: Fraction(0) if i == j else base and base * steps[i, j])
+    congruence = matrix(lambda i, j: Fraction(0) if i == j or base is None else base)
+
+    def cells(arity, value=lambda args: draw(st.integers(0, n - 1))):
+        out = []
+        for args in itertools.product(range(n), repeat=arity):
+            out += [*listed([[id_text(ids[a])] for a in args]), "->", id_text(ids[value(args)]), ";"]
+        return out
+
+    some = [id_text(x) for x in draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3))]
+    # Literal runs at the odd places, each spoilt up to its terminator.
+    parts = [
+        ["signature", "S", "{", "f", "/", "1", ";", "g", "/", "2", ";", "}",
+         "algebra", "A", "over", "S", "{", "carrier"],
+        listed([[id_text(x)] for x in ids]),
+        [";", "metric"], metric, [";", "op", "f", "=", "table", "{"], cells(1),
+        ["}", ";", "op", "g", "=", "table", "{"], cells(2),
+        ["}", ";", "}", "congruence", "T", "on", "A", "{", "matrix"], congruence,
+        [";", "}", "hom", "h", ":", "A", "->", "A", "{"], cells(1, lambda args: args[0]),
+        ["}", "hausdorff", "A", "{", *listed([[x] for x in some]), "}", "{", id_text(ids[0]),
+         "}", ";"],
+    ]
+    tokens, runs = [], []
+    for place, part in enumerate(parts):
+        if place % 2:
+            runs.append((len(tokens), len(tokens) + len(part)))
+        tokens += part
+    for _ in range(draw(st.integers(0, 2))):
+        start, stop = draw(st.sampled_from(runs))
+        tokens[draw(st.integers(start, stop))] = draw(st.sampled_from(SPOILERS))
+    gaps = GAPS + [COMMENT] * draw(st.booleans())
+    text, starts = tokens[0], [0]
+    for token in tokens[1:]:
+        gap = draw(st.sampled_from(gaps))
+        if not gap and (text[-1:] + token[:1]).translate(WORDLIKE).count("w") == 2:
+            gap = " "
+        text += gap
+        starts.append(len(text))
+        text += token
+    if draw(st.integers(0, 4)) == 0:
+        # Cut inside or after the declarations' literals, not the signature.
+        return text[: starts[draw(st.integers(12, len(starts) - 1))] + draw(st.integers(0, 2))]
+    return text
+
+
+@pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
+@settings(max_examples=200, deadline=None)
+@given(text=workspace_texts())
+def test_literal_runs_read_as_their_tokens_do(mirrors, token_only, text):
+    """One match per literal run gives what the token reader gives: the same
+    objects, or the same error at the same line and column."""
+    with mirrors():
+        assert _outcome(parse_workspace, text) == _outcome(token_only, text)
+
+
+def _small_workspace(carrier="a, b", metric="[[0, 1], [1, 0]]", cells="a -> b; b -> a;",
+                     hom="a -> a; b -> b;"):
+    return (
+        "signature S { f/1; }\n"
+        f"algebra A over S {{ carrier {carrier}; metric {metric}; op f = table{{ {cells} }}; }}\n"
+        f"hom h : A -> A {{ {hom} }}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        {"carrier": "12/3, a"},
+        {"carrier": "a, 12/3"},
+        {"carrier": "a,\u3000b'", "cells": "a -> b'; b' -> a;", "hom": "a -> a; b' -> b';"},
+        {"carrier": "007, 8", "cells": "7 -> 08; 8 -> 7;", "hom": "7 -> 7; 08 -> 8;"},
+        {"metric": "[[0, 1/0], [1/0, 0]]"},
+        {"metric": "[[0, 10/00], [1, 0]]"},
+        {"metric": "[[0, 1/2/3], [1, 0]]"},
+        {"metric": "[[0, 1], [1, 0]"},
+        {"metric": "[[0 1], [1, 0]]"},
+        {"metric": "[[0, 1] [1, 0]]"},
+        {"metric": "[[, 1], [1, 0]]"},
+        {"metric": "[[0, inf'], [1, 0]]"},
+        {"metric": "[[0, 1], [1, 0]] 2"},
+        {"metric": "[[0, # one\n 1], [1, 0]]"},
+        {"metric": "[]"},
+        {"cells": "a -> b; b -> a"},
+        {"cells": "a -> b; 12/3 -> a;"},
+        {"cells": "a -> b # a comment\n; b -> a;"},
+        {"hom": "a, b -> a;"},
+        {"hom": "a -> a; b -> b; c"},
+    ],
+)
+def test_literal_edge_cases_read_as_their_tokens_do(token_only, literal):
+    text = _small_workspace(**literal)
+    assert _outcome(parse_workspace, text) == _outcome(token_only, text)
+
+
+@pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
+@pytest.mark.parametrize(
+    "big, dtype",
+    [(Fraction(3), np.int64), (Fraction(10**400), object)],
+    ids=["int64", "past-the-guard"],
+)
+def test_rendered_matrices_read_back_exactly(mirrors, big, dtype):
+    """A matrix's ``text_rows()``, written back as a ``metric`` and as a
+    ``congruence ... matrix``, reads back to the same mirror."""
+    q, r = Fraction(1, 65537), Fraction(1, 65539)
+    rows = [
+        [0, big, q, INF],
+        [big, 0, big + r, INF],
+        [q, big + r, 0, INF],
+        [INF, INF, INF, 0],
+    ]
+    with mirrors():
+        space = FiniteMetricSpace("abcd", [[ExtRat(v) if v != INF else INF for v in row] for row in rows])
+        literal = "[" + ", ".join("[" + ", ".join(row) + "]" for row in space.text_rows()) + "]"
+        ws = parse_workspace(
+            "signature E { }\n"
+            f"algebra A over E {{ carrier a, b, c, d; metric {literal}; }}\n"
+            f"congruence T on A {{ matrix {literal}; }}\n"
+        )
+        expected = space.D.dtype, space.D.tolist(), space.denom
+        for m in (ws.algebras["A"].space, ws.congruences["T"].matrix):
+            assert (m.D.dtype, m.D.tolist(), m.denom) == expected
+    assert space.D.dtype == (object if mirrors is object_mirrors else dtype)
 
 
 EQUATIONS_SIG = Signature({"sigma": 2, "c": 0})

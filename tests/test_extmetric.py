@@ -385,6 +385,23 @@ class TestMetricIdentification:
         for c in qmap.class_ids:
             assert qmap.class_of(qmap.representative(c)) == c
 
+    @pytest.mark.parametrize(
+        "carrier, classes, message",
+        [
+            ("ab", {"a": "z", "b": "z"}, "class id z is not the earliest member"),
+            ("abc", {"a": "b", "b": "b", "c": "c"}, "class id b is not the earliest member"),
+        ],
+    )
+    def test_class_ids_must_be_their_earliest_members(self, carrier, classes, message):
+        with pytest.raises(DomainError, match=message):
+            QuotientMap(carrier, classes)
+
+    def test_a_map_onto_earliest_members_builds(self):
+        qmap = QuotientMap("abcd", {"a": "a", "b": "a", "c": "c", "d": "a"})
+        assert qmap.class_ids == ("a", "c")
+        assert qmap.members("a") == ("a", "b", "d")
+        assert qmap.representative("c") == "c"
+
 
 class TestKernelsMatchTheEntries:
     """Array kernels against the same results read off ``ExtRat`` entries."""
