@@ -265,7 +265,11 @@ def _take_cells(lx: TokenStream, pattern) -> list:
 
 def _parse_id_set(lx: TokenStream) -> list:
     lx.expect("punct", "{")
-    ids = [] if lx.at("punct", "}") else _parse_id_list(lx)
+    run = lx.take(IDS_RUN)
+    if run is None and lx.at("punct", "}"):
+        ids = []
+    else:
+        ids = _parse_items(lx, _parse_id, run and _ids(run.group()))
     lx.expect("punct", "}")
     return ids
 

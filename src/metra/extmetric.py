@@ -741,15 +741,6 @@ def restrict_space(space: FiniteMetricSpace, keep: Iterable) -> FiniteMetricSpac
     return FiniteMetricSpace._trusted(_checked_carrier(sub), D, space.denom)
 
 
-def point_set_distance(space: PseudometricMatrix, x, subset: Iterable) -> ExtRat:
-    """d(x, S) = min over s in S of d(x, s); S must be nonempty."""
-    subset = list(subset)
-    if not subset:
-        raise DomainError("distance to the empty set is not defined")
-    row = space._listed()[space.index(x)]
-    return space._value(min(row[space.index(s)] for s in subset))
-
-
 def hausdorff_distance(space: PseudometricMatrix, a: Iterable, b: Iterable) -> ExtRat:
     """Hausdorff distance between two nonempty subsets of one space."""
     a, b = list(a), list(b)
@@ -763,21 +754,20 @@ def hausdorff_distance(space: PseudometricMatrix, a: Iterable, b: Iterable) -> E
     return space._value(max(forward, backward))
 
 
-def diameter(space: PseudometricMatrix) -> ExtRat:
-    return space._value(space.D.max())
-
-
 def gromov_hausdorff(
     x_space: FiniteMetricSpace, y_space: FiniteMetricSpace, max_cells: int = 20
 ) -> ExtRat:
     """Gromov-Hausdorff distance via optimal correspondences.
 
-    Computes half the minimum distortion over all correspondences
-    between the two carriers.  The optimum is always attained on a
-    correspondence of the form graph(f) union graph(g)^T for functions
-    f: X -> Y and g: Y -> X, because dropping pairs never increases
-    distortion; the search runs branch-and-bound over those pairs with
-    exact scaled-integer arithmetic.
+    Computes half the least distortion over all correspondences between
+    the two carriers, exactly, on the scaled-integer mirrors.  A cell
+    ``(i, y)`` of ``X x Y`` is compatible with ``(i', y')`` at threshold
+    ``t`` when ``|d(i, i') - d(y, y')| <= t``; a correspondence of
+    distortion at most ``t`` is a set of pairwise compatible cells that
+    covers every row and every column.  The least distortion is one of
+    those finitely many gaps, so a binary search over them runs a
+    depth-first cover search on cell bitmasks at each threshold: it
+    branches on the uncovered line with the fewest cells left.
 
     Both metrics must be finite; carriers with |X| * |Y| beyond
     ``max_cells`` raise a resource error.
@@ -791,48 +781,45 @@ def gromov_hausdorff(
     if nx * ny > max_cells:
         raise ResourceLimitError(
             f"carrier product {nx * ny} exceeds the correspondence cap {max_cells}",
-            "gh_cells",
+            "max_cells",
             max_cells,
         )
     (dx, dy), denom = _mirrors(x_space, y_space)
-    dx, dy = dx.tolist(), dy.tolist()
+    cells = nx * ny
+    # gaps[c, c'] for cells c = i*ny + y; abs and <= work on both dtypes.
+    gaps = abs(dx[:, None, :, None] - dy[None, :, None, :]).reshape(cells, cells)
+    vals = sorted(set(gaps.ravel().tolist()))
+    lines = [((1 << ny) - 1) << (i * ny) for i in range(nx)]
+    lines += [sum(1 << (i * ny + y) for i in range(nx)) for y in range(ny)]
 
-    best = None
+    def covered(allowed: int, chosen: int, compat: list[int]) -> bool:
+        """Whether cells of ``allowed`` extend ``chosen`` to a cover of every line."""
+        fewest = None
+        for line in lines:
+            if not line & chosen:
+                options = line & allowed
+                if not options:
+                    return False
+                if fewest is None or options.bit_count() < fewest.bit_count():
+                    fewest = options
+        if fewest is None:
+            return True
+        while fewest:
+            bit = fewest & -fewest
+            fewest ^= bit
+            if covered(allowed & compat[bit.bit_length() - 1], chosen | bit, compat):
+                return True
+        return False
 
-    def assign_g(g: list[int], f: list[int], cur: int):
-        nonlocal best
-        j = len(g)
-        if j == ny:
-            best = cur if best is None else min(best, cur)
-            return
-        for x in range(nx):
-            worst = cur
-            for i in range(nx):
-                worst = max(worst, abs(dx[i][x] - dy[f[i]][j]))
-            for j2 in range(j):
-                worst = max(worst, abs(dx[g[j2]][x] - dy[j2][j]))
-            if best is None or worst < best:
-                g.append(x)
-                assign_g(g, f, worst)
-                g.pop()
-
-    def assign_f(f: list[int], cur: int):
-        nonlocal best
-        i = len(f)
-        if i == nx:
-            assign_g([], f, cur)
-            return
-        for y in range(ny):
-            worst = cur
-            for i2 in range(i):
-                worst = max(worst, abs(dx[i2][i] - dy[f[i2]][y]))
-            if best is None or worst < best:
-                f.append(y)
-                assign_f(f, worst)
-                f.pop()
-
-    assign_f([], 0)
-    return ExtRat(Fraction(best, 2 * denom))
+    lo, hi = 0, len(vals) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        rows = np.packbits(gaps <= vals[mid], axis=1, bitorder="little")
+        if covered((1 << cells) - 1, 0, [int.from_bytes(row, "little") for row in rows]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return ExtRat(Fraction(vals[lo], 2 * denom))
 
 
 def _along(f: Mapping, x_space: SquareMatrix, y_space: SquareMatrix):
@@ -844,20 +831,3 @@ def _along(f: Mapping, x_space: SquareMatrix, y_space: SquareMatrix):
         idx.append(y_space.index(f[a]))
     (X, Y), _ = _mirrors(x_space, y_space)
     return X, Y[np.ix_(idx, idx)]
-
-
-def is_nonexpansive_map(
-    f: Mapping, x_space: PseudometricMatrix, y_space: PseudometricMatrix
-) -> bool:
-    """True when d(f(a), f(b)) <= d(a, b) for all a, b in the source."""
-    X, Y = _along(f, x_space, y_space)
-    return not (Y > X).any()
-
-
-def is_isometric_embedding(
-    f: Mapping, x_space: PseudometricMatrix, y_space: PseudometricMatrix
-) -> bool:
-    """True when f preserves every distance exactly and is injective."""
-    X, Y = _along(f, x_space, y_space)
-    image = [f[a] for a in x_space.carrier]
-    return len(set(image)) == len(image) and bool(np.array_equal(X, Y))

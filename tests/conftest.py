@@ -22,9 +22,11 @@ from metra.extmetric import (
     FiniteMetricSpace,
     PseudometricMatrix,
     SquareMatrix,
+    _along,
     _as_object,
     _finite_max,
     _inf_code,
+    _mirrors,
     _scale_finite,
     check_pseudometric,
     metric_identification,
@@ -597,6 +599,83 @@ def brute_force_gh(x_space, y_space):
         if best is None or dis < best:
             best = dis
     return ExtRat(best / 2)
+
+
+def reference_gromov_hausdorff(x_space, y_space):
+    """Gromov-Hausdorff value by branch-and-bound over pairs of functions.
+
+    The optimum is attained on a correspondence graph(f) union graph(g)^T
+    for f: X -> Y and g: Y -> X, because dropping pairs never increases
+    distortion; the search assigns f, then g, and prunes any partial
+    assignment whose distortion already reaches the best found.
+    """
+    nx, ny = x_space.size, y_space.size
+    (dx, dy), denom = _mirrors(x_space, y_space)
+    dx, dy = dx.tolist(), dy.tolist()
+    best = None
+
+    def assign_g(g, f, cur):
+        nonlocal best
+        j = len(g)
+        if j == ny:
+            best = cur if best is None else min(best, cur)
+            return
+        for x in range(nx):
+            worst = cur
+            for i in range(nx):
+                worst = max(worst, abs(dx[i][x] - dy[f[i]][j]))
+            for j2 in range(j):
+                worst = max(worst, abs(dx[g[j2]][x] - dy[j2][j]))
+            if best is None or worst < best:
+                g.append(x)
+                assign_g(g, f, worst)
+                g.pop()
+
+    def assign_f(f, cur):
+        i = len(f)
+        if i == nx:
+            assign_g([], f, cur)
+            return
+        for y in range(ny):
+            worst = cur
+            for i2 in range(i):
+                worst = max(worst, abs(dx[i2][i] - dy[f[i2]][y]))
+            if best is None or worst < best:
+                f.append(y)
+                assign_f(f, worst)
+                f.pop()
+
+    assign_f([], 0)
+    return ExtRat(Fraction(best, 2 * denom))
+
+
+# Metric-space helpers that only the tests use.
+
+
+def point_set_distance(space, x, subset):
+    """d(x, S) = min over s in S of d(x, s); S must be nonempty."""
+    subset = list(subset)
+    if not subset:
+        raise DomainError("distance to the empty set is not defined")
+    row = space._listed()[space.index(x)]
+    return space._value(min(row[space.index(s)] for s in subset))
+
+
+def diameter(space):
+    return space._value(space.D.max())
+
+
+def is_nonexpansive_map(f, x_space, y_space):
+    """True when d(f(a), f(b)) <= d(a, b) for all a, b in the source."""
+    X, Y = _along(f, x_space, y_space)
+    return not (Y > X).any()
+
+
+def is_isometric_embedding(f, x_space, y_space):
+    """True when f preserves every distance exactly and is injective."""
+    X, Y = _along(f, x_space, y_space)
+    image = [f[a] for a in x_space.carrier]
+    return len(set(image)) == len(image) and bool(np.array_equal(X, Y))
 
 
 def line_algebra(op, top=2):

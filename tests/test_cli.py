@@ -545,7 +545,7 @@ def workspace_texts(draw):
             out += [*listed([[id_text(ids[a])] for a in args]), "->", id_text(ids[value(args)]), ";"]
         return out
 
-    some = [id_text(x) for x in draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3))]
+    some = [id_text(x) for x in draw(st.lists(st.sampled_from(ids), max_size=3))]
     # Literal runs at the odd places, each spoilt up to its terminator.
     parts = [
         ["signature", "S", "{", "f", "/", "1", ";", "g", "/", "2", ";", "}",
@@ -555,8 +555,10 @@ def workspace_texts(draw):
         ["}", ";", "op", "g", "=", "table", "{"], cells(2),
         ["}", ";", "}", "congruence", "T", "on", "A", "{", "matrix"], congruence,
         [";", "}", "hom", "h", ":", "A", "->", "A", "{"], cells(1, lambda args: args[0]),
-        ["}", "hausdorff", "A", "{", *listed([[x] for x in some]), "}", "{", id_text(ids[0]),
-         "}", ";"],
+        ["}", "hausdorff", "A", "{"], listed([[x] for x in some]),
+        ["}", "{"], [id_text(ids[0])],
+        ["}", ";", "subalgebra", "A", "from", "{"], listed([[x] for x in some[::-1]]),
+        ["}", ";"],
     ]
     tokens, runs = [], []
     for place, part in enumerate(parts):
@@ -592,11 +594,12 @@ def test_literal_runs_read_as_their_tokens_do(mirrors, token_only, text):
 
 
 def _small_workspace(carrier="a, b", metric="[[0, 1], [1, 0]]", cells="a -> b; b -> a;",
-                     hom="a -> a; b -> b;"):
+                     hom="a -> a; b -> b;", sets="{a} {b}"):
     return (
         "signature S { f/1; }\n"
         f"algebra A over S {{ carrier {carrier}; metric {metric}; op f = table{{ {cells} }}; }}\n"
         f"hom h : A -> A {{ {hom} }}\n"
+        f"hausdorff A {sets};\n"
     )
 
 
@@ -623,11 +626,30 @@ def _small_workspace(carrier="a, b", metric="[[0, 1], [1, 0]]", cells="a -> b; b
         {"cells": "a -> b # a comment\n; b -> a;"},
         {"hom": "a, b -> a;"},
         {"hom": "a -> a; b -> b; c"},
+        {"sets": "{} {a}"},
+        {"sets": "{ # comment\n a } {a, b}"},
+        {"sets": "{a, # comment\n b} {\u3000b}"},
+        {"sets": "{a, b,} {a}"},
+        {"sets": "{a b} {a}"},
+        {"sets": "{1/2} {a}"},
+        {"sets": "{a} {b"},
     ],
 )
 def test_literal_edge_cases_read_as_their_tokens_do(token_only, literal):
     text = _small_workspace(**literal)
     assert _outcome(parse_workspace, text) == _outcome(token_only, text)
+
+
+def test_clean_literal_runs_read_no_id_token_by_token():
+    """Each literal run of a well-formed workspace, id sets included, is read
+    in one match, so the token reader's id parser never runs."""
+    text = _small_workspace(sets="{a, b} { b }") + "subalgebra A from {b, a};\n"
+    with mock.patch("metra.cli._parse_id", side_effect=AssertionError("read by tokens")):
+        ws = parse_workspace(text)
+    assert [args for _, args, _ in ws.commands][-2:] == [
+        {"algebra": "A", "left": ["a", "b"], "right": ["b"]},
+        {"algebra": "A", "seed": ["b", "a"]},
+    ]
 
 
 @pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])

@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -36,13 +37,9 @@ from metra.extmetric import (
     abs_diff,
     check_metric,
     check_pseudometric,
-    diameter,
     gromov_hausdorff,
     hausdorff_distance,
-    is_isometric_embedding,
-    is_nonexpansive_map,
     metric_identification,
-    point_set_distance,
     pseudometric_from_scaled,
     restrict_space,
     scaled_int_array,
@@ -51,11 +48,18 @@ from metra.extmetric import (
 )
 
 from conftest import (
+    LABELS,
+    POSITIVE_POOL,
     brute_force_gh,
+    diameter,
     fw_close,
+    is_isometric_embedding,
+    is_nonexpansive_map,
     metric_spaces,
     object_mirrors,
+    point_set_distance,
     pseudometric_spaces,
+    reference_gromov_hausdorff,
     reference_identification,
     reference_sup,
     reference_violation,
@@ -529,11 +533,49 @@ class TestGromovHausdorff:
 
     def test_caps_and_unsupported_inputs(self):
         big = line_space(list(range(5)))
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as caught:
             gromov_hausdorff(big, big, max_cells=20)
+        assert caught.value.limit_name == "max_cells"
+        assert caught.value.limit_value == 20
         inf_space = FiniteMetricSpace("ab", [[ZERO, INF], [INF, ZERO]])
         with pytest.raises(UnsupportedInputError):
             gromov_hausdorff(inf_space, inf_space)
+
+    @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
+    @given(
+        x_space=metric_spaces(max_size=5),
+        y_space=metric_spaces(max_size=4),
+        swap=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_function_pair_search(self, mirrors, x_space, y_space, swap):
+        """The threshold cover search against the branch-and-bound over
+        pairs of functions, on 1-5 x 1-4 and 1-4 x 1-5 carriers."""
+        if swap:
+            x_space, y_space = y_space, x_space
+        with mirrors():
+            x_space, y_space = revalidated(x_space), revalidated(y_space)
+            (dx, _), _ = extmetric_module._mirrors(x_space, y_space)
+            assert dx.dtype == (object if mirrors is object_mirrors else np.int64)
+            assert gromov_hausdorff(x_space, y_space) == reference_gromov_hausdorff(x_space, y_space)
+
+    def test_seeded_pair_that_the_function_pair_search_finds_slow(self):
+        """The 5 x 4 pair, among seeds 0-599, on which the branch-and-bound
+        over pairs of functions is slowest (about 0.6 s against about 1 ms
+        for the threshold search, on a 2-CPU Xeon)."""
+        rng = random.Random(522)
+
+        def space(n):
+            rows = [[ZERO] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[i][j] = rows[j][i] = ExtRat(rng.choice(POSITIVE_POOL))
+            return FiniteMetricSpace(LABELS[:n], fw_close(rows))
+
+        x_space, y_space = space(5), space(4)
+        assert gromov_hausdorff(x_space, y_space) == ONE
+        assert reference_gromov_hausdorff(x_space, y_space) == ONE
+        assert gromov_hausdorff(y_space, x_space) == ONE
 
 
 class TestMaps:
