@@ -14,6 +14,7 @@ construction invariant.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -30,7 +31,6 @@ from .extmetric import (
     _MAX_SCALED,
     _TRIANGLE_CELLS,
     FiniteMetricSpace,
-    _along,
     _as_object,
     _finite_max,
     _first,
@@ -261,79 +261,98 @@ def _modulus_scan(algebra: MetricAlgebra, constants, max_checks=None) -> Verdict
 def is_homomorphism(f: Mapping, source: MetricAlgebra, target: MetricAlgebra) -> Verdict:
     """Check operation preservation and nonexpansiveness of ``f``.
 
-    Witnesses are the first argument tuple, or pair, in carrier order.
+    A malformed dict fails first: not a mapping, then an element without an
+    image or with one outside the target.  Witnesses are the first element,
+    tuple or pair in carrier order; a pass carries the target positions ``fidx``.
     """
     if source.sig != target.sig:
         return Verdict.failed("signature-mismatch", ())
-    targets = set(target.carrier)
+    if not isinstance(f, Mapping):
+        return Verdict.failed("not-a-mapping", ())
+    index, fidx = target.space._positions(), []
     for a in source.carrier:
         if a not in f:
             return Verdict.failed("undefined", (a,))
-        if f[a] not in targets:
+        try:
+            fidx.append(index[f[a]])
+        except (KeyError, TypeError):
             return Verdict.failed("value-outside-target", (a,))
-    fidx = np.array([target.space.index(f[a]) for a in source.carrier], dtype=np.intp)
+    fidx = np.array(fidx, dtype=np.intp)
+    verdict = _preserves(fidx, source, target)
+    return Verdict.passed(fidx) if verdict else verdict
+
+
+def _preserves(fidx: np.ndarray, source: MetricAlgebra, target: MetricAlgebra) -> Verdict:
+    """Whether the map with target positions ``fidx`` preserves every
+    operation and is nonexpansive, with the first witness of a failure."""
     for symbol in source.sig.symbols:
         bad = _first(fidx[source.tables[symbol]] != _on(target.tables[symbol], fidx))
         if bad is not None:
             return Verdict.failed("operation-not-preserved", (symbol, _ids(source.carrier, bad)))
-    X, Y = _along(f, source.space, target.space)
-    bad = _first(Y > X)
+    (X, Y), _ = _mirrors(source.space, target.space)
+    bad = _first(Y[np.ix_(fidx, fidx)] > X)
     if bad is not None:
         return Verdict.failed("expansive", _ids(source.carrier, bad))
     return Verdict.passed()
 
 
 class Homomorphism:
-    """A validated nonexpansive, operation-preserving map."""
+    """A validated nonexpansive, operation-preserving map.
 
-    __slots__ = ("source", "target", "mapping")
+    Stored once as ``fidx``, a read-only ``intp`` array: ``fidx[i]`` is the
+    target position of the image of the source element at position ``i``.
+    Carrier elements appear only at the edges, ``mapping`` and calls.
+    """
+
+    __slots__ = ("source", "target", "fidx")
 
     def __init__(self, source: MetricAlgebra, target: MetricAlgebra, mapping: Mapping):
-        for a in mapping:
-            source.space.index(a)  # DomainError for a key outside the source carrier
+        if isinstance(mapping, Mapping):
+            for a in mapping:
+                source.space.index(a)  # DomainError for a key outside the source carrier
         verdict = is_homomorphism(mapping, source, target)
         if not verdict:
             raise AxiomError(
                 f"not a homomorphism: {verdict.reason} at {verdict.witness}", verdict
             )
-        self.source = source
-        self.target = target
-        self.mapping = dict(mapping)
+        self.source, self.target, self.fidx = source, target, verdict.value
+        self.fidx.flags.writeable = False
 
     @classmethod
-    def _trusted(cls, source: MetricAlgebra, target: MetricAlgebra, mapping: Mapping):
-        """A map that is a homomorphism by construction, such as a
-        projection or an inclusion; nothing is checked."""
+    def _trusted(cls, source: MetricAlgebra, target: MetricAlgebra, fidx: np.ndarray):
+        """A map that is a homomorphism by construction, such as a projection,
+        on its target positions; nothing is checked, and ``fidx`` is not
+        written afterwards."""
         out = object.__new__(cls)
-        out.source, out.target, out.mapping = source, target, dict(mapping)
+        out.source, out.target, out.fidx = source, target, fidx
+        fidx.flags.writeable = False
         return out
 
+    @property
+    def mapping(self) -> dict:
+        """The map as a dict from source to target elements, built on each read."""
+        return dict(zip(self.source.carrier, _ids(self.target.carrier, self.fidx.tolist())))
+
     def __call__(self, x) -> object:
-        try:
-            return self.mapping[x]
-        except KeyError:
-            raise DomainError(f"{render_id(x)} is not in the source carrier") from None
+        return self.target.carrier[self.fidx[self.source.space.index(x)]]
 
     @property
     def is_surjective(self) -> bool:
-        return set(self.mapping.values()) == set(self.target.carrier)
+        return bool(np.bincount(self.fidx, minlength=self.target.space.size).all())
 
     @property
     def is_injective(self) -> bool:
-        values = list(self.mapping.values())
-        return len(set(values)) == len(values)
+        return bool(np.bincount(self.fidx).max() <= 1)
 
     @property
     def is_isometric(self) -> bool:
-        X, Y = _along(self.mapping, self.source.space, self.target.space)
-        return bool(np.array_equal(X, Y))
+        (X, Y), _ = _mirrors(self.source.space, self.target.space)
+        return bool(np.array_equal(X, Y[np.ix_(self.fidx, self.fidx)]))
 
     def then(self, other: "Homomorphism") -> "Homomorphism":
         if self.target is not other.source and self.target != other.source:
             raise DomainError("composition needs matching middle algebra")
-        return Homomorphism._trusted(
-            self.source, other.target, {a: other(self(a)) for a in self.source.carrier}
-        )
+        return Homomorphism._trusted(self.source, other.target, other.fidx[self.fidx])
 
     def __repr__(self) -> str:
         return f"<Homomorphism {self.source.space.size} -> {self.target.space.size}>"
@@ -365,7 +384,7 @@ def generate_subalgebra(
     position[idx] = np.arange(len(idx))
     tables = {s: position[_on(t, idx)] for s, t in algebra.tables.items()}
     sub = MetricAlgebra._trusted(algebra.sig, sub_space, tables)
-    inclusion = Homomorphism._trusted(sub, algebra, {x: x for x in sub_space.carrier})
+    inclusion = Homomorphism._trusted(sub, algebra, idx)
     return sub, inclusion
 
 
@@ -399,10 +418,7 @@ def product(
         factors = [_on(a.tables[symbol], c) for a, c in zip(algebras, coords)]
         tables[symbol] = np.ravel_multi_index(factors, sizes)
     prod = MetricAlgebra._trusted(sig, space, tables)
-    projections = [
-        Homomorphism._trusted(prod, a, {p: p[i] for p in space.carrier})
-        for i, a in enumerate(algebras)
-    ]
+    projections = [Homomorphism._trusted(prod, a, c) for a, c in zip(algebras, coords)]
     return prod, projections
 
 
@@ -420,13 +436,11 @@ def quotient(
         raise DomainError("congruence is not on this algebra")
     space, qmap = metric_identification(theta.matrix)
     # The classes in the order of their least members, and each point's class.
-    reps, position = np.unique((theta.matrix.D == 0).argmax(axis=1), return_inverse=True)
+    reps = np.flatnonzero(qmap.rep == np.arange(len(qmap.rep)))
+    position = np.searchsorted(reps, qmap.rep)
     tables = {s: position[_on(t, reps)] for s, t in algebra.tables.items()}
     quot = MetricAlgebra._trusted(algebra.sig, space, tables)
-    projection = Homomorphism._trusted(
-        algebra, quot, {x: qmap.class_of(x) for x in algebra.carrier}
-    )
-    return quot, projection
+    return quot, Homomorphism._trusted(algebra, quot, position)
 
 
 def kernel(f: Homomorphism) -> "Congruence":
@@ -439,7 +453,7 @@ def kernel(f: Homomorphism) -> "Congruence":
 def image(f: Homomorphism) -> MetricAlgebra:
     """Set-image of ``f`` with the structure induced from the target."""
     # f preserves every operation, so its image is already closed under them.
-    return generate_subalgebra(f.target, [f(a) for a in f.source.carrier])[0]
+    return generate_subalgebra(f.target, _ids(f.target.carrier, f.fidx))[0]
 
 
 def saturate(algebra: MetricAlgebra, subset: Iterable, theta: "Congruence") -> tuple:
@@ -459,26 +473,19 @@ def is_reflexive_quotient(p: Homomorphism, max_sections: int = 1_000_000) -> Ver
     order, so the first witness found is deterministic.  The section
     must preserve distances exactly but need not preserve operations.
     """
-    if not p.is_surjective:
+    counts = np.bincount(p.fidx, minlength=p.target.space.size)
+    if not counts.all():
         return Verdict.failed("not-surjective", ())
-    targets, sources = p.target.carrier, p.source.carrier
-    fibers = [[i for i, a in enumerate(sources) if p(a) == b] for b in targets]
-    total = 1
-    for fiber in fibers:
-        total *= len(fiber)
-        if total > max_sections:
-            raise ResourceLimitError(
-                f"section search space exceeds {max_sections}",
-                "max_sections",
-                max_sections,
-            )
+    if math.prod(counts.tolist()) > max_sections:
+        raise ResourceLimitError(
+            f"section search space exceeds {max_sections}", "max_sections", max_sections
+        )
+    fibers = [np.flatnonzero(p.fidx == b).tolist() for b in range(len(counts))]
     (src, dst), _ = _mirrors(p.source.space, p.target.space)
     src, dst = src.tolist(), dst.tolist()
     for choice in itertools.product(*fibers):
-        if all(
-            src[i][j] == d for i, row in zip(choice, dst) for j, d in zip(choice, row)
-        ):
-            return Verdict.passed(dict(zip(targets, map(sources.__getitem__, choice))))
+        if all(src[i][j] == d for i, row in zip(choice, dst) for j, d in zip(choice, row)):
+            return Verdict.passed(dict(zip(p.target.carrier, _ids(p.source.carrier, choice))))
     return Verdict.failed("no-isometric-section", ())
 
 
@@ -499,8 +506,8 @@ def find_isomorphism(a: MetricAlgebra, b: MetricAlgebra) -> dict | None:
     def extend(chosen: list[int]) -> dict | None:
         x = len(chosen)
         if x == len(xs):
-            assignment = dict(zip(xs, map(ys.__getitem__, chosen)))
-            return assignment if is_homomorphism(assignment, a, b) else None
+            ok = _preserves(np.array(chosen, dtype=np.intp), a, b)
+            return dict(zip(xs, _ids(ys, chosen))) if ok else None
         for y in range(len(ys)):
             if y in chosen or any(db[y][y2] != da[x][x2] for x2, y2 in enumerate(chosen)):
                 continue

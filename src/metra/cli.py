@@ -737,16 +737,18 @@ def _equations_only(formulas, name):
     return list(formulas)
 
 
+def _named(table: dict, kind: str, name: str):
+    if name not in table:
+        raise MetraError(f"unknown {kind} {name!r}")
+    return table[name]
+
+
 def _run_one(ws: Workspace, word: str, args: dict, limits: dict):
     def alg(name):
-        if name not in ws.algebras:
-            raise MetraError(f"unknown algebra {name!r}")
-        return ws.algebras[name]
+        return _named(ws.algebras, "algebra", name)
 
     def cong(name):
-        if name not in ws.congruences:
-            raise MetraError(f"unknown congruence {name!r}")
-        return ws.congruences[name]
+        return _named(ws.congruences, "congruence", name)
 
     if word == "validate":
         objects = []
@@ -779,9 +781,7 @@ def _run_one(ws: Workspace, word: str, args: dict, limits: dict):
         sub, _ = generate_subalgebra(alg(args["algebra"]), args["seed"])
         return True, {"algebra": _plain(sub)}
     if word == "kernel":
-        if args["hom"] not in ws.homs:
-            raise MetraError(f"unknown hom {args['hom']!r}")
-        return True, {"congruence": _plain(kernel(ws.homs[args["hom"]]))}
+        return True, {"congruence": _plain(kernel(_named(ws.homs, "hom", args["hom"])))}
     if word == "meet":
         return True, {"congruence": _plain(meet([cong(args["left"]), cong(args["right"])]))}
     if word == "join":
@@ -803,29 +803,24 @@ def _run_one(ws: Workspace, word: str, args: dict, limits: dict):
             data["iso"] = _plain(d.iso)
         return d.ok, data
     if word == "free":
-        if args["presentation"] not in ws.presentations:
-            raise MetraError(f"unknown presentation {args['presentation']!r}")
         free = free_algebra(
-            ws.presentations[args["presentation"]],
+            _named(ws.presentations, "presentation", args["presentation"]),
             max_terms=limits["max_terms"],
             max_decreases=limits["max_decreases"],
         )
         return True, {"free": _render_free(free)}
     if word == "sat":
-        if args["axioms"] not in ws.axioms:
-            raise MetraError(f"unknown axioms {args['axioms']!r}")
+        formulas = _named(ws.axioms, "axioms", args["axioms"])
         algebra = alg(args["algebra"])
         rows = []
-        for formula in ws.axioms[args["axioms"]]:
+        for formula in formulas:
             verdict = satisfies(algebra, formula, limits["max_valuations"])
             rows.append(
                 {"formula": str(formula), "ok": verdict.ok, "witness": _plain(verdict.value)}
             )
         return all(r["ok"] for r in rows), {"formulas": rows}
     if word == "entails":
-        if args["axioms"] not in ws.axioms:
-            raise MetraError(f"unknown axioms {args['axioms']!r}")
-        delta = _equations_only(ws.axioms[args["axioms"]], args["axioms"])
+        delta = _equations_only(_named(ws.axioms, "axioms", args["axioms"]), args["axioms"])
         goal = _parse_span(args["goal"], read_equation, alg(args["algebras"][0]).sig)
         verdict = entails(
             [alg(n) for n in args["algebras"]], delta, goal, limits["max_valuations"]
@@ -842,12 +837,9 @@ def _run_one(ws: Workspace, word: str, args: dict, limits: dict):
         )
         return True, {"distance": str(value)}
     if word == "redprod":
-        if args["filter"] not in ws.filters:
-            raise MetraError(f"unknown filter {args['filter']!r}")
+        chosen = _named(ws.filters, "filter", args["filter"])
         rp = reduced_product(
-            [alg(n) for n in args["algebras"]],
-            ws.filters[args["filter"]],
-            max_size=limits["max_size"],
+            [alg(n) for n in args["algebras"]], chosen, max_size=limits["max_size"]
         )
         data = {"exists": rp.exists, "verdict": _plain(rp.verdict)}
         if rp.exists:
@@ -873,10 +865,8 @@ def _run_one(ws: Workspace, word: str, args: dict, limits: dict):
             data["witness"] = _plain(verdict.witness)
         return verdict.ok, data
     if word == "closure":
-        if args["axioms"] not in ws.axioms:
-            raise MetraError(f"unknown axioms {args['axioms']!r}")
         report = closure_suite(
-            ws.axioms[args["axioms"]],
+            _named(ws.axioms, "axioms", args["axioms"]),
             [alg(n) for n in args["instances"]],
             quotient_values=args.get("values"),
             max_valuations=limits["max_valuations"],
@@ -896,9 +886,7 @@ def _run_one(ws: Workspace, word: str, args: dict, limits: dict):
             "records": records,
         }
     if word == "weakcompact":
-        if args["axioms"] not in ws.axioms:
-            raise MetraError(f"unknown axioms {args['axioms']!r}")
-        delta = _equations_only(ws.axioms[args["axioms"]], args["axioms"])
+        delta = _equations_only(_named(ws.axioms, "axioms", args["axioms"]), args["axioms"])
         goal = _parse_span(args["goal"], read_equation, alg(args["algebras"][0]).sig)
         verdict = weak_compactness_search(
             [alg(n) for n in args["algebras"]],

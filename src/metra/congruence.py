@@ -47,7 +47,6 @@ from .extmetric import (
     PseudometricMatrix,
     SquareMatrix,
     _MAX_SCALED,
-    _along,
     _array_violation,
     _as_object,
     _as_verdict,
@@ -59,6 +58,7 @@ from .extmetric import (
     _mirrors,
     _scale_finite,
     _sup,
+    _zero_reps,
     checked_value,
     render_id,
     scaled_int_array,
@@ -105,11 +105,6 @@ def is_congruential(algebra: MetricAlgebra, matrix: SquareMatrix) -> Verdict:
 # tuple lands in the class of the tuple of its arguments' representatives,
 # so one pass over the table decides it, where trying every tuple of class
 # members would cost |A|**arity * |class|**arity lookups.
-
-
-def _zero_reps(M: np.ndarray) -> np.ndarray:
-    """The class representative of each point, for one mirror or a stack of them."""
-    return (M == 0).argmax(axis=-1)
 
 
 def _image_classes(table: np.ndarray, reps: np.ndarray):
@@ -199,8 +194,9 @@ def pointwise_leq(m1: SquareMatrix, m2: SquareMatrix) -> tuple | None:
 def _first_pair(compare, m1: SquareMatrix, m2: SquareMatrix) -> tuple | None:
     """The first pair (a, b) of ``m1``'s carrier, in row-major order, where
     ``compare(m1(a, b), m2(a, b))`` holds, or None."""
-    A, B = _along({x: x for x in m1.carrier}, m1, m2)
-    bad = _first(compare(A, B))
+    idx = [m2.index(x) for x in m1.carrier]
+    (A, B), _ = _mirrors(m1, m2)
+    bad = _first(compare(A, B[np.ix_(idx, idx)]))
     return None if bad is None else _ids(m1.carrier, bad)
 
 
@@ -330,8 +326,7 @@ def pullback_congruence(f: Homomorphism, rho: Congruence) -> Congruence:
     """Pull a congruence on the target back along a homomorphism."""
     if rho.base != f.target:
         raise DomainError("congruence is not on the target algebra")
-    idx = [rho.matrix.index(f(a)) for a in f.source.carrier]
-    return Congruence._trusted(f.source, rho.matrix.D[np.ix_(idx, idx)], rho.matrix.denom)
+    return Congruence._trusted(f.source, rho.matrix.D[np.ix_(f.fidx, f.fidx)], rho.matrix.denom)
 
 
 @dataclass
@@ -372,8 +367,8 @@ def decompose_product(
     q1, p1 = quotient(algebra, t1)
     q2, p2 = quotient(algebra, t2)
     prod, _ = product([q1, q2])
-    # A homomorphism into each quotient, so into their product.
-    iso = Homomorphism._trusted(algebra, prod, {x: (p1(x), p2(x)) for x in algebra.carrier})
+    # A homomorphism into each quotient, so into their product (C order).
+    iso = Homomorphism._trusted(algebra, prod, p1.fidx * q2.space.size + p2.fidx)
     if not iso.is_injective or not iso.is_surjective:
         return Decomposition(False, "canonical-map-not-bijective", (), (q1, q2), prod)
     if not iso.is_isometric:

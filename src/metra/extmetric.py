@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -624,62 +625,79 @@ def space_from(carrier: Sequence, fn: Callable) -> FiniteMetricSpace:
 class QuotientMap:
     """Class assignment produced by metric identification.
 
-    Class ids are the representative element ids themselves; the
-    representative of a class is its earliest member in carrier order,
-    which keeps quotient output deterministic.
+    Stored once as ``rep``, a read-only ``intp`` array: ``rep[i]`` is the
+    position of the earliest member of point i's class, whose id names the
+    class, so quotient output is deterministic.  Lookups are built on use.
     """
 
     def __init__(self, source_carrier: Sequence, class_of: Mapping):
-        self.source_carrier = tuple(source_carrier)
-        self._class_of = dict(class_of)
-        self.class_ids = tuple(dict.fromkeys(map(self._class_of.__getitem__, self.source_carrier)))
-        self._members = None
-        for c in self.class_ids:
-            if self.members(c)[0] != c:
-                raise DomainError(f"class id {render_id(c)} is not the earliest member of its class")
+        carrier, class_of = tuple(source_carrier), dict(class_of)
+        index = {x: i for i, x in enumerate(carrier)}
+        if class_of.keys() != index.keys():
+            x = next(x for x in (*class_of, *carrier) if x not in index or x not in class_of)
+            raise DomainError(f"the classes and the source carrier differ at {render_id(x)}")
+        rep = []
+        for i, c in enumerate(map(class_of.__getitem__, carrier)):
+            try:
+                rep.append(index[c])
+            except (KeyError, TypeError):
+                rep.append(i + 1)
+            # The class id is a member of its class and no later than point i.
+            if rep[i] > i or class_of[carrier[rep[i]]] != c:
+                raise DomainError(
+                    f"class id {render_id(c)} is not the earliest member of its class"
+                )
+        self.source_carrier, self.rep = carrier, np.array(rep, dtype=np.intp)
+        self.rep.flags.writeable = False
 
     @classmethod
-    def _trusted(cls, carrier: tuple, rep: Sequence[int]) -> "QuotientMap":
-        """The map of ``carrier[i]`` to ``carrier[rep[i]]``, the least member
-        of its class; nothing is checked, and lookups are built on first use."""
+    def _trusted(cls, carrier: tuple, rep: np.ndarray) -> "QuotientMap":
+        """The map of ``carrier[i]`` to ``carrier[rep[i]]``; nothing is
+        checked, and ``rep`` must not be written afterwards."""
         out = object.__new__(cls)
-        out.source_carrier, out._rep = carrier, rep
-        out.class_ids = tuple(carrier[i] for i, r in enumerate(rep) if i == r)
-        out._class_of = out._members = None
+        out.source_carrier, out.rep = carrier, rep
+        rep.flags.writeable = False
         return out
 
-    def _classes(self) -> dict:
-        if self._class_of is None:
-            carrier = self.source_carrier
-            self._class_of = dict(zip(carrier, map(carrier.__getitem__, self._rep)))
-        return self._class_of
+    @cached_property
+    def _lookup(self) -> dict:
+        carrier = self.source_carrier
+        return dict(zip(carrier, _ids(carrier, self.rep.tolist())))
+
+    @property
+    def class_ids(self) -> tuple:
+        return _ids(self.source_carrier, np.flatnonzero(self.rep == np.arange(len(self.rep))))
 
     def class_of(self, x):
         try:
-            return self._classes()[x]
-        except KeyError:
+            return self._lookup[x]
+        except (KeyError, TypeError):
             raise DomainError(f"element {render_id(x)} is not in the source carrier") from None
 
     def representative(self, c):
         return self.members(c)[0]
 
     def members(self, c) -> tuple:
-        if self._members is None:
-            members: dict = {}
-            for x in self.source_carrier:
-                members.setdefault(self._classes()[x], []).append(x)
-            self._members = {c: tuple(ms) for c, ms in members.items()}
-        if c not in self._members:
+        """The points of class ``c`` in carrier order."""
+        out = tuple(x for x, k in self._lookup.items() if k == c)
+        if not out or out[0] != c:
             raise DomainError(f"{render_id(c)} is not a class id")
-        return self._members[c]
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuotientMap):
             return NotImplemented
-        return self.source_carrier == other.source_carrier and self._classes() == other._classes()
+        same = self.source_carrier == other.source_carrier
+        return same and bool(np.array_equal(self.rep, other.rep))
 
     def __repr__(self) -> str:
         return f"<QuotientMap {len(self.source_carrier)} -> {len(self.class_ids)}>"
+
+
+def _zero_reps(M: np.ndarray) -> np.ndarray:
+    """Each point's least point at distance zero, its class representative,
+    for one mirror or a stack of them."""
+    return (M == 0).argmax(axis=-1)
 
 
 def metric_identification(p: PseudometricMatrix) -> tuple[FiniteMetricSpace, QuotientMap]:
@@ -691,10 +709,10 @@ def metric_identification(p: PseudometricMatrix) -> tuple[FiniteMetricSpace, Quo
     distances pass to representatives unchanged, giving a metric.
     """
     p = _validated(p, PseudometricMatrix)
-    rep = (p.D == 0).argmax(axis=1)
+    rep = _zero_reps(p.D)
     reps = np.flatnonzero(rep == np.arange(len(rep)))
-    qmap = QuotientMap._trusted(p.carrier, rep.tolist())
-    return FiniteMetricSpace._trusted(qmap.class_ids, p.D[np.ix_(reps, reps)], p.denom), qmap
+    space = FiniteMetricSpace._trusted(_ids(p.carrier, reps), p.D[np.ix_(reps, reps)], p.denom)
+    return space, QuotientMap._trusted(p.carrier, rep)
 
 
 def _sup(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -718,7 +736,7 @@ def sup_product(
     if total > max_size:
         raise ResourceLimitError(
             f"product carrier would have {total} > {max_size} points",
-            "product_size",
+            "max_size",
             max_size,
         )
     arrays, denom = _mirrors(*spaces)
@@ -821,13 +839,3 @@ def gromov_hausdorff(
             lo = mid + 1
     return ExtRat(Fraction(vals[lo], 2 * denom))
 
-
-def _along(f: Mapping, x_space: SquareMatrix, y_space: SquareMatrix):
-    """The mirrors of ``x_space`` and of ``y_space`` along ``f``, over one denominator."""
-    idx = []
-    for a in x_space.carrier:
-        if a not in f:
-            raise DomainError(f"map is undefined at {render_id(a)}")
-        idx.append(y_space.index(f[a]))
-    (X, Y), _ = _mirrors(x_space, y_space)
-    return X, Y[np.ix_(idx, idx)]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from unittest import mock
 
@@ -22,7 +24,6 @@ from metra.extmetric import (
     FiniteMetricSpace,
     PseudometricMatrix,
     SquareMatrix,
-    _along,
     _as_object,
     _finite_max,
     _inf_code,
@@ -30,7 +31,9 @@ from metra.extmetric import (
     _scale_finite,
     check_pseudometric,
     metric_identification,
+    render_id,
 )
+from metra.filters import SeqForm
 from metra.logic import as_implication, satisfies_under
 from metra.terms import App, Var
 
@@ -313,10 +316,15 @@ def reference_is_homomorphism(f, source, target):
     oracle."""
     if source.sig != target.sig:
         return Verdict.failed("signature-mismatch", ())
+    if not isinstance(f, Mapping):
+        return Verdict.failed("not-a-mapping", ())
     for a in source.carrier:
         if a not in f:
             return Verdict.failed("undefined", (a,))
-        if f[a] not in set(target.carrier):
+        try:
+            if f[a] not in set(target.carrier):
+                return Verdict.failed("value-outside-target", (a,))
+        except TypeError:  # an unhashable value
             return Verdict.failed("value-outside-target", (a,))
     for symbol in source.sig.symbols:
         arity = source.sig.arity(symbol)
@@ -431,6 +439,22 @@ def edges_refused():
         raise AssertionError("carrier elements were rebuilt from the index tables")
 
     return mock.patch.multiple(MetricAlgebra, ops=property(refuse), apply=refuse)
+
+
+@contextlib.contextmanager
+def maps_refused():
+    """Context in which reading ``Homomorphism.mapping``, calling a
+    ``Homomorphism`` or calling ``QuotientMap.class_of`` fails, so only code
+    that works on the position arrays runs through it."""
+    from metra.algebra import Homomorphism
+    from metra.extmetric import QuotientMap
+
+    def refuse(*args):
+        raise AssertionError("a map was read through carrier elements")
+
+    with mock.patch.multiple(Homomorphism, mapping=property(refuse), __call__=refuse):
+        with mock.patch.object(QuotientMap, "class_of", refuse):
+            yield
 
 
 def reference_is_congruential(algebra, matrix):
@@ -649,6 +673,28 @@ def reference_gromov_hausdorff(x_space, y_space):
     return ExtRat(Fraction(best, 2 * denom))
 
 
+def reference_stagewise_triangle(carrier, forms):
+    """The stagewise triangle check of ``pointwise_limit_metric`` one triple
+    at a time on the ``SeqForm`` parts, as an oracle: the error message of
+    the first failing (x, z, y), in that loop order, or None."""
+    parsed = {}
+    for (a, b), form in forms.items():
+        parsed[(a, b)] = parsed[(b, a)] = form
+    for a in carrier:
+        parsed[(a, a)] = SeqForm(Fraction(0))
+    for x in carrier:
+        for z in carrier:
+            for y in carrier:
+                gap_c = parsed[(x, z)].c - parsed[(x, y)].c - parsed[(y, z)].c
+                gap_r = parsed[(x, z)].r - parsed[(x, y)].r - parsed[(y, z)].r
+                if gap_c > 0 or (gap_c == 0 and gap_r > 0):
+                    return (
+                        f"the stagewise triangle through {render_id(y)} fails "
+                        f"at ({render_id(x)}, {render_id(z)}) at every late stage"
+                    )
+    return None
+
+
 # Metric-space helpers that only the tests use.
 
 
@@ -663,6 +709,18 @@ def point_set_distance(space, x, subset):
 
 def diameter(space):
     return space._value(space.D.max())
+
+
+def _along(f, x_space, y_space):
+    """The mirrors of ``x_space`` and of ``y_space`` along the dict map ``f``,
+    over one denominator."""
+    idx = []
+    for a in x_space.carrier:
+        if a not in f:
+            raise DomainError(f"map is undefined at {render_id(a)}")
+        idx.append(y_space.index(f[a]))
+    (X, Y), _ = _mirrors(x_space, y_space)
+    return X, Y[np.ix_(idx, idx)]
 
 
 def is_nonexpansive_map(f, x_space, y_space):

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 import metra.algebra as algebra_module
 from metra.algebra import (
     Homomorphism,
@@ -31,10 +33,12 @@ from metra.congruence import (
     Congruence,
     coarsest_congruence,
     decompose_product,
+    finest_congruence,
     generate_congruence,
     grid_congruences,
     is_congruential,
     join,
+    pullback_congruence,
     restrict,
 )
 from metra.errors import (
@@ -51,6 +55,7 @@ from metra.extmetric import (
     PseudometricMatrix,
     SquareMatrix,
     ZERO,
+    metric_identification,
     space_from,
 )
 from metra.logic import closure_suite, entails, in_mode_class, parse_formula, satisfies
@@ -64,9 +69,11 @@ from conftest import (
     line_algebra,
     line_max_algebra,
     line_min_algebra,
+    maps_refused,
     metric_spaces,
     object_mirrors,
     reference_generate_subalgebra,
+    reference_identification,
     reference_is_homomorphism,
     reference_modulus_scan,
     reference_product,
@@ -315,6 +322,43 @@ class TestEdges:
         with edges_refused(), pytest.raises(AssertionError):
             line_min_algebra().apply("sigma", (0, 0))
 
+    @pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
+    def test_map_consumers_work_on_the_position_arrays(self, mirrors):
+        """No construction or check reads a map through carrier elements."""
+        with mirrors():
+            a, b = line_min_algebra(), line_max_algebra()
+            shrunk = shrunk_copy(a)
+            renamed = relabel(a, {0: "u", 1: "v", 2: "w"})
+            f = Homomorphism(a, shrunk, {x: x for x in a.carrier})
+            with edges_refused(), maps_refused():
+                prod, projections = product([a, b])
+                thetas = [kernel(p) for p in projections]
+                quot, projection = quotient(prod, thetas[0])
+                sub, inclusion = generate_subalgebra(prod, [(1, 0)])
+                assert image(inclusion) == sub
+                assert image(projection) == quot
+                composed = inclusion.then(projections[0])
+                assert composed.fidx.tolist() == [1, 2] and composed.is_injective
+                assert projections[0].is_surjective and not projections[0].is_injective
+                assert inclusion.is_injective and inclusion.is_isometric
+                assert not inclusion.is_surjective and not f.is_isometric
+                assert pullback_congruence(f, finest_congruence(shrunk)) == kernel(f)
+                assert decompose_product(prod, *thetas).ok
+                failed = decompose_product(prod, thetas[0], thetas[0])
+                assert failed.reason == "meet-not-the-metric"
+                assert is_reflexive_quotient(projections[0]).ok
+                assert is_reflexive_quotient(f).reason == "no-isometric-section"
+                assert find_isomorphism(a, renamed) == {0: "u", 1: "v", 2: "w"}
+                assert find_isomorphism(a, b) is None
+
+    def test_the_map_guard_refuses_the_edges(self):
+        a = line_min_algebra()
+        f = Homomorphism(a, a, {x: x for x in a.carrier})
+        qmap = metric_identification(a.space)[1]
+        for read in (lambda: f.mapping, lambda: f(0), lambda: qmap.class_of(0)):
+            with maps_refused(), pytest.raises(AssertionError):
+                read()
+
 
 class TestHomomorphism:
     def test_shrinking_identity_is_a_homomorphism(self):
@@ -351,11 +395,20 @@ class TestHomomorphism:
     @settings(max_examples=120, deadline=None)
     def test_matches_the_reference(self, mirrors, data):
         """Same verdict, reason and witness as the loop over argument tuples
-        and entries, for maps that are partial, leave the target, break an
-        operation, or preserve every operation and stretch a distance."""
+        and entries, for maps that are malformed, partial, leave the target,
+        break an operation, or preserve every operation and stretch a
+        distance."""
         source = data.draw(homomorphism_algebras())
-        n, kind = source.space.size, data.draw(st.sampled_from(["metric", "binary", "any"]))
-        if kind != "any":
+        kinds = ["metric", "binary", "any", "malformed"]
+        n, kind = source.space.size, data.draw(st.sampled_from(kinds))
+        if kind == "malformed":
+            # A list is not a mapping, and a list value is not hashable.
+            target = data.draw(homomorphism_algebras())
+            bad = data.draw(st.sampled_from(source.carrier))
+            f = data.draw(st.sampled_from([
+                list(source.carrier), {x: [x] if x == bad else 0 for x in source.carrier}
+            ]))
+        elif kind != "any":
             # The identity into another metric, and for "binary" another
             # table of g: only g's preservation and nonexpansiveness can fail.
             ops = dict(source.ops)
@@ -375,6 +428,31 @@ class TestHomomorphism:
         want = reference_is_homomorphism(f, source, target)
         assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
 
+    @pytest.mark.parametrize(
+        "f, reason, witness",
+        [([0, 1, 2], "not-a-mapping", ()), ({0: [0], 1: 1, 2: 2}, "value-outside-target", (0,))],
+    )
+    def test_malformed_maps_are_typed_outcomes(self, f, reason, witness):
+        a = line_min_algebra()
+        verdict = is_homomorphism(f, a, a)
+        assert (verdict.ok, verdict.reason, verdict.witness) == (False, reason, witness)
+        with pytest.raises(AxiomError, match=reason):
+            Homomorphism(a, a, f)
+
+    @pytest.mark.parametrize("x", [[0], 99])
+    def test_calls_outside_the_source_are_domain_errors(self, x):
+        a = line_min_algebra()
+        f = Homomorphism(a, a, {x: x for x in a.carrier})
+        with pytest.raises(DomainError, match="is not in the carrier"):
+            f(x)
+
+    def test_maps_are_read_only_position_arrays(self):
+        prod, projections = product([line_min_algebra(), line_max_algebra()])
+        assert Homomorphism.__slots__ == ("source", "target", "fidx")
+        for i, p in enumerate(projections):
+            assert p.fidx.dtype == np.intp and not p.fidx.flags.writeable
+            assert p.mapping == {x: x[i] for x in prod.carrier}
+
     def test_composition(self):
         a = line_min_algebra()
         b = shrunk_copy(a)
@@ -382,6 +460,79 @@ class TestHomomorphism:
         f = Homomorphism(a, b, {x: x for x in a.carrier})
         g = Homomorphism(b, c, {x: x for x in a.carrier})
         assert f.then(g)(2) == 2
+
+
+class TestMapsMatchTheDicts:
+    """Maps on position arrays against the dict maps they replace: the
+    ``mapping`` views, composition, the properties and the kernel."""
+
+    @pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_maps(self, mirrors, data):
+        """On maps of up to 6 points that need not be nonexpansive: the
+        properties are read off any map, the kernel only off nonexpansive
+        ones.  Constant maps are always nonexpansive, and a permutation is
+        isometric exactly when it is nonexpansive."""
+        x = data.draw(metric_spaces(max_size=6))
+        kind = data.draw(st.sampled_from(["any", "constant", "permutation"]))
+        y = x if kind == "permutation" else data.draw(metric_spaces(max_size=6))
+        z = data.draw(metric_spaces(max_size=6))
+        if kind == "permutation":
+            f_idx = data.draw(st.permutations(range(x.size)))
+        else:
+            image = st.integers(min_value=0, max_value=y.size - 1)
+            size = 1 if kind == "constant" else x.size
+            f_idx = data.draw(st.lists(image, min_size=size, max_size=size)) * (x.size // size)
+        g_idx = data.draw(st.lists(
+            st.integers(min_value=0, max_value=z.size - 1), min_size=y.size, max_size=y.size
+        ))
+        f = {a: y.carrier[i] for a, i in zip(x.carrier, f_idx)}
+        g = {b: z.carrier[i] for b, i in zip(y.carrier, g_idx)}
+        nonexpansive = all(y.get(f[a], f[b]) <= x.get(a, b) for a in x.carrier for b in x.carrier)
+        with mirrors():
+            X, Y, Z = (bare_algebra(revalidated(s)) for s in (x, y, z))
+            hf = Homomorphism._trusted(X, Y, np.array(f_idx, dtype=np.intp))
+            hg = Homomorphism._trusted(Y, Z, np.array(g_idx, dtype=np.intp))
+            composed = hf.then(hg)
+            got = (hf.is_surjective, hf.is_injective, hf.is_isometric)
+            ker = kernel(hf) if nonexpansive else None
+        assert hf.mapping == f and hg.mapping == g
+        assert composed.mapping == {a: g[f[a]] for a in x.carrier}
+        values = list(f.values())
+        assert got == (
+            set(values) == set(y.carrier),
+            len(set(values)) == len(values),
+            all(y.get(f[a], f[b]) == x.get(a, b) for a in x.carrier for b in x.carrier),
+        )
+        if ker is not None:
+            assert ker.matrix.entries == tuple(
+                tuple(y.get(f[a], f[b]) for b in x.carrier) for a in x.carrier
+            )
+
+    @pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_construction_maps(self, mirrors, data):
+        """Projections, inclusions and quotient projections of products of
+        up to 6 points."""
+        n1, n2 = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+        a = data.draw(homomorphism_algebras(n=n1))
+        b = data.draw(homomorphism_algebras(n=n2))
+        point = st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1))
+        seed = data.draw(st.lists(point, max_size=2))
+        with mirrors():
+            prod, projections = product([revalidated(a), revalidated(b)])
+            sub, inclusion = generate_subalgebra(prod, seed)
+            thetas = [kernel(p) for p in projections]
+            quotients = [quotient(prod, theta) for theta in thetas]
+        for i, p in enumerate(projections):
+            assert p.mapping == {x: x[i] for x in prod.carrier}
+        assert inclusion.mapping == {x: x for x in sub.carrier}
+        for theta, (quot, projection) in zip(thetas, quotients):
+            carrier, _, classes = reference_identification(theta.matrix)
+            assert quot.carrier == carrier
+            assert projection.mapping == classes
 
 
 class TestSubalgebraProductQuotient:

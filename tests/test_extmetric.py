@@ -394,6 +394,9 @@ class TestMetricIdentification:
         [
             ("ab", {"a": "z", "b": "z"}, "class id z is not the earliest member"),
             ("abc", {"a": "b", "b": "b", "c": "c"}, "class id b is not the earliest member"),
+            ("abc", {"a": "a", "b": "a", "c": "b"}, "class id b is not the earliest member"),
+            ("abc", {"a": "a", "b": "a"}, "classes and the source carrier differ at c"),
+            ("ab", {"a": "a", "b": "a", "z": "a"}, "classes and the source carrier differ at z"),
         ],
     )
     def test_class_ids_must_be_their_earliest_members(self, carrier, classes, message):
@@ -405,6 +408,11 @@ class TestMetricIdentification:
         assert qmap.class_ids == ("a", "c")
         assert qmap.members("a") == ("a", "b", "d")
         assert qmap.representative("c") == "c"
+        assert qmap.rep.tolist() == [0, 0, 2, 0]
+        assert qmap.rep.dtype == np.intp and not qmap.rep.flags.writeable
+        for c in ("b", "z", ["a"]):
+            with pytest.raises(DomainError, match="is not a class id"):
+                qmap.members(c)
 
 
 class TestKernelsMatchTheEntries:
@@ -448,6 +456,12 @@ class TestSupProduct:
         two = space_from([0, 1], lambda x, y: abs(x - y))
         with pytest.raises(ResourceLimitError):
             sup_product([two] * 3, max_size=7)
+
+    def test_size_cap_is_named_by_its_limits_key(self):
+        two = space_from([0, 1], lambda x, y: abs(x - y))
+        with pytest.raises(ResourceLimitError) as caught:
+            sup_product([two] * 3, max_size=7)
+        assert (caught.value.limit_name, caught.value.limit_value) == ("max_size", 7)
 
     @given(metric_spaces(max_size=3), metric_spaces(max_size=3), st.sampled_from(
         [ExtRat(0), ExtRat(Fraction(1, 2)), ExtRat(1), ExtRat(2)]

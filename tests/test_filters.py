@@ -30,6 +30,8 @@ from conftest import (
     bare_algebra,
     metric_spaces,
     object_mirrors,
+    pseudometric_spaces,
+    reference_stagewise_triangle,
     reference_sup,
     revalidated,
 )
@@ -294,3 +296,31 @@ class TestPointwiseLimit:
     def test_missing_pair(self):
         with pytest.raises(DomainError, match="no sequence"):
             pointwise_limit_metric(("a", "b", "c"), {("a", "b"): "1"})
+
+    # The 1/n coefficients: negative ones, and one far past the int64 guard.
+    R_POOL = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(2), Fraction(1, 3),
+              Fraction(-1), Fraction(10**15)]
+
+    @pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_stagewise_check_matches_the_triple_loop(self, mirrors, data):
+        """The array pass finds the same first failing triangle, in the
+        loop's x, z, y order, as the loop over every triple of parts; the
+        constant parts form a pseudometric, whose zeros and sums give ties."""
+        space = data.draw(pseudometric_spaces(max_size=5, allow_inf=False))
+        carrier, forms = space.carrier, {}
+        for i, a in enumerate(carrier):
+            for b in carrier[i + 1 :]:
+                c = space.get(a, b).finite
+                r = data.draw(st.sampled_from([r for r in self.R_POOL if c + r >= 0]))
+                forms[(a, b)] = SeqForm(c, r)
+        want = reference_stagewise_triangle(carrier, forms)
+        with mirrors():
+            try:
+                got, limit = None, pointwise_limit_metric(carrier, forms)
+            except DomainError as error:
+                got, limit = str(error), None
+        assert got == want
+        if limit is not None:
+            assert limit.entries == space.entries
