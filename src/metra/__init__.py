@@ -111,7 +111,17 @@ from .logic import (
     soundness_check,
     weak_compactness_search,
 )
-from .terms import App, Signature, Term, Var, check_term, enumerate_terms, evaluate
+from .terms import (
+    App,
+    Signature,
+    Term,
+    Var,
+    check_term,
+    enumerate_terms,
+    evaluate,
+    parse_term,
+    substitute,
+)
 
 __version__ = "0.1.0"
 
@@ -188,6 +198,7 @@ __all__ = [
     "parse_implication",
     "parse_inequality",
     "parse_seq_form",
+    "parse_term",
     "pointwise_limit_metric",
     "product",
     "quotient",
@@ -196,6 +207,7 @@ __all__ = [
     "satisfies",
     "satisfies_inequality",
     "soundness_check",
+    "substitute",
     "validate_algebra",
     "weak_compactness_search",
 ]

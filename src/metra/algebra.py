@@ -34,12 +34,12 @@ from .extmetric import (
     _as_object,
     _finite_max,
     _first,
+    _first_in_blocks,
     _ids,
     _mirrors,
     _scale_finite,
     _validated,
     metric_identification,
-    render_id,
     restrict_space,
     sup_product,
 )
@@ -246,15 +246,15 @@ def _modulus_scan(algebra: MetricAlgebra, constants, max_checks=None) -> Verdict
         # infinite spread, kept at the infinity code, is never exceeded.
         M = D if max(p, q) * max(_finite_max(D), 1) < _MAX_SCALED else _as_object(D)
         args_idx, res_idx = _cells(table)
-        step = max(1, _TRIANGLE_CELLS // table.size)
-        for start in range(0, table.size, step):
-            rows = slice(start, start + step)
-            spread = _spread(M, args_idx, rows)
+
+        def stretched(rows: slice) -> np.ndarray:
             image = M[np.ix_(res_idx[rows], res_idx)]
-            bad = _first(_scale_finite(image, q) > _scale_finite(spread, p))
-            if bad is not None:
-                a, b = (np.unravel_index(i, table.shape) for i in (start + bad[0], bad[1]))
-                return Verdict.failed(reason, (symbol, _ids(carrier, a), _ids(carrier, b)))
+            return _scale_finite(image, q) > _scale_finite(_spread(M, args_idx, rows), p)
+
+        bad = _first_in_blocks(table.size, _TRIANGLE_CELLS // table.size, stretched)
+        if bad is not None:
+            a, b = (np.unravel_index(i, table.shape) for i in bad)
+            return Verdict.failed(reason, (symbol, _ids(carrier, a), _ids(carrier, b)))
     return Verdict.passed()
 
 
@@ -456,15 +456,6 @@ def image(f: Homomorphism) -> MetricAlgebra:
     return generate_subalgebra(f.target, _ids(f.target.carrier, f.fidx))[0]
 
 
-def saturate(algebra: MetricAlgebra, subset: Iterable, theta: "Congruence") -> tuple:
-    """Elements at theta-distance zero from the subset, in carrier order."""
-    if theta.base != algebra:
-        raise DomainError("congruence is not on this algebra")
-    rows = [algebra.space.index(s) for s in subset]
-    near = (theta.matrix.D[rows] == 0).any(axis=0)
-    return tuple(a for a, hit in zip(algebra.carrier, near.tolist()) if hit)
-
-
 def is_reflexive_quotient(p: Homomorphism, max_sections: int = 1_000_000) -> Verdict:
     """Search for an isometric section of a surjective homomorphism.
 
@@ -488,45 +479,3 @@ def is_reflexive_quotient(p: Homomorphism, max_sections: int = 1_000_000) -> Ver
             return Verdict.passed(dict(zip(p.target.carrier, _ids(p.source.carrier, choice))))
     return Verdict.failed("no-isometric-section", ())
 
-
-def find_isomorphism(a: MetricAlgebra, b: MetricAlgebra) -> dict | None:
-    """A bijective isometric homomorphism from ``a`` onto ``b``, or None.
-
-    Backtracking assignment in carrier order, pruning on exact distance
-    agreement with every previously assigned element; operation tables
-    are verified on each completed candidate.  Returns the
-    lexicographically first isomorphism for deterministic output.
-    """
-    if a.sig != b.sig or a.space.size != b.space.size:
-        return None
-    xs, ys = a.carrier, b.carrier
-    (da, db), _ = _mirrors(a.space, b.space)
-    da, db = da.tolist(), db.tolist()
-
-    def extend(chosen: list[int]) -> dict | None:
-        x = len(chosen)
-        if x == len(xs):
-            ok = _preserves(np.array(chosen, dtype=np.intp), a, b)
-            return dict(zip(xs, _ids(ys, chosen))) if ok else None
-        for y in range(len(ys)):
-            if y in chosen or any(db[y][y2] != da[x][x2] for x2, y2 in enumerate(chosen)):
-                continue
-            found = extend(chosen + [y])
-            if found is not None:
-                return found
-        return None
-
-    return extend([])
-
-
-def relabel(algebra: MetricAlgebra, mapping: Mapping) -> MetricAlgebra:
-    """Rename carrier elements along a bijection; structure is transported.
-
-    Positions are unchanged, so the renamed algebra shares the mirror and
-    the index tables."""
-    carrier = algebra.carrier
-    if set(mapping) != set(carrier) or len(set(mapping.values())) != len(carrier):
-        raise DomainError("relabeling must be a bijection on the carrier")
-    new_carrier = [mapping[x] for x in carrier]
-    space = FiniteMetricSpace._trusted(new_carrier, algebra.space.D, algebra.space.denom)
-    return MetricAlgebra._trusted(algebra.sig, space, dict(algebra.tables))

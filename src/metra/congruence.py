@@ -33,13 +33,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import Homomorphism, MetricAlgebra, _cells, _on, _spread, product, quotient
+from .algebra import Homomorphism, MetricAlgebra, _cells, _spread, product, quotient
 from .errors import (
     CongruenceError,
     DomainError,
-    OrderError,
     ResourceLimitError,
     SignatureError,
+    TableError,
     Verdict,
 )
 from .extmetric import (
@@ -186,23 +186,12 @@ def coarsest_congruence(algebra: MetricAlgebra) -> Congruence:
     return Congruence._trusted(algebra, np.zeros((n, n), dtype=np.int64), 1)
 
 
-def pointwise_leq(m1: SquareMatrix, m2: SquareMatrix) -> tuple | None:
-    """First pair where m1 exceeds m2, or None when m1 <= m2 pointwise."""
-    return _first_pair(np.greater, m1, m2)
-
-
-def _first_pair(compare, m1: SquareMatrix, m2: SquareMatrix) -> tuple | None:
-    """The first pair (a, b) of ``m1``'s carrier, in row-major order, where
-    ``compare(m1(a, b), m2(a, b))`` holds, or None."""
-    idx = [m2.index(x) for x in m1.carrier]
+def _first_pair(m1: SquareMatrix, m2: SquareMatrix) -> tuple | None:
+    """The first pair (a, b) of the carrier the two matrices share, in
+    row-major order, where they differ, or None."""
     (A, B), _ = _mirrors(m1, m2)
-    bad = _first(compare(A, B[np.ix_(idx, idx)]))
+    bad = _first(A != B)
     return None if bad is None else _ids(m1.carrier, bad)
-
-
-def order_leq(t1: Congruence, t2: Congruence) -> bool:
-    """t1 below t2 in the congruence order (reversed pointwise order)."""
-    return pointwise_leq(t2.matrix, t1.matrix) is None
 
 
 def _same_base(thetas: Sequence[Congruence]) -> MetricAlgebra:
@@ -263,65 +252,6 @@ def join(
     return Congruence._trusted(base, closed.D, closed.denom)
 
 
-def restrict(theta: Congruence, sub: MetricAlgebra) -> Congruence:
-    """Restriction of a congruence to a subalgebra of its base, which must
-    carry the base's operations and metric: a congruence by construction."""
-    base = theta.base
-    idx = np.array([base.space.index(x) for x in sub.carrier], dtype=np.intp)
-    if sub.sig != base.sig:
-        raise DomainError("not a subalgebra: the signatures differ")
-    for symbol, table in sub.tables.items():
-        if not np.array_equal(idx[table], _on(base.tables[symbol], idx)):
-            raise DomainError("not a subalgebra: operation tables disagree")
-    at = np.ix_(idx, idx)
-    (S, B), _ = _mirrors(sub.space, (base.space.D[at], base.space.denom))
-    if not np.array_equal(S, B):
-        raise DomainError("not a subalgebra: the metrics disagree")
-    return Congruence._trusted(sub, theta.matrix.D[at], theta.matrix.denom)
-
-
-def quotient_congruence(rho: Congruence, theta: Congruence) -> Congruence:
-    """Push a congruence ``rho`` down to the quotient by ``theta``.
-
-    Requires ``rho`` pointwise below ``theta`` (that is, above it in the
-    congruence order), which is exactly what makes the pushed-down
-    values independent of the chosen representatives; the
-    well-definedness check always runs and failures carry a witness
-    pair.
-    """
-    if rho.base != theta.base:
-        raise DomainError("congruences live on different algebras")
-    carrier = theta.base.carrier
-    (R, T), _ = _mirrors(rho.matrix, theta.matrix)
-    bad = _first(R > T)
-    if bad is not None:
-        hint = ""
-        if not (T > R).any():
-            hint = " (the arguments appear to be in the opposite order)"
-        a, b = _ids(carrier, bad)
-        raise OrderError(
-            f"rho must sit pointwise below theta; it exceeds it at "
-            f"({render_id(a)}, {render_id(b)}){hint}"
-        )
-    quot, projection = quotient(theta.base, theta)
-    # rho is well defined on theta's classes when every row equals the row
-    # of its class representative, the least member.  The witness is the
-    # first a with a differing class member a2, which is the representative
-    # of the first class holding one, and the first b where their rows differ.
-    rep = _zero_reps(T)
-    differs = (R != R[rep]).any(axis=1)
-    if differs.any():
-        a = int(rep[differs].min())
-        a2 = int(np.flatnonzero(differs & (rep == a))[0])
-        b = int(np.flatnonzero(R[a] != R[a2])[0])
-        raise OrderError(
-            f"pushed-down value not well defined at "
-            f"({render_id(carrier[a])}, {render_id(carrier[b])})"
-        )
-    idx = [rho.matrix.index(x) for x in quot.carrier]
-    return Congruence._trusted(quot, rho.matrix.D[np.ix_(idx, idx)], rho.matrix.denom)
-
-
 def pullback_congruence(f: Homomorphism, rho: Congruence) -> Congruence:
     """Pull a congruence on the target back along a homomorphism."""
     if rho.base != f.target:
@@ -355,13 +285,13 @@ def decompose_product(
         if t.base != algebra:
             raise DomainError("congruence is not on this algebra")
     both = meet([t1, t2])
-    bad = _first_pair(np.not_equal, both.matrix, algebra.space)
+    bad = _first_pair(both.matrix, algebra.space)
     if bad is not None:
         return Decomposition(False, "meet-not-the-metric", bad)
-    bad = _first_pair(np.not_equal, join([t1, t2]).matrix, coarsest_congruence(algebra).matrix)
+    bad = _first_pair(join([t1, t2]).matrix, coarsest_congruence(algebra).matrix)
     if bad is not None:
         return Decomposition(False, "join-not-zero", bad)
-    bad = _first_pair(np.not_equal, compose(t1, t2), compose(t2, t1))
+    bad = _first_pair(compose(t1, t2), compose(t2, t1))
     if bad is not None:
         return Decomposition(False, "not-permutable", bad)
     q1, p1 = quotient(algebra, t1)
@@ -399,18 +329,27 @@ def generate_congruence(
     if len(index) != len(carrier) or not carrier:
         raise DomainError("carrier must be nonempty and free of duplicates")
     caps = []
-    for x, y, bound in constraints:
-        if x not in index or y not in index:
+    for constraint in constraints:
+        try:
+            x, y, bound = constraint
+        except (TypeError, ValueError):
+            raise DomainError(f"constraint {constraint!r} is not an (x, y, bound) triple") from None
+        try:
+            i, j = index[x], index[y]
+        except (KeyError, TypeError):
             raise DomainError(
                 f"constraint mentions {render_id(x)} or {render_id(y)} outside the carrier"
-            )
-        caps.append((index[x], index[y], checked_value(
+            ) from None
+        caps.append((i, j, checked_value(
             ExtRat, bound, f"bound of the constraint on ({render_id(x)}, {render_id(y)})"
         )))
     D, denom = _start_matrix(len(carrier), caps)
+    if not isinstance(ops, Mapping):
+        raise TableError("bad operation table: not-a-mapping at ()")
     rules = {}
     for symbol, table in ops.items():
-        table = dict(table)
+        if not isinstance(table, Mapping):
+            raise TableError(f"bad operation table: not-a-mapping at {(symbol,)}")
         if not table or not next(iter(table)):
             continue
         arity = len(next(iter(table)))
@@ -623,7 +562,7 @@ def grid_congruences(
             cap,
         )
     if values is not None:
-        values = [v if isinstance(v, ExtRat) else ExtRat(v) for v in values]
+        values = [checked_value(ExtRat, v, "grid value") for v in values]
         (codes, S), denom = _mirrors(scaled_int_array([values]), algebra.space)
         codes = codes[0]
     iu, ju = np.triu_indices(n, 1)

@@ -12,7 +12,7 @@ while every value fits and in an array of Python ints otherwise.  Every
 kernel (axiom checks, identification, products, restrictions, distances
 between sets) runs on that array.  ``ExtRat`` values appear only where a
 value enters the library (matrices built from rows) or leaves it
-(``get``, ``at``, ``entries``, ``to_json``), one object per distinct value.
+(``get``, ``at``, ``entries``), one object per distinct value.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ class ExtRat:
 
     ``ExtRat`` values are immutable and hashable.  Addition saturates at
     infinity, comparison treats infinity as the unique top element, and
-    subtraction is deliberately not provided (use :func:`abs_diff` for
-    the finite distortion differences that need it).
+    subtraction is deliberately not provided.
     """
 
     __slots__ = ("_q",)
@@ -200,11 +199,6 @@ def checked_value(convert, value, what: str):
         raise DomainError(f"{what} must be {kind}, got {value!r}") from None
 
 
-def abs_diff(a: ExtRat, b: ExtRat) -> ExtRat:
-    """|a - b| for finite values; raises if either side is infinite."""
-    return ExtRat(abs(a.finite - b.finite))
-
-
 def render_id(x) -> str:
     """Canonical display form of a carrier element id."""
     if isinstance(x, tuple):
@@ -352,13 +346,6 @@ class SquareMatrix:
         """The distances as rows of strings, as reports print them."""
         return self._rows(str)
 
-    def to_json(self) -> dict:
-        """Ordered carrier plus a row-major distance array of strings."""
-        return {
-            "carrier": [render_id(x) for x in self.carrier],
-            "dist": [v for row in self.text_rows() for v in row],
-        }
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SquareMatrix):
             return NotImplemented
@@ -380,8 +367,11 @@ def _checked_carrier(carrier: Sequence) -> tuple:
     carrier = tuple(carrier)
     if not carrier:
         raise DomainError("empty carrier is not allowed")
-    if len(set(carrier)) != len(carrier):
-        raise DomainError("carrier contains duplicate element ids")
+    try:
+        if len(set(carrier)) != len(carrier):
+            raise DomainError("carrier contains duplicate element ids")
+    except TypeError as exc:
+        raise DomainError(f"carrier element ids must be hashable ({exc})") from None
     return carrier
 
 
@@ -491,26 +481,28 @@ def _first(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(flat, mask.shape))
 
 
-# Cells of the n**3 triangle comparison held in memory at once.
+# Cells of a blocked scan's mask held in memory at once.
 _TRIANGLE_CELLS = 1 << 15
 
 
-def _triangle_witness(arr: np.ndarray) -> tuple[int, int, int] | None:
-    """Lexicographically first (x, y, z) with d(x,z) > d(x,y) + d(y,z).
-
-    A block of x at a time, at most ``_TRIANGLE_CELLS`` comparisons but
-    at least one x, so the memory stays quadratic however large the
-    matrix is.  An infinite d(x,y) or d(y,z) makes the right side at least
-    the infinity code, so it never witnesses.
-    """
-    n = len(arr)
-    step = max(1, _TRIANGLE_CELLS // n**2)
+def _first_in_blocks(n: int, step: int, mask: Callable) -> tuple[int, ...] | None:
+    """Index of the first true entry, in row-major order, of a mask of ``n``
+    rows, or None.  ``mask(rows)`` builds the rows in the slice ``rows``,
+    ``step`` of them at a time but at least one."""
+    step = max(1, step)
     for start in range(0, n, step):
-        rows = arr[start : start + step]
-        bad = _first(rows[:, None, :] > rows[:, :, None] + arr)
+        bad = _first(mask(slice(start, start + step)))
         if bad is not None:
             return (start + bad[0], *bad[1:])
     return None
+
+
+def _triangle_witness(arr: np.ndarray) -> tuple[int, int, int] | None:
+    """Lexicographically first (x, y, z) with d(x,z) > d(x,y) + d(y,z),
+    a block of x at a time.  An infinite d(x,y) or d(y,z) makes the right
+    side at least the infinity code, so it never witnesses."""
+    step = _TRIANGLE_CELLS // arr.size
+    return _first_in_blocks(len(arr), step, lambda x: arr[x, None, :] > arr[x, :, None] + arr)
 
 
 def _array_violation(arr: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
@@ -615,13 +607,6 @@ def _validated(m: SquareMatrix, cls: type) -> SquareMatrix:
     return out
 
 
-def space_from(carrier: Sequence, fn: Callable) -> FiniteMetricSpace:
-    """Build a metric space from a distance function on element ids."""
-    carrier = tuple(carrier)
-    rows = [[ExtRat(fn(x, y)) for y in carrier] for x in carrier]
-    return FiniteMetricSpace(carrier, rows)
-
-
 class QuotientMap:
     """Class assignment produced by metric identification.
 
@@ -673,16 +658,6 @@ class QuotientMap:
             return self._lookup[x]
         except (KeyError, TypeError):
             raise DomainError(f"element {render_id(x)} is not in the source carrier") from None
-
-    def representative(self, c):
-        return self.members(c)[0]
-
-    def members(self, c) -> tuple:
-        """The points of class ``c`` in carrier order."""
-        out = tuple(x for x, k in self._lookup.items() if k == c)
-        if not out or out[0] != c:
-            raise DomainError(f"{render_id(c)} is not a class id")
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuotientMap):

@@ -4,8 +4,8 @@ Every filter on a finite index set is principal: it consists of all
 supersets of a unique smallest member, its core.  The filter is an
 ultrafilter exactly when the core is a single index.  Along a filter,
 the limit superior of a finite family of distances is the maximum over
-the core and the limit inferior is the minimum over the core, because a
-subfamily of indices is "large" precisely when it contains the core.
+the core, because a subfamily of indices is "large" precisely when it
+contains the core.
 
 The reduced product of a family of algebras along a filter is the
 quotient of the direct product by the pseudometric that takes the limit
@@ -38,7 +38,7 @@ from .extmetric import (
     ExtRat,
     PseudometricMatrix,
     SquareMatrix,
-    _first,
+    _first_in_blocks,
     _ids,
     _mirrors,
     _sup,
@@ -55,11 +55,14 @@ class FiniteFilter:
 
     def __init__(self, index_set, core):
         self.index_set = tuple(index_set)
-        if len(set(self.index_set)) != len(self.index_set) or not self.index_set:
+        try:
+            indices, requested = set(self.index_set), set(core)
+        except TypeError as exc:
+            raise DomainError(f"index ids must be hashable ({exc})") from None
+        if len(indices) != len(self.index_set) or not self.index_set:
             raise DomainError("index set must be nonempty and free of duplicates")
-        requested = set(core)
         for i in requested:
-            if i not in set(self.index_set):
+            if i not in indices:
                 raise DomainError(f"core index {render_id(i)} is not in the index set")
         self.core = tuple(i for i in self.index_set if i in requested)
         if not self.core:
@@ -96,48 +99,6 @@ class FiniteFilter:
         return f"FiniteFilter({self.index_set!r}, core={self.core!r})"
 
 
-def validate_filter_family(index_set, members) -> Verdict:
-    """Check that an explicit family of subsets is a filter and find its core.
-
-    The family must be nonempty, upward closed, closed under intersection,
-    and must not contain the empty set.  On success the verdict carries the
-    reconstructed ``FiniteFilter``.
-    """
-    index_set = tuple(index_set)
-    universe = set(index_set)
-    family = [tuple(i for i in index_set if i in set(m)) for m in members]
-    seen = set(family)
-    if not family:
-        return Verdict.failed("empty-family", ())
-    for m in family:
-        if not m:
-            return Verdict.failed("contains-empty-set", ())
-    for m in family:
-        for m2 in family:
-            both = tuple(i for i in m if i in set(m2))
-            if both not in seen:
-                return Verdict.failed("not-intersection-closed", (m, m2))
-    for m in family:
-        rest = [i for i in index_set if i not in m]
-        for k in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, k):
-                sup = tuple(i for i in index_set if i in set(m) or i in set(extra))
-                if sup not in seen:
-                    return Verdict.failed("not-upward-closed", (m, sup))
-    core = min(family, key=len)
-    return Verdict.passed(FiniteFilter(index_set, core))
-
-
-def principal(index_set, core) -> FiniteFilter:
-    """The principal filter generated by a subset."""
-    return FiniteFilter(index_set, core)
-
-
-def ultrafilters(index_set):
-    """All ultrafilters on the index set, one per index."""
-    return [FiniteFilter(index_set, (i,)) for i in index_set]
-
-
 def all_filters(index_set):
     """Every filter on the index set, ordered by their cores."""
     index_set = tuple(index_set)
@@ -146,26 +107,6 @@ def all_filters(index_set):
         for core in itertools.combinations(index_set, k):
             out.append(FiniteFilter(index_set, core))
     return out
-
-
-def limsup_along(filter: FiniteFilter, values) -> ExtRat:
-    """Limit superior of an indexed family of distances along the filter."""
-    values = dict(values)
-    return max(ExtRat(values[i]) for i in filter.core)
-
-
-def liminf_along(filter: FiniteFilter, values) -> ExtRat:
-    """Limit inferior of an indexed family of distances along the filter."""
-    values = dict(values)
-    return min(ExtRat(values[i]) for i in filter.core)
-
-
-def restrict_filter(filter: FiniteFilter, member) -> FiniteFilter:
-    """The trace of the filter on one of its members."""
-    member = tuple(member)
-    if not filter.contains(member):
-        raise DomainError("can only restrict to a member of the filter")
-    return FiniteFilter(member, filter.core)
 
 
 @dataclass
@@ -292,7 +233,14 @@ def pointwise_limit_metric(carrier, forms) -> PseudometricMatrix:
     carrier = tuple(carrier)
     parsed = {}
     for (a, b), form in dict(forms).items():
-        parsed[(a, b)] = parsed[(b, a)] = parse_seq_form(form) if isinstance(form, str) else form
+        if isinstance(form, str):
+            form = parse_seq_form(form)
+        elif not isinstance(form, SeqForm):
+            raise DomainError(
+                f"the sequence for the pair ({render_id(a)}, {render_id(b)}) must be "
+                f"a SeqForm or a string, got {form!r}"
+            )
+        parsed[(a, b)] = parsed[(b, a)] = form
     for i, a in enumerate(carrier):
         for b in carrier[i + 1 :]:
             if (a, b) not in parsed:
@@ -314,14 +262,13 @@ def pointwise_limit_metric(carrier, forms) -> PseudometricMatrix:
     denom = math.lcm(*(q.denominator for row in rs for q in row))
     scaled = [[q.numerator * (denom // q.denominator) for q in row] for row in rs]
     C, R = limit.D, np.array(scaled, dtype=object)
-    step = max(1, _TRIANGLE_CELLS // len(C) ** 2)
-    for start in range(0, len(C), step):
-        c, r = C[start : start + step], R[start : start + step]
-        tie = _first((c[:, :, None] == c[:, None, :] + C) & (r[:, :, None] > r[:, None, :] + R))
-        if tie is not None:
-            x, z, y = _ids(carrier, (start + tie[0], *tie[1:]))
-            raise DomainError(
-                f"the stagewise triangle through {render_id(y)} fails "
-                f"at ({render_id(x)}, {render_id(z)}) at every late stage"
-            )
+    tie = _first_in_blocks(len(C), _TRIANGLE_CELLS // C.size, lambda x: (
+        (C[x, :, None] == C[x, None, :] + C) & (R[x, :, None] > R[x, None, :] + R)
+    ))
+    if tie is not None:
+        x, z, y = _ids(carrier, tie)
+        raise DomainError(
+            f"the stagewise triangle through {render_id(y)} fails "
+            f"at ({render_id(x)}, {render_id(z)}) at every late stage"
+        )
     return PseudometricMatrix._trusted(carrier, limit.D, limit.denom)

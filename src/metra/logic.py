@@ -80,6 +80,7 @@ from .terms import (
     Term,
     TokenStream,
     Var,
+    _checked_depth,
     _term_universe,
     check_term,
     evaluate,
@@ -537,9 +538,7 @@ class Presentation:
             self.lipschitz = _lipschitz_constants(lipschitz, sig.symbols)
         else:
             self.lipschitz = None
-        if depth < 0:
-            raise DomainError("depth must be nonnegative")
-        self.depth = int(depth)
+        self.depth = _checked_depth(depth)
 
     def __repr__(self):
         return (

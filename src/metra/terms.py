@@ -5,6 +5,7 @@ lexer and term parser behind every text format of the package."""
 from __future__ import annotations
 
 import itertools
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -172,14 +173,20 @@ def enumerate_terms(
     return _term_universe(sig, variables, depth, max_terms)[0]
 
 
+def _checked_depth(depth) -> int:
+    """``depth`` as an int; ``DomainError`` unless it is a nonnegative integer."""
+    if not isinstance(depth, numbers.Integral) or depth < 0:
+        raise DomainError(f"depth must be a nonnegative int, got {depth!r}")
+    return int(depth)
+
+
 def _term_universe(sig: Signature, variables: Iterable[str], depth: int, max_terms: int):
     """``enumerate_terms`` on integer term ids: candidates are deduplicated
     on ``(symbol, *arg ids)``, and each new term's ``App`` and sort key are
     built once, from its arguments'.  Also returns each symbol of positive
     arity's ``(args_idx, res_idx)`` in universe positions, sorted by the
     arguments, and ``position(term)``, -1 outside the universe."""
-    if depth < 0:
-        raise DomainError("depth must be nonnegative")
+    depth = _checked_depth(depth)
     names = sorted(set(variables))
     for name in names:
         if not _NAME.match(name):

@@ -739,7 +739,6 @@ def is_isometric_embedding(f, x_space, y_space):
 def line_algebra(op, top=2):
     """Algebra on {0..top} with the line metric and one binary operation."""
     from metra.algebra import MetricAlgebra
-    from metra.extmetric import space_from
     from metra.terms import Signature
 
     carrier = list(range(top + 1))
@@ -765,6 +764,57 @@ def bare_algebra(space):
     from metra.terms import Signature
 
     return MetricAlgebra(Signature(), space, {})
+
+
+def space_from(carrier, fn):
+    """A metric space from a distance function on element ids."""
+    carrier = tuple(carrier)
+    return FiniteMetricSpace(carrier, [[ExtRat(fn(x, y)) for y in carrier] for x in carrier])
+
+
+def relabel(algebra, mapping):
+    """``algebra`` with each element ``x`` renamed ``mapping[x]``, sharing its
+    mirror and index tables; ``mapping`` must be a bijection."""
+    from metra.algebra import MetricAlgebra
+
+    carrier, space = [mapping[x] for x in algebra.carrier], algebra.space
+    space = FiniteMetricSpace._trusted(carrier, space.D, space.denom)
+    return MetricAlgebra._trusted(algebra.sig, space, dict(algebra.tables))
+
+
+def find_isomorphism(a, b):
+    """The first bijection from ``a`` onto ``b`` that keeps every distance and
+    operation, in lexicographic order of the images' positions, as a dict, or
+    None: a search over every permutation."""
+    if a.sig != b.sig or a.space.size != b.space.size:
+        return None
+    ops_a, ops_b = a.ops, b.ops
+    for images in itertools.permutations(b.carrier):
+        f = dict(zip(a.carrier, images))
+        if all(a.space.get(x, y) == b.space.get(f[x], f[y]) for x in f for y in f) and all(
+            ops_b[s][tuple(map(f.get, args))] == f[v]
+            for s, table in ops_a.items() for args, v in table.items()
+        ):
+            return f
+    return None
+
+
+def order_leq(t1, t2):
+    """Whether ``t1`` is below ``t2`` in the congruence order, that is
+    ``t1 >= t2`` pointwise, compared entry by entry."""
+    pairs = zip(itertools.chain(*t1.matrix.entries), itertools.chain(*t2.matrix.entries))
+    return all(u >= v for u, v in pairs)
+
+
+def quotient_congruence(rho, theta):
+    """``rho`` pushed down to the quotient by ``theta``, for a ``rho`` pointwise
+    below ``theta``: its distances between the classes' least members."""
+    from metra.algebra import quotient
+    from metra.congruence import Congruence
+
+    quot, _ = quotient(theta.base, theta)
+    rows = [[rho.matrix.get(x, y) for y in quot.carrier] for x in quot.carrier]
+    return Congruence(quot, SquareMatrix(quot.carrier, rows))
 
 
 def revalidated(obj):

@@ -16,7 +16,6 @@ from metra.algebra import (
     Homomorphism,
     _modulus_scan,
     MetricAlgebra,
-    find_isomorphism,
     generate_subalgebra,
     image,
     is_homomorphism,
@@ -25,8 +24,6 @@ from metra.algebra import (
     kernel,
     product,
     quotient,
-    relabel,
-    saturate,
     validate_algebra,
 )
 from metra.congruence import (
@@ -39,7 +36,6 @@ from metra.congruence import (
     is_congruential,
     join,
     pullback_congruence,
-    restrict,
 )
 from metra.errors import (
     AxiomError,
@@ -56,7 +52,6 @@ from metra.extmetric import (
     SquareMatrix,
     ZERO,
     metric_identification,
-    space_from,
 )
 from metra.logic import closure_suite, entails, in_mode_class, parse_formula, satisfies
 from metra.terms import Signature
@@ -65,6 +60,7 @@ from conftest import (
     FINITE_POOL,
     bare_algebra,
     edges_refused,
+    find_isomorphism,
     fw_close,
     line_algebra,
     line_max_algebra,
@@ -78,7 +74,9 @@ from conftest import (
     reference_modulus_scan,
     reference_product,
     reference_quotient,
+    relabel,
     revalidated,
+    space_from,
     symmetric_rows,
 )
 
@@ -309,9 +307,9 @@ class TestEdges:
             assert is_congruential(prod, thetas[0].matrix)
             assert len(grid_congruences(a)) > 1
             quotient(prod, thetas[0])
-            sub, _ = generate_subalgebra(prod, [(1, 0)])
+            sub, inclusion = generate_subalgebra(prod, [(1, 0)])
             relabel(a, {0: "u", 1: "v", 2: "w"})
-            restrict(coarsest_congruence(prod), sub)
+            pullback_congruence(inclusion, coarsest_congruence(prod))
             assert not is_homomorphism({x: x for x in a.carrier}, a, b)
             assert not is_quantitative(a)
             assert in_mode_class(b, "LIP", Fraction(1, 2)).reason == "not-lipschitz"
@@ -348,8 +346,8 @@ class TestEdges:
                 assert failed.reason == "meet-not-the-metric"
                 assert is_reflexive_quotient(projections[0]).ok
                 assert is_reflexive_quotient(f).reason == "no-isometric-section"
-                assert find_isomorphism(a, renamed) == {0: "u", 1: "v", 2: "w"}
-                assert find_isomorphism(a, b) is None
+            assert find_isomorphism(a, renamed) == {0: "u", 1: "v", 2: "w"}
+            assert find_isomorphism(a, b) is None
 
     def test_the_map_guard_refuses_the_edges(self):
         a = line_min_algebra()
@@ -606,18 +604,6 @@ class TestKernelImage:
         iso = find_isomorphism(quot, image(f))
         assert iso is not None
 
-    def test_saturation(self):
-        a = line_min_algebra()
-        rows = [
-            [ZERO, ExtRat(1), ExtRat(1)],
-            [ExtRat(1), ZERO, ZERO],
-            [ExtRat(1), ZERO, ZERO],
-        ]
-        theta = Congruence(a, SquareMatrix(a.carrier, rows))
-        assert saturate(a, [1], theta) == (1, 2)
-        assert saturate(a, [0], theta) == (0,)
-
-
 class TestReflexiveQuotient:
     def test_shrinking_quotient_is_not_reflexive(self):
         a = line_min_algebra()
@@ -670,19 +656,6 @@ class TestIsomorphismSearch:
         a = bare_algebra(space)
         iso = find_isomorphism(a, a)
         assert iso is not None
-
-    def test_relabel_requires_bijection(self):
-        with pytest.raises(DomainError):
-            relabel(line_min_algebra(), {0: "u", 1: "u", 2: "w"})
-
-    def test_relabel_compares_the_keys_not_their_rendering(self):
-        algebra = bare_algebra(space_from((1, 2), lambda x, y: abs(x - y)))
-        with pytest.raises(DomainError, match="bijection on the carrier"):
-            relabel(algebra, {"1": "a", "2": "b"})
-        renamed = relabel(algebra, {1: "a", 2: "b"})
-        assert renamed.carrier == ("a", "b")
-        assert renamed.space.D is algebra.space.D
-
 
 class TestTrustedResults:
     """Algebras, maps and congruences built by construction pass the public

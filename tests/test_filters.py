@@ -7,33 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metra.algebra import Homomorphism, MetricAlgebra, find_isomorphism, product
+from metra.algebra import Homomorphism, MetricAlgebra, product
 from metra.errors import DomainError, UnsupportedInputError
-from metra.extmetric import ExtRat, ZERO, space_from
+from metra.extmetric import ExtRat, ZERO
 from metra.filters import (
     FiniteFilter,
     SeqForm,
     all_filters,
-    liminf_along,
-    limsup_along,
     parse_seq_form,
     pointwise_limit_metric,
-    principal,
     reduced_product,
-    restrict_filter,
-    ultrafilters,
-    validate_filter_family,
 )
 from metra.terms import Signature
 
 from conftest import (
     bare_algebra,
+    find_isomorphism,
     metric_spaces,
     object_mirrors,
     pseudometric_spaces,
     reference_stagewise_triangle,
     reference_sup,
     revalidated,
+    space_from,
 )
 
 HALF = ExtRat(Fraction(1, 2))
@@ -55,7 +51,7 @@ class TestFiniteFilter:
         f = FiniteFilter(("a", "b", "c"), ("c", "a"))
         assert f.core == ("a", "c")
         assert not f.is_ultrafilter
-        assert principal(("a", "b", "c"), ("b",)).is_ultrafilter
+        assert FiniteFilter(("a", "b", "c"), ("b",)).is_ultrafilter
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -83,60 +79,7 @@ class TestFiniteFilter:
     def test_filter_inventories(self):
         assert len(all_filters((1, 2))) == 3
         assert len(all_filters((1, 2, 3))) == 7
-        assert [u.core for u in ultrafilters((1, 2))] == [(1,), (2,)]
-
-
-class TestValidateFamily:
-    def test_valid_family_yields_the_filter(self):
-        f = FiniteFilter((1, 2, 3), (2,))
-        verdict = validate_filter_family((1, 2, 3), f.members())
-        assert verdict.ok
-        assert verdict.value == f
-
-    def test_every_filter_round_trips(self):
-        for f in all_filters(("a", "b", "c")):
-            verdict = validate_filter_family(("a", "b", "c"), f.members())
-            assert verdict.ok
-            assert verdict.value == f
-
-    def test_missing_intersection(self):
-        verdict = validate_filter_family((1, 2), [(1,), (2,), (1, 2)])
-        assert verdict.reason == "not-intersection-closed"
-
-    def test_missing_superset(self):
-        verdict = validate_filter_family((1, 2), [(1,)])
-        assert verdict.reason == "not-upward-closed"
-        assert verdict.witness == ((1,), (1, 2))
-
-    def test_empty_set_and_empty_family(self):
-        assert validate_filter_family((1, 2), [(), (1, 2)]).reason == "contains-empty-set"
-        assert validate_filter_family((1, 2), []).reason == "empty-family"
-
-
-class TestLimits:
-    VALUES = {1: Fraction(1), 2: Fraction(5), 3: Fraction(1, 2)}
-
-    def test_limsup_and_liminf_read_the_core(self):
-        f = FiniteFilter((1, 2, 3), (1, 3))
-        assert limsup_along(f, self.VALUES) == ONE
-        assert liminf_along(f, self.VALUES) == HALF
-
-    def test_ultrafilter_limits_agree(self):
-        u = FiniteFilter((1, 2, 3), (2,))
-        assert limsup_along(u, self.VALUES) == limsup_along(u, self.VALUES)
-        assert limsup_along(u, self.VALUES) == ExtRat(5)
-
-    def test_liminf_never_exceeds_limsup(self):
-        for f in all_filters((1, 2, 3)):
-            assert liminf_along(f, self.VALUES) <= limsup_along(f, self.VALUES)
-
-    def test_restriction_to_a_member(self):
-        f = FiniteFilter((1, 2, 3), (1,))
-        small = restrict_filter(f, (1, 3))
-        assert small.index_set == (1, 3)
-        assert small.core == (1,)
-        with pytest.raises(DomainError):
-            restrict_filter(f, (2, 3))
+        assert [f.core for f in all_filters((1, 2)) if f.is_ultrafilter] == [(1,), (2,)]
 
 
 class TestReducedProduct:

@@ -19,7 +19,7 @@ from metra.errors import (
     UnsupportedInputError,
     ValuationError,
 )
-from metra.extmetric import ExtRat, INF, space_from
+from metra.extmetric import ExtRat, INF
 from metra.filters import FiniteFilter, reduced_product
 from metra.logic import (
     Add,
@@ -66,6 +66,7 @@ from conftest import (
     reference_entails,
     reference_satisfies,
     revalidated,
+    space_from,
 )
 
 SIG2 = Signature({"sigma": 2})

@@ -1,0 +1,71 @@
+"""Every top-level definition in ``src/metra`` is reached from an entry point.
+
+The entry points are the names in ``metra.__all__``, ``metra.cli.main`` and
+the functions ``bench/tracing.py`` wraps (its ``SPANNED`` and ``COUNTED``
+tables, read from the file).  The walk starts from them and follows, by name,
+every name and attribute name read in a reached top-level definition or in
+module-level code; what an unreached definition reads, itself included,
+reaches nothing.  A top-level function or class that the walk never reaches
+is code that only tests call.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import metra
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "metra"
+
+
+def _references(nodes) -> set[str]:
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in nodes
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def _traced_names() -> set[str]:
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("SPANNED", "COUNTED") for t in node.targets
+        ):
+            for qualnames in ast.literal_eval(node.value).values():
+                names.update(q.split(".")[0] for q in qualnames)
+    return names
+
+
+def unreached_definitions() -> list[str]:
+    """``module.name`` of every top-level function or class no entry point reaches."""
+    definitions, frontier = {}, set(metra.__all__) | {"main"} | _traced_names()
+    for path in sorted(SOURCE.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        for node in body:
+            if isinstance(node, defs):
+                definitions.setdefault(node.name, []).append((path.stem, node))
+        frontier |= _references(node for node in body if not isinstance(node, defs))
+    reached: set[str] = set()
+    while frontier:
+        name = frontier.pop()
+        if name in reached or name not in definitions:
+            continue
+        reached.add(name)
+        frontier |= _references(node for _, node in definitions[name])
+    return sorted(
+        f"{module}.{name}"
+        for name, found in definitions.items()
+        if name not in reached
+        for module, _ in found
+    )
+
+
+def test_every_definition_is_reached():
+    unreached = unreached_definitions()
+    assert not unreached, f"reached by no entry point: {', '.join(unreached)}"

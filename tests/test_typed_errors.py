@@ -1,0 +1,72 @@
+"""Malformed arguments to library entry points raise typed errors with
+pinned messages, never a bare ``TypeError``, ``ValueError`` or
+``AttributeError``."""
+
+import numpy as np
+import pytest
+
+from metra.congruence import generate_congruence, grid_congruences
+from metra.errors import DomainError, TableError
+from metra.extmetric import FiniteMetricSpace, SquareMatrix, pseudometric_from_scaled
+from metra.filters import FiniteFilter, pointwise_limit_metric
+from metra.logic import Presentation
+from metra.terms import Signature, enumerate_terms
+
+from conftest import line_min_algebra
+
+SIG = Signature({"f": 1})
+UNHASHABLE_ID = "carrier element ids must be hashable (unhashable type: 'list')"
+UNHASHABLE_INDEX = "index ids must be hashable (unhashable type: 'list')"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: FiniteMetricSpace([[0], [1]], [[0, 1], [1, 0]]),
+                     DomainError, UNHASHABLE_ID, id="space-list-ids"),
+        pytest.param(lambda: SquareMatrix([[0], 1], [[0, 1], [1, 0]]),
+                     DomainError, UNHASHABLE_ID, id="matrix-list-id"),
+        pytest.param(lambda: pseudometric_from_scaled([[0], 1], np.zeros((2, 2), int), 1),
+                     DomainError, UNHASHABLE_ID, id="scaled-list-id"),
+        pytest.param(lambda: FiniteFilter([1, 2], [[1]]),
+                     DomainError, UNHASHABLE_INDEX, id="filter-list-core"),
+        pytest.param(lambda: FiniteFilter([[1], 2], [2]),
+                     DomainError, UNHASHABLE_INDEX, id="filter-list-index"),
+        pytest.param(lambda: generate_congruence((0, 1), {"f": [1]}, []),
+                     TableError, "bad operation table: not-a-mapping at ('f',)",
+                     id="generate-table-list"),
+        pytest.param(lambda: generate_congruence((0, 1), [], []),
+                     TableError, "bad operation table: not-a-mapping at ()",
+                     id="generate-ops-list"),
+        pytest.param(lambda: generate_congruence((0, 1), {}, [(0,)]),
+                     DomainError, "constraint (0,) is not an (x, y, bound) triple",
+                     id="generate-short-constraint"),
+        pytest.param(lambda: generate_congruence((0, 1), {}, [([0], 1, 1)]),
+                     DomainError, "constraint mentions [0] or 1 outside the carrier",
+                     id="generate-list-point"),
+        pytest.param(lambda: grid_congruences(line_min_algebra(), values=["x"]),
+                     DomainError, "grid value must be a nonnegative rational or inf, got 'x'",
+                     id="grid-value"),
+        pytest.param(lambda: pointwise_limit_metric([0, 1], {(0, 1): 3}),
+                     DomainError,
+                     "the sequence for the pair (0, 1) must be a SeqForm or a string, got 3",
+                     id="limit-form"),
+        pytest.param(lambda: Presentation(SIG, ["x"], [], depth="2"),
+                     DomainError, "depth must be a nonnegative int, got '2'",
+                     id="presentation-depth-str"),
+        pytest.param(lambda: Presentation(SIG, ["x"], [], depth=1.5),
+                     DomainError, "depth must be a nonnegative int, got 1.5",
+                     id="presentation-depth-float"),
+        pytest.param(lambda: enumerate_terms(SIG, ["x"], "1"),
+                     DomainError, "depth must be a nonnegative int, got '1'",
+                     id="enumerate-depth-str"),
+        pytest.param(lambda: enumerate_terms(SIG, ["x"], 1.5),
+                     DomainError, "depth must be a nonnegative int, got 1.5",
+                     id="enumerate-depth-float"),
+    ],
+)
+def test_malformed_arguments_raise_typed_errors(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
