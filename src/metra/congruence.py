@@ -8,7 +8,8 @@ pointwise.  Meets are pointwise suprema; joins are computed by a
 decreasing fixpoint that alternates shortest-path closure with a
 mode-dependent operation rule:
 
-  M        force zero distances on operation images of zero argument pairs
+  M        force zero distances on operation images of zero argument pairs,
+           read off the zero classes of the argument rows
   Q        bound d(op(a), op(b)) by the supremum of argument distances
   LIP(K)   bound d(op(a), op(b)) by K_op times that supremum
 
@@ -18,8 +19,13 @@ algebras need.  Each pass of the fixpoint redoes only what the last one
 moved: the first closes every finite component by Floyd-Warshall, later
 ones pivot only on the rows the rules lowered, a rule runs again only
 when its argument rows moved, and the first pass whose rules lower
-nothing ends it.  A rule whose argument tuples are a power of the rows
-it reads broadcasts its candidates from their block.  Every operation
+nothing ends it.  In mode M a rule groups its argument tuples by their
+tuples of zero-class representatives and zeroes the images within each
+group, which costs a sort and the pairs it writes.  A Q or LIP rule, or
+an M rule on a zero-set an earlier rule of the pass has left
+intransitive, compares every pair of argument tuples in a candidate
+block, broadcast from the block of the rows it reads when its argument
+tuples are their power.  Every operation
 here reads and writes the matrices' scaled mirrors (see ``extmetric``);
 the closure widens an int64 mirror to Python ints when a value outgrows
 the guard, so the fixpoint is exact whatever the denominators.
@@ -50,6 +56,7 @@ from .extmetric import (
     _array_violation,
     _as_object,
     _as_verdict,
+    _checked_carrier,
     _codes,
     _finite_max,
     _first,
@@ -324,10 +331,8 @@ def generate_congruence(
     term universes.  Entries only ever decrease and the total number of
     decreases is capped.
     """
-    carrier = tuple(carrier)
+    carrier = _checked_carrier(carrier)
     index = {x: i for i, x in enumerate(carrier)}
-    if len(index) != len(carrier) or not carrier:
-        raise DomainError("carrier must be nonempty and free of duplicates")
     caps = []
     for constraint in constraints:
         try:
@@ -350,23 +355,28 @@ def generate_congruence(
     for symbol, table in ops.items():
         if not isinstance(table, Mapping):
             raise TableError(f"bad operation table: not-a-mapping at {(symbol,)}")
-        if not table or not next(iter(table)):
-            continue
-        arity = len(next(iter(table)))
+        cells = []
         for args, value in table.items():
-            if len(args) != arity:
+            if not isinstance(args, tuple):
+                raise TableError(f"bad operation table: bad-arguments at {(symbol, args)}")
+            if cells and len(args) + 1 != len(cells[0]):
                 raise SignatureError(f"mixed arities in the table for {symbol}")
-            for a in args:
-                if a not in index:
-                    raise DomainError(f"table argument {render_id(a)} outside carrier")
-            if value not in index:
-                raise DomainError(f"table value {render_id(value)} outside carrier")
+            cells.append([*(_position(index, a, "table argument") for a in args),
+                          _position(index, value, "table value")])
+        if not cells or len(cells[0]) == 1:
+            continue
         # Rows of argument positions then the image, sorted by the arguments.
-        cells = np.array(sorted(
-            [*map(index.__getitem__, args), index[value]] for args, value in table.items()
-        ), dtype=np.intp)
+        cells = np.array(sorted(cells), dtype=np.intp)
         rules[symbol] = list(cells[:, :-1].T), cells[:, -1]
     return closure_fixpoint(carrier, rules, D, denom, mode, lipschitz, max_decreases)
+
+
+def _position(index: Mapping, x, what: str) -> int:
+    """The carrier position of ``x`` in a table of ``generate_congruence``."""
+    try:
+        return index[x]
+    except (KeyError, TypeError):
+        raise DomainError(f"{what} {render_id(x)} outside carrier") from None
 
 
 def _start_matrix(n: int, cells: Sequence[tuple[int, int, ExtRat]]) -> tuple[np.ndarray, int]:
@@ -461,6 +471,13 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
     a full repair and every rule, so the decrease count is unchanged.  A
     rule whose tuples are S**arity, for the rows S it reads, broadcasts its
     candidates from the block ``D[S, S]`` instead of gathering them.
+
+    In mode M the zero-set of a repaired D is an equivalence, so a rule
+    runs on its zero classes (``_zero_class_rule``) and writes what the
+    candidate block would.  A rule that lowers an entry may leave the
+    zero-set intransitive for the rules after it in the pass; each of
+    those tests the zero-set against its classes and, where it fails,
+    builds the block.
     """
     n = len(D)
     np.fill_diagonal(D, 0)
@@ -470,6 +487,9 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
     decreases, cells = 0, -1
     while True:
         before = D.copy()
+        # A repaired D is triangle-closed, so its zero-set is an equivalence
+        # with classes ``rep``; once a rule lowers an entry it is tested anew.
+        rep, classes = None, True
         # A repair leaves every component finite throughout, so components
         # have merged exactly when more entries than their cells are finite.
         finite = D < _inf_code(D)
@@ -488,37 +508,45 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
             if not stale[r, reads].any():
                 continue
             stale[r] = False
-            if square is None:
-                cand = _spread(D, args_idx)
+            if mode == "M" and rep is None:
+                rep = _zero_reps(D)
+                classes = classes or bool(((D == 0) == (rep[:, None] == rep)).all())
+            if mode == "M" and classes:
+                lowered = _zero_class_rule(D, rep, args_idx, res_idx, reads)
             else:
-                cand = _sup([D[square[:, None], square]] * len(args_idx))
-            if mode == "M":
-                cand = np.where(cand == 0, 0, _inf_code(cand))
-            elif mode == "LIP":
-                # Moving the shared denominator to denom * q keeps K * value
-                # integral: finite entries of D and of the pass baseline are
-                # multiplied by q, and those of cand by p.  An int64 mirror
-                # that would reach the value guard is widened to Python ints.
-                p, q = k.numerator, k.denominator
-                if D.dtype != object and (
-                    q * max(_finite_max(D), _finite_max(before), 1) >= _MAX_SCALED
-                    or p * max(_finite_max(cand), 1) >= _MAX_SCALED
-                ):
-                    D, before, cand = _as_object(D), _as_object(before), _as_object(cand)
-                if q != 1:
-                    _scale_finite(D, q)
-                    _scale_finite(before, q)
-                    denom *= q
-                _scale_finite(cand, p)
-            # The rows the rule lowers, read off its own writes.
-            if isinstance(images, slice):
-                block = D[images, images]
-                lowered = res_idx[(cand < block).any(axis=1)]
-                np.minimum(block, cand, out=block)
-            else:
-                seen = D[images[:, None], images]
-                np.minimum.at(D, (res_idx[:, None], res_idx[None, :]), cand)
-                lowered = images[(D[images[:, None], images] < seen).any(axis=1)]
+                if square is None:
+                    cand = _spread(D, args_idx)
+                else:
+                    cand = _sup([D[square[:, None], square]] * len(args_idx))
+                if mode == "M":
+                    cand = np.where(cand == 0, 0, _inf_code(cand))
+                elif mode == "LIP":
+                    # Moving the shared denominator to denom * q keeps K * value
+                    # integral: finite entries of D and of the pass baseline are
+                    # multiplied by q, and those of cand by p.  An int64 mirror
+                    # that would reach the value guard is widened to Python ints.
+                    p, q = k.numerator, k.denominator
+                    if D.dtype != object and (
+                        q * max(_finite_max(D), _finite_max(before), 1) >= _MAX_SCALED
+                        or p * max(_finite_max(cand), 1) >= _MAX_SCALED
+                    ):
+                        D, before, cand = _as_object(D), _as_object(before), _as_object(cand)
+                    if q != 1:
+                        _scale_finite(D, q)
+                        _scale_finite(before, q)
+                        denom *= q
+                    _scale_finite(cand, p)
+                # The rows the rule lowers, read off its own writes.
+                if isinstance(images, slice):
+                    block = D[images, images]
+                    lowered = res_idx[(cand < block).any(axis=1)]
+                    np.minimum(block, cand, out=block)
+                else:
+                    seen = D[images[:, None], images]
+                    np.minimum.at(D, (res_idx[:, None], res_idx[None, :]), cand)
+                    lowered = images[(D[images[:, None], images] < seen).any(axis=1)]
+            if len(lowered):
+                rep, classes = None, False
             pivots[lowered] = True
             stale[:, lowered] = True
         decreases += np.count_nonzero(D < before)
@@ -528,6 +556,43 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
             )
         if not pivots.any():
             return D, denom
+
+
+def _zero_class_rule(D, rep, args_idx, res_idx, reads) -> np.ndarray:
+    """The mode-M rule when the zero-set of ``D`` is an equivalence with
+    classes ``rep``: two argument tuples are at distance zero exactly when
+    their tuples of class representatives agree, so every pair of images
+    within such a group is set to zero.  Returns the rows it lowered.
+
+    One sort by (representative tuple, image) groups the tuples and drops
+    repeated images, so the pairs written number sum |images_g|**2, not
+    the |tuples|**2 of a candidate block.
+    """
+    rows = reads.nonzero()[0]
+    if (rep[rows] == rows).all():
+        # No two rows read are at distance zero: every group is one tuple.
+        return rows[:0]
+    keys = [rep[a] for a in args_idx]
+    order = np.lexsort([res_idx, *keys[::-1]])
+    keys = np.stack(keys)[:, order]
+    images = res_idx[order]
+    same = (keys[:, 1:] == keys[:, :-1]).all(axis=0)
+    if not same.any():
+        return rows[:0]
+    # The distinct images of each group, as runs of entries.
+    new = np.r_[True, ~same]
+    keep = new | np.r_[True, images[1:] != images[:-1]]
+    images, starts = images[keep], np.flatnonzero(new[keep])
+    sizes = np.diff(starts, append=len(images))
+    # Every ordered pair within a run: an entry of a run of s entries from
+    # b pairs with b, ..., b + s - 1.
+    size = np.repeat(sizes, sizes)
+    left = np.repeat(np.arange(len(images)), size)
+    offset = np.arange(len(left)) - np.repeat(np.cumsum(size) - size, size)
+    x, y = images[left], images[np.repeat(np.repeat(starts, sizes), size) + offset]
+    hit = D[x, y] != 0
+    D[x[hit], y[hit]] = 0
+    return x[hit]
 
 
 # Candidate cells checked at once by grid_congruences: a chunk of c
@@ -552,7 +617,8 @@ def grid_congruences(
     n = algebra.space.size
     if values is None:
         S, denom = algebra.space.D, algebra.space.denom
-        codes = np.unique(np.concatenate([S.ravel(), np.array([0, _inf_code(S)], dtype=S.dtype)]))
+        codes = np.sort(np.concatenate([S.ravel(), np.array([0, _inf_code(S)], dtype=S.dtype)]))
+        codes = codes[np.r_[True, codes[1:] != codes[:-1]]]
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
     total = len(codes if values is None else values) ** len(cells)
     if total > cap:

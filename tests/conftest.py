@@ -250,6 +250,18 @@ def reference_fix_int(D, denom, tables, mode, max_decreases):
             return D, denom, decreases
 
 
+def reference_mode_m_rule(D, args_idx, res_idx):
+    """The mode-M rule through the candidate block of every pair of argument
+    tuples, as an oracle: the images of each pair at distance zero in every
+    place are set to zero.  Lowers ``D`` in place and returns the rows it
+    lowered, sorted."""
+    before = D.copy()
+    cand = _spread(D, args_idx)
+    cand = np.where(cand == 0, 0, _inf_code(cand))
+    np.minimum.at(D, (res_idx[:, None], res_idx[None, :]), cand)
+    return np.flatnonzero((D < before).any(axis=1))
+
+
 def reference_violation(rows, n):
     """The first pseudometric axiom failing on ``ExtRat`` rows, one entry at
     a time, as an oracle: ``(reason, indices)`` or None."""

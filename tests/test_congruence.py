@@ -4,6 +4,12 @@ downward closure engine behind generation and joins."""
 import contextlib
 import itertools
 import math
+import os
+import random
+import subprocess
+import sys
+import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -26,6 +32,7 @@ from metra.algebra import (
 from metra.congruence import (
     Congruence,
     _finite_components,
+    _zero_class_rule,
     are_permutable,
     coarsest_congruence,
     compose,
@@ -50,6 +57,7 @@ from metra.extmetric import (
     SquareMatrix,
     ZERO,
     _sup,
+    _zero_reps,
     scaled_int_array,
 )
 from metra.logic import MetricEquation, Presentation, free_algebra
@@ -73,6 +81,7 @@ from conftest import (
     reference_grid_congruences,
     reference_identification,
     reference_is_congruential,
+    reference_mode_m_rule,
     reference_pointwise,
     reference_rows_at,
     revalidated,
@@ -1274,3 +1283,133 @@ class TestLatticeKernelsMatchTheEntries:
         assert as_rows(pulled.matrix) == [
             [pushed.matrix.get(projection(a), projection(b)) for b in carrier] for a in carrier
         ]
+
+
+def binary_product(m, seed):
+    """The product of two m-point algebras with seeded binary tables over the
+    line metric, and four congruences on it: the kernels T1 and T2 of its
+    projections (whose mode-M join is all zero), T3 = min(d, 1) and
+    T4 = d/2."""
+    rng = random.Random(seed)
+    sig = Signature({"s": 2})
+    space = space_from(range(m), lambda x, y: abs(x - y))
+    factors = [
+        MetricAlgebra(sig, space, {"s": {
+            (x, y): rng.randrange(m) for x in range(m) for y in range(m)
+        }})
+        for _ in range(2)
+    ]
+    P, projections = product(factors)
+    rows = P.space.entries
+    T3 = [[min(v, ONE) for v in row] for row in rows]
+    T4 = [[v.scale(Fraction(1, 2)) for v in row] for row in rows]
+    thetas = [kernel(p) for p in projections]
+    thetas += [Congruence(P, SquareMatrix(P.carrier, t)) for t in (T3, T4)]
+    return P, thetas
+
+
+class TestZeroClassRule:
+    """In mode M, on a zero-set that is an equivalence, the rule groups the
+    argument tuples by their tuples of zero-class representatives and zeroes
+    the image pairs within each group: the writes of the candidate block,
+    without the block."""
+
+    @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        arity=st.integers(min_value=1, max_value=3),
+        full=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_candidate_block(self, mirrors, n, arity, full, data):
+        # A pseudometric that is zero on a drawn partition, so its zero-set
+        # is an equivalence.
+        label = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        rows = symmetric_rows(data.draw, n, st.sampled_from(KERNEL_POOL))
+        rows = fw_close([
+            [ZERO if label[i] == label[j] else rows[i][j] for j in range(n)] for i in range(n)
+        ])
+        cells = list(itertools.product(range(n), repeat=arity))
+        if not full:
+            cells = sorted(data.draw(st.sets(st.sampled_from(cells), min_size=1)))
+        elem = st.integers(min_value=0, max_value=n - 1)
+        res_idx = np.array(data.draw(st.lists(elem, min_size=len(cells), max_size=len(cells))))
+        args_idx = list(np.array(cells).T)
+        reads = np.zeros(n, dtype=bool)
+        reads[np.concatenate(args_idx)] = True
+        with mirrors():
+            D, _ = scaled_int_array(rows)
+        want = D.copy()
+        lowered = reference_mode_m_rule(want, args_idx, res_idx)
+        got = D.copy()
+        rows_lowered = _zero_class_rule(got, _zero_reps(got), args_idx, res_idx, reads)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert sorted(set(rows_lowered.tolist())) == lowered.tolist()
+
+    def test_a_zero_set_that_stopped_being_an_equivalence(self):
+        """f, the first rule of the pass, zeroes d(2, 3) while 3 and 4 are at
+        zero and 2 and 4 are not: the zero-set is no longer transitive, the
+        representatives of 3 and 4 differ, and g must still see that 3 and 4
+        are at distance zero and zero d(0, 2) in the same pass."""
+        ops = {"f": {(0,): 2, (1,): 3}, "g": {(3,): 0, (4,): 2}}
+        args = (range(5), ops, [(0, 1, 0), (3, 4, 0), (0, 4, 1)], "M", None)
+        for mirrors in BOTH_MIRRORS:
+            with mirrors():
+                want, count = on_full_passes(lambda: generate_congruence(*args))
+                assert generate_congruence(*args, max_decreases=count) == want
+                with pytest.raises(ResourceLimitError):
+                    generate_congruence(*args, max_decreases=count - 1)
+        assert as_rows(want) == [[ZERO] * 5] * 5
+
+    def test_large_joins_stay_small(self):
+        """Mode-M joins on a 64-point binary product keep their temporaries
+        under 4 MB and finish under 50 ms; the candidate block of the
+        binary rule alone would be 4096**2 cells.  Each join takes about
+        1-2 ms on 2 CPUs, so the time limit leaves a margin of about 30x
+        (the block rule took 340 ms)."""
+        P, (t1, t2, t3, t4) = binary_product(8, seed=1)
+        assert join([t1, t2]) == coarsest_congruence(P)
+        for pair in ([t1, t2], [t3, t4]):
+            tracemalloc.start()
+            try:
+                join(pair)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                join(pair)
+                best = min(best, time.perf_counter() - start)
+            assert best < 0.050
+
+    def test_grid_and_join_leave_numpy_ma_unimported(self):
+        """numpy.ma, which a plain np.unique imports, costs about 1 MB of
+        RSS; importing metra, a default-grid grid_congruences and a mode-M
+        join stay clear of it.  numpy < 2 imports numpy.ma itself."""
+        probe = (
+            "import sys\n"
+            "import numpy\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "from metra import FiniteMetricSpace, MetricAlgebra, Signature, grid_congruences, join\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "carrier = range(3)\n"
+            "space = FiniteMetricSpace(carrier, [[abs(x - y) for y in carrier] for x in carrier])\n"
+            "ops = {'g': {(x, y): max(x, y) for x in carrier for y in carrier}}\n"
+            "family = grid_congruences(MetricAlgebra(Signature({'g': 2}), space, ops))\n"
+            "assert len(family) == 5\n"
+            "assert join(family[1:3], 'M') == family[0]\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        package_root = os.path.dirname(os.path.dirname(congruence_module.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        run = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        with_numpy, with_metra, after_calls = run.stdout.split()
+        if with_numpy == "True":
+            pytest.skip("this numpy imports numpy.ma at import numpy")
+        assert (with_metra, after_calls) == ("False", "False")

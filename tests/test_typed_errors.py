@@ -44,6 +44,17 @@ UNHASHABLE_INDEX = "index ids must be hashable (unhashable type: 'list')"
         pytest.param(lambda: generate_congruence((0, 1), {}, [([0], 1, 1)]),
                      DomainError, "constraint mentions [0] or 1 outside the carrier",
                      id="generate-list-point"),
+        pytest.param(lambda: generate_congruence([[0]], {}, []),
+                     DomainError, UNHASHABLE_ID, id="generate-list-carrier-id"),
+        pytest.param(lambda: generate_congruence((0, 1), {"f": {(0,): [1], (1,): 0}}, []),
+                     DomainError, "table value [1] outside carrier",
+                     id="generate-list-table-value"),
+        pytest.param(lambda: generate_congruence((0, 1), {"f": {0: 1}}, []),
+                     TableError, "bad operation table: bad-arguments at ('f', 0)",
+                     id="generate-falsy-bare-key"),
+        pytest.param(lambda: generate_congruence((0, 1), {"f": {1: 0}}, []),
+                     TableError, "bad operation table: bad-arguments at ('f', 1)",
+                     id="generate-bare-key"),
         pytest.param(lambda: grid_congruences(line_min_algebra(), values=["x"]),
                      DomainError, "grid value must be a nonnegative rational or inf, got 'x'",
                      id="grid-value"),
