@@ -119,6 +119,8 @@ class MetricAlgebra:
         return self.apply(symbol, ())
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, MetricAlgebra):
             return NotImplemented
         return (

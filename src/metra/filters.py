@@ -72,21 +72,6 @@ class FiniteFilter:
     def is_ultrafilter(self) -> bool:
         return len(self.core) == 1
 
-    def members(self):
-        """All members of the filter: the supersets of the core."""
-        rest = [i for i in self.index_set if i not in self.core]
-        for k in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, k):
-                member = tuple(i for i in self.index_set if i in self.core or i in extra)
-                yield member
-
-    def contains(self, subset) -> bool:
-        subset = set(subset)
-        for i in subset:
-            if i not in self.index_set:
-                raise DomainError(f"index {render_id(i)} is not in the index set")
-        return all(i in subset for i in self.core)
-
     def __eq__(self, other):
         if not isinstance(other, FiniteFilter):
             return NotImplemented

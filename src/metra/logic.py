@@ -8,15 +8,15 @@ inequality applies an exact arithmetic expression (sums, differences,
 products, maxima, minima, squares, rational constants) to distance
 atoms ``d(s, t)`` and compares the result with zero.
 
-Satisfaction of equations and implications is decided by checking every
-valuation, which is complete on finite algebras.  The terms are compiled
-to index arrays over the operation tables and the valuations are checked
-a chunk at a time in a deterministic order (variables sorted by name,
-carrier order per variable), so reported countermodels are always the
-lexicographically least ones.  Inequalities need exact rational
-arithmetic and are checked one valuation at a time.  Entailment is
-relative to an explicit finite list of algebras, and every verdict names
-its sample.
+Satisfaction is decided by checking every valuation, which is complete on
+finite algebras.  The terms are compiled to index arrays over the
+operation tables and the valuations are checked a chunk at a time in a
+deterministic order (variables sorted by name, carrier order per
+variable), so reported countermodels are always the lexicographically
+least ones.  Equations, implications and inequalities share this scan;
+inequalities are evaluated exactly on each chunk, as Python-int
+numerators over a common scale.  Entailment is relative to an explicit
+finite list of algebras, and every verdict names its sample.
 
 A presentation packages generators, relation equations, a closure mode,
 and a term depth.  Its free algebra is the depth-bounded term universe
@@ -32,6 +32,8 @@ the depth grows.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -70,6 +72,7 @@ from .extmetric import (
     ZERO,
     ExtRat,
     _first,
+    _inf_code,
     _mirrors,
     checked_value,
     metric_identification,
@@ -161,13 +164,17 @@ def as_implication(formula) -> MetricImplication:
 
 
 class IneqExpr:
-    """Base class for exact expression trees over distance atoms."""
+    """Base class for exact expression trees over distance atoms.
 
-    def evaluate(self, algebra, valuation) -> Fraction:
-        raise NotImplementedError
+    ``atoms()`` lists the tree's distance atoms, left to right, and
+    ``columns(atoms, size)`` evaluates it on ``size`` valuations at once
+    as a pair ``(numerators, scale)``: an object column of Python ints and
+    a positive int, the values being ``numerators / scale``.  The mapping
+    ``atoms`` gives each distance atom its values in that form.
+    """
 
     def variables(self) -> frozenset:
-        raise NotImplementedError
+        return frozenset().union(*(a.lhs.variables() | a.rhs.variables() for a in self.atoms()))
 
 
 @dataclass(frozen=True)
@@ -177,11 +184,11 @@ class Const(IneqExpr):
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
 
-    def evaluate(self, algebra, valuation):
-        return self.value
+    def columns(self, atoms, size):
+        return np.full(size, self.value.numerator, dtype=object), self.value.denominator
 
-    def variables(self):
-        return frozenset()
+    def atoms(self):
+        return ()
 
     def __str__(self):
         return str(self.value)
@@ -192,19 +199,11 @@ class DistAtom(IneqExpr):
     lhs: Term
     rhs: Term
 
-    def evaluate(self, algebra, valuation):
-        a = evaluate(self.lhs, algebra, valuation)
-        b = evaluate(self.rhs, algebra, valuation)
-        d = algebra.space.get(a, b)
-        if d.is_infinite:
-            raise UnsupportedInputError(
-                f"d({self.lhs}, {self.rhs}) is infinite; expression arithmetic "
-                f"needs finite distances"
-            )
-        return d.finite
+    def columns(self, atoms, size):
+        return atoms[self]
 
-    def variables(self):
-        return self.lhs.variables() | self.rhs.variables()
+    def atoms(self):
+        return (self,)
 
     def __str__(self):
         return f"d({self.lhs}, {self.rhs})"
@@ -217,18 +216,15 @@ class _BinOp(IneqExpr):
 
     symbol = ""
 
-    @staticmethod
-    def _op(a, b):
-        raise NotImplementedError
+    def columns(self, atoms, size):
+        """Both sides brought to the lcm of their scales, then combined."""
+        a, s = self.left.columns(atoms, size)
+        b, t = self.right.columns(atoms, size)
+        scale = math.lcm(s, t)
+        return self._op(a * (scale // s), b * (scale // t)), scale
 
-    def evaluate(self, algebra, valuation):
-        return self._op(
-            self.left.evaluate(algebra, valuation),
-            self.right.evaluate(algebra, valuation),
-        )
-
-    def variables(self):
-        return self.left.variables() | self.right.variables()
+    def atoms(self):
+        return self.left.atoms() + self.right.atoms()
 
     def __str__(self):
         return f"({self.left} {self.symbol} {self.right})"
@@ -236,54 +232,43 @@ class _BinOp(IneqExpr):
 
 class Add(_BinOp):
     symbol = "+"
-
-    @staticmethod
-    def _op(a, b):
-        return a + b
+    _op = operator.add
 
 
 class Sub(_BinOp):
     symbol = "-"
-
-    @staticmethod
-    def _op(a, b):
-        return a - b
+    _op = operator.sub
 
 
 class Mul(_BinOp):
     symbol = "*"
 
-    @staticmethod
-    def _op(a, b):
-        return a * b
+    def columns(self, atoms, size):
+        a, s = self.left.columns(atoms, size)
+        b, t = self.right.columns(atoms, size)
+        return a * b, s * t
 
 
 class Max(_BinOp):
     symbol = "max"
-
-    @staticmethod
-    def _op(a, b):
-        return max(a, b)
+    _op = np.maximum
 
 
 class Min(_BinOp):
     symbol = "min"
-
-    @staticmethod
-    def _op(a, b):
-        return min(a, b)
+    _op = np.minimum
 
 
 @dataclass(frozen=True)
 class Square(IneqExpr):
     inner: IneqExpr
 
-    def evaluate(self, algebra, valuation):
-        v = self.inner.evaluate(algebra, valuation)
-        return v * v
+    def columns(self, atoms, size):
+        v, s = self.inner.columns(atoms, size)
+        return v * v, s * s
 
-    def variables(self):
-        return self.inner.variables()
+    def atoms(self):
+        return self.inner.atoms()
 
     def __str__(self):
         return f"{self.inner}^2"
@@ -305,7 +290,8 @@ class MetricInequality:
         if not isinstance(self.expr, IneqExpr):
             raise DomainError(f"{self.expr!r} is not an inequality expression")
 
-    def holds(self, value: Fraction) -> bool:
+    def holds(self, value):
+        """The comparison with zero, of one value or elementwise over an array."""
         if self.relation == ">=":
             return value >= 0
         if self.relation == "<=":
@@ -327,24 +313,6 @@ class MetricInequality:
 _CHUNK = 1 << 13
 
 
-def _grid_size(algebra, names, max_valuations) -> int:
-    total = len(algebra.carrier) ** len(names)
-    if total > max_valuations:
-        raise ResourceLimitError(
-            f"{total} valuations exceed the cap {max_valuations}",
-            "max_valuations",
-            max_valuations,
-        )
-    return total
-
-
-def _valuations(algebra, variables, max_valuations):
-    names = sorted(variables)
-    _grid_size(algebra, names, max_valuations)
-    for choice in itertools.product(algebra.carrier, repeat=len(names)):
-        yield dict(zip(names, choice))
-
-
 def within(space, bound: ExtRat) -> np.ndarray:
     """Where the distance is at most ``bound``, as an n x n boolean matrix."""
     D, denom = space.D, space.denom
@@ -358,12 +326,13 @@ def within(space, bound: ExtRat) -> np.ndarray:
     return D <= limit
 
 
-def _program(equations, names):
+def _program(sides, names):
     """Slots for the variables, then for every distinct application.
 
     Slot ``i < len(names)`` is the variable ``names[i]``; each later slot
     is an application ``(symbol, arg_slots)`` whose arguments come
-    earlier.  Returns the applications and each equation's side slots.
+    earlier.  Returns the applications and the slots of each side's
+    ``lhs`` and ``rhs``.
     """
     slots = {name: pos for pos, name in enumerate(names)}
     apps = []
@@ -377,44 +346,62 @@ def _program(equations, names):
             apps.append(key)
         return slots[key]
 
-    return apps, [(slot(e.lhs), slot(e.rhs)) for e in equations]
+    return apps, [(slot(s.lhs), slot(s.rhs)) for s in sides]
+
+
+def _grid_scan(algebra: MetricAlgebra, names, sides, max_valuations):
+    """The scan of every valuation of ``names`` for the terms ``lhs`` and
+    ``rhs`` of ``sides`` (equations or distance atoms).
+
+    The cap and every term against the algebra's signature are checked,
+    and the terms compiled, before this returns.  The scan walks the grid
+    in chunks of ``_CHUNK`` in C order, the last variable varying fastest
+    (``itertools.product`` order), and calls ``flag(cells, size)`` on
+    each: ``cells`` holds each side's carrier positions of ``lhs`` and
+    ``rhs`` under ``size`` valuations, and ``flag`` returns a boolean
+    column.  It returns the first flagged valuation as a dict, or None.
+    """
+    total = len(algebra.carrier) ** len(names)
+    if total > max_valuations:
+        raise ResourceLimitError(
+            f"{total} valuations exceed the cap {max_valuations}", "max_valuations", max_valuations
+        )
+    for s in sides:
+        check_term(s.lhs, algebra.sig)
+        check_term(s.rhs, algebra.sig)
+    apps, pairs = _program(sides, names)
+    n = len(algebra.carrier)
+
+    def scan(flag):
+        for start in range(0, total, _CHUNK):
+            rest = np.arange(start, min(start + _CHUNK, total))
+            values = [None] * len(names)
+            for pos in reversed(range(len(names))):
+                rest, values[pos] = np.divmod(rest, n)
+            for symbol, args in apps:
+                values.append(algebra.tables[symbol][tuple(values[a] for a in args)])
+            bad = flag([(values[lhs], values[rhs]) for lhs, rhs in pairs], len(rest))
+            if bad.any():
+                at = np.unravel_index(start + int(np.argmax(bad)), (n,) * len(names))
+                return {name: algebra.carrier[i] for name, i in zip(names, at)}
+        return None
+
+    return scan
 
 
 def _countermodel(algebra: MetricAlgebra, names, premises, conclusion, max_valuations):
-    """The least valuation where every premise holds and the conclusion fails.
-
-    The grid of valuations is scanned in chunks of ``_CHUNK`` in C order,
-    the last variable varying fastest, which is ``itertools.product``
-    order; the first chunk holding a countermodel stops the scan.
-    Returns the valuation as a dict, or None.
-    """
-    total = _grid_size(algebra, names, max_valuations)
+    """The least valuation where the premises hold and the conclusion fails, or None."""
     equations = (*premises, conclusion)
-    for e in equations:
-        check_term(e.lhs, algebra.sig)
-        check_term(e.rhs, algebra.sig)
-    apps, pairs = _program(equations, names)
+    scan = _grid_scan(algebra, names, equations, max_valuations)
     near = [within(algebra.space, e.bound) for e in equations]
-    n = len(algebra.carrier)
-    for start in range(0, total, _CHUNK):
-        rest = np.arange(start, min(start + _CHUNK, total))
-        values = [None] * len(names)
-        for pos in reversed(range(len(names))):
-            rest, values[pos] = np.divmod(rest, n)
-        for symbol, args in apps:
-            values.append(algebra.tables[symbol][tuple(values[a] for a in args)])
-        (lhs, rhs), w = pairs[-1], near[-1]
-        bad = ~w[values[lhs], values[rhs]]
-        for (lhs, rhs), w in zip(pairs[:-1], near):
-            bad = bad & w[values[lhs], values[rhs]]
-        if bad.any():
-            flat = start + int(np.argmax(bad))
-            picks = []
-            for _ in names:
-                flat, i = divmod(flat, n)
-                picks.append(algebra.carrier[i])
-            return dict(zip(names, reversed(picks)))
-    return None
+
+    def flag(cells, size):
+        bad = ~near[-1][cells[-1]]
+        for w, cell in zip(near, cells[:-1]):
+            bad = bad & w[cell]
+        return bad
+
+    return scan(flag)
 
 
 def satisfies_under(algebra: MetricAlgebra, valuation, e: MetricEquation) -> bool:
@@ -472,21 +459,47 @@ def entails(
     return Verdict.passed(len(algebras))
 
 
-def evaluate_inequality(algebra: MetricAlgebra, valuation, q: MetricInequality) -> bool:
-    """Evaluate the expression under one valuation and compare with zero."""
-    return q.holds(q.expr.evaluate(algebra, valuation))
-
-
 def satisfies_inequality(
     algebra: MetricAlgebra, q: MetricInequality, max_valuations=1_000_000
 ) -> Verdict:
-    """Whether the inequality holds under every valuation."""
-    for valuation in _valuations(algebra, q.variables(), max_valuations):
-        if not evaluate_inequality(algebra, valuation, q):
-            return Verdict.failed(
-                "countermodel", tuple(sorted(valuation.items())), valuation
-            )
-    return Verdict.passed()
+    """Whether the inequality holds under every valuation.
+
+    Checked and scanned as in ``satisfies``, the expression evaluated
+    exactly on each chunk.  The first valuation that fails, or that makes
+    a distance atom infinite, stops the scan: a failure carries it as the
+    least countermodel, and an infinite atom raises
+    ``UnsupportedInputError`` naming the first such atom, left to right.
+    """
+    atoms = tuple(dict.fromkeys(q.expr.atoms()))
+    names = sorted(q.variables())
+    scan = _grid_scan(algebra, names, atoms, max_valuations)
+    D, denom = algebra.space.D, algebra.space.denom
+    top = _inf_code(D)
+
+    def flag(cells, size):
+        codes = [np.broadcast_to(D[cell], size) for cell in cells]
+        infinite = [c >= top for c in codes]
+        # Infinite codes read 0 in the arithmetic; their valuations raise below.
+        columns = {
+            atom: (np.where(inf, 0, c).astype(object, copy=False), denom)
+            for atom, c, inf in zip(atoms, codes, infinite)
+        }
+        bad = ~q.holds(q.expr.columns(columns, size)[0])
+        for inf in infinite:
+            bad |= inf
+        if bad.any():
+            at = int(np.argmax(bad))
+            for atom, inf in zip(atoms, infinite):
+                if inf[at]:
+                    raise UnsupportedInputError(
+                        f"{atom} is infinite; expression arithmetic needs finite distances"
+                    )
+        return bad
+
+    found = scan(flag)
+    if found is None:
+        return Verdict.passed()
+    return Verdict.failed("countermodel", tuple(found.items()), found)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import operator
 import re
 from collections.abc import Mapping
 from fractions import Fraction
@@ -15,7 +16,13 @@ import numpy as np
 
 import metra.extmetric as extmetric_module
 from metra.algebra import _spread
-from metra.errors import DomainError, ResourceLimitError, SignatureError, Verdict
+from metra.errors import (
+    DomainError,
+    ResourceLimitError,
+    SignatureError,
+    UnsupportedInputError,
+    Verdict,
+)
 from metra.extmetric import (
     _MAX_SCALED,
     INF,
@@ -34,8 +41,19 @@ from metra.extmetric import (
     render_id,
 )
 from metra.filters import SeqForm
-from metra.logic import as_implication, satisfies_under
-from metra.terms import App, Var
+from metra.logic import (
+    Add,
+    Const,
+    DistAtom,
+    Max,
+    Min,
+    Mul,
+    Square,
+    Sub,
+    as_implication,
+    satisfies_under,
+)
+from metra.terms import App, Var, evaluate
 
 # Small pool of exact distances; keeps closures and lcm computations tame.
 FINITE_POOL = [
@@ -579,6 +597,38 @@ def reference_entails(algebras, delta, e, max_valuations=1_000_000):
                     {"algebra": pos, "valuation": valuation},
                 )
     return Verdict.passed(len(algebras))
+
+
+def _reference_value(expr, algebra, valuation):
+    """An inequality expression under one valuation, in ``Fraction``s."""
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, DistAtom):
+        a = evaluate(expr.lhs, algebra, valuation)
+        b = evaluate(expr.rhs, algebra, valuation)
+        d = algebra.space.get(a, b)
+        if d.is_infinite:
+            raise UnsupportedInputError(
+                f"{expr} is infinite; expression arithmetic needs finite distances"
+            )
+        return d.finite
+    if isinstance(expr, Square):
+        v = _reference_value(expr.inner, algebra, valuation)
+        return v * v
+    left = _reference_value(expr.left, algebra, valuation)
+    right = _reference_value(expr.right, algebra, valuation)
+    ops = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Max: max, Min: min}
+    return ops[type(expr)](left, right)
+
+
+def reference_satisfies_inequality(algebra, q, max_valuations=1_000_000):
+    """``satisfies_inequality`` one valuation at a time with ``Fraction``
+    arithmetic, as an oracle; the first infinite atom met raises."""
+    names = sorted(q.variables())
+    for valuation in _reference_valuations(algebra, names, max_valuations):
+        if not q.holds(_reference_value(q.expr, algebra, valuation)):
+            return Verdict.failed("countermodel", tuple(sorted(valuation.items())), valuation)
+    return Verdict.passed()
 
 
 def symmetric_rows(draw, n, values):

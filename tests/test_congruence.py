@@ -271,6 +271,17 @@ class TestComposeAndPermutability:
         assert compose(t1, t2).get("a", "c") == INF
         assert compose(t1, t2).get("c", "c") == ZERO
 
+    def test_compose_on_one_base_compares_no_matrices(self, monkeypatch):
+        # Both congruences share one algebra object, so the base check
+        # stops at identity and never compares the spaces.
+        _, t1, t2 = chain_pair()
+        assert t1.base is t2.base
+        expected = compose(t1, t2)
+        calls = []
+        monkeypatch.setattr(SquareMatrix, "__eq__", lambda *args: calls.append(args))
+        assert as_rows(compose(t1, t2)) == as_rows(expected)
+        assert calls == []
+
     def test_join_of_the_chain_is_everything(self):
         algebra, t1, t2 = chain_pair()
         assert join([t1, t2]) == coarsest_congruence(algebra)

@@ -63,19 +63,6 @@ class TestFiniteFilter:
         with pytest.raises(DomainError):
             FiniteFilter((1, 2), (3,))
 
-    def test_members_are_the_supersets_of_the_core(self):
-        f = FiniteFilter((1, 2, 3), (1,))
-        members = sorted(f.members())
-        assert members == [(1,), (1, 2), (1, 2, 3), (1, 3)]
-
-    def test_contains(self):
-        f = FiniteFilter((1, 2, 3), (1, 2))
-        assert f.contains((1, 2))
-        assert f.contains((1, 2, 3))
-        assert not f.contains((1, 3))
-        with pytest.raises(DomainError):
-            f.contains((9,))
-
     def test_filter_inventories(self):
         assert len(all_filters((1, 2))) == 3
         assert len(all_filters((1, 2, 3))) == 7

@@ -1,5 +1,7 @@
 """Formula satisfaction, entailment, free algebras, and closure laws."""
 
+import re
+import time
 from contextlib import nullcontext
 from fractions import Fraction
 
@@ -29,15 +31,17 @@ from metra.logic import (
     Max,
     MetricEquation,
     MetricImplication,
+    MetricInequality,
+    Min,
     Mul,
     Presentation,
     Square,
+    Sub,
     as_implication,
     check_soundness_of_free,
     closure_suite,
     entails,
     equicontinuity_check,
-    evaluate_inequality,
     factoring_map,
     free_algebra,
     in_mode_class,
@@ -65,6 +69,7 @@ from conftest import (
     object_mirrors,
     reference_entails,
     reference_satisfies,
+    reference_satisfies_inequality,
     revalidated,
     space_from,
 )
@@ -259,6 +264,23 @@ class TestEntailment:
 
 
 class TestInequality:
+    @staticmethod
+    def at(x, y):
+        """``line_min_algebra`` with constants cx = x and cy = y: an
+        inequality in them alone is checked at that one valuation."""
+        base = line_min_algebra()
+        tables = dict(base.ops, cx=x, cy=y)
+        return MetricAlgebra(Signature({"sigma": 2, "cx": 0, "cy": 0}), base.space, tables)
+
+    def holds_at(self, ground, x, y):
+        """Whether the ground inequality ``ground`` in cx and cy holds at
+        (cx, cy) = (x, y); the reference agrees."""
+        algebra = self.at(x, y)
+        q = parse_inequality(ground, algebra.sig)
+        verdict = satisfies_inequality(algebra, q)
+        same_verdict(verdict, reference_satisfies_inequality(algebra, q))
+        return verdict.ok
+
     def test_self_cancellation_always_zero(self):
         q = parse_inequality("d(x,y) - d(x,y) = 0")
         assert satisfies_inequality(line_min_algebra(), q).ok
@@ -273,13 +295,19 @@ class TestInequality:
         assert satisfies_inequality(line_min_algebra(), q).ok
 
     def test_evaluation_is_exact(self):
+        assert self.holds_at("(d(cx,cy) min 1) - 1 = 0", 0, 2)
+        assert not self.holds_at("(d(cx,cy) min 1) - 1 = 0", 0, 0)
         q = parse_inequality("(d(x,y) min 1) - 1 = 0")
-        assert evaluate_inequality(line_min_algebra(), {"x": 0, "y": 2}, q)
-        assert not evaluate_inequality(line_min_algebra(), {"x": 0, "y": 0}, q)
+        verdict = satisfies_inequality(line_min_algebra(), q)
+        assert verdict.value == {"x": 0, "y": 0}
+        same_verdict(verdict, reference_satisfies_inequality(line_min_algebra(), q))
 
     def test_square_and_constant_arithmetic(self):
+        assert self.holds_at("d(cx,cy)^2 - 4 = 0", 0, 2)
         q = parse_inequality("d(x,y)^2 - 4 = 0")
-        assert evaluate_inequality(line_min_algebra(), {"x": 0, "y": 2}, q)
+        verdict = satisfies_inequality(line_min_algebra(), q)
+        assert verdict.value == {"x": 0, "y": 0}
+        same_verdict(verdict, reference_satisfies_inequality(line_min_algebra(), q))
 
     def test_precedence_max_is_loosest(self):
         q = parse_inequality("d(x,y) max 1 + 1 >= 0")
@@ -292,9 +320,14 @@ class TestInequality:
         assert q.expr == Mul(Square(DistAtom(Var("x"), Var("y"))), Const(Fraction(2)))
 
     def test_infinite_atom_is_unsupported(self):
+        # (a, a) holds; the scan stops at (a, b), where d(x, y) is infinite.
         q = parse_inequality("d(x,y) >= 0")
-        with pytest.raises(UnsupportedInputError):
-            evaluate_inequality(discrete_pair(), {"x": "a", "y": "b"}, q)
+        message = "d(x, y) is infinite; expression arithmetic needs finite distances"
+        with pytest.raises(UnsupportedInputError) as err:
+            satisfies_inequality(discrete_pair(), q)
+        assert str(err.value) == message
+        with pytest.raises(UnsupportedInputError, match=re.escape(message)):
+            reference_satisfies_inequality(discrete_pair(), q)
 
     def test_comparison_must_be_with_zero(self):
         with pytest.raises(ParseError, match="compare with 0"):
@@ -941,6 +974,36 @@ def same_verdict(got, want):
     )
 
 
+def same_outcome(got, want):
+    """The same verdict from both calls, or an ``UnsupportedInputError``
+    with the same text from both."""
+    try:
+        expected = want()
+    except UnsupportedInputError as err:
+        with pytest.raises(UnsupportedInputError) as raised:
+            got()
+        assert str(raised.value) == str(err)
+        return
+    same_verdict(got(), expected)
+
+
+def inequality_exprs(depth):
+    """Expressions over distance atoms of small terms and the constants 0,
+    1/3 and 10**30, which no int64 holds once squared or scaled."""
+    atoms = st.builds(DistAtom, small_terms(1), small_terms(1))
+    leaves = st.one_of(
+        st.sampled_from([Const(0), Const(Fraction(1, 3)), Const(10**30)]), atoms, atoms
+    )
+    if depth == 0:
+        return leaves
+    sub = inequality_exprs(depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(Square, sub),
+        *(st.builds(op, sub, sub) for op in (Add, Sub, Mul, Max, Min)),
+    )
+
+
 @pytest.mark.parametrize("mirror", ["int64", "object"])
 class TestCompiledMatchesReference:
     @settings(max_examples=150, deadline=None)
@@ -971,6 +1034,49 @@ class TestCompiledMatchesReference:
                 entails(algebras, delta, goal), reference_entails(algebras, delta, goal)
             )
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        algebra=cub_algebras(),
+        expr=inequality_exprs(2),
+        relation=st.sampled_from([">=", "<=", "="]),
+    )
+    def test_satisfies_inequality(self, mirror, algebra, expr, relation):
+        q = MetricInequality(expr, relation)
+        with object_mirrors() if mirror == "object" else nullcontext():
+            algebra = revalidated(algebra)
+            same_outcome(
+                lambda: satisfies_inequality(algebra, q),
+                lambda: reference_satisfies_inequality(algebra, q),
+            )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "d(x, z) max d(y, z) >= 0",
+            "d(y, z) max d(x, z) >= 0",
+            "d(u(x), y) * 0 - 1/3 <= 0",
+            "1/3 - d(b(x, y), c) min 1 >= 0",
+            "d(x, y)^2 - 1000000000000000000000000000000 * d(x, u(y)) <= 0",
+        ],
+    )
+    def test_inequality_with_infinite_distances(self, mirror, text):
+        """On {a, b} at 1/2 and c infinitely far from both, the first
+        valuation that fails or meets an infinite atom decides."""
+        def dist(p, q):
+            return 0 if p == q else INF if "c" in p + q else Fraction(1, 2)
+
+        with object_mirrors() if mirror == "object" else nullcontext():
+            space = space_from("abc", dist)
+            unary = {("a",): "b", ("b",): "c", ("c",): "a"}
+            binary = {(p, q): max(p, q) for p in "abc" for q in "abc"}
+            algebra = MetricAlgebra(SIG_CUB, space, {"c": "b", "u": unary, "b": binary})
+            assert (space.D.dtype == object) == (mirror == "object")
+            q = parse_inequality(text, SIG_CUB)
+            same_outcome(
+                lambda: satisfies_inequality(algebra, q),
+                lambda: reference_satisfies_inequality(algebra, q),
+            )
+
 
 def pinned_algebra(w, x, y, z):
     """Ten points on a line with constants cw, cx, cy and a unary f that
@@ -991,6 +1097,12 @@ PINNED = parse_formula(
     "w =[0] cw , x =[0] cx , y =[0] cy |- z =[0] f(z)",
     Signature({"cw": 0, "cx": 0, "cy": 0, "f": 1}),
 )
+# Fails exactly where PINNED does: where w, x and y sit on their constants
+# and f moves z.
+PINNED_INEQUALITY = parse_inequality(
+    "(d(z, f(z)) min 1) - d(w, cw) - d(x, cx) - d(y, cy) <= 0",
+    Signature({"cw": 0, "cx": 0, "cy": 0, "f": 1}),
+)
 
 
 class TestChunkEdges:
@@ -1005,11 +1117,23 @@ class TestChunkEdges:
         assert verdict.value == dict(zip("wxyz", digits))
         same_verdict(verdict, reference_satisfies(algebra, PINNED))
 
+    @pytest.mark.parametrize(
+        "flat", [0, 8191, 8192, 9999], ids=["first", "chunk-end", "chunk-start", "last"]
+    )
+    def test_first_inequality_countermodel_at_a_chunk_edge(self, flat):
+        digits = [int(d) for d in f"{flat:04d}"]
+        algebra = pinned_algebra(*digits)
+        verdict = satisfies_inequality(algebra, PINNED_INEQUALITY)
+        assert not verdict.ok
+        assert verdict.value == dict(zip("wxyz", digits))
+        same_verdict(verdict, reference_satisfies_inequality(algebra, PINNED_INEQUALITY))
+
     def test_formula_that_holds_everywhere(self):
         algebra = pinned_algebra(9, 9, 9, 10)
         verdict = satisfies(algebra, PINNED)
         assert verdict.ok
         same_verdict(verdict, reference_satisfies(algebra, PINNED))
+        assert satisfies_inequality(algebra, PINNED_INEQUALITY).ok
 
     def test_cap_at_the_grid_size(self, monkeypatch):
         algebra = pinned_algebra(9, 9, 9, 9)
@@ -1031,6 +1155,30 @@ class TestChunkEdges:
         verdict = satisfies(algebra, far, max_valuations=1)
         assert (verdict.ok, verdict.witness, verdict.value) == (False, (), {})
         same_verdict(verdict, reference_satisfies(algebra, far))
+
+    def test_ground_inequality_is_checked_on_one_valuation(self):
+        algebra = pinned_algebra(1, 2, 3, 4)
+        near = parse_inequality("d(cw, cx) - 1 <= 0", algebra.sig)
+        assert satisfies_inequality(algebra, near, max_valuations=1).ok
+        with pytest.raises(ResourceLimitError, match="1 valuations exceed the cap 0"):
+            satisfies_inequality(algebra, near, max_valuations=0)
+        far = parse_inequality("d(cw, cy) - 1 <= 0", algebra.sig)
+        verdict = satisfies_inequality(algebra, far, max_valuations=1)
+        assert (verdict.ok, verdict.witness, verdict.value) == (False, (), {})
+        same_verdict(verdict, reference_satisfies_inequality(algebra, far))
+
+    def test_inequality_over_a_million_valuations_within_budget(self):
+        """Six variables on ten points fill the default cap of 10**6
+        valuations; the path inequality holds on all of them."""
+        algebra = pinned_algebra(0, 0, 0, 0)
+        q = parse_inequality(
+            "d(u,v) + d(v,w) + d(w,x) + d(x,y) + d(y,z) - d(u,z) >= 0", algebra.sig
+        )
+        start = time.perf_counter()
+        verdict = satisfies_inequality(algebra, q)
+        elapsed = time.perf_counter() - start
+        assert verdict.ok
+        assert elapsed < 5.0, f"{elapsed:.2f} s"
 
     def test_entails_names_the_failing_algebra_past_a_chunk(self):
         algebras = [pinned_algebra(9, 9, 9, 10), pinned_algebra(8, 1, 9, 2)]
@@ -1083,3 +1231,5 @@ class TestSignatureChecks:
             satisfies(algebra, hidden)
         with pytest.raises(SignatureError, match=message):
             entails([algebra], hidden.premises, hidden.conclusion)
+        with pytest.raises(SignatureError, match=message):
+            satisfies_inequality(algebra, MetricInequality(DistAtom(bad_term, Var("x")), ">="))
