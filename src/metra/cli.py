@@ -26,8 +26,9 @@ brace-terminated; commands end with ``;``.  Resource caps come from a
 ``limits { name = value; }`` block, can be overridden per run with
 ``--limits``, and every command result echoes the caps in force and its
 command, comments dropped and blank space collapsed.  Literal runs
-(matrices, table and hom cells, id lists) are read one match at a time;
-the token reader takes comments and reports every error.
+(matrices, table and hom cells, id lists, ``limitmetric`` forms) are read
+one match at a time; the token reader takes comments and reports every
+error.
 
 Output is deterministic: results serialize with stable key order and
 canonical rational strings, and running the same file twice produces
@@ -39,12 +40,13 @@ errors, 2 when a resource cap stopped a command.
 from __future__ import annotations
 
 import argparse
-import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .algebra import (
     Homomorphism,
@@ -95,7 +97,9 @@ from .logic import (
     satisfies,
     weak_compactness_search,
 )
-from .terms import IDS_RUN, MAP_RUN, MATRIX_RUN, TABLE_RUN, Signature, Term, TokenStream
+from .terms import (
+    FORM, FORMS_RUN, IDS_RUN, MAP_RUN, MATRIX_RUN, TABLE_RUN, Signature, Term, TokenStream,
+)
 
 LIMIT_DEFAULTS = {
     "max_cells": 20,
@@ -245,9 +249,14 @@ def _parse_bracketed(lx: TokenStream, read) -> list:
     return items
 
 
+def _id(text: str):
+    """An id from its matched text: digits read as an int."""
+    return int(text) if text.isdigit() else text
+
+
 def _ids(text: str) -> list:
     """The ids in matched text of ids, commas and blank space."""
-    return [int(s) if s.isdigit() else s for s in "".join(text.split()).split(",")]
+    return [_id(s) for s in "".join(text.split()).split(",")]
 
 
 def _parse_id_list(lx: TokenStream) -> list:
@@ -542,7 +551,8 @@ def _parse_command(lx: TokenStream, word: str) -> dict:
     elif word == "limitmetric":
         args["carrier"] = _parse_id_set(lx)
         lx.expect("punct", "{")
-        forms = {}
+        run = lx.take(FORMS_RUN)
+        forms = {(_id(x), _id(y)): text for x, y, text in FORM.findall(run.group())} if run else {}
         while not lx.at("punct", "}"):
             x = _parse_id(lx)
             lx.expect("punct", ",")
@@ -935,9 +945,68 @@ def run_workspace(ws: Workspace, overrides: dict | None = None):
 # Reports and entry point
 
 
+# Printable ASCII but '"' and the backslash: text that JSON writes unescaped.
+_VERBATIM = re.compile(r'[ !#-\[\]-~]*')
+
+
+def _write_json(obj, nl: str, out: list) -> None:
+    """Append ``obj`` to ``out`` as ``json.dumps(obj, sort_keys=True,
+    indent=2)`` lays it out, ``nl`` being the newline and indent it sits at.
+
+    Reports hold dicts with string keys, lists, strings, ints, booleans and
+    None; anything else raises ``TypeError``.  A list of strings that need
+    no escaping, such as a matrix row or a carrier, is written in one join.
+    """
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner, sep = nl + "  ", "{"
+        for key in sorted(obj):
+            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(obj[key], inner, out)
+            sep = ","
+        out.append(nl + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner, sep = nl + "  ", "["
+        try:
+            verbatim = _VERBATIM.fullmatch("".join(obj))
+        except TypeError:  # an item is not a string
+            verbatim = None
+        if verbatim:
+            out.append("[" + inner + '"' + ('",' + inner + '"').join(obj) + '"' + nl + "]")
+            return
+        for item in obj:
+            out.append(sep + inner)
+            _write_json(item, inner, out)
+            sep = ","
+        out.append(nl + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_text(obj) -> str:
+    out: list = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
 def render_json(results) -> str:
     payload = {"schema": 1, "results": [r.to_obj() for r in results]}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _json_text(payload) + "\n"
 
 
 def render_text(results) -> str:
@@ -948,7 +1017,7 @@ def render_text(results) -> str:
         if r.error:
             lines.append(f"error: {r.error}")
         if r.data:
-            lines.append(json.dumps(r.data, sort_keys=True, indent=2))
+            lines.append(_json_text(r.data))
         lines.append("")
     return "\n".join(lines)
 

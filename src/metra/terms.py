@@ -279,9 +279,11 @@ _TOKEN = re.compile(
 
 # Literal runs of a workspace, each read in one match by ``TokenStream.take``
 # and built from the pieces of ``_TOKEN``: ids, ``[[q,...],...]`` matrices and
-# ``ids -> id;`` cells.  They pass over blank space but not comments, zero
-# denominators or fractional ids, which are left to the token reader.
-_ID = r"\s*(?:" + _NAME_PATTERN + r"|[0-9]+(?![/0-9]))"
+# ``ids -> id;`` cells and ``limitmetric``'s ``id, id -> "text";`` forms.
+# They pass over blank space but not comments, zero denominators or
+# fractional ids, which are left to the token reader.
+_ID_TEXT = _NAME_PATTERN + r"|[0-9]+(?![/0-9])"
+_ID = r"\s*(?:" + _ID_TEXT + ")"
 _IDS = _ID + r"(?:\s*," + _ID + ")*"
 _SCALAR = r"\s*(?:inf|(?![0-9]+/0+(?![0-9]))" + _NUM_PATTERN + ")"
 _ROW = r"\s*\[" + _SCALAR + r"(?:\s*," + _SCALAR + r")*\s*\]"
@@ -289,6 +291,9 @@ IDS_RUN = re.compile(_IDS)
 MATRIX_RUN = re.compile(r"\s*\[" + _ROW + r"(?:\s*," + _ROW + r")*\s*\]")
 TABLE_RUN = re.compile(r"(?:" + _IDS + r"\s*->" + _ID + r"\s*;)*")
 MAP_RUN = re.compile(r"(?:" + _ID + r"\s*->" + _ID + r"\s*;)*")
+# One form, its groups the two ids and the text; FORMS_RUN is a run of them.
+FORM = re.compile(r"\s*(" + _ID_TEXT + r")\s*,\s*(" + _ID_TEXT + r')\s*->\s*"([^"\n]*)"\s*;')
+FORMS_RUN = re.compile("(?:" + FORM.pattern + ")*")
 
 
 class TokenStream:

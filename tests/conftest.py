@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
 import operator
 import re
 from collections.abc import Mapping
@@ -656,11 +657,17 @@ def pseudometric_spaces(draw, max_size=4, allow_inf=True):
 
 @st.composite
 def metric_spaces(draw, max_size=4, allow_inf=False):
+    """A metric space on up to ``max_size`` points; with ``allow_inf``, in
+    about half the draws its points fall into drawn components at distance
+    INF from each other, which no finite path through ``fw_close`` can
+    shorten."""
     n = draw(st.integers(min_value=1, max_value=max_size))
-    pool = [ExtRat(q) for q in POSITIVE_POOL]
-    if allow_inf:
-        pool = pool + [INF]
-    rows = symmetric_rows(draw, n, st.sampled_from(pool))
+    rows = symmetric_rows(draw, n, st.sampled_from([ExtRat(q) for q in POSITIVE_POOL]))
+    if allow_inf and draw(st.booleans()):
+        component = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        for i, j in itertools.product(range(n), repeat=2):
+            if component[i] != component[j]:
+                rows[i][j] = INF
     return FiniteMetricSpace(LABELS[:n], fw_close(rows))
 
 
@@ -896,3 +903,10 @@ def revalidated(obj):
     if isinstance(obj, MetricAlgebra):
         return MetricAlgebra(obj.sig, revalidated(obj.space), obj.ops)
     return type(obj)(obj.carrier, obj.entries)
+
+
+def reference_render_json(results):
+    """``cli.render_json`` through ``json.dumps``, whose indented layout the
+    report writer reproduces byte for byte."""
+    payload = {"schema": 1, "results": [r.to_obj() for r in results]}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from metra.cli import (
     LIMIT_DEFAULTS,
+    CommandResult,
     load_workspace,
     main,
     parse_workspace,
@@ -33,7 +34,7 @@ from metra.logic import (
 )
 from metra.terms import Signature, TokenStream, enumerate_terms
 
-from conftest import FINITE_POOL, object_mirrors
+from conftest import FINITE_POOL, object_mirrors, reference_render_json
 
 GOLDEN = """
 # two-op playground
@@ -502,6 +503,8 @@ WORDLIKE = str.maketrans(dict.fromkeys(string.ascii_letters + string.digits + "_
 # unreadable character, and names and numbers that run into the next token.
 SPOILERS = ["", "1/0", "10/00", "1/2", "12/3", "007", "inf", "inf'", "@", "a'", "0x", ",", "]"]
 ID_POOL = ["a", "b'", "_c", "x1", 0, 3, 12]
+# Texts of limitmetric forms, punctuation and a comment sign among them.
+FORM_TEXTS = ["1/n", "0", "1 + 1/n", "x, y -> z; # w"]
 BASES = [None, Fraction(1), Fraction(1, 65537), Fraction(1, 65539), Fraction(10**400)]
 
 
@@ -546,6 +549,10 @@ def workspace_texts(draw):
         return out
 
     some = [id_text(x) for x in draw(st.lists(st.sampled_from(ids), max_size=3))]
+    forms = []
+    for x, y in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3)):
+        text = draw(st.sampled_from(FORM_TEXTS))
+        forms += [id_text(x), ",", id_text(y), "->", f'"{text}"', ";"]
     # Literal runs at the odd places, each spoilt up to its terminator.
     parts = [
         ["signature", "S", "{", "f", "/", "1", ";", "g", "/", "2", ";", "}",
@@ -558,6 +565,8 @@ def workspace_texts(draw):
         ["}", "hausdorff", "A", "{"], listed([[x] for x in some]),
         ["}", "{"], [id_text(ids[0])],
         ["}", ";", "subalgebra", "A", "from", "{"], listed([[x] for x in some[::-1]]),
+        ["}", ";", "limitmetric", "{"], listed([[id_text(x)] for x in ids]),
+        ["}", "{"], forms,
         ["}", ";"],
     ]
     tokens, runs = [], []
@@ -594,12 +603,13 @@ def test_literal_runs_read_as_their_tokens_do(mirrors, token_only, text):
 
 
 def _small_workspace(carrier="a, b", metric="[[0, 1], [1, 0]]", cells="a -> b; b -> a;",
-                     hom="a -> a; b -> b;", sets="{a} {b}"):
+                     hom="a -> a; b -> b;", sets="{a} {b}", forms='a, b -> "1/n";'):
     return (
         "signature S { f/1; }\n"
         f"algebra A over S {{ carrier {carrier}; metric {metric}; op f = table{{ {cells} }}; }}\n"
         f"hom h : A -> A {{ {hom} }}\n"
         f"hausdorff A {sets};\n"
+        f"limitmetric {{a, b}} {{ {forms} }};\n"
     )
 
 
@@ -633,6 +643,16 @@ def _small_workspace(carrier="a, b", metric="[[0, 1], [1, 0]]", cells="a -> b; b
         {"sets": "{a b} {a}"},
         {"sets": "{1/2} {a}"},
         {"sets": "{a} {b"},
+        {"forms": ""},
+        {"forms": 'a,b->"1/n";b ,\u3000a -> "x, y -> z; # w";'},
+        {"forms": 'a, b -> "1/n"; b a -> "1";'},
+        {"forms": 'a, b -> "1/n" # a comment\n; b, a -> "1";'},
+        {"forms": 'a, 1/2 -> "1";'},
+        {"forms": 'a, 007 -> "1"; 7, b -> "2";'},
+        {"forms": 'a, b -> 1;'},
+        {"forms": 'a, b -> "1/n"'},
+        {"forms": 'a, b -> "1/n\n";'},
+        {"forms": 'a, b -> "1/n"; a, b -> "2";'},
     ],
 )
 def test_literal_edge_cases_read_as_their_tokens_do(token_only, literal):
@@ -643,13 +663,24 @@ def test_literal_edge_cases_read_as_their_tokens_do(token_only, literal):
 def test_clean_literal_runs_read_no_id_token_by_token():
     """Each literal run of a well-formed workspace, id sets included, is read
     in one match, so the token reader's id parser never runs."""
-    text = _small_workspace(sets="{a, b} { b }") + "subalgebra A from {b, a};\n"
+    text = _small_workspace(sets="{a, b} { b }", forms='a, b -> "1/n"; b,a->"1 + 1/n";')
+    text += "subalgebra A from {b, a};\n"
     with mock.patch("metra.cli._parse_id", side_effect=AssertionError("read by tokens")):
         ws = parse_workspace(text)
-    assert [args for _, args, _ in ws.commands][-2:] == [
+    assert [args for _, args, _ in ws.commands][-3:] == [
         {"algebra": "A", "left": ["a", "b"], "right": ["b"]},
+        {"carrier": ["a", "b"], "forms": {("a", "b"): "1/n", ("b", "a"): "1 + 1/n"}},
         {"algebra": "A", "seed": ["b", "a"]},
     ]
+
+
+def test_malformed_limitmetric_form_errors_alike_on_both_paths(token_only):
+    """A form with its comma missing, after one the run reads, is reported
+    where the token reader finds it."""
+    text = 'limitmetric {a, b} {\n  a, b -> "1/n";\n  b a -> "1";\n};\n'
+    expected = ("ParseError", "line 3, column 5: expected ',', found 'a'", 3, 5)
+    assert _outcome(parse_workspace, text) == expected
+    assert _outcome(token_only, text) == expected
 
 
 @pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
@@ -902,6 +933,68 @@ class TestReports:
         text = render_text(results)
         assert "error: unknown congruence 'MISSING'" in text
         assert "ok: no" in text
+
+
+# Text that reports write as is, and single characters they must escape:
+# quotes, backslashes, control characters, DEL, non-ASCII and astral text.
+PLAIN_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters='"\\'))
+ESCAPED_TEXT = st.tuples(
+    PLAIN_TEXT,
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600"]),
+    PLAIN_TEXT,
+).map("".join)
+REPORT_TEXT = PLAIN_TEXT | ESCAPED_TEXT | st.text()
+
+
+@st.composite
+def one_escaped_item(draw):
+    """A list of strings of which exactly one needs escaping."""
+    items = draw(st.lists(PLAIN_TEXT, min_size=1, max_size=4))
+    items.insert(draw(st.integers(0, len(items))), draw(ESCAPED_TEXT))
+    return items
+
+
+REPORT_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**63, 2**64 + 1, -(2**63) - 1, -(10**30)])
+    | REPORT_TEXT
+    | st.lists(PLAIN_TEXT, max_size=4)
+    | one_escaped_item(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(REPORT_TEXT, inner, max_size=4),
+    max_leaves=16,
+)
+REPORTS = st.lists(
+    st.builds(
+        CommandResult,
+        command=REPORT_TEXT,
+        kind=REPORT_TEXT,
+        ok=st.booleans(),
+        data=REPORT_VALUES,
+        error=REPORT_TEXT,
+        limits=st.dictionaries(REPORT_TEXT, st.integers(), max_size=3),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(results=REPORTS)
+def test_report_writer_matches_json_dumps(results):
+    """The report writer lays out any report-shaped payload as ``json.dumps``
+    with sorted keys and an indent of 2 does, byte for byte."""
+    assert render_json(results) == reference_render_json(results)
+
+
+@pytest.mark.parametrize(
+    "value", [object(), Fraction(1, 2), {"a"}], ids=["object", "fraction", "set"]
+)
+def test_report_writer_refuses_what_json_refuses(value):
+    results = [CommandResult("c;", "c", True, {"value": [value]})]
+    for render in (render_json, reference_render_json):
+        with pytest.raises(TypeError):
+            render(results)
 
 
 class TestMain:

@@ -492,18 +492,14 @@ class TestHausdorff:
             for r in range(1, space.size + 1)
             for c in itertools.combinations(space.carrier, r)
         ]
-        for a in subsets:
-            for b in subsets:
-                d_ab = hausdorff_distance(space, a, b)
-                assert d_ab == hausdorff_distance(space, b, a)
-                assert (d_ab == ZERO) == (set(a) == set(b))
-        for a in subsets:
-            for b in subsets:
-                for c in subsets:
-                    d_ac = hausdorff_distance(space, a, c)
-                    d_ab = hausdorff_distance(space, a, b)
-                    d_bc = hausdorff_distance(space, b, c)
-                    assert d_ac <= d_ab + d_bc
+        # One call per ordered pair; every property is checked on these values.
+        d = [[hausdorff_distance(space, a, b) for b in subsets] for a in subsets]
+        for i, a in enumerate(subsets):
+            for j, b in enumerate(subsets):
+                assert d[i][j] == d[j][i]
+                assert (d[i][j] == ZERO) == (set(a) == set(b))
+        for i, j, k in itertools.product(range(len(subsets)), repeat=3):
+            assert d[i][k] <= d[i][j] + d[j][k]
 
 
 class TestGromovHausdorff:
