@@ -23,9 +23,9 @@ nothing ends it.  In mode M a rule groups its argument tuples by their
 tuples of zero-class representatives and zeroes the images within each
 group, which costs a sort and the pairs it writes.  A Q or LIP rule, or
 an M rule on a zero-set an earlier rule of the pass has left
-intransitive, compares every pair of argument tuples in a candidate
-block, broadcast from the block of the rows it reads when its argument
-tuples are their power.  Every operation
+intransitive, compares only the pairs of argument tuples whose places
+pair points of one finite component, a fixed number of cells at a time:
+every other pair has an infinite candidate.  Every operation
 here reads and writes the matrices' scaled mirrors (see ``extmetric``);
 the closure widens an int64 mirror to Python ints when a value outgrows
 the guard, so the fixpoint is exact whatever the denominators.
@@ -39,7 +39,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import Homomorphism, MetricAlgebra, _cells, _spread, product, quotient
+from .algebra import Homomorphism, MetricAlgebra, _cells, product, quotient
 from .errors import (
     CongruenceError,
     DomainError,
@@ -53,6 +53,7 @@ from .extmetric import (
     PseudometricMatrix,
     SquareMatrix,
     _MAX_SCALED,
+    _TRIANGLE_CELLS,
     _array_violation,
     _as_object,
     _as_verdict,
@@ -64,7 +65,6 @@ from .extmetric import (
     _inf_code,
     _mirrors,
     _scale_finite,
-    _sup,
     _zero_reps,
     checked_value,
     render_id,
@@ -399,7 +399,10 @@ def closure_fixpoint(
     max_decreases: int,
 ) -> PseudometricMatrix:
     """Close the mirror ``(D, denom)`` downward to the largest
-    mode-congruential pseudometric; ``D`` is closed in place.  ``rules``
+    mode-congruential pseudometric.  ``D`` must be symmetric, as the
+    discrete start of ``generate_congruence`` and ``free_algebra`` and the
+    minimum of the congruences ``join`` reads are; it is closed in place
+    unless the closure widens it to Python ints.  ``rules``
     maps symbols of positive arity to ``(args_idx, res_idx)``: one array of
     argument positions per place and the images, sorted by the arguments."""
     if mode not in ("M", "Q", "LIP"):
@@ -414,20 +417,21 @@ def closure_fixpoint(
             if k <= 0:
                 raise DomainError(f"Lipschitz constant for {symbol} must be positive")
         args_idx, res_idx = rules[symbol]
-        # The rows the rule reads, its images, and those as a slice when they
-        # are a run.  (A plain np.unique would import numpy.ma: 1 MB of RSS.)
+        # The rows the rule reads, as a mask and sorted.  (A plain np.unique
+        # would import numpy.ma: 1 MB of RSS.)
         reads = np.zeros(len(D), dtype=bool)
         reads[np.concatenate(args_idx)] = True
-        first, m = int(res_idx[0]), len(res_idx)
-        run = (res_idx == np.arange(first, first + m)).all()
-        images = slice(first, first + m) if run else np.flatnonzero(np.bincount(res_idx))
-        # The sorted rows read, when the argument tuples are their power in
-        # row-major order (as in free-algebra and full-table rules).
         rows, arity = reads.nonzero()[0], len(args_idx)
-        square = m == len(rows) ** arity and bool(
+        # The rows again when the argument tuples are their power in
+        # row-major order (as in free-algebra and full-table rules).
+        square = len(res_idx) == len(rows) ** arity and bool(
             (np.stack(args_idx) == rows[np.indices((len(rows),) * arity).reshape(arity, -1)]).all()
         )
-        tables.append((args_idx, res_idx, k, reads, images, rows if square else None))
+        # The first image, when the images are a run of positions.
+        first = int(res_idx[0])
+        if not (res_idx == np.arange(first, first + len(res_idx))).all():
+            first = None
+        tables.append((args_idx, res_idx, k, reads, rows, rows if square else None, first))
     return PseudometricMatrix._trusted(carrier, *_fix_int(D, denom, tables, mode, max_decreases))
 
 
@@ -469,42 +473,54 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
     A rule whose argument rows have not moved since it last ran is
     skipped, as it would lower nothing.  Every pass ends on the matrix of
     a full repair and every rule, so the decrease count is unchanged.  A
-    rule whose tuples are S**arity, for the rows S it reads, broadcasts its
-    candidates from the block ``D[S, S]`` instead of gathering them.
+    pass counts the distinct positions it lowered from its own writes (the
+    repair's within each component, and each rule's), and the rows to
+    pivot on and the stale rules come from the same writes.
+
+    The candidate of two argument tuples is finite only when every place
+    pairs two points at a finite distance, so of one finite component.  A
+    rule builds only those pairs, from a snapshot of the rows it reads and
+    a fixed budget of cells at a time: from the finite pairs of
+    ``D[S, S]`` when its tuples are S**arity (``_product_cells``), and
+    within the groups of tuples with one tuple of component labels
+    otherwise (``_grouped_cells``).  Components are recomputed only after
+    a rule writes a finite value between two of them.
 
     In mode M the zero-set of a repaired D is an equivalence, so a rule
-    runs on its zero classes (``_zero_class_rule``) and writes what the
-    candidate block would.  A rule that lowers an entry may leave the
-    zero-set intransitive for the rules after it in the pass; each of
-    those tests the zero-set against its classes and, where it fails,
-    builds the block.
+    runs on its zero classes (``_zero_class_rule``).  A rule that lowers
+    an entry may leave the zero-set intransitive for the rules after it in
+    the pass; each of those tests the zero-set against its classes and,
+    where it fails, builds its zero pairs as Q builds its finite ones.
     """
-    n = len(D)
+    n, D = len(D), np.ascontiguousarray(D)
     np.fill_diagonal(D, 0)
-    np.minimum(D, D.T, out=D)
     stale = np.ones((len(tables), n), dtype=bool)
     pivots = np.ones(n, dtype=bool)
-    decreases, cells = 0, -1
+    decreases, groups = 0, None
     while True:
-        before = D.copy()
         # A repaired D is triangle-closed, so its zero-set is an equivalence
         # with classes ``rep``; once a rule lowers an entry it is tested anew.
         rep, classes = None, True
-        # A repair leaves every component finite throughout, so components
-        # have merged exactly when more entries than their cells are finite.
-        finite = D < _inf_code(D)
-        if np.count_nonzero(finite) != cells:
-            groups = _finite_components(finite)
-            cells = n + sum(len(idx) * (len(idx) - 1) for idx in groups)
+        if groups is None:
+            groups, label = _labelled_components(D)
+        # What the repair lowered, one mask per component, and the flat
+        # positions the rules lowered.
+        repaired, written = [], []
         for idx in groups:
-            if (ks := pivots[idx].nonzero()[0].tolist()):
+            # Two points at a finite distance are triangle-closed already.
+            if len(idx) > 2 and (ks := pivots[idx].nonzero()[0].tolist()):
                 sub = D[idx[:, None], idx]
+                old = sub.copy()
                 for k in ks:
                     np.minimum(sub, sub[:, k, None] + sub[None, k, :], out=sub)
-                D[idx[:, None], idx] = sub
-        stale |= (D < before).any(axis=1)
+                low = sub < old
+                if (count := np.count_nonzero(low)):
+                    D[idx[:, None], idx] = sub
+                    decreases += count
+                    repaired.append((idx, low))
+                    stale[:, idx[low.any(axis=1)]] = True
         pivots[:] = False
-        for r, (args_idx, res_idx, k, reads, images, square) in enumerate(tables):
+        for r, (args_idx, res_idx, k, reads, rows, square, first) in enumerate(tables):
             if not stale[r, reads].any():
                 continue
             stale[r] = False
@@ -512,44 +528,54 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
                 rep = _zero_reps(D)
                 classes = classes or bool(((D == 0) == (rep[:, None] == rep)).all())
             if mode == "M" and classes:
-                lowered = _zero_class_rule(D, rep, args_idx, res_idx, reads)
+                pos = _zero_class_rule(D, rep, args_idx, res_idx, reads)
             else:
-                if square is None:
-                    cand = _spread(D, args_idx)
-                else:
-                    cand = _sup([D[square[:, None], square]] * len(args_idx))
+                sub = D[rows[:, None], rows]
                 if mode == "M":
-                    cand = np.where(cand == 0, 0, _inf_code(cand))
+                    sub = np.where(sub == 0, sub, _inf_code(sub))
                 elif mode == "LIP":
                     # Moving the shared denominator to denom * q keeps K * value
-                    # integral: finite entries of D and of the pass baseline are
-                    # multiplied by q, and those of cand by p.  An int64 mirror
-                    # that would reach the value guard is widened to Python ints.
+                    # integral: finite entries of D are multiplied by q, and
+                    # those of the rows read (so of every candidate) by p.  An
+                    # int64 mirror that would reach the value guard is widened
+                    # to Python ints.
                     p, q = k.numerator, k.denominator
                     if D.dtype != object and (
-                        q * max(_finite_max(D), _finite_max(before), 1) >= _MAX_SCALED
-                        or p * max(_finite_max(cand), 1) >= _MAX_SCALED
+                        q * max(_finite_max(D), 1) >= _MAX_SCALED
+                        or p * max(_finite_max(sub), 1) >= _MAX_SCALED
                     ):
-                        D, before, cand = _as_object(D), _as_object(before), _as_object(cand)
+                        D, sub = _as_object(D), _as_object(sub)
                     if q != 1:
                         _scale_finite(D, q)
-                        _scale_finite(before, q)
                         denom *= q
-                    _scale_finite(cand, p)
-                # The rows the rule lowers, read off its own writes.
-                if isinstance(images, slice):
-                    block = D[images, images]
-                    lowered = res_idx[(cand < block).any(axis=1)]
-                    np.minimum(block, cand, out=block)
+                    if p != 1:
+                        _scale_finite(sub, p)
+                if square is None:
+                    if groups is None:
+                        groups, label = _labelled_components(D)
+                    local = [np.searchsorted(rows, a) for a in args_idx]
+                    cells = _grouped_cells(sub, local, label[rows], res_idx, n)
                 else:
-                    seen = D[images[:, None], images]
-                    np.minimum.at(D, (res_idx[:, None], res_idx[None, :]), cand)
-                    lowered = images[(D[images[:, None], images] < seen).any(axis=1)]
-            if len(lowered):
+                    cells = _product_cells(sub, len(args_idx), res_idx, first, n)
+                pos = _lower(D, cells)
+            if len(pos):
                 rep, classes = None, False
-            pivots[lowered] = True
-            stale[:, lowered] = True
-        decreases += np.count_nonzero(D < before)
+                x = pos // n
+                pivots[x] = True
+                stale[:, x] = True
+                written.append(pos)
+                if groups is not None and (label[x] != label[pos - x * n]).any():
+                    groups = None
+        if written:
+            # The positions the rules lowered, less those the repair did.
+            pos = np.sort(np.concatenate(written))
+            pos = pos[np.concatenate(([True], pos[1:] != pos[:-1]))]
+            if repaired:
+                seen = np.zeros((n, n), dtype=bool)
+                for idx, low in repaired:
+                    seen[idx[:, None], idx] = low
+                pos = pos[~seen.reshape(-1)[pos]]
+            decreases += len(pos)
         if decreases > max_decreases:
             raise ResourceLimitError(
                 f"closure exceeded {max_decreases} entry decreases", "max_decreases", max_decreases
@@ -558,11 +584,124 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
             return D, denom
 
 
+# Candidate cells a closure rule builds at once.
+_RULE_CELLS = _TRIANGLE_CELLS
+_NO_POSITIONS = np.zeros(0, dtype=np.intp)
+
+
+def _labelled_components(D: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The finite components of ``D`` of two or more points, and each
+    point's label: the least point of its component."""
+    groups = _finite_components(D < _inf_code(D))
+    label = np.arange(len(D))
+    for idx in groups:
+        label[idx] = idx[0]
+    return groups, label
+
+
+def _lower(D: np.ndarray, cells) -> np.ndarray:
+    """Lower ``D`` at each flat position ``pos`` to ``c`` for every
+    ``(pos, c)`` chunk of ``cells`` where that is lower, and return the
+    positions lowered."""
+    flat, out = D.reshape(-1), []
+    for pos, c in cells:
+        hit = c < flat.take(pos)
+        if hit.any():
+            pos = pos[hit]
+            np.minimum.at(flat, pos, c[hit])
+            out.append(pos)
+    return np.concatenate(out) if out else _NO_POSITIONS
+
+
+def _product_cells(sub: np.ndarray, arity: int, res_idx: np.ndarray, first, n: int):
+    """The candidates of a rule whose argument tuples are S**arity in
+    row-major order, with ``sub`` the block ``D[S, S]``, over the pairs of
+    tuples whose every place pairs a finite entry (a_l, b_l): ``(pos, c)``
+    for the flat position ``pos`` of their images in D and the candidate
+    ``c = max_l sub[a_l, b_l]``.  The pairs of the last place are crossed
+    with a block of the combinations of the others, at most
+    ``_RULE_CELLS`` cells (or one combination's) at a time.
+
+    Tuple ``a`` has index ``t = sum_l a_l * |S|**(arity - 1 - l)``, so the
+    code ``t * width + u`` of a pair is that sum over ``a_l * width + b_l``.
+    When the images are the run from ``first``, the code with width ``n``
+    is the position less ``first * (n + 1)``; otherwise it is decoded.
+    """
+    s = len(sub)
+    fa, fb = (sub < _inf_code(sub)).nonzero()
+    vals = sub[fa, fb]
+    width = s**arity if first is None else n
+    w = fa * width + fb
+    heads = len(w) ** (arity - 1)
+    step = max(1, _RULE_CELLS // len(w))
+    for start in range(0, heads, step):
+        code, c = w, vals
+        if arity > 1:
+            # Block number h picks pair h mod |w| at place arity - 2, and so on.
+            rest, head, top = np.arange(start, min(start + step, heads)), 0, 0
+            for power in range(1, arity):
+                rest, pick = np.divmod(rest, len(w))
+                head = head + w[pick] * s**power
+                top = np.maximum(top, vals[pick])
+            code = (head[:, None] + w).ravel()
+            c = np.maximum(top[:, None], vals).ravel()
+        if first is None:
+            t, u = np.divmod(code, width)
+            yield res_idx[t] * n + res_idx[u], c
+        else:
+            yield code + first * (n + 1), c
+
+
+def _grouped_cells(sub, local: Sequence[np.ndarray], label, res_idx: np.ndarray, n: int):
+    """The candidates of any rule, with ``sub`` the block of the rows it
+    reads and ``local`` the argument positions within them: ``(pos, c)`` as
+    in ``_product_cells``, for every pair of tuples whose places lie
+    pairwise in one component (by ``label``)."""
+    order, new = _sorted_runs([label[a] for a in local])
+    for left, right in _run_pairs(new):
+        t, u = order[left], order[right]
+        c = sub[local[0][t], local[0][u]]
+        for a in local[1:]:
+            np.maximum(c, sub[a[t], a[u]], out=c)
+        yield res_idx[t] * n + res_idx[u], c
+
+
+def _sorted_runs(keys: Sequence[np.ndarray], last: np.ndarray | None = None):
+    """The order that sorts the tuples of ``keys`` (one array per place),
+    ties broken by ``last``, and a mask of the entries in that order that
+    start a run of equal key tuples.  One ``np.lexsort``."""
+    order = np.lexsort(keys[::-1] if last is None else [last, *keys[::-1]])
+    keys = np.stack(keys)[:, order]
+    return order, np.concatenate(([True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)))
+
+
+def _run_pairs(new: np.ndarray):
+    """Every ordered pair ``(i, j)`` of entries of one run of two or more,
+    the runs starting where ``new`` is true, as ``(left, right)`` arrays of
+    at most ``_RULE_CELLS`` pairs (or one entry's) at a time.  An entry of a
+    run of s entries from b pairs with b, ..., b + s - 1."""
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=len(new))
+    start, size = np.repeat(starts, sizes), np.repeat(sizes, sizes)
+    entries = np.flatnonzero(size > 1)
+    ends = np.cumsum(size[entries])
+    lo = 0
+    while lo < len(entries):
+        base = ends[lo] - size[entries[lo]]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _RULE_CELLS, "right")))
+        e = entries[lo:hi]
+        left = np.repeat(e, size[e])
+        offset = np.arange(len(left)) - np.repeat(ends[lo:hi] - size[e] - base, size[e])
+        yield left, np.repeat(start[e], size[e]) + offset
+        lo = hi
+
+
 def _zero_class_rule(D, rep, args_idx, res_idx, reads) -> np.ndarray:
     """The mode-M rule when the zero-set of ``D`` is an equivalence with
     classes ``rep``: two argument tuples are at distance zero exactly when
     their tuples of class representatives agree, so every pair of images
-    within such a group is set to zero.  Returns the rows it lowered.
+    within such a group is set to zero.  Returns the flat positions it
+    lowered.
 
     One sort by (representative tuple, image) groups the tuples and drops
     repeated images, so the pairs written number sum |images_g|**2, not
@@ -571,28 +710,20 @@ def _zero_class_rule(D, rep, args_idx, res_idx, reads) -> np.ndarray:
     rows = reads.nonzero()[0]
     if (rep[rows] == rows).all():
         # No two rows read are at distance zero: every group is one tuple.
-        return rows[:0]
-    keys = [rep[a] for a in args_idx]
-    order = np.lexsort([res_idx, *keys[::-1]])
-    keys = np.stack(keys)[:, order]
+        return _NO_POSITIONS
+    order, new = _sorted_runs([rep[a] for a in args_idx], res_idx)
     images = res_idx[order]
-    same = (keys[:, 1:] == keys[:, :-1]).all(axis=0)
-    if not same.any():
-        return rows[:0]
     # The distinct images of each group, as runs of entries.
-    new = np.r_[True, ~same]
-    keep = new | np.r_[True, images[1:] != images[:-1]]
-    images, starts = images[keep], np.flatnonzero(new[keep])
-    sizes = np.diff(starts, append=len(images))
-    # Every ordered pair within a run: an entry of a run of s entries from
-    # b pairs with b, ..., b + s - 1.
-    size = np.repeat(sizes, sizes)
-    left = np.repeat(np.arange(len(images)), size)
-    offset = np.arange(len(left)) - np.repeat(np.cumsum(size) - size, size)
-    x, y = images[left], images[np.repeat(np.repeat(starts, sizes), size) + offset]
-    hit = D[x, y] != 0
-    D[x[hit], y[hit]] = 0
-    return x[hit]
+    keep = new.copy()
+    keep[1:] |= images[1:] != images[:-1]
+    images, new = images[keep], new[keep]
+    flat, offsets, out = D.reshape(-1), images * len(D), [_NO_POSITIONS]
+    for left, right in _run_pairs(new):
+        pos = offsets[left] + images[right]
+        pos = pos[flat.take(pos) != 0]
+        flat[pos] = 0
+        out.append(pos)
+    return np.concatenate(out)
 
 
 # Candidate cells checked at once by grid_congruences: a chunk of c

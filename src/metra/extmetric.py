@@ -681,12 +681,19 @@ def metric_identification(p: PseudometricMatrix) -> tuple[FiniteMetricSpace, Quo
     Zero distance is an equivalence relation by the triangle inequality,
     so classes can be read off directly.  Each class is named by its
     earliest member in carrier order (the first zero of its row) and
-    distances pass to representatives unchanged, giving a metric.
+    distances pass to representatives unchanged, giving a metric.  When
+    every class is one point, the space shares the pseudometric's mirror.
     """
     p = _validated(p, PseudometricMatrix)
     rep = _zero_reps(p.D)
     reps = np.flatnonzero(rep == np.arange(len(rep)))
-    space = FiniteMetricSpace._trusted(_ids(p.carrier, reps), p.D[np.ix_(reps, reps)], p.denom)
+    if len(reps) == len(rep):
+        space = object.__new__(FiniteMetricSpace)
+        space._assign(p.carrier, p.D, p.denom, p._values)
+    else:
+        space = FiniteMetricSpace._trusted(
+            _ids(p.carrier, reps), p.D[np.ix_(reps, reps)], p.denom
+        )
     return space, QuotientMap._trusted(p.carrier, rep)
 
 

@@ -645,30 +645,35 @@ def symmetric_rows(draw, n, values):
 LABELS = ("a", "b", "c", "d", "e", "f")
 
 
-@st.composite
-def pseudometric_spaces(draw, max_size=4, allow_inf=True):
-    n = draw(st.integers(min_value=1, max_value=max_size))
-    pool = [ExtRat(q) for q in FINITE_POOL]
-    if allow_inf:
-        pool = pool + [INF]
-    rows = symmetric_rows(draw, n, st.sampled_from(pool))
-    return PseudometricMatrix(LABELS[:n], fw_close(rows))
-
-
-@st.composite
-def metric_spaces(draw, max_size=4, allow_inf=False):
-    """A metric space on up to ``max_size`` points; with ``allow_inf``, in
-    about half the draws its points fall into drawn components at distance
-    INF from each other, which no finite path through ``fw_close`` can
-    shorten."""
-    n = draw(st.integers(min_value=1, max_value=max_size))
-    rows = symmetric_rows(draw, n, st.sampled_from([ExtRat(q) for q in POSITIVE_POOL]))
+def split_rows(draw, rows, allow_inf):
+    """``rows`` as they are or, with ``allow_inf``, in about half the draws
+    with their points fallen into drawn components at distance INF from
+    each other, which no finite path through ``fw_close`` can shorten."""
+    n = len(rows)
     if allow_inf and draw(st.booleans()):
         component = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
         for i, j in itertools.product(range(n), repeat=2):
             if component[i] != component[j]:
                 rows[i][j] = INF
-    return FiniteMetricSpace(LABELS[:n], fw_close(rows))
+    return rows
+
+
+@st.composite
+def pseudometric_spaces(draw, max_size=4, allow_inf=True):
+    """A pseudometric space on up to ``max_size`` points, with infinite
+    distances as ``split_rows`` draws them."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    rows = symmetric_rows(draw, n, st.sampled_from([ExtRat(q) for q in FINITE_POOL]))
+    return PseudometricMatrix(LABELS[:n], fw_close(split_rows(draw, rows, allow_inf)))
+
+
+@st.composite
+def metric_spaces(draw, max_size=4, allow_inf=False):
+    """A metric space on up to ``max_size`` points, with infinite distances
+    as ``split_rows`` draws them."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    rows = symmetric_rows(draw, n, st.sampled_from([ExtRat(q) for q in POSITIVE_POOL]))
+    return FiniteMetricSpace(LABELS[:n], fw_close(split_rows(draw, rows, allow_inf)))
 
 
 def all_correspondences(nx, ny):

@@ -422,6 +422,26 @@ class TestKernelsMatchTheEntries:
         assert qmap.class_ids == out.carrier
 
     @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
+    @given(space=metric_spaces(max_size=5, allow_inf=True), big=st.booleans())
+    def test_identification_without_zero_pairs_shares_the_mirror(self, mirrors, space, big):
+        """With no two points at distance zero, the space shares the
+        pseudometric's mirror and equals the one the gathered path builds."""
+        rows = [[v.scale(1 << 60) if big else v for v in row] for row in space.entries]
+        with mirrors():
+            p = PseudometricMatrix(space.carrier, rows)
+            out, qmap = metric_identification(p)
+            everyone = np.arange(p.size)
+            gathered = FiniteMetricSpace._trusted(
+                p.carrier, p.D[np.ix_(everyone, everyone)], p.denom
+            )
+        assert type(out) is FiniteMetricSpace and out.D is p.D
+        assert out.carrier == gathered.carrier
+        assert out.D.dtype == gathered.D.dtype
+        assert np.array_equal(out.D, gathered.D) and out.denom == gathered.denom
+        assert out.entries == gathered.entries == tuple(map(tuple, rows))
+        assert qmap == QuotientMap(p.carrier, {x: x for x in p.carrier})
+
+    @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
     @given(spaces=st.lists(metric_spaces(max_size=3, allow_inf=True), min_size=1, max_size=3))
     def test_sup_product(self, mirrors, spaces):
         with mirrors():
