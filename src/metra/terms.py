@@ -1,14 +1,17 @@
 """Signatures, finite term universes (built on integer term ids, each
-``App`` built and hashed once), evaluation, substitution, and the one
+``App`` built and hashed once, and each universe once per process while it
+is among the last few asked for), evaluation, substitution, and the one
 lexer and term parser behind every text format of the package."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -168,9 +171,10 @@ def enumerate_terms(
     The order lists variables first (by name), then applications by
     symbol name and lexicographically in their subterms.  The order is
     total, so repeated calls agree and deeper universes extend shallower
-    ones as sets.
+    ones as sets.  ``ResourceLimitError`` when there are more than
+    ``max_terms`` terms, the variables and constants included.
     """
-    return _term_universe(sig, variables, depth, max_terms)[0]
+    return list(_term_universe(sig, variables, depth, max_terms)[0])
 
 
 def _checked_depth(depth) -> int:
@@ -180,12 +184,18 @@ def _checked_depth(depth) -> int:
     return int(depth)
 
 
+# How many term universes a process keeps (see _term_universe).
+_UNIVERSES_KEPT = 8
+
+
 def _term_universe(sig: Signature, variables: Iterable[str], depth: int, max_terms: int):
-    """``enumerate_terms`` on integer term ids: candidates are deduplicated
-    on ``(symbol, *arg ids)``, and each new term's ``App`` and sort key are
-    built once, from its arguments'.  Also returns each symbol of positive
-    arity's ``(args_idx, res_idx)`` in universe positions, sorted by the
-    arguments, and ``position(term)``, -1 outside the universe."""
+    """``enumerate_terms`` as a tuple, with the closure rules and the
+    position map of the universe; see ``_built_universe``.
+
+    A universe depends only on its arguments, so the last
+    ``_UNIVERSES_KEPT`` of them are kept and shared by every caller: the
+    tuple, the read-only rule arrays and the position map are never to be
+    written.  Bad names, depths and refusals raise on every call."""
     depth = _checked_depth(depth)
     names = sorted(set(variables))
     for name in names:
@@ -193,11 +203,30 @@ def _term_universe(sig: Signature, variables: Iterable[str], depth: int, max_ter
             raise SignatureError(f"bad variable name {name!r}")
         if name in sig:
             raise SignatureError(f"variable {name!r} collides with an operation symbol")
+    return _built_universe(sig, tuple(names), depth, max_terms)
+
+
+@functools.lru_cache(maxsize=_UNIVERSES_KEPT)
+def _built_universe(sig: Signature, names: tuple, depth: int, max_terms: int):
+    """The universe on integer term ids: candidates are deduplicated on
+    ``(symbol, *arg ids)``, and each new term's ``App`` and sort key are
+    built once, from its arguments'.  Returns the terms in canonical
+    order, each symbol of positive arity's ``(args_idx, res_idx)`` in
+    universe positions, sorted by the arguments, and ``position(term)``,
+    -1 outside the universe."""
     constants = [s for s, a in sig.items() if a == 0]
     terms: list[Term] = [Var(name) for name in names] + [App(s) for s in constants]
     keys = [(0, name) for name in names] + [(1, s, ()) for s in constants]
     ids = {key: i for i, key in enumerate([*names, *((s,) for s in constants)])}
     made: dict = {}
+
+    def check_size() -> None:
+        if len(terms) > max_terms:
+            raise ResourceLimitError(
+                f"term universe exceeds {max_terms} terms", "max_terms", max_terms
+            )
+
+    check_size()
     for _ in range(depth):
         layer = range(len(terms))
         for symbol, arity in sig.items():
@@ -211,28 +240,32 @@ def _term_universe(sig: Signature, variables: Iterable[str], depth: int, max_ter
                 made.setdefault(symbol, []).append([*args, len(terms)])
                 terms.append(App(symbol, tuple(map(terms.__getitem__, args))))
                 keys.append((1, symbol, tuple(map(keys.__getitem__, args))))
-                if len(terms) > max_terms:
-                    raise ResourceLimitError(
-                        f"term universe exceeds {max_terms} terms", "max_terms", max_terms
-                    )
+                check_size()
         if len(terms) == len(layer):
             break
     # Each id's position, and -1 past the last id for a term outside.
-    order = sorted(range(len(terms)), key=keys.__getitem__)
-    at = np.full(len(terms) + 1, -1, dtype=np.intp)
-    at[order] = np.arange(len(terms))
+    n = len(terms)
+    order = sorted(range(n), key=keys.__getitem__)
+    at = np.full(n + 1, -1, dtype=np.intp)
+    at[order] = np.arange(n)
     rules = {}
     for symbol, cells in made.items():
         # In canonical order a symbol's terms come sorted by their arguments.
         cells = at[np.array(cells, dtype=np.intp)]
         cells = cells[cells[:, -1].argsort()]
-        rules[symbol] = list(cells[:, :-1].T), cells[:, -1]
+        cells.flags.writeable = False
+        rules[symbol] = tuple(cells[:, :-1].T), cells[:, -1]
 
-    def term_id(term: Term) -> int:
-        key = term.name if isinstance(term, Var) else (term.symbol, *map(term_id, term.args))
-        return ids.get(key, len(terms))
+    def term_id(term) -> int:
+        # Variable names are the only str keys; an application's key is a
+        # tuple of its symbol and its arguments' ids.
+        if isinstance(term, Var):
+            return ids.get(term.name, n) if isinstance(term.name, str) else n
+        if isinstance(term, App):
+            return ids.get((term.symbol, *map(term_id, term.args)), n)
+        return n
 
-    return [terms[i] for i in order], rules, lambda term: int(at[term_id(term)])
+    return tuple(terms[i] for i in order), MappingProxyType(rules), lambda t: int(at[term_id(t)])
 
 
 def evaluate(term: Term, algebra, valuation: Mapping) -> object:

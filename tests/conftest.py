@@ -169,6 +169,10 @@ def reference_enumerate_terms(sig, variables, depth, max_terms=20000):
             raise SignatureError(f"variable {name!r} collides with an operation symbol")
     universe = [Var(name) for name in names]
     universe += [App(s) for s, a in sig.items() if a == 0]
+    if len(universe) > max_terms:
+        raise ResourceLimitError(
+            f"term universe exceeds {max_terms} terms", "max_terms", max_terms
+        )
     seen = set(universe)
     for _ in range(depth):
         layer = list(universe)

@@ -924,9 +924,12 @@ def engine_squares(run):
 
 class TestProductRules:
     """A rule whose argument tuples are the power S**arity of the sorted
-    rows S it reads, in row-major order, broadcasts its candidates from
-    ``D[S, S]``; any other rule keeps ``_spread``.  Against ``_spread`` and
-    against the full-pass engine, which always spreads, on both mirrors."""
+    rows S it reads, in row-major order, takes its candidates from the
+    finite pairs of ``D[S, S]`` (``_product_cells``); any other rule takes
+    them within the groups of tuples with one tuple of component labels
+    (``_grouped_cells``).  The block on ``D[S, S]`` against ``_spread``, and
+    the engine against the full-pass one, which always spreads, on both
+    mirrors."""
 
     MIRRORS = [contextlib.nullcontext, object_mirrors]
 

@@ -21,7 +21,7 @@ from metra.errors import (
     UnsupportedInputError,
     ValuationError,
 )
-from metra.extmetric import ExtRat, INF
+from metra.extmetric import ExtRat, INF, metric_identification
 from metra.filters import FiniteFilter, reduced_product
 from metra.logic import (
     Add,
@@ -498,6 +498,71 @@ class TestFreeAlgebra:
             free_algebra(p)
         assert err.value.verdict.reason == "relation"
         assert err.value.verdict.witness == (Var("x"), Var("y"))
+
+
+class TestSharedUniverse:
+    """Free algebras on one (signature, generators, depth) share the term
+    universe and its position map, and read positions through it."""
+
+    SIG = Signature({"c": 0, "sigma": 2})
+
+    def free(self, relation, mode="Q"):
+        relations = (parse_equation(relation, self.SIG),)
+        return free_algebra(Presentation(self.SIG, ("x", "y"), relations, mode, depth=1))
+
+    def test_one_universe_and_own_thetas(self):
+        a, b = self.free("x =[1] y"), self.free("x =[2] sigma(x,c)")
+        assert a.universe is b.universe
+        assert a.theta.carrier is a.universe and b.theta.carrier is b.universe
+        assert a.distance(Var("x"), Var("y")) == ExtRat(1)
+        assert b.distance(Var("x"), Var("y")) == INF
+        assert a.theta != b.theta
+
+    def test_a_larger_cap_after_a_refusal(self):
+        p = Presentation(self.SIG, ("x", "y"), (), mode="Q", depth=1)
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError, match="exceeds 11 terms"):
+                free_algebra(p, max_terms=11)
+        assert free_algebra(p, max_terms=12).size == 12
+
+    @staticmethod
+    def message(call, *args) -> str:
+        with pytest.raises(DomainError) as err:
+            call(*args)
+        return str(err.value)
+
+    @pytest.mark.parametrize("relation, mode", [("x =[0] sigma(x,c)", "M"), ("x =[1/2] y", "Q")])
+    def test_lookups_match_the_carrier_lookups(self, relation, mode):
+        """``eta``, ``class_of``, ``distance`` and ``apply`` give what theta's
+        and the quotient map's own lookups give, values and errors, through
+        the shared map and through the public constructor's."""
+        shared = self.free(relation, mode)
+        plain = FreeAlgebra(shared.presentation, shared.universe, shared.theta)
+        theta, universe = shared.theta, shared.universe
+        qmap = metric_identification(theta)[1]
+        deep = parse_term("sigma(sigma(x,y),c)", self.SIG)
+        outside = (deep, Var("z"), App("x"), "x", ("x", "y"), 5, [1])
+        for free in (shared, plain):
+            assert [free.eta(name) for name in ("x", "y")] == [
+                qmap.class_of(Var("x")), qmap.class_of(Var("y"))
+            ]
+            for s in universe:
+                assert free.class_of(s) == qmap.class_of(s)
+                for t in universe:
+                    assert free.distance(s, t) == theta.get(s, t)
+                    if s.height() == 0 and t.height() == 0:
+                        want = qmap.class_of(App("sigma", (s, t)))
+                        assert free.apply("sigma", (s, t)) == want
+            for term in outside:
+                want = self.message(qmap.class_of, term)
+                assert self.message(free.class_of, term) == want
+                for pair in ((Var("x"), term), (term, deep)):
+                    assert self.message(free.distance, *pair) == self.message(theta.get, *pair)
+            want = "sigma(sigma(sigma(x,y),c),x) falls outside the depth-1 universe"
+            assert self.message(free.apply, "sigma", (deep, Var("x"))) == want
+            assert self.message(free.eta, "z") == "'z' is not a generator"
+        if mode == "M":
+            assert shared.class_of(parse_term("sigma(x,c)", self.SIG)) == Var("x")
 
 
 class TestSoundness:

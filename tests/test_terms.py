@@ -23,6 +23,7 @@ from metra.terms import (
     App,
     Signature,
     Var,
+    _term_universe,
     check_term,
     enumerate_terms,
     evaluate,
@@ -111,6 +112,17 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             enumerate_terms(SIG, ["x", "y"], 3, max_terms=100)
 
+    @pytest.mark.parametrize(
+        "sig, variables, depth, size",
+        [(Signature({}), ["a", "b", "c"], 0, 3), (Signature({"c": 0, "d": 0}), ["x", "y", "z"], 2, 5)],
+    )
+    def test_cap_counts_variables_and_constants(self, sig, variables, depth, size):
+        """A universe without applications is capped too."""
+        for cap in (size - 3, size - 1):
+            with pytest.raises(ResourceLimitError, match=f"term universe exceeds {cap} terms"):
+                enumerate_terms(sig, variables, depth, max_terms=cap)
+        assert len(enumerate_terms(sig, variables, depth, max_terms=size)) == size
+
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
             enumerate_terms(SIG, ["x"], -1)
@@ -118,6 +130,61 @@ class TestEnumeration:
             enumerate_terms(SIG, ["sigma"], 0)
         with pytest.raises(SignatureError):
             enumerate_terms(SIG, ["not a name"], 0)
+
+
+class TestSharedUniverse:
+    """A universe is built once per (signature, names, depth, cap) and
+    shared: its tuple and rule arrays are read-only, and refusals and bad
+    input raise on every call."""
+
+    def test_one_universe_per_key(self):
+        first = _term_universe(SIG, ["y", "x", "x"], 2, 20000)
+        again = _term_universe(Signature({"sigma": 2}), ("x", "y"), 2, 20000)
+        assert again[0] is first[0]
+        assert again[1]["sigma"][1] is first[1]["sigma"][1]
+        assert list(first[0]) == reference_enumerate_terms(SIG, ["x", "y"], 2)
+
+    def test_rule_arrays_are_read_only(self):
+        rules = _term_universe(Signature({"f": 1, "sigma": 2}), ["x"], 2, 20000)[1]
+        for args_idx, res_idx in rules.values():
+            for array in (*args_idx, res_idx):
+                with pytest.raises(ValueError):
+                    array[0] = 0
+                with pytest.raises(ValueError):
+                    array.flags.writeable = True
+        with pytest.raises(TypeError):
+            rules["sigma"] = None
+
+    def test_enumerate_terms_returns_a_fresh_list(self):
+        got = enumerate_terms(SIG, ["x", "y"], 1)
+        want = list(got)
+        got.reverse()
+        got.append(X)
+        assert enumerate_terms(SIG, ["x", "y"], 1) == want
+
+    def test_refusals_and_bad_input_raise_on_every_call(self):
+        sig = Signature({"f": 1, "sigma": 2})
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError, match="exceeds 10 terms"):
+                enumerate_terms(sig, ["x", "y"], 2, max_terms=10)
+        assert len(enumerate_terms(sig, ["x", "y"], 2, max_terms=100)) == 74
+        with pytest.raises(ResourceLimitError, match="exceeds 10 terms"):
+            enumerate_terms(sig, ["x", "y"], 2, max_terms=10)
+        for _ in range(2):
+            with pytest.raises(SignatureError, match="collides"):
+                enumerate_terms(sig, ["x", "f"], 2, max_terms=100)
+            with pytest.raises(DomainError, match="nonnegative"):
+                enumerate_terms(sig, ["x", "y"], -1, max_terms=100)
+
+    def test_position_map(self):
+        sig = Signature({"c": 0, "sigma": 2})
+        universe, _, position = _term_universe(sig, ["x", "y"], 1, 20000)
+        assert [position(t) for t in universe] == list(range(len(universe)))
+        assert [position(App(t.symbol, t.args)) for t in universe if isinstance(t, App)] == [
+            i for i, t in enumerate(universe) if isinstance(t, App)
+        ]
+        for outside in (Var("z"), Var(("c",)), App("x"), App("c", (X,)), s(s(X, X), X), "x", 5):
+            assert position(outside) == -1
 
 
 # Symbol and variable names that sort before, between and after each other.
@@ -156,15 +223,14 @@ class TestEnumerationMatchesTheReference:
         assert outcome(enumerate_terms, *args) == want
         if not isinstance(want, list):
             return
-        # The cap counts terms: the universe's own size passes and one
-        # below raises, once any application was added.
+        # The cap counts every term, variables and constants included: the
+        # universe's own size passes and one below raises.
         size = len(want)
         assert enumerate_terms(sig, variables, depth, size) == want
         below = (sig, variables, depth, size - 1)
-        assert outcome(enumerate_terms, *below) == outcome(reference_enumerate_terms, *below)
-        if size > len(set(variables)) + sum(a == 0 for _, a in sig.items()):
-            want_error = (ResourceLimitError, f"term universe exceeds {size - 1} terms")
-            assert outcome(enumerate_terms, *below) == want_error
+        want_error = (ResourceLimitError, f"term universe exceeds {size - 1} terms")
+        assert outcome(enumerate_terms, *below) == want_error
+        assert outcome(reference_enumerate_terms, *below) == want_error
 
     @pytest.mark.parametrize("variables, depth", [(["a", "c", "n", "z"], 1), (["g"], 2)])
     def test_every_arity(self, variables, depth):
