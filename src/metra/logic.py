@@ -76,7 +76,6 @@ from .extmetric import (
     _mirrors,
     checked_value,
     metric_identification,
-    render_id,
 )
 from .terms import (
     App,
@@ -578,21 +577,6 @@ class FreeAlgebra:
         if tuple(theta.carrier) != self.universe:
             raise DomainError("the pseudometric does not live on the term universe")
         self.theta = theta
-        # A term's universe position, -1 outside it: ``free_algebra`` sets
-        # the map shared by every free algebra on the universe.
-        self._position = self._carrier_position
-
-    def _carrier_position(self, term) -> int:
-        try:
-            return self.theta._positions().get(term, -1)
-        except TypeError:
-            return -1
-
-    def _index(self, term, where: str) -> int:
-        i = self._position(term)
-        if i < 0:
-            raise DomainError(f"element {render_id(term)} is not in the {where}")
-        return i
 
     @cached_property
     def _quotient(self):
@@ -605,7 +589,7 @@ class FreeAlgebra:
 
     def class_of(self, term: Term) -> Term:
         """Representative of a term's zero-distance class."""
-        return self.universe[self._quotient[1].rep[self._index(term, "source carrier")]]
+        return self._quotient[1].class_of(term)
 
     def eta(self, name: str) -> Term:
         """The unit map: a generator's class representative."""
@@ -615,7 +599,7 @@ class FreeAlgebra:
 
     def distance(self, s: Term, t: Term) -> ExtRat:
         """Computed free distance between two universe terms."""
-        return self.theta.at(self._index(s, "carrier"), self._index(t, "carrier"))
+        return self.theta.get(s, t)
 
     def apply(self, symbol: str, args) -> Term:
         """Apply an operation to class representatives when possible."""
@@ -624,7 +608,7 @@ class FreeAlgebra:
         if len(args) != arity:
             raise SignatureError(f"{symbol} expects {arity} arguments, got {len(args)}")
         candidate = App(symbol, args)
-        if self._position(candidate) < 0:
+        if candidate not in self.theta._positions():
             raise DomainError(
                 f"{candidate} falls outside the depth-{self.presentation.depth} universe"
             )
@@ -661,7 +645,6 @@ def free_algebra(
     D, denom = _start_matrix(len(universe), pairs)
     theta = closure_fixpoint(universe, rules, D, denom, p.mode, p.lipschitz, max_decreases)
     free = FreeAlgebra(p, universe, theta)
-    free._position = position
     for r, (i, j, _) in zip(p.relations, pairs):
         if not theta.at(i, j) <= r.bound:
             verdict = Verdict.failed("relation", (r.lhs, r.rhs))

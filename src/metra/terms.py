@@ -5,10 +5,10 @@ lexer and term parser behind every text format of the package."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import numbers
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -184,18 +184,20 @@ def _checked_depth(depth) -> int:
     return int(depth)
 
 
-# How many term universes a process keeps (see _term_universe).
+# The last few term universes built, most recent last (see _term_universe).
 _UNIVERSES_KEPT = 8
+_kept_universes: OrderedDict = OrderedDict()
 
 
 def _term_universe(sig: Signature, variables: Iterable[str], depth: int, max_terms: int):
     """``enumerate_terms`` as a tuple, with the closure rules and the
     position map of the universe; see ``_built_universe``.
 
-    A universe depends only on its arguments, so the last
-    ``_UNIVERSES_KEPT`` of them are kept and shared by every caller: the
-    tuple, the read-only rule arrays and the position map are never to be
-    written.  Bad names, depths and refusals raise on every call."""
+    A universe depends only on the signature, the names and the depth, so
+    the last ``_UNIVERSES_KEPT`` of them are kept and shared by every
+    caller: the tuple, the read-only rule arrays and the position map are
+    never to be written.  Bad names, depths and refusals raise on every
+    call, and a refused universe is never kept."""
     depth = _checked_depth(depth)
     names = sorted(set(variables))
     for name in names:
@@ -203,11 +205,24 @@ def _term_universe(sig: Signature, variables: Iterable[str], depth: int, max_ter
             raise SignatureError(f"bad variable name {name!r}")
         if name in sig:
             raise SignatureError(f"variable {name!r} collides with an operation symbol")
-    return _built_universe(sig, tuple(names), depth, max_terms)
+    key = (sig, tuple(names), depth)
+    kept = _kept_universes.get(key)
+    if kept is None:
+        kept = _kept_universes[key] = _built_universe(sig, names, depth, max_terms)
+        if len(_kept_universes) > _UNIVERSES_KEPT:
+            _kept_universes.popitem(last=False)
+    else:
+        _kept_universes.move_to_end(key)
+        if len(kept[0]) > max_terms:
+            raise _too_many_terms(max_terms)
+    return kept
 
 
-@functools.lru_cache(maxsize=_UNIVERSES_KEPT)
-def _built_universe(sig: Signature, names: tuple, depth: int, max_terms: int):
+def _too_many_terms(max_terms: int) -> ResourceLimitError:
+    return ResourceLimitError(f"term universe exceeds {max_terms} terms", "max_terms", max_terms)
+
+
+def _built_universe(sig: Signature, names: list, depth: int, max_terms: int):
     """The universe on integer term ids: candidates are deduplicated on
     ``(symbol, *arg ids)``, and each new term's ``App`` and sort key are
     built once, from its arguments'.  Returns the terms in canonical
@@ -219,14 +234,8 @@ def _built_universe(sig: Signature, names: tuple, depth: int, max_terms: int):
     keys = [(0, name) for name in names] + [(1, s, ()) for s in constants]
     ids = {key: i for i, key in enumerate([*names, *((s,) for s in constants)])}
     made: dict = {}
-
-    def check_size() -> None:
-        if len(terms) > max_terms:
-            raise ResourceLimitError(
-                f"term universe exceeds {max_terms} terms", "max_terms", max_terms
-            )
-
-    check_size()
+    if len(terms) > max_terms:
+        raise _too_many_terms(max_terms)
     for _ in range(depth):
         layer = range(len(terms))
         for symbol, arity in sig.items():
@@ -240,7 +249,8 @@ def _built_universe(sig: Signature, names: tuple, depth: int, max_terms: int):
                 made.setdefault(symbol, []).append([*args, len(terms)])
                 terms.append(App(symbol, tuple(map(terms.__getitem__, args))))
                 keys.append((1, symbol, tuple(map(keys.__getitem__, args))))
-                check_size()
+                if len(terms) > max_terms:
+                    raise _too_many_terms(max_terms)
         if len(terms) == len(layer):
             break
     # Each id's position, and -1 past the last id for a term outside.
@@ -256,16 +266,12 @@ def _built_universe(sig: Signature, names: tuple, depth: int, max_terms: int):
         cells.flags.writeable = False
         rules[symbol] = tuple(cells[:, :-1].T), cells[:, -1]
 
-    def term_id(term) -> int:
-        # Variable names are the only str keys; an application's key is a
-        # tuple of its symbol and its arguments' ids.
-        if isinstance(term, Var):
-            return ids.get(term.name, n) if isinstance(term.name, str) else n
-        if isinstance(term, App):
-            return ids.get((term.symbol, *map(term_id, term.args)), n)
-        return n
+    def term_id(term: Term) -> int:
+        key = term.name if isinstance(term, Var) else (term.symbol, *map(term_id, term.args))
+        return ids.get(key, n)
 
-    return tuple(terms[i] for i in order), MappingProxyType(rules), lambda t: int(at[term_id(t)])
+    universe = tuple(terms[i] for i in order)
+    return universe, MappingProxyType(rules), lambda term: int(at[term_id(term)])
 
 
 def evaluate(term: Term, algebra, valuation: Mapping) -> object:

@@ -1,5 +1,6 @@
 """Formula satisfaction, entailment, free algebras, and closure laws."""
 
+import pickle
 import re
 import time
 from contextlib import nullcontext
@@ -21,7 +22,7 @@ from metra.errors import (
     UnsupportedInputError,
     ValuationError,
 )
-from metra.extmetric import ExtRat, INF, metric_identification
+from metra.extmetric import ExtRat, INF, render_id
 from metra.filters import FiniteFilter, reduced_product
 from metra.logic import (
     Add,
@@ -502,7 +503,7 @@ class TestFreeAlgebra:
 
 class TestSharedUniverse:
     """Free algebras on one (signature, generators, depth) share the term
-    universe and its position map, and read positions through it."""
+    universe; each keeps its own theta, lookups and pickle."""
 
     SIG = Signature({"c": 0, "sigma": 2})
 
@@ -524,6 +525,8 @@ class TestSharedUniverse:
             with pytest.raises(ResourceLimitError, match="exceeds 11 terms"):
                 free_algebra(p, max_terms=11)
         assert free_algebra(p, max_terms=12).size == 12
+        with pytest.raises(ResourceLimitError, match="exceeds 11 terms"):
+            free_algebra(p, max_terms=11)
 
     @staticmethod
     def message(call, *args) -> str:
@@ -531,38 +534,32 @@ class TestSharedUniverse:
             call(*args)
         return str(err.value)
 
-    @pytest.mark.parametrize("relation, mode", [("x =[0] sigma(x,c)", "M"), ("x =[1/2] y", "Q")])
-    def test_lookups_match_the_carrier_lookups(self, relation, mode):
-        """``eta``, ``class_of``, ``distance`` and ``apply`` give what theta's
-        and the quotient map's own lookups give, values and errors, through
-        the shared map and through the public constructor's."""
-        shared = self.free(relation, mode)
-        plain = FreeAlgebra(shared.presentation, shared.universe, shared.theta)
-        theta, universe = shared.theta, shared.universe
-        qmap = metric_identification(theta)[1]
+    def test_lookups_and_their_errors(self):
+        """``eta``, ``class_of``, ``distance`` and ``apply`` on a shared
+        universe, inside it and outside it."""
+        free = self.free("x =[0] sigma(x,c)", "M")
+        x, y, c = Var("x"), Var("y"), App("c")
+        assert [free.eta("x"), free.eta("y")] == [x, y]
+        assert free.class_of(App("sigma", (x, c))) == x
+        assert free.apply("sigma", (x, c)) == x
+        assert free.apply("sigma", (y, x)) == App("sigma", (y, x))
+        assert free.distance(App("sigma", (x, c)), x) == ExtRat(0)
+        assert free.distance(x, y) == INF
         deep = parse_term("sigma(sigma(x,y),c)", self.SIG)
-        outside = (deep, Var("z"), App("x"), "x", ("x", "y"), 5, [1])
-        for free in (shared, plain):
-            assert [free.eta(name) for name in ("x", "y")] == [
-                qmap.class_of(Var("x")), qmap.class_of(Var("y"))
-            ]
-            for s in universe:
-                assert free.class_of(s) == qmap.class_of(s)
-                for t in universe:
-                    assert free.distance(s, t) == theta.get(s, t)
-                    if s.height() == 0 and t.height() == 0:
-                        want = qmap.class_of(App("sigma", (s, t)))
-                        assert free.apply("sigma", (s, t)) == want
-            for term in outside:
-                want = self.message(qmap.class_of, term)
-                assert self.message(free.class_of, term) == want
-                for pair in ((Var("x"), term), (term, deep)):
-                    assert self.message(free.distance, *pair) == self.message(theta.get, *pair)
-            want = "sigma(sigma(sigma(x,y),c),x) falls outside the depth-1 universe"
-            assert self.message(free.apply, "sigma", (deep, Var("x"))) == want
-            assert self.message(free.eta, "z") == "'z' is not a generator"
-        if mode == "M":
-            assert shared.class_of(parse_term("sigma(x,c)", self.SIG)) == Var("x")
+        for term in (deep, Var("z"), App("x"), "x", [1]):
+            want = f"element {render_id(term)} is not in the "
+            assert self.message(free.class_of, term) == want + "source carrier"
+            assert self.message(free.distance, x, term) == want + "carrier"
+            assert self.message(free.distance, term, x) == want + "carrier"
+        want = "sigma(sigma(sigma(x,y),c),x) falls outside the depth-1 universe"
+        assert self.message(free.apply, "sigma", (deep, x)) == want
+        assert self.message(free.eta, "z") == "'z' is not a generator"
+
+    def test_pickles(self):
+        free = self.free("x =[1/2] y")
+        loaded = pickle.loads(pickle.dumps(free))
+        assert loaded.universe == free.universe and loaded.theta == free.theta
+        assert loaded.distance(Var("x"), Var("y")) == ExtRat(Fraction(1, 2))
 
 
 class TestSoundness:

@@ -23,6 +23,8 @@ from metra.terms import (
     App,
     Signature,
     Var,
+    _UNIVERSES_KEPT,
+    _kept_universes,
     _term_universe,
     check_term,
     enumerate_terms,
@@ -133,16 +135,34 @@ class TestEnumeration:
 
 
 class TestSharedUniverse:
-    """A universe is built once per (signature, names, depth, cap) and
-    shared: its tuple and rule arrays are read-only, and refusals and bad
-    input raise on every call."""
+    """A universe is built once per (signature, names, depth) and shared:
+    its tuple and rule arrays are read-only, the cap is checked on every
+    call, and refusals and bad input raise on every call."""
 
     def test_one_universe_per_key(self):
         first = _term_universe(SIG, ["y", "x", "x"], 2, 20000)
         again = _term_universe(Signature({"sigma": 2}), ("x", "y"), 2, 20000)
         assert again[0] is first[0]
+        assert _term_universe(SIG, ["x", "y"], 2, len(first[0]))[0] is first[0]
         assert again[1]["sigma"][1] is first[1]["sigma"][1]
         assert list(first[0]) == reference_enumerate_terms(SIG, ["x", "y"], 2)
+
+    def test_keeps_the_last_few(self):
+        sig = Signature({"f": 1})
+
+        def universe(name):
+            return _term_universe(sig, [name], 1, 20000)[0]
+
+        first = universe("a")
+        for i in range(_UNIVERSES_KEPT - 1):
+            universe(f"b{i}")
+        assert universe("a") is first
+        universe(f"b{_UNIVERSES_KEPT}")
+        assert universe("a") is first and len(_kept_universes) == _UNIVERSES_KEPT
+        for i in range(_UNIVERSES_KEPT):
+            universe(f"c{i}")
+        again = universe("a")
+        assert again == first and again is not first
 
     def test_rule_arrays_are_read_only(self):
         rules = _term_universe(Signature({"f": 1, "sigma": 2}), ["x"], 2, 20000)[1]
@@ -168,8 +188,10 @@ class TestSharedUniverse:
             with pytest.raises(ResourceLimitError, match="exceeds 10 terms"):
                 enumerate_terms(sig, ["x", "y"], 2, max_terms=10)
         assert len(enumerate_terms(sig, ["x", "y"], 2, max_terms=100)) == 74
-        with pytest.raises(ResourceLimitError, match="exceeds 10 terms"):
-            enumerate_terms(sig, ["x", "y"], 2, max_terms=10)
+        for cap in (10, 73):
+            with pytest.raises(ResourceLimitError, match=f"exceeds {cap} terms"):
+                enumerate_terms(sig, ["x", "y"], 2, max_terms=cap)
+        assert len(enumerate_terms(sig, ["x", "y"], 2, max_terms=74)) == 74
         for _ in range(2):
             with pytest.raises(SignatureError, match="collides"):
                 enumerate_terms(sig, ["x", "f"], 2, max_terms=100)
@@ -183,7 +205,7 @@ class TestSharedUniverse:
         assert [position(App(t.symbol, t.args)) for t in universe if isinstance(t, App)] == [
             i for i, t in enumerate(universe) if isinstance(t, App)
         ]
-        for outside in (Var("z"), Var(("c",)), App("x"), App("c", (X,)), s(s(X, X), X), "x", 5):
+        for outside in (Var("z"), App("x"), App("c", (X,)), s(s(X, X), X)):
             assert position(outside) == -1
 
 
