@@ -17,16 +17,17 @@ The same engine generates the smallest congruential pseudometric above a
 finite set of distance constraints, which is what presentations of free
 algebras need.  Each pass of the fixpoint redoes only what the last one
 moved: the first closes every finite component by Floyd-Warshall, later
-ones pivot only on the rows the rules lowered, a rule runs again only
-when its argument rows moved, and the first pass whose rules lower
-nothing ends it.  In mode M a rule groups its argument tuples by their
-tuples of zero-class representatives and zeroes the images within each
-group, which costs a sort and the pairs it writes.  A Q or LIP rule, or
-an M rule on a zero-set an earlier rule of the pass has left
-intransitive, compares only the pairs of argument tuples whose places
-pair points of one finite component, a fixed number of cells at a time:
-every other pair has an infinite candidate.  Every operation
-here reads and writes the matrices' scaled mirrors (see ``extmetric``);
+ones pivot only on the points in two closed blocks of the pass before
+(sets where its matrix lies below a known pseudometric; see ``_fix_int``),
+a rule runs again only when its argument rows moved, and the first pass
+whose rules lower nothing ends it.  In mode M a rule groups its argument
+tuples by their tuples of zero-class representatives and zeroes the
+images within each group, which costs a sort and the pairs it writes.  A
+Q or LIP rule, or an M rule on a zero-set an earlier rule of the pass has
+left intransitive, compares only the pairs of argument tuples whose
+places pair points of one finite component, a fixed number of cells at a
+time: every other pair has an infinite candidate.  Every operation here
+reads and writes the matrices' scaled mirrors (see ``extmetric``);
 the closure widens an int64 mirror to Python ints when a value outgrows
 the guard, so the fixpoint is exact whatever the denominators.
 """
@@ -47,6 +48,7 @@ from .errors import (
     SignatureError,
     TableError,
     Verdict,
+    checked_count,
 )
 from .extmetric import (
     ExtRat,
@@ -407,6 +409,7 @@ def closure_fixpoint(
     argument positions per place and the images, sorted by the arguments."""
     if mode not in ("M", "Q", "LIP"):
         raise DomainError(f"unknown mode {mode!r}; expected M, Q, or LIP")
+    max_decreases = checked_count(max_decreases, "max_decreases")
     tables = []
     for symbol in sorted(rules):
         k = None
@@ -431,7 +434,8 @@ def closure_fixpoint(
         first = int(res_idx[0])
         if not (res_idx == np.arange(first, first + len(res_idx))).all():
             first = None
-        tables.append((args_idx, res_idx, k, reads, rows, rows if square else None, first))
+        injective = first is not None or int(np.bincount(res_idx).max()) < 2
+        tables.append((args_idx, res_idx, k, reads, rows, rows if square else None, first, injective))
     return PseudometricMatrix._trusted(carrier, *_fix_int(D, denom, tables, mode, max_decreases))
 
 
@@ -467,15 +471,28 @@ def _finite_components(finite: np.ndarray) -> list[np.ndarray]:
 def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
     """Close ``(D, denom)`` in passes of triangle repair and then the rules,
     up to the first pass whose rules lower nothing.  The first repair is
-    Floyd-Warshall over each finite component.  Later ones pivot only on
-    the rows the rules lowered: D was closed before, and a path that got
-    shorter runs through a lowered entry, whose ends are both such rows.
-    A rule whose argument rows have not moved since it last ran is
-    skipped, as it would lower nothing.  Every pass ends on the matrix of
-    a full repair and every rule, so the decrease count is unchanged.  A
-    pass counts the distinct positions it lowered from its own writes (the
-    repair's within each component, and each rule's), and the rows to
-    pivot on and the stale rules come from the same writes.
+    Floyd-Warshall over each finite component; a later one pivots only on
+    the points that lie in two or more closed blocks of the pass before.
+    With D0 the closed matrix after a pass's repair and D1 the one after
+    its rules, a closed block is a set B with a pseudometric rho on B and
+    D1 <= rho on B x B: (a) a finite component of D0 of two or more
+    points, with rho = D0; (b) the images lowered by a rule with injective
+    images, with rho its candidate (K * max_l S(a_l, b_l) for the snapshot
+    S of its rows, or 0 within a group of ``_zero_class_rule``), which is
+    a pseudometric for ``_zero_class_rule`` and, in Q and LIP, when no
+    earlier rule of the pass lowered a cell in those rows, so that S is D0
+    there; (c) every other cell a rule lowered, as a block of two points.
+    Every finite cell of D1 lies in a block whose rho equals D1 there (its
+    last writer's, or its component), and two hops in a row within one
+    block are no shorter than one, by rho's triangle inequality; so a
+    shortest path of fewest hops changes block at each inner point, which
+    then lies in two blocks, and Floyd-Warshall over those points gives the
+    full closure.  A rule whose argument rows have not moved since it last
+    ran is skipped, as it would lower nothing, so every pass ends on the
+    matrix of full passes and the decrease count is unchanged.  A pass
+    counts the distinct positions it lowered from its own writes (the
+    repair's within each component, and each rule's); the stale rules and
+    the blocks come from the same writes.
 
     The candidate of two argument tuples is finite only when every place
     pairs two points at a finite distance, so of one finite component.  A
@@ -503,24 +520,22 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
         rep, classes = None, True
         if groups is None:
             groups, label = _labelled_components(D)
+        # The closed blocks each point lies in, from its component on.
+        blocks = (np.bincount(label, minlength=n)[label] > 1).astype(np.intp)
         # What the repair lowered, one mask per component, and the flat
-        # positions the rules lowered.
-        repaired, written = [], []
+        # positions the rules lowered, and those of blocks (c).
+        repaired, written, loose = [], [], []
         for idx in groups:
             # Two points at a finite distance are triangle-closed already.
             if len(idx) > 2 and (ks := pivots[idx].nonzero()[0].tolist()):
-                sub = D[idx[:, None], idx]
-                old = sub.copy()
-                for k in ks:
-                    np.minimum(sub, sub[:, k, None] + sub[None, k, :], out=sub)
-                low = sub < old
+                low = _repair(D, idx, ks)
                 if (count := np.count_nonzero(low)):
-                    D[idx[:, None], idx] = sub
                     decreases += count
                     repaired.append((idx, low))
                     stale[:, idx[low.any(axis=1)]] = True
-        pivots[:] = False
-        for r, (args_idx, res_idx, k, reads, rows, square, first) in enumerate(tables):
+        # The rows the rules of this pass have lowered so far.
+        moved = np.zeros(n, dtype=bool)
+        for r, (args_idx, res_idx, k, reads, rows, square, first, injective) in enumerate(tables):
             if not stale[r, reads].any():
                 continue
             stale[r] = False
@@ -530,6 +545,8 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
             if mode == "M" and classes:
                 pos = _zero_class_rule(D, rep, args_idx, res_idx, reads)
             else:
+                # A block (b) needs a snapshot no earlier rule of the pass moved.
+                injective = injective and mode != "M" and not moved[rows].any()
                 sub = D[rows[:, None], rows]
                 if mode == "M":
                     sub = np.where(sub == 0, sub, _inf_code(sub))
@@ -561,27 +578,51 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
             if len(pos):
                 rep, classes = None, False
                 x = pos // n
-                pivots[x] = True
-                stale[:, x] = True
+                moved[x] = stale[:, x] = True
+                if injective:
+                    # One block for the rule: a repeated index adds 1 once.
+                    blocks[x] += 1
+                else:
+                    loose.append(pos)
                 written.append(pos)
                 if groups is not None and (label[x] != label[pos - x * n]).any():
                     groups = None
         if written:
             # The positions the rules lowered, less those the repair did.
-            pos = np.sort(np.concatenate(written))
-            pos = pos[np.concatenate(([True], pos[1:] != pos[:-1]))]
+            pos = _distinct(written)
             if repaired:
                 seen = np.zeros((n, n), dtype=bool)
                 for idx, low in repaired:
                     seen[idx[:, None], idx] = low
                 pos = pos[~seen.reshape(-1)[pos]]
             decreases += len(pos)
+        if loose:
+            # A cell is a block of its two ends, each row counting its cells.
+            blocks += np.bincount(_distinct(loose) // n, minlength=n)
         if decreases > max_decreases:
             raise ResourceLimitError(
                 f"closure exceeded {max_decreases} entry decreases", "max_decreases", max_decreases
             )
-        if not pivots.any():
+        if not written:
             return D, denom
+        pivots = blocks > 1
+
+
+def _repair(D: np.ndarray, idx: np.ndarray, ks: list[int]) -> np.ndarray:
+    """Floyd-Warshall on the block ``D[idx, idx]`` over its pivots ``ks``,
+    in place; returns the mask of the block's entries it lowered."""
+    sub = D[idx[:, None], idx]
+    old = sub.copy()
+    for k in ks:
+        np.minimum(sub, sub[:, k, None] + sub[None, k, :], out=sub)
+    D[idx[:, None], idx] = sub
+    return sub < old
+
+
+def _distinct(chunks: list[np.ndarray]) -> np.ndarray:
+    """The distinct positions of a list of arrays, sorted."""
+    pos = np.sort(np.concatenate(chunks))
+    return pos[np.concatenate(([True], pos[1:] != pos[:-1]))]
 
 
 # Candidate cells a closure rule builds at once.

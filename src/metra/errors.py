@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -24,6 +25,14 @@ class AxiomError(MetraError):
 
 class DomainError(MetraError):
     """An argument refers to elements outside the relevant carrier."""
+
+
+def checked_count(value, what: str) -> int:
+    """``value`` as an int; ``DomainError`` unless it is a nonnegative
+    integer and not a bool.  For depths and caps."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise DomainError(f"{what} must be a nonnegative int, got {value!r}")
+    return int(value)
 
 
 class ArityError(MetraError):

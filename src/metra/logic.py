@@ -65,6 +65,7 @@ from .errors import (
     SignatureError,
     UnsupportedInputError,
     Verdict,
+    checked_count,
 )
 from .extmetric import (
     _INT_INF,
@@ -83,7 +84,6 @@ from .terms import (
     Term,
     TokenStream,
     Var,
-    _checked_depth,
     _term_universe,
     check_term,
     evaluate,
@@ -551,7 +551,7 @@ class Presentation:
             self.lipschitz = _lipschitz_constants(lipschitz, sig.symbols)
         else:
             self.lipschitz = None
-        self.depth = _checked_depth(depth)
+        self.depth = checked_count(depth, "depth")
 
     def __repr__(self):
         return (

@@ -6,7 +6,6 @@ lexer and term parser behind every text format of the package."""
 from __future__ import annotations
 
 import itertools
-import numbers
 import re
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from .errors import (
     ResourceLimitError,
     SignatureError,
     ValuationError,
+    checked_count,
 )
 
 _NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_']*"
@@ -177,13 +177,6 @@ def enumerate_terms(
     return list(_term_universe(sig, variables, depth, max_terms)[0])
 
 
-def _checked_depth(depth) -> int:
-    """``depth`` as an int; ``DomainError`` unless it is a nonnegative integer."""
-    if not isinstance(depth, numbers.Integral) or depth < 0:
-        raise DomainError(f"depth must be a nonnegative int, got {depth!r}")
-    return int(depth)
-
-
 # The last few term universes built, most recent last (see _term_universe).
 _UNIVERSES_KEPT = 8
 _kept_universes: OrderedDict = OrderedDict()
@@ -198,7 +191,7 @@ def _term_universe(sig: Signature, variables: Iterable[str], depth: int, max_ter
     caller: the tuple, the read-only rule arrays and the position map are
     never to be written.  Bad names, depths and refusals raise on every
     call, and a refused universe is never kept."""
-    depth = _checked_depth(depth)
+    depth, max_terms = checked_count(depth, "depth"), checked_count(max_terms, "max_terms")
     names = sorted(set(variables))
     for name in names:
         if not _NAME.match(name):

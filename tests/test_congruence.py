@@ -908,8 +908,10 @@ class TestIncrementalClosure:
         )
         want, count = on_full_passes(lambda: free_algebra(p).theta)
         assert free_algebra(p, max_decreases=count).theta == want
-        with pytest.raises(ResourceLimitError):
-            free_algebra(p, max_decreases=count - 1)
+        # In mode M nothing falls below the bound 1/2, and -1 is no cap.
+        if count:
+            with pytest.raises(ResourceLimitError):
+                free_algebra(p, max_decreases=count - 1)
 
 
 def engine_squares(run):
@@ -1538,3 +1540,202 @@ class TestFinitePairCandidates:
             for j in range(P.space.size)
         )
         assert theta != coarsest_congruence(P)
+
+
+def repairs(run, on_call=None):
+    """``run()`` and, for each repair of one component the engine made,
+    ``(points, pivots, rows lowered)`` as lists of points; ``on_call()``
+    runs at each repair."""
+    calls, real = [], congruence_module._repair
+
+    def repair(D, idx, ks):
+        low = real(D, idx, ks)
+        calls.append((idx.tolist(), idx[ks].tolist(), idx[low.any(axis=1)].tolist()))
+        if on_call is not None:
+            on_call()
+        return low
+
+    with mock.patch.object(congruence_module, "_repair", repair):
+        return run(), calls
+
+
+@st.composite
+def block_tables(draw, n):
+    """Operation tables on ``range(n)`` of arity 1 or 2 that reach each kind
+    of closed block of ``_fix_int``: "a" and "c" have injective images,
+    often shared; "b" has injective images and reads only "a"'s points,
+    and, running after it in a pass, often rows "a" has just lowered; and
+    "d" is drawn freely, so it mostly sends two tuples to one image."""
+    elem = st.integers(min_value=0, max_value=n - 1)
+    ops = {}
+    for symbol in "abcd":
+        place = elem
+        if symbol == "b" and ops["a"]:
+            place = st.sampled_from(sorted({*ops["a"].values(), *itertools.chain(*ops["a"])}))
+        arity = draw(st.sampled_from([1, 1, 2]))
+        args = draw(st.lists(st.tuples(*[place] * arity), unique=True, max_size=n))
+        if symbol == "d":
+            images = draw(st.lists(elem, min_size=len(args), max_size=len(args)))
+        else:
+            images = draw(st.permutations(range(n)))
+        ops[symbol] = dict(zip(args, images))
+    return ops
+
+
+class TestBlockPivots:
+    """A repair after the first pivots only on the points that lie in two
+    or more closed blocks of the pass before (see ``_fix_int``): its
+    component, the images of each clean rule with injective images, and
+    each other cell a rule lowered.  Against full passes on both mirrors,
+    on tables with every kind of block, and through spies on the repair."""
+
+    # Beside TestClosureEngines.BOUNDS, a bound that LIP rescaling by 3/2
+    # or 3 carries past the int64 guard partway through a pass.
+    BOUNDS = TestClosureEngines.BOUNDS + [Fraction(1 << 44)]
+
+    @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
+    @given(
+        n=st.integers(min_value=2, max_value=8),
+        mode=st.sampled_from(["M", "Q", "LIP"]),
+        k=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_passes(self, mirrors, n, mode, k, data):
+        ops = data.draw(block_tables(n))
+        elem = st.integers(min_value=0, max_value=n - 1)
+        bounds = data.draw(
+            st.lists(st.tuples(elem, elem, st.sampled_from(self.BOUNDS)), max_size=5)
+        )
+        lipschitz = dict.fromkeys(ops, k) if mode == "LIP" else None
+        args = (range(n), ops, bounds, mode, lipschitz)
+        with mirrors():
+            try:
+                want, count = on_full_passes(lambda: generate_congruence(*args, max_decreases=300))
+            except ResourceLimitError:
+                with pytest.raises(ResourceLimitError):
+                    generate_congruence(*args, max_decreases=300)
+                return
+            assert generate_congruence(*args, max_decreases=count) == want
+            if count:
+                with pytest.raises(ResourceLimitError):
+                    generate_congruence(*args, max_decreases=count - 1)
+
+    def test_a_point_on_two_cells_of_a_rule_that_read_lowered_rows(self):
+        """"a" lowers d(4, 5) and d(1, 6) in the first pass, then "d" reads
+        rows 1, 2, 4 and 5 with d(2, 4) = d(4, 5) = 1 and d(2, 5) still
+        infinite: its candidates are no pseudometric, so its two cells
+        (4, 0) and (0, 3) are blocks of two points and 0, on both, is a
+        pivot of the next repair.  Taking them as one closed block leaves 0
+        out; the matrix still comes out right, through "d" running again,
+        but the decrease count does not."""
+        ops = {"a": {(1,): 6, (2,): 5, (3,): 1, (4,): 4},
+               "d": {(1,): 6, (2,): 4, (4,): 0, (5,): 3}}
+        args = (range(7), ops, [(3, 1, 3), (2, 4, 1)], "Q", None)
+        want, count = on_full_passes(lambda: generate_congruence(*args))
+        got, calls = repairs(lambda: generate_congruence(*args, max_decreases=count))
+        assert got == want
+        with pytest.raises(ResourceLimitError):
+            generate_congruence(*args, max_decreases=count - 1)
+        # The first repair after the first pass is on all seven points.
+        idx, pivots, _ = calls[0]
+        assert idx == list(range(7)) and 0 in pivots
+
+    def test_a_point_on_two_cells_of_a_table_that_is_not_injective(self):
+        """f sends 0 and 2 to 4: its cells (4, 5) and (4, 6) are two blocks
+        of two points, so 4 is a pivot and d(5, 6) = 2.  Counting them as
+        one block leaves d(5, 6) infinite, since f never runs again."""
+        ops = {"f": {(0,): 4, (1,): 5, (2,): 4, (3,): 6}}
+        args = (range(7), ops, [(0, 1, 1), (2, 3, 1)], "Q", None)
+        want, count = on_full_passes(lambda: generate_congruence(*args))
+        got, calls = repairs(lambda: generate_congruence(*args, max_decreases=count))
+        assert got == want
+        assert got.get(5, 6) == ExtRat(2)
+        assert [(idx, pivots) for idx, pivots, _ in calls] == [([4, 5, 6], [4])]
+
+    def test_a_point_of_a_component_that_a_rule_lowered(self):
+        """d(0, 1) = 1 before the pass, and f lowers d(1, 5) to 1: 1 lies in
+        its component and in f's block, so it is a pivot and d(0, 5) = 2.
+        Without the component's block f's alone leaves d(0, 5) infinite."""
+        args = (range(6), {"f": {(2,): 1, (3,): 5}}, [(0, 1, 1), (2, 3, 1)], "Q", None)
+        want, count = on_full_passes(lambda: generate_congruence(*args))
+        got, calls = repairs(lambda: generate_congruence(*args, max_decreases=count))
+        assert got == want
+        assert got.get(0, 5) == ExtRat(2)
+        assert [(idx, pivots) for idx, pivots, _ in calls] == [([0, 1, 5], [1])]
+
+    def test_criterion_08_repairs_no_fresh_product_component(self):
+        """In the depth-3 free algebra of criterion 08 one rule builds, pass
+        after pass, components of 4 to 256 terms out of terms that were
+        alone: each lies in one closed block, the rule's, and needs no
+        repair.  Every component repaired holds a term of a component of
+        two or more terms of the pass before, and fresh ones exist."""
+        sig = Signature({"sigma": 2})
+        p = Presentation(
+            sig, ["x", "y"], [MetricEquation(Var("x"), Var("y"), Fraction(1))], depth=3, mode="Q"
+        )
+        labels = []
+
+        def components(D):
+            groups, label = _labelled_components(D)
+            labels.append(label.copy())
+            return groups, label
+
+        with mock.patch.object(congruence_module, "_labelled_components", components):
+            seen = []
+            _, calls = repairs(lambda: free_algebra(p), on_call=lambda: seen.append(len(labels)))
+        assert calls
+        fresh = 0
+        for (idx, _, _), count in zip(calls, seen):
+            # The components of the pass before, if this is not the first.
+            if count > 1:
+                before = np.bincount(labels[count - 2])[labels[count - 2]] > 1
+                assert before[idx].any()
+        for prev, cur in zip(labels, labels[1:]):
+            sizes, before = np.bincount(cur), np.bincount(prev)[prev] > 1
+            fresh += sum(
+                1 for root in np.flatnonzero(sizes > 2) if not before[cur == root].any()
+            )
+        assert fresh > 0
+
+    def test_the_last_repair_of_a_large_closure_pivots_on_few_points(self):
+        """The depth-3 free algebra over sigma, u and x with x near
+        sigma(x, x) and u(x), as in the 183-term benchmark jobs: its rules
+        merge the universe into one component, and its last repair lowers
+        rows of all 183 terms while pivoting on fewer than half of them."""
+        x = Var("x")
+        relations = [
+            MetricEquation(x, App("sigma", (x, x)), Fraction(1, 2)),
+            MetricEquation(x, App("u", (x,)), Fraction(1)),
+        ]
+        p = Presentation(Signature({"sigma": 2, "u": 1}), ["x"], relations, depth=3, mode="Q")
+        want, count = on_full_passes(lambda: free_algebra(p).theta)
+        got, calls = repairs(lambda: free_algebra(p, max_decreases=count).theta)
+        assert got == want
+        idx, pivots, lowered = calls[-1]
+        assert len(idx) == len(lowered) == 183
+        assert len(pivots) < len(lowered) // 2
+
+    def test_a_pass_that_sets_no_pivot_runs_on(self):
+        """In the depth-2 free algebra of sigma over x and y with x near y,
+        the first pass lowers cells of sigma's images, each in one closed
+        block: no pivot, so no repair.  Its rule must still run again, and
+        lowers more."""
+        p = Presentation(
+            Signature({"sigma": 2}), ["x", "y"],
+            [MetricEquation(Var("x"), Var("y"), Fraction(1))], depth=2, mode="Q",
+        )
+        events = []
+        real = congruence_module._lower
+
+        def lower(D, cells):
+            pos = real(D, cells)
+            events.append(len(pos))
+            return pos
+
+        want, count = on_full_passes(lambda: free_algebra(p).theta)
+        with mock.patch.object(congruence_module, "_lower", lower):
+            got, _ = repairs(lambda: free_algebra(p, max_decreases=count).theta,
+                             on_call=lambda: events.append("repair"))
+        assert got == want
+        assert "repair" not in events[:2] and min(events[:2]) > 0

@@ -250,6 +250,11 @@ class TestEnumerationMatchesTheReference:
         size = len(want)
         assert enumerate_terms(sig, variables, depth, size) == want
         below = (sig, variables, depth, size - 1)
+        if not size:
+            # An empty universe fits every cap, and -1 is not a cap.
+            want_error = (DomainError, "max_terms must be a nonnegative int, got -1")
+            assert outcome(enumerate_terms, *below) == want_error
+            return
         want_error = (ResourceLimitError, f"term universe exceeds {size - 1} terms")
         assert outcome(enumerate_terms, *below) == want_error
         assert outcome(reference_enumerate_terms, *below) == want_error

@@ -5,11 +5,11 @@ pinned messages, never a bare ``TypeError``, ``ValueError`` or
 import numpy as np
 import pytest
 
-from metra.congruence import generate_congruence, grid_congruences
+from metra.congruence import finest_congruence, generate_congruence, grid_congruences, join
 from metra.errors import DomainError, TableError
 from metra.extmetric import FiniteMetricSpace, SquareMatrix, pseudometric_from_scaled
 from metra.filters import FiniteFilter, pointwise_limit_metric
-from metra.logic import Presentation
+from metra.logic import Presentation, free_algebra
 from metra.terms import Signature, enumerate_terms
 
 from conftest import line_min_algebra
@@ -74,6 +74,9 @@ UNHASHABLE_INDEX = "index ids must be hashable (unhashable type: 'list')"
         pytest.param(lambda: enumerate_terms(SIG, ["x"], 1.5),
                      DomainError, "depth must be a nonnegative int, got 1.5",
                      id="enumerate-depth-float"),
+        pytest.param(lambda: enumerate_terms(SIG, ["x"], True),
+                     DomainError, "depth must be a nonnegative int, got True",
+                     id="enumerate-depth-bool"),
     ],
 )
 def test_malformed_arguments_raise_typed_errors(call, error, message):
@@ -81,3 +84,31 @@ def test_malformed_arguments_raise_typed_errors(call, error, message):
         call()
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+
+CAPS = [("3", "'3'"), (-1, "-1"), (2.5, "2.5"), (True, "True")]
+
+
+@pytest.mark.parametrize("cap, shown", CAPS, ids=["str", "negative", "float", "bool"])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("max_terms", lambda cap: enumerate_terms(SIG, ["x"], 2, cap)),
+        ("max_terms", lambda cap: free_algebra(Presentation(SIG, ["x"], []), max_terms=cap)),
+        ("max_decreases", lambda cap: generate_congruence((0, 1), {}, [], max_decreases=cap)),
+        ("max_decreases",
+         lambda cap: join([finest_congruence(line_min_algebra())], max_decreases=cap)),
+        ("max_decreases",
+         lambda cap: free_algebra(Presentation(SIG, ["x"], []), max_decreases=cap)),
+    ],
+    ids=["enumerate", "free-terms", "generate", "join", "free-decreases"],
+)
+def test_caps_must_be_nonnegative_ints(name, call, cap, shown):
+    """A cap that is not a nonnegative int (a bool is not one) is refused
+    before any work, where a string raised a bare ``TypeError`` and -1, 2.5
+    and True were taken as caps."""
+    with pytest.raises(DomainError) as err:
+        call(cap)
+    assert type(err.value) is DomainError
+    assert str(err.value) == f"{name} must be a nonnegative int, got {shown}"
