@@ -30,10 +30,18 @@ time: every other pair has an infinite candidate.  Every operation here
 reads and writes the matrices' scaled mirrors (see ``extmetric``);
 the closure widens an int64 mirror to Python ints when a value outgrows
 the guard, so the fixpoint is exact whatever the denominators.
+
+With a LIP constant below 1 the passes may reach the greatest fixpoint
+only in their limit, so after each pass that lowers a cell the closure
+solves exactly for the limit its current bounds point to, and stops there
+only with a proof that it is the greatest fixpoint (``_jump``, after the
+policy iteration of Costan et al., CAV 2005, and Gawlitza and Seidl, ESOP
+2007); unproved, the passes go on, up to the decrease cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -250,7 +258,8 @@ def join(
     engine under the requested mode rule.  The closure only lowers
     entries below the inputs, which sit below the algebra metric, and
     ends with a pseudometric whose zero-set is closed under every
-    operation, so the result is a congruence by construction.
+    operation, so the result is a congruence by construction.  A LIP
+    closure with a constant below 1 may end on a proved jump to its limit.
     """
     base = _same_base(thetas)
     arrays, denom = _mirrors(*(t.matrix for t in thetas))
@@ -330,8 +339,11 @@ def generate_congruence(
     constraints, and closes downward under symmetry, triangle, and the
     mode rule.  Operation tables may be partial; rules fire only on the
     listed entries, which yields a sound over-approximation on truncated
-    term universes.  Entries only ever decrease and the total number of
-    decreases is capped.
+    term universes.  Entries only decrease, in passes of the closure or, in
+    LIP mode with a constant below 1, in a jump to the greatest fixpoint
+    that is kept only when proved; the decreases, the jump's cells
+    included, are capped, so a closure whose limit no jump reaches raises
+    ``ResourceLimitError``.
     """
     carrier = _checked_carrier(carrier)
     index = {x: i for i, x in enumerate(carrier)}
@@ -406,7 +418,9 @@ def closure_fixpoint(
     minimum of the congruences ``join`` reads are; it is closed in place
     unless the closure widens it to Python ints.  ``rules``
     maps symbols of positive arity to ``(args_idx, res_idx)``: one array of
-    argument positions per place and the images, sorted by the arguments."""
+    argument positions per place and the images, sorted by the arguments.
+    The result is exact: the greatest fixpoint, reached by passes or by a
+    proved jump (``_fix_int``), or ``ResourceLimitError`` at the cap."""
     if mode not in ("M", "Q", "LIP"):
         raise DomainError(f"unknown mode {mode!r}; expected M, Q, or LIP")
     max_decreases = checked_count(max_decreases, "max_decreases")
@@ -508,12 +522,19 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
     an entry may leave the zero-set intransitive for the rules after it in
     the pass; each of those tests the zero-set against its classes and,
     where it fails, builds its zero pairs as Q builds its finite ones.
+
+    In LIP mode with a constant below 1, every pass that lowers a cell
+    ends with a try of ``_jump`` on the cells lowered in the last
+    ``_JUMP_PASSES`` passes, if at most ``_JUMP_CELLS``.  A proved jump
+    ends the closure, its lowered cells counted as decreases.
     """
     n, D = len(D), np.ascontiguousarray(D)
     np.fill_diagonal(D, 0)
     stale = np.ones((len(tables), n), dtype=bool)
     pivots = np.ones(n, dtype=bool)
     decreases, groups = 0, None
+    jump = mode == "LIP" and any(table[2] < 1 for table in tables)
+    start, recent = ((D.copy(), denom), []) if jump else (None, None)
     while True:
         # A repaired D is triangle-closed, so its zero-set is an equivalence
         # with classes ``rep``; once a rule lowers an entry it is tested anew.
@@ -535,7 +556,7 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
                     stale[:, idx[low.any(axis=1)]] = True
         # The rows the rules of this pass have lowered so far.
         moved = np.zeros(n, dtype=bool)
-        for r, (args_idx, res_idx, k, reads, rows, square, first, injective) in enumerate(tables):
+        for r, (args_idx, res_idx, _, reads, rows, square, _, injective) in enumerate(tables):
             if not stale[r, reads].any():
                 continue
             stale[r] = False
@@ -547,34 +568,9 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
             else:
                 # A block (b) needs a snapshot no earlier rule of the pass moved.
                 injective = injective and mode != "M" and not moved[rows].any()
-                sub = D[rows[:, None], rows]
-                if mode == "M":
-                    sub = np.where(sub == 0, sub, _inf_code(sub))
-                elif mode == "LIP":
-                    # Moving the shared denominator to denom * q keeps K * value
-                    # integral: finite entries of D are multiplied by q, and
-                    # those of the rows read (so of every candidate) by p.  An
-                    # int64 mirror that would reach the value guard is widened
-                    # to Python ints.
-                    p, q = k.numerator, k.denominator
-                    if D.dtype != object and (
-                        q * max(_finite_max(D), 1) >= _MAX_SCALED
-                        or p * max(_finite_max(sub), 1) >= _MAX_SCALED
-                    ):
-                        D, sub = _as_object(D), _as_object(sub)
-                    if q != 1:
-                        _scale_finite(D, q)
-                        denom *= q
-                    if p != 1:
-                        _scale_finite(sub, p)
-                if square is None:
-                    if groups is None:
-                        groups, label = _labelled_components(D)
-                    local = [np.searchsorted(rows, a) for a in args_idx]
-                    cells = _grouped_cells(sub, local, label[rows], res_idx, n)
-                else:
-                    cells = _product_cells(sub, len(args_idx), res_idx, first, n)
-                pos = _lower(D, cells)
+                if square is None and groups is None:
+                    groups, label = _labelled_components(D)
+                D, denom, pos = _bound_rule(D, denom, tables[r], mode, label)
             if len(pos):
                 rep, classes = None, False
                 x = pos // n
@@ -599,6 +595,17 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
         if loose:
             # A cell is a block of its two ends, each row counting its cells.
             blocks += np.bincount(_distinct(loose) // n, minlength=n)
+        if jump and written:
+            # The unordered cells lowered in the last _JUMP_PASSES passes.
+            now = [*written, *(idx[r] * n + idx[c] for idx, low in repaired for r, c in [low.nonzero()])]
+            i, j = np.divmod(np.concatenate(now), n)
+            recent = [*recent[1 - _JUMP_PASSES:], np.minimum(i, j) * n + np.maximum(i, j)]
+            cells = _distinct(recent)
+            if len(cells) <= _JUMP_CELLS and (out := _jump(D, denom, start, tables, cells)):
+                # The greatest fixpoint: a further pass would lower nothing.
+                D, denom, count = out
+                decreases += count
+                written = []
         if decreases > max_decreases:
             raise ResourceLimitError(
                 f"closure exceeded {max_decreases} entry decreases", "max_decreases", max_decreases
@@ -606,6 +613,167 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
         if not written:
             return D, denom
         pivots = blocks > 1
+
+
+# The passes whose lowered cells a jump solves for; the most of those cells,
+# and the most policy rounds of its certificate.
+_JUMP_PASSES = 4
+_JUMP_CELLS = 64
+
+
+def _jump(D: np.ndarray, denom: int, start: tuple[np.ndarray, int], tables, cells: np.ndarray):
+    """The greatest fixpoint gfp <= ``(D, denom)`` of a LIP closure, solved
+    for on the unordered ``cells`` (positions i * n + j, i < j) with every
+    other cell held, as ``(D, denom, decreases)``; None when not proved.
+
+    Each unknown takes its least bound at D, the first of equals of: its
+    start value in ``start``; K * D[a_l, b_l] for a rule pair with images
+    (i, j), at the place l of the max; D[i, m] + D[m, j] for the least m.
+    Their affine equations, solved exactly, give Y.  Y <= gfp if a full
+    pass lowers nothing in Y.  gfp <= Y if also each bound, with its max
+    over every place, is tight at Y, and some v > 0 solves v = 1 + H(v),
+    H the bounds' homogeneous part (0, W_a + W_b or K * max_l W_l): then
+    W = gfp - Y is 0 off the unknowns, as gfp <= D = Y there, and W <= H(W)
+    on them, so s = max W / v gives W <= H(s v) = s (v - 1), forcing s = 0.
+    v comes by max-policy iteration: an exact solve, then each rule moves
+    to a place of strictly larger v, until none does.
+    """
+    n, inf, (S, start_denom) = len(D), _inf_code(D), start
+    unknown = {c: u for u, c in enumerate(cells.tolist())}
+
+    def term(a, b):
+        # An unknown's number, or the held value (None when infinite).
+        c = min(a, b) * n + max(a, b)
+        if c in unknown:
+            return unknown[c]
+        return None if D.flat[c] >= inf else Fraction(int(D.flat[c]), denom)
+
+    def at(t, y):
+        return y[t] if type(t) is int else t
+
+    def value(row, y):
+        k, terms, add = row
+        vals = [at(t, y) for t in terms]
+        return None if None in vals else k * (sum(vals) if add else max(vals))
+
+    def solve(picks, homogeneous):
+        # y = b + A y, each row read at its pick: a place, or None for none.
+        system = []
+        for (k, terms, add), pick in zip(rows, picks):
+            b, coef = Fraction(homogeneous), {}
+            for t in terms if add else terms[pick:pick + 1] if pick is not None else ():
+                if type(t) is int:
+                    coef[t] = coef.get(t, 0) + k
+                elif not homogeneous:
+                    b += k * t
+            system.append((b, coef))
+        return _affine_solve(system)
+
+    now = [Fraction(int(D.flat[c]), denom) for c in unknown]
+    rows, picks, caps = [], [], []
+    for c in unknown:
+        i, j = divmod(c, n)
+        caps.append(None if S[i, j] >= _inf_code(S) else Fraction(int(S[i, j]), start_denom))
+        options = [(1, (caps[-1],), False)]
+        for args_idx, res_idx, k, *_ in tables:
+            for t in np.flatnonzero(res_idx == i).tolist():
+                for u in np.flatnonzero(res_idx == j).tolist():
+                    options.append((k, tuple(term(int(a[t]), int(a[u])) for a in args_idx), False))
+        through = D[i] + D[j]
+        through[[i, j]] = inf
+        if through[m := int(through.argmin())] < inf:
+            options.append((1, (term(i, m), term(m, j)), True))
+        # A lowered cell is finite, and so is the bound that lowered it.
+        bounds = [(v, r) for r, row in enumerate(options) if (v := value(row, now)) is not None]
+        rows.append(row := options[min(bounds)[1]])
+        picks.append(max(range(len(row[1])), key=lambda l: at(row[1][l], now)))
+    y = solve(picks, False)
+    if y is None or min(y) < 0 or any(
+        value(row, y) != y[c] or (cap is not None and y[c] > cap)
+        for c, (row, cap) in enumerate(zip(rows, caps))
+    ):
+        return None
+    picks = [None] * len(rows)
+    for _ in range(_JUMP_CELLS):
+        v = solve(picks, True)
+        if v is None or min(v) <= 0:
+            return None
+        better = False
+        for c, (_, terms, add) in enumerate(rows):
+            for place, t in enumerate(() if add else terms):
+                if type(t) is int and (picks[c] is None or v[t] > v[terms[picks[c]]]):
+                    picks[c], better = place, True
+        if not better:
+            break
+    else:
+        return None
+    # Y on the common denominator, widened if a value reaches the guard.
+    scale = math.lcm(denom, *(x.denominator for x in y)) // denom
+    codes = [int(x * denom * scale) for x in y]
+    wide = D.dtype != object and max(scale * _finite_max(D), *codes) >= _MAX_SCALED
+    Y = _as_object(D) if wide else D.copy()
+    _scale_finite(Y, scale)
+    i, j = np.divmod(cells, n)
+    Y[i, j] = Y[j, i] = codes
+    groups, label = _labelled_components(Y)
+    if any(_repair(Y, idx, range(len(idx))).any() for idx in groups) or any(
+        len(_bound_rule(Y.copy(), 1, table, "LIP", label)[2]) for table in tables
+    ):
+        return None
+    return Y, denom * scale, 2 * sum(a < b for a, b in zip(y, now))
+
+
+def _affine_solve(system) -> list[Fraction] | None:
+    """The solution of y_c = b_c + sum_u a_cu * y_u, for ``system`` the list
+    of ``(b_c, {u: a_cu})``, exactly by Gauss-Jordan elimination; None
+    when the system is singular."""
+    m = len(system)
+    M = [[(u == c) - coef.get(u, 0) for u in range(m)] + [b] for c, (b, coef) in enumerate(system)]
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if M[r][col]), None)
+        if pivot is None:
+            return None
+        M[col], M[pivot] = M[pivot], M[col]
+        top = M[col]
+        nonzero = [z for z in range(col, m + 1) if top[z]]
+        for row in M:
+            if row is not top and row[col]:
+                f = Fraction(row[col]) / top[col]
+                for z in nonzero:
+                    row[z] -= f * top[z]
+    return [Fraction(M[c][m]) / M[c][c] for c in range(m)]
+
+
+def _bound_rule(D: np.ndarray, denom: int, table, mode: str, label: np.ndarray):
+    """Lower ``(D, denom)`` by a Q, LIP or intransitive-M rule over the pairs
+    of argument tuples whose places pair points of one component (by
+    ``label``); returns ``(D, denom, pos)``, ``pos`` the positions lowered."""
+    args_idx, res_idx, k, _, rows, square, first, _ = table
+    sub = D[rows[:, None], rows]
+    if mode == "M":
+        sub = np.where(sub == 0, sub, _inf_code(sub))
+    elif mode == "LIP":
+        # Moving the shared denominator to denom * q keeps K * value
+        # integral: finite entries of D are multiplied by q, and those of
+        # the rows read (so of every candidate) by p.  An int64 mirror that
+        # would reach the value guard is widened to Python ints.
+        p, q = k.numerator, k.denominator
+        if D.dtype != object and (
+            q * max(_finite_max(D), 1) >= _MAX_SCALED
+            or p * max(_finite_max(sub), 1) >= _MAX_SCALED
+        ):
+            D, sub = _as_object(D), _as_object(sub)
+        if q != 1:
+            _scale_finite(D, q)
+            denom *= q
+        if p != 1:
+            _scale_finite(sub, p)
+    if square is None:
+        local = [np.searchsorted(rows, a) for a in args_idx]
+        cells = _grouped_cells(sub, local, label[rows], res_idx, len(D))
+    else:
+        cells = _product_cells(sub, len(args_idx), res_idx, first, len(D))
+    return D, denom, _lower(D, cells)
 
 
 def _repair(D: np.ndarray, idx: np.ndarray, ks: list[int]) -> np.ndarray:

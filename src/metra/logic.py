@@ -510,14 +510,17 @@ _MODES = ("M", "Q", "LIP")
 
 
 def _lipschitz_constants(lipschitz, symbols) -> dict:
-    """One constant per symbol, from a mapping or a value shared by all."""
+    """One positive constant per symbol, from a mapping or a value shared
+    by all."""
     if isinstance(lipschitz, Mapping):
         pairs = lipschitz.items()
     else:
         pairs = ((s, lipschitz) for s in symbols)
-    return {
-        s: checked_value(Fraction, k, f"Lipschitz constant for {s}") for s, k in pairs
-    }
+    out = {s: checked_value(Fraction, k, f"Lipschitz constant for {s}") for s, k in pairs}
+    for s, k in out.items():
+        if k <= 0:
+            raise DomainError(f"Lipschitz constant for {s} must be positive")
+    return out
 
 
 class Presentation:

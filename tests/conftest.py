@@ -156,6 +156,40 @@ def reference_closure(carrier, ops, constraints, mode, lipschitz=None, max_decre
             return m
 
 
+def reference_limit_closure(carrier, ops, constraints, lipschitz, passes=3000):
+    """The LIP closure of ``generate_congruence`` in floats, by full passes
+    of Floyd-Warshall and every rule pair until a pass changes nothing or
+    for ``passes`` passes, as an oracle for closures whose greatest
+    fixpoint is the limit of the passes.  Returns the float rows in carrier
+    order, ``inf`` where infinite."""
+    index = {x: i for i, x in enumerate(carrier)}
+    n = len(carrier)
+    m = np.full((n, n), np.inf)
+    np.fill_diagonal(m, 0)
+    for x, y, bound in constraints:
+        i, j = index[x], index[y]
+        m[i, j] = m[j, i] = min(m[i, j], float(bound))
+    rules = [
+        (
+            float(lipschitz[symbol]),
+            np.array([[index[a] for a in args] for args in table]).T,
+            np.array([index[v] for v in table.values()]),
+        )
+        for symbol, table in ops.items()
+        if table and next(iter(table))
+    ]
+    for _ in range(passes):
+        before = m.copy()
+        for k in range(n):
+            np.minimum(m, m[:, k, None] + m[None, k, :], out=m)
+        for k, args, res in rules:
+            spread = np.max([m[a[:, None], a] for a in args], axis=0)
+            np.minimum.at(m, (res[:, None], res), k * spread)
+        if (m == before).all():
+            break
+    return m
+
+
 def reference_enumerate_terms(sig, variables, depth, max_terms=20000):
     """The term universe built on ``App`` objects, deduplicated in a set of
     terms and sorted by ``sort_key`` at the end, as an oracle."""

@@ -85,6 +85,7 @@ from conftest import (
     reference_grid_congruences,
     reference_identification,
     reference_is_congruential,
+    reference_limit_closure,
     reference_mode_m_rule,
     reference_pointwise,
     reference_rows_at,
@@ -532,18 +533,17 @@ class TestGenerateCongruence:
         )
         assert as_rows(result) == oracle
 
-    def test_contractive_identity_hits_the_decrease_cap(self):
+    def test_contractive_identity_closes_to_zero(self):
+        """d(b0, b1) <= d(b0, b1) / 2 from 1 reaches 0 only in the limit of
+        the passes, which alone hit the cap; the closure is exact."""
         carrier = ("b0", "b1")
         ops = {"f": {("b0",): "b0", ("b1",): "b1"}}
+        args = (carrier, ops, [("b0", "b1", 1)], "LIP", {"f": Fraction(1, 2)}, 40)
+        for mirrors in (contextlib.nullcontext, object_mirrors):
+            with mirrors():
+                assert generate_congruence(*args).get("b0", "b1") == ZERO
         with pytest.raises(ResourceLimitError) as err:
-            generate_congruence(
-                carrier,
-                ops,
-                [("b0", "b1", 1)],
-                mode="LIP",
-                lipschitz={"f": Fraction(1, 2)},
-                max_decreases=40,
-            )
+            reference_closure(*args)
         assert err.value.limit_name == "max_decreases"
 
     def test_fraction_path_agrees(self):
@@ -798,33 +798,28 @@ class TestClosureEngines:
         "images, constraint",
         [({0: 1, 1: 0, 2: 2}, (0, 1, 1)), ({0: 0, 1: 1, 2: 2}, (0, 1, 1))],
     )
-    def test_contracting_constants_hit_the_cap_on_both_engines(self, images, constraint):
+    def test_contracting_constants_close_on_both_engines(self, images, constraint):
+        """Where the exact passes hit the cap, both mirrors give d(0, 1) = 0,
+        the int64 one without widening."""
         ops = {"f": {(x,): y for x, y in images.items()}}
-
-        def run():
-            return generate_congruence(
-                (0, 1, 2), ops, [constraint], mode="LIP",
-                lipschitz={"f": Fraction(1, 2)}, max_decreases=50,
-            )
-
+        args = ((0, 1, 2), ops, [constraint], "LIP", {"f": Fraction(1, 2)}, 50)
         with mock.patch.object(
             congruence_module, "_as_object", side_effect=AssertionError("widened")
         ):
-            with pytest.raises(ResourceLimitError) as fast:
-                run()
+            fast = generate_congruence(*args)
         with object_mirrors():
-            with pytest.raises(ResourceLimitError) as wide:
-                run()
+            wide = generate_congruence(*args)
+        assert fast == wide
+        assert as_rows(fast) == [[ZERO, ZERO, INF], [ZERO, ZERO, INF], [INF, INF, ZERO]]
         with pytest.raises(ResourceLimitError) as exact:
-            reference_closure(
-                (0, 1, 2), ops, [constraint], "LIP", {"f": Fraction(1, 2)}, max_decreases=50
-            )
-        assert (
-            fast.value.limit_name
-            == wide.value.limit_name
-            == exact.value.limit_name
-            == "max_decreases"
-        )
+            reference_closure(*args)
+        assert exact.value.limit_name == "max_decreases"
+
+
+def passes_only():
+    """Context in which the closure proves no jump, so a LIP closure with a
+    constant below 1 runs the passes that full passes run."""
+    return mock.patch.object(congruence_module, "_jump", return_value=None)
 
 
 def on_full_passes(run):
@@ -876,13 +871,16 @@ class TestIncrementalClosure:
             try:
                 want, count = on_full_passes(lambda: generate_congruence(*args, max_decreases=cap))
             except ResourceLimitError:
-                with pytest.raises(ResourceLimitError):
+                with passes_only(), pytest.raises(ResourceLimitError):
                     generate_congruence(*args, max_decreases=cap)
                 return
+            with passes_only():
+                assert generate_congruence(*args, max_decreases=count) == want
+                if count:
+                    with pytest.raises(ResourceLimitError):
+                        generate_congruence(*args, max_decreases=count - 1)
+            # A jump lands on the same fixpoint, with no more decreases.
             assert generate_congruence(*args, max_decreases=count) == want
-            if count:
-                with pytest.raises(ResourceLimitError):
-                    generate_congruence(*args, max_decreases=count - 1)
 
     def test_a_rule_runs_again_when_the_repair_moves_its_arguments(self):
         """h has read rows 2 and 5 by the end of the first pass, and in the
@@ -980,12 +978,14 @@ class TestProductRules:
             try:
                 want, count = on_full_passes(lambda: generate_congruence(*args, max_decreases=300))
             except ResourceLimitError:
-                with pytest.raises(ResourceLimitError):
+                with passes_only(), pytest.raises(ResourceLimitError):
                     generate_congruence(*args, max_decreases=300)
                 return
-            got, (square,) = engine_squares(
-                lambda: generate_congruence(*args, max_decreases=count)
-            )
+            with passes_only():
+                got, (square,) = engine_squares(
+                    lambda: generate_congruence(*args, max_decreases=count)
+                )
+            assert generate_congruence(*args, max_decreases=count) == want
         assert got == want
         assert square is None if partial else square.tolist() == S
 
@@ -1613,13 +1613,15 @@ class TestBlockPivots:
             try:
                 want, count = on_full_passes(lambda: generate_congruence(*args, max_decreases=300))
             except ResourceLimitError:
-                with pytest.raises(ResourceLimitError):
+                with passes_only(), pytest.raises(ResourceLimitError):
                     generate_congruence(*args, max_decreases=300)
                 return
+            with passes_only():
+                assert generate_congruence(*args, max_decreases=count) == want
+                if count:
+                    with pytest.raises(ResourceLimitError):
+                        generate_congruence(*args, max_decreases=count - 1)
             assert generate_congruence(*args, max_decreases=count) == want
-            if count:
-                with pytest.raises(ResourceLimitError):
-                    generate_congruence(*args, max_decreases=count - 1)
 
     def test_a_point_on_two_cells_of_a_rule_that_read_lowered_rows(self):
         """"a" lowers d(4, 5) and d(1, 6) in the first pass, then "d" reads
@@ -1739,3 +1741,166 @@ class TestBlockPivots:
                              on_call=lambda: events.append("repair"))
         assert got == want
         assert "repair" not in events[:2] and min(events[:2]) > 0
+
+
+CONTRACTING = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
+LIMIT_GRID = [ZERO, HALF, ONE, ExtRat(Fraction(3, 2)), ExtRat(2), ExtRat(3), INF]
+
+
+class TestContractingClosure:
+    """LIP closures with a constant below 1, whose greatest fixpoint the
+    passes reach only in the limit: each returns that fixpoint exactly, on
+    int64 and on ``object_mirrors()``, or raises ``ResourceLimitError``
+    when no jump to it is proved."""
+
+    @staticmethod
+    def on_both_mirrors(args):
+        fast = generate_congruence(*args)
+        with object_mirrors():
+            assert generate_congruence(*args) == fast
+        return as_rows(fast)
+
+    def test_a_nonzero_limit_is_exact(self):
+        """d(0, 1) <= d(0, 2) / 2 with d(1, 2) = 1 goes down to d(0, 1) = 1
+        and d(0, 2) = 2 from above; the exact passes never get there."""
+        args = (
+            (0, 1, 2), {"f": {(0,): 0, (2,): 1}}, [(0, 1, 2), (1, 2, 1)],
+            "LIP", {"f": Fraction(1, 2)}, 200,
+        )
+        two = ExtRat(2)
+        assert self.on_both_mirrors(args) == [[ZERO, ONE, two], [ONE, ZERO, ONE], [two, ONE, ZERO]]
+        with pytest.raises(ResourceLimitError):
+            reference_closure(*args)
+
+    def test_a_contracting_three_cycle_closes_to_zero(self):
+        args = (
+            (0, 1, 2), {"f": {(0,): 1, (1,): 2, (2,): 0}}, [(0, 1, 1)],
+            "LIP", {"f": Fraction(1, 2)}, 200,
+        )
+        assert self.on_both_mirrors(args) == [[ZERO] * 3] * 3
+
+    def test_a_contracting_free_algebra_collapses(self):
+        """x =[1] y with x and y at distance 0 from u(x) and u(y), for u
+        LIP(1/2): d(x, y) <= d(x, y) / 2, so the depth-3 universe of 8
+        terms is one class."""
+        x, y = Var("x"), Var("y")
+        relations = [
+            MetricEquation(x, y, Fraction(1)),
+            MetricEquation(x, App("u", (x,)), Fraction(0)),
+            MetricEquation(y, App("u", (y,)), Fraction(0)),
+        ]
+        p = Presentation(
+            Signature({"u": 1}), ["x", "y"], relations, mode="LIP", depth=3,
+            lipschitz=Fraction(1, 2),
+        )
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            free = free_algebra(p)
+            times.append(time.perf_counter() - start)
+        assert free.size == 8 and free.space.size == 1
+        assert min(times) < 0.05
+
+    def test_an_unproved_closure_still_hits_the_cap(self):
+        """Here every jump's guess has a singular set of equations (g, of
+        constant 1, makes cycles of gain 1), so the passes run on to the
+        cap, though the limit is 0 everywhere."""
+        ops = {"f": {(1,): 2, (2,): 0}, "g": {(0, 1): 1, (2, 0): 0, (2, 1): 0, (2, 2): 0}}
+        args = (
+            (0, 1, 2), ops, [(2, 1, Fraction(3, 2)), (0, 2, Fraction(1, 2))],
+            "LIP", {"f": Fraction(1, 3), "g": Fraction(1)}, 500,
+        )
+        for mirrors in (contextlib.nullcontext, object_mirrors):
+            with mirrors(), pytest.raises(ResourceLimitError) as err:
+                generate_congruence(*args)
+            assert err.value.limit_name == "max_decreases"
+        assert np.abs(reference_limit_closure(*args[:3], args[4])).max() < 1e-9
+
+    @staticmethod
+    def jump_from(args, values, cells):
+        """``_jump`` on the closure of ``args``, from its start with the
+        unordered ``cells`` (as (i, j)) set to ``values`` on denominator 2."""
+        seen, real = [], congruence_module._fix_int
+
+        def spy(D, denom, tables, mode, max_decreases):
+            seen.append((D.copy(), denom, tables))
+            return real(D, denom, tables, mode, max_decreases)
+
+        with mock.patch.object(congruence_module, "_fix_int", spy):
+            closed = generate_congruence(*args)
+        start, denom, tables = seen[0]
+        assert denom == 1
+        np.fill_diagonal(start, 0)
+        D = np.where(start < _inf_code(start), 2 * start, start)
+        for (i, j), v in zip(cells, values):
+            D[i, j] = D[j, i] = 2 * v
+        flat = np.array([i * len(D) + j for i, j in cells])
+        return closed, congruence_module._jump(D, 2, (start, denom), tables, flat)
+
+    def test_the_certificate_refuses_a_closed_tight_guess_below_the_gfp(self):
+        """a = d(0, 1) <= 1, b = d(2, 3) <= 10 and c = d(4, 5), with
+        c <= max(a, b) / 2 by g and b <= 2c by h: the greatest fixpoint has
+        b = 10 and c = 5.  From bounds with b = 1 and c = 1/2 the jump
+        guesses c = a / 2 and b = 2c, a guess that lowers nothing and is
+        tight; but through the max of g the cycle b, c has gain 1, so no
+        v > 0 solves v = 1 + H(v).  The place of the max in the bounds (a)
+        alone, without the policy rounds, would let the guess through."""
+        ops = {"g": {(0, 2): 4, (1, 3): 5}, "h": {(4,): 2, (5,): 3}}
+        args = (range(6), ops, [(0, 1, 1), (2, 3, 10)], "LIP", {"g": Fraction(1, 2), "h": Fraction(2)})
+        closed, out = self.jump_from(args, [1, Fraction(1, 2)], [(2, 3), (4, 5)])
+        assert (closed.get(2, 3), closed.get(4, 5)) == (ExtRat(10), ExtRat(5))
+        assert out is None
+
+    def test_the_proof_refuses_a_guess_whose_max_moves(self):
+        """a = d(0, 1) <= 8, e = d(1, 2) <= 1, b = d(3, 4) <= 4 and
+        c = d(0, 2) <= max(a, b) / 2 by g: the greatest fixpoint has a = 3
+        and c = 2.  From a = 5 and c = 5/2 the least bounds give c = a / 2
+        (a is the max there) and a = c + e, so the guess a = 2, c = 1.  It
+        lowers nothing, and v = 1 + H(v) has a positive solution, but at
+        the guess the max of g is b: c's bound is not tight, and the jump
+        refuses it."""
+        ops = {"g": {(0, 3): 0, (1, 4): 2}}
+        args = (range(5), ops, [(0, 1, 8), (1, 2, 1), (3, 4, 4)], "LIP", {"g": Fraction(1, 2)})
+        closed, out = self.jump_from(args, [5, Fraction(5, 2)], [(0, 1), (0, 2)])
+        assert (closed.get(0, 1), closed.get(0, 2)) == (ExtRat(3), ExtRat(2))
+        assert out is None
+
+    @given(n=st.integers(min_value=1, max_value=5), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_limit(self, n, data):
+        """A closure with a constant below 1 returns a pseudometric within
+        its caps that keeps the rule, lies at or above every grid solution
+        and matches the float limit of the passes; or it raises at the cap
+        on both mirrors."""
+        elem = st.integers(min_value=0, max_value=n - 1)
+        ops = {
+            "f": data.draw(st.dictionaries(st.tuples(elem), elem, max_size=n)),
+            "g": data.draw(st.dictionaries(st.tuples(elem, elem), elem, max_size=8)),
+        }
+        lipschitz = {
+            "f": data.draw(st.sampled_from(CONTRACTING)),
+            "g": data.draw(st.sampled_from(CONTRACTING + [Fraction(1), Fraction(2)])),
+        }
+        bounds = data.draw(
+            st.lists(st.tuples(elem, elem, st.sampled_from(FINITE_POOL)), min_size=1, max_size=4)
+        )
+        carrier = tuple(range(n))
+        args = (carrier, ops, bounds, "LIP", lipschitz, 500)
+        try:
+            rows = self.on_both_mirrors(args)
+        except ResourceLimitError as err:
+            assert err.limit_name == "max_decreases"
+            with object_mirrors(), pytest.raises(ResourceLimitError):
+                generate_congruence(*args)
+            return
+        assert fw_close(rows) == rows
+        assert mode_rule_holds(rows, {x: x for x in carrier}, ops, "LIP", lipschitz)
+        assert all(rows[x][y] <= ExtRat(b) for x, y, b in bounds)
+        if n <= 3:
+            grid = greatest_grid_fixpoint(carrier, ops, bounds, "LIP", LIMIT_GRID, lipschitz)
+            assert all(a >= b for ra, rb in zip(rows, grid) for a, b in zip(ra, rb))
+        limit = reference_limit_closure(carrier, ops, bounds, lipschitz)
+        got = np.array([[math.inf if v.is_infinite else float(v.finite) for v in r] for r in rows])
+        finite = np.isfinite(got)
+        assert (finite == np.isfinite(limit)).all()
+        assert np.abs(got[finite] - limit[finite]).max(initial=0) <= 1e-9

@@ -68,6 +68,12 @@ UNHASHABLE_INDEX = "index ids must be hashable (unhashable type: 'list')"
         pytest.param(lambda: Presentation(SIG, ["x"], [], depth=1.5),
                      DomainError, "depth must be a nonnegative int, got 1.5",
                      id="presentation-depth-float"),
+        pytest.param(lambda: Presentation(SIG, ["x"], [], mode="LIP", lipschitz=0),
+                     DomainError, "Lipschitz constant for f must be positive",
+                     id="presentation-lipschitz-zero"),
+        pytest.param(lambda: Presentation(SIG, ["x"], [], mode="LIP", lipschitz={"f": -1}),
+                     DomainError, "Lipschitz constant for f must be positive",
+                     id="presentation-lipschitz-negative"),
         pytest.param(lambda: enumerate_terms(SIG, ["x"], "1"),
                      DomainError, "depth must be a nonnegative int, got '1'",
                      id="enumerate-depth-str"),
