@@ -80,6 +80,7 @@ from .extmetric import (
     render_id,
     scaled_int_array,
 )
+from .terms import rule_tables
 
 
 def is_congruential(algebra: MetricAlgebra, matrix: SquareMatrix) -> Verdict:
@@ -264,6 +265,7 @@ def join(
     base = _same_base(thetas)
     arrays, denom = _mirrors(*(t.matrix for t in thetas))
     rules = {s: _cells(t) for s, t in base.tables.items() if t.ndim}
+    rules = rule_tables(len(base.carrier), rules)
     closed = closure_fixpoint(
         base.carrier, rules, np.minimum.reduce(arrays), denom, mode, lipschitz, max_decreases
     )
@@ -382,7 +384,9 @@ def generate_congruence(
         # Rows of argument positions then the image, sorted by the arguments.
         cells = np.array(sorted(cells), dtype=np.intp)
         rules[symbol] = list(cells[:, :-1].T), cells[:, -1]
-    return closure_fixpoint(carrier, rules, D, denom, mode, lipschitz, max_decreases)
+    return closure_fixpoint(
+        carrier, rule_tables(len(carrier), rules), D, denom, mode, lipschitz, max_decreases
+    )
 
 
 def _position(index: Mapping, x, what: str) -> int:
@@ -399,13 +403,14 @@ def _start_matrix(n: int, cells: Sequence[tuple[int, int, ExtRat]]) -> tuple[np.
     codes, denom = _codes([c[2] for c in cells])
     D = np.full((n, n), _inf_code(codes), dtype=codes.dtype)
     i, j = np.array([c[:2] for c in cells], dtype=np.intp).reshape(-1, 2).T
-    np.minimum.at(D, (np.r_[i, j], np.r_[j, i]), np.r_[codes, codes])
+    np.minimum.at(D, (i, j), codes)
+    np.minimum.at(D, (j, i), codes)
     return D, denom
 
 
 def closure_fixpoint(
     carrier: Sequence,
-    rules: Mapping[str, tuple[Sequence[np.ndarray], np.ndarray]],
+    rules: tuple,
     D: np.ndarray,
     denom: int,
     mode: str,
@@ -416,16 +421,15 @@ def closure_fixpoint(
     mode-congruential pseudometric.  ``D`` must be symmetric, as the
     discrete start of ``generate_congruence`` and ``free_algebra`` and the
     minimum of the congruences ``join`` reads are; it is closed in place
-    unless the closure widens it to Python ints.  ``rules``
-    maps symbols of positive arity to ``(args_idx, res_idx)``: one array of
-    argument positions per place and the images, sorted by the arguments.
+    unless the closure widens it to Python ints.  ``rules`` are the
+    ``terms.rule_tables`` of the operations of positive arity.
     The result is exact: the greatest fixpoint, reached by passes or by a
     proved jump (``_fix_int``), or ``ResourceLimitError`` at the cap."""
     if mode not in ("M", "Q", "LIP"):
         raise DomainError(f"unknown mode {mode!r}; expected M, Q, or LIP")
     max_decreases = checked_count(max_decreases, "max_decreases")
     tables = []
-    for symbol in sorted(rules):
+    for symbol, args_idx, res_idx, *view in rules:
         k = None
         if mode == "LIP":
             if lipschitz is None or symbol not in lipschitz:
@@ -433,23 +437,7 @@ def closure_fixpoint(
             k = checked_value(Fraction, lipschitz[symbol], f"Lipschitz constant for {symbol}")
             if k <= 0:
                 raise DomainError(f"Lipschitz constant for {symbol} must be positive")
-        args_idx, res_idx = rules[symbol]
-        # The rows the rule reads, as a mask and sorted.  (A plain np.unique
-        # would import numpy.ma: 1 MB of RSS.)
-        reads = np.zeros(len(D), dtype=bool)
-        reads[np.concatenate(args_idx)] = True
-        rows, arity = reads.nonzero()[0], len(args_idx)
-        # The rows again when the argument tuples are their power in
-        # row-major order (as in free-algebra and full-table rules).
-        square = len(res_idx) == len(rows) ** arity and bool(
-            (np.stack(args_idx) == rows[np.indices((len(rows),) * arity).reshape(arity, -1)]).all()
-        )
-        # The first image, when the images are a run of positions.
-        first = int(res_idx[0])
-        if not (res_idx == np.arange(first, first + len(res_idx))).all():
-            first = None
-        injective = first is not None or int(np.bincount(res_idx).max()) < 2
-        tables.append((args_idx, res_idx, k, reads, rows, rows if square else None, first, injective))
+        tables.append((args_idx, res_idx, k, *view))
     return PseudometricMatrix._trusted(carrier, *_fix_int(D, denom, tables, mode, max_decreases))
 
 
@@ -501,12 +489,22 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
     block are no shorter than one, by rho's triangle inequality; so a
     shortest path of fewest hops changes block at each inner point, which
     then lies in two blocks, and Floyd-Warshall over those points gives the
-    full closure.  A rule whose argument rows have not moved since it last
-    ran is skipped, as it would lower nothing, so every pass ends on the
-    matrix of full passes and the decrease count is unchanged.  A pass
-    counts the distinct positions it lowered from its own writes (the
-    repair's within each component, and each rule's); the stale rules and
-    the blocks come from the same writes.
+    full closure.  A block (a) C is covered when C lies within the images
+    of a rule of (b) in Q or LIP and the rule's candidate is <= D, so
+    after it = D, on every ordered pair of distinct points of C.  As D1 is
+    <= the candidate on all the rule's images, the rule's block may be its
+    lowered images and C; and every finite cell of D1 within C equals the
+    candidate there or was lowered later by a writer whose block holds it,
+    so C's own block is not needed.  The points of C the rule lowered then
+    count one block fewer, and the others keep C's count for the rule's
+    block.  A component drops its block once a pass: at the points a
+    second covering rule lowers and the first did not, its count stands
+    for the first rule's block.  A rule whose argument rows have not moved
+    since it last ran is skipped, as it would lower nothing, so every pass
+    ends on the matrix of full passes and the decrease count is unchanged.
+    A pass counts the distinct positions it lowered from its own writes
+    (the repair's within each component, and each rule's); the stale rules
+    and the blocks come from the same writes.
 
     The candidate of two argument tuples is finite only when every place
     pairs two points at a finite distance, so of one finite component.  A
@@ -541,8 +539,12 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
         rep, classes = None, True
         if groups is None:
             groups, label = _labelled_components(D)
-        # The closed blocks each point lies in, from its component on.
-        blocks = (np.bincount(label, minlength=n)[label] > 1).astype(np.intp)
+        # The closed blocks each point lies in, from its component on; the
+        # components by the pass-start labels, and those whose block a rule
+        # has already dropped.
+        size = np.bincount(label, minlength=n)
+        blocks = (size[label] > 1).astype(np.intp)
+        comp, dropped = label, None
         # What the repair lowered, one mask per component, and the flat
         # positions the rules lowered, and those of blocks (c).
         repaired, written, loose = [], [], []
@@ -564,13 +566,14 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
                 rep = _zero_reps(D)
                 classes = classes or bool(((D == 0) == (rep[:, None] == rep)).all())
             if mode == "M" and classes:
-                pos = _zero_class_rule(D, rep, args_idx, res_idx, reads)
+                pos, kept = _zero_class_rule(D, rep, args_idx, res_idx, reads), None
             else:
                 # A block (b) needs a snapshot no earlier rule of the pass moved.
                 injective = injective and mode != "M" and not moved[rows].any()
                 if square is None and groups is None:
                     groups, label = _labelled_components(D)
-                D, denom, pos = _bound_rule(D, denom, tables[r], mode, label)
+                kept = [] if injective else None
+                D, denom, pos = _bound_rule(D, denom, tables[r], mode, label, kept)
             if len(pos):
                 rep, classes = None, False
                 x = pos // n
@@ -578,6 +581,13 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
                 if injective:
                     # One block for the rule: a repeated index adds 1 once.
                     blocks[x] += 1
+                    if kept and (cover := _covered(D, kept, x, comp, size)) is not None:
+                        # A component the rule covers drops its block, once.
+                        if dropped is None:
+                            dropped = np.zeros(n, dtype=bool)
+                        cover &= ~dropped
+                        dropped |= cover
+                        blocks[x[cover[comp[x]]]] -= 1
                 else:
                     loose.append(pos)
                 written.append(pos)
@@ -744,10 +754,11 @@ def _affine_solve(system) -> list[Fraction] | None:
     return [Fraction(M[c][m]) / M[c][c] for c in range(m)]
 
 
-def _bound_rule(D: np.ndarray, denom: int, table, mode: str, label: np.ndarray):
+def _bound_rule(D: np.ndarray, denom: int, table, mode: str, label: np.ndarray, kept=None):
     """Lower ``(D, denom)`` by a Q, LIP or intransitive-M rule over the pairs
     of argument tuples whose places pair points of one component (by
-    ``label``); returns ``(D, denom, pos)``, ``pos`` the positions lowered."""
+    ``label``); returns ``(D, denom, pos)``, ``pos`` the positions lowered.
+    Each ``(pos, c)`` chunk of candidates is appended to ``kept`` if given."""
     args_idx, res_idx, k, _, rows, square, first, _ = table
     sub = D[rows[:, None], rows]
     if mode == "M":
@@ -773,7 +784,30 @@ def _bound_rule(D: np.ndarray, denom: int, table, mode: str, label: np.ndarray):
         cells = _grouped_cells(sub, local, label[rows], res_idx, len(D))
     else:
         cells = _product_cells(sub, len(args_idx), res_idx, first, len(D))
-    return D, denom, _lower(D, cells)
+    return D, denom, _lower(D, cells, kept)
+
+
+def _covered(D: np.ndarray, kept, x: np.ndarray, label: np.ndarray, size: np.ndarray):
+    """The mask, over labels, of the components of two or more points (by
+    ``label``, with ``size`` points each) that hold a row of ``x`` and whose
+    every ordered pair of distinct points is a cell of the ``(pos, c)``
+    chunks ``kept`` with ``c <= D[pos]``; None when there is none.  The
+    chunks must hold each position at most once."""
+    n = len(D)
+    want = np.zeros(n, dtype=bool)
+    want[label[x]] = True
+    want &= size > 1
+    if not want.any():
+        return None
+    flat, count = D.reshape(-1), np.zeros(n, dtype=np.intp)
+    for pos, c in kept:
+        i, j = np.divmod(pos, n)
+        at = label[i]
+        hit = want[at] & (at == label[j]) & (i != j)
+        hit[hit] = c[hit] <= flat.take(pos[hit])
+        count += np.bincount(at[hit], minlength=n)
+    cover = want & (count == size * (size - 1))
+    return cover if cover.any() else None
 
 
 def _repair(D: np.ndarray, idx: np.ndarray, ks: list[int]) -> np.ndarray:
@@ -808,12 +842,14 @@ def _labelled_components(D: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     return groups, label
 
 
-def _lower(D: np.ndarray, cells) -> np.ndarray:
+def _lower(D: np.ndarray, cells, kept=None) -> np.ndarray:
     """Lower ``D`` at each flat position ``pos`` to ``c`` for every
     ``(pos, c)`` chunk of ``cells`` where that is lower, and return the
-    positions lowered."""
+    positions lowered; each chunk is appended to ``kept`` if given."""
     flat, out = D.reshape(-1), []
     for pos, c in cells:
+        if kept is not None:
+            kept.append((pos, c))
         hit = c < flat.take(pos)
         if hit.any():
             pos = pos[hit]

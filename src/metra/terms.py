@@ -183,14 +183,15 @@ _kept_universes: OrderedDict = OrderedDict()
 
 
 def _term_universe(sig: Signature, variables: Iterable[str], depth: int, max_terms: int):
-    """``enumerate_terms`` as a tuple, with the closure rules and the
-    position map of the universe; see ``_built_universe``.
+    """``enumerate_terms`` as a tuple, with the closure rules, the position
+    map and the closure's ``rule_tables`` of the universe; see
+    ``_built_universe``.
 
     A universe depends only on the signature, the names and the depth, so
     the last ``_UNIVERSES_KEPT`` of them are kept and shared by every
-    caller: the tuple, the read-only rule arrays and the position map are
-    never to be written.  Bad names, depths and refusals raise on every
-    call, and a refused universe is never kept."""
+    caller: the tuple, the read-only rule arrays and tables and the
+    position map are never to be written.  Bad names, depths and refusals
+    raise on every call, and a refused universe is never kept."""
     depth, max_terms = checked_count(depth, "depth"), checked_count(max_terms, "max_terms")
     names = sorted(set(variables))
     for name in names:
@@ -220,8 +221,8 @@ def _built_universe(sig: Signature, names: list, depth: int, max_terms: int):
     ``(symbol, *arg ids)``, and each new term's ``App`` and sort key are
     built once, from its arguments'.  Returns the terms in canonical
     order, each symbol of positive arity's ``(args_idx, res_idx)`` in
-    universe positions, sorted by the arguments, and ``position(term)``,
-    -1 outside the universe."""
+    universe positions, sorted by the arguments, ``position(term)``, -1
+    outside the universe, and the ``rule_tables`` of those rules."""
     constants = [s for s, a in sig.items() if a == 0]
     terms: list[Term] = [Var(name) for name in names] + [App(s) for s in constants]
     keys = [(0, name) for name in names] + [(1, s, ()) for s in constants]
@@ -264,7 +265,44 @@ def _built_universe(sig: Signature, names: list, depth: int, max_terms: int):
         return ids.get(key, n)
 
     universe = tuple(terms[i] for i in order)
-    return universe, MappingProxyType(rules), lambda term: int(at[term_id(term)])
+    return (
+        universe,
+        MappingProxyType(rules),
+        lambda term: int(at[term_id(term)]),
+        rule_tables(n, rules),
+    )
+
+
+def rule_tables(n: int, rules: Mapping[str, tuple]) -> tuple:
+    """What the closure fixpoint reads of partial operation tables on
+    ``range(n)``, given as ``rules``: symbol to ``(args_idx, res_idx)``, one
+    array of argument positions per place and the images, sorted by the
+    arguments.  For each symbol, in sorted order, ``(symbol, args_idx,
+    res_idx, reads, rows, square, first, injective)``: the mask of the rows
+    the rule reads and those rows sorted; the rows again when the argument
+    tuples are their power in row-major order (as in term universes and
+    full tables), else None; the first image when the images are a run of
+    positions, else None; and whether no two tuples share an image.  The
+    arrays are read-only, so a kept universe shares its tables."""
+    tables = []
+    for symbol in sorted(rules):
+        args_idx, res_idx = rules[symbol]
+        # The rows the rule reads, as a mask and sorted.  (A plain np.unique
+        # would import numpy.ma: 1 MB of RSS.)
+        reads = np.zeros(n, dtype=bool)
+        reads[np.concatenate(args_idx)] = True
+        rows, arity = reads.nonzero()[0], len(args_idx)
+        square = len(res_idx) == len(rows) ** arity and bool(
+            (np.stack(args_idx) == rows[np.indices((len(rows),) * arity).reshape(arity, -1)]).all()
+        )
+        first = int(res_idx[0])
+        if not (res_idx == np.arange(first, first + len(res_idx))).all():
+            first = None
+        injective = first is not None or int(np.bincount(res_idx).max()) < 2
+        reads.flags.writeable = rows.flags.writeable = False
+        square = rows if square else None
+        tables.append((symbol, args_idx, res_idx, reads, rows, square, first, injective))
+    return tuple(tables)
 
 
 def evaluate(term: Term, algebra, valuation: Mapping) -> object:

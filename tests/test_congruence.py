@@ -1582,12 +1582,68 @@ def block_tables(draw, n):
     return ops
 
 
+# Distances of the star and chord in ``covering_tables``.
+STAR = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
+
+
+@st.composite
+def covering_tables(draw):
+    """``(n, ops, bounds)`` where the product rule "a" maps S onto C, a
+    copy of a star on S around s0, and "b" sends two points of S to a(s0)
+    and to a point outside.  A chord of S between the ends of two arms,
+    shorter than the two together and no shorter than their difference,
+    lowers its images' cell, so "a" lowers rows of the component C.  C is
+    covered, and a(s0)'s row is not lowered, unless C's arms start longer
+    than S's, which "a" lowers, or a near-cover bound halves C's arm to
+    the chord's end, below the candidate there.  The points are
+    renumbered at random."""
+    m = draw(st.integers(min_value=3, max_value=5))
+    n = 2 * m + draw(st.integers(min_value=1, max_value=2))
+    at = draw(st.permutations(range(n)))
+    S, C = at[:m], at[m:2 * m]
+    arms = draw(st.lists(st.sampled_from(STAR), min_size=m - 1, max_size=m - 1))
+    longer = [0] * (m - 1)
+    if draw(st.booleans()):
+        extra = st.sampled_from([0, Fraction(1, 2)])
+        longer = draw(st.lists(extra, min_size=m - 1, max_size=m - 1))
+    bounds = []
+    for i, (v, up) in enumerate(zip(arms, longer), start=1):
+        bounds += [(S[0], S[i], v), (C[0], C[i], v + up)]
+    i, j = draw(st.lists(st.integers(1, m - 1), min_size=2, max_size=2, unique=True))
+    far, near = arms[i - 1] + arms[j - 1], abs(arms[i - 1] - arms[j - 1])
+    bounds.append((S[i], S[j], draw(st.sampled_from([v for v in STAR if near <= v < far]))))
+    if draw(st.booleans()):
+        bounds.append((C[0], C[i], arms[i - 1] / 2))
+    k, ell = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+    ops = {"a": {(s,): c for s, c in zip(S, C)}, "b": {(S[k],): C[0], (S[ell],): at[-1]}}
+    return n, ops, bounds
+
+
+def matches_full_passes(args, cap=300):
+    """``generate_congruence(*args)`` against full passes: the same matrix
+    within the reference's decrease count and not below it, with no jump;
+    with the jump on, the same matrix; or the cap on both."""
+    try:
+        want, count = on_full_passes(lambda: generate_congruence(*args, max_decreases=cap))
+    except ResourceLimitError:
+        with passes_only(), pytest.raises(ResourceLimitError):
+            generate_congruence(*args, max_decreases=cap)
+        return
+    with passes_only():
+        assert generate_congruence(*args, max_decreases=count) == want
+        if count:
+            with pytest.raises(ResourceLimitError):
+                generate_congruence(*args, max_decreases=count - 1)
+    assert generate_congruence(*args, max_decreases=count) == want
+
+
 class TestBlockPivots:
     """A repair after the first pivots only on the points that lie in two
     or more closed blocks of the pass before (see ``_fix_int``): its
-    component, the images of each clean rule with injective images, and
-    each other cell a rule lowered.  Against full passes on both mirrors,
-    on tables with every kind of block, and through spies on the repair."""
+    component, unless a rule covers it, the images of each clean rule with
+    injective images, and each other cell a rule lowered.  Against full
+    passes on both mirrors, on tables with every kind of block and with
+    covered components, and through spies on the repair."""
 
     # Beside TestClosureEngines.BOUNDS, a bound that LIP rescaling by 3/2
     # or 3 carries past the int64 guard partway through a pass.
@@ -1608,20 +1664,8 @@ class TestBlockPivots:
             st.lists(st.tuples(elem, elem, st.sampled_from(self.BOUNDS)), max_size=5)
         )
         lipschitz = dict.fromkeys(ops, k) if mode == "LIP" else None
-        args = (range(n), ops, bounds, mode, lipschitz)
         with mirrors():
-            try:
-                want, count = on_full_passes(lambda: generate_congruence(*args, max_decreases=300))
-            except ResourceLimitError:
-                with passes_only(), pytest.raises(ResourceLimitError):
-                    generate_congruence(*args, max_decreases=300)
-                return
-            with passes_only():
-                assert generate_congruence(*args, max_decreases=count) == want
-                if count:
-                    with pytest.raises(ResourceLimitError):
-                        generate_congruence(*args, max_decreases=count - 1)
-            assert generate_congruence(*args, max_decreases=count) == want
+            matches_full_passes((range(n), ops, bounds, mode, lipschitz))
 
     def test_a_point_on_two_cells_of_a_rule_that_read_lowered_rows(self):
         """"a" lowers d(4, 5) and d(1, 6) in the first pass, then "d" reads
@@ -1666,45 +1710,90 @@ class TestBlockPivots:
         assert got.get(0, 5) == ExtRat(2)
         assert [(idx, pivots) for idx, pivots, _ in calls] == [([0, 1, 5], [1])]
 
-    def test_criterion_08_repairs_no_fresh_product_component(self):
+    @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
+    def test_components_a_rule_does_not_cover_or_did_not_lower(self, mirrors):
+        """f sends 4, 5, 6 and 7 to 0, 1, 2 and 3, and P = {4, 5, 6, 7} is
+        closer than {0, 1, 2} except at (6, 4): d(4, 6) = 2 > d(0, 2) = 1.
+        f lowers d(0, 1) and d(1, 2), but {0, 1, 2} is not covered, so
+        its points stay pivots and d(3, 2) = d(3, 0) + d(0, 2) = 2.
+        g covers {8, 9, 10}, lowering only d(8, 9), so 8 and 9 drop its
+        block and 10, whose row g did not lower, keeps it; with h's cell
+        (10, 16), 10 is the one pivot, and d(16, 8) = 2."""
+        ops = {"f": {(4,): 0, (5,): 1, (6,): 2, (7,): 3},
+               "g": {(11,): 8, (12,): 9, (13,): 10},
+               "h": {(14,): 10, (15,): 16}}
+        caps = [(0, 1, 2), (1, 2, 2), (0, 2, 1), (4, 5, 1), (5, 6, 1), (7, 4, 1),
+                (8, 9, 2), (8, 10, 1), (9, 10, 1), (11, 12, 1), (12, 13, 1), (11, 13, 1),
+                (14, 15, 1)]
+        args = (range(17), ops, caps, "Q", None)
+        with mirrors():
+            want, count = on_full_passes(lambda: generate_congruence(*args))
+            got, calls = repairs(lambda: generate_congruence(*args, max_decreases=count))
+            with pytest.raises(ResourceLimitError):
+                generate_congruence(*args, max_decreases=count - 1)
+        assert got == want
+        assert got.get(3, 2) == got.get(16, 8) == ExtRat(2)
+        # After the first pass's repairs, of the four components of 3 or 4.
+        assert [(idx, pivots) for idx, pivots, _ in calls[4:]] == [
+            ([0, 1, 2, 3], [0, 1, 2]), ([8, 9, 10, 16], [10])
+        ]
+
+    @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
+    def test_matches_full_passes_on_covering_rules(self, mirrors):
+        """Product rules that cover a component, fall one bound short of it
+        or leave a point of it unlowered, against full passes; some
+        examples must cover a component."""
+        covered, real = [], congruence_module._covered
+
+        def spy(*args):
+            cover = real(*args)
+            covered.append(cover is not None)
+            return cover
+
+        @given(
+            tables=covering_tables(),
+            mode=st.sampled_from(["Q", "LIP"]),
+            k=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]),
+        )
+        @settings(max_examples=150, deadline=None)
+        def run(tables, mode, k):
+            n, ops, bounds = tables
+            lipschitz = dict.fromkeys(ops, k) if mode == "LIP" else None
+            matches_full_passes((range(n), ops, bounds, mode, lipschitz))
+
+        with mirrors(), mock.patch.object(congruence_module, "_covered", spy):
+            run()
+        assert any(covered)
+
+    def test_criterion_08_repairs_nothing_after_the_first_pass(self):
         """In the depth-3 free algebra of criterion 08 one rule builds, pass
         after pass, components of 4 to 256 terms out of terms that were
-        alone: each lies in one closed block, the rule's, and needs no
-        repair.  Every component repaired holds a term of a component of
-        two or more terms of the pass before, and fresh ones exist."""
+        alone or in older components.  Each lies in the rule's block, and
+        an older one it merges is covered: the rule's candidate is <= its
+        distance on every cell of it.  So no repair runs after the first
+        pass, while the rule runs in several and covers components."""
         sig = Signature({"sigma": 2})
         p = Presentation(
             sig, ["x", "y"], [MetricEquation(Var("x"), Var("y"), Fraction(1))], depth=3, mode="Q"
         )
-        labels = []
+        events, real = [], congruence_module._covered
 
-        def components(D):
-            groups, label = _labelled_components(D)
-            labels.append(label.copy())
-            return groups, label
+        def covered(*args):
+            cover = real(*args)
+            events.append("covered" if cover is not None else "rule")
+            return cover
 
-        with mock.patch.object(congruence_module, "_labelled_components", components):
-            seen = []
-            _, calls = repairs(lambda: free_algebra(p), on_call=lambda: seen.append(len(labels)))
-        assert calls
-        fresh = 0
-        for (idx, _, _), count in zip(calls, seen):
-            # The components of the pass before, if this is not the first.
-            if count > 1:
-                before = np.bincount(labels[count - 2])[labels[count - 2]] > 1
-                assert before[idx].any()
-        for prev, cur in zip(labels, labels[1:]):
-            sizes, before = np.bincount(cur), np.bincount(prev)[prev] > 1
-            fresh += sum(
-                1 for root in np.flatnonzero(sizes > 2) if not before[cur == root].any()
-            )
-        assert fresh > 0
+        with mock.patch.object(congruence_module, "_covered", covered):
+            repairs(lambda: free_algebra(p), on_call=lambda: events.append("repair"))
+        runs = [i for i, event in enumerate(events) if event != "repair"]
+        assert len(runs) >= 3 and "covered" in events
+        assert "repair" not in events[runs[0]:]
 
     def test_the_last_repair_of_a_large_closure_pivots_on_few_points(self):
         """The depth-3 free algebra over sigma, u and x with x near
         sigma(x, x) and u(x), as in the 183-term benchmark jobs: its rules
         merge the universe into one component, and its last repair lowers
-        rows of all 183 terms while pivoting on fewer than half of them."""
+        rows of all 183 terms while pivoting on fewer than a quarter of them."""
         x = Var("x")
         relations = [
             MetricEquation(x, App("sigma", (x, x)), Fraction(1, 2)),
@@ -1716,7 +1805,7 @@ class TestBlockPivots:
         assert got == want
         idx, pivots, lowered = calls[-1]
         assert len(idx) == len(lowered) == 183
-        assert len(pivots) < len(lowered) // 2
+        assert len(pivots) < len(lowered) // 4
 
     def test_a_pass_that_sets_no_pivot_runs_on(self):
         """In the depth-2 free algebra of sigma over x and y with x near y,
@@ -1730,8 +1819,8 @@ class TestBlockPivots:
         events = []
         real = congruence_module._lower
 
-        def lower(D, cells):
-            pos = real(D, cells)
+        def lower(D, cells, kept=None):
+            pos = real(D, cells, kept)
             events.append(len(pos))
             return pos
 

@@ -145,6 +145,7 @@ class TestSharedUniverse:
         assert again[0] is first[0]
         assert _term_universe(SIG, ["x", "y"], 2, len(first[0]))[0] is first[0]
         assert again[1]["sigma"][1] is first[1]["sigma"][1]
+        assert again[3] is first[3]
         assert list(first[0]) == reference_enumerate_terms(SIG, ["x", "y"], 2)
 
     def test_keeps_the_last_few(self):
@@ -165,13 +166,17 @@ class TestSharedUniverse:
         assert again == first and again is not first
 
     def test_rule_arrays_are_read_only(self):
-        rules = _term_universe(Signature({"f": 1, "sigma": 2}), ["x"], 2, 20000)[1]
+        _, rules, _, tables = _term_universe(Signature({"f": 1, "sigma": 2}), ["x"], 2, 20000)
         for args_idx, res_idx in rules.values():
             for array in (*args_idx, res_idx):
                 with pytest.raises(ValueError):
                     array[0] = 0
                 with pytest.raises(ValueError):
                     array.flags.writeable = True
+        # Each table's mask and sorted rows of the rows it reads.
+        for array in [a for table in tables for a in table[3:5]]:
+            with pytest.raises(ValueError):
+                array[0] = 0
         with pytest.raises(TypeError):
             rules["sigma"] = None
 
@@ -200,7 +205,7 @@ class TestSharedUniverse:
 
     def test_position_map(self):
         sig = Signature({"c": 0, "sigma": 2})
-        universe, _, position = _term_universe(sig, ["x", "y"], 1, 20000)
+        universe, _, position, _ = _term_universe(sig, ["x", "y"], 1, 20000)
         assert [position(t) for t in universe] == list(range(len(universe)))
         assert [position(App(t.symbol, t.args)) for t in universe if isinstance(t, App)] == [
             i for i, t in enumerate(universe) if isinstance(t, App)
