@@ -266,9 +266,10 @@ def join(
     arrays, denom = _mirrors(*(t.matrix for t in thetas))
     rules = {s: _cells(t) for s, t in base.tables.items() if t.ndim}
     rules = rule_tables(len(base.carrier), rules)
-    closed = closure_fixpoint(
-        base.carrier, rules, np.minimum.reduce(arrays), denom, mode, lipschitz, max_decreases
-    )
+    D = np.minimum.reduce(arrays)
+    # The carriers are small: one union over every finite cell labels D.
+    label = _merged(np.arange(len(D)), *(D < _inf_code(D)).nonzero())
+    closed = closure_fixpoint(base.carrier, rules, D, denom, label, mode, lipschitz, max_decreases)
     return Congruence._trusted(base, closed.D, closed.denom)
 
 
@@ -364,7 +365,7 @@ def generate_congruence(
         caps.append((i, j, checked_value(
             ExtRat, bound, f"bound of the constraint on ({render_id(x)}, {render_id(y)})"
         )))
-    D, denom = _start_matrix(len(carrier), caps)
+    D, denom, label = _start_matrix(len(carrier), caps)
     if not isinstance(ops, Mapping):
         raise TableError("bad operation table: not-a-mapping at ()")
     rules = {}
@@ -385,7 +386,7 @@ def generate_congruence(
         cells = np.array(sorted(cells), dtype=np.intp)
         rules[symbol] = list(cells[:, :-1].T), cells[:, -1]
     return closure_fixpoint(
-        carrier, rule_tables(len(carrier), rules), D, denom, mode, lipschitz, max_decreases
+        carrier, rule_tables(len(carrier), rules), D, denom, label, mode, lipschitz, max_decreases
     )
 
 
@@ -397,15 +398,17 @@ def _position(index: Mapping, x, what: str) -> int:
         raise DomainError(f"{what} {render_id(x)} outside carrier") from None
 
 
-def _start_matrix(n: int, cells: Sequence[tuple[int, int, ExtRat]]) -> tuple[np.ndarray, int]:
+def _start_matrix(n: int, cells: Sequence[tuple[int, int, ExtRat]]):
     """The mirror of the discrete pseudometric on ``n`` points with each
-    ``(i, j, bound)`` capping (i, j) and (j, i)."""
+    ``(i, j, bound)`` capping (i, j) and (j, i), as ``(D, denom, label)``:
+    ``label`` joins the ends of each finite bound (see ``_merged``)."""
     codes, denom = _codes([c[2] for c in cells])
     D = np.full((n, n), _inf_code(codes), dtype=codes.dtype)
     i, j = np.array([c[:2] for c in cells], dtype=np.intp).reshape(-1, 2).T
     np.minimum.at(D, (i, j), codes)
     np.minimum.at(D, (j, i), codes)
-    return D, denom
+    finite = codes < _inf_code(codes)
+    return D, denom, _merged(np.arange(n), i[finite], j[finite])
 
 
 def closure_fixpoint(
@@ -413,6 +416,7 @@ def closure_fixpoint(
     rules: tuple,
     D: np.ndarray,
     denom: int,
+    label: np.ndarray,
     mode: str,
     lipschitz: Mapping[str, Fraction] | None,
     max_decreases: int,
@@ -421,8 +425,10 @@ def closure_fixpoint(
     mode-congruential pseudometric.  ``D`` must be symmetric, as the
     discrete start of ``generate_congruence`` and ``free_algebra`` and the
     minimum of the congruences ``join`` reads are; it is closed in place
-    unless the closure widens it to Python ints.  ``rules`` are the
-    ``terms.rule_tables`` of the operations of positive arity.
+    unless the closure widens it to Python ints.  ``label`` names each
+    point's finite component of D by its least point, as ``_merged`` gives
+    it from D's finite cells; the closure keeps it current from its writes.
+    ``rules`` are the ``terms.rule_tables`` of the operations of arity > 0.
     The result is exact: the greatest fixpoint, reached by passes or by a
     proved jump (``_fix_int``), or ``ResourceLimitError`` at the cap."""
     if mode not in ("M", "Q", "LIP"):
@@ -438,39 +444,37 @@ def closure_fixpoint(
             if k <= 0:
                 raise DomainError(f"Lipschitz constant for {symbol} must be positive")
         tables.append((args_idx, res_idx, k, *view))
-    return PseudometricMatrix._trusted(carrier, *_fix_int(D, denom, tables, mode, max_decreases))
+    D, denom = _fix_int(D, denom, label, tables, mode, max_decreases)
+    return PseudometricMatrix._trusted(carrier, D, denom)
 
 
-def _finite_components(finite: np.ndarray) -> list[np.ndarray]:
-    """The connected groups of two or more indices of a symmetric boolean
-    mask with a true diagonal, in increasing order, by least member.
+def _merged(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The component labels ``label`` (each point's least component member)
+    with the components of ``a[i]`` and ``b[i]`` joined for every i: a new
+    array, or ``label`` itself when each pair shares a label already.  Each
+    round hooks every root to the least root paired with it, then pointer
+    jumping shortens every label to its root (union-find: Tarjan, 1975)."""
+    out, la, lb = label, label[a], label[b]
+    while (la != lb).any():
+        out = label.copy() if out is label else out
+        np.minimum.at(out, la, lb)
+        np.minimum.at(out, lb, la)
+        while not ((up := out[out]) == out).all():
+            out = up
+        la, lb = out[la], out[lb]
+    return out
 
-    Each label starts at the least neighbour and is shortened by pointer
-    jumping; then each root takes the least label its members see among
-    their neighbours, until no true entry joins two labels.
-    """
-    label = finite.argmax(axis=1)
-    while True:
-        while not (label[label] == label).all():
-            label = label[label]
-        if not label.any():
-            break
-        # Down each column of the rows in label order (the mask is
-        # symmetric), the first true entry holds the least label seen.
-        order = label.argsort(kind="stable")
-        least = label[order[finite[order].argmax(axis=0)]]
-        if (least == label).all():
-            break
-        hooked = least.copy()
-        np.minimum.at(hooked, label, least)
-        label = hooked[label]
+
+def _groups(label: np.ndarray) -> list[np.ndarray]:
+    """The components of two or more points of the labels ``label`` (see
+    ``_merged``), each sorted, in increasing order by least member."""
     order = (np.bincount(label)[label] > 1).nonzero()[0]
     order = order[label[order].argsort(kind="stable")]
     cuts = [0, *((label[order[1:]] != label[order[:-1]]).nonzero()[0] + 1).tolist(), len(order)]
     return [order[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
-def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
+def _fix_int(D: np.ndarray, denom: int, label: np.ndarray, tables, mode: str, max_decreases: int):
     """Close ``(D, denom)`` in passes of triangle repair and then the rules,
     up to the first pass whose rules lower nothing.  The first repair is
     Floyd-Warshall over each finite component; a later one pivots only on
@@ -512,8 +516,8 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
     a fixed budget of cells at a time: from the finite pairs of
     ``D[S, S]`` when its tuples are S**arity (``_product_cells``), and
     within the groups of tuples with one tuple of component labels
-    otherwise (``_grouped_cells``).  Components are recomputed only after
-    a rule writes a finite value between two of them.
+    otherwise (``_grouped_cells``).  A write whose ends carry two labels
+    merges them (``_merged``), so the caller's labels stay current unscanned.
 
     In mode M the zero-set of a repaired D is an equivalence, so a rule
     runs on its zero classes (``_zero_class_rule``).  A rule that lowers
@@ -538,7 +542,7 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
         # with classes ``rep``; once a rule lowers an entry it is tested anew.
         rep, classes = None, True
         if groups is None:
-            groups, label = _labelled_components(D)
+            groups = _groups(label)
         # The closed blocks each point lies in, from its component on; the
         # components by the pass-start labels, and those whose block a rule
         # has already dropped.
@@ -558,7 +562,7 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
                     stale[:, idx[low.any(axis=1)]] = True
         # The rows the rules of this pass have lowered so far.
         moved = np.zeros(n, dtype=bool)
-        for r, (args_idx, res_idx, _, reads, rows, square, _, injective) in enumerate(tables):
+        for r, (args_idx, res_idx, _, reads, rows, _, _, injective) in enumerate(tables):
             if not stale[r, reads].any():
                 continue
             stale[r] = False
@@ -570,8 +574,6 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
             else:
                 # A block (b) needs a snapshot no earlier rule of the pass moved.
                 injective = injective and mode != "M" and not moved[rows].any()
-                if square is None and groups is None:
-                    groups, label = _labelled_components(D)
                 kept = [] if injective else None
                 D, denom, pos = _bound_rule(D, denom, tables[r], mode, label, kept)
             if len(pos):
@@ -591,8 +593,8 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
                 else:
                     loose.append(pos)
                 written.append(pos)
-                if groups is not None and (label[x] != label[pos - x * n]).any():
-                    groups = None
+                if (merged := _merged(label, x, pos - x * n)) is not label:
+                    label, groups = merged, None
         if written:
             # The positions the rules lowered, less those the repair did.
             pos = _distinct(written)
@@ -611,7 +613,10 @@ def _fix_int(D: np.ndarray, denom: int, tables, mode: str, max_decreases: int):
             i, j = np.divmod(np.concatenate(now), n)
             recent = [*recent[1 - _JUMP_PASSES:], np.minimum(i, j) * n + np.maximum(i, j)]
             cells = _distinct(recent)
-            if len(cells) <= _JUMP_CELLS and (out := _jump(D, denom, start, tables, cells)):
+            groups = _groups(label) if groups is None else groups
+            if len(cells) <= _JUMP_CELLS and (
+                out := _jump(D, denom, start, tables, cells, groups, label)
+            ):
                 # The greatest fixpoint: a further pass would lower nothing.
                 D, denom, count = out
                 decreases += count
@@ -631,10 +636,11 @@ _JUMP_PASSES = 4
 _JUMP_CELLS = 64
 
 
-def _jump(D: np.ndarray, denom: int, start: tuple[np.ndarray, int], tables, cells: np.ndarray):
+def _jump(D: np.ndarray, denom: int, start: tuple, tables, cells: np.ndarray, groups, label):
     """The greatest fixpoint gfp <= ``(D, denom)`` of a LIP closure, solved
     for on the unordered ``cells`` (positions i * n + j, i < j) with every
     other cell held, as ``(D, denom, decreases)``; None when not proved.
+    ``groups`` and ``label``, D's finite components, are Y's as well.
 
     Each unknown takes its least bound at D, the first of equals of: its
     start value in ``start``; K * D[a_l, b_l] for a rule pair with images
@@ -725,7 +731,6 @@ def _jump(D: np.ndarray, denom: int, start: tuple[np.ndarray, int], tables, cell
     _scale_finite(Y, scale)
     i, j = np.divmod(cells, n)
     Y[i, j] = Y[j, i] = codes
-    groups, label = _labelled_components(Y)
     if any(_repair(Y, idx, range(len(idx))).any() for idx in groups) or any(
         len(_bound_rule(Y.copy(), 1, table, "LIP", label)[2]) for table in tables
     ):
@@ -830,16 +835,6 @@ def _distinct(chunks: list[np.ndarray]) -> np.ndarray:
 # Candidate cells a closure rule builds at once.
 _RULE_CELLS = _TRIANGLE_CELLS
 _NO_POSITIONS = np.zeros(0, dtype=np.intp)
-
-
-def _labelled_components(D: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The finite components of ``D`` of two or more points, and each
-    point's label: the least point of its component."""
-    groups = _finite_components(D < _inf_code(D))
-    label = np.arange(len(D))
-    for idx in groups:
-        label[idx] = idx[0]
-    return groups, label
 
 
 def _lower(D: np.ndarray, cells, kept=None) -> np.ndarray:

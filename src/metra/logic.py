@@ -645,8 +645,8 @@ def free_algebra(
                 f"raise the presentation depth"
             )
         pairs.append((i, j, r.bound))
-    D, denom = _start_matrix(len(universe), pairs)
-    theta = closure_fixpoint(universe, rules, D, denom, p.mode, p.lipschitz, max_decreases)
+    D, denom, label = _start_matrix(len(universe), pairs)
+    theta = closure_fixpoint(universe, rules, D, denom, label, p.mode, p.lipschitz, max_decreases)
     free = FreeAlgebra(p, universe, theta)
     for r, (i, j, _) in zip(p.relations, pairs):
         if not theta.at(i, j) <= r.bound:

@@ -253,6 +253,17 @@ def reference_components(finite):
     return [g for g in groups.values() if len(g) > 1]
 
 
+def reference_labels(D):
+    """The finite components of two or more points of a mirror, by
+    ``reference_components``, as arrays, and each point's label: the least
+    point of its component."""
+    groups = [np.array(g) for g in reference_components(D < _inf_code(D))]
+    label = np.arange(len(D))
+    for g in groups:
+        label[g] = g[0]
+    return groups, label
+
+
 def reference_fix_int(D, denom, tables, mode, max_decreases):
     """The closure engine with a full Floyd-Warshall repair and every rule in
     every pass, until a pass lowers nothing, as an oracle.

@@ -31,9 +31,9 @@ from metra.algebra import (
 )
 from metra.congruence import (
     Congruence,
-    _finite_components,
     _grouped_cells,
-    _labelled_components,
+    _groups,
+    _merged,
     _product_cells,
     _zero_class_rule,
     are_permutable,
@@ -85,6 +85,7 @@ from conftest import (
     reference_grid_congruences,
     reference_identification,
     reference_is_congruential,
+    reference_labels,
     reference_limit_closure,
     reference_mode_m_rule,
     reference_pointwise,
@@ -587,6 +588,23 @@ class TestGenerateCongruence:
         assert fast.get("sxx", "syy") == big
         assert as_rows(fast) == reference_closure(*args)
 
+    def test_an_infinite_bound_joins_no_components(self):
+        """An INF bound caps nothing, so its ends start in two components:
+        the first pass runs on the group {2, 3} alone, and the second on
+        {0, 1} as well, which f's finite write joined."""
+        cuts, real = [], congruence_module._groups
+
+        def spy(label):
+            cuts.append([g.tolist() for g in real(label)])
+            return real(label)
+
+        args = (range(4), {"f": {(2,): 0, (3,): 1}}, [(0, 1, INF), (2, 3, 1)], "Q")
+        with mock.patch.object(congruence_module, "_groups", spy):
+            got = generate_congruence(*args)
+        assert cuts == [[[2, 3]], [[0, 1], [2, 3]]]
+        assert got.get(0, 1) == got.get(2, 3) == ONE
+        assert as_rows(got) == reference_closure(*args)
+
     def test_large_common_denominator_stays_exact(self):
         # The denominators' product exceeds 2**32, the scaled values do not
         # reach the value guard: the int64 mirror carries them exactly.
@@ -827,8 +845,8 @@ def on_full_passes(run):
     result and the reference's decrease count."""
     counts = []
 
-    def full_passes(*engine_args):
-        D, denom, count = reference_fix_int(*engine_args)
+    def full_passes(D, denom, label, tables, mode, max_decreases):
+        D, denom, count = reference_fix_int(D, denom, tables, mode, max_decreases)
         counts.append(count)
         return D, denom
 
@@ -919,7 +937,7 @@ def engine_squares(run):
         congruence_module, "_fix_int", wraps=congruence_module._fix_int
     ) as engine:
         result = run()
-    return result, [table[5] for table in engine.call_args.args[2]]
+    return result, [table[5] for table in engine.call_args.args[3]]
 
 
 class TestProductRules:
@@ -1039,12 +1057,20 @@ def finiteness_masks(draw):
     return mask
 
 
+def mask_groups(mask):
+    """The groups ``_groups`` cuts from ``_merged`` over a mask's true cells."""
+    return [g.tolist() for g in _groups(_merged(np.arange(len(mask)), *mask.nonzero()))]
+
+
 class TestFiniteComponents:
+    """Component labels merged over cells (``_merged``) and the groups cut
+    from them (``_groups``), against the union-find of
+    ``reference_components`` on the finiteness mask."""
+
     @given(mask=finiteness_masks())
     @settings(max_examples=200, deadline=None)
     def test_matches_the_union_find(self, mask):
-        got = _finite_components(mask)
-        assert [g.tolist() for g in got] == reference_components(mask)
+        assert mask_groups(mask) == reference_components(mask)
 
     @pytest.mark.parametrize("n", [2, 3, 500])
     def test_long_chains(self, n):
@@ -1052,7 +1078,31 @@ class TestFiniteComponents:
         for order in (list(range(n))[::-1], np.random.default_rng(n).permutation(n)):
             mask = np.eye(n, dtype=bool)
             mask[order[:-1], order[1:]] = mask[order[1:], order[:-1]] = True
-            assert [g.tolist() for g in _finite_components(mask)] == [list(range(n))]
+            assert mask_groups(mask) == [list(range(n))]
+
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_merged_labels_follow_batches_of_writes(self, n, data):
+        """Labels from start cells, then merged batch by batch as the
+        closure merges its writes: after each batch they name every point's
+        least component member, and cut into the reference's groups; the
+        labels merged from are left as they were."""
+        point = st.integers(min_value=0, max_value=n - 1)
+        cells = st.lists(st.tuples(point, point), max_size=n)
+        mask = np.eye(n, dtype=bool)
+        label = np.arange(n)
+        for batch in [data.draw(cells), *data.draw(st.lists(cells, max_size=6))]:
+            a, b = np.array(batch, dtype=np.intp).reshape(-1, 2).T
+            mask[a, b] = mask[b, a] = True
+            old, kept = label, label.copy()
+            label = _merged(old, a, b)
+            assert np.array_equal(old, kept)
+            _, want = reference_labels(np.where(mask, 0, _inf_code(label)))
+            assert label.tolist() == want.tolist()
+            assert [g.tolist() for g in _groups(label)] == reference_components(mask)
 
 
 class TestTrustedResults:
@@ -1500,7 +1550,7 @@ class TestFinitePairCandidates:
                 most = max(budget, len(sub) ** 2)
             else:
                 local = [np.searchsorted(rows_read, a) for a in args_idx]
-                labels = _labelled_components(D)[1][rows_read]
+                labels = reference_labels(D)[1][rows_read]
                 chunks = list(_grouped_cells(sub, local, labels, images, width))
                 most = max(budget, m)
         got = {}
@@ -1513,7 +1563,7 @@ class TestFinitePairCandidates:
                 assert key not in got
                 got[key] = v
         # Only pairs whose places pair points of one component.
-        label = _labelled_components(D)[1]
+        label = reference_labels(D)[1]
         for t, u in got:
             assert all(label[a[t]] == label[a[u]] for a in args_idx)
         if power:
@@ -1765,6 +1815,32 @@ class TestBlockPivots:
             run()
         assert any(covered)
 
+    def test_a_component_drops_its_block_once_a_pass(self):
+        """f and g both cover C = {6, 7}: each sends two arguments at
+        distance 1 onto C and a third, in their component, to 8 or to 9, so
+        each lowers rows 6 and 7.  Both rules' blocks hold 6 and 7, and C
+        drops its own block once; dropped again for g, 6 and 7 would count
+        one block each, and without them as pivots the repair would leave
+        d(8, 9) = d(8, 6) + d(6, 9) = 2 infinite."""
+        ops = {"f": {(0,): 6, (1,): 7, (2,): 8}, "g": {(3,): 6, (4,): 7, (5,): 9}}
+        caps = [(0, 1, 1), (0, 2, 1), (3, 4, 1), (3, 5, 1), (6, 7, 1)]
+        args = (range(10), ops, caps, "Q", None)
+        covered, real = [], congruence_module._covered
+
+        def spy(*args):
+            cover = real(*args)
+            covered.append(cover is not None and cover[6])
+            return cover
+
+        want, count = on_full_passes(lambda: generate_congruence(*args))
+        with mock.patch.object(congruence_module, "_covered", spy):
+            got, calls = repairs(lambda: generate_congruence(*args, max_decreases=count))
+        assert got == want
+        assert got.get(8, 9) == ExtRat(2)
+        assert covered == [True, True]
+        # After the first pass's repairs of {0, 1, 2} and {3, 4, 5}.
+        assert [(idx, pivots) for idx, pivots, _ in calls[2:]] == [([6, 7, 8, 9], [6, 7])]
+
     def test_criterion_08_repairs_nothing_after_the_first_pass(self):
         """In the depth-3 free algebra of criterion 08 one rule builds, pass
         after pass, components of 4 to 256 terms out of terms that were
@@ -1911,9 +1987,9 @@ class TestContractingClosure:
         unordered ``cells`` (as (i, j)) set to ``values`` on denominator 2."""
         seen, real = [], congruence_module._fix_int
 
-        def spy(D, denom, tables, mode, max_decreases):
+        def spy(D, denom, label, tables, mode, max_decreases):
             seen.append((D.copy(), denom, tables))
-            return real(D, denom, tables, mode, max_decreases)
+            return real(D, denom, label, tables, mode, max_decreases)
 
         with mock.patch.object(congruence_module, "_fix_int", spy):
             closed = generate_congruence(*args)
@@ -1924,7 +2000,8 @@ class TestContractingClosure:
         for (i, j), v in zip(cells, values):
             D[i, j] = D[j, i] = 2 * v
         flat = np.array([i * len(D) + j for i, j in cells])
-        return closed, congruence_module._jump(D, 2, (start, denom), tables, flat)
+        groups, label = reference_labels(D)
+        return closed, congruence_module._jump(D, 2, (start, denom), tables, flat, groups, label)
 
     def test_the_certificate_refuses_a_closed_tight_guess_below_the_gfp(self):
         """a = d(0, 1) <= 1, b = d(2, 3) <= 10 and c = d(4, 5), with
