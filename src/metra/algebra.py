@@ -180,9 +180,20 @@ def _table_check(sig: Signature, space: FiniteMetricSpace, ops) -> Verdict:
 
 
 def validate_algebra(algebra: MetricAlgebra) -> Verdict:
-    """Run the constructor's table check on the algebra's tables as dicts:
-    every table total over the carrier with in-carrier values."""
-    return _table_check(algebra.sig, algebra.space, algebra.ops)
+    """Check the index tables against the signature and the carrier: a
+    table for every symbol, of shape ``(n,) * arity``, whose every entry is
+    a position in ``range(n)``.  The first defect fails, symbol by symbol."""
+    n, tables = algebra.space.size, algebra.tables
+    for symbol in algebra.sig.symbols:
+        table = tables.get(symbol)
+        if table is None:
+            return Verdict.failed("missing-table", (symbol,))
+        if table.shape != (n,) * algebra.sig.arity(symbol):
+            return Verdict.failed("bad-shape", (symbol, table.shape))
+        outside = _first((table < 0) | (table >= n))
+        if outside is not None:
+            return Verdict.failed("value-outside-carrier", (symbol, _ids(algebra.carrier, outside)))
+    return Verdict.passed()
 
 
 def _on(table: np.ndarray, idx) -> np.ndarray:

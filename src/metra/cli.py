@@ -28,7 +28,11 @@ brace-terminated; commands end with ``;``.  Resource caps come from a
 command, comments dropped and blank space collapsed.  Literal runs
 (matrices, table and hom cells, id lists, ``limitmetric`` forms) are read
 one match at a time; the token reader takes comments and reports every
-error.
+error.  A matrix literal is read straight into the scaled mirror, each
+distinct literal text converted once.  An entry given twice (a cell, an
+``op``, a form, a ``limits`` key) is a parse error at the second one.
+``validate`` reports each object's constructor check; it looks again
+only at the algebras' index tables.
 
 Output is deterministic: results serialize with stable key order and
 canonical rational strings, and running the same file twice produces
@@ -40,6 +44,7 @@ errors, 2 when a resource cap stopped a command.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import re
 import sys
@@ -62,7 +67,6 @@ from .congruence import (
     are_permutable,
     compose,
     decompose_product,
-    is_congruential,
     join,
     meet,
 )
@@ -264,12 +268,32 @@ def _parse_id_list(lx: TokenStream) -> list:
     return _parse_items(lx, _parse_id, run and _ids(run.group()))
 
 
-def _take_cells(lx: TokenStream, pattern) -> list:
-    """The ``ids -> id;`` cells next in the stream that ``pattern`` reads in
-    one match, as ``(ids, id)`` pairs; the token reader reads the rest."""
+def _parse_cells(lx: TokenStream, pattern, read_args, what: str) -> dict:
+    """The ``ids -> id;`` cells up to and past the closing ``}``, as a dict
+    from argument tuples to ids: a run that ``pattern`` matches, then cells
+    whose arguments ``read_args`` reads as a tuple.  A cell given twice is
+    an error at the second; a run that repeats one goes back to the token
+    reader, which reports it there."""
     run = lx.take(pattern)
-    cells = "".join(run.group().split()).split(";")[:-1] if run else ()
-    return [(_ids(args), _ids(value)[0]) for args, _, value in (c.partition("->") for c in cells)]
+    cells = {}
+    if run:
+        texts = "".join(run.group().split()).split(";")[:-1]
+        for text in texts:
+            args, _, value = text.partition("->")
+            cells[tuple(_ids(args))] = _id(value)
+        if len(cells) < len(texts):
+            lx.give_back(run)
+            cells = {}
+    while not lx.at("punct", "}"):
+        token = lx.peek()
+        args = read_args(lx)
+        if args in cells:
+            raise lx.error(f"cell {','.join(map(render_id, args))} of {what} listed twice", token)
+        lx.expect("arrow")
+        cells[args] = _parse_id(lx)
+        lx.expect("punct", ";")
+    lx.next()
+    return cells
 
 
 def _parse_id_set(lx: TokenStream) -> list:
@@ -284,8 +308,9 @@ def _parse_id_set(lx: TokenStream) -> list:
 
 
 class _WorkspaceStream(TokenStream):
-    """The tokens of a workspace, reading each distinct distance literal to
-    one shared ``ExtRat``, so matrices mirror each value once."""
+    """The tokens of a workspace, with ``scalars`` holding the ``ExtRat`` of
+    each distinct distance literal read so far, keyed by its text, so that
+    each text is converted once."""
 
     __slots__ = ("scalars",)
 
@@ -294,15 +319,19 @@ class _WorkspaceStream(TokenStream):
         self.scalars = {"inf": INF}
 
 
-def _parse_scalar(lx: _WorkspaceStream) -> ExtRat:
+def _parse_literal(lx: _WorkspaceStream) -> str:
+    """The text of the next distance literal, its value in ``lx.scalars``."""
     token = lx.peek()
     if token[0] == "num" or token[0] == "name" and token[1] == "inf":
         lx.next()
-        value = lx.scalars.get(token[1])
-        if value is None:
-            value = lx.scalars[token[1]] = ExtRat(lx.fraction(token))
-        return value
+        if token[1] not in lx.scalars:
+            lx.scalars[token[1]] = ExtRat(lx.fraction(token))
+        return token[1]
     raise lx.expected("a rational or inf", token)
+
+
+def _parse_scalar(lx: _WorkspaceStream) -> ExtRat:
+    return lx.scalars[_parse_literal(lx)]
 
 
 def _parse_number(lx: TokenStream) -> Fraction:
@@ -310,14 +339,16 @@ def _parse_number(lx: TokenStream) -> Fraction:
 
 
 def _parse_matrix(lx: _WorkspaceStream) -> list:
+    """The rows of a ``[[q, ...], ...]`` literal as texts, each text's
+    value in ``lx.scalars``; ``SquareMatrix._from_keys`` builds the mirror."""
     run = lx.take(MATRIX_RUN)
-    if run:
-        scalars = lx.scalars
-        rows = [row.split(",") for row in "".join(run.group().split())[2:-2].split("],[")]
-        for text in {text for row in rows for text in row}.difference(scalars):
-            scalars[text] = ExtRat(Fraction(text))
-        return [[scalars[text] for text in row] for row in rows]
-    return _parse_bracketed(lx, lambda lx: _parse_bracketed(lx, _parse_scalar))
+    if run is None:
+        return _parse_bracketed(lx, lambda lx: _parse_bracketed(lx, _parse_literal))
+    scalars = lx.scalars
+    rows = [row.split(",") for row in "".join(run.group().split())[2:-2].split("],[")]
+    for text in {text for row in rows for text in row}.difference(scalars):
+        scalars[text] = ExtRat(Fraction(text))
+    return rows
 
 
 def _parse_name_list(lx: TokenStream) -> list:
@@ -361,24 +392,22 @@ def _parse_algebra(lx: TokenStream, ws: Workspace):
     ops = {}
     while lx.at("name", "op"):
         lx.next()
-        symbol = lx.expect("name")[1]
+        symbol_tok = lx.expect("name")
+        symbol = symbol_tok[1]
+        if symbol in ops:
+            raise lx.error(f"op {symbol!r} listed twice", symbol_tok)
         lx.expect("punct", "=")
         if lx.at("name", "table"):
             lx.next()
             lx.expect("punct", "{")
-            table = {tuple(args): value for args, value in _take_cells(lx, TABLE_RUN)}
-            while not lx.at("punct", "}"):
-                args = tuple(_parse_id_list(lx))
-                lx.expect("arrow")
-                table[args] = _parse_id(lx)
-                lx.expect("punct", ";")
-            lx.next()
-            ops[symbol] = table
+            ops[symbol] = _parse_cells(
+                lx, TABLE_RUN, lambda lx: tuple(_parse_id_list(lx)), f"op {symbol!r}"
+            )
         else:
             ops[symbol] = {(): _parse_id(lx)}
         lx.expect("punct", ";")
     lx.expect("punct", "}")
-    space = FiniteMetricSpace(carrier, rows)
+    space = FiniteMetricSpace._from_keys(carrier, rows, lx.scalars)
     algebra = MetricAlgebra(sig, space, ops)
     _declare(lx, ws.algebras, "algebra", name_tok, algebra)
 
@@ -392,7 +421,7 @@ def _parse_congruence(lx: TokenStream, ws: Workspace):
     rows = _parse_matrix(lx)
     _skip_semicolon(lx)
     lx.expect("punct", "}")
-    theta = Congruence(base, SquareMatrix(base.carrier, rows))
+    theta = Congruence(base, SquareMatrix._from_keys(base.carrier, rows, lx.scalars))
     _declare(lx, ws.congruences, "congruence", name_tok, theta)
 
 
@@ -464,18 +493,14 @@ def _parse_hom(lx: TokenStream, ws: Workspace):
     lx.expect("arrow")
     target = _lookup(lx, ws.algebras, "algebra")
     lx.expect("punct", "{")
-    mapping = {args[0]: value for args, value in _take_cells(lx, MAP_RUN)}
-    while not lx.at("punct", "}"):
-        key = _parse_id(lx)
-        lx.expect("arrow")
-        mapping[key] = _parse_id(lx)
-        lx.expect("punct", ";")
-    lx.next()
+    cells = _parse_cells(lx, MAP_RUN, lambda lx: (_parse_id(lx),), f"hom {name_tok[1]!r}")
+    mapping = {args[0]: value for args, value in cells.items()}
     _declare(lx, ws.homs, "hom", name_tok, Homomorphism(source, target, mapping))
 
 
 def _parse_limits(lx: TokenStream, ws: Workspace):
     lx.expect("punct", "{")
+    given = set()
     while not lx.at("punct", "}"):
         key_tok = lx.expect("name")
         if key_tok[1] not in LIMIT_DEFAULTS:
@@ -484,6 +509,9 @@ def _parse_limits(lx: TokenStream, ws: Workspace):
                 f"{', '.join(sorted(LIMIT_DEFAULTS))}",
                 key_tok,
             )
+        if key_tok[1] in given:
+            raise lx.error(f"limit {key_tok[1]!r} listed twice", key_tok)
+        given.add(key_tok[1])
         lx.expect("punct", "=")
         value_tok = lx.expect("num")
         if "/" in value_tok[1]:
@@ -552,11 +580,18 @@ def _parse_command(lx: TokenStream, word: str) -> dict:
         args["carrier"] = _parse_id_set(lx)
         lx.expect("punct", "{")
         run = lx.take(FORMS_RUN)
-        forms = {(_id(x), _id(y)): text for x, y, text in FORM.findall(run.group())} if run else {}
+        found = FORM.findall(run.group()) if run else []
+        forms = {(_id(x), _id(y)): text for x, y, text in found}
+        if len(forms) < len(found):  # a repeated form, reported by the token reader
+            lx.give_back(run)
+            forms = {}
         while not lx.at("punct", "}"):
+            token = lx.peek()
             x = _parse_id(lx)
             lx.expect("punct", ",")
             y = _parse_id(lx)
+            if (x, y) in forms:
+                raise lx.error(f"form {render_id(x)},{render_id(y)} listed twice", token)
             lx.expect("arrow")
             forms[(x, y)] = lx.expect("string")[1]
             lx.expect("punct", ";")
@@ -693,18 +728,20 @@ def _render_matrix(m: SquareMatrix) -> dict:
 
 
 def _render_algebra(a: MetricAlgebra) -> dict:
-    ops, tables = {}, a.ops
-    for symbol in a.sig.symbols:
-        table = tables[symbol]
-        ops[symbol] = {
-            ",".join(render_id(x) for x in args) or "()": render_id(value)
-            for args, value in sorted(table.items(), key=lambda kv: str(kv[0]))
-        }
-    return {
-        "carrier": [render_id(x) for x in a.carrier],
-        "metric": a.space.text_rows(),
-        "ops": ops,
-    }
+    """Each carrier id rendered once and each table read off its position
+    array.  Where argument tuples render alike, which only ids made through
+    the library can, the last one in ``str`` order of the tuples wins."""
+    names = [render_id(x) for x in a.carrier]
+    ops = {}
+    for symbol, table in a.tables.items():
+        keys = [",".join(k) or "()" for k in itertools.product(names, repeat=table.ndim)]
+        values = list(map(names.__getitem__, table.ravel().tolist()))
+        ops[symbol] = dict(zip(keys, values))
+        if len(ops[symbol]) < len(keys):
+            args = list(itertools.product(a.carrier, repeat=table.ndim))
+            order = sorted(range(len(keys)), key=lambda k: str(args[k]))
+            ops[symbol] = {keys[k]: values[k] for k in order}
+    return {"carrier": names, "metric": a.space.text_rows(), "ops": ops}
 
 
 def _render_map(f) -> dict:
@@ -761,15 +798,14 @@ def _run_one(ws: Workspace, word: str, args: dict, limits: dict):
         return _named(ws.congruences, "congruence", name)
 
     if word == "validate":
-        objects = []
-        for name in sorted(ws.algebras):
-            verdict = validate_algebra(ws.algebras[name])
-            objects.append({"kind": "algebra", "name": name, "ok": verdict.ok})
-        for name in sorted(ws.congruences):
-            theta = ws.congruences[name]
-            verdict = is_congruential(theta.base, theta.matrix)
-            objects.append({"kind": "congruence", "name": name, "ok": verdict.ok})
+        # Every object passed its constructor's check, and congruences and
+        # algebras are read-only; only the tables are looked at again.
+        objects = [
+            {"kind": "algebra", "name": name, "ok": validate_algebra(ws.algebras[name]).ok}
+            for name in sorted(ws.algebras)
+        ]
         for kind, table in (
+            ("congruence", ws.congruences),
             ("axioms", ws.axioms),
             ("filter", ws.filters),
             ("hom", ws.homs),

@@ -75,6 +75,7 @@ from .extmetric import (
     _inf_code,
     _mirrors,
     _scale_finite,
+    _shared,
     _zero_reps,
     checked_value,
     render_id,
@@ -173,7 +174,7 @@ class Congruence:
                 verdict,
             )
         self.base = base
-        self.matrix = PseudometricMatrix._trusted(base.carrier, matrix.D, matrix.denom)
+        self.matrix = _shared(PseudometricMatrix, base.carrier, matrix)
 
     @classmethod
     def _trusted(cls, base: MetricAlgebra, D: np.ndarray, denom: int) -> "Congruence":

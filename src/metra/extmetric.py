@@ -266,14 +266,30 @@ class SquareMatrix:
 
     def __init__(self, carrier: Sequence, entries: Sequence[Sequence[ExtRat]]):
         carrier = _checked_carrier(carrier)
-        rows = [[v if isinstance(v, ExtRat) else ExtRat(v) for v in row] for row in entries]
-        if len(rows) != len(carrier) or any(len(row) != len(carrier) for row in rows):
-            raise ShapeError(
-                f"matrix must be {len(carrier)}x{len(carrier)} to match the carrier"
-            )
+        rows = _checked_square(carrier, [
+            [v if isinstance(v, ExtRat) else ExtRat(v) for v in row] for row in entries
+        ])
         values: dict = {}
         self._assign(carrier, *scaled_int_array(rows, values), values)
         self._validate()
+
+    @classmethod
+    def _from_keys(cls, carrier: Sequence, keys: Sequence[Sequence], value_of: Mapping):
+        """A ``cls`` on rows of keys, such as literal texts, the entry of a
+        key being the ``ExtRat`` ``value_of[key]``.  Each distinct key is
+        looked up once and the codes are read off a per-key table; the
+        checks and errors are the constructor's."""
+        carrier = _checked_carrier(carrier)
+        flat = list(itertools.chain.from_iterable(_checked_square(carrier, keys)))
+        distinct = list(set(flat))
+        values = [value_of[k] for k in distinct]
+        table, denom = _codes(values)
+        codes = table.tolist()
+        D = np.fromiter(map(dict(zip(distinct, codes)).__getitem__, flat), table.dtype, len(flat))
+        out = object.__new__(cls)
+        out._assign(carrier, D.reshape(len(carrier), len(carrier)), denom, dict(zip(codes, values)))
+        out._validate()
+        return out
 
     def _assign(self, carrier: tuple, D: np.ndarray, denom: int, values: dict) -> None:
         D.flags.writeable = False
@@ -373,6 +389,13 @@ def _checked_carrier(carrier: Sequence) -> tuple:
     except TypeError as exc:
         raise DomainError(f"carrier element ids must be hashable ({exc})") from None
     return carrier
+
+
+def _checked_square(carrier: tuple, rows: list) -> list:
+    n = len(carrier)
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ShapeError(f"matrix must be {n}x{n} to match the carrier")
+    return rows
 
 
 def scaled_int_array(
@@ -598,6 +621,14 @@ class FiniteMetricSpace(PseudometricMatrix):
         _require(_separation(self), "metric")
 
 
+def _shared(cls: type, carrier: tuple, m: SquareMatrix) -> SquareMatrix:
+    """A ``cls`` on ``carrier`` around the canonical mirror and the value
+    table of ``m``, a matrix on an equal carrier; nothing is checked."""
+    out = object.__new__(cls)
+    out._assign(carrier, m.D, m.denom, m._values)
+    return out
+
+
 def _validated(m: SquareMatrix, cls: type) -> SquareMatrix:
     """``m`` as a ``cls``, checked unless it already is one."""
     if isinstance(m, cls):
@@ -688,8 +719,7 @@ def metric_identification(p: PseudometricMatrix) -> tuple[FiniteMetricSpace, Quo
     rep = _zero_reps(p.D)
     reps = np.flatnonzero(rep == np.arange(len(rep)))
     if len(reps) == len(rep):
-        space = object.__new__(FiniteMetricSpace)
-        space._assign(p.carrier, p.D, p.denom, p._values)
+        space = _shared(FiniteMetricSpace, p.carrier, p)
     else:
         space = FiniteMetricSpace._trusted(
             _ids(p.carrier, reps), p.D[np.ix_(reps, reps)], p.denom

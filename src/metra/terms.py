@@ -410,6 +410,10 @@ class TokenStream:
             self._resume = m.end()
         return m
 
+    def give_back(self, run: re.Match) -> None:
+        """Unread a match that ``take`` just made, for the token reader."""
+        self._resume = run.start()
+
     def peek(self):
         token = self._lookahead()
         if token[0] == "bad":

@@ -959,6 +959,24 @@ def revalidated(obj):
     return type(obj)(obj.carrier, obj.entries)
 
 
+def reference_render_algebra(a):
+    """``cli._render_algebra`` through the dict tables of ``MetricAlgebra.ops``,
+    each sorted by ``str`` of its argument tuples, so that where tuples render
+    alike the last of them in that order wins."""
+    ops, tables = {}, a.ops
+    for symbol in a.sig.symbols:
+        table = tables[symbol]
+        ops[symbol] = {
+            ",".join(render_id(x) for x in args) or "()": render_id(value)
+            for args, value in sorted(table.items(), key=lambda kv: str(kv[0]))
+        }
+    return {
+        "carrier": [render_id(x) for x in a.carrier],
+        "metric": a.space.text_rows(),
+        "ops": ops,
+    }
+
+
 def reference_render_json(results):
     """``cli.render_json`` through ``json.dumps``, whose indented layout the
     report writer reproduces byte for byte."""

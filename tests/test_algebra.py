@@ -138,6 +138,23 @@ class TestConstruction:
         assert algebra.constant("c") == 1
         assert validate_algebra(algebra).ok
 
+    @pytest.mark.parametrize(
+        "tables, reason, witness",
+        [
+            ({"c": 1}, "missing-table", ("f",)),
+            ({"c": 1, "f": [[0, 1], [1, 0]]}, "bad-shape", ("f", (2, 2))),
+            ({"c": 1, "f": [1, 2]}, "value-outside-carrier", ("f", (1,))),
+            ({"c": -1, "f": [1, 0]}, "value-outside-carrier", ("c", ())),
+        ],
+        ids=["missing", "shape", "past-the-carrier", "negative"],
+    )
+    def test_validation_reads_the_index_tables(self, tables, reason, witness):
+        space = space_from([0, 1], lambda x, y: abs(x - y))
+        tables = {symbol: np.array(table) for symbol, table in tables.items()}
+        algebra = MetricAlgebra._trusted(Signature({"c": 0, "f": 1}), space, tables)
+        verdict = validate_algebra(algebra)
+        assert (verdict.ok, verdict.reason, verdict.witness) == (False, reason, witness)
+
     def test_apply_checks_arity_and_membership(self):
         algebra = line_min_algebra()
         with pytest.raises(SignatureError):

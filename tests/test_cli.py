@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import string
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -13,9 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metra.algebra import MetricAlgebra
 from metra.cli import (
     LIMIT_DEFAULTS,
     CommandResult,
+    _json_text,
+    _parse_matrix,
+    _render_algebra,
+    _WorkspaceStream,
     load_workspace,
     main,
     parse_workspace,
@@ -23,8 +29,8 @@ from metra.cli import (
     render_text,
     run_workspace,
 )
-from metra.errors import MetraError, ParseError
-from metra.extmetric import INF, ExtRat, FiniteMetricSpace
+from metra.errors import MetraError, ParseError, ShapeError
+from metra.extmetric import INF, ExtRat, FiniteMetricSpace, SquareMatrix
 from metra.logic import (
     MetricEquation,
     MetricImplication,
@@ -34,7 +40,13 @@ from metra.logic import (
 )
 from metra.terms import Signature, TokenStream, enumerate_terms
 
-from conftest import FINITE_POOL, object_mirrors, reference_render_json
+from conftest import (
+    FINITE_POOL,
+    metric_spaces,
+    object_mirrors,
+    reference_render_algebra,
+    reference_render_json,
+)
 
 GOLDEN = """
 # two-op playground
@@ -255,6 +267,44 @@ def test_pinned_error_messages(kind, text, error_type, message):
         else:
             LIBRARY_PARSERS[kind](text, Signature({"sigma": 2}))
     assert (type(err.value).__name__, str(err.value)) == (error_type, message)
+
+
+U1 = "signature U { u/1; }\nalgebra A over U { carrier a, b; metric [[0, 1], [1, 0]];\n"
+E2 = (
+    "signature E { }\n"
+    "algebra A over E { carrier a, b; metric [[0, 1], [1, 0]]; }\n"
+    "algebra B over E { carrier a, b; metric [[0, 1], [1, 0]]; }\n"
+)
+
+# An entry given twice, in one literal run or after it, and the error at the
+# repeated entry that both the literal runs and the token reader raise.
+REPEATED_ENTRIES = [
+    pytest.param(U1 + "  op u = table{ a -> a; b -> b; a -> b; }; }\n",
+                 "line 3, column 33: cell a of op 'u' listed twice", id="table-cell"),
+    pytest.param(U1 + "  op u = table{ a -> a; b -> b; # c\n a -> b; }; }\n",
+                 "line 4, column 2: cell a of op 'u' listed twice", id="table-cell-after-run"),
+    pytest.param("signature S { s/2; }\nalgebra A over S { carrier 0, 1; metric [[0, 1], [1, 0]];\n"
+                 "  op s = table{ 0,0 -> 0; 0,1 -> 1; 1,0 -> 1; 1,1 -> 1; 00, 1 -> 0; }; }\n",
+                 "line 3, column 57: cell 0,1 of op 's' listed twice", id="binary-cell"),
+    pytest.param(U1 + "  op u = table{ a -> a; b -> b; }; op u = table{ a -> a; b -> b; }; }\n",
+                 "line 3, column 39: op 'u' listed twice", id="op"),
+    pytest.param(E2 + "hom f : A -> B { a -> a; a -> b; }\n",
+                 "line 4, column 26: cell a of hom 'f' listed twice", id="hom-cell"),
+    pytest.param(E2 + "hom f : A -> B { a -> a; b -> b;\n  # c\n  b -> a; }\n",
+                 "line 6, column 3: cell b of hom 'f' listed twice", id="hom-cell-after-run"),
+    pytest.param('limitmetric {c0, c1} { c0,c1 -> "1/n"; c1,c0 -> "1"; c0, c1 -> "2"; };\n',
+                 "line 1, column 54: form c0,c1 listed twice", id="limitmetric-form"),
+    pytest.param("limits { max_cells = 5; max_cells = 6; }\n",
+                 "line 1, column 25: limit 'max_cells' listed twice", id="limit"),
+]
+
+
+@pytest.mark.parametrize("text, message", REPEATED_ENTRIES)
+def test_repeated_entries_are_parse_errors(token_only, text, message):
+    for parse in (parse_workspace, token_only):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
 
 
 def run_text(text, overrides=None):
@@ -711,6 +761,146 @@ def test_rendered_matrices_read_back_exactly(mirrors, big, dtype):
         for m in (ws.algebras["A"].space, ws.congruences["T"].matrix):
             assert (m.D.dtype, m.D.tolist(), m.denom) == expected
     assert space.D.dtype == (object if mirrors is object_mirrors else dtype)
+
+
+# Distance literals: unreduced fractions, leading zeros, inf, and values past
+# the int64 guard of the mirror.
+MATRIX_LITERALS = ["0", "00", "1", "2/4", "3/6", "12/3", "1/65537", "inf", str(2**50), f"{2**60}/3"]
+# Blank space between tokens; a comment sends the literal to the token reader.
+MATRIX_GAPS = ["", "", " ", "\n", "\t ", " # ], 1/0\n"]
+
+
+@st.composite
+def matrix_literals(draw):
+    """A carrier size and a ``[[q, ...], ...]`` literal, its rows now and
+    then one entry short or long and its row count now and then off by one."""
+    n = draw(st.integers(1, 3))
+    sizes = st.sampled_from([n, n, n, n, max(1, n - 1), n + 1])
+    rows = [
+        draw(st.lists(st.sampled_from(MATRIX_LITERALS), min_size=k, max_size=k))
+        for k in (draw(sizes) for _ in range(draw(sizes)))
+    ]
+
+    def gap():
+        return draw(st.sampled_from(MATRIX_GAPS))
+
+    def listed(items):
+        return "[" + gap() + ("," + gap()).join(items) + gap() + "]"
+
+    return n, rows, listed([listed(row) for row in rows])
+
+
+def _library_matrix(carrier, rows):
+    try:
+        m = SquareMatrix(carrier, [[ExtRat.parse(text) for text in row] for row in rows])
+    except MetraError as err:
+        return type(err).__name__, str(err)
+    return m.carrier, m.D.dtype, m.D.tolist(), m.denom, m.text_rows()
+
+
+def _parsed_matrix(carrier, text):
+    lx = _WorkspaceStream(text)
+    rows = _parse_matrix(lx)
+    lx.finish("matrix")
+    try:
+        m = SquareMatrix._from_keys(carrier, rows, lx.scalars)
+    except MetraError as err:
+        return type(err).__name__, str(err)
+    return m.carrier, m.D.dtype, m.D.tolist(), m.denom, m.text_rows()
+
+
+@pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
+@settings(max_examples=200, deadline=None)
+@given(literal=matrix_literals())
+def test_literal_mirror_matches_the_library_constructor(mirrors, literal):
+    """A matrix literal read straight into the scaled mirror, by one match or
+    token by token, equals the library's matrix on the same rows of
+    ``ExtRat`` values, or raises the same ``ShapeError``."""
+    n, rows, text = literal
+    carrier = tuple("abc"[:n])
+    with mirrors():
+        expected = _library_matrix(carrier, rows)
+        assert _parsed_matrix(carrier, text) == expected
+        with mock.patch.object(TokenStream, "take", lambda self, pattern: None):
+            assert _parsed_matrix(carrier, text) == expected
+
+
+def test_ragged_metric_literals_raise_the_constructors_error():
+    for literal in ("[[0, 1], [1]]", "[[0, 1], [1, 0], [1, 1]]", "[[0, 1, 1], [1, 0, 1]]"):
+        with pytest.raises(ShapeError) as err:
+            parse_workspace(f"signature E {{ }}\nalgebra A over E {{ carrier a, b; metric {literal}; }}")
+        assert str(err.value) == "matrix must be 2x2 to match the carrier"
+
+
+# Carrier ids of every kind a report renders: names, integers, tuples as
+# products make them, and library ids that render like another kind.
+RENDER_IDS = (
+    st.sampled_from(["a", "b'", "_c", "1", "(a,0)"])
+    | st.integers(0, 12)
+    | st.tuples(st.sampled_from(["a", 0]), st.integers(0, 2))
+)
+
+
+@st.composite
+def algebra_parts(draw):
+    """A signature of arities 0-2, a carrier, metric rows and dict tables."""
+    space = draw(metric_spaces(max_size=4, allow_inf=True))
+    carrier = draw(st.lists(RENDER_IDS, min_size=space.size, max_size=space.size, unique=True))
+    arities = draw(st.lists(st.integers(0, 2), max_size=3))
+    sig = Signature({f"f{k}": arity for k, arity in enumerate(arities)})
+    values = st.sampled_from(carrier)
+    ops = {
+        symbol: {args: draw(values) for args in itertools.product(carrier, repeat=arity)}
+        for symbol, arity in zip(sig.symbols, arities)
+    }
+    return sig, carrier, space.entries, ops
+
+
+@pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
+@settings(max_examples=200, deadline=None)
+@given(parts=algebra_parts())
+def test_algebras_render_as_the_reference_does(mirrors, parts):
+    """Tables rendered from their position arrays give the report text of
+    the dict tables sorted by their argument tuples."""
+    sig, carrier, entries, ops = parts
+    with mirrors():
+        algebra = MetricAlgebra(sig, FiniteMetricSpace(carrier, entries), ops)
+        expected = _json_text(reference_render_algebra(algebra))
+        assert _json_text(_render_algebra(algebra)) == expected
+
+
+def test_ids_that_render_alike_keep_the_reference_winner():
+    """The int 1 and the name "1" render alike; the cell of the tuple last
+    in ``str`` order, (1,) after ('1',), names the value."""
+    carrier = [1, "1", 2]
+    space = FiniteMetricSpace(carrier, [[ExtRat(int(x != y)) for y in carrier] for x in carrier])
+    algebra = MetricAlgebra(Signature({"u": 1}), space, {"u": {(1,): 2, ("1",): 1, (2,): 2}})
+    rendered = _render_algebra(algebra)
+    assert rendered["ops"] == {"u": {"1": "2", "2": "2"}}
+    assert rendered == reference_render_algebra(algebra)
+
+
+def test_validate_reports_the_constructors_checks():
+    """``validate`` reads each algebra's index tables and checks no
+    congruence again: no ``is_congruential`` and no dict tables."""
+    ws = parse_workspace(GOLDEN + GRID)
+    ws.commands = [command for command in ws.commands if command[0] == "validate"]
+    refuse = mock.Mock(side_effect=AssertionError("checked again"))
+    with contextlib.ExitStack() as stack:
+        for module in [m for name, m in sys.modules.items() if name.startswith("metra")]:
+            if hasattr(module, "is_congruential"):
+                stack.enter_context(mock.patch.object(module, "is_congruential", refuse))
+        stack.enter_context(
+            mock.patch.object(MetricAlgebra, "ops", new_callable=mock.PropertyMock, side_effect=refuse)
+        )
+        (result,), code = run_workspace(ws)
+    assert (result.ok, code, result.error) == (True, 0, "")
+    assert [(o["kind"], o["name"]) for o in result.data["objects"]] == [
+        ("algebra", "A"), ("algebra", "G"), ("congruence", "T"), ("congruence", "T1"),
+        ("congruence", "T2"), ("axioms", "E"), ("filter", "F"), ("presentation", "P"),
+        ("signature", "E0"), ("signature", "S"),
+    ]
+    refuse.assert_not_called()
 
 
 EQUATIONS_SIG = Signature({"sigma": 2, "c": 0})
