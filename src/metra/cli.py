@@ -30,7 +30,8 @@ command, comments dropped and blank space collapsed.  Literal runs
 one match at a time; the token reader takes comments and reports every
 error.  A matrix literal is read straight into the scaled mirror, each
 distinct literal text converted once.  An entry given twice (a cell, an
-``op``, a form, a ``limits`` key) is a parse error at the second one.
+``op``, a form, a ``limits`` key in any block or included file) is a parse
+error at the second one.
 ``validate`` reports each object's constructor check; it looks again
 only at the algebras' index tables.
 
@@ -500,7 +501,6 @@ def _parse_hom(lx: TokenStream, ws: Workspace):
 
 def _parse_limits(lx: TokenStream, ws: Workspace):
     lx.expect("punct", "{")
-    given = set()
     while not lx.at("punct", "}"):
         key_tok = lx.expect("name")
         if key_tok[1] not in LIMIT_DEFAULTS:
@@ -509,9 +509,8 @@ def _parse_limits(lx: TokenStream, ws: Workspace):
                 f"{', '.join(sorted(LIMIT_DEFAULTS))}",
                 key_tok,
             )
-        if key_tok[1] in given:
+        if key_tok[1] in ws.limits:
             raise lx.error(f"limit {key_tok[1]!r} listed twice", key_tok)
-        given.add(key_tok[1])
         lx.expect("punct", "=")
         value_tok = lx.expect("num")
         if "/" in value_tok[1]:

@@ -20,16 +20,17 @@ moved: the first closes every finite component by Floyd-Warshall, later
 ones pivot only on the points in two closed blocks of the pass before
 (sets where its matrix lies below a known pseudometric; see ``_fix_int``),
 a rule runs again only when its argument rows moved, and the first pass
-whose rules lower nothing ends it.  In mode M a rule groups its argument
-tuples by their tuples of zero-class representatives and zeroes the
-images within each group, which costs a sort and the pairs it writes.  A
-Q or LIP rule, or an M rule on a zero-set an earlier rule of the pass has
-left intransitive, compares only the pairs of argument tuples whose
-places pair points of one finite component, a fixed number of cells at a
-time: every other pair has an infinite candidate.  Every operation here
-reads and writes the matrices' scaled mirrors (see ``extmetric``);
-the closure widens an int64 mirror to Python ints when a value outgrows
-the guard, so the fixpoint is exact whatever the denominators.
+whose rules lower nothing ends it.  A mode-M join needs no rules (see
+``join``).  In mode M a rule groups its argument tuples by their tuples of
+zero-class representatives and zeroes the images within each group, which
+costs a sort and the pairs it writes.  A Q or LIP rule, or an M rule on a
+zero-set an earlier rule of the pass has left intransitive, compares only
+the pairs of argument tuples whose places pair points of one finite
+component, a fixed number of cells at a time: every other pair has an
+infinite candidate.  Every operation here reads and writes the matrices'
+scaled mirrors (see ``extmetric``); the closure widens an int64 mirror to
+Python ints when a value outgrows the guard, so the fixpoint is exact
+whatever the denominators.
 
 With a LIP constant below 1 the passes may reach the greatest fixpoint
 only in their limit, so after each pass that lowers a cell the closure
@@ -180,9 +181,13 @@ class Congruence:
     def _trusted(cls, base: MetricAlgebra, D: np.ndarray, denom: int) -> "Congruence":
         """A congruence on ``base`` around a mirror, in its carrier order,
         that is congruential by construction; nothing is checked."""
+        return cls._around(base, PseudometricMatrix._trusted(base.carrier, D, denom))
+
+    @classmethod
+    def _around(cls, base: MetricAlgebra, matrix: PseudometricMatrix) -> "Congruence":
+        """``_trusted`` around a pseudometric on ``base``'s carrier, already canonical."""
         out = object.__new__(cls)
-        out.base = base
-        out.matrix = PseudometricMatrix._trusted(base.carrier, D, denom)
+        out.base, out.matrix = base, matrix
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -231,15 +236,16 @@ def meet(thetas: Sequence[Congruence]) -> Congruence:
 
 
 def compose(t1: Congruence, t2: Congruence) -> SquareMatrix:
-    """Min-plus relational composition; not a pseudometric in general."""
+    """Min-plus relational composition; not a pseudometric in general: one
+    broadcast, ``_TRIANGLE_CELLS`` cells (or one row's) at a time."""
     if t1.base != t2.base:
         raise DomainError("congruences live on different algebras")
     # Both matrices are indexed in base carrier order.
-    n = t1.matrix.size
     (a, b), denom = _mirrors(t1.matrix, t2.matrix)
-    out = a[:, 0, None] + b[None, 0, :]
-    for k in range(1, n):
-        np.minimum(out, a[:, k, None] + b[None, k, :], out=out)
+    out, step = np.empty_like(a), max(1, _TRIANGLE_CELLS // a.size)
+    for start in range(0, len(a), step):
+        rows = slice(start, start + step)
+        np.min(a[rows, :, None] + b, axis=1, out=out[rows])
     return SquareMatrix._trusted(t1.base.carrier, out, denom)
 
 
@@ -262,16 +268,28 @@ def join(
     ends with a pseudometric whose zero-set is closed under every
     operation, so the result is a congruence by construction.  A LIP
     closure with a constant below 1 may end on a proved jump to its limit.
+
+    In mode M the engine gets no rules: the join of congruences is the
+    transitive closure of their union (Burris and Sankappanavar, 1981, ch.
+    II), so the path closure theta of the minimum is congruential already.
+    Each input's zero-set is closed under each operation f (its constructor
+    checked it, or meet, join, kernel, pullback, finest or coarsest built
+    it so).  If theta(a_l, b_l) = 0 at every place l, change one argument
+    at a time along a path of zero steps of the minimum from a_l to b_l:
+    a step is a zero of one input, so of the minimum on the images around
+    it, and theta's zero-set is transitive, so theta(f(a), f(b)) = 0.  The
+    first pass's Floyd-Warshall is the whole closure, with the decreases
+    and the cap point of the rule-running engine.
     """
     base = _same_base(thetas)
     arrays, denom = _mirrors(*(t.matrix for t in thetas))
-    rules = {s: _cells(t) for s, t in base.tables.items() if t.ndim}
+    rules = {} if mode == "M" else {s: _cells(t) for s, t in base.tables.items() if t.ndim}
     rules = rule_tables(len(base.carrier), rules)
     D = np.minimum.reduce(arrays)
     # The carriers are small: one union over every finite cell labels D.
     label = _merged(np.arange(len(D)), *(D < _inf_code(D)).nonzero())
     closed = closure_fixpoint(base.carrier, rules, D, denom, label, mode, lipschitz, max_decreases)
-    return Congruence._trusted(base, closed.D, closed.denom)
+    return Congruence._around(base, closed)
 
 
 def pullback_congruence(f: Homomorphism, rho: Congruence) -> Congruence:

@@ -483,15 +483,17 @@ def _canonical(D: np.ndarray, denom: int) -> tuple[np.ndarray, int]:
 def _mirrors(*items) -> tuple[list[np.ndarray], int]:
     """Mirrors over their least common denominator.
 
-    ``items`` are matrices or ``(array, denom)`` pairs.  The arrays stay
-    int64 while every scaled finite value is below ``_MAX_SCALED`` and are
-    all widened to Python ints otherwise.  An array that needs no change
-    is returned as it is: read it, do not write it.
+    ``items`` are matrices or ``(array, denom)`` pairs.  An int64 array
+    holds every finite code below ``_MAX_SCALED``, as canonical mirrors and
+    ``scaled_int_array`` output do, so only one scaled by a factor above 1
+    is scanned.  The arrays stay int64 while every scaled finite value is
+    below ``_MAX_SCALED`` and are all widened to Python ints otherwise.  An
+    array that needs no change is returned as it is: read it, do not write it.
     """
     pairs = [(m.D, m.denom) if isinstance(m, SquareMatrix) else m for m in items]
     denom = math.lcm(*(d for _, d in pairs))
     scaled = [(a, denom // d) for a, d in pairs]
-    if any(a.dtype == object or _finite_max(a) * f >= _MAX_SCALED for a, f in scaled):
+    if any(a.dtype == object or f > 1 and _finite_max(a) * f >= _MAX_SCALED for a, f in scaled):
         scaled = [(_as_object(a), f) for a, f in scaled]
     return [a if f == 1 else _scale_finite(a.copy(), f) for a, f in scaled], denom
 

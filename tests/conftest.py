@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import numpy as np
 
 import metra.extmetric as extmetric_module
-from metra.algebra import _spread
+from metra.algebra import _cells, _spread
+from metra.congruence import closure_fixpoint
 from metra.errors import (
     DomainError,
     ResourceLimitError,
@@ -54,7 +55,7 @@ from metra.logic import (
     as_implication,
     satisfies_under,
 )
-from metra.terms import App, Var, evaluate
+from metra.terms import App, Var, evaluate, rule_tables
 
 # Small pool of exact distances; keeps closures and lcm computations tame.
 FINITE_POOL = [
@@ -82,10 +83,12 @@ def fw_close(rows):
 
 
 def object_mirrors():
-    """Context in which every scaled-integer mirror holds Python ints.
+    """Context in which every scaled-integer mirror made in it holds Python ints.
 
     With the int64 value guard at 0 no finite value fits, so the closure,
     the axiom check and ``compose`` run their array code on ``dtype=object``.
+    An int64 mirror made before it stays one when ``_mirrors`` does not
+    scale it, so objects are built, or rebuilt (``revalidated``), inside.
     """
     return mock.patch.object(extmetric_module, "_MAX_SCALED", 0)
 
@@ -316,6 +319,18 @@ def reference_fix_int(D, denom, tables, mode, max_decreases):
             )
         if dropped == 0:
             return D, denom, decreases
+
+
+def reference_rule_join(thetas, max_decreases=1_000_000):
+    """The mode-M join with the operations' rule tables handed to the
+    closure engine, which then runs the M rule in its passes."""
+    base = thetas[0].base
+    arrays, denom = _mirrors(*(t.matrix for t in thetas))
+    D = np.minimum.reduce(arrays)
+    rules = rule_tables(len(D), {s: _cells(t) for s, t in base.tables.items() if t.ndim})
+    return closure_fixpoint(
+        base.carrier, rules, D, denom, reference_labels(D)[1], "M", None, max_decreases
+    )
 
 
 def reference_mode_m_rule(D, args_idx, res_idx):

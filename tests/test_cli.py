@@ -296,6 +296,8 @@ REPEATED_ENTRIES = [
                  "line 1, column 54: form c0,c1 listed twice", id="limitmetric-form"),
     pytest.param("limits { max_cells = 5; max_cells = 6; }\n",
                  "line 1, column 25: limit 'max_cells' listed twice", id="limit"),
+    pytest.param("limits { max_cells = 5; }\nlimits { max_decreases = 9; max_cells = 6; }\n",
+                 "line 2, column 29: limit 'max_cells' listed twice", id="limit-second-block"),
 ]
 
 
@@ -305,6 +307,18 @@ def test_repeated_entries_are_parse_errors(token_only, text, message):
         with pytest.raises(ParseError) as err:
             parse(text)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("included_first", [False, True], ids=["in-the-include", "after-it"])
+def test_a_limit_set_again_across_an_include_is_a_parse_error(tmp_path, token_only, included_first):
+    """The second setting of a key is the error, whichever file holds it."""
+    (tmp_path / "caps.mt").write_text("limits { max_cells = 6; }\n", encoding="utf-8")
+    include, block = f'include "{tmp_path / "caps.mt"}";\n', "limits { max_cells = 5; }\n"
+    text = include + block if included_first else block + include
+    for parse in (parse_workspace, token_only):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"line {2 if included_first else 1}, column 10: limit 'max_cells' listed twice"
 
 
 def run_text(text, overrides=None):

@@ -90,6 +90,7 @@ from conftest import (
     reference_mode_m_rule,
     reference_pointwise,
     reference_rows_at,
+    reference_rule_join,
     revalidated,
     space_from,
     symmetric_rows,
@@ -271,7 +272,8 @@ class TestComposeAndPermutability:
             ]
             assert as_rows(compose(s, t)) == expected
             with object_mirrors():
-                assert as_rows(compose(s, t)) == expected
+                # Rebuilt in the context, the matrices store the Python-int mirror.
+                assert as_rows(compose(revalidated(s), revalidated(t))) == expected
         assert compose(t1, t1).get("a", "b") == big
         assert compose(t1, t2).get("b", "a") == big
         assert compose(t1, t2).get("a", "c") == INF
@@ -1023,19 +1025,20 @@ class TestProductRules:
 
     @pytest.mark.parametrize("mirrors", MIRRORS)
     def test_full_table_joins_and_a_partial_table(self, mirrors):
-        _, projections = product([line_max_algebra(), line_min_algebra()])
-        thetas = [kernel(p) for p in projections]
         partial = {"g": {(0, 1): 2, (1, 0): 0, (1, 1): 1}}
 
         def run():
             return generate_congruence(range(3), partial, [(0, 1, 1)], "Q")
 
         with mirrors():
+            _, projections = product([line_max_algebra(), line_min_algebra()])
+            thetas = [kernel(p) for p in projections]
             for mode in ("M", "Q"):
                 want, _ = on_full_passes(lambda: join(thetas, mode))
                 got, squares = engine_squares(lambda: join(thetas, mode))
                 assert got == want
-                assert [rows.tolist() for rows in squares] == [list(range(9))]
+                # A mode-M join hands the engine no rule tables (see ``join``).
+                assert [rows.tolist() for rows in squares] == ([] if mode == "M" else [list(range(9))])
             want, _ = on_full_passes(run)
             got, squares = engine_squares(run)
         assert got == want
@@ -1227,7 +1230,9 @@ class TestCongruenceKernel:
         expected = verdict_of(reference_is_congruential(algebra, matrix))
         for mirrors in BOTH_MIRRORS:
             with mirrors():
-                assert verdict_of(is_congruential(algebra, matrix)) == expected
+                # Rebuilt in the context, the mirrors are that context's.
+                got = is_congruential(revalidated(algebra), revalidated(matrix))
+                assert verdict_of(got) == expected
 
     @staticmethod
     def line_algebra(n):
@@ -1272,7 +1277,8 @@ class TestCongruenceKernel:
         assert expected.reason == reason
         for mirrors in BOTH_MIRRORS:
             with mirrors():
-                assert verdict_of(is_congruential(algebra, matrix)) == verdict_of(expected)
+                got = is_congruential(revalidated(algebra), revalidated(matrix))
+                assert verdict_of(got) == verdict_of(expected)
 
     @given(
         data=st.data(),
@@ -2070,3 +2076,97 @@ class TestContractingClosure:
         finite = np.isfinite(got)
         assert (finite == np.isfinite(limit)).all()
         assert np.abs(got[finite] - limit[finite]).max(initial=0) <= 1e-9
+
+
+@st.composite
+def join_factors(draw, n):
+    """An algebra on ``n`` points with a unary and a binary operation, over
+    a metric from the positive pool plus inf."""
+    carrier = tuple(range(n))
+    rows = symmetric_rows(draw, n, st.sampled_from(POSITIVE_CAPS))
+    elem = st.integers(min_value=0, max_value=n - 1)
+    ops = {}
+    for symbol, arity in (("f", 1), ("g", 2)):
+        cells = list(itertools.product(carrier, repeat=arity))
+        ops[symbol] = dict(zip(cells, draw(st.lists(elem, min_size=len(cells), max_size=len(cells)))))
+    return MetricAlgebra(Signature({"f": 1, "g": 2}), FiniteMetricSpace(carrier, fw_close(rows)), ops)
+
+
+@st.composite
+def kernels_and_meets(draw):
+    """Two or three congruences built unchecked on a product of two factors,
+    2 to 8 points in all: distinct kernels of maps onto the factors, onto a
+    quotient of a factor or onto a quotient of the product (by congruences
+    of ``congruences_on``), some met with another of them."""
+    a = draw(st.integers(min_value=1, max_value=4))
+    b = draw(st.integers(min_value=2 if a == 1 else 1, max_value=min(4, 8 // a)))
+    factors = [draw(join_factors(a)), draw(join_factors(b))]
+    algebra, projections = product(factors)
+    maps = [*projections, quotient(algebra, draw(congruences_on(algebra)))[1]]
+    for p, factor in zip(projections, factors):
+        maps.append(p.then(quotient(factor, draw(congruences_on(factor)))[1]))
+    pool = [kernel(f) for f in maps]
+    order = draw(st.permutations(range(len(pool))))
+    pairs = st.tuples(st.sampled_from(range(len(pool))), st.booleans())
+    picks = draw(st.lists(pairs, min_size=2, max_size=3))
+    return [meet([pool[i], pool[j]]) if both else pool[i] for i, (j, both) in zip(order, picks)]
+
+
+class TestModeMJoin:
+    """A mode-M join hands the engine no rules: the path closure of its
+    inputs' minimum is congruential already (see ``join``).  Against the
+    engine handed the rule tables, and full passes with them: the same
+    matrix, the same decrease count and the same cap point."""
+
+    @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_rule_running_engine(self, mirrors, data):
+        with mirrors():
+            thetas = data.draw(kernels_and_meets())
+            want, count = on_full_passes(lambda: reference_rule_join(thetas))
+            assert reference_rule_join(thetas, count) == want
+            got, squares = engine_squares(lambda: join(thetas, max_decreases=count))
+            assert squares == []
+            assert got.matrix == want
+            assert (got.matrix.D.dtype == object) == (mirrors is object_mirrors)
+            if count:
+                with pytest.raises(ResourceLimitError):
+                    join(thetas, max_decreases=count - 1)
+                with pytest.raises(ResourceLimitError):
+                    reference_rule_join(thetas, count - 1)
+
+
+class TestBlockedCompose:
+    """``compose``, a broadcast over blocks of rows, against the
+    entry-by-entry ``reference_compose``, on both mirrors."""
+
+    @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
+    @given(n=st.integers(1, 6) | st.integers(33, 40), data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_the_reference(self, mirrors, n, data):
+        """On a line cut into components at infinite distance, congruences
+        s * |x // k - y // k| within the classes of a coarser cut and
+        infinite across them; from 33 points on (1089 cells a row) the
+        broadcast runs over two blocks of rows or more."""
+        cut = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+
+        def rows(k, part, s):
+            return [
+                [ExtRat(s * abs(x // k - y // k)) if part[x] == part[y] else INF for y in range(n)]
+                for x in range(n)
+            ]
+
+        with mirrors():
+            algebra = bare_algebra(FiniteMetricSpace(range(n), rows(1, cut, 1)))
+            thetas = []
+            for _ in range(2):
+                k = data.draw(st.integers(1, 4))
+                merge = data.draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+                s = data.draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3)]))
+                matrix = SquareMatrix(range(n), rows(k, [merge[c] for c in cut], s))
+                thetas.append(Congruence(algebra, matrix))
+            for t1, t2 in itertools.permutations(thetas):
+                got = compose(t1, t2)
+                assert (got.D.dtype == object) == (mirrors is object_mirrors)
+                assert as_rows(got) == reference_compose(t1.matrix, t2.matrix)
