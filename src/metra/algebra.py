@@ -15,17 +15,19 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    LIMIT_DEFAULTS,
     AxiomError,
     DomainError,
-    ResourceLimitError,
     SignatureError,
     TableError,
     Verdict,
+    over_cap,
 )
 from .extmetric import (
     _MAX_SCALED,
@@ -39,6 +41,7 @@ from .extmetric import (
     _mirrors,
     _scale_finite,
     _validated,
+    checked_value,
     metric_identification,
     restrict_space,
     sup_product,
@@ -218,6 +221,35 @@ def _spread(D: np.ndarray, args_idx: Sequence[np.ndarray], rows=slice(None)) -> 
     return out
 
 
+def mode_constants(mode: str, lipschitz, symbols: Iterable[str]) -> dict | None:
+    """The one check of a closure mode and its Lipschitz constants.
+
+    ``mode`` is M, Q or LIP.  In LIP the result maps each of ``symbols``,
+    the operations of positive arity, to its constant as a positive
+    ``Fraction``, read from the mapping ``lipschitz`` or, for any other
+    value, shared by all; the mapping's other entries are not read.  In M
+    and Q the result is None and ``lipschitz`` is not read.
+    """
+    if mode not in ("M", "Q", "LIP"):
+        raise DomainError(f"unknown mode {mode!r}; expected M, Q, or LIP")
+    if mode != "LIP":
+        return None
+    if lipschitz is None:
+        raise DomainError("LIP mode needs a Lipschitz constant")
+    constants = {}
+    for symbol in symbols:
+        if not isinstance(lipschitz, Mapping):
+            k = lipschitz
+        elif symbol in lipschitz:
+            k = lipschitz[symbol]
+        else:
+            raise SignatureError(f"LIP mode needs a constant for {symbol}")
+        k = constants[symbol] = checked_value(Fraction, k, f"Lipschitz constant for {symbol}")
+        if k <= 0:
+            raise DomainError(f"Lipschitz constant for {symbol} must be positive")
+    return constants
+
+
 def is_quantitative(algebra: MetricAlgebra, max_checks: int = 1_000_000) -> Verdict:
     """Check every operation nonexpansive for the sup metric on tuples.
 
@@ -227,14 +259,15 @@ def is_quantitative(algebra: MetricAlgebra, max_checks: int = 1_000_000) -> Verd
     return _modulus_scan(algebra, None, max_checks)
 
 
-def _modulus_scan(algebra: MetricAlgebra, constants, max_checks=None) -> Verdict:
+def _modulus_scan(algebra: MetricAlgebra, constants, max_checks: int = 1_000_000) -> Verdict:
     """First argument pair an operation stretches beyond its modulus.
 
     Checks d(op(a), op(b)) <= K_op * max_i d(a_i, b_i) symbol by symbol in
     signature order, over argument tuples in carrier order (a outer, b
-    inner); the witness is ``(symbol, a, b)``.  ``constants`` maps symbols
-    to K_op, and ``None`` means K = 1: the quantitativity check.  The pairs
-    are compared on the mirror a block of ``a`` at a time, at most
+    inner); the witness is ``(symbol, a, b)``.  ``constants`` are the
+    ``mode_constants`` of LIP, and ``None`` means K = 1: the quantitativity
+    check.  More than ``max_checks`` pairs in all raise.  The pairs are
+    compared on the mirror a block of ``a`` at a time, at most
     ``_TRIANGLE_CELLS`` pairs but at least one ``a``.
     """
     D, carrier, checks = algebra.space.D, algebra.carrier, 0
@@ -243,16 +276,9 @@ def _modulus_scan(algebra: MetricAlgebra, constants, max_checks=None) -> Verdict
         table = algebra.tables[symbol]
         if table.ndim == 0:
             continue
-        if constants is not None and symbol not in constants:
-            raise SignatureError(f"no Lipschitz constant for symbol {symbol!r}")
         k = 1 if constants is None else constants[symbol]
-        if k <= 0:
-            raise DomainError(f"Lipschitz constant for {symbol} must be positive")
         checks += table.size**2
-        if max_checks is not None and checks > max_checks:
-            raise ResourceLimitError(
-                f"quantitativity scan exceeds {max_checks} pairs", "max_checks", max_checks
-            )
+        over_cap(checks, max_checks, "max_checks", "quantitativity scan exceeds {cap} pairs")
         p, q = k.numerator, k.denominator
         # d(op(a), op(b)) * q > spread * p on the codes.  The scaled finite
         # values stay below the int64 guard, or the mirror is widened, so an
@@ -402,7 +428,7 @@ def generate_subalgebra(
 
 
 def product(
-    algebras: Sequence[MetricAlgebra], max_size: int = 4096
+    algebras: Sequence[MetricAlgebra], max_size: int = LIMIT_DEFAULTS["max_size"]
 ) -> tuple[MetricAlgebra, list[Homomorphism]]:
     """Componentwise product with the supremum metric and projections.
 
@@ -421,13 +447,10 @@ def product(
     coords = np.unravel_index(np.arange(space.size), sizes)
     tables = {}
     for symbol in sig.symbols:
-        arity = sig.arity(symbol)
-        if space.size ** arity > 1_000_000:
-            raise ResourceLimitError(
-                f"product table for {symbol} would exceed 1000000 entries",
-                "table_size",
-                1_000_000,
-            )
+        over_cap(
+            space.size ** sig.arity(symbol), 1_000_000, "table_size",
+            f"product table for {symbol} would exceed {{cap}} entries",
+        )
         factors = [_on(a.tables[symbol], c) for a, c in zip(algebras, coords)]
         tables[symbol] = np.ravel_multi_index(factors, sizes)
     prod = MetricAlgebra._trusted(sig, space, tables)
@@ -480,10 +503,10 @@ def is_reflexive_quotient(p: Homomorphism, max_sections: int = 1_000_000) -> Ver
     counts = np.bincount(p.fidx, minlength=p.target.space.size)
     if not counts.all():
         return Verdict.failed("not-surjective", ())
-    if math.prod(counts.tolist()) > max_sections:
-        raise ResourceLimitError(
-            f"section search space exceeds {max_sections}", "max_sections", max_sections
-        )
+    over_cap(
+        math.prod(counts.tolist()), max_sections, "max_sections",
+        "section search space exceeds {cap}",
+    )
     fibers = [np.flatnonzero(p.fidx == b).tolist() for b in range(len(counts))]
     (src, dst), _ = _mirrors(p.source.space, p.target.space)
     src, dst = src.tolist(), dst.tolist()

@@ -24,8 +24,10 @@ denominator, is a parse error at its line and column.  Files can pull in other f
 ``include "path";`` and cycles are rejected.  Declarations are
 brace-terminated; commands end with ``;``.  Resource caps come from a
 ``limits { name = value; }`` block, can be overridden per run with
-``--limits``, and every command result echoes the caps in force and its
-command, comments dropped and blank space collapsed.  Literal runs
+``--limits name=value,...``, whose items are read as the block's entries
+are (a known cap, set once, to ASCII digits), and every command result
+echoes the caps in force and its command, comments dropped and blank
+space collapsed.  Literal runs
 (matrices, table and hom cells, id lists, ``limitmetric`` forms) are read
 one match at a time; the token reader takes comments and reports every
 error.  A matrix literal is read straight into the scaled mirror, each
@@ -72,6 +74,7 @@ from .congruence import (
     meet,
 )
 from .errors import (
+    LIMIT_DEFAULTS,
     MetraError,
     ParseError,
     ResourceLimitError,
@@ -105,14 +108,6 @@ from .logic import (
 from .terms import (
     FORM, FORMS_RUN, IDS_RUN, MAP_RUN, MATRIX_RUN, TABLE_RUN, Signature, Term, TokenStream,
 )
-
-LIMIT_DEFAULTS = {
-    "max_cells": 20,
-    "max_decreases": 1_000_000,
-    "max_size": 4096,
-    "max_terms": 20000,
-    "max_valuations": 1_000_000,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -499,23 +494,30 @@ def _parse_hom(lx: TokenStream, ws: Workspace):
     _declare(lx, ws.homs, "hom", name_tok, Homomorphism(source, target, mapping))
 
 
+def _read_limit(lx: TokenStream, limits: dict) -> None:
+    """Read one ``name = value`` into ``limits``, for a ``limits`` block and
+    for ``--limits`` alike: the name a known cap not in ``limits`` yet, the
+    value a whole number."""
+    key_tok = lx.expect("name")
+    if key_tok[1] not in LIMIT_DEFAULTS:
+        raise lx.error(
+            f"unknown limit {key_tok[1]!r}; expected one of "
+            f"{', '.join(sorted(LIMIT_DEFAULTS))}",
+            key_tok,
+        )
+    if key_tok[1] in limits:
+        raise lx.error(f"limit {key_tok[1]!r} listed twice", key_tok)
+    lx.expect("punct", "=")
+    value_tok = lx.expect("num")
+    if "/" in value_tok[1]:
+        raise lx.error("limits are integers", value_tok)
+    limits[key_tok[1]] = int(value_tok[1])
+
+
 def _parse_limits(lx: TokenStream, ws: Workspace):
     lx.expect("punct", "{")
     while not lx.at("punct", "}"):
-        key_tok = lx.expect("name")
-        if key_tok[1] not in LIMIT_DEFAULTS:
-            raise lx.error(
-                f"unknown limit {key_tok[1]!r}; expected one of "
-                f"{', '.join(sorted(LIMIT_DEFAULTS))}",
-                key_tok,
-            )
-        if key_tok[1] in ws.limits:
-            raise lx.error(f"limit {key_tok[1]!r} listed twice", key_tok)
-        lx.expect("punct", "=")
-        value_tok = lx.expect("num")
-        if "/" in value_tok[1]:
-            raise lx.error("limits are integers", value_tok)
-        ws.limits[key_tok[1]] = int(value_tok[1])
+        _read_limit(lx, ws.limits)
         lx.expect("punct", ";")
     lx.next()
 
@@ -1058,20 +1060,13 @@ def render_text(results) -> str:
 
 
 def _parse_limit_overrides(text: str) -> dict:
-    overrides = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ValueError(f"bad limit override {part!r}; use name=value")
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key not in LIMIT_DEFAULTS:
-            raise ValueError(
-                f"unknown limit {key!r}; expected one of {', '.join(sorted(LIMIT_DEFAULTS))}"
-            )
-        overrides[key] = int(value)
+    """The caps of ``--limits``: ``name=value`` items, each read as an entry
+    of a ``limits`` block is, separated by commas."""
+    lx, overrides = TokenStream(text), {}
+    while not lx.at("end"):
+        _read_limit(lx, overrides)
+        if not lx.at("end"):
+            lx.expect("punct", ",")
     return overrides
 
 
@@ -1093,12 +1088,13 @@ def main(argv=None) -> int:
     mode.add_argument("--json", action="store_true", help="JSON report (default)")
     mode.add_argument("--text", action="store_true", help="plain-text report")
     run.add_argument(
-        "--limits", default="", metavar="k=v,...", help="override resource caps"
+        "--limits", default="", metavar="k=v,...",
+        help="override resource caps; each k=v is read as a limits block entry is",
     )
     ns = parser.parse_args(argv)
     try:
         overrides = _parse_limit_overrides(ns.limits)
-    except ValueError as err:
+    except ParseError as err:
         print(f"metra: error: {err}", file=sys.stderr)
         return 1
     try:

@@ -49,15 +49,16 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import Homomorphism, MetricAlgebra, _cells, product, quotient
+from .algebra import Homomorphism, MetricAlgebra, _cells, mode_constants, product, quotient
 from .errors import (
+    LIMIT_DEFAULTS,
     CongruenceError,
     DomainError,
-    ResourceLimitError,
     SignatureError,
     TableError,
     Verdict,
     checked_count,
+    over_cap,
 )
 from .extmetric import (
     ExtRat,
@@ -257,8 +258,8 @@ def are_permutable(t1: Congruence, t2: Congruence) -> bool:
 def join(
     thetas: Sequence[Congruence],
     mode: str = "M",
-    lipschitz: Mapping[str, Fraction] | None = None,
-    max_decreases: int = 1_000_000,
+    lipschitz: Mapping[str, Fraction] | Fraction | None = None,
+    max_decreases: int = LIMIT_DEFAULTS["max_decreases"],
 ) -> Congruence:
     """Least upper bound in the congruence order.
 
@@ -279,16 +280,19 @@ def join(
     a step is a zero of one input, so of the minimum on the images around
     it, and theta's zero-set is transitive, so theta(f(a), f(b)) = 0.  The
     first pass's Floyd-Warshall is the whole closure, with the decreases
-    and the cap point of the rule-running engine.
+    and the cap point of the rule-running engine.  ``mode`` and
+    ``lipschitz`` are checked by ``algebra.mode_constants``.
     """
     base = _same_base(thetas)
+    symbols = [s for s, t in base.tables.items() if t.ndim]
+    constants = mode_constants(mode, lipschitz, symbols)
     arrays, denom = _mirrors(*(t.matrix for t in thetas))
-    rules = {} if mode == "M" else {s: _cells(t) for s, t in base.tables.items() if t.ndim}
+    rules = {} if mode == "M" else {s: _cells(base.tables[s]) for s in symbols}
     rules = rule_tables(len(base.carrier), rules)
     D = np.minimum.reduce(arrays)
     # The carriers are small: one union over every finite cell labels D.
     label = _merged(np.arange(len(D)), *(D < _inf_code(D)).nonzero())
-    closed = closure_fixpoint(base.carrier, rules, D, denom, label, mode, lipschitz, max_decreases)
+    closed = closure_fixpoint(base.carrier, rules, D, denom, label, mode, constants, max_decreases)
     return Congruence._around(base, closed)
 
 
@@ -351,8 +355,8 @@ def generate_congruence(
     ops: Mapping[str, Mapping[tuple, object]],
     constraints: Iterable[tuple],
     mode: str = "M",
-    lipschitz: Mapping[str, Fraction] | None = None,
-    max_decreases: int = 1_000_000,
+    lipschitz: Mapping[str, Fraction] | Fraction | None = None,
+    max_decreases: int = LIMIT_DEFAULTS["max_decreases"],
 ) -> PseudometricMatrix:
     """Largest pseudometric satisfying the constraints and the mode rule.
 
@@ -365,7 +369,8 @@ def generate_congruence(
     LIP mode with a constant below 1, in a jump to the greatest fixpoint
     that is kept only when proved; the decreases, the jump's cells
     included, are capped, so a closure whose limit no jump reaches raises
-    ``ResourceLimitError``.
+    ``ResourceLimitError``.  ``mode`` and ``lipschitz`` are checked by
+    ``algebra.mode_constants`` for the operations of positive arity.
     """
     carrier = _checked_carrier(carrier)
     index = {x: i for i, x in enumerate(carrier)}
@@ -404,8 +409,9 @@ def generate_congruence(
         # Rows of argument positions then the image, sorted by the arguments.
         cells = np.array(sorted(cells), dtype=np.intp)
         rules[symbol] = list(cells[:, :-1].T), cells[:, -1]
+    constants = mode_constants(mode, lipschitz, rules)
     return closure_fixpoint(
-        carrier, rule_tables(len(carrier), rules), D, denom, label, mode, lipschitz, max_decreases
+        carrier, rule_tables(len(carrier), rules), D, denom, label, mode, constants, max_decreases
     )
 
 
@@ -437,7 +443,7 @@ def closure_fixpoint(
     denom: int,
     label: np.ndarray,
     mode: str,
-    lipschitz: Mapping[str, Fraction] | None,
+    constants: Mapping[str, Fraction] | None,
     max_decreases: int,
 ) -> PseudometricMatrix:
     """Close the mirror ``(D, denom)`` downward to the largest
@@ -447,22 +453,15 @@ def closure_fixpoint(
     unless the closure widens it to Python ints.  ``label`` names each
     point's finite component of D by its least point, as ``_merged`` gives
     it from D's finite cells; the closure keeps it current from its writes.
-    ``rules`` are the ``terms.rule_tables`` of the operations of arity > 0.
+    ``rules`` are the ``terms.rule_tables`` of the operations of arity > 0,
+    and ``mode`` and ``constants`` a mode and its ``mode_constants``.
     The result is exact: the greatest fixpoint, reached by passes or by a
     proved jump (``_fix_int``), or ``ResourceLimitError`` at the cap."""
-    if mode not in ("M", "Q", "LIP"):
-        raise DomainError(f"unknown mode {mode!r}; expected M, Q, or LIP")
     max_decreases = checked_count(max_decreases, "max_decreases")
-    tables = []
-    for symbol, args_idx, res_idx, *view in rules:
-        k = None
-        if mode == "LIP":
-            if lipschitz is None or symbol not in lipschitz:
-                raise SignatureError(f"LIP mode needs a constant for {symbol}")
-            k = checked_value(Fraction, lipschitz[symbol], f"Lipschitz constant for {symbol}")
-            if k <= 0:
-                raise DomainError(f"Lipschitz constant for {symbol} must be positive")
-        tables.append((args_idx, res_idx, k, *view))
+    tables = [
+        (args_idx, res_idx, None if constants is None else constants[symbol], *view)
+        for symbol, args_idx, res_idx, *view in rules
+    ]
     D, denom = _fix_int(D, denom, label, tables, mode, max_decreases)
     return PseudometricMatrix._trusted(carrier, D, denom)
 
@@ -640,10 +639,9 @@ def _fix_int(D: np.ndarray, denom: int, label: np.ndarray, tables, mode: str, ma
                 D, denom, count = out
                 decreases += count
                 written = []
-        if decreases > max_decreases:
-            raise ResourceLimitError(
-                f"closure exceeded {max_decreases} entry decreases", "max_decreases", max_decreases
-            )
+        over_cap(
+            decreases, max_decreases, "max_decreases", "closure exceeded {cap} entry decreases"
+        )
         if not written:
             return D, denom
         pivots = blocks > 1
@@ -1011,12 +1009,7 @@ def grid_congruences(
         codes = codes[np.r_[True, codes[1:] != codes[:-1]]]
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
     total = len(codes if values is None else values) ** len(cells)
-    if total > cap:
-        raise ResourceLimitError(
-            f"grid has {total} candidates, over the cap {cap}",
-            "grid_cap",
-            cap,
-        )
+    over_cap(total, cap, "grid_cap", "grid has {count} candidates, over the cap {cap}")
     if values is not None:
         values = [checked_value(ExtRat, v, "grid value") for v in values]
         (codes, S), denom = _mirrors(scaled_int_array([values]), algebra.space)

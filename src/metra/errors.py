@@ -1,4 +1,5 @@
-"""Exception hierarchy and the verdict record shared by every checker."""
+"""Exception hierarchy, the verdict record shared by every checker, and the
+one check of a resource cap with the defaults of the ``--limits`` caps."""
 
 from __future__ import annotations
 
@@ -30,9 +31,33 @@ class DomainError(MetraError):
 def checked_count(value, what: str) -> int:
     """``value`` as an int; ``DomainError`` unless it is a nonnegative
     integer and not a bool.  For depths and caps."""
+    # A plain int skips the ABC check: ``over_cap`` runs once per new term.
+    if type(value) is int and value >= 0:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise DomainError(f"{what} must be a nonnegative int, got {value!r}")
     return int(value)
+
+
+def over_cap(count: int, cap, name: str, message: str) -> None:
+    """Raise ``ResourceLimitError(message, name, cap)`` when ``count``
+    passes ``cap``; ``message`` is formatted with ``count`` and ``cap``.
+    ``cap`` is checked first, as ``checked_count`` checks it, under ``name``.
+    Every resource cap of the package is compared here."""
+    cap = checked_count(cap, name)
+    if count > cap:
+        raise ResourceLimitError(message.format(count=count, cap=cap), name, cap)
+
+
+# The caps a workspace's ``limits`` block and ``metra run --limits`` set, and
+# the defaults of the library parameters of the same names.
+LIMIT_DEFAULTS = {
+    "max_cells": 20,
+    "max_decreases": 1_000_000,
+    "max_size": 4096,
+    "max_terms": 20000,
+    "max_valuations": 1_000_000,
+}
 
 
 class ArityError(MetraError):

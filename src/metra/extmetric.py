@@ -20,22 +20,24 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    LIMIT_DEFAULTS,
     ArityError,
     AxiomError,
     DomainError,
-    ResourceLimitError,
     ShapeError,
     UnsupportedInputError,
     Verdict,
+    over_cap,
 )
 
 
+@total_ordering
 class ExtRat:
     """A nonnegative rational distance, extended with an infinite value.
 
@@ -102,58 +104,20 @@ class ExtRat:
             return INF
         return _wrap(self._q * k)
 
-    # Comparisons read the numerator and denominator slots of the
-    # underlying Fractions directly, skipping Fraction's generic dispatch.
-    # Fractions are kept in lowest terms, so equality is equality of the
-    # pairs; orders compare p/q with r/s as p*s against r*q, which is exact
-    # because denominators are positive.
+    # The order is that of the keys (1, 0) for infinity and (0, q) for q;
+    # ``total_ordering`` derives <=, > and >= from == and <.
+    def _key(self) -> tuple:
+        return (1, 0) if self._q is None else (0, self._q)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExtRat):
             return NotImplemented
-        a, b = self._q, other._q
-        if a is None or b is None:
-            return a is b
-        return a._numerator == b._numerator and a._denominator == b._denominator
+        return self._key() == other._key()
 
     def __lt__(self, other: "ExtRat") -> bool:
         if not isinstance(other, ExtRat):
             return NotImplemented
-        a, b = self._q, other._q
-        if a is None:
-            return False
-        if b is None:
-            return True
-        return a._numerator * b._denominator < b._numerator * a._denominator
-
-    def __le__(self, other: "ExtRat") -> bool:
-        if not isinstance(other, ExtRat):
-            return NotImplemented
-        a, b = self._q, other._q
-        if a is None:
-            return b is None
-        if b is None:
-            return True
-        return a._numerator * b._denominator <= b._numerator * a._denominator
-
-    def __gt__(self, other: "ExtRat") -> bool:
-        if not isinstance(other, ExtRat):
-            return NotImplemented
-        a, b = self._q, other._q
-        if b is None:
-            return False
-        if a is None:
-            return True
-        return a._numerator * b._denominator > b._numerator * a._denominator
-
-    def __ge__(self, other: "ExtRat") -> bool:
-        if not isinstance(other, ExtRat):
-            return NotImplemented
-        a, b = self._q, other._q
-        if b is None:
-            return a is None
-        if a is None:
-            return True
-        return a._numerator * b._denominator >= b._numerator * a._denominator
+        return self._key() < other._key()
 
     def __hash__(self) -> int:
         # Infinity hashes by a constant, not through hash(None), which is an
@@ -259,10 +223,10 @@ class SquareMatrix:
     equal matrices have equal arrays.  ``ExtRat`` values come from a table
     with one object per distinct value, built as they are asked for; the
     constructor seeds it with the caller's own ``ExtRat`` entries.  Element
-    positions and ``D`` as nested lists are built on first use.
+    positions are built on first use.
     """
 
-    __slots__ = ("carrier", "D", "denom", "_index", "_values", "_lists")
+    __slots__ = ("carrier", "D", "denom", "_index", "_values")
 
     def __init__(self, carrier: Sequence, entries: Sequence[Sequence[ExtRat]]):
         carrier = _checked_carrier(carrier)
@@ -296,7 +260,7 @@ class SquareMatrix:
         self.carrier = carrier
         self.D = D
         self.denom = denom
-        self._index = self._lists = None
+        self._index = None
         self._values = values
 
     def _validate(self) -> None:
@@ -320,11 +284,6 @@ class SquareMatrix:
         if self._index is None:
             self._index = {x: i for i, x in enumerate(self.carrier)}
         return self._index
-
-    def _listed(self) -> list:
-        if self._lists is None:
-            self._lists = self.D.tolist()
-        return self._lists
 
     def index(self, x) -> int:
         try:
@@ -740,19 +699,16 @@ def _sup(arrays: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def sup_product(
-    spaces: Sequence[FiniteMetricSpace], max_size: int = 4096
+    spaces: Sequence[FiniteMetricSpace], max_size: int = LIMIT_DEFAULTS["max_size"]
 ) -> FiniteMetricSpace:
     """Product space on tuples with the coordinatewise supremum metric."""
     if not spaces:
         raise ArityError("product of zero metric spaces is not defined")
     spaces = [_validated(s, FiniteMetricSpace) for s in spaces]
-    total = math.prod(s.size for s in spaces)
-    if total > max_size:
-        raise ResourceLimitError(
-            f"product carrier would have {total} > {max_size} points",
-            "max_size",
-            max_size,
-        )
+    over_cap(
+        math.prod(s.size for s in spaces), max_size, "max_size",
+        "product carrier would have {count} > {cap} points",
+    )
     arrays, denom = _mirrors(*spaces)
     carrier = itertools.product(*(s.carrier for s in spaces))
     return FiniteMetricSpace._trusted(carrier, _sup(arrays), denom)
@@ -778,16 +734,14 @@ def hausdorff_distance(space: PseudometricMatrix, a: Iterable, b: Iterable) -> E
     a, b = list(a), list(b)
     if not a or not b:
         raise DomainError("Hausdorff distance needs nonempty subsets")
-    ia = [space.index(x) for x in a]
-    ib = [space.index(y) for y in b]
-    rows = space._listed()
-    forward = max(min(map(rows[i].__getitem__, ib)) for i in ia)
-    backward = max(min(map(rows[j].__getitem__, ia)) for j in ib)
-    return space._value(max(forward, backward))
+    block = space.D[np.ix_([space.index(x) for x in a], [space.index(y) for y in b])]
+    return space._value(max(block.min(axis=1).max(), block.min(axis=0).max()))
 
 
 def gromov_hausdorff(
-    x_space: FiniteMetricSpace, y_space: FiniteMetricSpace, max_cells: int = 20
+    x_space: FiniteMetricSpace,
+    y_space: FiniteMetricSpace,
+    max_cells: int = LIMIT_DEFAULTS["max_cells"],
 ) -> ExtRat:
     """Gromov-Hausdorff distance via optimal correspondences.
 
@@ -810,12 +764,10 @@ def gromov_hausdorff(
                 "Gromov-Hausdorff distance requires finite metrics"
             )
     nx, ny = x_space.size, y_space.size
-    if nx * ny > max_cells:
-        raise ResourceLimitError(
-            f"carrier product {nx * ny} exceeds the correspondence cap {max_cells}",
-            "max_cells",
-            max_cells,
-        )
+    over_cap(
+        nx * ny, max_cells, "max_cells",
+        "carrier product {count} exceeds the correspondence cap {cap}",
+    )
     (dx, dy), denom = _mirrors(x_space, y_space)
     cells = nx * ny
     # gaps[c, c'] for cells c = i*ny + y; abs and <= work on both dtypes.

@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra import Homomorphism, MetricAlgebra, product, quotient
 from .congruence import Congruence, is_congruential
-from .errors import DomainError, ParseError, UnsupportedInputError, Verdict
+from .errors import LIMIT_DEFAULTS, DomainError, ParseError, UnsupportedInputError, Verdict
 from .extmetric import (
     _TRIANGLE_CELLS,
     ExtRat,
@@ -107,7 +107,7 @@ class ReducedProduct:
 
 
 def reduced_product(
-    algebras, filter: FiniteFilter, max_size: int = 4096
+    algebras, filter: FiniteFilter, max_size: int = LIMIT_DEFAULTS["max_size"]
 ) -> ReducedProduct:
     """Quotient of the direct product by the filter's limsup pseudometric.
 

@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,8 +46,8 @@ from .algebra import (
     MetricAlgebra,
     _modulus_scan,
     generate_subalgebra,
-    is_quantitative,
     is_reflexive_quotient,
+    mode_constants,
     product,
     quotient,
 )
@@ -59,6 +59,7 @@ from .congruence import (
     grid_congruences,
 )
 from .errors import (
+    LIMIT_DEFAULTS,
     AxiomError,
     DomainError,
     ResourceLimitError,
@@ -66,6 +67,7 @@ from .errors import (
     UnsupportedInputError,
     Verdict,
     checked_count,
+    over_cap,
 )
 from .extmetric import (
     _INT_INF,
@@ -362,10 +364,7 @@ def _grid_scan(algebra: MetricAlgebra, names, sides, max_valuations):
     column.  It returns the first flagged valuation as a dict, or None.
     """
     total = len(algebra.carrier) ** len(names)
-    if total > max_valuations:
-        raise ResourceLimitError(
-            f"{total} valuations exceed the cap {max_valuations}", "max_valuations", max_valuations
-        )
+    over_cap(total, max_valuations, "max_valuations", "{count} valuations exceed the cap {cap}")
     for s in sides:
         check_term(s.lhs, algebra.sig)
         check_term(s.rhs, algebra.sig)
@@ -411,7 +410,9 @@ def satisfies_under(algebra: MetricAlgebra, valuation, e: MetricEquation) -> boo
     return algebra.space.get(a, b) <= e.bound
 
 
-def satisfies(algebra: MetricAlgebra, formula, max_valuations=1_000_000) -> Verdict:
+def satisfies(
+    algebra: MetricAlgebra, formula, max_valuations=LIMIT_DEFAULTS["max_valuations"]
+) -> Verdict:
     """Whether every valuation satisfies the formula.
 
     Valuations assign carrier points to the formula's variables, sorted
@@ -433,7 +434,7 @@ def entails(
     algebras: Sequence[MetricAlgebra],
     delta: Sequence[MetricEquation],
     e: MetricEquation,
-    max_valuations=1_000_000,
+    max_valuations=LIMIT_DEFAULTS["max_valuations"],
 ) -> Verdict:
     """Entailment over an explicit finite list of algebras.
 
@@ -460,7 +461,7 @@ def entails(
 
 
 def satisfies_inequality(
-    algebra: MetricAlgebra, q: MetricInequality, max_valuations=1_000_000
+    algebra: MetricAlgebra, q: MetricInequality, max_valuations=LIMIT_DEFAULTS["max_valuations"]
 ) -> Verdict:
     """Whether the inequality holds under every valuation.
 
@@ -506,25 +507,12 @@ def satisfies_inequality(
 # Presentations and free algebras
 
 
-_MODES = ("M", "Q", "LIP")
-
-
-def _lipschitz_constants(lipschitz, symbols) -> dict:
-    """One positive constant per symbol, from a mapping or a value shared
-    by all."""
-    if isinstance(lipschitz, Mapping):
-        pairs = lipschitz.items()
-    else:
-        pairs = ((s, lipschitz) for s in symbols)
-    out = {s: checked_value(Fraction, k, f"Lipschitz constant for {s}") for s, k in pairs}
-    for s, k in out.items():
-        if k <= 0:
-            raise DomainError(f"Lipschitz constant for {s} must be positive")
-    return out
-
-
 class Presentation:
-    """Generators, relations, a closure mode, and a term depth."""
+    """Generators, relations, a closure mode, and a term depth.
+
+    ``lipschitz`` holds the ``algebra.mode_constants`` of the mode: a
+    positive ``Fraction`` per operation of positive arity in LIP, else None.
+    """
 
     __slots__ = ("sig", "variables", "relations", "mode", "lipschitz", "depth")
 
@@ -545,15 +533,8 @@ class Presentation:
                 raise DomainError(
                     f"relation {r} mentions unknown generators {sorted(stray)}"
                 )
-        if mode not in _MODES:
-            raise DomainError(f"unknown mode {mode!r}; expected M, Q, or LIP")
+        self.lipschitz = mode_constants(mode, lipschitz, [s for s, a in sig.items() if a])
         self.mode = mode
-        if mode == "LIP":
-            if lipschitz is None:
-                raise DomainError("LIP mode needs a Lipschitz constant")
-            self.lipschitz = _lipschitz_constants(lipschitz, sig.symbols)
-        else:
-            self.lipschitz = None
         self.depth = checked_count(depth, "depth")
 
     def __repr__(self):
@@ -626,7 +607,9 @@ class FreeAlgebra:
 
 
 def free_algebra(
-    p: Presentation, max_terms: int = 20000, max_decreases: int = 1_000_000
+    p: Presentation,
+    max_terms: int = LIMIT_DEFAULTS["max_terms"],
+    max_decreases: int = LIMIT_DEFAULTS["max_decreases"],
 ) -> FreeAlgebra:
     """Free algebra of a presentation on the depth-bounded term universe.
 
@@ -661,17 +644,13 @@ def in_mode_class(algebra: MetricAlgebra, mode: str, lipschitz=None) -> Verdict:
     Mode M admits every metric algebra: equal arguments give equal
     results, which is all the zero-propagation rule asks on a metric
     space.  Mode Q requires nonexpansive operations, and mode LIP
-    requires each operation to satisfy its Lipschitz bound.
+    requires each operation to satisfy its Lipschitz bound.  The Q and LIP
+    scans share ``is_quantitative``'s cap on argument pairs.
     """
+    constants = mode_constants(mode, lipschitz, [s for s, t in algebra.tables.items() if t.ndim])
     if mode == "M":
         return Verdict.passed()
-    if mode == "Q":
-        return is_quantitative(algebra)
-    if mode != "LIP":
-        raise DomainError(f"unknown mode {mode!r}")
-    if lipschitz is None:
-        raise DomainError("LIP mode needs a Lipschitz constant")
-    return _modulus_scan(algebra, _lipschitz_constants(lipschitz, algebra.sig.symbols))
+    return _modulus_scan(algebra, constants)
 
 
 def soundness_check(
@@ -760,7 +739,7 @@ def weak_compactness_search(
     delta: Sequence[MetricEquation],
     e: MetricEquation,
     slack,
-    max_valuations=1_000_000,
+    max_valuations=LIMIT_DEFAULTS["max_valuations"],
 ) -> Verdict:
     """Smallest subset of the premises entailing the slack-relaxed goal.
 
@@ -773,12 +752,7 @@ def weak_compactness_search(
     slack = checked_value(ExtRat, slack, "slack")
     if slack < e.bound:
         raise DomainError("the relaxed bound cannot undershoot the goal bound")
-    if len(delta) > 20:
-        raise ResourceLimitError(
-            f"subset search over {len(delta)} premises is out of reach",
-            "subset_search",
-            20,
-        )
+    over_cap(len(delta), 20, "subset_search", "subset search over {count} premises is out of reach")
     relaxed = MetricEquation(e.lhs, e.rhs, slack)
     algebras = list(algebras)
     for size in range(len(delta) + 1):
@@ -795,7 +769,7 @@ def equicontinuity_check(
     formula,
     eps_prime,
     delta_grid,
-    max_valuations=1_000_000,
+    max_valuations=LIMIT_DEFAULTS["max_valuations"],
 ) -> Verdict:
     """Largest grid delta making the relaxed implication hold everywhere.
 
@@ -995,7 +969,7 @@ def closure_suite(
     instances: Sequence[MetricAlgebra],
     quotient_values: Sequence | None = None,
     max_product_size: int = 256,
-    max_valuations: int = 1_000_000,
+    max_valuations: int = LIMIT_DEFAULTS["max_valuations"],
 ) -> ClosureReport:
     """Exercise class-closure properties of formula satisfaction.
 
@@ -1010,6 +984,7 @@ def closure_suite(
     ``quotient_values`` widens the value grid the quotient congruences
     are drawn from.
     """
+    max_product_size = checked_count(max_product_size, "max_product_size")
     formulas = list(formulas)
     implications = [f for f in formulas if isinstance(f, MetricImplication)]
     for phi in implications:

@@ -16,12 +16,12 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import (
-    DomainError,
+    LIMIT_DEFAULTS,
     ParseError,
-    ResourceLimitError,
     SignatureError,
     ValuationError,
     checked_count,
+    over_cap,
 )
 
 _NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_']*"
@@ -164,7 +164,7 @@ def enumerate_terms(
     sig: Signature,
     variables: Iterable[str],
     depth: int,
-    max_terms: int = 20000,
+    max_terms: int = LIMIT_DEFAULTS["max_terms"],
 ) -> list[Term]:
     """All terms of height at most ``depth``, in canonical order.
 
@@ -207,13 +207,12 @@ def _term_universe(sig: Signature, variables: Iterable[str], depth: int, max_ter
             _kept_universes.popitem(last=False)
     else:
         _kept_universes.move_to_end(key)
-        if len(kept[0]) > max_terms:
-            raise _too_many_terms(max_terms)
+        _check_terms(len(kept[0]), max_terms)
     return kept
 
 
-def _too_many_terms(max_terms: int) -> ResourceLimitError:
-    return ResourceLimitError(f"term universe exceeds {max_terms} terms", "max_terms", max_terms)
+def _check_terms(count: int, max_terms: int) -> None:
+    over_cap(count, max_terms, "max_terms", "term universe exceeds {cap} terms")
 
 
 def _built_universe(sig: Signature, names: list, depth: int, max_terms: int):
@@ -228,8 +227,7 @@ def _built_universe(sig: Signature, names: list, depth: int, max_terms: int):
     keys = [(0, name) for name in names] + [(1, s, ()) for s in constants]
     ids = {key: i for i, key in enumerate([*names, *((s,) for s in constants)])}
     made: dict = {}
-    if len(terms) > max_terms:
-        raise _too_many_terms(max_terms)
+    _check_terms(len(terms), max_terms)
     for _ in range(depth):
         layer = range(len(terms))
         for symbol, arity in sig.items():
@@ -243,8 +241,7 @@ def _built_universe(sig: Signature, names: list, depth: int, max_terms: int):
                 made.setdefault(symbol, []).append([*args, len(terms)])
                 terms.append(App(symbol, tuple(map(terms.__getitem__, args))))
                 keys.append((1, symbol, tuple(map(keys.__getitem__, args))))
-                if len(terms) > max_terms:
-                    raise _too_many_terms(max_terms)
+                _check_terms(len(terms), max_terms)
         if len(terms) == len(layer):
             break
     # Each id's position, and -1 past the last id for a term outside.

@@ -841,8 +841,7 @@ def point_set_distance(space, x, subset):
     subset = list(subset)
     if not subset:
         raise DomainError("distance to the empty set is not defined")
-    row = space._listed()[space.index(x)]
-    return space._value(min(row[space.index(s)] for s in subset))
+    return space._value(space.D[space.index(x), [space.index(s) for s in subset]].min())
 
 
 def diameter(space):

@@ -222,6 +222,14 @@ class TestQuantitative:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             is_quantitative(line_min_algebra(), max_checks=10)
+        # The class checks of Q and LIP share the scan's default cap: a
+        # binary operation on 32 points has 1024**2 argument pairs.
+        big = line_max_algebra(31)
+        for mode, k in [("Q", None), ("LIP", 2)]:
+            with pytest.raises(ResourceLimitError) as err:
+                in_mode_class(big, mode, k)
+            assert str(err.value) == "quantitativity scan exceeds 1000000 pairs"
+            assert (err.value.limit_name, err.value.limit_value) == ("max_checks", 1_000_000)
 
     @pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
     @pytest.mark.parametrize("cells", [1 << 15, 5], ids=["blocks", "row-per-block"])

@@ -1248,11 +1248,24 @@ class TestMain:
         assert "exceeds 10 terms" in result["error"]
 
     def test_bad_limit_flags_exit_one(self, tmp_path, capsys):
+        """A bad ``--limits`` exits 1 before the workspace runs.  Its items
+        are read as a limits block's entries are: ASCII digits, each key once."""
         path = tmp_path / "ws.mt"
         path.write_text("validate;\n")
-        code = main(["run", str(path), "--limits", "max_wiggle=9"])
-        assert code == 1
-        assert "unknown limit" in capsys.readouterr().err
+        for value, message in [
+            ("max_wiggle=9", "line 1, column 1: unknown limit 'max_wiggle'; expected one of "
+                             "max_cells, max_decreases, max_size, max_terms, max_valuations"),
+            ("max_cells=-1", "line 1, column 11: expected 'num', found '-'"),
+            ("max_cells=1_0", "line 1, column 12: expected ',', found '_0'"),
+            ("max_cells=+6", "line 1, column 11: expected 'num', found '+'"),
+            ("max_terms=\u0663", "line 1, column 11: unreadable character '\u0663'"),
+            ("max_cells=5,max_cells=6", "line 1, column 13: limit 'max_cells' listed twice"),
+        ]:
+            code = main(["run", str(path), "--limits", value])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err == f"metra: error: {message}\n"
 
     def test_includes_merge_into_one_namespace(self, tmp_path, capsys):
         (tmp_path / "sig.mt").write_text("signature S { sigma/2; }\n")

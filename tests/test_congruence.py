@@ -1119,7 +1119,7 @@ class TestTrustedResults:
         ops = {"f": {("a0",): "a1", ("a1",): "a2", ("a2",): "a3", ("a3",): "a3"}}
         lipschitz = {"f": k} if k else None
 
-        def run():
+        def run(lipschitz=lipschitz):
             return generate_congruence(
                 carrier, ops, [("a0", "a1", 1), ("a2", "a3", 0)], mode, lipschitz
             )
@@ -1128,6 +1128,9 @@ class TestTrustedResults:
         with object_mirrors():
             wide = run()
         assert revalidated(fast) == fast == wide == revalidated(wide)
+        if k:
+            # One constant shared by every operation reads as the mapping.
+            assert run(k) == fast
 
     @pytest.mark.parametrize("mode, k", MODES)
     def test_lattice_operations(self, mode, k):
@@ -1141,6 +1144,8 @@ class TestTrustedResults:
         for s, t in itertools.product(family, repeat=2):
             joined = join([s, t], mode=mode, lipschitz=lipschitz)
             assert revalidated(joined) == joined
+            if k:
+                assert join([s, t], mode=mode, lipschitz=k) == joined
             rows = as_rows(joined.matrix)
             assert mode_rule_holds(rows, index, algebra.ops, mode, lipschitz)
             assert revalidated(meet([s, t])) == meet([s, t])

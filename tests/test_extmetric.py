@@ -489,6 +489,12 @@ class TestHausdorff:
         assert point_set_distance(space, 3, [0, 1]) == ExtRat(2)
         assert hausdorff_distance(space, [0, 1], [3]) == ExtRat(3)
         assert hausdorff_distance(space, [0, 1, 3], [0, 1, 3]) == ZERO
+        # The block reductions run on a Python-int mirror and its infinity too.
+        with object_mirrors():
+            wide = FiniteMetricSpace([0, 1, 2], [[0, 1, "inf"], [1, 0, "inf"], ["inf", "inf", 0]])
+        assert wide.D.dtype == object
+        assert hausdorff_distance(wide, [0], [1]) == ONE
+        assert hausdorff_distance(wide, [0, 1], [2]) == INF
 
     def test_empty_subsets_rejected(self):
         space = line_space([0, 1])

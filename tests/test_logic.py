@@ -369,6 +369,11 @@ class TestPresentation:
     def test_lip_mode_needs_a_constant(self):
         with pytest.raises(DomainError):
             Presentation(SIG2, ("x",), (), mode="LIP")
+        # Only the operations of positive arity are read from a mapping.
+        sig = Signature({"sigma": 2, "c": 0})
+        lipschitz = {"sigma": 2, "c": "junk", "other": None}
+        p = Presentation(sig, ("x",), (), mode="LIP", lipschitz=lipschitz)
+        assert p.lipschitz == {"sigma": Fraction(2)}
 
     def test_rejects_negative_depth(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
-"""Every top-level definition in ``src/metra`` is reached from an entry point.
+"""Every top-level definition in ``src/metra`` is reached from an entry point,
+and every name a module imports is read in it.
 
 The entry points are the names in ``metra.__all__``, ``metra.cli.main`` and
 the functions ``bench/tracing.py`` wraps (its ``SPANNED`` and ``COUNTED``
@@ -69,3 +70,46 @@ def unreached_definitions() -> list[str]:
 def test_every_definition_is_reached():
     unreached = unreached_definitions()
     assert not unreached, f"reached by no entry point: {', '.join(unreached)}"
+
+
+def _annotation_names(tree) -> set[str]:
+    """The names read in the string annotations of ``tree``, such as
+    ``"Congruence"``, which an import for type checkers only serves."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            continue
+        for part in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                names |= _references([ast.parse(part.value, mode="eval")])
+    return names
+
+
+def unused_imports() -> list[str]:
+    """``module.name`` of every name a module other than ``__init__`` (which
+    imports to re-export) imports and never reads."""
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= _annotation_names(tree)
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - read)]
+    return unused
+
+
+def test_every_import_is_read():
+    unused = unused_imports()
+    assert not unused, f"imported and never read: {', '.join(unused)}"
