@@ -427,7 +427,7 @@ def _start_matrix(n: int, cells: Sequence[tuple[int, int, ExtRat]]):
     """The mirror of the discrete pseudometric on ``n`` points with each
     ``(i, j, bound)`` capping (i, j) and (j, i), as ``(D, denom, label)``:
     ``label`` joins the ends of each finite bound (see ``_merged``)."""
-    codes, denom = _codes([c[2] for c in cells])
+    codes, denom = _codes([c[2]._q for c in cells])
     D = np.full((n, n), _inf_code(codes), dtype=codes.dtype)
     i, j = np.array([c[:2] for c in cells], dtype=np.intp).reshape(-1, 2).T
     np.minimum.at(D, (i, j), codes)

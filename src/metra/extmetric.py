@@ -247,7 +247,7 @@ class SquareMatrix:
         flat = list(itertools.chain.from_iterable(_checked_square(carrier, keys)))
         distinct = list(set(flat))
         values = [value_of[k] for k in distinct]
-        table, denom = _codes(values)
+        table, denom = _codes([v._q for v in values])
         codes = table.tolist()
         D = np.fromiter(map(dict(zip(distinct, codes)).__getitem__, flat), table.dtype, len(flat))
         out = object.__new__(cls)
@@ -318,8 +318,19 @@ class SquareMatrix:
         return tuple(map(tuple, self._rows(lambda v: v)))
 
     def text_rows(self) -> list[list[str]]:
-        """The distances as rows of strings, as reports print them."""
-        return self._rows(str)
+        """The distances as rows of strings, as reports print them.  Each
+        distinct code is rendered once from the integers: ``inf``, or
+        ``code / denom`` in lowest terms."""
+        rows = self.D.tolist()
+        inf, denom = _inf_code(self.D), self.denom
+        texts = {}
+        for code in set(itertools.chain.from_iterable(rows)):
+            if code >= inf:
+                texts[code] = "inf"
+            else:
+                g = math.gcd(code, denom)
+                texts[code] = str(code // g) if g == denom else f"{code // g}/{denom // g}"
+        return [list(map(texts.__getitem__, row)) for row in rows]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SquareMatrix):
@@ -374,20 +385,21 @@ def scaled_int_array(
     )
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     distinct = [rows[f // width][f % width] for f in first.tolist()]
-    table, denom = _codes(distinct)
+    table, denom = _codes([v._q for v in distinct])
     if seen is not None:
         seen.update(zip(table.tolist(), distinct))
     return table[inverse].reshape(height, width), denom
 
 
-def _codes(values: Sequence[ExtRat]) -> tuple[np.ndarray, int]:
-    """``ExtRat`` values as a one-dimensional mirror: their numerators over
-    the least common denominator, int64 when every one is below
-    ``_MAX_SCALED`` and Python ints otherwise."""
-    qs = [v._q for v in values]
+def _codes(qs: Sequence[Fraction | None]) -> tuple[np.ndarray, int]:
+    """Rationals, None standing for infinity, as a one-dimensional mirror:
+    their numerators over the least common denominator, int64 when every
+    one is below ``_MAX_SCALED`` in absolute value and Python ints
+    otherwise.  Negative rationals (the 1/n parts of sequence forms) are
+    allowed; an ``ExtRat`` enters as its ``_q``."""
     denom = math.lcm(*(q.denominator for q in qs if q is not None))
     codes = [None if q is None else q.numerator * (denom // q.denominator) for q in qs]
-    if all(c is None or c < _MAX_SCALED for c in codes):
+    if all(c is None or -_MAX_SCALED < c < _MAX_SCALED for c in codes):
         return np.array([_INT_INF if c is None else c for c in codes], dtype=np.int64), denom
     return np.array([_OBJ_INF if c is None else c for c in codes], dtype=object), denom
 

@@ -24,7 +24,7 @@ pseudometric without any approximation.
 from __future__ import annotations
 
 import itertools
-import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,20 +32,23 @@ import numpy as np
 
 from .algebra import Homomorphism, MetricAlgebra, product, quotient
 from .congruence import Congruence, is_congruential
-from .errors import LIMIT_DEFAULTS, DomainError, ParseError, UnsupportedInputError, Verdict
+from .errors import LIMIT_DEFAULTS, DomainError, UnsupportedInputError, Verdict
 from .extmetric import (
     _TRIANGLE_CELLS,
     ExtRat,
     PseudometricMatrix,
     SquareMatrix,
+    _checked_carrier,
+    _codes,
     _first_in_blocks,
     _ids,
     _mirrors,
     _sup,
     check_pseudometric,
+    checked_value,
     render_id,
 )
-from .terms import TokenStream
+from .terms import _NUM_PATTERN
 
 
 class FiniteFilter:
@@ -143,6 +146,9 @@ class SeqForm:
     r: Fraction = Fraction(0)
 
     def __post_init__(self):
+        # Held as Fractions: the limit's mirror is read off their parts.
+        object.__setattr__(self, "c", checked_value(Fraction, self.c, "the limit term c"))
+        object.__setattr__(self, "r", checked_value(Fraction, self.r, "the 1/n term r"))
         if self.c < 0:
             raise DomainError("the limit term c must be nonnegative")
         if self.c + self.r < 0:
@@ -165,76 +171,90 @@ class SeqForm:
         return f"{self.c} + {self.r}/n"
 
 
+# A sequence form in one match: ``q``, ``q/n`` or ``q + r/n``, each
+# coefficient a lexer number with an optional ``-``.  The gaps are the lexer's
+# blank space and ``#`` comments; a comment is pinned to the end of its line,
+# as the lexer's greedy match leaves it, so a failing match cannot backtrack
+# through the ways of splitting one comment into several.
+_GAP = r"(?:\s|#[^\n]*(?![^\n]))*"
+_SIGNED = "(-" + _GAP + ")?(" + _NUM_PATTERN + ")" + _GAP
+_OVER_N = "/" + _GAP + "n" + _GAP
+_SEQ_FORM = re.compile(
+    _GAP + _SIGNED + r"(?:\+" + _GAP + _SIGNED + _OVER_N + "|(?P<over>" + _OVER_N + "))?"
+)
+
+
 def parse_seq_form(text: str) -> SeqForm:
     """Parse ``q``, ``q/n``, or ``q + r/n`` into a sequence form.
 
     The coefficients are rationals read as the workspace lexer reads
     numbers (ASCII digits, ``p/q``, no decimals), each with an optional
     ``-``; ``r`` may be negative, as in ``1 + -1/2/n`` for the sequence
-    approaching 1 from below.
+    approaching 1 from below.  Blank space and ``#`` comments may stand
+    between the parts.
     """
-    lx = TokenStream(text)
+    m = _SEQ_FORM.fullmatch(text)
     try:
-        c, r = _coefficient(lx), Fraction(0)
-        if lx.at("punct", "+"):
-            lx.next()
-            r = _coefficient(lx)
-            _over_n(lx)
-        elif lx.at("punct", "/"):
-            _over_n(lx)
-            c, r = Fraction(0), c
-        lx.finish("sequence form")
-    except ParseError:
-        raise UnsupportedInputError(
-            f"cannot read {text!r}; expected q, q/n, or q + r/n"
-        ) from None
-    return SeqForm(c, r)
+        if m is not None:
+            # Groups 1-2 are the sign and number of q, 3-4 those of r.
+            c, r = _signed(*m.group(1, 2)), _signed(*m.group(3, 4))
+            return SeqForm(Fraction(0), c) if m["over"] is not None else SeqForm(c, r)
+    except ZeroDivisionError:  # a zero denominator
+        pass
+    raise UnsupportedInputError(f"cannot read {text!r}; expected q, q/n, or q + r/n")
 
 
-def _coefficient(lx: TokenStream) -> Fraction:
-    negative = lx.at("punct", "-")
-    if negative:
-        lx.next()
-    value = lx.fraction(lx.expect("num"))
-    return -value if negative else value
-
-
-def _over_n(lx: TokenStream) -> None:
-    lx.expect("punct", "/")
-    lx.expect("name", "n")
+def _signed(sign: str | None, number: str | None) -> Fraction:
+    """A coefficient read off its sign and number groups; 0 when absent."""
+    if number is None:
+        return Fraction(0)
+    return -Fraction(number) if sign else Fraction(number)
 
 
 def pointwise_limit_metric(carrier, forms) -> PseudometricMatrix:
     """Exact limit of a family of stagewise distances in closed form.
 
     ``forms`` maps unordered point pairs to ``SeqForm`` values (strings
-    are parsed); every off-diagonal pair must be present, and the
-    diagonal is the constant zero sequence.  The stagewise matrices must
-    be pseudometrics from some stage onward.  With entries of the shape
-    c + r/n this is decidable exactly: a triangle comparison holds
-    eventually if and only if the constant parts satisfy it, with the
-    1/n parts breaking the tie when the constant parts are equal.
+    are parsed): each pair of distinct points of the carrier exactly
+    once, in either order; the diagonal is the constant zero sequence.
+    The stagewise matrices must be pseudometrics from some stage onward.
+    With entries of the shape c + r/n this is decidable exactly: a
+    triangle comparison holds eventually if and only if the constant
+    parts satisfy it, with the 1/n parts breaking the tie when the
+    constant parts are equal.
     """
-    carrier = tuple(carrier)
-    parsed = {}
+    carrier = _checked_carrier(carrier)
+    where = {x: i for i, x in enumerate(carrier)}
+    given = {}
     for (a, b), form in dict(forms).items():
+        pair = f"({render_id(a)}, {render_id(b)})"
+        outside = [x for x in (a, b) if x not in where]
+        if outside:
+            raise DomainError(
+                f"the pair {pair} names {render_id(outside[0])}, which is not in the carrier"
+            )
+        i, j = sorted((where[a], where[b]))
+        if i == j:
+            raise DomainError(f"the pair {pair} lies on the diagonal, whose sequence is 0")
+        if (i, j) in given:
+            raise DomainError(f"the pair {pair} is given in both orders")
         if isinstance(form, str):
             form = parse_seq_form(form)
         elif not isinstance(form, SeqForm):
             raise DomainError(
-                f"the sequence for the pair ({render_id(a)}, {render_id(b)}) must be "
-                f"a SeqForm or a string, got {form!r}"
+                f"the sequence for the pair {pair} must be a SeqForm or a string, got {form!r}"
             )
-        parsed[(a, b)] = parsed[(b, a)] = form
-    for i, a in enumerate(carrier):
-        for b in carrier[i + 1 :]:
-            if (a, b) not in parsed:
-                raise DomainError(
-                    f"no sequence given for the pair ({render_id(a)}, {render_id(b)})"
-                )
-    for a in carrier:
-        parsed[(a, a)] = SeqForm(Fraction(0))
-    limit = SquareMatrix(carrier, [[parsed[(a, b)].limit for b in carrier] for a in carrier])
+        given[(i, j)] = form
+    pairs = list(itertools.combinations(range(len(carrier)), 2))
+    for i, j in pairs:
+        if (i, j) not in given:
+            raise DomainError(
+                f"no sequence given for the pair ({render_id(carrier[i])}, {render_id(carrier[j])})"
+            )
+    chosen = [given[p] for p in pairs]
+    codes, denom = _codes([f.c for f in chosen])
+    limit = PseudometricMatrix._trusted(carrier, _symmetric(len(carrier), codes), denom)
+    # Returned only once the constant parts pass the pseudometric axioms.
     verdict = check_pseudometric(limit)
     if not verdict:
         raise DomainError(
@@ -243,10 +263,9 @@ def pointwise_limit_metric(carrier, forms) -> PseudometricMatrix:
     # The constant parts pass the triangle check, so a stagewise triangle
     # fails only where it is tight on them and the 1/n parts break the tie:
     # a block of x at a time, on axes (x, z, y), the order of the witness.
-    rs = [[parsed[(a, b)].r for b in carrier] for a in carrier]
-    denom = math.lcm(*(q.denominator for row in rs for q in row))
-    scaled = [[q.numerator * (denom // q.denominator) for q in row] for row in rs]
-    C, R = limit.D, np.array(scaled, dtype=object)
+    # The 1/n parts are compared among themselves only, so their own common
+    # denominator serves.
+    C, R = limit.D, _symmetric(len(carrier), _codes([f.r for f in chosen])[0])
     tie = _first_in_blocks(len(C), _TRIANGLE_CELLS // C.size, lambda x: (
         (C[x, :, None] == C[x, None, :] + C) & (R[x, :, None] > R[x, None, :] + R)
     ))
@@ -256,4 +275,13 @@ def pointwise_limit_metric(carrier, forms) -> PseudometricMatrix:
             f"the stagewise triangle through {render_id(y)} fails "
             f"at ({render_id(x)}, {render_id(z)}) at every late stage"
         )
-    return PseudometricMatrix._trusted(carrier, limit.D, limit.denom)
+    return limit
+
+
+def _symmetric(n: int, codes: np.ndarray) -> np.ndarray:
+    """The symmetric n x n mirror with zero diagonal whose cells above the
+    diagonal, in row-major order, are ``codes``."""
+    out = np.zeros((n, n), dtype=codes.dtype)
+    rows, cols = np.triu_indices(n, 1)
+    out[rows, cols] = out[cols, rows] = codes
+    return out

@@ -443,7 +443,11 @@ class TokenStream:
 
     def source(self, start: int, end: int) -> str:
         """``text[start:end]`` without its comments, each run of blank space
-        read as one space: the form in which a command is echoed."""
+        read as one space: the form in which a command is echoed.  A span
+        with no ``#`` holds no comment, and its tokens are its text."""
+        span = self.text[start:end]
+        if "#" not in span:
+            return " ".join(span.split())
         parts = (
             " " if m.lastgroup == "skip" else m.group()
             for m in _TOKEN.finditer(self.text, start, end)

@@ -20,6 +20,7 @@ from metra.algebra import _cells, _spread
 from metra.congruence import closure_fixpoint
 from metra.errors import (
     DomainError,
+    ParseError,
     ResourceLimitError,
     SignatureError,
     UnsupportedInputError,
@@ -55,7 +56,7 @@ from metra.logic import (
     as_implication,
     satisfies_under,
 )
-from metra.terms import App, Var, evaluate, rule_tables
+from metra.terms import _TOKEN, App, TokenStream, Var, evaluate, rule_tables
 
 # Small pool of exact distances; keeps closures and lcm computations tame.
 FINITE_POOL = [
@@ -833,7 +834,55 @@ def reference_stagewise_triangle(carrier, forms):
     return None
 
 
+def reference_parse_seq_form(text):
+    """``filters.parse_seq_form`` through the token reader it replaced, as
+    an oracle: the lexer's tokens, one at a time."""
+    lx = TokenStream(text)
+
+    def coefficient():
+        negative = lx.at("punct", "-")
+        if negative:
+            lx.next()
+        value = lx.fraction(lx.expect("num"))
+        return -value if negative else value
+
+    def over_n():
+        lx.expect("punct", "/")
+        lx.expect("name", "n")
+
+    try:
+        c, r = coefficient(), Fraction(0)
+        if lx.at("punct", "+"):
+            lx.next()
+            r = coefficient()
+            over_n()
+        elif lx.at("punct", "/"):
+            over_n()
+            c, r = Fraction(0), c
+        lx.finish("sequence form")
+    except ParseError:
+        raise UnsupportedInputError(
+            f"cannot read {text!r}; expected q, q/n, or q + r/n"
+        ) from None
+    return SeqForm(c, r)
+
+
+def reference_source(text, start, end):
+    """``TokenStream.source`` by one pass of the lexer over the span, as an
+    oracle: each ``skip`` match (blank space and comments) read as a space,
+    then each run of blank space as one."""
+    parts = (
+        " " if m.lastgroup == "skip" else m.group() for m in _TOKEN.finditer(text, start, end)
+    )
+    return " ".join("".join(parts).split())
+
+
 # Metric-space helpers that only the tests use.
+
+
+def reference_text_rows(m):
+    """``SquareMatrix.text_rows`` one cell at a time through ``ExtRat``."""
+    return [[str(m.at(i, j)) for j in range(m.size)] for i in range(m.size)]
 
 
 def point_set_distance(space, x, subset):
@@ -986,7 +1035,7 @@ def reference_render_algebra(a):
         }
     return {
         "carrier": [render_id(x) for x in a.carrier],
-        "metric": a.space.text_rows(),
+        "metric": reference_text_rows(a.space),
         "ops": ops,
     }
 

@@ -207,6 +207,14 @@ PINNED_ERRORS = [
     pytest.param("run", 'limitmetric {a,b} { a,b -> "1 + \u0663/n"; };\n', "CommandResult",
                  "cannot read '1 + \u0663/n'; expected q, q/n, or q + r/n",
                  id="seq-form-non-ascii-digit"),
+    pytest.param("run", 'limitmetric {a, b} { a, b -> "1"; b, a -> "2"; };\n', "CommandResult",
+                 "the pair (b, a) is given in both orders", id="limitmetric-both-orders"),
+    pytest.param("run", 'limitmetric {a, b} { a, b -> "1"; a, a -> "3"; };\n', "CommandResult",
+                 "the pair (a, a) lies on the diagonal, whose sequence is 0",
+                 id="limitmetric-diagonal"),
+    pytest.param("run", 'limitmetric {a, b} { a, b -> "1"; a, q -> "3"; };\n', "CommandResult",
+                 "the pair (a, q) names q, which is not in the carrier",
+                 id="limitmetric-outside-carrier"),
     pytest.param("equation", "x =[1/0] y", "ParseError",
                  "line 1, column 5: zero denominator in '1/0'", id="equation-zero-denominator"),
     pytest.param("inequality", "d(x,y) - 1/0 <= 0", "ParseError",

@@ -60,6 +60,7 @@ from conftest import (
     reference_gromov_hausdorff,
     reference_identification,
     reference_sup,
+    reference_text_rows,
     reference_violation,
     revalidated,
     space_from,
@@ -198,6 +199,30 @@ class TestMirror:
         rows[i][j] = data.draw(pool.filter(lambda v: v != rows[i][j]))
         with mirrors():
             assert SquareMatrix(carrier, rows) != m
+
+    @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
+    @given(data=st.data())
+    def test_text_rows_match_the_reference(self, mirrors, data):
+        """Texts worked out on the integer codes read as the ``ExtRat`` of
+        each cell does: infinities, codes that share factors with the
+        denominator, and Python-int codes past the int64 guard."""
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        denom = data.draw(st.sampled_from([1, 2, 6, 12, 35, 3 << 46]))
+        code = st.one_of(
+            st.integers(0, 40), st.integers(1 << 45, 1 << 50), st.just(None)
+        )
+        rows = [
+            [INF if c is None else ExtRat(Fraction(c, denom)) for c in row]
+            for row in data.draw(st.lists(
+                st.lists(code, min_size=n, max_size=n), min_size=n, max_size=n
+            ))
+        ]
+        with mirrors():
+            m = SquareMatrix("abcd"[:n], rows)
+            # Codes to values through Fraction, with no caller's objects kept.
+            trusted = SquareMatrix._trusted(m.carrier, np.array(m.D), m.denom)
+        assert m.text_rows() == reference_text_rows(m) == [[str(v) for v in row] for row in rows]
+        assert trusted.text_rows() == reference_text_rows(trusted) == m.text_rows()
 
     @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
     @given(space=pseudometric_spaces(), factor=st.sampled_from([1, 2, 6, 1 << 50]))

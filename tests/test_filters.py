@@ -26,6 +26,7 @@ from conftest import (
     metric_spaces,
     object_mirrors,
     pseudometric_spaces,
+    reference_parse_seq_form,
     reference_stagewise_triangle,
     reference_sup,
     revalidated,
@@ -138,6 +139,40 @@ class TestReducedProduct:
             reduced_product(self.FACTORS[:2], FiniteFilter((0, 1, 2), (0,)))
 
 
+# Pieces of sequence-form text: blank space, comments (ended by a newline or
+# by the text), signs, numbers (zero denominators among them), ``n`` and the
+# longer names that begin with it, and characters the lexer reads otherwise.
+SEQ_PIECES = [
+    "", " ", "\t", "\n", "# c\n", "# # -\n", "#", "-", "+", "/", "n", "nn", "n'", "n2",
+    "0", "1", "12", "1/2", "3/6", "1/0", "2/00", "->", "0.5", "\u0663", '"',
+]
+
+
+@st.composite
+def seq_form_texts(draw):
+    """Texts shaped like ``q``, ``q/n`` or ``q + r/n``, with gaps, signs and
+    names in place of ``n`` that may or may not read as it."""
+    gap = lambda: draw(st.sampled_from(["", " ", "\n", "# a #\n", "\t #\n "]))
+    num = lambda: draw(st.sampled_from(["0", "1", "12", "1/2", "4/6", "1/0", "03/004"]))
+    sign = lambda: draw(st.sampled_from(["", "-", "- ", "-# x\n"]))
+    n = lambda: draw(st.sampled_from(["n", "n", "nn", "n'", "n2", "m"]))
+    text = gap() + sign() + num() + gap()
+    shape = draw(st.sampled_from(["q", "q/n", "q + r/n"]))
+    if shape == "q/n":
+        text += "/" + gap() + n() + gap()
+    elif shape == "q + r/n":
+        text += "+" + gap() + sign() + num() + gap() + "/" + gap() + n() + gap()
+    return text
+
+
+def _outcome(parse, text):
+    """The form read, or the type and text of the error raised."""
+    try:
+        return parse(text)
+    except (DomainError, UnsupportedInputError) as error:
+        return type(error), str(error)
+
+
 class TestSeqForm:
     def test_parse_constant(self):
         f = parse_seq_form("3")
@@ -179,6 +214,23 @@ class TestSeqForm:
         with pytest.raises(DomainError):
             SeqForm(Fraction(1)).at(0)
 
+    @pytest.mark.parametrize("text", [
+        "", " \t\n", " 1 ", "# c\n1", "1 # c", "1 # c\n+ 1/n", "-1/2/n", "- 1 / n",
+        "2 + - # c\n 1/2 / n # c", "1/2/n", "1/0", "1/0/n", "1 + 1/0/n", "nn", "1/nn",
+        "1/n'", "1/n2", "1 + 1/n2", "1/n #", "1 -1/n", "--1", "->1", "1/2/3/n", "12/n",
+    ])
+    def test_parse_seq_form_matches_the_token_reader_on_edges(self, text):
+        assert _outcome(parse_seq_form, text) == _outcome(reference_parse_seq_form, text)
+
+    @given(text=st.one_of(st.lists(st.sampled_from(SEQ_PIECES), max_size=8).map("".join),
+                          seq_form_texts()))
+    @settings(max_examples=300)
+    def test_parse_seq_form_matches_the_token_reader(self, text):
+        """The one match reads the same form as the lexer's tokens, or
+        raises the same error, as text built from lexer pieces and from
+        forms with gaps, signs and suffixes of ``n`` shows."""
+        assert _outcome(parse_seq_form, text) == _outcome(reference_parse_seq_form, text)
+
     @given(
         c=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3)]),
         r=st.sampled_from(
@@ -209,6 +261,15 @@ class TestPointwiseLimit:
         )
         assert limit.get("a", "b") == ONE
 
+    def test_seq_form_parts_are_fractions(self):
+        """Any rational is a part, a float read exactly; anything else is a
+        typed error when the form is made."""
+        limit = pointwise_limit_metric(("a", "b"), {("a", "b"): SeqForm(0.5, 1)})
+        assert limit.get("a", "b") == HALF
+        assert SeqForm(0.5, 1) == SeqForm(Fraction(1, 2), Fraction(1))
+        with pytest.raises(DomainError, match="the 1/n term r must be a rational, got None"):
+            SeqForm(Fraction(1), None)
+
     def test_late_stage_triangle_failure(self):
         with pytest.raises(DomainError, match="late stage"):
             pointwise_limit_metric(
@@ -226,6 +287,35 @@ class TestPointwiseLimit:
     def test_missing_pair(self):
         with pytest.raises(DomainError, match="no sequence"):
             pointwise_limit_metric(("a", "b", "c"), {("a", "b"): "1"})
+
+    @pytest.mark.parametrize("forms, message", [
+        ({("a", "b"): "1", ("b", "a"): "2"}, "the pair (b, a) is given in both orders"),
+        ({("a", "b"): "1", ("a", "a"): "3"},
+         "the pair (a, a) lies on the diagonal, whose sequence is 0"),
+        ({("a", "b"): "1", ("a", "q"): "3"}, "the pair (a, q) names q, which is not in the carrier"),
+        ({("q", "a"): SeqForm(Fraction(1)), ("a", "b"): "1"},
+         "the pair (q, a) names q, which is not in the carrier"),
+    ])
+    def test_each_pair_of_distinct_points_is_given_once(self, forms, message):
+        """A form is never dropped or overridden: a pair given in both
+        orders, one on the diagonal and one off the carrier are refused."""
+        with pytest.raises(DomainError) as error:
+            pointwise_limit_metric(("a", "b"), forms)
+        assert str(error.value) == message
+
+    def test_parts_past_int64_in_either_sign(self):
+        """A limit and a 1/n part far below -2**63 stay exact."""
+        big = 10**20
+        limit = pointwise_limit_metric(
+            ("a", "b", "c"),
+            {("a", "b"): f"{big} + -{big}/n", ("a", "c"): f"{big} + -{big}/n", ("b", "c"): "1/n"},
+        )
+        assert limit.get("a", "b") == limit.get("a", "c") == ExtRat(big)
+        with pytest.raises(DomainError, match="late stage"):
+            pointwise_limit_metric(
+                ("a", "b", "c"),
+                {("a", "b"): f"{big} + -{big}/n", ("a", "c"): f"{big}", ("b", "c"): "1/n"},
+            )
 
     # The 1/n coefficients: negative ones, and one far past the int64 guard.
     R_POOL = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(2), Fraction(1, 3),

@@ -1,5 +1,6 @@
 """Tests for signatures, term enumeration, evaluation, and substitution."""
 
+import itertools
 import os
 import pickle
 import subprocess
@@ -22,6 +23,7 @@ from metra.errors import (
 from metra.terms import (
     App,
     Signature,
+    TokenStream,
     Var,
     _UNIVERSES_KEPT,
     _kept_universes,
@@ -33,7 +35,7 @@ from metra.terms import (
     substitute,
 )
 
-from conftest import line_min_algebra, reference_enumerate_terms
+from conftest import line_min_algebra, reference_enumerate_terms, reference_source
 
 SIG = Signature({"sigma": 2})
 X, Y = Var("x"), Var("y")
@@ -345,6 +347,27 @@ class TestSubstitute:
             t, algebra, {"x": evaluate(sx, algebra, v), "y": evaluate(sy, algebra, v)}
         )
         assert direct == staged
+
+
+# Pieces of command text: names, numbers, strings with blank space or a
+# comment sign inside, punctuation, blank space and comments.
+SOURCE_PIECES = [
+    "limitmetric", "a", "12", "1/2", '"a  b"', '"x#y"', '"#"', '" \t"', "{", "}", ";", ",",
+    "->", "=[", " ", "  ", "\t", "\n", "# note\n", "#", '# "x" ;\n',
+]
+
+
+class TestSource:
+    @given(pieces=st.lists(st.sampled_from(SOURCE_PIECES), max_size=12), data=st.data())
+    @settings(max_examples=300)
+    def test_source_matches_the_token_pass(self, pieces, data):
+        """The echo of a span of whole pieces, with or without a ``#``,
+        is the one the lexer's pass over the span gives."""
+        bounds = list(itertools.accumulate(map(len, pieces), initial=0))
+        start = data.draw(st.sampled_from(bounds))
+        end = data.draw(st.sampled_from([b for b in bounds if b >= start]))
+        text = "".join(pieces)
+        assert TokenStream(text).source(start, end) == reference_source(text, start, end)
 
 
 class TestParse:
