@@ -30,16 +30,13 @@ from .errors import (
     over_cap,
 )
 from .extmetric import (
-    _MAX_SCALED,
     _TRIANGLE_CELLS,
     FiniteMetricSpace,
-    _as_object,
-    _finite_max,
     _first,
     _first_in_blocks,
     _ids,
     _mirrors,
-    _scale_finite,
+    _scaled,
     _validated,
     checked_value,
     metric_identification,
@@ -279,16 +276,13 @@ def _modulus_scan(algebra: MetricAlgebra, constants, max_checks: int = 1_000_000
         k = 1 if constants is None else constants[symbol]
         checks += table.size**2
         over_cap(checks, max_checks, "max_checks", "quantitativity scan exceeds {cap} pairs")
-        p, q = k.numerator, k.denominator
-        # d(op(a), op(b)) * q > spread * p on the codes.  The scaled finite
-        # values stay below the int64 guard, or the mirror is widened, so an
-        # infinite spread, kept at the infinity code, is never exceeded.
-        M = D if max(p, q) * max(_finite_max(D), 1) < _MAX_SCALED else _as_object(D)
+        # d(op(a), op(b)) * q > spread * p on the codes; an infinite
+        # spread, kept at the infinity code, is never exceeded.
+        Dq, Dp = _scaled((D, k.denominator), (D, k.numerator))
         args_idx, res_idx = _cells(table)
 
         def stretched(rows: slice) -> np.ndarray:
-            image = M[np.ix_(res_idx[rows], res_idx)]
-            return _scale_finite(image, q) > _scale_finite(_spread(M, args_idx, rows), p)
+            return Dq[np.ix_(res_idx[rows], res_idx)] > _spread(Dp, args_idx, rows)
 
         bad = _first_in_blocks(table.size, _TRIANGLE_CELLS // table.size, stretched)
         if bad is not None:
@@ -484,12 +478,6 @@ def kernel(f: Homomorphism) -> "Congruence":
     from .congruence import finest_congruence, pullback_congruence
 
     return pullback_congruence(f, finest_congruence(f.target))
-
-
-def image(f: Homomorphism) -> MetricAlgebra:
-    """Set-image of ``f`` with the structure induced from the target."""
-    # f preserves every operation, so its image is already closed under them.
-    return generate_subalgebra(f.target, _ids(f.target.carrier, f.fidx))[0]
 
 
 def is_reflexive_quotient(p: Homomorphism, max_sections: int = 1_000_000) -> Verdict:

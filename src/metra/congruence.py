@@ -28,9 +28,8 @@ zero-set an earlier rule of the pass has left intransitive, compares only
 the pairs of argument tuples whose places pair points of one finite
 component, a fixed number of cells at a time: every other pair has an
 infinite candidate.  Every operation here reads and writes the matrices'
-scaled mirrors (see ``extmetric``); the closure widens an int64 mirror to
-Python ints when a value outgrows the guard, so the fixpoint is exact
-whatever the denominators.
+scaled mirrors, rescaled only by ``extmetric``'s ``_mirrors`` and
+``_scaled``, so the fixpoint is exact whatever the denominators.
 
 With a LIP constant below 1 the passes may reach the greatest fixpoint
 only in their limit, so after each pass that lowers a cell the closure
@@ -42,7 +41,6 @@ policy iteration of Costan et al., CAV 2005, and Gawlitza and Seidl, ESOP
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -64,19 +62,16 @@ from .extmetric import (
     ExtRat,
     PseudometricMatrix,
     SquareMatrix,
-    _MAX_SCALED,
     _TRIANGLE_CELLS,
     _array_violation,
-    _as_object,
     _as_verdict,
     _checked_carrier,
     _codes,
-    _finite_max,
     _first,
     _ids,
     _inf_code,
     _mirrors,
-    _scale_finite,
+    _scaled,
     _shared,
     _zero_reps,
     checked_value,
@@ -740,19 +735,16 @@ def _jump(D: np.ndarray, denom: int, start: tuple, tables, cells: np.ndarray, gr
             break
     else:
         return None
-    # Y on the common denominator, widened if a value reaches the guard.
-    scale = math.lcm(denom, *(x.denominator for x in y)) // denom
-    codes = [int(x * denom * scale) for x in y]
-    wide = D.dtype != object and max(scale * _finite_max(D), *codes) >= _MAX_SCALED
-    Y = _as_object(D) if wide else D.copy()
-    _scale_finite(Y, scale)
+    # Y: D with the solution written in, on their common denominator.
+    (Y, codes), denom = _mirrors((D, denom), _codes(y))
+    Y = D.copy() if Y is D else Y
     i, j = np.divmod(cells, n)
     Y[i, j] = Y[j, i] = codes
     if any(_repair(Y, idx, range(len(idx))).any() for idx in groups) or any(
         len(_bound_rule(Y.copy(), 1, table, "LIP", label)[2]) for table in tables
     ):
         return None
-    return Y, denom * scale, 2 * sum(a < b for a, b in zip(y, now))
+    return Y, denom, 2 * sum(a < b for a, b in zip(y, now))
 
 
 def _affine_solve(system) -> list[Fraction] | None:
@@ -788,19 +780,9 @@ def _bound_rule(D: np.ndarray, denom: int, table, mode: str, label: np.ndarray, 
     elif mode == "LIP":
         # Moving the shared denominator to denom * q keeps K * value
         # integral: finite entries of D are multiplied by q, and those of
-        # the rows read (so of every candidate) by p.  An int64 mirror that
-        # would reach the value guard is widened to Python ints.
-        p, q = k.numerator, k.denominator
-        if D.dtype != object and (
-            q * max(_finite_max(D), 1) >= _MAX_SCALED
-            or p * max(_finite_max(sub), 1) >= _MAX_SCALED
-        ):
-            D, sub = _as_object(D), _as_object(sub)
-        if q != 1:
-            _scale_finite(D, q)
-            denom *= q
-        if p != 1:
-            _scale_finite(sub, p)
+        # the rows read (so of every candidate) by p.
+        D, sub = _scaled((D, k.denominator), (sub, k.numerator), owned=True)
+        denom *= k.denominator
     if square is None:
         local = [np.searchsorted(rows, a) for a in args_idx]
         cells = _grouped_cells(sub, local, label[rows], res_idx, len(D))

@@ -174,7 +174,8 @@ def render_id(x) -> str:
 # denominator.  While every scaled finite value is below _MAX_SCALED the array
 # is int64 with _INT_INF as infinity, chosen so that a sum of two entries can
 # never overflow or pass for a finite value; otherwise it holds Python ints
-# (dtype=object) with _OBJ_INF as infinity.  The same array code runs on both.
+# (dtype=object) with _OBJ_INF as infinity.  Only _codes, _canonical and
+# _scaled choose between the two; the same array code runs on both.
 _INT_INF = 1 << 60
 _MAX_SCALED = 1 << 45
 
@@ -431,19 +432,22 @@ def _scale_finite(arr: np.ndarray, factor: int) -> np.ndarray:
 
 def _canonical(D: np.ndarray, denom: int) -> tuple[np.ndarray, int]:
     """A mirror in canonical form: every int64 code at or above ``_INT_INF``
-    read as infinity, numerators and ``denom`` in lowest terms, and int64
-    exactly when every finite value is below ``_MAX_SCALED``.  ``D`` is
-    copied before anything in it changes."""
+    read as infinity, numerators and ``denom`` in lowest terms (``denom`` 1
+    when all are 0), and int64 exactly when every finite value is below
+    ``_MAX_SCALED``.  ``D`` is copied before anything in it changes."""
     if D.dtype != object and D.max() > _INT_INF:
         D = np.minimum(D, _INT_INF)
     finite = D < _inf_code(D)
-    if denom > 1:
+    top = D.max(initial=0, where=finite)
+    if not top:
+        denom = 1
+    elif denom > 1:
         common = math.gcd(denom, int(np.gcd.reduce(D, axis=None, where=finite, initial=0)))
         if common > 1:
             D = D.copy()
             D[finite] //= common
             denom //= common
-    top = D.max(initial=0, where=finite)
+            top //= common
     if D.dtype == object and top < _MAX_SCALED:
         D = np.where(finite, D, _INT_INF).astype(np.int64)
     elif D.dtype != object and top >= _MAX_SCALED:
@@ -451,22 +455,50 @@ def _canonical(D: np.ndarray, denom: int) -> tuple[np.ndarray, int]:
     return D, denom
 
 
-def _mirrors(*items) -> tuple[list[np.ndarray], int]:
-    """Mirrors over their least common denominator.
+def _scaled(*pairs, owned: bool = False) -> list[np.ndarray]:
+    """Mirrors, given as ``(array, factor)`` pairs, with their finite
+    entries multiplied by the Python-int factors: int64 while each
+    ``max(finite max, 1) * factor`` is below ``_MAX_SCALED``, all widened
+    to Python ints otherwise.  An int64 array's finite codes are below the
+    guard, so one with factor 1 is not scanned.  ``owned`` arrays are
+    scaled in place; others are copied first, and one that needs no
+    change is returned as it is: read it, do not write it."""
+    wide = any(
+        a.dtype == object or f > 1 and max(_finite_max(a), 1) * f >= _MAX_SCALED
+        for a, f in pairs
+    )
+    out = []
+    for a, f in pairs:
+        if wide and a.dtype != object:
+            a = _as_object(a)
+        elif f > 1 and not owned:
+            a = a.copy()
+        out.append(_scale_finite(a, f) if f > 1 else a)
+    return out
 
-    ``items`` are matrices or ``(array, denom)`` pairs.  An int64 array
-    holds every finite code below ``_MAX_SCALED``, as canonical mirrors and
-    ``scaled_int_array`` output do, so only one scaled by a factor above 1
-    is scanned.  The arrays stay int64 while every scaled finite value is
-    below ``_MAX_SCALED`` and are all widened to Python ints otherwise.  An
-    array that needs no change is returned as it is: read it, do not write it.
+
+def _mirrors(*items) -> tuple[list[np.ndarray], int]:
+    """Mirrors over their least common denominator, by ``_scaled``.
+
+    ``items`` are matrices or ``(array, denom)`` pairs; an array that needs
+    no change is returned as it is: read it, do not write it.
     """
     pairs = [(m.D, m.denom) if isinstance(m, SquareMatrix) else m for m in items]
     denom = math.lcm(*(d for _, d in pairs))
-    scaled = [(a, denom // d) for a, d in pairs]
-    if any(a.dtype == object or f > 1 and _finite_max(a) * f >= _MAX_SCALED for a, f in scaled):
-        scaled = [(_as_object(a), f) for a, f in scaled]
-    return [a if f == 1 else _scale_finite(a.copy(), f) for a, f in scaled], denom
+    return _scaled(*((a, denom // d) for a, d in pairs)), denom
+
+
+def within(space, bound: ExtRat) -> np.ndarray:
+    """Where the distance is at most ``bound``, as an n x n boolean matrix."""
+    D, denom = space.D, space.denom
+    if bound.is_infinite:
+        return np.ones(D.shape, dtype=bool)
+    q = bound.finite
+    limit = q.numerator * denom // q.denominator
+    if D.dtype != object:
+        # Every finite int64 entry lies below _INT_INF, infinity at it.
+        limit = min(limit, _INT_INF - 1)
+    return D <= limit
 
 
 def _first(mask: np.ndarray) -> tuple[int, ...] | None:

@@ -70,7 +70,6 @@ from .errors import (
     over_cap,
 )
 from .extmetric import (
-    _INT_INF,
     INF,
     ZERO,
     ExtRat,
@@ -79,6 +78,7 @@ from .extmetric import (
     _mirrors,
     checked_value,
     metric_identification,
+    within,
 )
 from .terms import (
     App,
@@ -313,19 +313,6 @@ class MetricInequality:
 
 # Valuations a compiled scan checks at once; bounds its index arrays' memory.
 _CHUNK = 1 << 13
-
-
-def within(space, bound: ExtRat) -> np.ndarray:
-    """Where the distance is at most ``bound``, as an n x n boolean matrix."""
-    D, denom = space.D, space.denom
-    if bound.is_infinite:
-        return np.ones(D.shape, dtype=bool)
-    q = bound.finite
-    limit = q.numerator * denom // q.denominator
-    if D.dtype != object:
-        # Every finite int64 entry lies below _INT_INF, infinity at it.
-        limit = min(limit, _INT_INF - 1)
-    return D <= limit
 
 
 def _program(sides, names):

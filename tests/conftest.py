@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 import metra.extmetric as extmetric_module
-from metra.algebra import _cells, _spread
+from metra.algebra import _cells, _spread, generate_subalgebra
 from metra.congruence import closure_fixpoint
 from metra.errors import (
     DomainError,
@@ -88,8 +88,10 @@ def object_mirrors():
 
     With the int64 value guard at 0 no finite value fits, so the closure,
     the axiom check and ``compose`` run their array code on ``dtype=object``.
-    An int64 mirror made before it stays one when ``_mirrors`` does not
-    scale it, so objects are built, or rebuilt (``revalidated``), inside.
+    The guard is read in ``extmetric`` alone, so the patch reaches every
+    guard, the closure's and the modulus scan's included.  An int64 mirror
+    made before it stays one when ``_scaled`` does not scale it, so objects
+    are built, or rebuilt (``revalidated``), inside.
     """
     return mock.patch.object(extmetric_module, "_MAX_SCALED", 0)
 
@@ -496,6 +498,13 @@ def reference_quotient(algebra, theta):
         for symbol in algebra.sig.symbols
     }
     return space.carrier, ops
+
+
+def image(f):
+    """Set-image of the homomorphism ``f`` with the structure induced from
+    the target: f preserves every operation, so its image is already closed
+    under them."""
+    return generate_subalgebra(f.target, [f.target.carrier[i] for i in f.fidx.tolist()])[0]
 
 
 def reference_generate_subalgebra(algebra, seed):

@@ -17,7 +17,6 @@ from metra.algebra import (
     _modulus_scan,
     MetricAlgebra,
     generate_subalgebra,
-    image,
     is_homomorphism,
     is_quantitative,
     is_reflexive_quotient,
@@ -62,6 +61,7 @@ from conftest import (
     edges_refused,
     find_isomorphism,
     fw_close,
+    image,
     line_algebra,
     line_max_algebra,
     line_min_algebra,

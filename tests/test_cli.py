@@ -1209,6 +1209,37 @@ def test_report_writer_refuses_what_json_refuses(value):
             render(results)
 
 
+# The --text report of TestMain's workspace at a distance of 1/2**70.
+TINY_REPORT = """\
+### gh O T;
+ok: yes
+{
+  "distance": "1/2361183241434822606848"
+}
+
+### meet Z Z;
+ok: yes
+{
+  "congruence": {
+    "carrier": [
+      "a",
+      "b"
+    ],
+    "entries": [
+      [
+        "0",
+        "0"
+      ],
+      [
+        "0",
+        "0"
+      ]
+    ]
+  }
+}
+"""
+
+
 class TestMain:
     """The console entry point wires files, flags, and exit codes."""
 
@@ -1219,6 +1250,22 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 0
         assert json.loads(out)["schema"] == 1
+
+    def test_denominators_past_int64_against_zero_mirrors(self, tmp_path, capsys):
+        """A one-point space, a zero congruence and a distance of 1/2**70:
+        each all-zero int64 mirror is scaled by 2**70 to meet the distance,
+        which the report gives exactly."""
+        tiny = "1/1180591620717411303424"
+        path = tmp_path / "ws.mt"
+        path.write_text(
+            "signature E { } algebra O over E { carrier o; metric [[0]]; }"
+            f" algebra T over E {{ carrier a, b; metric [[0, {tiny}], [{tiny}, 0]]; }}"
+            " gh O T;\ncongruence Z on T { matrix [[0, 0], [0, 0]]; }\nmeet Z Z;\n"
+        )
+        code = main(["run", str(path), "--text"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out == TINY_REPORT
 
     def test_text_flag_switches_the_report(self, tmp_path, capsys):
         path = tmp_path / "ws.mt"

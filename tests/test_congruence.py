@@ -62,15 +62,24 @@ from metra.extmetric import (
     _inf_code,
     _sup,
     _zero_reps,
+    gromov_hausdorff,
     scaled_int_array,
+    sup_product,
 )
-from metra.logic import MetricEquation, Presentation, free_algebra
+from metra.logic import (
+    MetricEquation,
+    Presentation,
+    closure_suite,
+    free_algebra,
+    parse_equation,
+)
 from metra.terms import App, Signature, Var
 
 from conftest import (
     FINITE_POOL,
     POSITIVE_POOL,
     bare_algebra,
+    brute_force_gh,
     fw_close,
     line_max_algebra,
     line_min_algebra,
@@ -91,6 +100,7 @@ from conftest import (
     reference_pointwise,
     reference_rows_at,
     reference_rule_join,
+    reference_sup,
     revalidated,
     space_from,
     symmetric_rows,
@@ -629,7 +639,7 @@ class TestGenerateCongruence:
         ops = {"f": {("c0",): "c1", ("c1",): "c2", ("c2",): "c2", ("c3",): "c3"}}
         args = (carrier, ops, [("c0", "c1", 1 << 44)], "LIP", {"f": Fraction(3, 2)})
         with mock.patch.object(
-            congruence_module, "_as_object", wraps=extmetric_module._as_object
+            extmetric_module, "_as_object", wraps=extmetric_module._as_object
         ) as widen:
             result = generate_congruence(*args)
         assert widen.call_count == 2
@@ -824,7 +834,7 @@ class TestClosureEngines:
         ops = {"f": {(x,): y for x, y in images.items()}}
         args = ((0, 1, 2), ops, [constraint], "LIP", {"f": Fraction(1, 2)}, 50)
         with mock.patch.object(
-            congruence_module, "_as_object", side_effect=AssertionError("widened")
+            extmetric_module, "_as_object", side_effect=AssertionError("widened")
         ):
             fast = generate_congruence(*args)
         with object_mirrors():
@@ -1365,6 +1375,109 @@ class TestLatticeKernelsMatchTheEntries:
         assert as_rows(pulled.matrix) == [
             [pushed.matrix.get(projection(a), projection(b)) for b in carrier] for a in carrier
         ]
+
+
+TINY = ExtRat(Fraction(1, 1 << 70))
+
+
+def tiny_algebras():
+    """A two-point algebra at distance 1/2**70 whose operation swaps the
+    points, a one-point algebra of its signature, and the two-point one's
+    coarsest congruence, an all-zero int64 mirror, and finest."""
+    sig = Signature({"f": 1})
+    space = FiniteMetricSpace("ab", [[ZERO, TINY], [TINY, ZERO]])
+    two = MetricAlgebra(sig, space, {"f": {("a",): "b", ("b",): "a"}})
+    one = MetricAlgebra(sig, FiniteMetricSpace("o", [[ZERO]]), {"f": {("o",): "o"}})
+    return two, one, coarsest_congruence(two), finest_congruence(two)
+
+
+def tiny_join(mode):
+    def run(two, one, zero, metric):
+        return as_rows(join([zero, metric], mode).matrix)
+
+    def reference(two, one, zero, metric):
+        lowest = reference_pointwise(min, [zero.matrix, metric.matrix])
+        cells = itertools.product(enumerate(two.carrier), repeat=2)
+        start = [(x, y, lowest[i][j]) for (i, x), (j, y) in cells]
+        return reference_closure(two.carrier, two.ops, start, mode)
+
+    return run, reference
+
+
+def tiny_congruence(two, one, zero, metric):
+    return as_rows(Congruence(two, SquareMatrix(two.carrier, as_rows(zero.matrix))).matrix)
+
+
+def tiny_closure_suite(two, one, zero, metric):
+    return closure_suite([parse_equation("f(f(x)) =[0] x", two.sig)], [one, two]).records
+
+
+# Each entry point on tiny_algebras(), with its reference or None.
+TINY_CASES = {
+    "meet": (
+        lambda two, one, zero, metric: as_rows(meet([zero, metric]).matrix),
+        lambda two, one, zero, metric: reference_pointwise(max, [zero.matrix, metric.matrix]),
+    ),
+    "join-M": tiny_join("M"),
+    "join-Q": tiny_join("Q"),
+    "compose": (
+        lambda two, one, zero, metric: as_rows(compose(zero, metric)),
+        lambda two, one, zero, metric: reference_compose(zero.matrix, metric.matrix),
+    ),
+    "are_permutable": (
+        lambda two, one, zero, metric: are_permutable(zero, metric),
+        lambda two, one, zero, metric: (
+            reference_compose(zero.matrix, metric.matrix)
+            == reference_compose(metric.matrix, zero.matrix)
+        ),
+    ),
+    # The algebra is the product of its quotients by its metric and by zero.
+    "decompose_product": (
+        lambda two, one, zero, metric: decompose_product(two, metric, zero).ok,
+        lambda two, one, zero, metric: True,
+    ),
+    "Congruence": (
+        tiny_congruence,
+        lambda two, one, zero, metric: (
+            as_rows(zero.matrix) if reference_is_congruential(two, zero.matrix) else None
+        ),
+    ),
+    "sup_product": (
+        lambda two, one, zero, metric: as_rows(sup_product([one.space, two.space])),
+        lambda two, one, zero, metric: reference_sup([one.space, two.space]),
+    ),
+    "product": (
+        lambda two, one, zero, metric: as_rows(product([one, two])[0].space),
+        lambda two, one, zero, metric: reference_sup([one.space, two.space]),
+    ),
+    "gromov_hausdorff": (
+        lambda two, one, zero, metric: gromov_hausdorff(one.space, two.space),
+        lambda two, one, zero, metric: brute_force_gh(one.space, two.space),
+    ),
+    "grid_congruences": (
+        lambda two, one, zero, metric: [as_rows(t.matrix) for t in grid_congruences(two)],
+        lambda two, one, zero, metric: [as_rows(m) for m in reference_grid_congruences(two)],
+    ),
+    "closure_suite": (tiny_closure_suite, None),
+}
+
+
+class TestDenominatorsPastInt64:
+    """A metric at 1/2**70 brought to one denominator with an all-zero int64
+    mirror, which takes a factor of 2**70: every entry point gives the
+    exact answer, the one it gives on ``object_mirrors()`` and the
+    reference's where there is one."""
+
+    @pytest.mark.parametrize("name", list(TINY_CASES))
+    def test_entry_points_are_exact(self, name):
+        run, reference = TINY_CASES[name]
+        inputs = tiny_algebras()
+        got = run(*inputs)
+        with object_mirrors():
+            # Built in the context, the inputs hold Python-int mirrors.
+            assert run(*tiny_algebras()) == got
+        if reference is not None:
+            assert got == reference(*inputs)
 
 
 def binary_product(m, seed):

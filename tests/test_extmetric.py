@@ -34,6 +34,7 @@ from metra.extmetric import (
     _as_object,
     _as_verdict,
     _scale_finite,
+    _scaled,
     check_metric,
     check_pseudometric,
     gromov_hausdorff,
@@ -225,16 +226,25 @@ class TestMirror:
         assert trusted.text_rows() == reference_text_rows(trusted) == m.text_rows()
 
     @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
-    @given(space=pseudometric_spaces(), factor=st.sampled_from([1, 2, 6, 1 << 50]))
+    @given(space=pseudometric_spaces(), factor=st.sampled_from([1, 2, 6, 1 << 50, 1 << 70]))
     def test_results_are_stored_in_canonical_form(self, mirrors, space, factor):
         """A mirror over a multiple of the least denominator, on Python ints
-        or past the int64 guard, is reduced and narrowed when it is wrapped."""
+        or past the int64 guard, is reduced and narrowed when it is wrapped;
+        so is the int64 mirror scaled by ``_scaled``, which widens it only
+        when it must, and an int64 mirror of zeros over any denominator."""
         wide = _scale_finite(np.array(_as_object(space.D)), factor)
+        (scaled,) = _scaled((space.D, factor))
+        zeros = np.zeros(space.D.shape, dtype=np.int64)
         with mirrors():
             m = PseudometricMatrix._trusted(space.carrier, wide, space.denom * factor)
+            s = PseudometricMatrix._trusted(space.carrier, scaled, space.denom * factor)
+            z = PseudometricMatrix._trusted(space.carrier, zeros, space.denom * factor)
             again = revalidated(space)
-        assert m == space and m.entries == space.entries
-        assert (m.denom, m.D.dtype) == (again.denom, again.D.dtype)
+            flat = PseudometricMatrix(space.carrier, [[ZERO] * space.size] * space.size)
+        assert m == s == space and m.entries == s.entries == space.entries
+        assert (m.denom, m.D.dtype) == (s.denom, s.D.dtype) == (again.denom, again.D.dtype)
+        assert z == flat and z.entries == flat.entries
+        assert (z.denom, z.D.dtype) == (flat.denom, flat.D.dtype) and z.denom == 1
 
 
 class TestPseudometricChecks:

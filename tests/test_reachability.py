@@ -113,3 +113,29 @@ def unused_imports() -> list[str]:
 def test_every_import_is_read():
     unused = unused_imports()
     assert not unused, f"imported and never read: {', '.join(unused)}"
+
+
+# The int64 guard, the infinity codes and the widening and scaling helpers
+# of the scaled mirror: ``extmetric`` alone decides when a mirror leaves int64.
+MIRROR_GUARD = {"_MAX_SCALED", "_INT_INF", "_OBJ_INF", "_as_object", "_scale_finite", "_finite_max"}
+
+
+def mirror_guard_imports() -> list[str]:
+    """``module.name`` of every ``MIRROR_GUARD`` name a module other than
+    ``extmetric`` imports or reads as an attribute."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.stem == "extmetric":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.attr] if isinstance(node, ast.Attribute) else []
+            found += [f"{path.stem}.{name}" for name in names if name in MIRROR_GUARD]
+    return found
+
+
+def test_only_extmetric_reads_the_mirror_guard():
+    found = mirror_guard_imports()
+    assert not found, f"outside extmetric: {', '.join(found)}"
