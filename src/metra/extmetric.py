@@ -306,17 +306,14 @@ class SquareMatrix:
     def get(self, x, y) -> ExtRat:
         return self._value(self.D.item(self.index(x), self.index(y)))
 
-    def _rows(self, convert: Callable) -> list:
-        """``convert`` of each distance, as rows; it runs once per distinct value."""
-        codes, inverse = np.unique(self.D, return_inverse=True)
-        table = [convert(self._value(c)) for c in codes.tolist()]
-        rows = inverse.reshape(self.D.shape).tolist()
-        return [list(map(table.__getitem__, row)) for row in rows]
-
     @property
     def entries(self) -> tuple[tuple[ExtRat, ...], ...]:
-        """The distances as rows of ``ExtRat`` values, built on each read."""
-        return tuple(map(tuple, self._rows(lambda v: v)))
+        """The distances as rows of ``ExtRat`` values, built on each read;
+        each distinct code is looked up once."""
+        codes, inverse = np.unique(self.D, return_inverse=True)
+        table = [self._value(c) for c in codes.tolist()]
+        rows = inverse.reshape(self.D.shape).tolist()
+        return tuple(tuple(map(table.__getitem__, row)) for row in rows)
 
     def text_rows(self) -> list[list[str]]:
         """The distances as rows of strings, as reports print them.  Each

@@ -10,9 +10,8 @@ contains the core.
 The reduced product of a family of algebras along a filter is the
 quotient of the direct product by the pseudometric that takes the limit
 superior of the coordinatewise distances.  On finite index sets that
-pseudometric is always congruential, so the reduced product always
-exists; the construction still records a verdict so a failure would be
-reported rather than silently ignored.
+pseudometric is the meet of the kernels of the core's projections, so it
+is congruential by construction and the reduced product always exists.
 
 For describing how distances behave along a growing index, the module
 also handles sequences given in the closed form c + r/n: the distance
@@ -30,20 +29,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Homomorphism, MetricAlgebra, product, quotient
-from .congruence import Congruence, is_congruential
+from .algebra import Homomorphism, MetricAlgebra, kernel, product, quotient
+from .congruence import Congruence, meet
 from .errors import LIMIT_DEFAULTS, DomainError, UnsupportedInputError, Verdict
 from .extmetric import (
     _TRIANGLE_CELLS,
     ExtRat,
     PseudometricMatrix,
-    SquareMatrix,
     _checked_carrier,
     _codes,
     _first_in_blocks,
     _ids,
-    _mirrors,
-    _sup,
     check_pseudometric,
     checked_value,
     render_id,
@@ -115,27 +111,21 @@ def reduced_product(
     """Quotient of the direct product by the filter's limsup pseudometric.
 
     The factors are indexed by the filter's index set in order.  The
-    limsup pseudometric is congruential whenever the index set is
-    finite; the check still runs, and a failure would be returned as a
-    non-existence outcome carrying the verdict.
+    limsup of d_i(a_i, b_i) along the filter is its maximum over the core,
+    which is the meet of the kernels of the core's projections: a meet of
+    congruences is a congruence, so the reduced product always exists and
+    nothing is checked.
     """
     algebras = list(algebras)
     if len(algebras) != len(filter.index_set):
         raise DomainError(
             f"got {len(algebras)} factors for {len(filter.index_set)} indices"
         )
-    prod, _ = product(algebras, max_size=max_size)
-    # The limsup is the sup metric of the product with factors off the core at zero.
-    arrays, denom = _mirrors(*(a.space for a in algebras))
+    prod, projections = product(algebras, max_size=max_size)
     core = set(filter.core)
-    arrays = [D if i in core else np.zeros_like(D) for i, D in zip(filter.index_set, arrays)]
-    matrix = SquareMatrix._trusted(prod.carrier, _sup(arrays), denom)
-    verdict = is_congruential(prod, matrix)
-    if not verdict:
-        return ReducedProduct(False, product_algebra=prod, verdict=verdict)
-    theta = Congruence._trusted(prod, matrix.D, matrix.denom)
+    theta = meet([kernel(p) for i, p in zip(filter.index_set, projections) if i in core])
     quot, projection = quotient(prod, theta)
-    return ReducedProduct(True, quot, projection, theta, prod, verdict)
+    return ReducedProduct(True, quot, projection, theta, prod, Verdict.passed())
 
 
 @dataclass(frozen=True)

@@ -605,7 +605,7 @@ def free_algebra(
     (checked before returning).  Distances are exact upper bounds for
     the unbounded free algebra and can only shrink at greater depth.
     """
-    universe, _, position, rules = _term_universe(p.sig, p.variables, p.depth, max_terms)
+    universe, position, rules = _term_universe(p.sig, p.variables, p.depth, max_terms)
     pairs = []
     for r in p.relations:
         i, j = position(r.lhs), position(r.rhs)

@@ -10,7 +10,6 @@ import re
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -183,15 +182,14 @@ _kept_universes: OrderedDict = OrderedDict()
 
 
 def _term_universe(sig: Signature, variables: Iterable[str], depth: int, max_terms: int):
-    """``enumerate_terms`` as a tuple, with the closure rules, the position
-    map and the closure's ``rule_tables`` of the universe; see
-    ``_built_universe``.
+    """``enumerate_terms`` as a tuple, with the position map and the
+    closure's ``rule_tables`` of the universe; see ``_built_universe``.
 
     A universe depends only on the signature, the names and the depth, so
     the last ``_UNIVERSES_KEPT`` of them are kept and shared by every
-    caller: the tuple, the read-only rule arrays and tables and the
-    position map are never to be written.  Bad names, depths and refusals
-    raise on every call, and a refused universe is never kept."""
+    caller: the tuple, the read-only tables and the position map are never
+    to be written.  Bad names, depths and refusals raise on every call,
+    and a refused universe is never kept."""
     depth, max_terms = checked_count(depth, "depth"), checked_count(max_terms, "max_terms")
     names = sorted(set(variables))
     for name in names:
@@ -219,9 +217,9 @@ def _built_universe(sig: Signature, names: list, depth: int, max_terms: int):
     """The universe on integer term ids: candidates are deduplicated on
     ``(symbol, *arg ids)``, and each new term's ``App`` and sort key are
     built once, from its arguments'.  Returns the terms in canonical
-    order, each symbol of positive arity's ``(args_idx, res_idx)`` in
-    universe positions, sorted by the arguments, ``position(term)``, -1
-    outside the universe, and the ``rule_tables`` of those rules."""
+    order, ``position(term)``, -1 outside the universe, and the
+    ``rule_tables`` of each symbol of positive arity's ``(args_idx,
+    res_idx)`` in universe positions, sorted by the arguments."""
     constants = [s for s, a in sig.items() if a == 0]
     terms: list[Term] = [Var(name) for name in names] + [App(s) for s in constants]
     keys = [(0, name) for name in names] + [(1, s, ()) for s in constants]
@@ -262,12 +260,7 @@ def _built_universe(sig: Signature, names: list, depth: int, max_terms: int):
         return ids.get(key, n)
 
     universe = tuple(terms[i] for i in order)
-    return (
-        universe,
-        MappingProxyType(rules),
-        lambda term: int(at[term_id(term)]),
-        rule_tables(n, rules),
-    )
+    return universe, lambda term: int(at[term_id(term)]), rule_tables(n, rules)
 
 
 def rule_tables(n: int, rules: Mapping[str, tuple]) -> tuple:

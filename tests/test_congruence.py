@@ -2288,3 +2288,53 @@ class TestBlockedCompose:
                 got = compose(t1, t2)
                 assert (got.D.dtype == object) == (mirrors is object_mirrors)
                 assert as_rows(got) == reference_compose(t1.matrix, t2.matrix)
+
+
+@st.composite
+def one_operation_algebras(draw, n, arity):
+    """An algebra on ``n`` points with one operation ``g`` of ``arity``, over
+    a metric from 1 and 2, plus inf on at most three points; on four points
+    the default grid of ``grid_congruences`` then has at most 4**6 candidates."""
+    carrier = tuple(range(n))
+    values = [ONE, ExtRat(2)] + ([INF] if n <= 3 else [])
+    rows = symmetric_rows(draw, n, st.sampled_from(values))
+    cells = list(itertools.product(carrier, repeat=arity))
+    images = draw(st.lists(st.sampled_from(carrier), min_size=len(cells), max_size=len(cells)))
+    space = FiniteMetricSpace(carrier, fw_close(rows))
+    return MetricAlgebra(Signature({"g": arity}), space, {"g": dict(zip(cells, images))})
+
+
+class TestDecompositionProperty:
+    """``decompose_product`` returns its canonical map unchecked once the
+    meet, join and permutability verdicts pass (see its docstring).  Whenever
+    it decomposes, the map passes the ``Homomorphism`` constructor and is a
+    bijective isometry; otherwise one of those three verdicts failed."""
+
+    REASONS = {"meet-not-the-metric", "join-not-zero", "not-permutable"}
+
+    @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
+    @given(arity=st.integers(1, 2), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_the_canonical_map_is_an_isomorphism(self, mirrors, arity, data):
+        with mirrors():
+            if data.draw(st.booleans()):
+                # A pair from the grid family of a 2-4 point algebra.
+                algebra = data.draw(one_operation_algebras(data.draw(st.integers(2, 4)), arity))
+                family = grid_congruences(algebra)
+                t1, t2 = (data.draw(st.sampled_from(family)) for _ in range(2))
+                must_decompose = False
+            else:
+                # A product of two algebras, by its projections' kernels.
+                factors = [data.draw(one_operation_algebras(n, arity)) for n in
+                           data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))]
+                algebra, projections = product(factors)
+                t1, t2 = data.draw(st.permutations([kernel(p) for p in projections]))
+                must_decompose = True
+            outcome = decompose_product(algebra, t1, t2)
+            if outcome.ok:
+                Homomorphism(algebra, outcome.algebra, outcome.iso.mapping)
+                assert outcome.iso.is_injective and outcome.iso.is_surjective
+                assert outcome.iso.is_isometric
+            else:
+                assert not must_decompose
+                assert outcome.reason in self.REASONS

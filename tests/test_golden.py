@@ -21,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+import metra.cli as cli_module
+import metra.extmetric as extmetric_module
 from metra.cli import load_workspace, parse_workspace, render_json, render_text, run_workspace
 from test_cli import GOLDEN, GRID
 
@@ -53,6 +55,32 @@ def test_reports_match_the_golden_files(name, kind):
     expected = (GOLDEN_DIR / f"{name}.{kind}").read_bytes()
     actual = _reports(_workspaces()[name])[kind].encode("utf-8")
     assert actual == expected
+
+
+def test_no_command_scans_a_derived_result(monkeypatch):
+    """Results that hold by construction are not re-checked: no command of
+    ``lattice.mt`` runs the triangle scan.  Of all commands only
+    ``limitmetric`` runs it, on its input.  Parsing runs it on each
+    declaration, which shows that the spy is in place."""
+    scans, command = [], [None]
+    run_one, triangle = cli_module._run_one, extmetric_module._triangle_witness
+
+    def running(ws, word, *args):
+        command[0] = word
+        try:
+            return run_one(ws, word, *args)
+        finally:
+            command[0] = None
+
+    def scanned(arr):
+        scans.append(command[0])
+        return triangle(arr)
+
+    monkeypatch.setattr(cli_module, "_run_one", running)
+    monkeypatch.setattr(extmetric_module, "_triangle_witness", scanned)
+    run_workspace(parse_workspace(_workspaces()["lattice"]))
+    assert None in scans
+    assert [word for word in scans if word not in (None, "limitmetric")] == []
 
 
 @pytest.mark.parametrize("seed", sorted(BENCH_REPORT_DIGESTS))

@@ -4,21 +4,25 @@ and every name a module imports is read in it.
 The entry points are the names in ``metra.__all__``, ``metra.cli.main`` and
 the functions ``bench/tracing.py`` wraps (its ``SPANNED`` and ``COUNTED``
 tables, read from the file).  The walk starts from them and follows, by name,
-every name and attribute name read in a reached top-level definition or in
-module-level code; what an unreached definition reads, itself included,
-reaches nothing.  A top-level function or class that the walk never reaches
-is code that only tests call.
+every attribute name and every module-level name read in a reached top-level
+definition or in module-level code; what an unreached definition reads,
+itself included, reaches nothing.  Names are resolved per scope, as Python
+resolves them, so a local that shares a definition's name does not reach it;
+a name imported inside a function is read.  A top-level function or class
+that the walk never reaches is code that only tests call.
 """
 
 from __future__ import annotations
 
 import ast
+import symtable
 from pathlib import Path
 
 import metra
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "metra"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _references(nodes) -> set[str]:
@@ -28,6 +32,28 @@ def _references(nodes) -> set[str]:
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
+
+
+def _global_reads(table: symtable.SymbolTable) -> set[str]:
+    """The names read in a scope, or in a scope nested in it, that resolve
+    to module-level names there."""
+    names = {s.get_name() for s in table.get_symbols() if s.is_referenced() and s.is_global()}
+    for child in table.get_children():
+        names |= _global_reads(child)
+    return names
+
+
+def _reads(node: ast.stmt) -> set[str]:
+    """The names a top-level statement reads: its module-level names, its
+    attribute names and, in a definition, the names its imports bring in.
+    The statement is resolved on its own, without the module's ``from
+    __future__ import annotations``, so its annotations count as reads."""
+    names = _global_reads(symtable.symtable(ast.unparse(node), "<statement>", "exec"))
+    names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    if isinstance(node, DEFINITIONS):
+        imports = (ast.Import, ast.ImportFrom)
+        names |= {a.name for n in ast.walk(node) if isinstance(n, imports) for a in n.names}
+    return names
 
 
 def _traced_names() -> set[str]:
@@ -46,19 +72,19 @@ def unreached_definitions() -> list[str]:
     """``module.name`` of every top-level function or class no entry point reaches."""
     definitions, frontier = {}, set(metra.__all__) | {"main"} | _traced_names()
     for path in sorted(SOURCE.glob("*.py")):
-        body = ast.parse(path.read_text()).body
-        defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        for node in body:
-            if isinstance(node, defs):
-                definitions.setdefault(node.name, []).append((path.stem, node))
-        frontier |= _references(node for node in body if not isinstance(node, defs))
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, DEFINITIONS):
+                definitions.setdefault(node.name, []).append((path.stem, _reads(node)))
+            else:
+                frontier |= _reads(node)
     reached: set[str] = set()
     while frontier:
         name = frontier.pop()
         if name in reached or name not in definitions:
             continue
         reached.add(name)
-        frontier |= _references(node for _, node in definitions[name])
+        for _, reads in definitions[name]:
+            frontier |= reads
     return sorted(
         f"{module}.{name}"
         for name, found in definitions.items()
