@@ -84,17 +84,15 @@ from .extmetric import (
     INF,
     ExtRat,
     FiniteMetricSpace,
-    QuotientMap,
     SquareMatrix,
     gromov_hausdorff,
     hausdorff_distance,
     render_id,
 )
-from .filters import FiniteFilter, SeqForm, pointwise_limit_metric, reduced_product
+from .filters import FiniteFilter, pointwise_limit_metric, reduced_product
 from .logic import (
     FreeAlgebra,
     MetricEquation,
-    MetricImplication,
     Presentation,
     closure_suite,
     entails,
@@ -106,7 +104,7 @@ from .logic import (
     weak_compactness_search,
 )
 from .terms import (
-    FORM, FORMS_RUN, IDS_RUN, MAP_RUN, MATRIX_RUN, TABLE_RUN, Signature, Term, TokenStream,
+    FORM, FORMS_RUN, IDS_RUN, MAP_RUN, MATRIX_RUN, TABLE_RUN, Signature, TokenStream,
 )
 
 
@@ -688,10 +686,11 @@ def load_workspace(path: str) -> Workspace:
 
 
 def _plain(obj):
-    """Deterministic JSON-ready view of any result payload."""
+    """Deterministic JSON-ready view of a payload ``_run_one`` returns; any
+    other type is returned as it is, for the report writer to refuse."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, (ExtRat, Fraction, Term, SeqForm)):
+    if isinstance(obj, ExtRat):
         return str(obj)
     if isinstance(obj, Verdict):
         return {
@@ -706,19 +705,13 @@ def _plain(obj):
         return _render_matrix(obj.matrix)
     if isinstance(obj, SquareMatrix):
         return _render_matrix(obj)
-    if isinstance(obj, (Homomorphism, QuotientMap)):
-        return _render_map(obj)
-    if isinstance(obj, FreeAlgebra):
-        return _render_free(obj)
-    if isinstance(obj, (MetricEquation, MetricImplication)):
-        return str(obj)
+    if isinstance(obj, Homomorphism):
+        return {"map": {render_id(k): render_id(v) for k, v in obj.mapping.items()}}
     if isinstance(obj, dict):
         return {render_id(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (tuple, list)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(render_id(v) for v in obj)
-    return str(obj)
+    return obj
 
 
 def _render_matrix(m: SquareMatrix) -> dict:
@@ -743,14 +736,6 @@ def _render_algebra(a: MetricAlgebra) -> dict:
             order = sorted(range(len(keys)), key=lambda k: str(args[k]))
             ops[symbol] = {keys[k]: values[k] for k in order}
     return {"carrier": names, "metric": a.space.text_rows(), "ops": ops}
-
-
-def _render_map(f) -> dict:
-    if isinstance(f, Homomorphism):
-        mapping = f.mapping
-    else:
-        mapping = {x: f.class_of(x) for x in f.source_carrier}
-    return {"map": {render_id(k): render_id(v) for k, v in mapping.items()}}
 
 
 def _render_free(free: FreeAlgebra) -> dict:
@@ -888,10 +873,7 @@ def _run_one(ws: Workspace, word: str, args: dict, limits: dict):
         rp = reduced_product(
             [alg(n) for n in args["algebras"]], chosen, max_size=limits["max_size"]
         )
-        data = {"exists": rp.exists, "verdict": _plain(rp.verdict)}
-        if rp.exists:
-            data["algebra"] = _plain(rp.algebra)
-        return rp.exists, data
+        return True, {"exists": True, "verdict": _plain(rp.verdict), "algebra": _plain(rp.algebra)}
     if word == "limitmetric":
         matrix = pointwise_limit_metric(args["carrier"], args["forms"])
         return True, {"matrix": _plain(matrix)}

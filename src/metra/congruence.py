@@ -315,18 +315,19 @@ def decompose_product(
 ) -> Decomposition:
     """Factor an algebra as the product of its two quotients.
 
-    Requires the congruence meet to equal the algebra metric, the join
-    to be the all-zero pseudometric, and the pair to permute, and fails
-    with the first pair at which a hypothesis breaks.  When they hold, the
-    canonical map a -> (p1(a), p2(a)) into the product of the quotients is
-    an isomorphism by the factor-congruence theorem (Burris and
-    Sankappanavar, 1981, ch. II), and is returned unchecked.  It is a
-    homomorphism into each quotient, so into their product.  A quotient's
-    metric is its congruence read on representatives, so the product
-    metric between images is max(theta1, theta2), the meet, which is d:
-    the map is isometric, and so injective.  The mode-M join is the path
-    closure of min(theta1, theta2), so it is 0 at (a, b) exactly when a
-    path of zero steps of theta1 or theta2 joins a to b.  Permutability
+    Requires the congruence meet, the max of the two mirrors, to equal the
+    algebra metric, the join to be the all-zero pseudometric, and the pair
+    to permute, and fails with the first pair at which a hypothesis breaks.
+    The mode-M join is the path closure of min(theta1, theta2) (see
+    ``join``), so it is 0 at (a, b) exactly when a path of zero steps of
+    theta1 or theta2 joins a to b: one union of those zero cells decides
+    it, and no closure runs.  When all three hold, the canonical map a ->
+    (p1(a), p2(a)) into the product of the quotients is an isomorphism by
+    the factor-congruence theorem (Burris and Sankappanavar, 1981, ch. II),
+    and is returned unchecked.  It is a homomorphism into each quotient, so
+    into their product.  A quotient's metric is its congruence read on
+    representatives, so the product metric between images is the meet,
+    which is d: the map is isometric, and so injective.  Permutability
     makes the zero-sets' composites agree, so every such path shortens to
     one zero step of theta1 and one of theta2: a join of 0 gives every
     (a, b) some c with theta1(a, c) = theta2(c, b) = 0, whose image is
@@ -335,12 +336,16 @@ def decompose_product(
     for t in (t1, t2):
         if t.base != algebra:
             raise DomainError("congruence is not on this algebra")
-    bad = _first_pair(meet([t1, t2]).matrix, algebra.space)
+    carrier = algebra.carrier
+    (A, B, S), _ = _mirrors(t1.matrix, t2.matrix, algebra.space)
+    bad = _first(np.maximum(A, B) != S)
     if bad is not None:
-        return Decomposition(False, "meet-not-the-metric", bad)
-    bad = _first(join([t1, t2]).matrix.D != 0)
+        return Decomposition(False, "meet-not-the-metric", _ids(carrier, bad))
+    label = _merged(np.arange(len(A)), *((A == 0) | (B == 0)).nonzero())
+    # The first pair across two components is point 0 and the first point outside its own.
+    bad = _first(label != label[0])
     if bad is not None:
-        return Decomposition(False, "join-not-zero", _ids(algebra.carrier, bad))
+        return Decomposition(False, "join-not-zero", (carrier[0], carrier[bad[0]]))
     bad = _first_pair(compose(t1, t2), compose(t2, t1))
     if bad is not None:
         return Decomposition(False, "not-permutable", bad)

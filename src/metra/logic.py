@@ -78,6 +78,7 @@ from .extmetric import (
     _mirrors,
     checked_value,
     metric_identification,
+    render_id,
     within,
 )
 from .terms import (
@@ -539,7 +540,10 @@ class FreeAlgebra:
     mode's closure rule.  Because operations on a truncated universe
     cannot be total (applying them once more exceeds the depth), the
     operation tables are partial; ``apply`` works on class
-    representatives whenever the result stays within the universe.
+    representatives whenever the result stays within the universe.  A
+    class is read off the term's row of ``theta``'s mirror, so ``eta``,
+    ``class_of`` and ``apply`` build no quotient; ``space`` is built once,
+    on first use.
     """
 
     def __init__(self, presentation: Presentation, universe, theta):
@@ -550,17 +554,18 @@ class FreeAlgebra:
         self.theta = theta
 
     @cached_property
-    def _quotient(self):
-        return metric_identification(self.theta)
-
-    @property
     def space(self):
         """Metric space on class representatives (built on first use)."""
-        return self._quotient[0]
+        return metric_identification(self.theta)[0]
 
     def class_of(self, term: Term) -> Term:
-        """Representative of a term's zero-distance class."""
-        return self._quotient[1].class_of(term)
+        """Representative of a term's zero-distance class: the first term
+        at distance zero from it, as in ``space``."""
+        try:
+            row = self.theta.D[self.theta._positions()[term]]
+        except (KeyError, TypeError):
+            raise DomainError(f"element {render_id(term)} is not in the source carrier") from None
+        return self.universe[int((row == 0).argmax())]
 
     def eta(self, name: str) -> Term:
         """The unit map: a generator's class representative."""

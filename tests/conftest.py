@@ -16,8 +16,15 @@ from hypothesis import strategies as st
 import numpy as np
 
 import metra.extmetric as extmetric_module
-from metra.algebra import _cells, _spread, generate_subalgebra
-from metra.congruence import closure_fixpoint
+from metra.algebra import Homomorphism, _cells, _spread, generate_subalgebra, product, quotient
+from metra.congruence import (
+    Decomposition,
+    closure_fixpoint,
+    coarsest_congruence,
+    compose,
+    join,
+    meet,
+)
 from metra.errors import (
     DomainError,
     ParseError,
@@ -498,6 +505,33 @@ def reference_quotient(algebra, theta):
         for symbol in algebra.sig.symbols
     }
     return space.carrier, ops
+
+
+def reference_decompose(algebra, t1, t2):
+    """``decompose_product`` through the lattice operations, as an oracle:
+    the meet and the mode-M join built as congruences and compared, one
+    entry at a time, with the metric and the all-zero pseudometric, then
+    the two composites; the canonical map goes through the ``Homomorphism``
+    constructor."""
+
+    def first_pair(m1, m2):
+        return next(((a, b) for a in m1.carrier for b in m1.carrier
+                     if m1.get(a, b) != m2.get(a, b)), None)
+
+    checks = (
+        ("meet-not-the-metric", lambda: (meet([t1, t2]).matrix, algebra.space)),
+        ("join-not-zero", lambda: (join([t1, t2]).matrix, coarsest_congruence(algebra).matrix)),
+        ("not-permutable", lambda: (compose(t1, t2), compose(t2, t1))),
+    )
+    for reason, pair in checks:
+        bad = first_pair(*pair())
+        if bad is not None:
+            return Decomposition(False, reason, bad)
+    q1, p1 = quotient(algebra, t1)
+    q2, p2 = quotient(algebra, t2)
+    prod, _ = product([q1, q2])
+    iso = Homomorphism(algebra, prod, {a: (p1(a), p2(a)) for a in algebra.carrier})
+    return Decomposition(True, "", (), (q1, q2), prod, iso)
 
 
 def image(f):

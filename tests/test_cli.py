@@ -20,6 +20,7 @@ from metra.cli import (
     CommandResult,
     _json_text,
     _parse_matrix,
+    _plain,
     _render_algebra,
     _WorkspaceStream,
     load_workspace,
@@ -38,7 +39,7 @@ from metra.logic import (
     parse_formula,
     parse_inequality,
 )
-from metra.terms import Signature, TokenStream, enumerate_terms
+from metra.terms import Signature, TokenStream, Var, enumerate_terms
 
 from conftest import (
     FINITE_POOL,
@@ -1207,6 +1208,15 @@ def test_report_writer_refuses_what_json_refuses(value):
     for render in (render_json, reference_render_json):
         with pytest.raises(TypeError):
             render(results)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), {"a"}, Var("x")])
+def test_stray_payload_types_reach_the_writer(value):
+    """``_plain`` renders only the payload types commands return; any other
+    reaches the report writer, whose ``TypeError`` names it."""
+    results = [CommandResult("c;", "c", True, {"value": _plain([value])})]
+    with pytest.raises(TypeError, match=f"type {type(value).__name__} is not"):
+        render_json(results)
 
 
 # The --text report of TestMain's workspace at a distance of 1/2**70.

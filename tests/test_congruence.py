@@ -90,6 +90,7 @@ from conftest import (
     reference_closure,
     reference_components,
     reference_compose,
+    reference_decompose,
     reference_fix_int,
     reference_grid_congruences,
     reference_identification,
@@ -2305,12 +2306,12 @@ def one_operation_algebras(draw, n, arity):
 
 
 class TestDecompositionProperty:
-    """``decompose_product`` returns its canonical map unchecked once the
-    meet, join and permutability verdicts pass (see its docstring).  Whenever
-    it decomposes, the map passes the ``Homomorphism`` constructor and is a
-    bijective isometry; otherwise one of those three verdicts failed."""
-
-    REASONS = {"meet-not-the-metric", "join-not-zero", "not-permutable"}
+    """``decompose_product`` reads the meet and the join on the mirrors and
+    returns its canonical map unchecked once the meet, join and
+    permutability verdicts pass (see its docstring).  Its outcome, reason,
+    witness and map equal ``reference_decompose``'s, which builds the meet
+    and the join as congruences and the map through the ``Homomorphism``
+    constructor; a map it returns is a bijective isometry."""
 
     @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
     @given(arity=st.integers(1, 2), data=st.data())
@@ -2331,10 +2332,27 @@ class TestDecompositionProperty:
                 t1, t2 = data.draw(st.permutations([kernel(p) for p in projections]))
                 must_decompose = True
             outcome = decompose_product(algebra, t1, t2)
-            if outcome.ok:
-                Homomorphism(algebra, outcome.algebra, outcome.iso.mapping)
-                assert outcome.iso.is_injective and outcome.iso.is_surjective
-                assert outcome.iso.is_isometric
-            else:
-                assert not must_decompose
-                assert outcome.reason in self.REASONS
+            want = reference_decompose(algebra, t1, t2)
+        assert (outcome.ok, outcome.reason, outcome.witness) == (want.ok, want.reason, want.witness)
+        assert outcome.ok or not must_decompose
+        if outcome.ok:
+            assert outcome.algebra == want.algebra and outcome.factors == want.factors
+            assert outcome.iso.fidx.tolist() == want.iso.fidx.tolist()
+            assert outcome.iso.is_injective and outcome.iso.is_surjective
+            assert outcome.iso.is_isometric
+
+    def test_runs_no_lattice_operation(self, monkeypatch):
+        """The meet and the join are read on the mirrors: no meet, join or
+        closure runs, for any of the four outcomes."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose_product built a meet or a join")
+
+        for name in ("meet", "join", "closure_fixpoint"):
+            monkeypatch.setattr(congruence_module, name, refuse)
+        prod, projections = square_algebra()
+        t1, t2 = kernel(projections[0]), kernel(projections[1])
+        assert decompose_product(prod, t1, t2).ok
+        assert decompose_product(prod, t1, t1).reason == "meet-not-the-metric"
+        assert decompose_product(prod, t1, finest_congruence(prod)).reason == "join-not-zero"
+        assert decompose_product(*chain_pair()).reason == "not-permutable"

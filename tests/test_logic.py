@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from metra.algebra import MetricAlgebra, is_quantitative
 import metra.algebra as algebra_module
+import metra.extmetric as extmetric_module
 import metra.logic as logic_module
 from metra.errors import (
     AxiomError,
@@ -22,7 +23,7 @@ from metra.errors import (
     UnsupportedInputError,
     ValuationError,
 )
-from metra.extmetric import ExtRat, INF, render_id
+from metra.extmetric import ExtRat, INF, metric_identification, render_id
 from metra.filters import FiniteFilter, reduced_product
 from metra.logic import (
     Add,
@@ -565,6 +566,62 @@ class TestSharedUniverse:
         loaded = pickle.loads(pickle.dumps(free))
         assert loaded.universe == free.universe and loaded.theta == free.theta
         assert loaded.distance(Var("x"), Var("y")) == ExtRat(Fraction(1, 2))
+
+
+class TestClassOf:
+    """``class_of``, and so ``eta`` and ``apply``, reads a term's class off
+    its row of ``theta``'s mirror; ``metric_identification`` names the
+    same classes."""
+
+    @staticmethod
+    def outcome(call, *args):
+        try:
+            return call(*args)
+        except DomainError as err:
+            return str(err)
+
+    @pytest.mark.parametrize("mirror", ["int64", "object"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_identification(self, mirror, data):
+        depth = data.draw(st.integers(0, 1))
+        mode = data.draw(st.sampled_from(["M", "Q", "LIP"]))
+        k = data.draw(st.sampled_from([1, Fraction(3, 2), 2])) if mode == "LIP" else None
+        bounds = st.sampled_from([Fraction(0)] * 3 + FINITE_POOL + EDGE_BOUNDS)
+        relations = data.draw(st.lists(
+            st.builds(MetricEquation, small_terms(depth), small_terms(depth), bounds),
+            max_size=4,
+        ))
+        p = Presentation(SIG_CUB, ("x", "y", "z"), relations, mode, depth, lipschitz=k)
+        outside = [App("u", (App("u", (Var("x"),)),)), Var("w"), App("x"), "x", [1]]
+        with object_mirrors() if mirror == "object" else nullcontext():
+            free = free_algebra(p)
+            qmap = metric_identification(free.theta)[1]
+            for term in free.universe + tuple(outside):
+                assert self.outcome(free.class_of, term) == self.outcome(qmap.class_of, term)
+            for name in p.variables:
+                assert free.eta(name) == qmap.class_of(Var(name))
+            args = data.draw(st.tuples(*[st.sampled_from(free.universe)] * 2))
+            want = App("b", args)
+            got = self.outcome(free.apply, "b", args)
+            assert got == (qmap.class_of(want) if want in free.universe else
+                           f"{want} falls outside the depth-{depth} universe")
+
+    def test_reads_no_identification(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a class was read through the metric identification")
+
+        sig = Signature({"c": 0, "sigma": 2})
+        relations = (parse_equation("x =[0] sigma(x,c)", sig),)
+        free = free_algebra(Presentation(sig, ("x", "y"), relations, "M", depth=1))
+        monkeypatch.setattr(logic_module, "metric_identification", refuse)
+        monkeypatch.setattr(extmetric_module, "metric_identification", refuse)
+        x, c = Var("x"), App("c")
+        assert [free.eta("x"), free.eta("y")] == [x, Var("y")]
+        assert free.class_of(App("sigma", (x, c))) == x
+        assert free.apply("sigma", (x, c)) == x
+        with pytest.raises(DomainError, match="is not in the source carrier"):
+            free.class_of(Var("z"))
 
 
 class TestSoundness:
