@@ -10,11 +10,12 @@ atoms ``d(s, t)`` and compares the result with zero.
 
 Satisfaction is decided by checking every valuation, which is complete on
 finite algebras.  The terms are compiled to index arrays over the
-operation tables and the valuations are checked a chunk at a time in a
+operation tables and the valuations are checked a block at a time in a
 deterministic order (variables sorted by name, carrier order per
 variable), so reported countermodels are always the lexicographically
-least ones.  Equations, implications and inequalities share this scan;
-inequalities are evaluated exactly on each chunk, as Python-int
+least ones; in a block each subterm is built only on the axes of the
+variables it reads.  Equations, implications and inequalities share this
+scan; inequalities are evaluated exactly on each block, as Python-int
 numerators over a common scale.  Entailment is relative to an explicit
 finite list of algebras, and every verdict names its sample.
 
@@ -37,7 +38,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -170,10 +171,11 @@ class IneqExpr:
     """Base class for exact expression trees over distance atoms.
 
     ``atoms()`` lists the tree's distance atoms, left to right, and
-    ``columns(atoms, size)`` evaluates it on ``size`` valuations at once
-    as a pair ``(numerators, scale)``: an object column of Python ints and
-    a positive int, the values being ``numerators / scale``.  The mapping
-    ``atoms`` gives each distance atom its values in that form.
+    ``columns(atoms, shape)`` evaluates it on an array of valuations of
+    that shape at once as a pair ``(numerators, scale)``: an object array
+    of Python ints and a positive int, the values being ``numerators /
+    scale``.  The mapping ``atoms`` gives each distance atom its values in
+    that form.
     """
 
     def variables(self) -> frozenset:
@@ -187,8 +189,8 @@ class Const(IneqExpr):
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
 
-    def columns(self, atoms, size):
-        return np.full(size, self.value.numerator, dtype=object), self.value.denominator
+    def columns(self, atoms, shape):
+        return np.full(shape, self.value.numerator, dtype=object), self.value.denominator
 
     def atoms(self):
         return ()
@@ -202,7 +204,7 @@ class DistAtom(IneqExpr):
     lhs: Term
     rhs: Term
 
-    def columns(self, atoms, size):
+    def columns(self, atoms, shape):
         return atoms[self]
 
     def atoms(self):
@@ -219,10 +221,10 @@ class _BinOp(IneqExpr):
 
     symbol = ""
 
-    def columns(self, atoms, size):
+    def columns(self, atoms, shape):
         """Both sides brought to the lcm of their scales, then combined."""
-        a, s = self.left.columns(atoms, size)
-        b, t = self.right.columns(atoms, size)
+        a, s = self.left.columns(atoms, shape)
+        b, t = self.right.columns(atoms, shape)
         scale = math.lcm(s, t)
         return self._op(a * (scale // s), b * (scale // t)), scale
 
@@ -246,9 +248,9 @@ class Sub(_BinOp):
 class Mul(_BinOp):
     symbol = "*"
 
-    def columns(self, atoms, size):
-        a, s = self.left.columns(atoms, size)
-        b, t = self.right.columns(atoms, size)
+    def columns(self, atoms, shape):
+        a, s = self.left.columns(atoms, shape)
+        b, t = self.right.columns(atoms, shape)
         return a * b, s * t
 
 
@@ -266,8 +268,8 @@ class Min(_BinOp):
 class Square(IneqExpr):
     inner: IneqExpr
 
-    def columns(self, atoms, size):
-        v, s = self.inner.columns(atoms, size)
+    def columns(self, atoms, shape):
+        v, s = self.inner.columns(atoms, shape)
         return v * v, s * s
 
     def atoms(self):
@@ -312,7 +314,7 @@ class MetricInequality:
 # Satisfaction
 
 
-# Valuations a compiled scan checks at once; bounds its index arrays' memory.
+# Valuations in a block of the compiled scan; bounds the cells of its arrays.
 _CHUNK = 1 << 13
 
 
@@ -339,37 +341,59 @@ def _program(sides, names):
     return apps, [(slot(s.lhs), slot(s.rhs)) for s in sides]
 
 
+@lru_cache(maxsize=64)
+def _axes(n, t):
+    """``arange(n)`` along each of the last ``t`` of ``1 + t`` axes, read-only."""
+    axes = np.ix_(*[np.arange(n)] * (1 + t))[1:]
+    for axis in axes:
+        axis.flags.writeable = False
+    return axes
+
+
 def _grid_scan(algebra: MetricAlgebra, names, sides, max_valuations):
     """The scan of every valuation of ``names`` for the terms ``lhs`` and
     ``rhs`` of ``sides`` (equations or distance atoms).
 
     The cap and every term against the algebra's signature are checked,
     and the terms compiled, before this returns.  The scan walks the grid
-    in chunks of ``_CHUNK`` in C order, the last variable varying fastest
-    (``itertools.product`` order), and calls ``flag(cells, size)`` on
-    each: ``cells`` holds each side's carrier positions of ``lhs`` and
-    ``rhs`` under ``size`` valuations, and ``flag`` returns a boolean
-    column.  It returns the first flagged valuation as a dict, or None.
+    in blocks of shape ``(b, n, ..., n)``: the last ``t`` variables, the
+    most with ``n**t <= _CHUNK``, get an axis each, and the leading ones
+    come off a block index, ``_CHUNK // n**t`` of its values at a time.
+    Every application indexes its table with its arguments' arrays, so a
+    subterm is built only on the axes of the variables it reads.  The C
+    order of a block, and of the blocks, is ``itertools.product`` order,
+    the last variable varying fastest.  ``flag(cells, shape)`` gets each
+    side's carrier positions of ``lhs`` and ``rhs`` as arrays that
+    broadcast to the block's ``shape`` and returns a boolean mask that
+    does too.  The scan returns the first flagged valuation as a dict, or
+    None.
     """
-    total = len(algebra.carrier) ** len(names)
-    over_cap(total, max_valuations, "max_valuations", "{count} valuations exceed the cap {cap}")
+    n, k = len(algebra.carrier), len(names)
+    over_cap(n**k, max_valuations, "max_valuations", "{count} valuations exceed the cap {cap}")
     for s in sides:
         check_term(s.lhs, algebra.sig)
         check_term(s.rhs, algebra.sig)
     apps, pairs = _program(sides, names)
-    n = len(algebra.carrier)
+    t = 0
+    while t < k and n ** (t + 1) <= _CHUNK:
+        t += 1
+    inner, lead = n**t, k - t
+    step = _CHUNK // inner
 
     def scan(flag):
-        for start in range(0, total, _CHUNK):
-            rest = np.arange(start, min(start + _CHUNK, total))
-            values = [None] * len(names)
-            for pos in reversed(range(len(names))):
+        for start in range(0, n**lead, step):
+            rest = np.arange(start, min(start + step, n**lead)).reshape((-1,) + (1,) * t)
+            shape = rest.shape[:1] + (n,) * t
+            values = [None] * lead
+            for pos in reversed(range(lead)):
                 rest, values[pos] = np.divmod(rest, n)
+            values += _axes(n, t)
             for symbol, args in apps:
                 values.append(algebra.tables[symbol][tuple(values[a] for a in args)])
-            bad = flag([(values[lhs], values[rhs]) for lhs, rhs in pairs], len(rest))
+            bad = flag([(values[lhs], values[rhs]) for lhs, rhs in pairs], shape)
             if bad.any():
-                at = np.unravel_index(start + int(np.argmax(bad)), (n,) * len(names))
+                at = start * inner + int(np.argmax(np.broadcast_to(bad, shape)))
+                at = np.unravel_index(at, (n,) * k)
                 return {name: algebra.carrier[i] for name, i in zip(names, at)}
         return None
 
@@ -382,7 +406,7 @@ def _countermodel(algebra: MetricAlgebra, names, premises, conclusion, max_valua
     scan = _grid_scan(algebra, names, equations, max_valuations)
     near = [within(algebra.space, e.bound) for e in equations]
 
-    def flag(cells, size):
+    def flag(cells, shape):
         bad = ~near[-1][cells[-1]]
         for w, cell in zip(near, cells[:-1]):
             bad = bad & w[cell]
@@ -404,10 +428,11 @@ def satisfies(
     """Whether every valuation satisfies the formula.
 
     Valuations assign carrier points to the formula's variables, sorted
-    by name.  They are checked a chunk at a time on index arrays, in
-    the order of ``itertools.product`` over the carrier, so a failure
-    carries the lexicographically least countermodel valuation.  The
-    valuation cap and the formula's terms against the algebra's
+    by name.  They are checked a block at a time on index arrays, each
+    subterm built by table lookups on the axes of the variables it reads
+    alone, in the order of ``itertools.product`` over the carrier, so a
+    failure carries the lexicographically least countermodel valuation.
+    The valuation cap and the formula's terms against the algebra's
     signature are checked before the scan.
     """
     phi = as_implication(formula)
@@ -428,7 +453,7 @@ def entails(
 
     Checks that every valuation satisfying all of ``delta`` in any of
     the listed algebras also satisfies ``e``, one algebra after the other
-    with the chunked scan of ``satisfies``.  The passing verdict records
+    with the block scan of ``satisfies``.  The passing verdict records
     the sample size; failures name the first failing algebra's index and
     its least countermodel valuation.
     """
@@ -454,10 +479,11 @@ def satisfies_inequality(
     """Whether the inequality holds under every valuation.
 
     Checked and scanned as in ``satisfies``, the expression evaluated
-    exactly on each chunk.  The first valuation that fails, or that makes
-    a distance atom infinite, stops the scan: a failure carries it as the
-    least countermodel, and an infinite atom raises
-    ``UnsupportedInputError`` naming the first such atom, left to right.
+    exactly on each block, its atoms broadcast to the block's shape.  The
+    first valuation that fails, or that makes a distance atom infinite,
+    stops the scan: a failure carries it as the least countermodel, and
+    an infinite atom raises ``UnsupportedInputError`` naming the first
+    such atom, left to right.
     """
     atoms = tuple(dict.fromkeys(q.expr.atoms()))
     names = sorted(q.variables())
@@ -465,21 +491,21 @@ def satisfies_inequality(
     D, denom = algebra.space.D, algebra.space.denom
     top = _inf_code(D)
 
-    def flag(cells, size):
-        codes = [np.broadcast_to(D[cell], size) for cell in cells]
+    def flag(cells, shape):
+        codes = [np.broadcast_to(D[cell], shape) for cell in cells]
         infinite = [c >= top for c in codes]
         # Infinite codes read 0 in the arithmetic; their valuations raise below.
         columns = {
             atom: (np.where(inf, 0, c).astype(object, copy=False), denom)
             for atom, c, inf in zip(atoms, codes, infinite)
         }
-        bad = ~q.holds(q.expr.columns(columns, size)[0])
+        bad = ~q.holds(q.expr.columns(columns, shape)[0])
         for inf in infinite:
             bad |= inf
         if bad.any():
             at = int(np.argmax(bad))
             for atom, inf in zip(atoms, infinite):
-                if inf[at]:
+                if inf.flat[at]:
                     raise UnsupportedInputError(
                         f"{atom} is infinite; expression arithmetic needs finite distances"
                     )

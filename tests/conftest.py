@@ -776,10 +776,10 @@ def pseudometric_spaces(draw, max_size=4, allow_inf=True):
 
 
 @st.composite
-def metric_spaces(draw, max_size=4, allow_inf=False):
-    """A metric space on up to ``max_size`` points, with infinite distances
-    as ``split_rows`` draws them."""
-    n = draw(st.integers(min_value=1, max_value=max_size))
+def metric_spaces(draw, max_size=4, allow_inf=False, min_size=1):
+    """A metric space on ``min_size`` to ``max_size`` points, with infinite
+    distances as ``split_rows`` draws them."""
+    n = draw(st.integers(min_value=min_size, max_value=max_size))
     rows = symmetric_rows(draw, n, st.sampled_from([ExtRat(q) for q in POSITIVE_POOL]))
     return FiniteMetricSpace(LABELS[:n], fw_close(split_rows(draw, rows, allow_inf)))
 

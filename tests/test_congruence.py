@@ -1586,20 +1586,30 @@ class TestZeroClassRule:
 
     def test_grid_and_join_leave_numpy_ma_unimported(self):
         """numpy.ma, which a plain np.unique imports, costs about 1 MB of
-        RSS; importing metra, a default-grid grid_congruences and a mode-M
-        join stay clear of it.  numpy < 2 imports numpy.ma itself."""
+        RSS; importing metra, a default-grid grid_congruences, a mode-M
+        join and the valuation scans of satisfies, entails and
+        satisfies_inequality stay clear of it.  numpy < 2 imports numpy.ma
+        itself."""
         probe = (
             "import sys\n"
             "import numpy\n"
             "print('numpy.ma' in sys.modules)\n"
             "from metra import FiniteMetricSpace, MetricAlgebra, Signature, grid_congruences, join\n"
+            "from metra import entails, parse_equation, parse_formula, parse_inequality\n"
+            "from metra import satisfies, satisfies_inequality\n"
             "print('numpy.ma' in sys.modules)\n"
             "carrier = range(3)\n"
             "space = FiniteMetricSpace(carrier, [[abs(x - y) for y in carrier] for x in carrier])\n"
             "ops = {'g': {(x, y): max(x, y) for x in carrier for y in carrier}}\n"
-            "family = grid_congruences(MetricAlgebra(Signature({'g': 2}), space, ops))\n"
+            "algebra = MetricAlgebra(Signature({'g': 2}), space, ops)\n"
+            "family = grid_congruences(algebra)\n"
             "assert len(family) == 5\n"
             "assert join(family[1:3], 'M') == family[0]\n"
+            "assert satisfies(algebra, parse_formula('x =[1] y |- g(x, z) =[1] g(y, z)', algebra.sig)).ok\n"
+            "law = parse_equation('g(x, y) =[0] g(y, x)', algebra.sig)\n"
+            "assert entails([algebra], [], law).ok\n"
+            "q = parse_inequality('d(x, y) + d(y, z) - d(x, z) >= 0', algebra.sig)\n"
+            "assert satisfies_inequality(algebra, q).ok\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         package_root = os.path.dirname(os.path.dirname(congruence_module.__file__))

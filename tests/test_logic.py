@@ -3,8 +3,9 @@
 import pickle
 import re
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -1058,11 +1059,11 @@ SIG_CUB = Signature({"c": 0, "u": 1, "b": 2})
 EDGE_BOUNDS = [Fraction(0), INF, Fraction(3, 2**40), 10**400]
 
 
-def small_terms(depth):
-    leaves = st.sampled_from([Var("x"), Var("y"), Var("z"), App("c")])
+def small_terms(depth, names="xyz"):
+    leaves = st.sampled_from([*map(Var, names), App("c")])
     if depth == 0:
         return leaves
-    sub = small_terms(depth - 1)
+    sub = small_terms(depth - 1, names)
     return st.one_of(
         leaves,
         st.builds(lambda a: App("u", (a,)), sub),
@@ -1071,10 +1072,10 @@ def small_terms(depth):
 
 
 @st.composite
-def cub_algebras(draw):
-    """A metric space of at most 5 points (finite pool plus inf) with a
-    constant, a unary and a binary operation drawn at random."""
-    space = draw(metric_spaces(max_size=5, allow_inf=True))
+def cub_algebras(draw, min_size=1):
+    """A metric space of ``min_size`` to 5 points (finite pool plus inf)
+    with a constant, a unary and a binary operation drawn at random."""
+    space = draw(metric_spaces(max_size=5, allow_inf=True, min_size=min_size))
     points = st.sampled_from(space.carrier)
     ops = {
         "c": draw(points),
@@ -1111,16 +1112,16 @@ def same_outcome(got, want):
     same_verdict(got(), expected)
 
 
-def inequality_exprs(depth):
+def inequality_exprs(depth, names="xyz"):
     """Expressions over distance atoms of small terms and the constants 0,
     1/3 and 10**30, which no int64 holds once squared or scaled."""
-    atoms = st.builds(DistAtom, small_terms(1), small_terms(1))
+    atoms = st.builds(DistAtom, small_terms(1, names), small_terms(1, names))
     leaves = st.one_of(
         st.sampled_from([Const(0), Const(Fraction(1, 3)), Const(10**30)]), atoms, atoms
     )
     if depth == 0:
         return leaves
-    sub = inequality_exprs(depth - 1)
+    sub = inequality_exprs(depth - 1, names)
     return st.one_of(
         leaves,
         st.builds(Square, sub),
@@ -1154,6 +1155,8 @@ class TestCompiledMatchesReference:
     )
     def test_entails(self, mirror, algebras, delta, goal):
         with object_mirrors() if mirror == "object" else nullcontext():
+            algebras = [revalidated(a) for a in algebras]
+            assert all((a.space.D.dtype == object) == (mirror == "object") for a in algebras)
             same_verdict(
                 entails(algebras, delta, goal), reference_entails(algebras, delta, goal)
             )
@@ -1202,6 +1205,91 @@ class TestCompiledMatchesReference:
             )
 
 
+def wide_names(draw):
+    """3 to 5 of the variables v to z."""
+    return "vwxyz"[: draw(st.integers(min_value=3, max_value=5))]
+
+
+@st.composite
+def wide_implications(draw):
+    """An implication in which each of 3 to 5 variables occurs."""
+    names = wide_names(draw)
+    eqs = st.builds(
+        MetricEquation,
+        small_terms(2, names),
+        small_terms(2, names),
+        st.sampled_from(FINITE_POOL + EDGE_BOUNDS),
+    )
+    phi = MetricImplication(draw(st.lists(eqs, max_size=2)), draw(eqs))
+    # v =[0] v holds everywhere and puts a variable the draw missed on the grid.
+    missing = [MetricEquation(Var(v), Var(v), 0) for v in names if v not in phi.variables()]
+    return MetricImplication(missing + list(phi.premises), phi.conclusion)
+
+
+@st.composite
+def wide_inequalities(draw):
+    """An inequality in which each of 3 to 5 variables occurs."""
+    names = wide_names(draw)
+    expr = draw(inequality_exprs(2, names))
+    for v in names:
+        if v not in expr.variables():
+            # 0 * d(v, v) is 0 everywhere and puts v on the grid.
+            expr = Add(expr, Mul(Const(0), DistAtom(Var(v), Var(v))))
+    return MetricInequality(expr, draw(st.sampled_from([">=", "<=", "="])))
+
+
+@pytest.mark.parametrize("mirror", ["int64", "object"])
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+class TestSmallChunks:
+    """The scan with blocks of a few valuations against the references:
+    on 2 to 5 points and 3 to 5 variables, blocks split inside a leading
+    variable and the last one is short."""
+
+    @staticmethod
+    @contextmanager
+    def small_blocks(mirror, chunk):
+        with mock.patch.object(logic_module, "_CHUNK", chunk):
+            with object_mirrors() if mirror == "object" else nullcontext():
+                yield
+
+    @staticmethod
+    def rebuilt(algebra, mirror):
+        """``algebra`` with the mirror of the context it is rebuilt in."""
+        algebra = revalidated(algebra)
+        assert (algebra.space.D.dtype == object) == (mirror == "object")
+        return algebra
+
+    @settings(max_examples=15, deadline=None)
+    @given(algebra=cub_algebras(min_size=2), phi=wide_implications())
+    def test_satisfies(self, mirror, chunk, algebra, phi):
+        with self.small_blocks(mirror, chunk):
+            algebra = self.rebuilt(algebra, mirror)
+            same_verdict(satisfies(algebra, phi), reference_satisfies(algebra, phi))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        algebras=st.lists(cub_algebras(min_size=2), min_size=1, max_size=3),
+        phi=wide_implications(),
+    )
+    def test_entails(self, mirror, chunk, algebras, phi):
+        with self.small_blocks(mirror, chunk):
+            algebras = [self.rebuilt(a, mirror) for a in algebras]
+            same_verdict(
+                entails(algebras, phi.premises, phi.conclusion),
+                reference_entails(algebras, phi.premises, phi.conclusion),
+            )
+
+    @settings(max_examples=15, deadline=None)
+    @given(algebra=cub_algebras(min_size=2), q=wide_inequalities())
+    def test_satisfies_inequality(self, mirror, chunk, algebra, q):
+        with self.small_blocks(mirror, chunk):
+            algebra = self.rebuilt(algebra, mirror)
+            same_outcome(
+                lambda: satisfies_inequality(algebra, q),
+                lambda: reference_satisfies_inequality(algebra, q),
+            )
+
+
 def pinned_algebra(w, x, y, z):
     """Ten points on a line with constants cw, cx, cy and a unary f that
     moves exactly the points from z on.
@@ -1229,10 +1317,43 @@ PINNED_INEQUALITY = parse_inequality(
 )
 
 
+def block_valuations(n, k):
+    """Valuations in a full block of the scan of ``k`` variables on ``n``
+    points: the last ``t`` variables, the most with ``n**t <= _CHUNK``,
+    get an axis each, and ``_CHUNK // n**t`` values of the leading ones
+    come at a time."""
+    inner = 1
+    for _ in range(k):
+        if inner * n > logic_module._CHUNK:
+            break
+        inner *= n
+    return logic_module._CHUNK // inner * inner
+
+
+# The first block of the pinned grid ends at BLOCK - 1 (7,999 for 10 points
+# and 4 variables: 8 x 1,000 valuations); 8191 and 8192 sit inside a block.
+BLOCK = block_valuations(10, 4)
+EDGES = pytest.mark.parametrize(
+    "flat",
+    [0, BLOCK - 1, BLOCK, 8191, 8192, 9999],
+    ids=["first", "block-end", "block-start", "chunk-end", "chunk-start", "last"],
+)
+
+
 class TestChunkEdges:
-    @pytest.mark.parametrize(
-        "flat", [0, 8191, 8192, 9999], ids=["first", "chunk-end", "chunk-start", "last"]
-    )
+    def test_the_grid_holds_more_than_one_block(self):
+        assert 0 < BLOCK < 10_000
+
+    def test_scans_share_read_only_axes_from_a_bounded_cache(self):
+        axes = logic_module._axes(10, 3)
+        assert [a.shape for a in axes] == [(1, 10, 1, 1), (1, 1, 10, 1), (1, 1, 1, 10)]
+        assert logic_module._axes(10, 3) is axes
+        for a in axes:
+            with pytest.raises(ValueError):
+                a[...] = 0
+        assert logic_module._axes.cache_info().maxsize is not None
+
+    @EDGES
     def test_first_countermodel_at_a_chunk_edge(self, flat):
         digits = [int(d) for d in f"{flat:04d}"]
         algebra = pinned_algebra(*digits)
@@ -1241,9 +1362,7 @@ class TestChunkEdges:
         assert verdict.value == dict(zip("wxyz", digits))
         same_verdict(verdict, reference_satisfies(algebra, PINNED))
 
-    @pytest.mark.parametrize(
-        "flat", [0, 8191, 8192, 9999], ids=["first", "chunk-end", "chunk-start", "last"]
-    )
+    @EDGES
     def test_first_inequality_countermodel_at_a_chunk_edge(self, flat):
         digits = [int(d) for d in f"{flat:04d}"]
         algebra = pinned_algebra(*digits)
