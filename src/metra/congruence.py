@@ -995,17 +995,19 @@ def grid_congruences(
     pass the congruential check are returned in that order.  The default
     grid is the set of metric values plus zero and infinity.  Candidates
     are checked a chunk at a time on the kernel of ``is_congruential``.
+    Repeated values count once, where they first occur, in the cap too.
     """
     n = algebra.space.size
     if values is None:
         S, denom = algebra.space.D, algebra.space.denom
         codes = np.sort(np.concatenate([S.ravel(), np.array([0, _inf_code(S)], dtype=S.dtype)]))
         codes = codes[np.r_[True, codes[1:] != codes[:-1]]]
+    else:
+        values = list(dict.fromkeys(checked_value(ExtRat, v, "grid value") for v in values))
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
     total = len(codes if values is None else values) ** len(cells)
     over_cap(total, cap, "grid_cap", "grid has {count} candidates, over the cap {cap}")
     if values is not None:
-        values = [checked_value(ExtRat, v, "grid value") for v in values]
         (codes, S), denom = _mirrors(scaled_int_array([values]), algebra.space)
         codes = codes[0]
     iu, ju = np.triu_indices(n, 1)

@@ -16,7 +16,8 @@ variable), so reported countermodels are always the lexicographically
 least ones; in a block each subterm is built only on the axes of the
 variables it reads.  Equations, implications and inequalities share this
 scan; inequalities are evaluated exactly on each block, as Python-int
-numerators over a common scale.  Entailment is relative to an explicit
+numerators over a common scale.  A call compiles each formula once and
+checks it once per signature.  Entailment is relative to an explicit
 finite list of algebras, and every verdict names its sample.
 
 A presentation packages generators, relation equations, a closure mode,
@@ -350,37 +351,41 @@ def _axes(n, t):
     return axes
 
 
-def _grid_scan(algebra: MetricAlgebra, names, sides, max_valuations):
-    """The scan of every valuation of ``names`` for the terms ``lhs`` and
-    ``rhs`` of ``sides`` (equations or distance atoms).
+def _grid_scan(names, sides, max_valuations):
+    """``scan(algebra, flag)``, the scan of every valuation of ``names`` for
+    the terms ``lhs`` and ``rhs`` of ``sides`` (equations or distance atoms).
 
-    The cap and every term against the algebra's signature are checked,
-    and the terms compiled, before this returns.  The scan walks the grid
-    in blocks of shape ``(b, n, ..., n)``: the last ``t`` variables, the
-    most with ``n**t <= _CHUNK``, get an axis each, and the leading ones
-    come off a block index, ``_CHUNK // n**t`` of its values at a time.
-    Every application indexes its table with its arguments' arrays, so a
-    subterm is built only on the axes of the variables it reads.  The C
-    order of a block, and of the blocks, is ``itertools.product`` order,
-    the last variable varying fastest.  ``flag(cells, shape)`` gets each
-    side's carrier positions of ``lhs`` and ``rhs`` as arrays that
-    broadcast to the block's ``shape`` and returns a boolean mask that
-    does too.  The scan returns the first flagged valuation as a dict, or
-    None.
+    Before it builds an array, a scan checks the cap, then every term
+    against the algebra's signature unless an equal one passed before,
+    and the first scan compiles the terms.  A scan walks the grid in blocks
+    of shape ``(b, n, ..., n)``: the last ``t`` variables, the most with
+    ``n**t <= _CHUNK``, get an axis each, and the leading ones come off a
+    block index, ``_CHUNK // n**t`` of its values at a time.  Every
+    application indexes its table with its arguments' arrays, so a subterm
+    is built only on the axes of the variables it reads.  The C order of a
+    block, and of the blocks, is ``itertools.product`` order, the last
+    variable varying fastest.  ``flag(cells, shape)`` gets each side's
+    carrier positions of ``lhs`` and ``rhs`` as arrays that broadcast to
+    the block's ``shape`` and returns a boolean mask that does too.  The
+    scan returns the first flagged valuation as a dict, or None.
     """
-    n, k = len(algebra.carrier), len(names)
-    over_cap(n**k, max_valuations, "max_valuations", "{count} valuations exceed the cap {cap}")
-    for s in sides:
-        check_term(s.lhs, algebra.sig)
-        check_term(s.rhs, algebra.sig)
-    apps, pairs = _program(sides, names)
-    t = 0
-    while t < k and n ** (t + 1) <= _CHUNK:
-        t += 1
-    inner, lead = n**t, k - t
-    step = _CHUNK // inner
+    k, passed, program = len(names), [], None
 
-    def scan(flag):
+    def scan(algebra: MetricAlgebra, flag):
+        nonlocal program
+        n = len(algebra.carrier)
+        over_cap(n**k, max_valuations, "max_valuations", "{count} valuations exceed the cap {cap}")
+        if algebra.sig not in passed:
+            for s in sides:
+                check_term(s.lhs, algebra.sig)
+                check_term(s.rhs, algebra.sig)
+            passed.append(algebra.sig)
+        apps, pairs = program = program or _program(sides, names)
+        t = 0
+        while t < k and n ** (t + 1) <= _CHUNK:
+            t += 1
+        inner, lead = n**t, k - t
+        step = _CHUNK // inner
         for start in range(0, n**lead, step):
             rest = np.arange(start, min(start + step, n**lead)).reshape((-1,) + (1,) * t)
             shape = rest.shape[:1] + (n,) * t
@@ -400,19 +405,38 @@ def _grid_scan(algebra: MetricAlgebra, names, sides, max_valuations):
     return scan
 
 
-def _countermodel(algebra: MetricAlgebra, names, premises, conclusion, max_valuations):
-    """The least valuation where the premises hold and the conclusion fails, or None."""
-    equations = (*premises, conclusion)
-    scan = _grid_scan(algebra, names, equations, max_valuations)
-    near = [within(algebra.space, e.bound) for e in equations]
+def _countermodel(phi: MetricImplication, max_valuations):
+    """``countermodel(algebra)``: the least valuation of an algebra where
+    the premises of ``phi`` hold and its conclusion fails, or None.  One
+    compiled scan serves every algebra it is called on."""
+    equations = (*phi.premises, phi.conclusion)
+    scan = _grid_scan(sorted(phi.variables()), equations, max_valuations)
 
-    def flag(cells, shape):
-        bad = ~near[-1][cells[-1]]
-        for w, cell in zip(near, cells[:-1]):
-            bad = bad & w[cell]
-        return bad
+    def countermodel(algebra: MetricAlgebra):
+        near = []
 
-    return scan(flag)
+        def flag(cells, shape):
+            if not near:  # on the first block, so after the scan's checks
+                near.extend(within(algebra.space, e.bound) for e in equations)
+            bad = ~near[-1][cells[-1]]
+            for w, cell in zip(near, cells[:-1]):
+                bad = bad & w[cell]
+            return bad
+
+        return scan(algebra, flag)
+
+    return countermodel
+
+
+def _verdict(found, pos=None) -> Verdict:
+    """Passed when ``found`` is None, else failed with that countermodel,
+    named with its algebra's index ``pos`` when one is given."""
+    if found is None:
+        return Verdict.passed()
+    witness = tuple(found.items())
+    if pos is None:
+        return Verdict.failed("countermodel", witness, found)
+    return Verdict.failed("countermodel", (pos, witness), {"algebra": pos, "valuation": found})
 
 
 def satisfies_under(algebra: MetricAlgebra, valuation, e: MetricEquation) -> bool:
@@ -433,14 +457,9 @@ def satisfies(
     alone, in the order of ``itertools.product`` over the carrier, so a
     failure carries the lexicographically least countermodel valuation.
     The valuation cap and the formula's terms against the algebra's
-    signature are checked before the scan.
+    signature are checked, and the formula compiled, before the scan.
     """
-    phi = as_implication(formula)
-    names = sorted(phi.variables())
-    found = _countermodel(algebra, names, phi.premises, phi.conclusion, max_valuations)
-    if found is None:
-        return Verdict.passed()
-    return Verdict.failed("countermodel", tuple(found.items()), found)
+    return _verdict(_countermodel(as_implication(formula), max_valuations)(algebra))
 
 
 def entails(
@@ -453,23 +472,16 @@ def entails(
 
     Checks that every valuation satisfying all of ``delta`` in any of
     the listed algebras also satisfies ``e``, one algebra after the other
-    with the block scan of ``satisfies``.  The passing verdict records
-    the sample size; failures name the first failing algebra's index and
-    its least countermodel valuation.
+    with the block scan of ``satisfies``, compiled once for them all.  The
+    passing verdict records the sample size; failures name the first
+    failing algebra's index and its least countermodel valuation.
     """
-    algebras, delta = list(algebras), tuple(delta)
-    variables = set(e.variables())
-    for d in delta:
-        variables |= d.variables()
-    names = sorted(variables)
+    algebras = list(algebras)
+    countermodel = _countermodel(MetricImplication(tuple(delta), e), max_valuations)
     for pos, algebra in enumerate(algebras):
-        found = _countermodel(algebra, names, delta, e, max_valuations)
+        found = countermodel(algebra)
         if found is not None:
-            return Verdict.failed(
-                "countermodel",
-                (pos, tuple(found.items())),
-                {"algebra": pos, "valuation": found},
-            )
+            return _verdict(found, pos)
     return Verdict.passed(len(algebras))
 
 
@@ -485,9 +497,10 @@ def satisfies_inequality(
     an infinite atom raises ``UnsupportedInputError`` naming the first
     such atom, left to right.
     """
+    if not isinstance(q, MetricInequality):
+        raise DomainError(f"{q!r} is not a metric inequality")
     atoms = tuple(dict.fromkeys(q.expr.atoms()))
-    names = sorted(q.variables())
-    scan = _grid_scan(algebra, names, atoms, max_valuations)
+    scan = _grid_scan(sorted(q.variables()), atoms, max_valuations)
     D, denom = algebra.space.D, algebra.space.denom
     top = _inf_code(D)
 
@@ -511,10 +524,7 @@ def satisfies_inequality(
                     )
         return bad
 
-    found = scan(flag)
-    if found is None:
-        return Verdict.passed()
-    return Verdict.failed("countermodel", tuple(found.items()), found)
+    return _verdict(scan(algebra, flag))
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +778,7 @@ def weak_compactness_search(
     """
     delta = tuple(delta)
     slack = checked_value(ExtRat, slack, "slack")
+    MetricImplication(delta, e)  # refuses premises and goals that are no equations
     if slack < e.bound:
         raise DomainError("the relaxed bound cannot undershoot the goal bound")
     over_cap(len(delta), 20, "subset_search", "subset search over {count} premises is out of reach")
@@ -794,8 +805,8 @@ def equicontinuity_check(
     Premises are loosened by delta and the conclusion bound is replaced
     with ``eps_prime``, which must strictly exceed the original bound.
     Larger deltas fire more premises, so working deltas form a downward
-    closed set and the grid is scanned from the largest down; the first
-    success is returned.
+    closed set and the grid is scanned from the largest down, one
+    ``entails`` call per delta; the first success is returned.
     """
     phi = as_implication(formula)
     eps_prime = checked_value(ExtRat, eps_prime, "eps_prime")
@@ -810,24 +821,12 @@ def equicontinuity_check(
         raise DomainError("grid deltas must be finite")
     goal = MetricEquation(phi.conclusion.lhs, phi.conclusion.rhs, eps_prime)
     algebras = list(algebras)
-    last = None
     for delta in grid:
-        relaxed = MetricImplication(
-            tuple(
-                MetricEquation(p.lhs, p.rhs, p.bound + delta) for p in phi.premises
-            ),
-            goal,
-        )
-        countermodel = None
-        for algebra in algebras:
-            verdict = satisfies(algebra, relaxed, max_valuations)
-            if not verdict:
-                countermodel = (delta, verdict.witness)
-                break
-        if countermodel is None:
+        premises = [MetricEquation(p.lhs, p.rhs, p.bound + delta) for p in phi.premises]
+        verdict = entails(algebras, premises, goal, max_valuations)
+        if verdict:
             return Verdict.passed(delta)
-        last = countermodel
-    return Verdict.failed("no-grid-delta-works", last or ())
+    return Verdict.failed("no-grid-delta-works", (delta, verdict.witness[1]))
 
 
 def _schema_for(symbol: str, arity: int, phi: MetricImplication) -> bool:
@@ -1000,7 +999,7 @@ def closure_suite(
     while failures under non-reflexive quotients are recorded as
     expected, documenting that the reflexivity hypothesis is needed.
     ``quotient_values`` widens the value grid the quotient congruences
-    are drawn from.
+    are drawn from; each formula is compiled once, when an algebra first needs it.
     """
     max_product_size = checked_count(max_product_size, "max_product_size")
     formulas = list(formulas)
@@ -1019,11 +1018,14 @@ def closure_suite(
                 raise DomainError("closure suite instances must share a signature")
     report = ClosureReport()
 
+    scans = [None] * len(formulas)
+
     def check_all(algebra):
-        for f in formulas:
-            verdict = satisfies(algebra, f, max_valuations)
-            if not verdict:
-                return verdict
+        for pos, f in enumerate(formulas):
+            scans[pos] = scans[pos] or _countermodel(as_implication(f), max_valuations)
+            found = scans[pos](algebra)
+            if found is not None:
+                return _verdict(found)
         return Verdict.passed()
 
     def record(construction, source, verdict, expected=True):

@@ -56,6 +56,8 @@ from metra.logic import (
     Const,
     DistAtom,
     Max,
+    MetricEquation,
+    MetricImplication,
     Min,
     Mul,
     Square,
@@ -632,12 +634,14 @@ def reference_is_congruential(algebra, matrix):
 
 def reference_grid_congruences(algebra, values=None, cap=100_000):
     """``grid_congruences`` one candidate at a time, as an oracle: the
-    matrices of the accepted candidates in ``itertools.product`` order."""
+    matrices of the accepted candidates in ``itertools.product`` order,
+    over the given values without repeats, in first-occurrence order."""
     if values is None:
         seen = {ZERO, INF}
         for row in algebra.space.entries:
             seen.update(row)
         values = sorted(seen)
+    values = list(dict.fromkeys(values))
     n = algebra.space.size
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if len(values) ** len(cells) > cap:
@@ -706,6 +710,23 @@ def reference_entails(algebras, delta, e, max_valuations=1_000_000):
                     {"algebra": pos, "valuation": valuation},
                 )
     return Verdict.passed(len(algebras))
+
+
+def reference_equicontinuity(algebras, formula, eps_prime, delta_grid):
+    """``equicontinuity_check`` one delta, algebra and valuation at a time,
+    as an oracle, on a grid of positive finite deltas: each relaxed
+    implication is handed to ``reference_satisfies`` per algebra."""
+    phi = as_implication(formula)
+    goal = MetricEquation(phi.conclusion.lhs, phi.conclusion.rhs, eps_prime)
+    last = ()
+    for delta in sorted({ExtRat(d) for d in delta_grid}, reverse=True):
+        premises = [MetricEquation(p.lhs, p.rhs, p.bound + delta) for p in phi.premises]
+        relaxed = MetricImplication(premises, goal)
+        failures = [v for v in (reference_satisfies(a, relaxed) for a in algebras) if not v]
+        if not failures:
+            return Verdict.passed(delta)
+        last = (delta, failures[0].witness)
+    return Verdict.failed("no-grid-delta-works", last)
 
 
 def _reference_value(expr, algebra, valuation):

@@ -832,6 +832,7 @@ def _parsed_matrix(carrier, text):
     return m.carrier, m.D.dtype, m.D.tolist(), m.denom, m.text_rows()
 
 
+@pytest.mark.differential
 @pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
 @settings(max_examples=200, deadline=None)
 @given(literal=matrix_literals())
@@ -879,6 +880,7 @@ def algebra_parts(draw):
     return sig, carrier, space.entries, ops
 
 
+@pytest.mark.differential
 @pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
 @settings(max_examples=200, deadline=None)
 @given(parts=algebra_parts())
@@ -1103,6 +1105,23 @@ class TestCommands:
         constructions = {r["construction"] for r in report.data["records"]}
         assert "reflexive-quotient" not in constructions
         assert "quotient" in constructions
+
+    def test_repeated_quotient_values_give_no_repeated_quotient(self):
+        """``values 1, 1`` is the grid ``values 1``: one quotient, four checks."""
+        text = (
+            "signature E0 { }\n"
+            "algebra B over E0 { carrier 0,1; metric [[0,1],[1,0]]; }\n"
+            "axioms X over E0 { x =[inf] y; }\n"
+            "closure X [B] values 1, 1;\n"
+            "closure X [B] values 1;\n"
+        )
+        results, code = run_text(text)
+        assert code == 0
+        repeated, single = (r.data for r in results if r.kind == "closure")
+        assert repeated == single
+        assert repeated["summary"].startswith("4 checks")
+        sources = [r["source"] for r in repeated["records"] if r["construction"] == "quotient"]
+        assert sources == ["A0 / theta0"]
 
     @pytest.mark.parametrize(
         "command",

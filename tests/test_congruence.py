@@ -245,6 +245,21 @@ class TestLatticeBasics:
         with pytest.raises(ResourceLimitError):
             grid_congruences(algebra, cap=10)
 
+    def test_repeated_grid_values_count_once(self):
+        """[1, 1, 0] is the grid [1, 0]: two congruences, not three with
+        two equal, and two candidates under the cap, not three."""
+        algebra = bare_algebra(space_from([0, 1], lambda x, y: abs(x - y)))
+        family = grid_congruences(algebra, values=[1, 1, 0], cap=2)
+        assert [t.matrix for t in family] == [
+            t.matrix for t in grid_congruences(algebra, values=[1, 0])
+        ]
+        assert len(family) == len(grid_congruences(algebra)) == 2
+        assert [t.matrix for t in grid_congruences(algebra, values=[0, ONE, 1, ZERO])] == [
+            t.matrix for t in grid_congruences(algebra, values=[0, 1])
+        ]
+        with pytest.raises(ResourceLimitError, match="grid has 3 candidates, over the cap 2"):
+            grid_congruences(algebra, values=[1, HALF, 1, 0, HALF], cap=2)
+
 
 class TestComposeAndPermutability:
     def test_chain_congruences_do_not_permute(self):
@@ -874,6 +889,7 @@ class TestIncrementalClosure:
     full passes until nothing changes: the same matrix, and the same cap
     verdict at the reference's decrease count and one below it."""
 
+    @pytest.mark.differential
     @pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
     @given(
         n=st.integers(min_value=1, max_value=7),
@@ -981,6 +997,7 @@ class TestProductRules:
         assert block.dtype == D.dtype
         assert np.array_equal(block, _spread(D, args_idx))
 
+    @pytest.mark.differential
     @pytest.mark.parametrize("mirrors", MIRRORS)
     @given(
         n=st.integers(min_value=1, max_value=6),
@@ -1094,6 +1111,7 @@ class TestFiniteComponents:
             mask[order[:-1], order[1:]] = mask[order[1:], order[:-1]] = True
             assert mask_groups(mask) == [list(range(n))]
 
+    @pytest.mark.differential
     @given(
         n=st.integers(min_value=1, max_value=40),
         data=st.data(),
@@ -1296,6 +1314,7 @@ class TestCongruenceKernel:
                 got = is_congruential(revalidated(algebra), revalidated(matrix))
                 assert verdict_of(got) == verdict_of(expected)
 
+    @pytest.mark.differential
     @given(
         data=st.data(),
         cells=st.integers(min_value=1, max_value=200),
@@ -1834,6 +1853,7 @@ class TestBlockPivots:
     # or 3 carries past the int64 guard partway through a pass.
     BOUNDS = TestClosureEngines.BOUNDS + [Fraction(1 << 44)]
 
+    @pytest.mark.differential
     @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
     @given(
         n=st.integers(min_value=2, max_value=8),
@@ -1923,6 +1943,7 @@ class TestBlockPivots:
             ([0, 1, 2, 3], [0, 1, 2]), ([8, 9, 10, 16], [10])
         ]
 
+    @pytest.mark.differential
     @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
     def test_matches_full_passes_on_covering_rules(self, mirrors):
         """Product rules that cover a component, fall one bound short of it
@@ -2241,6 +2262,7 @@ def kernels_and_meets(draw):
     return [meet([pool[i], pool[j]]) if both else pool[i] for i, (j, both) in zip(order, picks)]
 
 
+@pytest.mark.differential
 class TestModeMJoin:
     """A mode-M join hands the engine no rules: the path closure of its
     inputs' minimum is congruential already (see ``join``).  Against the
@@ -2266,6 +2288,7 @@ class TestModeMJoin:
                     reference_rule_join(thetas, count - 1)
 
 
+@pytest.mark.differential
 class TestBlockedCompose:
     """``compose``, a broadcast over blocks of rows, against the
     entry-by-entry ``reference_compose``, on both mirrors."""
@@ -2315,6 +2338,7 @@ def one_operation_algebras(draw, n, arity):
     return MetricAlgebra(Signature({"g": arity}), space, {"g": dict(zip(cells, images))})
 
 
+@pytest.mark.differential
 class TestDecompositionProperty:
     """``decompose_product`` reads the meet and the join on the mirrors and
     returns its canonical map unchecked once the meet, join and

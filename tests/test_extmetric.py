@@ -201,6 +201,7 @@ class TestMirror:
         with mirrors():
             assert SquareMatrix(carrier, rows) != m
 
+    @pytest.mark.differential
     @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
     @given(data=st.data())
     def test_text_rows_match_the_reference(self, mirrors, data):
@@ -225,6 +226,7 @@ class TestMirror:
         assert m.text_rows() == reference_text_rows(m) == [[str(v) for v in row] for row in rows]
         assert trusted.text_rows() == reference_text_rows(trusted) == m.text_rows()
 
+    @pytest.mark.differential
     @pytest.mark.parametrize("mirrors", BOTH_MIRRORS)
     @given(space=pseudometric_spaces(), factor=st.sampled_from([1, 2, 6, 1 << 50, 1 << 70]))
     def test_results_are_stored_in_canonical_form(self, mirrors, space, factor):

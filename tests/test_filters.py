@@ -77,6 +77,7 @@ class TestReducedProduct:
         two_point(2, CONST),
     ]
 
+    @pytest.mark.differential
     @pytest.mark.parametrize("mirrors", [contextlib.nullcontext, object_mirrors])
     @given(
         spaces=st.lists(metric_spaces(max_size=2, allow_inf=True), min_size=1, max_size=3),
@@ -214,6 +215,7 @@ class TestSeqForm:
         with pytest.raises(DomainError):
             SeqForm(Fraction(1)).at(0)
 
+    @pytest.mark.differential
     @pytest.mark.parametrize("text", [
         "", " \t\n", " 1 ", "# c\n1", "1 # c", "1 # c\n+ 1/n", "-1/2/n", "- 1 / n",
         "2 + - # c\n 1/2 / n # c", "1/2/n", "1/0", "1/0/n", "1 + 1/0/n", "nn", "1/nn",
@@ -222,6 +224,7 @@ class TestSeqForm:
     def test_parse_seq_form_matches_the_token_reader_on_edges(self, text):
         assert _outcome(parse_seq_form, text) == _outcome(reference_parse_seq_form, text)
 
+    @pytest.mark.differential
     @given(text=st.one_of(st.lists(st.sampled_from(SEQ_PIECES), max_size=8).map("".join),
                           seq_form_texts()))
     @settings(max_examples=300)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metra.algebra import MetricAlgebra, is_quantitative
@@ -60,7 +60,7 @@ from metra.logic import (
     weak_compactness_search,
 )
 from metra.extmetric import PseudometricMatrix
-from metra.terms import App, Signature, Var, parse_term
+from metra.terms import App, Signature, Var, check_term, parse_term
 
 from conftest import (
     FINITE_POOL,
@@ -71,6 +71,7 @@ from conftest import (
     metric_spaces,
     object_mirrors,
     reference_entails,
+    reference_equicontinuity,
     reference_satisfies,
     reference_satisfies_inequality,
     revalidated,
@@ -569,6 +570,7 @@ class TestSharedUniverse:
         assert loaded.distance(Var("x"), Var("y")) == ExtRat(Fraction(1, 2))
 
 
+@pytest.mark.differential
 class TestClassOf:
     """``class_of``, and so ``eta`` and ``apply``, reads a term's class off
     its row of ``theta``'s mirror; ``metric_identification`` names the
@@ -869,6 +871,84 @@ class TestCompileOncePerSearch:
         assert verdict.value == ExtRat("1/2")
 
 
+class TestCompileOncePerCall:
+    """A call compiles each formula once and checks its terms once per
+    signature, however many algebras it scans."""
+
+    @pytest.fixture
+    def spies(self):
+        """Counting wrappers around the compiler and the top-level term check."""
+        with mock.patch.object(logic_module, "_program", wraps=logic_module._program) as program:
+            with mock.patch.object(
+                logic_module, "check_term", wraps=logic_module.check_term
+            ) as check:
+                yield program, check
+
+    def test_closure_suite_compiles_and_checks_each_formula_once(self, spies):
+        program, check = spies
+        formulas = [
+            parse_equation("sigma(x,y) =[0] sigma(y,x)", SIG2),
+            parse_formula("x =[0] y |- sigma(x,x) =[0] sigma(y,y)", SIG2),
+        ]
+        report = closure_suite(formulas, [line_min_algebra(), line_max_algebra()])
+        assert len(report.records) > 10
+        assert report.unexpected_failures == []
+        assert program.call_count == 2
+        # Two sides for each of the three equations, on one signature.
+        assert check.call_count == 6
+
+    def test_entails_compiles_once_over_algebras_of_one_signature(self, spies):
+        program, check = spies
+        algebras = [line_min_algebra(), line_max_algebra(), line_max_algebra(top=3)]
+        goal = parse_equation("sigma(x,x) =[2] sigma(y,y)", SIG2)
+        assert entails(algebras, [parse_equation("x =[1] y")], goal).value == 3
+        assert program.call_count == 1
+        assert check.call_count == 4
+
+    def test_entails_checks_a_new_signature_at_its_algebra(self, spies, monkeypatch):
+        """Algebra 0 is scanned, then algebra 1, whose signature lacks
+        sigma, raises the error its own check raises; an algebra 0 with a
+        countermodel stops the scan before algebra 1 is checked."""
+        program, _ = spies
+        bare = bare_algebra(space_from((0, 1), lambda p, q: abs(p - q)))
+        goal = parse_equation("sigma(x,x) =[2] sigma(y,y)", SIG2)
+        with pytest.raises(SignatureError) as expected:
+            check_term(goal.lhs, bare.sig)
+        masks = mock.Mock(wraps=logic_module.within)
+        monkeypatch.setattr(logic_module, "within", masks)
+        with pytest.raises(SignatureError) as err:
+            entails([line_max_algebra(), bare], [], goal)
+        assert str(err.value) == str(expected.value)
+        assert masks.call_count == 1
+        assert program.call_count == 1
+        tight = parse_equation("sigma(x,x) =[0] sigma(y,y)", SIG2)
+        verdict = entails([line_max_algebra(), bare], [], tight)
+        assert verdict.value == {"algebra": 0, "valuation": {"x": 0, "y": 1}}
+
+    @pytest.mark.parametrize(
+        "algebras, eps_prime, ok, value, witness",
+        [
+            ((line_max_algebra(), line_max_algebra(top=3)), "3/2", True, ExtRat("1/2"), ()),
+            # Every delta fails; the last, 1/2, on algebra 1 only.
+            ((line_max_algebra(), line_min_algebra()), "5/4", False, None,
+             (ExtRat("1/2"), (("x", 0), ("y", 1)))),
+        ],
+        ids=["works", "no-delta-works"],
+    )
+    def test_equicontinuity_check_runs_one_entailment_per_delta(
+        self, spies, monkeypatch, algebras, eps_prime, ok, value, witness
+    ):
+        program, _ = spies
+        phi = parse_formula("x =[1] y |- sigma(x,x) =[1] sigma(y,y)", SIG2)
+        grid = [1, Fraction(1, 2), Fraction(1, 4)] if ok else [2, 1, Fraction(1, 2)]
+        calls = mock.Mock(wraps=logic_module.entails)
+        monkeypatch.setattr(logic_module, "entails", calls)
+        monkeypatch.setattr(logic_module, "satisfies", None)
+        verdict = equicontinuity_check(list(algebras), phi, eps_prime, grid)
+        assert (verdict.ok, verdict.value, verdict.witness) == (ok, value, witness)
+        assert calls.call_count == program.call_count == (2 if ok else 3)
+
+
 SCHEMA_SIGMA = parse_formula(
     "x1 =[0] y1 , x2 =[0] y2 |- sigma(x1,x2) =[0] sigma(y1,y2)", SIG2
 )
@@ -938,6 +1018,63 @@ class TestContinuousFamily:
             is_continuous_family([SCHEMA_SIGMA], SIG2, probes=[])
         with pytest.raises(DomainError, match="probe"):
             is_continuous_family([SCHEMA_SIGMA], SIG2, probes=[[0]])
+
+    @pytest.mark.parametrize(
+        "near_miss",
+        [
+            "x1 =[0] y1 , x2 =[0] y2 |- sigma(x1,x2) =[1] sigma(y1,y2)",
+            "x1 =[0] y1 , x2 =[0] y2 |- x1 =[0] sigma(y1,y2)",
+            MetricImplication(
+                [MetricEquation(Var("x"), Var("y"), 0)],
+                MetricEquation(App("sigma", (Var("x"),)), App("sigma", (Var("y"),)), 0),
+            ),
+            "x1 =[0] y1 , x2 =[0] y2 |- sigma(x1,sigma(x2,x2)) =[0] sigma(y1,y2)",
+            "x1 =[0] y1 , x1 =[0] y2 |- sigma(x1,x1) =[0] sigma(y1,y2)",
+            "x1 =[1] y1 , x2 =[0] y2 |- sigma(x1,x2) =[0] sigma(y1,y2)",
+            "sigma(x1,x1) =[0] y1 , x2 =[0] y2 |- sigma(x1,x2) =[0] sigma(y1,y2)",
+        ],
+        ids=["nonzero-bound", "variable-side", "wrong-arity", "nested-argument",
+             "repeated-variable", "premise-bound", "premise-term"],
+    )
+    def test_near_miss_schemas_are_no_schema(self, near_miss):
+        """Each family misses the sigma schema in one respect."""
+        if isinstance(near_miss, str):
+            near_miss = parse_formula(near_miss, SIG2)
+        verdict = is_continuous_family([near_miss], SIG2, probes=[[]])
+        assert (verdict.ok, verdict.reason, verdict.witness) == (
+            False, "missing-congruence-schema", ("sigma",)
+        )
+
+    @pytest.mark.parametrize(
+        "member, other, probes, missing",
+        [
+            ("x =[1/2] y |- sigma(x,x) =[1] sigma(y,y)",
+             "x =[1] y |- sigma(x,x) =[2] sigma(y,x)", [2], 2),
+            ("x =[1/2] y |- sigma(x,x) =[1] sigma(y,y)",
+             "sigma(x,x) =[2] sigma(y,y)", [2], 2),
+            # The premise-free relaxation covers the probe 2, not 3.
+            ("sigma(x,x) =[1] sigma(y,y)", "sigma(x,x) =[2] sigma(y,y)", [2, 3], 3),
+            ("x =[1/2] y |- sigma(x,x) =[1] sigma(y,y)",
+             "x =[1] z |- sigma(x,x) =[2] sigma(y,y)", [2], 2),
+            ("x =[1/2] y |- sigma(x,x) =[1] sigma(y,y)",
+             "x =[1/4] y |- sigma(x,x) =[2] sigma(y,y)", [2], 2),
+            # Infinite premise bounds on both sides shift by anything.
+            ("x =[inf] y |- sigma(x,x) =[1] sigma(y,y)",
+             "x =[inf] y |- sigma(x,x) =[2] sigma(y,y)", [2, 3], 3),
+            ("x =[1/2] y |- sigma(x,x) =[1] sigma(y,y)",
+             "x =[inf] y |- sigma(x,x) =[2] sigma(y,y)", [2], 2),
+        ],
+        ids=["other-rhs", "premise-count", "premise-free", "premise-terms", "shift-below-zero",
+             "both-infinite", "one-infinite"],
+    )
+    def test_near_miss_relaxations_are_no_relaxation(self, member, other, probes, missing):
+        """The family holds the schema, a member and one near miss of its
+        relaxation; the probe the near miss does not cover is reported."""
+        family = [SCHEMA_SIGMA, parse_formula(member, SIG2), parse_formula(other, SIG2)]
+        verdict = is_continuous_family(family, SIG2, probes=[[], probes, []])
+        assert (verdict.ok, verdict.reason, verdict.witness) == (
+            False, "missing-relaxation", (1, ExtRat(missing))
+        )
 
 
 class TestClosureSuite:
@@ -1129,6 +1266,7 @@ def inequality_exprs(depth, names="xyz"):
     )
 
 
+@pytest.mark.differential
 @pytest.mark.parametrize("mirror", ["int64", "object"])
 class TestCompiledMatchesReference:
     @settings(max_examples=150, deadline=None)
@@ -1159,6 +1297,28 @@ class TestCompiledMatchesReference:
             assert all((a.space.D.dtype == object) == (mirror == "object") for a in algebras)
             same_verdict(
                 entails(algebras, delta, goal), reference_entails(algebras, delta, goal)
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        algebras=st.lists(cub_algebras(), min_size=1, max_size=3),
+        premises=st.lists(equations, max_size=2),
+        conclusion=equations,
+        gap=st.sampled_from([Fraction(1, 2), 1, 3]),
+        grid=st.lists(
+            st.sampled_from([Fraction(1, 4), Fraction(1, 2), 1, 2, 10**30]), min_size=1, max_size=3
+        ),
+    )
+    def test_equicontinuity_check(self, mirror, algebras, premises, conclusion, gap, grid):
+        """One entailment per delta against one ``satisfies`` per delta and algebra."""
+        assume(not conclusion.bound.is_infinite)
+        phi = MetricImplication(premises, conclusion)
+        eps_prime = conclusion.bound + ExtRat(gap)
+        with object_mirrors() if mirror == "object" else nullcontext():
+            algebras = [revalidated(a) for a in algebras]
+            same_verdict(
+                equicontinuity_check(algebras, phi, eps_prime, grid),
+                reference_equicontinuity(algebras, phi, eps_prime, grid),
             )
 
     @settings(max_examples=150, deadline=None)
@@ -1238,6 +1398,7 @@ def wide_inequalities(draw):
     return MetricInequality(expr, draw(st.sampled_from([">=", "<=", "="])))
 
 
+@pytest.mark.differential
 @pytest.mark.parametrize("mirror", ["int64", "object"])
 @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
 class TestSmallChunks:

@@ -356,6 +356,7 @@ SOURCE_PIECES = [
 
 
 class TestSource:
+    @pytest.mark.differential
     @given(pieces=st.lists(st.sampled_from(SOURCE_PIECES), max_size=12), data=st.data())
     @settings(max_examples=300)
     def test_source_matches_the_token_pass(self, pieces, data):

@@ -44,6 +44,9 @@ F_TABLE = {"f": {(0,): 1, (1,): 0}}
 F_SWAP = MetricAlgebra(SIG, space_from((0, 1), lambda x, y: abs(x - y)), F_TABLE)
 UNHASHABLE_ID = "carrier element ids must be hashable (unhashable type: 'list')"
 UNHASHABLE_INDEX = "index ids must be hashable (unhashable type: 'list')"
+GOAL = parse_equation("x =[1] y")
+IMPLICATION = parse_formula("x =[1] y |- x =[2] y")
+INEQUALITY = parse_inequality("d(x, y) - 2 <= 0")
 
 
 @pytest.mark.parametrize(
@@ -85,6 +88,23 @@ UNHASHABLE_INDEX = "index ids must be hashable (unhashable type: 'list')"
         pytest.param(lambda: grid_congruences(line_min_algebra(), values=["x"]),
                      DomainError, "grid value must be a nonnegative rational or inf, got 'x'",
                      id="grid-value"),
+        # A formula of the wrong kind is refused by the formula constructor
+        # that each call builds, before any of its parts is used.
+        pytest.param(lambda: entails([F_SWAP], [IMPLICATION], GOAL),
+                     DomainError, f"premise {IMPLICATION!r} is not a metric equation",
+                     id="entails-implication-premise"),
+        pytest.param(lambda: entails([F_SWAP], [INEQUALITY], GOAL),
+                     DomainError, f"premise {INEQUALITY!r} is not a metric equation",
+                     id="entails-inequality-premise"),
+        pytest.param(lambda: entails([F_SWAP], [GOAL], IMPLICATION),
+                     DomainError, "the conclusion must be a metric equation",
+                     id="entails-implication-goal"),
+        pytest.param(lambda: weak_compactness_search([F_SWAP], [GOAL], IMPLICATION, 1),
+                     DomainError, "the conclusion must be a metric equation",
+                     id="weak-compactness-implication-goal"),
+        pytest.param(lambda: satisfies_inequality(F_SWAP, GOAL),
+                     DomainError, f"{GOAL!r} is not a metric inequality",
+                     id="inequality-equation"),
         pytest.param(lambda: pointwise_limit_metric([0, 1], {(0, 1): 3}),
                      DomainError,
                      "the sequence for the pair (0, 1) must be a SeqForm or a string, got 3",
